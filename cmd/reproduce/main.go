@@ -241,10 +241,10 @@ func writeRuntimeTrace(w io.Writer, path string, procs int) error {
 			send[i] = byte(c.Rank() + i)
 		}
 		recv := make([]byte, c.Size()*len(send))
-		if err := collective.RecursiveDoublingAllgather(c, send, recv); err != nil {
+		if err := collective.Allgather(c, send, recv, collective.AlgRecursiveDoubling); err != nil {
 			return err
 		}
-		return collective.RingAllgather(c, send, recv, nil)
+		return collective.Allgather(c, send, recv, collective.AlgRing)
 	}, mpi.WithTracer(rec), mpi.WithStats(stats))
 	if err != nil {
 		return err

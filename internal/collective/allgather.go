@@ -1,28 +1,31 @@
-// Package collective implements MPI_Allgather, MPI_Bcast and MPI_Gather
-// algorithms rank-locally on top of the mpi runtime: recursive doubling,
-// ring, Bruck, binomial and linear trees, and the three-phase hierarchical
-// composition (paper Section II).
+// Package collective is the MPI collective layer on top of the mpi runtime:
+// allgather, allreduce, broadcast, gather, scatter and all-to-all front
+// doors, the reordered communicator of paper Section IV, and the three-phase
+// hierarchical composition of Section II.
 //
-// These implementations move real bytes between goroutine ranks; they are
-// the executable counterpart of the static schedules in package sched and
-// are cross-checked against them by tests. The ring implementation shows the
-// paper's in-algorithm order fix: each incoming block is stored at the
-// output offset of its *original* contributor, so a reordered communicator
-// needs no extra order-preservation mechanism (Section V-B).
+// Every collective is a static schedule from package sched, compiled to a
+// sched.Program and run by one engine, the schedule executor (executor.go):
+// a front door only selects a program — from the world's synth table, its
+// Tuning thresholds or the family registry's baseline rule — and hands it
+// over. The program simnet prices is therefore the program that moves the
+// bytes. Correctness is checked against closed-form expected buffers per
+// family, never against a second implementation. Order preservation under
+// rank reordering (Section V-B) is a Placement: the executor stores each
+// block at the output offset of its *original* contributor, so ring-like
+// algorithms need no extra mechanism.
 package collective
 
 import (
 	"fmt"
 
 	"repro/internal/mpi"
-	"repro/internal/sched"
 )
 
-// Placement maps a communicator rank to the output-buffer block position of
-// that rank's contribution. A nil Placement is the identity (the normal
-// MPI_Allgather contract). Reordered communicators pass the mapping so that
-// ring and tree algorithms can deposit blocks at original-rank offsets.
-type Placement func(commRank int) int
+// Placement maps a program block to its position in the caller's buffer. A
+// nil Placement is the identity. Reordered communicators pass the mapping so
+// that block j — contributed by new rank j — lands at its original rank's
+// offset; rooted collectives pass the root rotation.
+type Placement func(block int) int
 
 func position(place Placement, r int) int {
 	if place == nil {
@@ -31,15 +34,10 @@ func position(place Placement, r int) int {
 	return place(r)
 }
 
-// tag bases: every collective call uses tags derived from its stage indices;
-// successive collectives on one communicator may reuse tags safely because
+// tagOrderFix tags the initComm input exchange of Reordered.Allgather.
+// Successive collectives on one communicator may reuse tags safely because
 // the runtime matches (src, tag) in FIFO order.
-const (
-	tagAllgather = 1 << 20
-	tagGather    = 2 << 20
-	tagBcast     = 3 << 20
-	tagOrderFix  = 4 << 20
-)
+const tagOrderFix = 4 << 20
 
 // checkAllgatherArgs validates the common allgather buffer contract.
 func checkAllgatherArgs(c *mpi.Comm, send, recv []byte) (blk int, err error) {
@@ -52,128 +50,4 @@ func checkAllgatherArgs(c *mpi.Comm, send, recv []byte) (blk int, err error) {
 			len(recv), blk*c.Size(), c.Size(), blk)
 	}
 	return blk, nil
-}
-
-// RingAllgather runs the ring algorithm: p-1 stages, each forwarding the
-// most recently received block to rank+1. place relocates every contributor's
-// block in the output (used by reordered communicators); the relocation is
-// free — it only changes store offsets.
-func RingAllgather(c *mpi.Comm, send, recv []byte, place Placement) error {
-	blk, err := checkAllgatherArgs(c, send, recv)
-	if err != nil {
-		return err
-	}
-	defer beginCollective("ring")()
-	c.TraceEnter("allgather/ring")
-	defer c.TraceExit("allgather/ring")
-	p, me := c.Size(), c.Rank()
-	copy(recv[position(place, me)*blk:], send)
-	if p == 1 {
-		return nil
-	}
-	next, prev := sched.RingNext(me, p), sched.RingPrev(me, p)
-	for t := 0; t < p-1; t++ {
-		if c.Tracing() {
-			c.TracePoint(fmt.Sprintf("ring stage %d", t))
-		}
-		// Forward the block contributed by rank (me - t); receive the one
-		// contributed by rank (me - 1 - t). The owner arithmetic is shared
-		// with the schedule generator.
-		outOwner := sched.RingSendOwner(me, t, p)
-		inOwner := sched.RingRecvOwner(me, t, p)
-		out := recv[position(place, outOwner)*blk : (position(place, outOwner)+1)*blk]
-		if err := c.Send(next, tagAllgather+t, out); err != nil {
-			return err
-		}
-		in, err := c.Recv(prev, tagAllgather+t)
-		if err != nil {
-			return err
-		}
-		if len(in) != blk {
-			return fmt.Errorf("collective: ring stage %d received %d bytes, want %d", t, len(in), blk)
-		}
-		copy(recv[position(place, inOwner)*blk:], in)
-	}
-	return nil
-}
-
-// RecursiveDoublingAllgather runs the recursive doubling algorithm over a
-// power-of-two communicator: log2(p) pairwise exchange stages with doubling
-// volumes. The algorithm relies on contiguous aligned block ranges, so it
-// does not accept a Placement; reordered communicators preserve output
-// order with AllgatherReordered's initComm or endShfl mechanisms instead.
-func RecursiveDoublingAllgather(c *mpi.Comm, send, recv []byte) error {
-	blk, err := checkAllgatherArgs(c, send, recv)
-	if err != nil {
-		return err
-	}
-	p, me := c.Size(), c.Rank()
-	if p&(p-1) != 0 {
-		return fmt.Errorf("collective: recursive doubling needs a power-of-two size, got %d", p)
-	}
-	defer beginCollective("recursive-doubling")()
-	c.TraceEnter("allgather/recursive-doubling")
-	defer c.TraceExit("allgather/recursive-doubling")
-	copy(recv[me*blk:], send)
-	stage := 0
-	for mask := 1; mask < p; mask <<= 1 {
-		if c.Tracing() {
-			c.TracePoint(fmt.Sprintf("rd stage %d", stage))
-		}
-		partner := me ^ mask
-		myStart := me &^ (mask - 1)
-		out := recv[myStart*blk : (myStart+mask)*blk]
-		in, err := c.SendRecv(partner, out, partner, tagAllgather+stage)
-		if err != nil {
-			return err
-		}
-		if len(in) != mask*blk {
-			return fmt.Errorf("collective: recursive doubling stage %d received %d bytes, want %d",
-				stage, len(in), mask*blk)
-		}
-		partnerStart := partner &^ (mask - 1)
-		copy(recv[partnerStart*blk:], in)
-		stage++
-	}
-	return nil
-}
-
-// BruckAllgather runs the Bruck algorithm, which supports any communicator
-// size in ceil(log2 p) stages at the cost of a final local rotation.
-func BruckAllgather(c *mpi.Comm, send, recv []byte) error {
-	blk, err := checkAllgatherArgs(c, send, recv)
-	if err != nil {
-		return err
-	}
-	defer beginCollective("bruck")()
-	c.TraceEnter("allgather/bruck")
-	defer c.TraceExit("allgather/bruck")
-	p, me := c.Size(), c.Rank()
-	tmp := make([]byte, p*blk)
-	copy(tmp, send)
-	cnt := 1
-	stage := 0
-	for pow := 1; pow < p; pow <<= 1 {
-		// Peer and count arithmetic is shared with the schedule generator.
-		dst, src, n := sched.BruckStep(me, pow, p)
-		in, err := c.SendRecv(dst, tmp[:n*blk], src, tagAllgather+stage)
-		if err != nil {
-			return err
-		}
-		if len(in) != n*blk {
-			return fmt.Errorf("collective: bruck stage %d received %d bytes, want %d", stage, len(in), n*blk)
-		}
-		copy(tmp[cnt*blk:], in)
-		cnt += n
-		stage++
-	}
-	if cnt != p {
-		return fmt.Errorf("collective: bruck gathered %d of %d blocks", cnt, p)
-	}
-	// Final rotation: tmp[j] is the block of rank (me + j) mod p.
-	for j := 0; j < p; j++ {
-		owner := (me + j) % p
-		copy(recv[owner*blk:(owner+1)*blk], tmp[j*blk:(j+1)*blk])
-	}
-	return nil
 }

@@ -2,10 +2,10 @@ package collective
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/mpi"
 	"repro/internal/sched"
-	"repro/internal/synth"
 )
 
 // ReduceOp combines src into dst element-wise; both slices have equal
@@ -19,7 +19,8 @@ const tagReduce = 5 << 20
 // tree (mirror image of the binomial broadcast, so the BGMH mapping
 // rationale applies: message sizes are fixed but the fan-in pattern matches
 // the gather tree). On return the root's buf holds the combined value;
-// other ranks' buffers are unspecified scratch.
+// other ranks' buffers are unspecified scratch. A rooted reduce has no
+// schedule family, so this is the one collective loop outside the executor.
 func BinomialReduce(c *mpi.Comm, root int, buf []byte, op ReduceOp) error {
 	p, me := c.Size(), c.Rank()
 	if root < 0 || root >= p {
@@ -33,11 +34,11 @@ func BinomialReduce(c *mpi.Comm, root int, buf []byte, op ReduceOp) error {
 	for mask := 1; mask < p; mask <<= 1 {
 		if vr&mask != 0 {
 			parent := (vr - mask + root) % p
-			return c.Send(parent, tagReduce+maskLog(mask), buf)
+			return c.Send(parent, tagReduce+bits.TrailingZeros(uint(mask)), buf)
 		}
 		if vr+mask < p {
 			child := (vr + mask + root) % p
-			in, err := c.Recv(child, tagReduce+maskLog(mask))
+			in, err := c.Recv(child, tagReduce+bits.TrailingZeros(uint(mask)))
 			if err != nil {
 				return err
 			}
@@ -52,8 +53,8 @@ func BinomialReduce(c *mpi.Comm, root int, buf []byte, op ReduceOp) error {
 
 // HierarchicalAllreduce implements the paper's future-work extension: a
 // topology-friendly MPI_Allreduce composed of an intra-node binomial reduce
-// into the leaders, a leader-level reduce + broadcast, and an intra-node
-// binomial broadcast — reusing exactly the patterns BGMH and BBMH optimise.
+// into the leaders, a leader-level allreduce, and an intra-node broadcast —
+// reusing exactly the patterns BGMH and BBMH optimise.
 // nodeID groups world ranks into nodes; buf is combined in place on every
 // rank.
 func HierarchicalAllreduce(c *mpi.Comm, buf []byte, op ReduceOp, nodeID func(worldRank int) int) error {
@@ -81,18 +82,14 @@ func HierarchicalAllreduce(c *mpi.Comm, buf []byte, op ReduceOp, nodeID func(wor
 	if err := BinomialReduce(nodeComm, 0, buf, op); err != nil {
 		return err
 	}
-	// Phase 2: reduce among leaders, then broadcast the result back to
-	// them (a reduce+bcast allreduce, as in hierarchical MPI libraries).
+	// Phase 2: allreduce among leaders.
 	if isLeader {
-		if err := BinomialReduce(leaderComm, 0, buf, op); err != nil {
-			return err
-		}
-		if err := BinomialBroadcast(leaderComm, 0, buf); err != nil {
+		if err := Allreduce(leaderComm, buf, op); err != nil {
 			return err
 		}
 	}
 	// Phase 3: broadcast inside each node.
-	return BinomialBroadcast(nodeComm, 0, buf)
+	return Broadcast(nodeComm, 0, buf)
 }
 
 // RabenseifnerThresholdBytes is the buffer size at and above which Allreduce
@@ -132,7 +129,7 @@ func Allreduce(c *mpi.Comm, buf []byte, op ReduceOp) error {
 	if op == nil {
 		return fmt.Errorf("collective: nil reduce op")
 	}
-	if prog, ok := synthProgram(c, synth.Allreduce, len(buf), -1); ok {
+	if prog, ok := synthProgram(c, sched.FamilyAllreduce, len(buf)); ok {
 		return tracedExecute(c, "allreduce", prog.Name, func() error {
 			return ExecuteAllreduce(c, prog, buf, op)
 		})
@@ -148,19 +145,6 @@ func Allreduce(c *mpi.Comm, buf []byte, op ReduceOp) error {
 	return tracedExecute(c, "allreduce", label, func() error {
 		return ExecuteAllreduce(c, prog, buf, op)
 	})
-}
-
-// AllreduceLegacy is the hand-written flat fallback: binomial reduce to rank
-// 0 followed by binomial broadcast. Kept as the equivalence baseline.
-func AllreduceLegacy(c *mpi.Comm, buf []byte, op ReduceOp) error {
-	if len(buf) == 0 {
-		return fmt.Errorf("collective: empty allreduce buffer")
-	}
-	defer beginCollective("allreduce")()
-	if err := BinomialReduce(c, 0, buf, op); err != nil {
-		return err
-	}
-	return BinomialBroadcast(c, 0, buf)
 }
 
 // AllreduceSchedule builds the priceable schedule of the flat allreduce: the

@@ -5,11 +5,7 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/sched"
-	"repro/internal/synth"
 )
-
-// tag base for the hand-written all-to-all loop; the stage index is added.
-const tagAlltoall = 7 << 20
 
 // checkAlltoallArgs validates the MPI_Alltoall buffer contract: both buffers
 // carry one equal-size block per rank, with send block d destined to rank d
@@ -26,37 +22,6 @@ func checkAlltoallArgs(c *mpi.Comm, send, recv []byte) (blk int, err error) {
 	return len(send) / p, nil
 }
 
-// AlltoallLegacy is the hand-written pairwise-exchange reference loop: p-1
-// rounds, round t exchanging with ranks (me+t) mod p and (me-t) mod p. Kept
-// as the semantic oracle the schedule executor is equivalence-tested
-// against — any correct all-to-all program must reproduce its output bytes.
-func AlltoallLegacy(c *mpi.Comm, send, recv []byte) error {
-	blk, err := checkAlltoallArgs(c, send, recv)
-	if err != nil {
-		return err
-	}
-	defer beginCollective("alltoall-legacy")()
-	c.TraceEnter("alltoall/legacy")
-	defer c.TraceExit("alltoall/legacy")
-	p, me := c.Size(), c.Rank()
-	copy(recv[me*blk:(me+1)*blk], send[me*blk:(me+1)*blk])
-	for t := 1; t < p; t++ {
-		dst, src := (me+t)%p, (me-t+p)%p
-		if err := c.Send(dst, tagAlltoall+t, send[dst*blk:(dst+1)*blk]); err != nil {
-			return err
-		}
-		in, err := c.Recv(src, tagAlltoall+t)
-		if err != nil {
-			return err
-		}
-		if len(in) != blk {
-			return fmt.Errorf("collective: alltoall round %d received %d bytes, want %d", t, len(in), blk)
-		}
-		copy(recv[src*blk:], in)
-	}
-	return nil
-}
-
 // ExecuteAlltoall runs a compiled all-to-all program (InitSlab over the p^2
 // pair-block space): send block d reaches rank d, recv block s arrives from
 // rank s. The executor works over a p^2-block scratch buffer — rank r's send
@@ -64,21 +29,30 @@ func AlltoallLegacy(c *mpi.Comm, send, recv []byte) error {
 // sched's pairBlock numbering), and the delivered column s*p+me is extracted
 // into recv afterwards.
 func ExecuteAlltoall(c *mpi.Comm, prog *sched.Program, send, recv []byte) error {
+	return executeAlltoall(c, prog, c.Rank(), nil, send, recv)
+}
+
+// executeAlltoall stages the caller's send row at pair-block row `row` of a
+// pooled p^2-block scratch, runs prog under place, and extracts column `row`
+// into recv. The plain collective passes its own rank and no placement; the
+// reordered one passes its original rank and the pair-space relabelling.
+func executeAlltoall(c *mpi.Comm, prog *sched.Program, row int, place Placement, send, recv []byte) error {
 	blk, err := checkAlltoallArgs(c, send, recv)
 	if err != nil {
 		return err
 	}
-	p, me := c.Size(), c.Rank()
+	p := c.Size()
 	if prog.Init != sched.InitSlab || prog.Blocks != p*p {
 		return fmt.Errorf("collective: program %q is not an all-to-all program for %d ranks", prog.Name, p)
 	}
-	buf := make([]byte, prog.Blocks*blk)
-	copy(buf[me*p*blk:], send)
-	if err := executeProgram(c, prog, buf, blk, nil, nil); err != nil {
+	buf := mpi.GetBuf(prog.Blocks * blk)
+	defer mpi.FreeBuf(buf)
+	copy(buf[row*p*blk:], send)
+	if err := executeProgram(c, prog, 0, buf, blk, place, nil); err != nil {
 		return err
 	}
 	for s := 0; s < p; s++ {
-		pair := s*p + me
+		pair := s*p + row
 		copy(recv[s*blk:(s+1)*blk], buf[pair*blk:(pair+1)*blk])
 	}
 	return nil
@@ -94,12 +68,7 @@ func Alltoall(c *mpi.Comm, send, recv []byte) error {
 	if _, err := checkAlltoallArgs(c, send, recv); err != nil {
 		return err
 	}
-	if prog, ok := synthProgram(c, synth.Alltoall, len(send), -1); ok {
-		return tracedExecute(c, "alltoall", prog.Name, func() error {
-			return ExecuteAlltoall(c, prog, send, recv)
-		})
-	}
-	prog, err := baselineProgram(sched.FamilyAlltoall, c.Size(), len(send))
+	prog, err := selectProgram(c, sched.FamilyAlltoall, len(send))
 	if err != nil {
 		return err
 	}
@@ -116,36 +85,21 @@ func Alltoall(c *mpi.Comm, send, recv []byte) error {
 // offset of original pair (mapping[s], mapping[d]) — so, like the ring
 // allgather's in-algorithm fix, order preservation costs no extra traffic.
 func (r *Reordered) Alltoall(send, recv []byte) error {
-	blk, err := checkAlltoallArgs(r.re, send, recv)
-	if err != nil {
+	if _, err := checkAlltoallArgs(r.re, send, recv); err != nil {
 		return err
 	}
 	defer beginCollective("reordered")()
 	p := r.re.Size()
-	prog, ok := synthProgram(r.re, synth.Alltoall, len(send), -1)
-	if !ok {
-		if prog, err = baselineProgram(sched.FamilyAlltoall, p, len(send)); err != nil {
-			return err
-		}
-	}
-	if prog.Init != sched.InitSlab || prog.Blocks != p*p {
-		return fmt.Errorf("collective: program %q is not an all-to-all program for %d ranks", prog.Name, p)
+	prog, err := selectProgram(r.re, sched.FamilyAlltoall, len(send))
+	if err != nil {
+		return err
 	}
 	name := "alltoall/" + prog.Name
 	r.re.TraceEnter(name)
 	defer r.re.TraceExit(name)
-	place := func(b int) int { return r.mapping[b/p]*p + r.mapping[b%p] }
-	meOld := r.mapping[r.re.Rank()]
-	buf := make([]byte, prog.Blocks*blk)
 	// My slab rows are pair blocks (me, d); under place they sit at original
-	// row meOld in original column order — exactly the caller's send layout.
-	copy(buf[meOld*p*blk:], send)
-	if err := executeProgram(r.re, prog, buf, blk, place, nil); err != nil {
-		return err
-	}
-	for sOld := 0; sOld < p; sOld++ {
-		pair := sOld*p + meOld
-		copy(recv[sOld*blk:(sOld+1)*blk], buf[pair*blk:(pair+1)*blk])
-	}
-	return nil
+	// row mapping[me] in original column order — exactly the caller's send
+	// layout — and the column delivered to me is original column mapping[me].
+	place := func(b int) int { return r.mapping[b/p]*p + r.mapping[b%p] }
+	return executeAlltoall(r.re, prog, r.mapping[r.re.Rank()], place, send, recv)
 }

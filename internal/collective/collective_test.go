@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -50,10 +51,19 @@ func runAllgather(t *testing.T, p, blk int, fn func(c *mpi.Comm, send, recv []by
 	}
 }
 
+// scheduleBuilt compiles a registered base builder for p ranks.
+func scheduleBuilt(f sched.FamilyID, builder string, p int) (*sched.Program, error) {
+	fam, err := f.Desc()
+	if err != nil {
+		return nil, err
+	}
+	return fam.BuildCached(builder, p)
+}
+
 func TestRingAllgather(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 5, 8, 16, 33} {
 		runAllgather(t, p, 16, func(c *mpi.Comm, send, recv []byte) error {
-			return RingAllgather(c, send, recv, nil)
+			return Allgather(c, send, recv, AlgRing)
 		})
 	}
 }
@@ -61,7 +71,7 @@ func TestRingAllgather(t *testing.T) {
 func TestRecursiveDoublingAllgather(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 8, 16, 32, 64} {
 		runAllgather(t, p, 16, func(c *mpi.Comm, send, recv []byte) error {
-			return RecursiveDoublingAllgather(c, send, recv)
+			return Allgather(c, send, recv, AlgRecursiveDoubling)
 		})
 	}
 }
@@ -70,7 +80,7 @@ func TestRecursiveDoublingRejectsNonPowerOfTwo(t *testing.T) {
 	err := mpi.Run(3, func(c *mpi.Comm) error {
 		send := input(c.Rank(), 8)
 		recv := make([]byte, 3*8)
-		if err := RecursiveDoublingAllgather(c, send, recv); err == nil {
+		if err := Allgather(c, send, recv, AlgRecursiveDoubling); err == nil {
 			return fmt.Errorf("p=3 accepted")
 		}
 		return nil
@@ -83,17 +93,17 @@ func TestRecursiveDoublingRejectsNonPowerOfTwo(t *testing.T) {
 func TestBruckAllgather(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 31} {
 		runAllgather(t, p, 16, func(c *mpi.Comm, send, recv []byte) error {
-			return BruckAllgather(c, send, recv)
+			return Allgather(c, send, recv, AlgBruck)
 		})
 	}
 }
 
 func TestAllgatherArgChecks(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
-		if err := RingAllgather(c, nil, make([]byte, 4), nil); err == nil {
+		if err := Allgather(c, nil, make([]byte, 4), AlgRing); err == nil {
 			return fmt.Errorf("empty send accepted")
 		}
-		if err := RingAllgather(c, make([]byte, 4), make([]byte, 4), nil); err == nil {
+		if err := Allgather(c, make([]byte, 4), make([]byte, 4), AlgRing); err == nil {
 			return fmt.Errorf("short recv accepted")
 		}
 		return nil
@@ -112,7 +122,7 @@ func TestBinomialBroadcast(t *testing.T) {
 				if c.Rank() == root {
 					copy(buf, msg)
 				}
-				if err := BinomialBroadcast(c, root, buf); err != nil {
+				if err := Broadcast(c, root, buf); err != nil {
 					return err
 				}
 				if !bytes.Equal(buf, msg) {
@@ -129,11 +139,14 @@ func TestBinomialBroadcast(t *testing.T) {
 
 func TestBroadcastRootChecks(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
-		if err := BinomialBroadcast(c, 5, make([]byte, 4)); err == nil {
-			return fmt.Errorf("bad root accepted")
+		if err := Broadcast(c, 5, make([]byte, 4)); err == nil {
+			return fmt.Errorf("bad broadcast root accepted")
 		}
-		if err := LinearBroadcast(c, -1, make([]byte, 4)); err == nil {
-			return fmt.Errorf("bad linear root accepted")
+		if err := Gather(c, -1, make([]byte, 4), make([]byte, 8)); err == nil {
+			return fmt.Errorf("bad gather root accepted")
+		}
+		if err := Scatter(c, 2, make([]byte, 8), make([]byte, 4)); err == nil {
+			return fmt.Errorf("bad scatter root accepted")
 		}
 		return nil
 	})
@@ -142,18 +155,24 @@ func TestBroadcastRootChecks(t *testing.T) {
 	}
 }
 
-func testGather(t *testing.T, gather func(c *mpi.Comm, root int, send, recv []byte, place Placement) error) {
+// testGather drives the named gather builder's program toward both end
+// roots and checks the root's buffer against the closed form.
+func testGather(t *testing.T, builder string) {
 	t.Helper()
 	for _, p := range []int{1, 2, 3, 5, 8, 13, 16} {
 		for _, root := range []int{0, p - 1} {
 			want := expected(p, 16)
-			err := mpi.Run(p, func(c *mpi.Comm) error {
+			prog, err := scheduleBuilt(sched.FamilyGather, builder, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = mpi.Run(p, func(c *mpi.Comm) error {
 				send := input(c.Rank(), 16)
 				var recv []byte
 				if c.Rank() == root {
 					recv = make([]byte, p*16)
 				}
-				if err := gather(c, root, send, recv, nil); err != nil {
+				if err := ExecuteGather(c, prog, root, send, recv); err != nil {
 					return err
 				}
 				if c.Rank() == root && !bytes.Equal(recv, want) {
@@ -168,20 +187,22 @@ func testGather(t *testing.T, gather func(c *mpi.Comm, root int, send, recv []by
 	}
 }
 
-func TestBinomialGather(t *testing.T) { testGather(t, BinomialGather) }
-func TestLinearGather(t *testing.T)   { testGather(t, LinearGather) }
+func TestBinomialGather(t *testing.T) { testGather(t, "binomial-gather") }
+func TestLinearGather(t *testing.T)   { testGather(t, "linear-gather") }
 
 func TestGatherWithPlacement(t *testing.T) {
-	// Reversed placement must land blocks reversed.
+	// The executor's placement hook on a gather program — what the root
+	// rotation rides on: a reversed placement must land blocks reversed.
 	const p, blk = 4, 8
-	err := mpi.Run(p, func(c *mpi.Comm) error {
-		send := input(c.Rank(), blk)
-		var recv []byte
-		if c.Rank() == 0 {
-			recv = make([]byte, p*blk)
-		}
+	prog, err := scheduleBuilt(sched.FamilyGather, "binomial-gather", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = mpi.Run(p, func(c *mpi.Comm) error {
 		place := func(r int) int { return p - 1 - r }
-		if err := BinomialGather(c, 0, send, recv, place); err != nil {
+		recv := make([]byte, p*blk)
+		copy(recv[place(c.Rank())*blk:], input(c.Rank(), blk))
+		if err := executeProgram(c, prog, 0, recv, blk, place, nil); err != nil {
 			return err
 		}
 		if c.Rank() == 0 {
@@ -387,8 +408,9 @@ func TestHierarchicalAllgather(t *testing.T) {
 }
 
 func TestHierarchicalAllgatherCyclicGrouping(t *testing.T) {
-	// Ranks spread cyclically over nodes (non-contiguous groups): the
-	// tagged-block bookkeeping must still deliver rank order.
+	// Ranks spread cyclically over nodes (non-contiguous groups): blocks are
+	// identified by contributor, so recursive doubling among the leaders
+	// still delivers rank order.
 	const nodes, ppn = 4, 2
 	p := nodes * ppn
 	blk := 8
@@ -411,26 +433,59 @@ func TestHierarchicalAllgatherCyclicGrouping(t *testing.T) {
 	}
 }
 
+// hierarchicalErrors runs HierarchicalAllgather on a p-rank world with the
+// default watchdog and returns every rank's error text.
+func hierarchicalErrors(t *testing.T, p int, nodeOf func(int) int, cfg sched.HierarchicalConfig) []string {
+	t.Helper()
+	errs := make([]string, p)
+	err := mpi.Run(p, func(c *mpi.Comm) error {
+		if err := HierarchicalAllgather(c, input(c.Rank(), 4), make([]byte, p*4), nodeOf, cfg); err != nil {
+			errs[c.Rank()] = err.Error()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return errs
+}
+
+// requireSameError asserts all p ranks saw the same error mentioning want.
+func requireSameError(t *testing.T, errs []string, want string) {
+	t.Helper()
+	for r, e := range errs {
+		if !strings.Contains(e, want) {
+			t.Errorf("rank %d: error %q does not mention %q", r, e, want)
+		}
+		if e != errs[0] {
+			t.Errorf("rank %d saw %q, rank 0 saw %q", r, e, errs[0])
+		}
+	}
+}
+
 func TestHierarchicalRejectsNonUniformNodes(t *testing.T) {
-	// 3 ranks on node 0, 1 on node 1.
+	// 3 ranks on node 0, 1 on node 1. Every rank derives the groups locally,
+	// so every rank must fail at once with the same error — none may sit in
+	// a receive until the watchdog fires.
 	nodeOf := func(worldRank int) int {
 		if worldRank < 3 {
 			return 0
 		}
 		return 1
 	}
-	err := mpi.Run(4, func(c *mpi.Comm) error {
-		send := input(c.Rank(), 4)
-		recv := make([]byte, 4*4)
-		cfg := sched.HierarchicalConfig{Intra: sched.Linear, Inter: sched.InterRing}
-		err := HierarchicalAllgather(c, send, recv, nodeOf, cfg)
-		if err == nil {
-			return fmt.Errorf("non-uniform nodes accepted")
-		}
-		return nil // every rank must see an error (leaders directly, the
-		// rest via the shortened deadline)
-	}, mpi.WithTimeout(2*time.Second))
-	if err != nil {
-		t.Fatal(err)
+	start := time.Now()
+	errs := hierarchicalErrors(t, 4, nodeOf, sched.HierarchicalConfig{Intra: sched.Linear, Inter: sched.InterRing})
+	requireSameError(t, errs, "must be uniform")
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("rejection took %v: some rank waited on the watchdog", d)
 	}
+}
+
+func TestHierarchicalRingRejectsCyclicGrouping(t *testing.T) {
+	// The paper's "hierarchical allgather is not supported with cyclic
+	// mapping": the ring among leaders forwards whole node-block ranges, which
+	// exist only when every node holds a contiguous rank range.
+	errs := hierarchicalErrors(t, 8, func(w int) int { return w % 4 },
+		sched.HierarchicalConfig{Intra: sched.NonLinear, Inter: sched.InterRing})
+	requireSameError(t, errs, "requires contiguous rank groups")
 }

@@ -23,27 +23,40 @@ func scheduleTraffic(s *sched.Schedule, blk int) map[[2]int]int64 {
 	return out
 }
 
-// TestScheduleMatchesRuntimeTraffic cross-validates the two execution paths:
-// the static schedules (used by the cost model) must predict exactly the
-// point-to-point traffic the live runtime implementation generates, pair by
-// pair and byte for byte.
+// requireTraffic asserts that the runtime's per-pair byte volume equals the
+// schedule's, pair by pair and in total.
+func requireTraffic(t *testing.T, s *sched.Schedule, blk int, stats *mpi.Stats) {
+	t.Helper()
+	want, got := scheduleTraffic(s, blk), stats.PairBytes()
+	for pair, bytes := range want {
+		if got[pair] != bytes {
+			t.Errorf("pair %v: schedule predicts %d bytes, runtime sent %d", pair, bytes, got[pair])
+		}
+	}
+	for pair, bytes := range got {
+		if want[pair] == 0 && bytes != 0 {
+			t.Errorf("pair %v: runtime sent %d bytes the schedule does not predict", pair, bytes)
+		}
+	}
+	if stats.TotalBytes() != s.TotalBlocksMoved()*int64(blk) {
+		t.Errorf("total: schedule %d bytes, runtime %d", s.TotalBlocksMoved()*int64(blk), stats.TotalBytes())
+	}
+}
+
+// TestScheduleMatchesRuntimeTraffic pins the front doors to the schedules the
+// cost model prices: the point-to-point traffic a front-door call generates
+// must equal the schedule's transfers, pair by pair and byte for byte.
 func TestScheduleMatchesRuntimeTraffic(t *testing.T) {
 	const blk = 64
 	cases := []struct {
 		name  string
 		p     int
 		build func(p int) (*sched.Schedule, error)
-		run   func(c *mpi.Comm, send, recv []byte) error
+		alg   Algorithm
 	}{
-		{"recursive-doubling", 16, sched.RecursiveDoubling, func(c *mpi.Comm, send, recv []byte) error {
-			return RecursiveDoublingAllgather(c, send, recv)
-		}},
-		{"ring", 12, sched.Ring, func(c *mpi.Comm, send, recv []byte) error {
-			return RingAllgather(c, send, recv, nil)
-		}},
-		{"bruck", 11, sched.Bruck, func(c *mpi.Comm, send, recv []byte) error {
-			return BruckAllgather(c, send, recv)
-		}},
+		{"recursive-doubling", 16, sched.RecursiveDoubling, AlgRecursiveDoubling},
+		{"ring", 12, sched.Ring, AlgRing},
+		{"bruck", 11, sched.Bruck, AlgBruck},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -51,68 +64,40 @@ func TestScheduleMatchesRuntimeTraffic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := scheduleTraffic(s, blk)
-
 			stats := mpi.NewStats()
 			err = mpi.Run(tc.p, func(c *mpi.Comm) error {
-				send := input(c.Rank(), blk)
-				recv := make([]byte, tc.p*blk)
-				return tc.run(c, send, recv)
+				return Allgather(c, input(c.Rank(), blk), make([]byte, tc.p*blk), tc.alg)
 			}, mpi.WithStats(stats))
 			if err != nil {
 				t.Fatal(err)
 			}
-
-			got := stats.PairBytes()
-			for pair, bytes := range want {
-				if got[pair] != bytes {
-					t.Errorf("pair %v: schedule predicts %d bytes, runtime sent %d", pair, bytes, got[pair])
-				}
-			}
-			for pair, bytes := range got {
-				if want[pair] == 0 && bytes != 0 {
-					t.Errorf("pair %v: runtime sent %d bytes the schedule does not predict", pair, bytes)
-				}
-			}
-			if stats.TotalBytes() != s.TotalBlocksMoved()*blk {
-				t.Errorf("total: schedule %d bytes, runtime %d",
-					s.TotalBlocksMoved()*blk, stats.TotalBytes())
-			}
+			requireTraffic(t, s, blk, stats)
 		})
 	}
 }
 
-// TestScheduleMatchesRuntimeTreeTraffic does the same for the tree
-// collectives (gather, broadcast, scatter), whose transfer sizes vary by
-// stage.
+// TestScheduleMatchesRuntimeTreeTraffic does the same for the rooted front
+// doors (gather, broadcast, scatter), whose transfer sizes vary by stage.
 func TestScheduleMatchesRuntimeTreeTraffic(t *testing.T) {
 	const blk = 32
 	const p = 13
+	rootOnly := func(c *mpi.Comm, n int) []byte {
+		if c.Rank() == 0 {
+			return make([]byte, n)
+		}
+		return nil
+	}
 	cases := []struct {
 		name  string
 		build func() (*sched.Schedule, error)
 		run   func(c *mpi.Comm) error
 	}{
 		{"binomial-gather", func() (*sched.Schedule, error) { return sched.BinomialGather(p) },
-			func(c *mpi.Comm) error {
-				var recv []byte
-				if c.Rank() == 0 {
-					recv = make([]byte, p*blk)
-				}
-				return BinomialGather(c, 0, input(c.Rank(), blk), recv, nil)
-			}},
+			func(c *mpi.Comm) error { return Gather(c, 0, input(c.Rank(), blk), rootOnly(c, p*blk)) }},
 		{"binomial-scatter", func() (*sched.Schedule, error) { return sched.BinomialScatter(p) },
-			func(c *mpi.Comm) error {
-				var data []byte
-				if c.Rank() == 0 {
-					data = make([]byte, p*blk)
-				}
-				return BinomialScatter(c, 0, data, make([]byte, blk))
-			}},
+			func(c *mpi.Comm) error { return Scatter(c, 0, rootOnly(c, p*blk), make([]byte, blk)) }},
 		{"binomial-broadcast", func() (*sched.Schedule, error) { return sched.BinomialBroadcast(p, 1) },
-			func(c *mpi.Comm) error {
-				return BinomialBroadcast(c, 0, make([]byte, blk))
-			}},
+			func(c *mpi.Comm) error { return Broadcast(c, 0, make([]byte, blk)) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -120,20 +105,11 @@ func TestScheduleMatchesRuntimeTreeTraffic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := scheduleTraffic(s, blk)
 			stats := mpi.NewStats()
-			if err := mpi.Run(p, func(c *mpi.Comm) error { return tc.run(c) }, mpi.WithStats(stats)); err != nil {
+			if err := mpi.Run(p, tc.run, mpi.WithStats(stats)); err != nil {
 				t.Fatal(err)
 			}
-			got := stats.PairBytes()
-			if len(got) != len(want) {
-				t.Errorf("schedule has %d communicating pairs, runtime %d", len(want), len(got))
-			}
-			for pair, bytes := range want {
-				if got[pair] != bytes {
-					t.Errorf("pair %v: schedule predicts %d bytes, runtime sent %d", pair, bytes, got[pair])
-				}
-			}
+			requireTraffic(t, s, blk, stats)
 		})
 	}
 }

@@ -92,38 +92,36 @@ func execMetricsFor(name string) *execMetrics {
 	return actual.(*execMetrics)
 }
 
-// placeOffsets holds a pooled placement-resolved offset table: off[b] is the
-// buffer byte offset of block b under the call's Placement.
+// placeOffsetsPool recycles placement-resolved offset tables: off[b] is the
+// buffer byte offset of block b under the call's Placement. A table travels
+// with its holder from Get to Put, so a warm pool never hands out an empty
+// one.
 var placeOffsetsPool = sync.Pool{New: func() any { return new([]int) }}
 
 // resolvePlaceOffsets builds the per-block byte offsets for a non-nil
-// placement from pooled storage; the caller returns it with freePlaceOffsets.
-func resolvePlaceOffsets(place Placement, blocks, blk int) []int {
+// placement in pooled storage; the caller returns the holder to
+// placeOffsetsPool when done.
+func resolvePlaceOffsets(place Placement, blocks, blk int) *[]int {
 	op := placeOffsetsPool.Get().(*[]int)
-	off := *op
-	if cap(off) < blocks {
-		off = make([]int, blocks)
+	if cap(*op) < blocks {
+		*op = make([]int, blocks)
 	}
-	off = off[:blocks]
-	*op = nil
-	placeOffsetsPool.Put(op)
-	for b := 0; b < blocks; b++ {
+	off := (*op)[:blocks]
+	for b := range off {
 		off[b] = place(b) * blk
 	}
-	return off
-}
-
-func freePlaceOffsets(off []int) {
-	op := placeOffsetsPool.Get().(*[]int)
-	*op = off[:0]
-	placeOffsetsPool.Put(op)
+	*op = off
+	return op
 }
 
 // executeProgram runs the main stages of prog on c over buf, a
-// prog.Blocks-block buffer with blk bytes per block. place relocates block
-// identifiers to buffer positions (allgather programs whose block space is
-// the rank space; nil is the identity). op combines delivered blocks on
-// Reduce stages and must be non-nil when the program has any.
+// prog.Blocks-block buffer with blk bytes per block. It is the only code in
+// this package that moves collective payload. rot rotates the program's rank
+// space onto the communicator: comm rank r plays program rank (r-rot) mod p,
+// which is how one compiled rooted program serves every root. place relocates
+// block identifiers to buffer positions (nil is the identity). op combines
+// delivered blocks on Reduce stages and must be non-nil when the program has
+// any.
 //
 // The step loop is allocation-free in steady state: block byte offsets are
 // precomputed per (program, blk) — or per call into pooled storage when a
@@ -132,10 +130,11 @@ func freePlaceOffsets(off []int) {
 // stage-then-copy two), consumed receive payloads are recycled with
 // FreeBuf, metric handles are resolved once per program name, and trace
 // labels are only built when a tracer is installed.
-func executeProgram(c *mpi.Comm, prog *sched.Program, buf []byte, blk int, place Placement, op ReduceOp) error {
-	if prog.P != c.Size() {
+func executeProgram(c *mpi.Comm, prog *sched.Program, rot int, buf []byte, blk int, place Placement, op ReduceOp) error {
+	p := c.Size()
+	if prog.P != p {
 		return fmt.Errorf("collective: program %q is compiled for %d ranks, communicator has %d",
-			prog.Name, prog.P, c.Size())
+			prog.Name, prog.P, p)
 	}
 	if err := prog.EnsureExecutable(); err != nil {
 		return err
@@ -144,7 +143,7 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, buf []byte, blk int, place
 	em.executions.Inc()
 
 	me := c.Rank()
-	steps := prog.RankSteps(me)
+	steps := prog.RankSteps(rotate(me, p-rot, p))
 	stages := prog.ExecStages()
 	ops := prog.Ops()
 	// offs[i] is the buffer byte offset of blockIdx entry i under the
@@ -152,8 +151,9 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, buf []byte, blk int, place
 	offs := prog.BlockOffsets(blk)
 	var placeOff []int
 	if place != nil {
-		placeOff = resolvePlaceOffsets(place, prog.Blocks, blk)
-		defer freePlaceOffsets(placeOff)
+		holder := resolvePlaceOffsets(place, prog.Blocks, blk)
+		defer placeOffsetsPool.Put(holder)
+		placeOff = *holder
 	}
 	// Stage timing is sampled on one rank only: a stage's duration is a
 	// collective property, and every rank clocking it would both multiply
@@ -164,9 +164,9 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, buf []byte, blk int, place
 	// in locals and flush once per execution — per-message atomic adds on
 	// shared counters ping-pong cache lines across the communicator's ranks.
 	cfg := configOf(c)
-	sampleRank := cfg.Tuning.StageSampleRank % c.Size()
+	sampleRank := cfg.Tuning.StageSampleRank % p
 	if sampleRank < 0 {
-		sampleRank += c.Size()
+		sampleRank += p
 	}
 	timed := me == sampleRank
 	if timed && cfg.Tuning.StageSampleEvery > 1 {
@@ -227,14 +227,14 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, buf []byte, blk int, place
 					w += blk
 				}
 			}
-			if err := c.SendOwned(int(o.Dst), tag, out); err != nil {
+			if err := c.SendOwned(rotate(int(o.Dst), rot, p), tag, out); err != nil {
 				return err
 			}
 			sent++
 			sentBytes += uint64(n)
 			continue
 		}
-		in, err := c.Recv(int(o.Src), tag)
+		in, err := c.Recv(rotate(int(o.Src), rot, p), tag)
 		if err != nil {
 			return err
 		}
@@ -297,9 +297,40 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, buf []byte, blk int, place
 	return nil
 }
 
+// rotate returns (r + by) mod p for 0 <= r, by <= p.
+func rotate(r, by, p int) int {
+	if r += by; r >= p {
+		r -= p
+	}
+	return r
+}
+
+// rootRotation validates root and returns the rotation that lands prog's
+// root on it.
+func rootRotation(c *mpi.Comm, prog *sched.Program, root int) (int, error) {
+	p := c.Size()
+	if root < 0 || root >= p {
+		return 0, fmt.Errorf("collective: root %d outside communicator of size %d", root, p)
+	}
+	return rotate(root, p-prog.Root, p), nil
+}
+
+// executeRooted runs a rooted program whose block space is the rank space
+// (gather, scatter) toward root: under rotation rot program block b belongs
+// to comm rank (b+rot) mod p, so that is where it sits in buf. Root-aligned
+// calls keep the executor's identity-placement fast path.
+func executeRooted(c *mpi.Comm, prog *sched.Program, rot int, buf []byte, blk int) error {
+	if rot == 0 {
+		return executeProgram(c, prog, 0, buf, blk, nil, nil)
+	}
+	p := c.Size()
+	return executeProgram(c, prog, rot, buf, blk, func(b int) int { return rotate(b, rot, p) }, nil)
+}
+
 // ExecuteAllgather runs a compiled allgather program: rank r contributes
 // send and recv ends with every rank's block. place relocates contributors'
-// blocks in the output, exactly as in RingAllgather.
+// blocks in the output (the in-algorithm order fix of reordered
+// communicators); nil is the identity.
 func ExecuteAllgather(c *mpi.Comm, prog *sched.Program, send, recv []byte, place Placement) error {
 	blk, err := checkAllgatherArgs(c, send, recv)
 	if err != nil {
@@ -309,7 +340,7 @@ func ExecuteAllgather(c *mpi.Comm, prog *sched.Program, send, recv []byte, place
 		return fmt.Errorf("collective: program %q is not an allgather program", prog.Name)
 	}
 	copy(recv[position(place, c.Rank())*blk:], send)
-	return executeProgram(c, prog, recv, blk, place, nil)
+	return executeProgram(c, prog, 0, recv, blk, place, nil)
 }
 
 // ExecuteAllreduce runs a compiled reduction program (InitAll) over buf,
@@ -328,14 +359,19 @@ func ExecuteAllreduce(c *mpi.Comm, prog *sched.Program, buf []byte, op ReduceOp)
 		return fmt.Errorf("collective: allreduce buffer of %d bytes does not divide into %d blocks",
 			len(buf), prog.Blocks)
 	}
-	return executeProgram(c, prog, buf, len(buf)/prog.Blocks, nil, op)
+	return executeProgram(c, prog, 0, buf, len(buf)/prog.Blocks, nil, op)
 }
 
-// ExecuteBroadcast runs a compiled broadcast program (InitRoot): the root's
-// data buffer reaches every rank. All ranks pass a buffer of equal size,
-// divisible into the program's block count; only the root's content matters
-// on entry.
+// ExecuteBroadcast runs a compiled broadcast program (InitRoot) from the
+// program's own root: the root's data buffer reaches every rank. All ranks
+// pass a buffer of equal size, divisible into the program's block count;
+// only the root's content matters on entry.
 func ExecuteBroadcast(c *mpi.Comm, prog *sched.Program, data []byte) error {
+	return executeBroadcast(c, prog, prog.Root, data)
+}
+
+// executeBroadcast is ExecuteBroadcast from any root.
+func executeBroadcast(c *mpi.Comm, prog *sched.Program, root int, data []byte) error {
 	if prog.Init != sched.InitRoot {
 		return fmt.Errorf("collective: program %q is not a broadcast program", prog.Name)
 	}
@@ -343,37 +379,53 @@ func ExecuteBroadcast(c *mpi.Comm, prog *sched.Program, data []byte) error {
 		return fmt.Errorf("collective: broadcast buffer of %d bytes does not divide into %d blocks",
 			len(data), prog.Blocks)
 	}
-	return executeProgram(c, prog, data, len(data)/prog.Blocks, nil, nil)
+	// Broadcast blocks are chunks of one message, not per-rank
+	// contributions, so they keep their positions under rotation.
+	rot, err := rootRotation(c, prog, root)
+	if err != nil {
+		return err
+	}
+	return executeProgram(c, prog, rot, data, len(data)/prog.Blocks, nil, nil)
 }
 
-// ExecuteScatter runs a compiled scatter program: the root's data (one block
-// per rank) is distributed so that rank r ends with block r in out. data is
-// read on the root only.
+// ExecuteScatter runs a compiled scatter program from the program's own
+// root: the root's data (one block per rank) is distributed so that rank r
+// ends with block r in out. data is read on the root only.
 func ExecuteScatter(c *mpi.Comm, prog *sched.Program, data, out []byte) error {
-	if prog.Init != sched.InitRoot {
-		return fmt.Errorf("collective: program %q is not a root-seeded program", prog.Name)
+	return executeScatter(c, prog, prog.Root, data, out)
+}
+
+// executeScatter is ExecuteScatter from any root.
+func executeScatter(c *mpi.Comm, prog *sched.Program, root int, data, out []byte) error {
+	if prog.Init != sched.InitRoot || prog.Blocks != prog.P {
+		return fmt.Errorf("collective: program %q is not a scatter program", prog.Name)
 	}
 	blk := len(out)
 	if blk == 0 {
 		return fmt.Errorf("collective: empty scatter output buffer")
 	}
-	buf := make([]byte, prog.Blocks*blk)
-	if c.Rank() == prog.Root {
+	rot, err := rootRotation(c, prog, root)
+	if err != nil {
+		return err
+	}
+	buf := mpi.GetBuf(prog.Blocks * blk)
+	defer mpi.FreeBuf(buf)
+	if c.Rank() == root {
 		if len(data) != len(buf) {
 			return fmt.Errorf("collective: scatter root data is %d bytes, want %d", len(data), len(buf))
 		}
 		copy(buf, data)
 	}
-	if err := executeProgram(c, prog, buf, blk, nil, nil); err != nil {
+	if err := executeRooted(c, prog, rot, buf, blk); err != nil {
 		return err
 	}
 	copy(out, buf[c.Rank()*blk:(c.Rank()+1)*blk])
 	return nil
 }
 
-// ExecuteGather runs a compiled gather program: every rank contributes send;
-// on the root, recv (one block per rank) ends with all contributions in rank
-// order. recv may be nil on non-roots.
+// ExecuteGather runs a compiled gather program toward root: every rank
+// contributes send; on the root, recv (one block per rank) ends with all
+// contributions in rank order. recv may be nil on non-roots.
 func ExecuteGather(c *mpi.Comm, prog *sched.Program, root int, send, recv []byte) error {
 	blk := len(send)
 	if blk == 0 {
@@ -382,12 +434,9 @@ func ExecuteGather(c *mpi.Comm, prog *sched.Program, root int, send, recv []byte
 	if prog.Init != sched.InitOwn || prog.Blocks != prog.P {
 		return fmt.Errorf("collective: program %q is not a gather program", prog.Name)
 	}
-	if root != prog.Root {
-		// A mismatched root would silently leave the caller's designated
-		// root with an unfilled recv while the program delivers everything
-		// to prog.Root; reject loudly instead.
-		return fmt.Errorf("collective: gather root %d does not match program %q root %d",
-			root, prog.Name, prog.Root)
+	rot, err := rootRotation(c, prog, root)
+	if err != nil {
+		return err
 	}
 	buf := recv
 	if c.Rank() == root {
@@ -395,29 +444,9 @@ func ExecuteGather(c *mpi.Comm, prog *sched.Program, root int, send, recv []byte
 			return fmt.Errorf("collective: gather recv buffer is %d bytes, want %d", len(recv), prog.Blocks*blk)
 		}
 	} else {
-		buf = make([]byte, prog.Blocks*blk)
+		buf = mpi.GetBuf(prog.Blocks * blk)
+		defer mpi.FreeBuf(buf)
 	}
 	copy(buf[c.Rank()*blk:], send)
-	return executeProgram(c, prog, buf, blk, nil, nil)
-}
-
-// ScheduleHierarchicalAllgather runs the three-phase hierarchical allgather
-// through a compiled schedule. groups lists, per node, the member ranks
-// (leader first); unlike the Split-based HierarchicalAllgather the node
-// structure must be known identically on every rank, which lets the whole
-// composition compile to one static program.
-func ScheduleHierarchicalAllgather(c *mpi.Comm, send, recv []byte, groups [][]int, cfg sched.HierarchicalConfig) error {
-	s, err := sched.Hierarchical(groups, cfg)
-	if err != nil {
-		return err
-	}
-	prog, err := sched.CompileCached(s)
-	if err != nil {
-		return err
-	}
-	defer beginCollective("hierarchical")()
-	name := "allgather/" + prog.Name
-	c.TraceEnter(name)
-	defer c.TraceExit(name)
-	return ExecuteAllgather(c, prog, send, recv, nil)
+	return executeRooted(c, prog, rot, buf, blk)
 }

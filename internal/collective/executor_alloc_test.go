@@ -10,31 +10,31 @@ import (
 	"repro/internal/sched"
 )
 
-// TestExecuteGatherRejectsWrongRoot pins the root-validation regression: a
-// caller whose root disagrees with the compiled program's root must get an
-// explicit error, not a silently unfilled recv buffer on its chosen root.
+// TestExecuteGatherRejectsWrongRoot: a compiled gather program serves any
+// root of the communicator through the executor's rank rotation, so the only
+// wrong root left is one outside it — which must fail on every rank, before
+// any message moves.
 func TestExecuteGatherRejectsWrongRoot(t *testing.T) {
 	const p, blk = 4, 8
-	s, err := sched.BinomialGather(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := sched.CompileCached(s)
+	prog, err := scheduleBuilt(sched.FamilyGather, "binomial-gather", p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	err = mpi.Run(p, func(c *mpi.Comm) error {
 		recv := make([]byte, p*blk)
-		// The program gathers to rank 0; claiming root 1 must fail on
-		// every rank, before any message moves.
-		if err := ExecuteGather(c, prog, 1, input(c.Rank(), blk), recv); err == nil {
-			return fmt.Errorf("rank %d: mismatched gather root accepted", c.Rank())
+		for _, root := range []int{-1, p} {
+			if err := ExecuteGather(c, prog, root, input(c.Rank(), blk), recv); err == nil {
+				return fmt.Errorf("rank %d: gather root %d accepted", c.Rank(), root)
+			}
 		}
-		// The matching root still works.
-		if c.Rank() != 0 {
-			recv = nil
+		// A root other than the program's own works.
+		if err := ExecuteGather(c, prog, 1, input(c.Rank(), blk), recv); err != nil {
+			return err
 		}
-		return ExecuteGather(c, prog, 0, input(c.Rank(), blk), recv)
+		if c.Rank() == 1 && !bytes.Equal(recv, expected(p, blk)) {
+			return fmt.Errorf("gather to root 1 assembled the wrong buffer")
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -128,56 +128,102 @@ func (w *steadyWorld) close() error {
 
 // TestExecuteProgramSteadyStateAllocs extends the metrics AllocsPerRun
 // discipline to the executor: once buffers, offsets and metric handles are
-// warm, a full allgather round (every rank staging sends into pooled
+// warm, a full collective round (every rank staging sends into pooled
 // buffers, lending them to the runtime, consuming and recycling receives)
-// must not allocate. Channel signalling of the harness itself is
-// allocation-free, so the measurement isolates the execute path.
+// must not allocate — for the allgather step loop, for the rooted entries
+// whose staging buffers come from the same pool (at the program's root and
+// rotated off it, which adds the pooled placement table), and for the
+// hierarchical composition's plan lookup plus program. Channel signalling of
+// the harness itself is allocation-free, so the measurement isolates the
+// execute path.
 func TestExecuteProgramSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector shadow state allocates on channel/pool operations")
 	}
 	const p, blk = 4, 64
-	prog, err := scheduleProgram(AlgRing, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.EnsureExecutable(); err != nil {
-		t.Fatal(err)
-	}
-	want := expected(p, blk)
-	w := startSteadyWorld(p, func(c *mpi.Comm) error {
-		recv := recvScratch[c.Rank()]
-		if err := ExecuteAllgather(c, prog, inputs[c.Rank()], recv, nil); err != nil {
-			return err
+	compiled := func(f sched.FamilyID, builder string) *sched.Program {
+		prog, err := scheduleBuilt(f, builder, p)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(recv, want) {
+		return prog
+	}
+	ring, bcast := compiled(sched.FamilyAllgather, "ring"), compiled(sched.FamilyBroadcast, "binomial-broadcast")
+	gather, scatter := compiled(sched.FamilyGather, "binomial-gather"), compiled(sched.FamilyScatter, "binomial-scatter")
+	hierCfg := sched.HierarchicalConfig{Intra: sched.NonLinear, Inter: sched.InterRecursiveDoubling}
+	nodes := []int{0, 0, 1, 1}
+	want := expected(p, blk)
+	wantAllgather := func(c *mpi.Comm) error {
+		if !bytes.Equal(recvScratch[c.Rank()], want) {
 			return fmt.Errorf("rank %d: wrong allgather output", c.Rank())
 		}
 		return nil
-	})
-	defer func() {
-		if err := w.close(); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	// Warm the pools, the inbox capacities and the memoized offset table
-	// beyond AllocsPerRun's own single warm-up run.
-	for i := 0; i < 8; i++ {
-		if err := w.round(); err != nil {
-			t.Fatal(err)
-		}
 	}
-	avg := testing.AllocsPerRun(50, func() {
-		if err := w.round(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// One full round is p ranks × (p-1) sends and receives — 24 messages.
-	// The measured value is 0; the threshold leaves room for a stray GC
-	// clearing the buffer pool mid-measurement, while still failing if
-	// per-step garbage (formerly ≥2 allocations per send) returns.
-	if avg > 0.5 {
-		t.Errorf("steady-state allgather round allocates %.2f times, want 0", avg)
+	cases := []struct {
+		name string
+		body func(c *mpi.Comm) error
+	}{
+		{"allgather", func(c *mpi.Comm) error {
+			if err := ExecuteAllgather(c, ring, inputs[c.Rank()], recvScratch[c.Rank()], nil); err != nil {
+				return err
+			}
+			return wantAllgather(c)
+		}},
+		{"broadcast", func(c *mpi.Comm) error { return executeBroadcast(c, bcast, 0, recvScratch[c.Rank()]) }},
+		{"broadcast-off-root", func(c *mpi.Comm) error { return executeBroadcast(c, bcast, 2, recvScratch[c.Rank()]) }},
+		{"gather", func(c *mpi.Comm) error {
+			return ExecuteGather(c, gather, 0, inputs[c.Rank()], recvScratch[c.Rank()])
+		}},
+		{"gather-off-root", func(c *mpi.Comm) error {
+			return ExecuteGather(c, gather, 2, inputs[c.Rank()], recvScratch[c.Rank()])
+		}},
+		{"scatter", func(c *mpi.Comm) error {
+			return executeScatter(c, scatter, 0, recvScratch[c.Rank()], sendScratch[c.Rank()])
+		}},
+		{"scatter-off-root", func(c *mpi.Comm) error {
+			return executeScatter(c, scatter, 2, recvScratch[c.Rank()], sendScratch[c.Rank()])
+		}},
+		{"hierarchical", func(c *mpi.Comm) error {
+			prog, err := hierPlan(nodes, nil, hierCfg, func() (*sched.Schedule, error) {
+				return sched.Hierarchical([][]int{{0, 1}, {2, 3}}, hierCfg)
+			})
+			if err != nil {
+				return err
+			}
+			if err := ExecuteAllgather(c, prog, inputs[c.Rank()], recvScratch[c.Rank()], nil); err != nil {
+				return err
+			}
+			return wantAllgather(c)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := startSteadyWorld(p, tc.body)
+			defer func() {
+				if err := w.close(); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			// Warm the pools, the inbox capacities and the memoized offset
+			// table beyond AllocsPerRun's own single warm-up run.
+			for i := 0; i < 8; i++ {
+				if err := w.round(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			avg := testing.AllocsPerRun(50, func() {
+				if err := w.round(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			// The measured value is 0; the threshold leaves room for a stray
+			// GC clearing the buffer pool mid-measurement, while still
+			// failing if per-step or per-call garbage (a make()d staging
+			// buffer is one allocation per rank) returns.
+			if avg > 0.5 {
+				t.Errorf("steady-state %s round allocates %.2f times, want 0", tc.name, avg)
+			}
+		})
 	}
 }
 
@@ -186,4 +232,5 @@ var (
 	recvScratch = [][]byte{
 		make([]byte, 4*64), make([]byte, 4*64), make([]byte, 4*64), make([]byte, 4*64),
 	}
+	sendScratch = [][]byte{make([]byte, 64), make([]byte, 64), make([]byte, 64), make([]byte, 64)}
 )

@@ -10,8 +10,7 @@ import (
 
 // BenchmarkScheduleExecutor measures the schedule pipeline's three costs:
 // cold compile (pricing view + executable expansion), warm compile (a cache
-// hit), and end-to-end execution on the goroutine runtime, compared against
-// the legacy hand-written loops at the same scale.
+// hit), and end-to-end execution on the goroutine runtime.
 func BenchmarkScheduleExecutor(b *testing.B) {
 	for _, p := range []int{64, 256, 1024} {
 		s, err := sched.Ring(p)
@@ -49,9 +48,7 @@ func BenchmarkScheduleExecutor(b *testing.B) {
 	// allocs/op reflect executeProgram's steady state. The step loop is
 	// allocation-free (0 allocs/op): payload buffers cycle through the
 	// mpi buffer pool, offsets are memoized per (program, blk) and metric
-	// handles are cached per program name. SteadyStateLegacy runs the
-	// hand-written loops in the identical harness — the pair pins the
-	// executor's data-path overhead without mpi.Run construction noise.
+	// handles are cached per program name.
 	for _, tc := range []struct {
 		alg Algorithm
 		p   int
@@ -70,34 +67,27 @@ func BenchmarkScheduleExecutor(b *testing.B) {
 			send[r] = input(r, blk)
 			recv[r] = make([]byte, tc.p*blk)
 		}
-		steady := func(name string, body func(c *mpi.Comm) error) {
-			b.Run(fmt.Sprintf("%s/%v/p%d", name, tc.alg, tc.p), func(b *testing.B) {
-				w := startSteadyWorld(tc.p, body)
-				defer func() {
-					if err := w.close(); err != nil {
-						b.Fatal(err)
-					}
-				}()
-				for i := 0; i < 8; i++ {
-					if err := w.round(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := w.round(); err != nil {
-						b.Fatal(err)
-					}
-				}
+		b.Run(fmt.Sprintf("SteadyState/%v/p%d", tc.alg, tc.p), func(b *testing.B) {
+			w := startSteadyWorld(tc.p, func(c *mpi.Comm) error {
+				return ExecuteAllgather(c, prog, send[c.Rank()], recv[c.Rank()], nil)
 			})
-		}
-		steady("SteadyState", func(c *mpi.Comm) error {
-			return ExecuteAllgather(c, prog, send[c.Rank()], recv[c.Rank()], nil)
-		})
-		alg := tc.alg
-		steady("SteadyStateLegacy", func(c *mpi.Comm) error {
-			return AllgatherLegacy(c, send[c.Rank()], recv[c.Rank()], alg)
+			defer func() {
+				if err := w.close(); err != nil {
+					b.Fatal(err)
+				}
+			}()
+			for i := 0; i < 8; i++ {
+				if err := w.round(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := w.round(); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 
@@ -125,17 +115,6 @@ func BenchmarkScheduleExecutor(b *testing.B) {
 				err := mpi.Run(tc.p, func(c *mpi.Comm) error {
 					recv := make([]byte, tc.p*blk)
 					return ExecuteAllgather(c, prog, input(c.Rank(), blk), recv, nil)
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("ExecuteLegacy/%v/p%d", tc.alg, tc.p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				err := mpi.Run(tc.p, func(c *mpi.Comm) error {
-					recv := make([]byte, tc.p*blk)
-					return AllgatherLegacy(c, input(c.Rank(), blk), recv, tc.alg)
 				})
 				if err != nil {
 					b.Fatal(err)

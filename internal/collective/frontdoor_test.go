@@ -30,218 +30,151 @@ func putRecipe(t *testing.T, tab *synth.Table, f synth.Family, p, payload int, r
 	return sch.Name
 }
 
-// frontDoorCase drives one rooted front door against its legacy baseline
-// and reports the two output buffers for comparison.
-type frontDoorCase struct {
-	family   synth.Family
-	recipe   synth.Recipe
-	payload  int                               // selector payload: whole buffer for bcast, block for gather/scatter
-	run      func(c *mpi.Comm) ([]byte, error) // front door
-	baseline func(c *mpi.Comm) ([]byte, error) // hand-coded legacy path
+// Closed-form data of the rooted front-door tests: broadcast byte i, rank r's
+// gather contribution, and the scatter root's data byte i.
+func bcastByte(i int) byte     { return byte(3*i + 1) }
+func gatherByte(r, i int) byte { return byte(r*7 + i) }
+func scatterByte(i int) byte   { return byte(5*i + 2) }
+
+func fill(n int, at func(i int) byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = at(i)
+	}
+	return b
 }
 
-// TestFrontDoorsByteIdentical is the satellite acceptance test: each rooted
-// front door (broadcast, gather, scatter), configured with a synth table
-// entry, executes the synthesized program — observable on the
-// schedule_executions_total label — and produces output byte-identical to
-// the hand-coded baseline.
-func TestFrontDoorsByteIdentical(t *testing.T) {
-	const p, blk = 16, 512
+// rootedFrontDoors calls Broadcast, Gather and Scatter rooted at root on c
+// with blk-byte blocks and checks every rank's bytes against the closed form.
+func rootedFrontDoors(c *mpi.Comm, root, blk int) error {
+	p, me := c.Size(), c.Rank()
 
-	bcastData := func(c *mpi.Comm) []byte {
-		data := make([]byte, p*blk)
-		if c.Rank() == 0 {
-			for i := range data {
-				data[i] = byte(3*i + 1)
-			}
-		}
-		return data
+	data := make([]byte, p*blk)
+	if me == root {
+		data = fill(p*blk, bcastByte)
 	}
-	gatherSend := func(c *mpi.Comm) []byte {
-		send := make([]byte, blk)
-		for i := range send {
-			send[i] = byte(c.Rank()*7 + i)
-		}
-		return send
+	if err := Broadcast(c, root, data); err != nil {
+		return err
 	}
-	scatterData := func(c *mpi.Comm) []byte {
-		if c.Rank() != 0 {
-			return nil
-		}
-		data := make([]byte, p*blk)
-		for i := range data {
-			data[i] = byte(5*i + 2)
-		}
-		return data
+	if !bytes.Equal(data, fill(p*blk, bcastByte)) {
+		return fmt.Errorf("rank %d: broadcast from root %d corrupt", me, root)
 	}
 
-	cases := map[string]frontDoorCase{
-		"broadcast": {
-			family: synth.Broadcast,
-			// Scatter-allgather differs structurally from the binomial
-			// fallback, so the byte-identity check spans two algorithms.
-			recipe:  synth.Recipe{Alg: "scatter-allgather-broadcast"},
-			payload: p * blk,
-			run: func(c *mpi.Comm) ([]byte, error) {
-				data := bcastData(c)
-				return data, Broadcast(c, 0, data)
-			},
-			baseline: func(c *mpi.Comm) ([]byte, error) {
-				data := bcastData(c)
-				return data, BinomialBroadcast(c, 0, data)
-			},
-		},
-		"gather": {
-			family:  synth.Gather,
-			recipe:  synth.Recipe{Alg: "linear-gather"},
-			payload: blk,
-			run: func(c *mpi.Comm) ([]byte, error) {
-				var recv []byte
-				if c.Rank() == 0 {
-					recv = make([]byte, p*blk)
-				}
-				return recv, Gather(c, 0, gatherSend(c), recv)
-			},
-			baseline: func(c *mpi.Comm) ([]byte, error) {
-				var recv []byte
-				if c.Rank() == 0 {
-					recv = make([]byte, p*blk)
-				}
-				return recv, BinomialGather(c, 0, gatherSend(c), recv, nil)
-			},
-		},
-		"scatter": {
-			family:  synth.Scatter,
-			recipe:  synth.Recipe{Alg: "binomial-scatter"},
-			payload: blk,
-			run: func(c *mpi.Comm) ([]byte, error) {
-				out := make([]byte, blk)
-				return out, Scatter(c, 0, scatterData(c), out)
-			},
-			baseline: func(c *mpi.Comm) ([]byte, error) {
-				out := make([]byte, blk)
-				return out, BinomialScatter(c, 0, scatterData(c), out)
-			},
-		},
+	var recv []byte
+	if me == root {
+		recv = make([]byte, p*blk)
+	}
+	if err := Gather(c, root, fill(blk, func(i int) byte { return gatherByte(me, i) }), recv); err != nil {
+		return err
+	}
+	if me == root && !bytes.Equal(recv, fill(p*blk, func(i int) byte { return gatherByte(i/blk, i%blk) })) {
+		return fmt.Errorf("gather to root %d corrupt", root)
 	}
 
-	for label, tc := range cases {
-		t.Run(label, func(t *testing.T) {
-			tab := &synth.Table{Topology: "frontdoor-test"}
-			name := putRecipe(t, tab, tc.family, p, tc.payload, tc.recipe)
-			sel := synth.NewSelector(tab)
-
-			hits0, _ := synth.TableCounters()
-			exec0 := scheduleExecutions.With("algorithm", name).Value()
-
-			err := mpi.Run(p, func(c *mpi.Comm) error {
-				if c.Rank() == 0 {
-					Configure(c, Config{Synth: sel})
-				}
-				if err := c.Barrier(); err != nil {
-					return err
-				}
-				got, err := tc.run(c)
-				if err != nil {
-					return fmt.Errorf("rank %d front door: %w", c.Rank(), err)
-				}
-				want, err := tc.baseline(c)
-				if err != nil {
-					return fmt.Errorf("rank %d baseline: %w", c.Rank(), err)
-				}
-				if !bytes.Equal(got, want) {
-					return fmt.Errorf("rank %d: %s output differs from the hand-coded baseline", c.Rank(), label)
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			if hits1, _ := synth.TableCounters(); hits1 != hits0+p {
-				t.Errorf("synth_table_hits_total advanced by %d, want %d (one per rank)", hits1-hits0, p)
-			}
-			if exec1 := scheduleExecutions.With("algorithm", name).Value(); exec1 != exec0+p {
-				t.Errorf("schedule_executions_total{algorithm=%q} advanced by %d, want %d",
-					name, exec1-exec0, p)
-			}
-		})
+	var sdata []byte
+	if me == root {
+		sdata = fill(p*blk, scatterByte)
 	}
+	out := make([]byte, blk)
+	if err := Scatter(c, root, sdata, out); err != nil {
+		return err
+	}
+	if !bytes.Equal(out, fill(blk, func(i int) byte { return scatterByte(me*blk + i) })) {
+		return fmt.Errorf("rank %d: scatter from root %d corrupt", me, root)
+	}
+	return nil
 }
 
-// TestFrontDoorsOffRootFallBack: the synthesized programs are rooted at
-// rank 0, so a broadcast/gather/scatter rooted elsewhere must take the
-// hand-coded fallback and still deliver correct bytes.
-func TestFrontDoorsOffRootFallBack(t *testing.T) {
-	const p, blk, root = 8, 256, 3
+// rootedTable builds a selector serving root-0 entries for all three rooted
+// families at (p, blk), and returns the programs' names.
+func rootedTable(t *testing.T, p, blk int, bcast, gather, scatter string) (*synth.Selector, []string) {
+	t.Helper()
 	tab := &synth.Table{Topology: "frontdoor-test"}
-	putRecipe(t, tab, synth.Broadcast, p, p*blk, synth.Recipe{Alg: "binomial-broadcast"})
-	putRecipe(t, tab, synth.Gather, p, blk, synth.Recipe{Alg: "binomial-gather"})
-	putRecipe(t, tab, synth.Scatter, p, blk, synth.Recipe{Alg: "binomial-scatter"})
-	sel := synth.NewSelector(tab)
+	names := []string{
+		putRecipe(t, tab, synth.Broadcast, p, p*blk, synth.Recipe{Alg: bcast}),
+		putRecipe(t, tab, synth.Gather, p, blk, synth.Recipe{Alg: gather}),
+		putRecipe(t, tab, synth.Scatter, p, blk, synth.Recipe{Alg: scatter}),
+	}
+	return synth.NewSelector(tab), names
+}
 
-	err := mpi.Run(p, func(c *mpi.Comm) error {
+// runConfigured runs body on a p-rank world configured with sel.
+func runConfigured(p int, sel *synth.Selector, body func(c *mpi.Comm) error) error {
+	return mpi.Run(p, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
 			Configure(c, Config{Synth: sel})
 		}
 		if err := c.Barrier(); err != nil {
 			return err
 		}
-		data := make([]byte, p*blk)
-		if c.Rank() == root {
-			for i := range data {
-				data[i] = byte(i + 11)
-			}
-		}
-		if err := Broadcast(c, root, data); err != nil {
-			return err
-		}
-		for i := range data {
-			if data[i] != byte(i+11) {
-				return fmt.Errorf("rank %d: broadcast byte %d corrupt", c.Rank(), i)
-			}
-		}
-
-		send := make([]byte, blk)
-		for i := range send {
-			send[i] = byte(c.Rank() + i)
-		}
-		var recv []byte
-		if c.Rank() == root {
-			recv = make([]byte, p*blk)
-		}
-		if err := Gather(c, root, send, recv); err != nil {
-			return err
-		}
-		if c.Rank() == root {
-			for r := 0; r < p; r++ {
-				for i := 0; i < blk; i++ {
-					if recv[r*blk+i] != byte(r+i) {
-						return fmt.Errorf("gather block %d byte %d corrupt", r, i)
-					}
-				}
-			}
-		}
-
-		var sdata []byte
-		if c.Rank() == root {
-			sdata = make([]byte, p*blk)
-			for i := range sdata {
-				sdata[i] = byte(2 * i)
-			}
-		}
-		out := make([]byte, blk)
-		if err := Scatter(c, root, sdata, out); err != nil {
-			return err
-		}
-		for i := range out {
-			if out[i] != byte(2*(c.Rank()*blk+i)) {
-				return fmt.Errorf("rank %d: scatter byte %d corrupt", c.Rank(), i)
-			}
-		}
-		return nil
+		return body(c)
 	})
-	if err != nil {
+}
+
+// TestFrontDoorsByteIdentical: each rooted front door (broadcast, gather,
+// scatter), configured with a synth table entry that differs structurally
+// from the registry baseline, executes the synthesized program — observable
+// on the schedule_executions_total label — and delivers the closed-form
+// bytes.
+func TestFrontDoorsByteIdentical(t *testing.T) {
+	const p, blk = 16, 512
+	sel, names := rootedTable(t, p, blk, "scatter-allgather-broadcast", "linear-gather", "binomial-scatter")
+	hits0, _ := synth.TableCounters()
+	exec0 := make([]uint64, len(names))
+	for i, name := range names {
+		exec0[i] = scheduleExecutions.With("algorithm", name).Value()
+	}
+	if err := runConfigured(p, sel, func(c *mpi.Comm) error { return rootedFrontDoors(c, 0, blk) }); err != nil {
 		t.Fatal(err)
+	}
+	// Every rank consults the table once per front door.
+	if hits1, _ := synth.TableCounters(); hits1 != hits0+3*p {
+		t.Errorf("synth_table_hits_total advanced by %d, want %d", hits1-hits0, 3*p)
+	}
+	for i, label := range []string{"broadcast", "gather", "scatter"} {
+		t.Run(label, func(t *testing.T) {
+			if exec1 := scheduleExecutions.With("algorithm", names[i]).Value(); exec1 != exec0[i]+p {
+				t.Errorf("schedule_executions_total{algorithm=%q} advanced by %d, want %d",
+					names[i], exec1-exec0[i], p)
+			}
+		})
+	}
+}
+
+// TestFrontDoorsOffRootServedByTable: table entries are rooted at rank 0,
+// and the executor's rank rotation lets them serve any root — an off-root
+// broadcast/gather/scatter must hit the table (it used to fall back to the
+// hand-coded tree unconditionally) and deliver correct bytes, on a
+// power-of-two and an odd communicator.
+func TestFrontDoorsOffRootServedByTable(t *testing.T) {
+	const blk, root = 256, 3
+	for _, p := range []int{5, 8} {
+		sel, names := rootedTable(t, p, blk, "scatter-allgather-broadcast", "linear-gather", "binomial-scatter")
+		hits0, _ := synth.TableCounters()
+		exec0 := scheduleExecutions.With("algorithm", names[0]).Value()
+		err := runConfigured(p, sel, func(c *mpi.Comm) error { return rootedFrontDoors(c, root, blk) })
+		if err != nil {
+			t.Fatalf("p=%d: %v", p, err)
+		}
+		if hits1, _ := synth.TableCounters(); hits1 != hits0+uint64(3*p) {
+			t.Errorf("p=%d: synth_table_hits_total advanced by %d, want %d", p, hits1-hits0, 3*p)
+		}
+		if exec1 := scheduleExecutions.With("algorithm", names[0]).Value(); exec1 != exec0+uint64(p) {
+			t.Errorf("p=%d: %s executions advanced by %d, want %d", p, names[0], exec1-exec0, p)
+		}
+	}
+}
+
+// TestFrontDoorsAnyRoot: with no table, the registry's baseline programs
+// (rooted at rank 0) serve roots 0, 1 and p-1 on non-power-of-two
+// communicators through the same rotation.
+func TestFrontDoorsAnyRoot(t *testing.T) {
+	for _, p := range []int{3, 5, 6, 12, 13} {
+		for _, root := range []int{0, 1, p - 1} {
+			err := mpi.Run(p, func(c *mpi.Comm) error { return rootedFrontDoors(c, root, 24) })
+			if err != nil {
+				t.Fatalf("p=%d root=%d: %v", p, root, err)
+			}
+		}
 	}
 }

@@ -60,8 +60,9 @@ func FuzzExecutorAllgather(f *testing.F) {
 	})
 }
 
-// FuzzExecutorHierarchical replays fuzzer-chosen hierarchical compositions
-// through the executor on a real world.
+// FuzzExecutorHierarchical replays fuzzer-chosen hierarchical compositions —
+// not a registry family, so outside FuzzExecutorFamily's walk — through the
+// HierarchicalAllgather front door on a real world.
 func FuzzExecutorHierarchical(f *testing.F) {
 	f.Add(uint8(2), uint8(3), uint8(0), uint8(1))
 	f.Add(uint8(4), uint8(2), uint8(1), uint8(0))
@@ -75,17 +76,12 @@ func FuzzExecutorHierarchical(f *testing.F) {
 		if cfg.Inter == sched.InterRecursiveDoubling && g&(g-1) != 0 {
 			return
 		}
-		groups := make([][]int, g)
-		for i := 0; i < g; i++ {
-			for j := 0; j < k; j++ {
-				groups[i] = append(groups[i], i*k+j)
-			}
-		}
+		nodeOf := func(worldRank int) int { return worldRank / k }
 		p := g * k
 		const blk = 4
 		err := mpi.Run(p, func(c *mpi.Comm) error {
 			recv := make([]byte, p*blk)
-			if err := ScheduleHierarchicalAllgather(c, input(c.Rank(), blk), recv, groups, cfg); err != nil {
+			if err := HierarchicalAllgather(c, input(c.Rank(), blk), recv, nodeOf, cfg); err != nil {
 				return err
 			}
 			if !bytes.Equal(recv, expected(p, blk)) {

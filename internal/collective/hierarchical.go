@@ -2,142 +2,111 @@ package collective
 
 import (
 	"encoding/binary"
-	"fmt"
-	"time"
+	"sync"
 
 	"repro/internal/mpi"
 	"repro/internal/sched"
+	"repro/internal/topology"
 )
 
 // HierarchicalAllgather runs the three-phase hierarchical allgather of paper
-// Section II: intra-node gather into node leaders, inter-leader allgather,
-// intra-node broadcast. nodeID assigns every *world* rank to its node (or
-// any other grouping domain); all processes must pass consistent functions.
+// Section II — intra-node gather into node leaders, inter-leader allgather,
+// intra-node broadcast — as one compiled program on the schedule executor.
+// nodeID assigns every *world* rank to its node (or any other grouping
+// domain); all processes must pass consistent functions. Each node's leader
+// is its lowest communicator rank.
 //
-// Every payload block travels with an 8-byte header carrying its
-// contributor's communicator rank, so the final output lands in correct rank
-// order on every process regardless of how ranks are spread over nodes —
-// the runtime counterpart of the order-preservation bookkeeping that the
-// schedule model prices.
+// Every rank derives the node groups locally from nodeID over the
+// communicator's members, so an unsupported shape — non-uniform node
+// populations, a non-power-of-two node count under recursive doubling, or
+// the ring inter phase over non-contiguous groups (the paper's "not
+// supported with cyclic mapping") — is the same immediate error on every
+// rank. Blocks are identified by contributor rank throughout, so the output
+// is in rank order however the ranks are spread over nodes.
 func HierarchicalAllgather(c *mpi.Comm, send, recv []byte, nodeID func(worldRank int) int, cfg sched.HierarchicalConfig) error {
-	blk, err := checkAllgatherArgs(c, send, recv)
+	if _, err := checkAllgatherArgs(c, send, recv); err != nil {
+		return err
+	}
+	nodes := c.Members()
+	for r, w := range nodes {
+		nodes[r] = nodeID(w)
+	}
+	prog, err := hierPlan(nodes, nil, cfg, func() (*sched.Schedule, error) {
+		return sched.Hierarchical(sched.Groups(nodes, func(node int) int { return node }), cfg)
+	})
 	if err != nil {
 		return err
 	}
-	defer beginCollective("hierarchical")()
-	c.TraceEnter("allgather/hierarchical")
-	defer c.TraceExit("allgather/hierarchical")
-	p := c.Size()
+	return runHierarchical(c, "hierarchical", prog, send, recv)
+}
 
-	// Node communicator: processes sharing a node, ordered by comm rank.
-	nodeComm, err := c.Split(nodeID(c.WorldRank()), c.Rank())
-	if err != nil {
-		return fmt.Errorf("collective: hierarchical node split: %w", err)
-	}
-	if nodeComm == nil {
-		return fmt.Errorf("collective: hierarchical node split produced no communicator")
-	}
-	isLeader := nodeComm.Rank() == 0
-	leaderColor := -1
-	if isLeader {
-		leaderColor = 0
-	}
-	leaderComm, err := c.Split(leaderColor, c.Rank())
-	if err != nil {
-		return fmt.Errorf("collective: hierarchical leader split: %w", err)
-	}
+// runHierarchical executes a hierarchical plan's program under the metrics
+// label alg.
+func runHierarchical(c *mpi.Comm, alg string, prog *sched.Program, send, recv []byte) error {
+	defer beginCollective(alg)()
+	name := "allgather/" + prog.Name
+	c.TraceEnter(name)
+	defer c.TraceExit(name)
+	return ExecuteAllgather(c, prog, send, recv, nil)
+}
 
-	// Tagged block: 8-byte contributor rank + payload.
-	rec := make([]byte, 8+blk)
-	binary.LittleEndian.PutUint64(rec, uint64(c.Rank()))
-	copy(rec[8:], send)
+// hierPlanKey identifies one hierarchical plan: the per-comm-rank node ids
+// (plain composition) or cores (reordered composition, with the cluster whose
+// distances order its phases), and the configuration. The program is a pure
+// function of these, so plans are shared across communicators and worlds of
+// equal shape.
+type hierPlanKey struct {
+	ids     string // 8 little-endian bytes per comm rank
+	cluster *topology.Cluster
+	cfg     sched.HierarchicalConfig
+}
 
-	k := nodeComm.Size()
-	var nodeBuf []byte
-	if isLeader {
-		nodeBuf = make([]byte, k*(8+blk))
-	}
+// hierPlanEntry is built by the first rank to ask for it; every other rank
+// of the same call blocks on the Once and shares the result (or the error).
+type hierPlanEntry struct {
+	once sync.Once
+	prog *sched.Program
+	err  error
+}
 
-	// Phase 1: gather tagged blocks into the leader.
-	phaseStart := time.Now()
-	c.TraceEnter("hierarchical/gather")
-	switch cfg.Intra {
-	case sched.Linear:
-		err = LinearGather(nodeComm, 0, rec, nodeBuf, nil)
-	case sched.NonLinear:
-		err = BinomialGather(nodeComm, 0, rec, nodeBuf, nil)
-	default:
-		return fmt.Errorf("collective: unknown intra kind %d", cfg.Intra)
-	}
-	c.TraceExit("hierarchical/gather")
-	observePhase("hierarchical", "gather", phaseStart)
-	if err != nil {
-		return fmt.Errorf("collective: hierarchical gather phase: %w", err)
-	}
+// hierPlanCap bounds the plan table; when it fills, the table is dropped and
+// live shapes rebuild on their next call.
+const hierPlanCap = 64
 
-	// Phase 2: allgather among leaders. Requires equal node populations,
-	// like the paper's fully populated allocations.
-	phaseStart = time.Now()
-	c.TraceEnter("hierarchical/inter")
-	full := make([]byte, p*(8+blk))
-	if isLeader {
-		if leaderComm == nil {
-			return fmt.Errorf("collective: leader without leader communicator")
-		}
-		g := leaderComm.Size()
-		if g*k != p {
-			return fmt.Errorf("collective: hierarchical needs uniform node populations (%d nodes x %d ranks != %d)",
-				g, k, p)
-		}
-		switch cfg.Inter {
-		case sched.InterRecursiveDoubling:
-			err = RecursiveDoublingAllgather(leaderComm, nodeBuf, full)
-		case sched.InterRing:
-			err = RingAllgather(leaderComm, nodeBuf, full, nil)
-		default:
-			return fmt.Errorf("collective: unknown inter kind %d", cfg.Inter)
-		}
-		if err != nil {
-			c.TraceExit("hierarchical/inter")
-			return fmt.Errorf("collective: hierarchical inter phase: %w", err)
-		}
-	}
-	c.TraceExit("hierarchical/inter")
-	observePhase("hierarchical", "inter", phaseStart)
+var hierPlans = struct {
+	sync.Mutex
+	m map[hierPlanKey]*hierPlanEntry
+}{m: make(map[hierPlanKey]*hierPlanEntry)}
 
-	// Phase 3: broadcast the assembled buffer inside each node.
-	phaseStart = time.Now()
-	c.TraceEnter("hierarchical/bcast")
-	switch cfg.Intra {
-	case sched.Linear:
-		err = LinearBroadcast(nodeComm, 0, full)
-	default:
-		err = BinomialBroadcast(nodeComm, 0, full)
+// hierPlan returns the compiled, executable program of the hierarchical
+// composition identified by (ids, cluster, cfg), building it with build on
+// first use — the runtime counterpart of the paper creating the reordered
+// communicators once, at communicator-creation time. A steady-state call is
+// one table lookup: no grouping, no mapping heuristic, no compile.
+func hierPlan(ids []int, cluster *topology.Cluster, cfg sched.HierarchicalConfig, build func() (*sched.Schedule, error)) (*sched.Program, error) {
+	packed := make([]byte, 0, 512) // stays on the stack up to 64 ranks
+	for _, id := range ids {
+		packed = binary.LittleEndian.AppendUint64(packed, uint64(id))
 	}
-	c.TraceExit("hierarchical/bcast")
-	observePhase("hierarchical", "bcast", phaseStart)
-	if err != nil {
-		return fmt.Errorf("collective: hierarchical broadcast phase: %w", err)
-	}
-
-	// Scatter tagged blocks into rank order.
-	filled := make([]bool, p)
-	for j := 0; j < p; j++ {
-		entry := full[j*(8+blk) : (j+1)*(8+blk)]
-		r := int(binary.LittleEndian.Uint64(entry))
-		if r < 0 || r >= p {
-			return fmt.Errorf("collective: hierarchical block %d tagged with rank %d", j, r)
+	hierPlans.Lock()
+	e := hierPlans.m[hierPlanKey{string(packed), cluster, cfg}]
+	if e == nil {
+		if len(hierPlans.m) >= hierPlanCap {
+			clear(hierPlans.m)
 		}
-		if filled[r] {
-			return fmt.Errorf("collective: hierarchical received two blocks for rank %d", r)
-		}
-		filled[r] = true
-		copy(recv[r*blk:], entry[8:])
+		e = new(hierPlanEntry)
+		hierPlans.m[hierPlanKey{string(packed), cluster, cfg}] = e
 	}
-	for r, ok := range filled {
-		if !ok {
-			return fmt.Errorf("collective: hierarchical missing block of rank %d", r)
+	hierPlans.Unlock()
+	e.once.Do(func() {
+		s, err := build()
+		if err == nil {
+			e.prog, err = sched.CompileCached(s)
 		}
-	}
-	return nil
+		if err == nil {
+			err = e.prog.EnsureExecutable()
+		}
+		e.err = err
+	})
+	return e.prog, e.err
 }

@@ -1,7 +1,6 @@
 package collective
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/core"
@@ -11,188 +10,116 @@ import (
 )
 
 // HierarchicalReorderedAllgather runs the paper's complete hierarchical
-// deployment on the live runtime: every phase executes over its own
-// topology-aware reordered communicator —
+// deployment on the live runtime: one compiled program whose phases each
+// follow their own topology-aware rank ordering —
 //
-//	phase 1 gather    over a BGMH-reordered node communicator,
-//	phase 2 allgather over an RDMH/RMH-reordered leader communicator,
-//	phase 3 broadcast over a BBMH-reordered node communicator,
+//	phase 1 gather    in BGMH order within every node,
+//	phase 2 allgather in RDMH/RMH order among the node leaders,
+//	phase 3 broadcast in BBMH order within every node,
 //
 // with intra-node mappings computed from the node's core distances and the
 // leader mapping from inter-node distances (both derived from cluster and
-// the worldRank→core layout). Linear intra phases expose no pattern, so
-// they run unreordered, as in the paper.
+// the worldRank→core layout). The mappings fix rank 0, so every node keeps
+// its leader across phases. Linear intra phases expose no pattern and stay
+// in rank order, as in the paper; recursive doubling among a
+// non-power-of-two number of leaders runs as the ring.
+//
+// The orderings and the program are computed once per (communicator members,
+// cluster, layout, cfg) — the paper builds its reordered communicators once,
+// at communicator-creation time — and shared by all ranks and later calls.
 //
 // The per-communicator info key mpi.InfoTopoReorder (paper Section IV)
 // disables the reordering: with "false" set, the call degrades to the plain
 // HierarchicalAllgather.
-//
-// Output blocks travel with rank headers, so recv always lands in original
-// communicator rank order regardless of the mappings.
 func HierarchicalReorderedAllgather(c *mpi.Comm, send, recv []byte, cluster *topology.Cluster, layout []int, cfg sched.HierarchicalConfig) error {
-	blk, err := checkAllgatherArgs(c, send, recv)
-	if err != nil {
+	if _, err := checkAllgatherArgs(c, send, recv); err != nil {
 		return err
 	}
-	if len(layout) < c.Size() {
-		return fmt.Errorf("collective: layout covers %d world ranks, need %d", len(layout), c.Size())
+	cores := c.Members()
+	for r, w := range cores {
+		if w >= len(layout) {
+			return fmt.Errorf("collective: layout covers %d world ranks, rank %d is world rank %d", len(layout), r, w)
+		}
+		cores[r] = layout[w]
 	}
-	nodeOf := func(worldRank int) int { return cluster.NodeOf(layout[worldRank]) }
 	if !c.ReorderEnabled() {
-		return HierarchicalAllgather(c, send, recv, nodeOf, cfg)
+		return HierarchicalAllgather(c, send, recv, func(w int) int { return cluster.NodeOf(layout[w]) }, cfg)
 	}
-	defer beginCollective("hierarchical-reordered")()
-	p := c.Size()
-
-	nodeComm, err := c.Split(nodeOf(c.WorldRank()), c.Rank())
+	prog, err := hierPlan(cores, cluster, cfg, func() (*sched.Schedule, error) {
+		return reorderedHierarchical(cluster, cores, cfg)
+	})
 	if err != nil {
 		return err
 	}
-	if nodeComm == nil {
-		return fmt.Errorf("collective: node split produced no communicator")
-	}
-
-	// Per-node phase mappings from the node's core distances. Every member
-	// computes them deterministically from identical inputs.
-	gatherComm, bcastComm := nodeComm, nodeComm
-	if cfg.Intra == sched.NonLinear && nodeComm.Size() > 1 {
-		d, err := localDistances(nodeComm, cluster, layout)
-		if err != nil {
-			return err
-		}
-		gm, err := core.BGMH(d, nil)
-		if err != nil {
-			return err
-		}
-		bm, err := core.BBMH(d, nil)
-		if err != nil {
-			return err
-		}
-		if gatherComm, err = nodeComm.Reorder(gm); err != nil {
-			return err
-		}
-		if bcastComm, err = nodeComm.Reorder(bm); err != nil {
-			return err
-		}
-	} else {
-		// Keep collective call counts aligned across configurations: the
-		// linear path creates no reordered communicators, but the two
-		// Reorder calls above each allocate a context collectively, so the
-		// branch divergence is per-node-uniform and safe.
-		if gatherComm, err = nodeComm.Dup(); err != nil {
-			return err
-		}
-		bcastComm = gatherComm
-	}
-
-	// Leaders: the mappings fix local rank 0, so the leader process is the
-	// same before and after reordering.
-	isLeader := nodeComm.Rank() == 0
-	leaderColor := -1
-	if isLeader {
-		leaderColor = 0
-	}
-	leaderComm, err := c.Split(leaderColor, c.Rank())
-	if err != nil {
-		return err
-	}
-
-	// Tagged blocks as in HierarchicalAllgather.
-	rec := make([]byte, 8+blk)
-	binary.LittleEndian.PutUint64(rec, uint64(c.Rank()))
-	copy(rec[8:], send)
-
-	k := nodeComm.Size()
-	var nodeBuf []byte
-	if isLeader {
-		nodeBuf = make([]byte, k*(8+blk))
-	}
-	switch cfg.Intra {
-	case sched.Linear:
-		err = LinearGather(gatherComm, 0, rec, nodeBuf, nil)
-	default:
-		err = BinomialGather(gatherComm, 0, rec, nodeBuf, nil)
-	}
-	if err != nil {
-		return fmt.Errorf("collective: reordered gather phase: %w", err)
-	}
-
-	full := make([]byte, p*(8+blk))
-	if isLeader {
-		if leaderComm == nil {
-			return fmt.Errorf("collective: leader without leader communicator")
-		}
-		g := leaderComm.Size()
-		if g*k != p {
-			return fmt.Errorf("collective: hierarchical needs uniform node populations (%d x %d != %d)", g, k, p)
-		}
-		// Reorder the leaders for the inter pattern.
-		interComm := leaderComm
-		if g > 1 {
-			ld, err := localDistances(leaderComm, cluster, layout)
-			if err != nil {
-				return err
-			}
-			var lm core.Mapping
-			if cfg.Inter == sched.InterRecursiveDoubling && g&(g-1) == 0 {
-				lm, err = core.RDMH(ld, nil)
-			} else {
-				lm, err = core.RMH(ld, nil)
-			}
-			if err != nil {
-				return err
-			}
-			if interComm, err = leaderComm.Reorder(lm); err != nil {
-				return err
-			}
-		}
-		switch {
-		case cfg.Inter == sched.InterRecursiveDoubling && interComm.Size()&(interComm.Size()-1) == 0:
-			err = RecursiveDoublingAllgather(interComm, nodeBuf, full)
-		default:
-			err = RingAllgather(interComm, nodeBuf, full, nil)
-		}
-		if err != nil {
-			return fmt.Errorf("collective: reordered inter phase: %w", err)
-		}
-	}
-
-	switch cfg.Intra {
-	case sched.Linear:
-		err = LinearBroadcast(bcastComm, 0, full)
-	default:
-		err = BinomialBroadcast(bcastComm, 0, full)
-	}
-	if err != nil {
-		return fmt.Errorf("collective: reordered broadcast phase: %w", err)
-	}
-
-	// Untag into original rank order.
-	filled := make([]bool, p)
-	for j := 0; j < p; j++ {
-		entry := full[j*(8+blk) : (j+1)*(8+blk)]
-		r := int(binary.LittleEndian.Uint64(entry))
-		if r < 0 || r >= p || filled[r] {
-			return fmt.Errorf("collective: corrupt block tagging at entry %d (rank %d)", j, r)
-		}
-		filled[r] = true
-		copy(recv[r*blk:], entry[8:])
-	}
-	for r, ok := range filled {
-		if !ok {
-			return fmt.Errorf("collective: missing block of rank %d", r)
-		}
-	}
-	return nil
+	return runHierarchical(c, "hierarchical-reordered", prog, send, recv)
 }
 
-// localDistances builds the distance matrix over a communicator's members'
-// cores, indexed by comm rank.
-func localDistances(c *mpi.Comm, cluster *topology.Cluster, layout []int) (*topology.Distances, error) {
-	members := c.Members()
-	cores := make([]int, len(members))
-	for i, w := range members {
-		cores[i] = layout[w]
+// reorderedHierarchical builds the hierarchical schedule over ranks placed on
+// cores, with every phase's view of the node groups permuted by that phase's
+// mapping heuristic.
+func reorderedHierarchical(cluster *topology.Cluster, cores []int, cfg sched.HierarchicalConfig) (*sched.Schedule, error) {
+	groups := sched.Groups(cores, cluster.NodeOf)
+	distances := func(ranks []int) (*topology.Distances, error) {
+		cs := make([]int, len(ranks))
+		for i, r := range ranks {
+			cs[i] = cores[r]
+		}
+		return topology.NewDistances(cluster, cs)
 	}
-	return topology.NewDistances(cluster, cores)
+
+	gather, bcast := groups, groups
+	if cfg.Intra == sched.NonLinear {
+		gather, bcast = make([][]int, len(groups)), make([][]int, len(groups))
+		for gi, g := range groups {
+			gather[gi], bcast[gi] = g, g
+			if len(g) == 1 {
+				continue
+			}
+			d, err := distances(g)
+			if err != nil {
+				return nil, err
+			}
+			gm, err := core.BGMH(d, nil)
+			if err != nil {
+				return nil, err
+			}
+			bm, err := core.BBMH(d, nil)
+			if err != nil {
+				return nil, err
+			}
+			gather[gi], bcast[gi] = applyMapping(g, gm), applyMapping(g, bm)
+		}
+	}
+
+	inter := groups
+	if n := len(groups); n > 1 {
+		leaders := make([]int, n)
+		for gi, g := range groups {
+			leaders[gi] = g[0]
+		}
+		d, err := distances(leaders)
+		if err != nil {
+			return nil, err
+		}
+		heuristic := core.RDMH
+		if cfg.Inter != sched.InterRecursiveDoubling || n&(n-1) != 0 {
+			heuristic, cfg.Inter = core.RMH, sched.InterRing
+		}
+		lm, err := heuristic(d, nil)
+		if err != nil {
+			return nil, err
+		}
+		inter = applyMapping(groups, lm)
+	}
+	return sched.HierarchicalPhased(gather, inter, bcast, cfg)
+}
+
+// applyMapping reorders xs by m: the element at old position m[j] acts at
+// new position j.
+func applyMapping[T any](xs []T, m core.Mapping) []T {
+	out := make([]T, len(xs))
+	for j, old := range m {
+		out[j] = xs[old]
+	}
+	return out
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/sched"
 	"repro/internal/topology"
@@ -51,6 +52,58 @@ func TestHierarchicalReorderedAllgather(t *testing.T) {
 				t.Fatalf("%v %v: %v", cfg, kind, err)
 			}
 		}
+	}
+}
+
+// TestHierarchicalReorderedPlansOnce: the grouping, the four mapping
+// heuristics and the compile run once per (communicator members, cluster,
+// layout, cfg), as the paper builds its reordered communicators once; every
+// later call — any rank, any world of the same shape — is a plan lookup that
+// runs no heuristic and does not touch the compile cache.
+func TestHierarchicalReorderedPlansOnce(t *testing.T) {
+	const p, blk = 16, 8
+	cluster, layout := hierCluster(t, 4, 2, 2, p, topology.BlockScatter)
+	cfg := sched.HierarchicalConfig{Intra: sched.NonLinear, Inter: sched.InterRecursiveDoubling}
+	mappings := metrics.NewCounterVec("heuristic_mappings_total", "", "heuristic")
+	heuristicRuns := func() (n uint64) {
+		for _, h := range []string{"bgmh", "bbmh", "rdmh", "rmh"} {
+			n += mappings.With("heuristic", h).Value()
+		}
+		return n
+	}
+	world := func(calls int) {
+		t.Helper()
+		err := mpi.Run(p, func(c *mpi.Comm) error {
+			recv := make([]byte, p*blk)
+			for i := 0; i < calls; i++ {
+				if err := HierarchicalReorderedAllgather(c, input(c.Rank(), blk), recv, cluster, layout, cfg); err != nil {
+					return err
+				}
+			}
+			if !bytes.Equal(recv, expected(p, blk)) {
+				return fmt.Errorf("rank %d: wrong output", c.Rank())
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	runs0 := heuristicRuns()
+	world(1)
+	// 4 nodes x (BGMH + BBMH) + RDMH among the leaders, once — not once per rank.
+	if got := heuristicRuns() - runs0; got != 9 {
+		t.Errorf("building the plan ran %d mapping heuristics, want 9", got)
+	}
+	runs1 := heuristicRuns()
+	hits1, misses1 := sched.CompileCacheCounters()
+	world(3)
+	hits2, misses2 := sched.CompileCacheCounters()
+	if got := heuristicRuns() - runs1; got != 0 {
+		t.Errorf("steady-state calls ran %d mapping heuristics, want 0", got)
+	}
+	if hits2 != hits1 || misses2 != misses1 {
+		t.Errorf("steady-state calls touched the compile cache: %d lookups, %d compiles", hits2-hits1+misses2-misses1, misses2-misses1)
 	}
 }
 

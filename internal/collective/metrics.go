@@ -9,9 +9,8 @@ import (
 // Per-algorithm instrumentation on the default registry. Counts and
 // durations are recorded per participating rank: a ring allgather over an
 // 8-rank communicator contributes 8 invocations, mirroring how each rank
-// experiences the collective. The phase label distinguishes the three
-// phases of the hierarchical composition; flat algorithms record a single
-// "total" phase.
+// experiences the collective. Every collective records a single "total"
+// phase; per-stage timing lives in schedule_stage_seconds.
 var (
 	collectiveInvocations = metrics.NewCounterVec("collective_invocations_total",
 		"Collective invocations, one per participating rank.", "algorithm")
@@ -79,9 +78,4 @@ func beginCollective(alg string) func() {
 	return func() {
 		collectivePhase.With("algorithm", alg, "phase", "total").Observe(time.Since(start).Seconds())
 	}
-}
-
-// observePhase records one named sub-phase duration of alg.
-func observePhase(alg, phase string, start time.Time) {
-	collectivePhase.With("algorithm", alg, "phase", phase).Observe(time.Since(start).Seconds())
 }

@@ -11,14 +11,14 @@ import (
 func TestNeighborExchangeAllgather(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 6, 8, 12, 16, 30} {
 		runAllgather(t, p, 16, func(c *mpi.Comm, send, recv []byte) error {
-			return NeighborExchangeAllgather(c, send, recv, nil)
+			return Allgather(c, send, recv, AlgNeighborExchange)
 		})
 	}
 }
 
 func TestNeighborExchangeRejectsOdd(t *testing.T) {
 	err := mpi.Run(3, func(c *mpi.Comm) error {
-		if err := NeighborExchangeAllgather(c, make([]byte, 4), make([]byte, 12), nil); err == nil {
+		if err := Allgather(c, make([]byte, 4), make([]byte, 12), AlgNeighborExchange); err == nil {
 			return fmt.Errorf("odd size accepted")
 		}
 		return nil
@@ -31,11 +31,15 @@ func TestNeighborExchangeRejectsOdd(t *testing.T) {
 func TestNeighborExchangeWithPlacement(t *testing.T) {
 	// Reversed placement relocates every contributor's block.
 	const p, blk = 8, 8
-	err := mpi.Run(p, func(c *mpi.Comm) error {
+	prog, err := scheduleProgram(AlgNeighborExchange, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = mpi.Run(p, func(c *mpi.Comm) error {
 		place := func(r int) int { return p - 1 - r }
 		send := input(c.Rank(), blk)
 		recv := make([]byte, p*blk)
-		if err := NeighborExchangeAllgather(c, send, recv, place); err != nil {
+		if err := ExecuteAllgather(c, prog, send, recv, place); err != nil {
 			return err
 		}
 		for r := 0; r < p; r++ {
@@ -81,23 +85,12 @@ func TestNeighborExchangeScheduleMatchesRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := scheduleTraffic(s, blk)
 	stats := mpi.NewStats()
 	err = mpi.Run(p, func(c *mpi.Comm) error {
-		send := input(c.Rank(), blk)
-		recv := make([]byte, p*blk)
-		return NeighborExchangeAllgather(c, send, recv, nil)
+		return Allgather(c, input(c.Rank(), blk), make([]byte, p*blk), AlgNeighborExchange)
 	}, mpi.WithStats(stats))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := stats.PairBytes()
-	for pair, bytes := range want {
-		if got[pair] != bytes {
-			t.Errorf("pair %v: schedule %d bytes, runtime %d", pair, bytes, got[pair])
-		}
-	}
-	if stats.TotalBytes() != s.TotalBlocksMoved()*blk {
-		t.Errorf("totals differ: %d vs %d", stats.TotalBytes(), s.TotalBlocksMoved()*blk)
-	}
+	requireTraffic(t, s, blk, stats)
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/sched"
-	"repro/internal/synth"
 )
 
 // Algorithm names a flat allgather algorithm.
@@ -116,15 +115,14 @@ func Select(a Algorithm, p, blkBytes int) Algorithm {
 // schedule table (Config.Synth) is consulted first; on a miss — or when the
 // caller forces an algorithm — the world's Tuning thresholds select among
 // the hand-coded builders. The chosen schedule is compiled to a
-// sched.Program (cached per shape) and run by the generic schedule executor;
-// AllgatherLegacy keeps the hand-written loops for comparison.
+// sched.Program (cached per shape) and run by the generic schedule executor.
 func Allgather(c *mpi.Comm, send, recv []byte, alg Algorithm) error {
 	blk, err := checkAllgatherArgs(c, send, recv)
 	if err != nil {
 		return err
 	}
 	if alg == AlgAuto {
-		if prog, ok := synthProgram(c, synth.Allgather, blk, -1); ok {
+		if prog, ok := synthProgram(c, sched.FamilyAllgather, blk); ok {
 			return tracedExecute(c, "allgather", prog.Name, func() error {
 				return ExecuteAllgather(c, prog, send, recv, nil)
 			})
@@ -138,24 +136,6 @@ func Allgather(c *mpi.Comm, send, recv []byte, alg Algorithm) error {
 	return tracedExecute(c, "allgather", resolved.String(), func() error {
 		return ExecuteAllgather(c, prog, send, recv, nil)
 	})
-}
-
-// AllgatherLegacy runs the selected flat allgather through the hand-written
-// per-algorithm loops instead of the schedule executor. Kept as the
-// equivalence baseline and for overhead measurements.
-func AllgatherLegacy(c *mpi.Comm, send, recv []byte, alg Algorithm) error {
-	switch Select(alg, c.Size(), len(send)) {
-	case AlgRecursiveDoubling:
-		return RecursiveDoublingAllgather(c, send, recv)
-	case AlgRing:
-		return RingAllgather(c, send, recv, nil)
-	case AlgBruck:
-		return BruckAllgather(c, send, recv)
-	case AlgNeighborExchange:
-		return NeighborExchangeAllgather(c, send, recv, nil)
-	default:
-		return fmt.Errorf("collective: unknown algorithm %v", alg)
-	}
 }
 
 // Reordered couples an original communicator with its reordered copy — the

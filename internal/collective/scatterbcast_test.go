@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/mpi"
+	"repro/internal/sched"
 )
 
 func TestBinomialScatter(t *testing.T) {
@@ -22,7 +23,7 @@ func TestBinomialScatter(t *testing.T) {
 					in = data
 				}
 				out := make([]byte, chunk)
-				if err := BinomialScatter(c, root, in, out); err != nil {
+				if err := Scatter(c, root, in, out); err != nil {
 					return err
 				}
 				want := data[c.Rank()*chunk : (c.Rank()+1)*chunk]
@@ -40,14 +41,14 @@ func TestBinomialScatter(t *testing.T) {
 
 func TestBinomialScatterErrors(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
-		if err := BinomialScatter(c, 5, nil, make([]byte, 4)); err == nil {
+		if err := Scatter(c, 5, nil, make([]byte, 4)); err == nil {
 			return fmt.Errorf("bad root accepted")
 		}
-		if err := BinomialScatter(c, 0, nil, nil); err == nil {
+		if err := Scatter(c, 0, nil, nil); err == nil {
 			return fmt.Errorf("empty chunk accepted")
 		}
 		if c.Rank() == 0 {
-			if err := BinomialScatter(c, 0, make([]byte, 3), make([]byte, 4)); err == nil {
+			if err := Scatter(c, 0, make([]byte, 3), make([]byte, 4)); err == nil {
 				return fmt.Errorf("short root data accepted")
 			}
 		}
@@ -56,6 +57,17 @@ func TestBinomialScatterErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// scatterAllgatherBroadcast runs the large-message broadcast program —
+// binomial scatter of p chunks, then a ring allgather (paper Section V-A3) —
+// on the executor, from any root.
+func scatterAllgatherBroadcast(c *mpi.Comm, root int, data []byte) error {
+	prog, err := scheduleBuilt(sched.FamilyBroadcast, "scatter-allgather-broadcast", c.Size())
+	if err != nil {
+		return err
+	}
+	return executeBroadcast(c, prog, root, data)
 }
 
 func TestScatterAllgatherBroadcast(t *testing.T) {
@@ -70,7 +82,7 @@ func TestScatterAllgatherBroadcast(t *testing.T) {
 				if c.Rank() == root {
 					copy(buf, msg)
 				}
-				if err := ScatterAllgatherBroadcast(c, root, buf); err != nil {
+				if err := scatterAllgatherBroadcast(c, root, buf); err != nil {
 					return err
 				}
 				if !bytes.Equal(buf, msg) {
@@ -87,7 +99,7 @@ func TestScatterAllgatherBroadcast(t *testing.T) {
 
 func TestScatterAllgatherBroadcastRejectsIndivisible(t *testing.T) {
 	err := mpi.Run(3, func(c *mpi.Comm) error {
-		if err := ScatterAllgatherBroadcast(c, 0, make([]byte, 4)); err == nil {
+		if err := scatterAllgatherBroadcast(c, 0, make([]byte, 4)); err == nil {
 			return fmt.Errorf("indivisible buffer accepted")
 		}
 		return nil

@@ -1,7 +1,6 @@
 package collective
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 
@@ -30,7 +29,7 @@ func synthFatTree64(t testing.TB) *simnet.Machine {
 // fat tree at 2 KiB blocks the search finds a schedule strictly cheaper than
 // the hand-coded selection (ring), the table-configured front door executes
 // it — observable on the synth_table_* and schedule_* metrics — and its
-// output is byte-identical to the legacy loops.
+// output is the closed-form allgather result.
 func TestSynthTableEndToEnd(t *testing.T) {
 	m := synthFatTree64(t)
 	const p, blk = 64, 2048
@@ -71,12 +70,12 @@ func TestSynthTableEndToEnd(t *testing.T) {
 		if err := Allgather(c, send, got, AlgAuto); err != nil {
 			return fmt.Errorf("table-driven allgather: %w", err)
 		}
-		want := make([]byte, p*blk)
-		if err := AllgatherLegacy(c, send, want, AlgAuto); err != nil {
-			return fmt.Errorf("legacy allgather: %w", err)
-		}
-		if !bytes.Equal(got, want) {
-			return fmt.Errorf("rank %d: synthesized schedule output differs from legacy", c.Rank())
+		for r := 0; r < p; r++ {
+			for i := 0; i < blk; i++ {
+				if got[r*blk+i] != byte(r+i) {
+					return fmt.Errorf("rank %d: synthesized schedule output wrong at block %d byte %d", c.Rank(), r, i)
+				}
+			}
 		}
 		return nil
 	})

@@ -63,18 +63,6 @@ type RuntimeResult struct {
 // rank 0. Extra world options (mpi.WithTracer, mpi.WithStats, ...) are
 // passed through to the measured world.
 func MeasureRuntime(p, msgBytes int, alg collective.Algorithm, warmup, iters int, opts ...mpi.Option) (RuntimeResult, error) {
-	return measure(p, msgBytes, alg, warmup, iters, collective.Allgather, opts...)
-}
-
-// MeasureRuntimeLegacy times the hand-written per-algorithm loops instead of
-// the schedule executor; the delta against MeasureRuntime isolates the
-// executor's interpretation overhead.
-func MeasureRuntimeLegacy(p, msgBytes int, alg collective.Algorithm, warmup, iters int, opts ...mpi.Option) (RuntimeResult, error) {
-	return measure(p, msgBytes, alg, warmup, iters, collective.AllgatherLegacy, opts...)
-}
-
-func measure(p, msgBytes int, alg collective.Algorithm, warmup, iters int,
-	allgather func(*mpi.Comm, []byte, []byte, collective.Algorithm) error, opts ...mpi.Option) (RuntimeResult, error) {
 	if iters <= 0 {
 		return RuntimeResult{}, fmt.Errorf("osu: iterations must be positive")
 	}
@@ -86,7 +74,7 @@ func measure(p, msgBytes int, alg collective.Algorithm, warmup, iters int,
 		}
 		recv := make([]byte, p*msgBytes)
 		for i := 0; i < warmup; i++ {
-			if err := allgather(c, send, recv, alg); err != nil {
+			if err := collective.Allgather(c, send, recv, alg); err != nil {
 				return err
 			}
 		}
@@ -95,7 +83,7 @@ func measure(p, msgBytes int, alg collective.Algorithm, warmup, iters int,
 		}
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			if err := allgather(c, send, recv, alg); err != nil {
+			if err := collective.Allgather(c, send, recv, alg); err != nil {
 				return err
 			}
 		}

@@ -117,9 +117,8 @@ func BinomialGather(p int) (*Schedule, error) {
 
 // BinomialBroadcast builds the binomial-tree broadcast schedule from root 0:
 // log2(p) stages with a fixed message size of blocks blocks per transfer.
-// The tree is the same clear-lowest-bit binomial tree that MPI libraries,
-// the runtime implementation (collective.BinomialBroadcast) and the BBMH
-// heuristic use: stages descend from the widest stride, so at stage s every
+// The tree is the same clear-lowest-bit binomial tree that MPI libraries and
+// the BBMH heuristic use: stages descend from the widest stride, so at stage s every
 // rank that already holds the message and is aligned to 2^(s+1) forwards it
 // to its partner 2^s away. The number of concurrent transfers doubles each
 // stage, ending with p/2 pairs — the contention the BBMH traversal order
@@ -205,9 +204,7 @@ func NeighborExchange(p int) (*Schedule, error) {
 	}
 	s := &Schedule{Name: "neighbor-exchange", P: p}
 	// Send ranges are advanced incrementally — at step s each rank forwards
-	// what its previous partner sent at s-1 — so the build is O(p) per stage
-	// instead of O(p·step) through NeighborSendRange's recursion (which made
-	// the builder cubic in p).
+	// what its previous partner sent at s-1 — so the build is O(p) per stage.
 	first := make([]int32, p)
 	n := make([]int32, p)
 	next := make([]int32, p)

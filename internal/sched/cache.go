@@ -81,48 +81,60 @@ func Fingerprint(s *Schedule) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// compileCacheCap bounds the cache; the working set of a figure run (a few
-// algorithms x a few mappings) fits comfortably.
+// compileCacheCap bounds the cache in keys (a program reached through
+// Family.BuildCached is filed under two); the working set of a figure run or
+// of a world's front doors (a few algorithms x a few shapes) fits comfortably.
 const compileCacheCap = 64
 
+// cacheKey addresses a cached program either by its schedule's structural
+// fingerprint, or by the registry builder call that produces the schedule.
+// The second form is what lets a front door that names (family, builder, p)
+// reach its program with one lookup instead of rebuilding and hashing the
+// schedule on every rank of every call.
+type cacheKey struct {
+	fingerprint string
+	family      FamilyID
+	builder     string
+	p           int
+}
+
 type cacheEntry struct {
-	key  string
+	key  cacheKey
 	prog *Program
 }
 
 var compileCache = struct {
 	mu    sync.Mutex
 	ll    *list.List
-	byKey map[string]*list.Element
-}{ll: list.New(), byKey: make(map[string]*list.Element)}
+	byKey map[cacheKey]*list.Element
+}{ll: list.New(), byKey: make(map[cacheKey]*list.Element)}
 
-// CompileCached compiles s through a bounded process-wide LRU keyed by the
-// schedule fingerprint, so repeated collectives (and repeated pricings of
-// the same schedule shape) reuse one Program — including its lazily built
-// executable view. Compilation errors are not cached.
-func CompileCached(s *Schedule) (*Program, error) {
-	key := Fingerprint(s)
+// cachedProgram returns the program stored under key, counting the hit or
+// the miss.
+func cachedProgram(key cacheKey) (*Program, bool) {
 	compileCache.mu.Lock()
-	if e, ok := compileCache.byKey[key]; ok {
-		compileCache.ll.MoveToFront(e)
-		prog := e.Value.(*cacheEntry).prog
+	e, ok := compileCache.byKey[key]
+	if !ok {
 		compileCache.mu.Unlock()
-		scheduleCacheHits.Inc()
-		return prog, nil
+		scheduleCacheMisses.Inc()
+		return nil, false
 	}
+	compileCache.ll.MoveToFront(e)
+	prog := e.Value.(*cacheEntry).prog
 	compileCache.mu.Unlock()
-	scheduleCacheMisses.Inc()
-	prog, err := Compile(s)
-	if err != nil {
-		return nil, err
-	}
+	scheduleCacheHits.Inc()
+	return prog, true
+}
+
+// storeProgram files prog under key and returns the program the cache holds
+// for it — a concurrent caller may have stored the same key first, and
+// sharing its program means the executable view is built only once.
+func storeProgram(key cacheKey, prog *Program) *Program {
 	compileCache.mu.Lock()
 	defer compileCache.mu.Unlock()
 	if e, ok := compileCache.byKey[key]; ok {
-		// A concurrent caller compiled the same schedule first; share its
-		// program so the executable view is built only once.
 		compileCache.ll.MoveToFront(e)
-		return e.Value.(*cacheEntry).prog, nil
+		return e.Value.(*cacheEntry).prog
 	}
 	compileCache.byKey[key] = compileCache.ll.PushFront(&cacheEntry{key: key, prog: prog})
 	for compileCache.ll.Len() > compileCacheCap {
@@ -130,7 +142,23 @@ func CompileCached(s *Schedule) (*Program, error) {
 		compileCache.ll.Remove(oldest)
 		delete(compileCache.byKey, oldest.Value.(*cacheEntry).key)
 	}
-	return prog, nil
+	return prog
+}
+
+// CompileCached compiles s through a bounded process-wide LRU keyed by the
+// schedule fingerprint, so repeated collectives (and repeated pricings of
+// the same schedule shape) reuse one Program — including its lazily built
+// executable view. Compilation errors are not cached.
+func CompileCached(s *Schedule) (*Program, error) {
+	key := cacheKey{fingerprint: Fingerprint(s)}
+	if prog, ok := cachedProgram(key); ok {
+		return prog, nil
+	}
+	prog, err := Compile(s)
+	if err != nil {
+		return nil, err
+	}
+	return storeProgram(key, prog), nil
 }
 
 // ResetCompileCache empties the cache (cold-compile benchmarks and tests).
@@ -138,7 +166,7 @@ func ResetCompileCache() {
 	compileCache.mu.Lock()
 	defer compileCache.mu.Unlock()
 	compileCache.ll = list.New()
-	compileCache.byKey = make(map[string]*list.Element)
+	compileCache.byKey = make(map[cacheKey]*list.Element)
 }
 
 // CompileCacheCounters returns the cumulative hit and miss counts.

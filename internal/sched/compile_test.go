@@ -57,7 +57,9 @@ func TestCompileExecutableRing(t *testing.T) {
 			if len(blocks) != 1 {
 				t.Fatalf("stage %d op %d carries %d blocks, want 1", si, i, len(blocks))
 			}
-			want := int32(RingSendOwner(int(op.Src), si, p))
+			// At ring step si a rank forwards the block contributed si
+			// ranks upstream of it.
+			want := int32(((int(op.Src)-si)%p + p) % p)
 			if blocks[0] != want {
 				t.Errorf("stage %d: rank %d forwards block %d, want %d", si, op.Src, blocks[0], want)
 			}

@@ -9,8 +9,7 @@ import (
 
 // FamilyID identifies a collective family. The numeric values are stable:
 // they participate in synth table keys and in the per-family registries of
-// the layers above (package synth attaches seed recipes and operators,
-// package collective attaches executor entries and legacy reference loops).
+// the layers above (package synth attaches seed recipes and operators).
 type FamilyID uint8
 
 const (
@@ -82,14 +81,24 @@ func (f *Family) Build(name string, p int) (*Schedule, error) {
 	return b(p)
 }
 
-// BuildCached constructs the named base schedule and compiles it through the
-// process-wide schedule cache — the form runtime front doors consume.
+// BuildCached returns the compiled program of the named base schedule over p
+// ranks from the process-wide schedule cache — the form runtime front doors
+// consume. A warm call is one lookup under the (family, builder, p) key; a
+// cold one builds the schedule and compiles it through CompileCached.
 func (f *Family) BuildCached(name string, p int) (*Program, error) {
+	key := cacheKey{family: f.ID, builder: name, p: p}
+	if prog, ok := cachedProgram(key); ok {
+		return prog, nil
+	}
 	s, err := f.Build(name, p)
 	if err != nil {
 		return nil, err
 	}
-	return CompileCached(s)
+	prog, err := CompileCached(s)
+	if err != nil {
+		return nil, err
+	}
+	return storeProgram(key, prog), nil
 }
 
 // BuilderNames returns the family's base-builder names, sorted.

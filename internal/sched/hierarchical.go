@@ -67,17 +67,86 @@ type HierarchicalConfig struct {
 // the block-layout restriction the paper notes ("hierarchical allgather is
 // not supported with cyclic mapping").
 func Hierarchical(groups [][]int, cfg HierarchicalConfig) (*Schedule, error) {
+	return HierarchicalPhased(groups, groups, groups, cfg)
+}
+
+// HierarchicalPhased is Hierarchical with one view of the node partition per
+// phase — what per-phase rank reordering (BGMH for the gather, RDMH/RMH for
+// the leaders, BBMH for the broadcast) amounts to once the three phases run
+// as a single program: gather and bcast order every node's members for their
+// tree (leader first), inter orders the nodes for the leader exchange. The
+// three views must describe one partition with the same leaders.
+func HierarchicalPhased(gather, inter, bcast [][]int, cfg HierarchicalConfig) (*Schedule, error) {
+	p, err := checkGroups(gather)
+	if err != nil {
+		return nil, err
+	}
+	leaderOf := make([]int, p)
+	for _, g := range gather {
+		for _, r := range g {
+			leaderOf[r] = g[0]
+		}
+	}
+	for _, view := range [][][]int{inter, bcast} {
+		if vp, err := checkGroups(view); err != nil {
+			return nil, err
+		} else if vp != p || len(view) != len(gather) {
+			return nil, fmt.Errorf("sched: hierarchical phase views cover %d ranks in %d groups, want %d in %d",
+				vp, len(view), p, len(gather))
+		}
+		for gi, g := range view {
+			for _, r := range g {
+				if leaderOf[r] != g[0] {
+					return nil, fmt.Errorf("sched: hierarchical phase views disagree: rank %d has leader %d in one view, group %d led by %d in another",
+						r, leaderOf[r], gi, g[0])
+				}
+			}
+		}
+	}
+	s := &Schedule{Name: fmt.Sprintf("hierarchical-%s-%s", cfg.Intra, cfg.Inter), P: p}
+
+	// Phase 1: intra-node gather into the leaders; stages of all groups
+	// proceed concurrently and are merged stage-by-stage.
+	gatherStages, err := intraPhase(gather, cfg.Intra, true)
+	if err != nil {
+		return nil, err
+	}
+	s.Stages = append(s.Stages, gatherStages...)
+
+	// Phase 2: inter-leader allgather over aggregated node blocks.
+	leaders := make([]int, len(inter))
+	for gi, g := range inter {
+		leaders[gi] = g[0]
+	}
+	interStages, err := interPhase(inter, leaders, cfg.Inter)
+	if err != nil {
+		return nil, err
+	}
+	s.Stages = append(s.Stages, interStages...)
+
+	// Phase 3: intra-node broadcast of the complete result.
+	bcastStages, err := intraPhase(bcast, cfg.Intra, false)
+	if err != nil {
+		return nil, err
+	}
+	s.Stages = append(s.Stages, bcastStages...)
+	return s, nil
+}
+
+// checkGroups validates one view of the node partition — non-empty uniform
+// groups covering every rank 0..p-1 exactly once — and returns p.
+func checkGroups(groups [][]int) (int, error) {
 	if len(groups) == 0 {
-		return nil, fmt.Errorf("sched: hierarchical needs at least one group")
+		return 0, fmt.Errorf("sched: hierarchical needs at least one group")
 	}
 	k := len(groups[0])
 	p := 0
 	for gi, g := range groups {
 		if len(g) == 0 {
-			return nil, fmt.Errorf("sched: hierarchical group %d is empty", gi)
+			return 0, fmt.Errorf("sched: hierarchical group %d is empty", gi)
 		}
 		if len(g) != k {
-			return nil, fmt.Errorf("sched: hierarchical groups must be uniform: group 0 has %d ranks, group %d has %d",
+			return 0, fmt.Errorf("sched: hierarchical groups must be uniform: group 0 has %d ranks, group %d has %d",
 				k, gi, len(g))
 		}
 		p += len(g)
@@ -86,42 +155,15 @@ func Hierarchical(groups [][]int, cfg HierarchicalConfig) (*Schedule, error) {
 	for gi, g := range groups {
 		for _, r := range g {
 			if r < 0 || r >= p {
-				return nil, fmt.Errorf("sched: hierarchical group %d contains rank %d outside 0..%d", gi, r, p-1)
+				return 0, fmt.Errorf("sched: hierarchical group %d contains rank %d outside 0..%d", gi, r, p-1)
 			}
 			if seen[r] {
-				return nil, fmt.Errorf("sched: rank %d appears in more than one group", r)
+				return 0, fmt.Errorf("sched: rank %d appears in more than one group", r)
 			}
 			seen[r] = true
 		}
 	}
-	s := &Schedule{Name: fmt.Sprintf("hierarchical-%s-%s", cfg.Intra, cfg.Inter), P: p}
-
-	// Phase 1: intra-node gather into the leaders; stages of all groups
-	// proceed concurrently and are merged stage-by-stage.
-	gatherStages, err := intraPhase(groups, cfg.Intra, true)
-	if err != nil {
-		return nil, err
-	}
-	s.Stages = append(s.Stages, gatherStages...)
-
-	// Phase 2: inter-leader allgather over aggregated node blocks.
-	leaders := make([]int, len(groups))
-	for gi, g := range groups {
-		leaders[gi] = g[0]
-	}
-	interStages, err := interPhase(groups, leaders, cfg.Inter)
-	if err != nil {
-		return nil, err
-	}
-	s.Stages = append(s.Stages, interStages...)
-
-	// Phase 3: intra-node broadcast of the complete result.
-	bcastStages, err := intraPhase(groups, cfg.Intra, false)
-	if err != nil {
-		return nil, err
-	}
-	s.Stages = append(s.Stages, bcastStages...)
-	return s, nil
+	return p, nil
 }
 
 // IntraGather builds the standalone phase-1 schedule: per-node gathers into

@@ -59,6 +59,52 @@ func TestHierarchicalNonContiguousGroups(t *testing.T) {
 	}
 }
 
+func TestHierarchicalPhasedVerifies(t *testing.T) {
+	// Each phase sees the same 4x4 partition in its own order: members
+	// permuted behind a fixed leader for the trees, nodes permuted for the
+	// leader exchange.
+	gather := [][]int{{0, 2, 1, 3}, {4, 7, 6, 5}, {8, 9, 11, 10}, {12, 15, 13, 14}}
+	bcast := [][]int{{0, 3, 2, 1}, {4, 5, 7, 6}, {8, 11, 10, 9}, {12, 13, 14, 15}}
+	plain := contiguousGroups(4, 4)
+	inter := [][]int{plain[2], plain[0], plain[3], plain[1]}
+	for _, cfg := range allHierConfigs() {
+		s, err := HierarchicalPhased(gather, inter, bcast, cfg)
+		if err != nil {
+			t.Fatalf("%v: %v", cfg, err)
+		}
+		if err := s.VerifyAllgather(); err != nil {
+			t.Errorf("%v: %v", cfg, err)
+		}
+		prog, err := Compile(s)
+		if err == nil {
+			err = prog.EnsureExecutable()
+		}
+		if err != nil {
+			t.Errorf("%v: %v", cfg, err)
+		}
+	}
+	// Identical views are exactly Hierarchical.
+	a, _ := Hierarchical(plain, HierarchicalConfig{NonLinear, InterRing})
+	b, _ := HierarchicalPhased(plain, plain, plain, HierarchicalConfig{NonLinear, InterRing})
+	if Fingerprint(a) != Fingerprint(b) {
+		t.Error("HierarchicalPhased over one view differs from Hierarchical")
+	}
+}
+
+func TestHierarchicalPhasedRejectsInconsistentViews(t *testing.T) {
+	plain := contiguousGroups(2, 4)
+	cfg := HierarchicalConfig{NonLinear, InterRecursiveDoubling}
+	for name, bcast := range map[string][][]int{
+		"moved leader":        {{1, 0, 2, 3}, {4, 5, 6, 7}},
+		"different partition": {{0, 1, 2, 4}, {3, 5, 6, 7}},
+		"different shape":     {{0, 1}, {2, 3}, {4, 5}, {6, 7}},
+	} {
+		if _, err := HierarchicalPhased(plain, plain, bcast, cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
 func TestHierarchicalErrors(t *testing.T) {
 	if _, err := Hierarchical(nil, HierarchicalConfig{}); err == nil {
 		t.Error("empty groups accepted")

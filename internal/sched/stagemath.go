@@ -1,24 +1,9 @@
 package sched
 
-// Stage math shared between the schedule builders in this package and the
-// legacy runtime loops in package collective. Both sides derive their peer
-// and block-offset tables from these functions, so the declarative IR and
-// the hand-rolled goroutine loops cannot drift apart.
+// Peer arithmetic of the flat allgather builders.
 
 // RingNext returns rank r's downstream ring neighbour.
 func RingNext(r, p int) int { return (r + 1) % p }
-
-// RingPrev returns rank r's upstream ring neighbour.
-func RingPrev(r, p int) int { return (r - 1 + p) % p }
-
-// RingSendOwner returns the contributor whose block rank r forwards at
-// 0-based ring step t: its own block at t=0, then each block it received in
-// the previous step.
-func RingSendOwner(r, t, p int) int { return ((r-t)%p + p) % p }
-
-// RingRecvOwner returns the contributor whose block rank r receives at ring
-// step t — the block its upstream neighbour forwards.
-func RingRecvOwner(r, t, p int) int { return RingSendOwner(RingPrev(r, p), t, p) }
 
 // BruckStep returns the peers and block count of rank r's exchange at Bruck
 // round pow (pow = 1, 2, 4, ...): r sends its first cnt blocks, in its
@@ -29,7 +14,7 @@ func BruckStep(r, pow, p int) (dst, src, cnt int) {
 	if p-pow < cnt {
 		cnt = p - pow
 	}
-	return ((r - pow) % p + p) % p, (r + pow) % p, cnt
+	return ((r-pow)%p + p) % p, (r + pow) % p, cnt
 }
 
 // NeighborPartner returns rank r's partner at 1-based step of the
@@ -43,20 +28,4 @@ func NeighborPartner(r, step, p int) int {
 		return (r + 1) % p
 	}
 	return (r - 1 + p) % p
-}
-
-// NeighborSendRange returns the contiguous (mod p) block range rank r sends
-// at the given 1-based step: its own block at step 1, the even-aligned pair
-// after the first exchange, and from then on whatever it received in the
-// previous step — which is what its previous partner sent. The recursion is
-// at most step levels deep with O(1) work per level.
-func NeighborSendRange(r, step, p int) (first, n int) {
-	switch step {
-	case 1:
-		return r, 1
-	case 2:
-		return r &^ 1, 2
-	default:
-		return NeighborSendRange(NeighborPartner(r, step-1, p), step-1, p)
-	}
 }

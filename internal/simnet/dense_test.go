@@ -1,14 +1,10 @@
 // Dense (map-based) stage pricing: the original implementation of the
-// contention model, kept as the reference that the sparse epoch-stamped
-// implementation in sparse.go is pinned bit-identical against (see
-// equivalence_test.go), and as the backend of the PricePipelined ablation,
-// whose per-transfer durations are not on any hot path.
-//
-// The dense accounting allocates five maps per stage and recomputes every
-// route once during aggregation and once per transfer during pricing. That
-// is fine for one-off explanatory pricing, but the mapping heuristics price
-// thousands of candidate layouts; PriceProgram therefore runs on the sparse
-// path and this file must not change behaviour without updating both.
+// contention model, retained as the reference that the sparse epoch-stamped
+// implementation in sparse.go is pinned bit-identical against by
+// equivalence_test.go. It allocates five maps per stage and recomputes every
+// route once during aggregation and once per transfer during pricing;
+// production pricing (PriceProgram, Profile, PricePipelined) runs on the
+// sparse path only.
 package simnet
 
 import (
@@ -94,9 +90,7 @@ func (m *Machine) priceStageDense(transfers []sched.Transfer, layout []int, bloc
 	return worst, nil
 }
 
-// priceProgramDense mirrors PriceProgram on the dense accounting. It exists
-// for the sparse-vs-dense equivalence suite; production pricing goes through
-// PriceProgram.
+// priceProgramDense mirrors PriceProgram on the dense accounting.
 func (m *Machine) priceProgramDense(prog *sched.Program, layout []int, blockBytes int) (float64, error) {
 	if len(layout) < prog.P {
 		return 0, fmt.Errorf("simnet: layout covers %d ranks, schedule has %d", len(layout), prog.P)
@@ -174,4 +168,9 @@ func (m *Machine) transferTimeDense(tr *sched.Transfer, layout []int, blockBytes
 	}
 	bump(streamBeta * float64(endpoint))
 	return alpha + bytes*maxInv, nil
+}
+
+// localSocket returns the within-node socket index of a core.
+func (m *Machine) localSocket(core int) int {
+	return (core % m.Cluster.CoresPerNode()) / m.Cluster.CoresPerSocket
 }

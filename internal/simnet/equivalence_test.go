@@ -91,6 +91,49 @@ func TestSparseDensePriceEquivalence(t *testing.T) {
 	}
 }
 
+// TestSparseDenseTransferEquivalence pins the per-transfer durations
+// PricePipelined consumes — transferDurations on the sparse scratch — to the
+// dense reference's per-transfer times with plain float equality, stage by
+// stage over the same machine x program x layout x size matrix.
+func TestSparseDenseTransferEquivalence(t *testing.T) {
+	layouts := []topology.LayoutKind{topology.BlockBunch, topology.BlockScatter, topology.CyclicBunch}
+	for mname, m := range equivMachines(t) {
+		p := m.Cluster.TotalCores() / 2
+		if p > 512 {
+			p = 512
+		}
+		sc := m.getScratch()
+		for pname, prog := range equivPrograms(t, p) {
+			for _, kind := range layouts {
+				layout := topology.MustLayout(m.Cluster, p, kind)
+				for _, blockBytes := range []int{64, 64 * 1024} {
+					for si := range prog.Stages {
+						transfers := prog.Stages[si].Transfers
+						got, err := m.transferDurations(sc, nil, transfers, layout, blockBytes)
+						if err != nil {
+							t.Fatal(err)
+						}
+						loads := newStageLoads()
+						m.aggregateLoads(transfers, layout, loads)
+						var routeBuf []topology.DirLink
+						for ti := range transfers {
+							want, err := m.transferTimeDense(&transfers[ti], layout, blockBytes, loads, &routeBuf)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if got[ti] != want {
+								t.Errorf("%s/%s/%v/%dB stage %d transfer %d: sparse %.17g differs from dense %.17g",
+									mname, pname, kind, blockBytes, si, ti, got[ti], want)
+							}
+						}
+					}
+				}
+			}
+		}
+		m.scratch.Put(sc)
+	}
+}
+
 // TestSparseDenseExplainEquivalence checks the per-stage breakdown path,
 // which shares priceStage with PriceProgram, against the dense stage prices.
 func TestSparseDenseExplainEquivalence(t *testing.T) {

@@ -1,9 +1,6 @@
 package simnet
 
-import (
-	"repro/internal/sched"
-	"repro/internal/topology"
-)
+import "repro/internal/sched"
 
 // PricePipelined prices a schedule without the global stage barrier that
 // Price assumes: each rank proceeds to its next transfer as soon as its own
@@ -23,8 +20,10 @@ func (m *Machine) PricePipelined(s *sched.Schedule, layout []int, blockBytes int
 	if _, err := m.Price(s, layout, blockBytes); err != nil {
 		return 0, err // reuse Price's argument validation
 	}
+	sc := m.getScratch()
+	defer m.scratch.Put(sc)
 	ready := make([]float64, s.P)
-	var snapshot []float64
+	var snapshot, durations []float64
 	for _, stages := range [][]sched.Stage{s.Pre, s.Stages} {
 		for i := range stages {
 			st := &stages[i]
@@ -32,8 +31,8 @@ func (m *Machine) PricePipelined(s *sched.Schedule, layout []int, blockBytes int
 				continue
 			}
 			// Per-transfer durations are repeat-invariant: compute once.
-			durations, err := m.transferDurations(st.Transfers, layout, blockBytes)
-			if err != nil {
+			var err error
+			if durations, err = m.transferDurations(sc, durations[:0], st.Transfers, layout, blockBytes); err != nil {
 				return 0, err
 			}
 			reps := st.Repeat
@@ -70,20 +69,17 @@ func (m *Machine) PricePipelined(s *sched.Schedule, layout []int, blockBytes int
 	return total, nil
 }
 
-// transferDurations prices every transfer of one stage under the stage's
-// aggregated loads. The ablation is not on any hot path, so it stays on the
-// dense reference accounting.
-func (m *Machine) transferDurations(transfers []sched.Transfer, layout []int, blockBytes int) ([]float64, error) {
-	loads := newStageLoads()
-	m.aggregateLoads(transfers, layout, loads)
-	durations := make([]float64, len(transfers))
-	var routeBuf []topology.DirLink
+// transferDurations appends to dst the time of every transfer of one stage
+// under the stage's aggregated loads, on the same sparse accounting
+// PriceProgram uses.
+func (m *Machine) transferDurations(sc *priceScratch, dst []float64, transfers []sched.Transfer, layout []int, blockBytes int) ([]float64, error) {
+	m.aggregateStage(sc, transfers, layout)
 	for i := range transfers {
-		t, err := m.transferTimeDense(&transfers[i], layout, blockBytes, loads, &routeBuf)
+		t, err := m.transferTimeSparse(sc, &transfers[i], layout, blockBytes)
 		if err != nil {
 			return nil, err
 		}
-		durations[i] = t
+		dst = append(dst, t)
 	}
-	return durations, nil
+	return dst, nil
 }

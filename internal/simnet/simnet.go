@@ -171,8 +171,3 @@ func (m *Machine) PriceProgram(prog *sched.Program, layout []int, blockBytes int
 	}
 	return total, nil
 }
-
-// localSocket returns the within-node socket index of a core.
-func (m *Machine) localSocket(core int) int {
-	return (core % m.Cluster.CoresPerNode()) / m.Cluster.CoresPerSocket
-}

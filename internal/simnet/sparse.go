@@ -1,6 +1,7 @@
-// Sparse stage pricing: the production backend of PriceProgram.
+// Sparse stage pricing: the one production pricer, behind PriceProgram,
+// Profile and PricePipelined.
 //
-// The dense reference (dense.go) allocates five maps per stage and walks
+// A map-per-resource accounting allocates five maps per stage and walks
 // every route twice. The mapping heuristics price thousands of layouts and
 // the experiment drivers price schedules up to p = 65536, where per-stage
 // map churn dominates. The sparse path replaces the maps with flat
@@ -17,9 +18,10 @@
 // the list its aggregation pass interned, and repeated stages (every ring
 // repeat, every heuristic probe of the same machine) never re-route at all.
 //
-// Every arithmetic step mirrors dense.go operation for operation — same
-// operands, same order — so prices are bit-identical to the reference; the
-// equivalence suite enforces that with float equality.
+// Every arithmetic step mirrors the retained dense reference (dense_test.go)
+// operation for operation — same operands, same order — so prices are
+// bit-identical to it; the equivalence suite enforces that with float
+// equality.
 package simnet
 
 import (
@@ -245,9 +247,8 @@ func (m *Machine) aggregateStage(sc *priceScratch, transfers []sched.Transfer, l
 	}
 }
 
-// transferTimeSparse prices one transfer under the stage's aggregated loads.
-// It performs the same floating-point operations as transferTimeDense, in
-// the same order, reading the epoch-stamped counters instead of maps.
+// transferTimeSparse prices one transfer under the stage's aggregated loads,
+// reading the epoch-stamped counters.
 func (m *Machine) transferTimeSparse(sc *priceScratch, tr *sched.Transfer, layout []int, blockBytes int) (float64, error) {
 	alpha, maxInv, err := m.transferLineSparse(sc, tr, layout)
 	if err != nil {
