@@ -559,6 +559,73 @@ func BenchmarkRuntimeAllgather(b *testing.B) {
 	}
 }
 
+// --- Paper-scale planner benchmarks (the facade path of bench's plan-sweep) ---
+
+// planPatterns are the four patterns the paper has fine-tuned heuristics for.
+var planPatterns = []Pattern{RecursiveDoubling, Ring, BinomialBroadcast, BinomialGather}
+
+// BenchmarkPlanGPC4096 measures one repro.Plan per pattern on the full GPC
+// machine: layout validation, the O(p) hierarchy oracle and the heuristic.
+func BenchmarkPlanGPC4096(b *testing.B) {
+	c := GPC()
+	layout := topology.MustLayout(c, 4096, topology.CyclicBunch)
+	for _, pat := range planPatterns {
+		b.Run(pat.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Plan(c, layout, pat); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSpeedupSweepGPC4096 measures the paper's Fig. 3 traffic: one
+// plan priced at the 17 OSU sizes. Each iteration starts from a fresh plan,
+// so it pays the one contention profile pair plus 17 evaluations.
+func BenchmarkSpeedupSweepGPC4096(b *testing.B) {
+	c := GPC()
+	m, err := NewMachine(c, DefaultCostParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	layout := topology.MustLayout(c, 4096, topology.CyclicBunch)
+	sizes := osu.DefaultSizes()
+	for _, pat := range planPatterns {
+		b.Run(pat.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				plan, err := Plan(c, layout, pat)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for _, size := range sizes {
+					if _, _, _, err := plan.Speedup(m, size); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sizes)), "ns/size")
+		})
+	}
+}
+
+// BenchmarkNewDistancesGPC4096 measures the dense 4096 x 4096 matrix build
+// that Scotch, the experiments and hwdisc.Discover still need.
+func BenchmarkNewDistancesGPC4096(b *testing.B) {
+	c := GPC()
+	layout := topology.MustLayout(c, 4096, topology.CyclicBunch)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := topology.NewDistances(c, layout); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // itoa avoids strconv in this file's hot paths.
 func itoa(v int) string {
 	if v == 0 {

@@ -1,8 +1,10 @@
 package hwdisc
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/topology"
@@ -82,5 +84,46 @@ func TestLoadOrDiscoverSurvivesCorruptCache(t *testing.T) {
 	}
 	if res.Elapsed == 0 {
 		t.Error("garbage cache was trusted")
+	}
+}
+
+// TestLoadOrDiscoverSurvivesHostileCount flips the core count in the header
+// of a valid cache file. The cache must be discovered over — cheaply: the
+// bogus count may not be turned into a count^2 allocation on the way.
+func TestLoadOrDiscoverSurvivesHostileCount(t *testing.T) {
+	c := topology.GPC()
+	layout := topology.MustLayout(c, 16, topology.BlockBunch)
+	cm := DefaultCostModel()
+	for _, count := range []uint64{1 << 20, uint64(len(layout)) + 1} {
+		path := filepath.Join(t.TempDir(), "distances.bin")
+		want, err := LoadOrDiscover(path, c, layout, cm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint64(file[8:], count) // after magic and version
+		if err := os.WriteFile(path, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := LoadOrDiscover(path, c, layout, cm)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Elapsed != want.Elapsed {
+			t.Errorf("count %d: cache with a damaged header was trusted (elapsed %v, want %v)", count, res.Elapsed, want.Elapsed)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+			t.Errorf("count %d: rediscovery allocated %d bytes", count, grew)
+		}
+		// The rewritten cache is good again.
+		if again, err := LoadOrDiscover(path, c, layout, cm); err != nil || again.Elapsed != 0 {
+			t.Errorf("count %d: cache not rewritten after rediscovery (elapsed %v, err %v)", count, again.Elapsed, err)
+		}
 	}
 }

@@ -49,29 +49,44 @@ type Result struct {
 	Elapsed time.Duration
 }
 
+// Cost validates the placement of the p processes of layout on cluster c
+// and returns the modelled one-time discovery cost: one hwloc query per
+// process plus one InfiniBand query per distinct node. It builds no matrix,
+// so callers that map on a compact oracle pay only O(p) here.
+func Cost(c *topology.Cluster, layout []int, cm CostModel) (time.Duration, error) {
+	if c == nil {
+		return 0, fmt.Errorf("hwdisc: nil cluster")
+	}
+	if err := topology.ValidateLayout(c, layout); err != nil {
+		return 0, err
+	}
+	if len(layout) == 0 {
+		return 0, fmt.Errorf("hwdisc: empty layout")
+	}
+	seen := make([]bool, c.Nodes)
+	nodes := 0
+	for _, core := range layout {
+		if node := c.NodeOf(core); !seen[node] {
+			seen[node] = true
+			nodes++
+		}
+	}
+	return cm.Base +
+		time.Duration(len(layout))*cm.PerCore +
+		time.Duration(nodes)*cm.PerNode, nil
+}
+
 // Discover extracts the distance matrix for the p processes placed by
 // layout on cluster c and returns it with the modelled discovery time.
 func Discover(c *topology.Cluster, layout []int, cm CostModel) (*Result, error) {
-	if c == nil {
-		return nil, fmt.Errorf("hwdisc: nil cluster")
-	}
-	if err := topology.ValidateLayout(c, layout); err != nil {
+	elapsed, err := Cost(c, layout, cm)
+	if err != nil {
 		return nil, err
-	}
-	if len(layout) == 0 {
-		return nil, fmt.Errorf("hwdisc: empty layout")
 	}
 	d, err := topology.NewDistances(c, layout)
 	if err != nil {
 		return nil, err
 	}
-	nodes := map[int]bool{}
-	for _, core := range layout {
-		nodes[c.NodeOf(core)] = true
-	}
-	elapsed := cm.Base +
-		time.Duration(len(layout))*cm.PerCore +
-		time.Duration(len(nodes))*cm.PerNode
 	return &Result{Distances: d, Elapsed: elapsed}, nil
 }
 

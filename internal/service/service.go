@@ -632,17 +632,16 @@ func (s *Service) buildEnv(c *compiled) (*topoEnv, error) {
 		cluster: c.cluster,
 		decs:    make(map[decKey]SizeResult),
 	}
-	// Prefer the compact hierarchical oracle: O(p) memory and the bucketed
-	// find-closest kernel. Non-hierarchical clusters (tori) fall back to the
-	// dense matrix and the scan kernel.
-	if h, herr := topology.NewHierarchy(c.cluster, c.layout); herr == nil {
-		env.oracle, env.oracleK = h, "hierarchy"
-	} else {
-		dense, err := topology.NewDistances(c.cluster, c.layout)
-		if err != nil {
-			return nil, err
-		}
-		env.oracle, env.oracleK = dense, "dense"
+	// The compact hierarchical oracle (O(p) memory, bucketed find-closest
+	// kernel) where the network allows it; tori get the dense matrix and
+	// the scan kernel.
+	oracle, err := topology.NewOracle(c.cluster, c.layout)
+	if err != nil {
+		return nil, err
+	}
+	env.oracle, env.oracleK = oracle, "dense"
+	if _, ok := oracle.(*topology.Hierarchy); ok {
+		env.oracleK = "hierarchy"
 	}
 	if c.graph == nil {
 		params := simnet.DefaultParams()

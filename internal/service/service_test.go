@@ -280,10 +280,24 @@ func TestComputeTrace(t *testing.T) {
 			t.Errorf("negative trace timestamp: %+v", e)
 		}
 	}
-	for _, want := range []string{"distances", "evaluated:rmh", "selected:rmh"} {
+	for _, want := range []string{"oracle:hierarchy", "distances", "evaluated:rmh", "selected:rmh"} {
 		if !names[want] {
 			t.Errorf("trace missing %q; got %v", want, names)
 		}
+	}
+	// Tori have no hierarchy: the oracle mark names the dense fallback.
+	torus, err := s.Compute(context.Background(), &Request{
+		Topology: torusTopo16(), Pattern: PatternSpec{Name: "ring"}, Trace: true,
+	})
+	if err != nil {
+		t.Fatalf("torus Compute: %v", err)
+	}
+	dense := false
+	for _, e := range torus.Trace {
+		dense = dense || e.Name == "oracle:dense"
+	}
+	if !dense {
+		t.Errorf("torus trace has no oracle:dense mark: %+v", torus.Trace)
 	}
 	// Cached replay gets its own timeline.
 	resp2, err := s.Compute(context.Background(), &Request{

@@ -67,6 +67,10 @@ type Distances struct {
 // NewDistances computes the distance matrix for the given global core set on
 // cluster c. The cores slice is not copied; callers must not mutate it
 // afterwards.
+//
+// Inter-node distance depends only on the two nodes, so Network.Hops is
+// asked once per ordered pair of the job's distinct nodes (m^2 calls, not
+// p^2) and the rows are filled by lookup in that table.
 func NewDistances(c *Cluster, cores []int) (*Distances, error) {
 	n := len(cores)
 	if n == 0 {
@@ -79,36 +83,74 @@ func NewDistances(c *Cluster, cores []int) (*Distances, error) {
 		}
 	}
 	d := &Distances{Cores: cores, D: make([]int32, n*n)}
-	// Rows are independent, so fill them across GOMAXPROCS workers. Each
-	// worker computes full rows (both triangles) with the exact CoreDistance
-	// arithmetic, so the values — and hence every persisted fingerprint —
-	// are identical to the serial upper-triangle fill this replaces.
-	nodeOf := make([]int, n)
-	sockOf := make([]int, n)
-	for s, core := range cores {
-		nodeOf[s] = c.NodeOf(core)
-		sockOf[s] = c.SocketOf(core)
+
+	// Dense index of the job's distinct nodes, in first-seen order, through
+	// a flat slice over the cluster's nodes.
+	indexOf := make([]int32, c.Nodes)
+	for i := range indexOf {
+		indexOf[i] = -1
 	}
+	var nodes []int
+	nodeIdx := make([]int32, n) // slot -> dense node index
+	sockOf := make([]int32, n)
+	for s, core := range cores {
+		node := c.NodeOf(core)
+		if indexOf[node] < 0 {
+			indexOf[node] = int32(len(nodes))
+			nodes = append(nodes, node)
+		}
+		nodeIdx[s] = indexOf[node]
+		sockOf[s] = int32(c.SocketOf(core))
+	}
+	m := len(nodes)
+
+	// table[a*m+b] is the distance between cores on distinct nodes a and b;
+	// the diagonal holds the same-node distance, which the row fill below
+	// refines to same-socket and self.
+	table := make([]int32, m*m)
+	for a, na := range nodes {
+		row := table[a*m : (a+1)*m]
+		for b, nb := range nodes {
+			switch {
+			case a == b:
+				row[b] = distSameNode
+			case c.Net == nil:
+				row[b] = distInterNodeOff + distPerHop*2
+			default:
+				row[b] = int32(distInterNodeOff + distPerHop*c.Net.Hops(na, nb))
+			}
+		}
+	}
+
+	// Slots grouped by node (counting sort), for the same-node patch.
+	start := make([]int32, m+1)
+	for _, a := range nodeIdx {
+		start[a+1]++
+	}
+	for a := 0; a < m; a++ {
+		start[a+1] += start[a]
+	}
+	byNode := make([]int32, n)
+	fill := append([]int32(nil), start[:m]...)
+	for s, a := range nodeIdx {
+		byNode[fill[a]] = int32(s)
+		fill[a]++
+	}
+
+	// Rows are independent, so fill them across GOMAXPROCS workers.
 	parallelRows(n, func(i int) error {
 		row := d.D[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			var dist int32
-			if nodeOf[i] == nodeOf[j] {
-				if sockOf[i] == sockOf[j] {
-					dist = distSameSocket
-				} else {
-					dist = distSameNode
-				}
-			} else if c.Net == nil {
-				dist = distInterNodeOff + distPerHop*2
-			} else {
-				dist = int32(distInterNodeOff + distPerHop*c.Net.Hops(nodeOf[i], nodeOf[j]))
-			}
-			row[j] = dist
+		a := nodeIdx[i]
+		fromA := table[int(a)*m : (int(a)+1)*m]
+		for j, b := range nodeIdx {
+			row[j] = fromA[b]
 		}
+		for _, j := range byNode[start[a]:start[a+1]] {
+			if sockOf[j] == sockOf[i] {
+				row[j] = distSameSocket
+			}
+		}
+		row[i] = 0
 		return nil
 	})
 	// Attach the compact view up front when the network supports it: the

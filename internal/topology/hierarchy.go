@@ -26,6 +26,20 @@ var (
 	_ Oracle = (*Hierarchy)(nil)
 )
 
+// NewOracle returns the cheapest exact distance oracle for the given global
+// core set on cluster c: the O(p) Hierarchy when the interconnect is
+// hierarchical (fat-trees) or absent (uniform inter-node channel), and the
+// dense Distances matrix otherwise (tori). The two agree entry for entry
+// wherever both exist, so callers that only run heuristics never need to
+// know which one they got. The cores slice is not copied; callers must not
+// mutate it afterwards.
+func NewOracle(c *Cluster, cores []int) (Oracle, error) {
+	if h, err := NewHierarchy(c, cores); err == nil {
+		return h, nil
+	}
+	return NewDistances(c, cores)
+}
+
 // HierLevel describes one nested node grouping of a hierarchical network:
 // two distinct nodes whose finest shared group sits at this level exchange
 // messages over Hops links.

@@ -190,22 +190,74 @@ func TestDistancesHierarchyAttached(t *testing.T) {
 	}
 }
 
-// TestParallelDistancesMatchSerial recomputes a large matrix with the
-// reference serial loop and requires the parallel fill to be bit-identical
-// (the fingerprint regression tests depend on it).
-func TestParallelDistancesMatchSerial(t *testing.T) {
-	c := GPC()
-	cores := MustLayout(c, 1024, CyclicScatter)
-	d, err := NewDistances(c, cores)
+// TestNewDistancesMatchesCoreDistance holds the node-pair hop-table fill to
+// the reference arithmetic: every entry equals CoreDistance of the two
+// cores (the fingerprint regression tests depend on it), and the compact
+// view is attached at construction exactly when NewHierarchy can build one.
+func TestNewDistancesMatchesCoreDistance(t *testing.T) {
+	mk := func(nodes, sockets, cores int, net Network) *Cluster {
+		c, err := NewCluster(nodes, sockets, cores, net)
+		if err != nil {
+			t.Fatalf("NewCluster: %v", err)
+		}
+		return c
+	}
+	type job struct {
+		name  string
+		c     *Cluster
+		cores []int
+	}
+	var jobs []job
+	gpc := GPC()
+	for _, kind := range AllLayouts {
+		jobs = append(jobs, job{"gpc/" + kind.String(), gpc, MustLayout(gpc, 4096, kind)})
+	}
+	// A fragmented allocation entered in the middle of the machine: every
+	// third node from 200, wrapping, so dense node indices and node ids
+	// disagree everywhere.
+	var frag []int
+	for i := 0; i < 128; i++ {
+		frag = append(frag, (200+3*i)%gpc.Nodes)
+	}
+	fragLayout, err := LayoutOnNodes(gpc, 1024, CyclicScatter, frag)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range cores {
-		for j := range cores {
-			want := int32(c.CoreDistance(cores[i], cores[j]))
-			if d.At(i, j) != want {
-				t.Fatalf("At(%d,%d) = %d, want %d", i, j, d.At(i, j), want)
+	jobs = append(jobs, job{"gpc/fragmented", gpc, fragLayout})
+
+	for name, c := range map[string]*Cluster{
+		"fattree-2x4":  mk(8, 2, 4, TwoLevelFatTree(2, 4, 2)),
+		"fattree-8x16": mk(128, 2, 2, TwoLevelFatTree(8, 16, 4)),
+		"torus-4x4x2":  mk(32, 2, 4, NewTorus3D(4, 4, 2)),
+		"torus-8x8x1":  mk(64, 1, 1, NewTorus3D(8, 8, 1)),
+		"uniform":      mk(4, 2, 2, nil),
+	} {
+		jobs = append(jobs, job{name, c, MustLayout(c, c.TotalCores(), CyclicBunch)})
+	}
+	jobs = append(jobs,
+		job{"p=1", gpc, []int{37}},
+		job{"single-node-job", gpc, MustLayout(gpc, 8, BlockScatter)},
+		job{"unordered", gpc, []int{4095, 0, 9, 8, 2047, 15, 2048, 1}},
+	)
+
+	for _, jb := range jobs {
+		d, err := NewDistances(jb.c, jb.cores)
+		if err != nil {
+			t.Fatalf("%s: %v", jb.name, err)
+		}
+		if err := parallelRows(len(jb.cores), func(i int) error {
+			for j := range jb.cores {
+				if want := int32(jb.c.CoreDistance(jb.cores[i], jb.cores[j])); d.At(i, j) != want {
+					return fmt.Errorf("At(%d,%d) = %d, want %d", i, j, d.At(i, j), want)
+				}
 			}
+			return nil
+		}); err != nil {
+			t.Errorf("%s: %v", jb.name, err)
+		}
+		_, herr := NewHierarchy(jb.c, jb.cores)
+		if attached := d.hierDone && d.hier != nil; attached != (herr == nil) {
+			t.Errorf("%s: hierarchy attached = %v, NewHierarchy error = %v", jb.name, attached, herr)
 		}
 	}
 }

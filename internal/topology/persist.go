@@ -97,19 +97,19 @@ func ReadDistances(r io.Reader) (*Distances, error) {
 	if count == 0 || count > maxCores {
 		return nil, fmt.Errorf("topology: implausible core count %d", count)
 	}
-	cores64 := make([]int64, count)
-	if err := binary.Read(br, binary.LittleEndian, cores64); err != nil {
-		return nil, err
+	// The count is untrusted until the checksum has been seen: read the body
+	// in bounded chunks so a damaged header costs an error, not count^2
+	// bytes of memory.
+	cores64, err := readChunked[int64](br, count)
+	if err != nil {
+		return nil, fmt.Errorf("topology: reading %d core indices: %w", count, err)
 	}
-	d := &Distances{
-		Cores: make([]int, count),
-		D:     make([]int32, count*count),
-	}
+	d := &Distances{Cores: make([]int, count)}
 	for i, c := range cores64 {
 		d.Cores[i] = int(c)
 	}
-	if err := binary.Read(br, binary.LittleEndian, d.D); err != nil {
-		return nil, err
+	if d.D, err = readChunked[int32](br, count*count); err != nil {
+		return nil, fmt.Errorf("topology: reading %dx%d distance matrix: %w", count, count, err)
 	}
 	var sum uint32
 	if err := binary.Read(br, binary.LittleEndian, &sum); err != nil {
@@ -122,4 +122,24 @@ func ReadDistances(r io.Reader) (*Distances, error) {
 		return nil, fmt.Errorf("topology: persisted matrix invalid: %w", err)
 	}
 	return d, nil
+}
+
+// readChunked reads n little-endian values from r a bounded chunk at a time.
+// The result doubles as data arrives (capped at n), so an n that overstates
+// what r holds fails at end of input having allocated only a small multiple
+// of the bytes that were there.
+func readChunked[T int32 | int64](r io.Reader, n uint64) ([]T, error) {
+	const chunk = 1 << 16
+	out := make([]T, 0, min(n, chunk))
+	for uint64(len(out)) < n {
+		if len(out) == cap(out) {
+			out = append(make([]T, 0, min(n, 2*uint64(cap(out)))), out...)
+		}
+		part := out[len(out):min(cap(out), len(out)+chunk)]
+		if err := binary.Read(r, binary.LittleEndian, part); err != nil {
+			return nil, err
+		}
+		out = out[:len(out)+len(part)]
+	}
+	return out, nil
 }

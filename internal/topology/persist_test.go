@@ -2,6 +2,8 @@ package topology
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 )
 
@@ -63,5 +65,39 @@ func TestReadDistancesRejectsCorruption(t *testing.T) {
 	// Empty input.
 	if _, err := ReadDistances(bytes.NewReader(nil)); err == nil {
 		t.Error("empty input accepted")
+	}
+}
+
+// TestReadDistancesHostileCount rewrites the core count of a valid file: the
+// header is read before the checksum can vouch for it, so a flipped bit
+// there must end in an error after allocating about what the file holds —
+// not in count^2 int32s (4 TiB at the format's 1<<20 ceiling, which the
+// 9 MiB file below is long enough to reach past the core list).
+func TestReadDistancesHostileCount(t *testing.T) {
+	c := GPC()
+	for _, p := range []int{16, 1536} {
+		d, err := NewDistances(c, MustLayout(c, p, BlockBunch))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := d.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		const countOffset = 8 // after magic and version
+		for _, count := range []uint64{1 << 20, uint64(p) + 1} {
+			bad := append([]byte(nil), buf.Bytes()...)
+			binary.LittleEndian.PutUint64(bad[countOffset:], count)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := ReadDistances(bytes.NewReader(bad))
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("p=%d: count %d accepted", p, count)
+			}
+			if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(4<<20+4*len(bad)); grew > limit {
+				t.Errorf("p=%d count %d: ReadDistances allocated %d bytes on a %d-byte file (limit %d)", p, count, grew, len(bad), limit)
+			}
+		}
 	}
 }

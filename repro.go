@@ -2,6 +2,7 @@ package repro
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/collective"
@@ -34,7 +35,8 @@ type (
 	// implemented by both *Distances and the compact *Hierarchy.
 	DistanceOracle = topology.Oracle
 	// Hierarchy is the O(p)-memory hierarchical distance oracle for
-	// fat-tree-like clusters; at p=4096 it replaces the 64 MB dense matrix.
+	// fat-tree-like clusters; at p=4096 it replaces the 64 MB dense matrix,
+	// and Plan runs on it.
 	Hierarchy = topology.Hierarchy
 	// LayoutKind names an initial process-to-core layout policy.
 	LayoutKind = topology.LayoutKind
@@ -78,17 +80,19 @@ func NewLayoutOnNodes(c *Cluster, p int, k LayoutKind, nodes []int) ([]int, erro
 	return topology.LayoutOnNodes(c, p, k, nodes)
 }
 
-// NewDistances computes the physical distance matrix over the given cores
-// (indexed by rank), without the discovery cost model; Plan uses the
-// modelled discovery instead.
+// NewDistances computes the dense physical distance matrix over the given
+// cores (indexed by rank) — the input ScotchMap and the Heuristic-typed
+// functions take. Plan does not build it: it maps on the compact oracle
+// wherever the interconnect allows one.
 func NewDistances(c *Cluster, cores []int) (*Distances, error) {
 	return topology.NewDistances(c, cores)
 }
 
 // NewHierarchy computes the compact hierarchical distance oracle over the
 // given cores — equivalent to NewDistances entry for entry on hierarchical
-// interconnects (fat-trees, uniform networks) but in O(p) memory. It fails
-// for non-hierarchical networks such as tori; use NewDistances there.
+// interconnects (fat-trees, uniform networks) but in O(p) memory; it is what
+// Plan maps on there. It fails for non-hierarchical networks such as tori;
+// use NewDistances there.
 func NewHierarchy(c *Cluster, cores []int) (*Hierarchy, error) {
 	return topology.NewHierarchy(c, cores)
 }
@@ -135,7 +139,7 @@ func ScotchMap(pat Pattern, d *Distances) (Mapping, error) {
 }
 
 // ReorderPlan is the result of planning a topology-aware reordering for one
-// collective pattern on one job.
+// collective pattern on one job. A plan holds a lock; pass it by pointer.
 type ReorderPlan struct {
 	// Pattern is the collective pattern the plan optimises.
 	Pattern Pattern
@@ -150,38 +154,27 @@ type ReorderPlan struct {
 	DiscoveryTime time.Duration
 	// MappingTime is the measured wall-clock cost of the heuristic.
 	MappingTime time.Duration
+
+	// Speedup's size-independent pricing profiles for the last machine
+	// priced on: one slot, refilled when another (Cluster, Params) asks.
+	mu          sync.Mutex
+	profCluster *Cluster
+	profParams  CostParams
+	defProf     *simnet.PriceProfile
+	reorderProf *simnet.PriceProfile
 }
 
 // Plan performs the full run-time reordering workflow of paper Section IV
 // for one pattern: extract physical distances (once), run the pattern's
 // fine-tuned heuristic, and return the mapping together with its overheads.
+// On hierarchical interconnects the distances are the O(p) Hierarchy, never
+// the p x p matrix.
 func Plan(c *Cluster, layout []int, pat Pattern) (*ReorderPlan, error) {
-	disc, err := hwdisc.Discover(c, layout, hwdisc.DefaultCostModel())
+	plans, err := PlanAll(c, layout, pat)
 	if err != nil {
 		return nil, err
 	}
-	h := pat.Heuristic()
-	if h == nil {
-		return nil, fmt.Errorf("repro: no heuristic for pattern %v", pat)
-	}
-	start := time.Now()
-	m, err := h(disc.Distances, nil)
-	if err != nil {
-		return nil, err
-	}
-	mappingTime := time.Since(start)
-	re, err := m.Apply(layout)
-	if err != nil {
-		return nil, err
-	}
-	return &ReorderPlan{
-		Pattern:         pat,
-		Mapping:         m,
-		Layout:          layout,
-		ReorderedLayout: re,
-		DiscoveryTime:   disc.Elapsed,
-		MappingTime:     mappingTime,
-	}, nil
+	return plans[0], nil
 }
 
 // PlanAll plans reorderings for several patterns while paying the
@@ -194,18 +187,22 @@ func PlanAll(c *Cluster, layout []int, pats ...Pattern) ([]*ReorderPlan, error) 
 	if len(pats) == 0 {
 		return nil, fmt.Errorf("repro: no patterns given")
 	}
-	disc, err := hwdisc.Discover(c, layout, hwdisc.DefaultCostModel())
+	discovery, err := hwdisc.Cost(c, layout, hwdisc.DefaultCostModel())
+	if err != nil {
+		return nil, err
+	}
+	oracle, err := topology.NewOracle(c, layout)
 	if err != nil {
 		return nil, err
 	}
 	plans := make([]*ReorderPlan, 0, len(pats))
 	for _, pat := range pats {
-		h := pat.Heuristic()
+		h := pat.OracleHeuristic()
 		if h == nil {
 			return nil, fmt.Errorf("repro: no heuristic for pattern %v", pat)
 		}
 		start := time.Now()
-		m, err := h(disc.Distances, nil)
+		m, err := h(nil, oracle, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -219,7 +216,7 @@ func PlanAll(c *Cluster, layout []int, pats ...Pattern) ([]*ReorderPlan, error) 
 			Mapping:         m,
 			Layout:          layout,
 			ReorderedLayout: re,
-			DiscoveryTime:   disc.Elapsed,
+			DiscoveryTime:   discovery,
 			MappingTime:     mappingTime,
 		})
 	}
@@ -243,20 +240,22 @@ func NewMachine(c *Cluster, p CostParams) (*Machine, error) { return simnet.NewM
 // seconds, reordered seconds, improvement percent). The reordered time
 // includes the extra-initial-communication order fix where the algorithm
 // needs one.
+//
+// Contention does not depend on the message size, so the first call for a
+// machine aggregates both schedules once and every further size on that
+// machine is a few multiply-adds per stage; the prices equal Machine.Price
+// of the two schedules bit for bit. Safe for concurrent use. The plan's
+// exported fields must not be modified once Speedup has been called.
 func (p *ReorderPlan) Speedup(m *Machine, msgBytes int) (def, reordered, improvement float64, err error) {
-	s, err := sched.ForPattern(p.Pattern, len(p.Layout))
+	defProf, reorderProf, err := p.profiles(m)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	def, err = m.Price(s, p.Layout, msgBytes)
+	def, err = defProf.Price(msgBytes)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	withFix, err := sched.WithOrderPreservation(s, p.Mapping, sched.InitComm)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	reordered, err = m.Price(withFix, p.ReorderedLayout, msgBytes)
+	reordered, err = reorderProf.Price(msgBytes)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -264,6 +263,45 @@ func (p *ReorderPlan) Speedup(m *Machine, msgBytes int) (def, reordered, improve
 		improvement = (def - reordered) / def * 100
 	}
 	return def, reordered, improvement, nil
+}
+
+// profiles returns the pricing profiles of the default and the
+// order-preserved reordered schedule on m, building them when the plan's
+// slot holds another machine's (or none). Params is compared by value, so
+// editing m.Params between calls re-profiles.
+func (p *ReorderPlan) profiles(m *Machine) (def, reordered *simnet.PriceProfile, err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.defProf != nil && p.profCluster == m.Cluster && p.profParams == m.Params {
+		return p.defProf, p.reorderProf, nil
+	}
+	s, err := sched.ForPattern(p.Pattern, len(p.Layout))
+	if err != nil {
+		return nil, nil, err
+	}
+	if def, err = profileOf(m, s, p.Layout); err != nil {
+		return nil, nil, err
+	}
+	withFix, err := sched.WithOrderPreservation(s, p.Mapping, sched.InitComm)
+	if err != nil {
+		return nil, nil, err
+	}
+	if reordered, err = profileOf(m, withFix, p.ReorderedLayout); err != nil {
+		return nil, nil, err
+	}
+	p.profCluster, p.profParams = m.Cluster, m.Params
+	p.defProf, p.reorderProf = def, reordered
+	return def, reordered, nil
+}
+
+// profileOf compiles s (through the process-wide cache) and aggregates its
+// contention under layout on m.
+func profileOf(m *Machine, s *sched.Schedule, layout []int) (*simnet.PriceProfile, error) {
+	prog, err := sched.CompileCached(s)
+	if err != nil {
+		return nil, err
+	}
+	return m.Profile(prog, layout)
 }
 
 // Runtime re-exports: the goroutine MPI-like runtime.
