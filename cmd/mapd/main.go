@@ -194,7 +194,13 @@ func run(ctx context.Context, addr string, cfg service.Config, enablePprof bool,
 	case <-ctx.Done():
 	}
 	logger.Printf("shutting down")
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), cfg.MaxTimeout)
+	grace := cfg.MaxTimeout
+	if grace <= 0 {
+		// An unset MaxTimeout means the service default, not "no grace": a
+		// zero budget made Shutdown fail whenever a connection was still busy.
+		grace = time.Minute
+	}
+	shutdownCtx, cancel := context.WithTimeout(context.Background(), grace)
 	defer cancel()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		return err

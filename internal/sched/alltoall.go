@@ -129,18 +129,6 @@ func dimCoord(r int, dims []int, d int) int {
 	return r / dimStride(dims, d) % dims[d]
 }
 
-// ringDelta is the signed minimal ring offset from a to b on an n-ring,
-// breaking the n/2 tie forward — the same convention as the torus model's
-// dimension-order routing, so a +1 step here prices onto the +direction
-// link there.
-func ringDelta(a, b, n int) int {
-	d := ((b - a) % n + n) % n
-	if d*2 <= n {
-		return d
-	}
-	return d - n
-}
-
 // withDimCoord returns r with its dimension-d coordinate replaced by c
 // (taken modulo the dimension size).
 func withDimCoord(r int, dims []int, d, c int) int {
@@ -170,59 +158,82 @@ func TorusRRAlltoall(dims []int) (*Schedule, error) {
 		Name: "torus-rr-alltoall-" + dimsName(dims),
 		P:    p, Blocks: p * p, Init: InitSlab,
 	}
-	for d, n := range dims {
+	// coord[r] and low[r] are rank r's coordinate in the dimension at hand
+	// and its digits below it, tabulated per dimension so that the per-pair
+	// loop below is adds and compares only.
+	coord, low := make([]int, p), make([]int, p)
+	cursor := make([]int, 2*p)
+	stride := 1
+	for _, n := range dims {
 		if n == 1 {
 			continue
 		}
-		for t := 1; t*2 <= n; t++ {
-			// payload[h] and payloadBack[h] are rank h's +1 / -1 messages of
-			// round t; src-major, dst-minor iteration keeps block lists
-			// ascending.
-			fwd := make([][]int32, p)
-			bwd := make([][]int32, p)
-			for src := 0; src < p; src++ {
-				for dst := 0; dst < p; dst++ {
-					delta := ringDelta(dimCoord(src, dims, d), dimCoord(dst, dims, d), n)
-					step := 1
-					if delta < 0 {
-						step, delta = -1, -delta
-					}
-					if t > delta {
-						continue // arrived (or never left) in this dimension
-					}
-					// The block has already corrected dimensions < d and
-					// stepped t-1 hops in dimension d.
-					cur := src
-					for e := 0; e < d; e++ {
-						cur = withDimCoord(cur, dims, e, dimCoord(dst, dims, e))
-					}
-					cur = withDimCoord(cur, dims, d, dimCoord(src, dims, d)+step*(t-1))
-					if step > 0 {
-						fwd[cur] = append(fwd[cur], pairBlock(src, dst, p))
-					} else {
-						bwd[cur] = append(bwd[cur], pairBlock(src, dst, p))
-					}
-				}
-			}
-			st := Stage{}
-			for h := 0; h < p; h++ {
-				if len(fwd[h]) > 0 {
-					st.Transfers = append(st.Transfers, Transfer{
-						Src: int32(h), Dst: int32(withDimCoord(h, dims, d, dimCoord(h, dims, d)+1)),
-						N: int32(len(fwd[h])), Mode: List, Blocks: fwd[h],
-					})
-				}
-				if len(bwd[h]) > 0 {
-					st.Transfers = append(st.Transfers, Transfer{
-						Src: int32(h), Dst: int32(withDimCoord(h, dims, d, dimCoord(h, dims, d)-1)),
-						N: int32(len(bwd[h])), Mode: List, Blocks: bwd[h],
-					})
-				}
-			}
-			if len(st.Transfers) > 0 {
-				s.Stages = append(s.Stages, st)
-			}
+		for r := 0; r < p; r++ {
+			coord[r], low[r] = r/stride%n, r%stride
 		}
+		// A block is in transit on the + ring in round t when its forward
+		// offset f (1..n/2) is >= t, on the - ring when its backward offset
+		// b (1..(n-1)/2) is >= t. The rank holding it fixes the sender's
+		// coordinate here and above and the target's digits below; the rest
+		// are free, so every rank ships exactly nf forward and nb backward
+		// blocks and one exact allocation backs the stage's block lists.
+		free := p / n
+		for t := 1; t*2 <= n; t++ {
+			nf, nb := free*(n/2-t+1), 0
+			if b := (n - 1) / 2; b >= t {
+				nb = free * (b - t + 1)
+			}
+			blocks := make([]int32, p*(nf+nb))
+			for h := 0; h < p; h++ {
+				cursor[2*h] = h * (nf + nb)
+				cursor[2*h+1] = h*(nf+nb) + nf
+			}
+			// src-major, dst-minor iteration keeps every list ascending.
+			for src := 0; src < p; src++ {
+				cs := coord[src]
+				// The block has corrected the dimensions below (the holder
+				// carries dst's low digits) and stepped t-1 hops here.
+				fwdAt := src - low[src] + ((cs+t-1)%n-cs)*stride
+				bwdAt := src - low[src] + ((cs-t+1+n)%n-cs)*stride
+				blk := int32(src * p)
+				for dst := 0; dst < p; dst, blk = dst+1, blk+1 {
+					delta := coord[dst] - cs
+					if delta < 0 {
+						delta += n
+					}
+					var at int
+					switch {
+					case delta*2 <= n: // forward, n/2 tie included
+						if t > delta {
+							continue // arrived (or never left) in this dimension
+						}
+						at = 2 * (fwdAt + low[dst])
+					case t > n-delta:
+						continue
+					default:
+						at = 2*(bwdAt+low[dst]) + 1
+					}
+					blocks[cursor[at]] = blk
+					cursor[at]++
+				}
+			}
+			st := Stage{Transfers: make([]Transfer, 0, 2*p)}
+			for h := 0; h < p; h++ {
+				c, at := coord[h], h*(nf+nb)
+				st.Transfers = append(st.Transfers, Transfer{
+					Src: int32(h), Dst: int32(h + ((c+1)%n-c)*stride),
+					N: int32(nf), Mode: List, Blocks: blocks[at : at+nf : at+nf],
+				})
+				if nb > 0 {
+					st.Transfers = append(st.Transfers, Transfer{
+						Src: int32(h), Dst: int32(h + ((c+n-1)%n-c)*stride),
+						N: int32(nb), Mode: List, Blocks: blocks[at+nf : at+nf+nb : at+nf+nb],
+					})
+				}
+			}
+			s.Stages = append(s.Stages, st)
+		}
+		stride *= n
 	}
 	return s, nil
 }

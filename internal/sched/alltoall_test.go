@@ -62,6 +62,111 @@ func TestTorusRRAlltoallVerifies(t *testing.T) {
 	}
 }
 
+// ringDelta is the signed minimal ring offset from a to b on an n-ring,
+// breaking the n/2 tie forward — the same convention as the torus model's
+// dimension-order routing, so a +1 step here prices onto the +direction
+// link there.
+func ringDelta(a, b, n int) int {
+	d := ((b-a)%n + n) % n
+	if d*2 <= n {
+		return d
+	}
+	return d - n
+}
+
+// torusRRAlltoallReference is the original TorusRRAlltoall, retained as the
+// readable specification of the schedule: it re-derives every block's holder
+// from coordinates per (src, dst) pair. The production builder must emit a
+// structurally identical schedule (TestTorusRRAlltoallMatchesReference).
+func torusRRAlltoallReference(dims []int) (*Schedule, error) {
+	p, err := dimsRanks(dims)
+	if err != nil {
+		return nil, err
+	}
+	s := &Schedule{
+		Name: "torus-rr-alltoall-" + dimsName(dims),
+		P:    p, Blocks: p * p, Init: InitSlab,
+	}
+	for d, n := range dims {
+		if n == 1 {
+			continue
+		}
+		for t := 1; t*2 <= n; t++ {
+			// payload[h] and payloadBack[h] are rank h's +1 / -1 messages of
+			// round t; src-major, dst-minor iteration keeps block lists
+			// ascending.
+			fwd := make([][]int32, p)
+			bwd := make([][]int32, p)
+			for src := 0; src < p; src++ {
+				for dst := 0; dst < p; dst++ {
+					delta := ringDelta(dimCoord(src, dims, d), dimCoord(dst, dims, d), n)
+					step := 1
+					if delta < 0 {
+						step, delta = -1, -delta
+					}
+					if t > delta {
+						continue // arrived (or never left) in this dimension
+					}
+					// The block has already corrected dimensions < d and
+					// stepped t-1 hops in dimension d.
+					cur := src
+					for e := 0; e < d; e++ {
+						cur = withDimCoord(cur, dims, e, dimCoord(dst, dims, e))
+					}
+					cur = withDimCoord(cur, dims, d, dimCoord(src, dims, d)+step*(t-1))
+					if step > 0 {
+						fwd[cur] = append(fwd[cur], pairBlock(src, dst, p))
+					} else {
+						bwd[cur] = append(bwd[cur], pairBlock(src, dst, p))
+					}
+				}
+			}
+			st := Stage{}
+			for h := 0; h < p; h++ {
+				if len(fwd[h]) > 0 {
+					st.Transfers = append(st.Transfers, Transfer{
+						Src: int32(h), Dst: int32(withDimCoord(h, dims, d, dimCoord(h, dims, d)+1)),
+						N: int32(len(fwd[h])), Mode: List, Blocks: fwd[h],
+					})
+				}
+				if len(bwd[h]) > 0 {
+					st.Transfers = append(st.Transfers, Transfer{
+						Src: int32(h), Dst: int32(withDimCoord(h, dims, d, dimCoord(h, dims, d)-1)),
+						N: int32(len(bwd[h])), Mode: List, Blocks: bwd[h],
+					})
+				}
+			}
+			if len(st.Transfers) > 0 {
+				s.Stages = append(s.Stages, st)
+			}
+		}
+	}
+	return s, nil
+}
+
+// TestTorusRRAlltoallMatchesReference requires the table-driven builder to
+// reproduce the reference stage for stage, transfer for transfer and block
+// for block — equal fingerprints mean equal compile-cache and synth-table
+// keys and bit-identical prices — and to verify as an all-to-all.
+func TestTorusRRAlltoallMatchesReference(t *testing.T) {
+	for _, dims := range [][]int{{8}, {4, 4}, {8, 8}, {3, 5}, {1, 4, 2}, {4, 4, 4}, {4, 4, 4, 4}, {2, 2, 4, 4}, {5, 1, 3}} {
+		got, err := TorusRRAlltoall(dims)
+		if err != nil {
+			t.Fatalf("%v: %v", dims, err)
+		}
+		want, err := torusRRAlltoallReference(dims)
+		if err != nil {
+			t.Fatalf("%v: reference: %v", dims, err)
+		}
+		if Fingerprint(got) != Fingerprint(want) {
+			t.Errorf("%v: fingerprint differs from the reference builder", dims)
+		}
+		if err := got.VerifyAlltoall(); err != nil {
+			t.Errorf("%v: %v", dims, err)
+		}
+	}
+}
+
 // TestTorusRRAlltoallSingleHop pins the property the simnet pricing rewards:
 // every transfer moves between ranks adjacent in exactly one torus dimension
 // (one ring hop), so each message occupies a single directed link.

@@ -36,29 +36,42 @@ func init() {
 // the Pre stages and therefore the fingerprint.
 func Fingerprint(s *Schedule) string {
 	h := sha256.New()
-	var buf [8]byte
+	// Fields are staged in a 4 KiB buffer and handed to the hash in whole
+	// runs: one hash.Write per 8-byte field cost more than the hashing itself
+	// on million-transfer schedules. The byte stream is unchanged.
+	buf := make([]byte, 0, 4096)
+	room := func(n int) {
+		if len(buf)+n > cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+	}
 	word := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
+		room(8)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+	}
+	tag := func(b byte) {
+		room(1)
+		buf = append(buf, b)
 	}
 	h.Write([]byte(s.Name))
-	h.Write([]byte{0})
+	tag(0)
 	word(int64(s.P))
 	word(int64(s.NumBlocks()))
 	word(int64(s.Root))
 	word(int64(s.Init))
 	word(int64(s.PostCopyBlocks))
 	section := func(stages []Stage, marker byte) {
-		h.Write([]byte{marker})
+		tag(marker)
 		word(int64(len(stages)))
 		for i := range stages {
 			st := &stages[i]
-			word(int64(st.repeats()))
+			word(int64(st.Repeats()))
 			reduce := byte(0)
 			if st.Reduce {
 				reduce = 1
 			}
-			h.Write([]byte{reduce})
+			tag(reduce)
 			word(int64(len(st.Transfers)))
 			for _, tr := range st.Transfers {
 				word(int64(tr.Src))
@@ -78,6 +91,7 @@ func Fingerprint(s *Schedule) string {
 	}
 	section(s.Pre, 'p')
 	section(s.Stages, 'm')
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -109,7 +109,7 @@ func Compile(s *Schedule) (*Program, error) {
 	copyStage := func(st *Stage, pre bool) {
 		trs := make([]Transfer, len(st.Transfers))
 		copy(trs, st.Transfers)
-		p.Stages = append(p.Stages, ProgStage{Pre: pre, Repeat: st.repeats(), Reduce: st.Reduce, Transfers: trs})
+		p.Stages = append(p.Stages, ProgStage{Pre: pre, Repeat: st.Repeats(), Reduce: st.Reduce, Transfers: trs})
 	}
 	for i := range s.Pre {
 		copyStage(&s.Pre[i], true)

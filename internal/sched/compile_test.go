@@ -3,6 +3,8 @@ package sched
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestCompilePricingViewPreservesRepeats pins the core pricing property of
@@ -267,6 +269,40 @@ func TestFingerprintSensitivity(t *testing.T) {
 	d.Stages[0] = Stage{Repeat: a.Stages[0].Repeat, Reduce: true, Transfers: a.Stages[0].Transfers}
 	if Fingerprint(a) == Fingerprint(&d) {
 		t.Error("reduce flag does not enter the fingerprint")
+	}
+}
+
+// TestFingerprintGolden pins the fingerprint byte stream: the values were
+// produced by the one-Write-per-field implementation, so the staged writer
+// (and any later change to it) must keep compile-cache and synth-table keys
+// stable. The set covers List-mode transfers, a Pre stage, a 4096-transfer
+// stage and streams that cross the 4 KiB staging buffer many times.
+func TestFingerprintGolden(t *testing.T) {
+	build := func(s *Schedule, err error) *Schedule {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	rd := build(RecursiveDoubling(16))
+	m := core.Identity(16)
+	m[0], m[5] = m[5], m[0]
+	for _, tc := range []struct {
+		s    *Schedule
+		want string
+	}{
+		{build(BruckAlltoall(8)), "fef39eaf12e120d03a41305b5c83cc5372619116fd28787efd96271e5f17cf2a"},
+		{build(BruckAlltoall(64)), "4b43fe5299114ea317fe05e3475318d92b549f8972ae38f8268828a6d5a5e407"},
+		{build(TorusRRAlltoall([]int{4, 4})), "3985e1465f0a4d4124638ec8eb3e0b37e72b401a9088b8f44b92893bfeebd222"},
+		{rd, "4d86b512d5966273d179df7b00aa1a81822168b6b786c4d038bf759feb56c241"},
+		{build(WithOrderPreservation(rd, m, InitComm)), "e24edfcd3bcf34a600bb752859e97ef7048626f5091f87bd3c6944751379a538"},
+		{build(Ring(4096)), "28d534a8c2a97bab7cba76969a4d26b1f725ab085939cc5664eadceb69d05125"},
+		{build(ReduceScatterAllgather(32)), "bb63516d04dd0583b59cd6481f4663954f216cb8cc88d7240161ae91cbd92cfe"},
+	} {
+		if got := Fingerprint(tc.s); got != tc.want {
+			t.Errorf("%s (P=%d): fingerprint %s, want %s", tc.s.Name, tc.s.P, got, tc.want)
+		}
 	}
 }
 

@@ -113,8 +113,8 @@ type Stage struct {
 	Reduce bool
 }
 
-// repeats returns the effective repeat count.
-func (s *Stage) repeats() int {
+// Repeats returns the effective execution count (Repeat, with 0 read as 1).
+func (s *Stage) Repeats() int {
 	if s.Repeat < 1 {
 		return 1
 	}
@@ -219,10 +219,10 @@ func (s *Schedule) Validate() error {
 func (s *Schedule) NumStages() int {
 	n := 0
 	for i := range s.Pre {
-		n += s.Pre[i].repeats()
+		n += s.Pre[i].Repeats()
 	}
 	for i := range s.Stages {
-		n += s.Stages[i].repeats()
+		n += s.Stages[i].Repeats()
 	}
 	return n
 }
@@ -237,7 +237,7 @@ func (s *Schedule) TotalBlocksMoved() int64 {
 		for _, tr := range st.Transfers {
 			per += int64(tr.N)
 		}
-		sum += per * int64(st.repeats())
+		sum += per * int64(st.Repeats())
 	}
 	return sum
 }

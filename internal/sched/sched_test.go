@@ -269,7 +269,7 @@ func TestScheduleAccountingHelpers(t *testing.T) {
 		t.Errorf("NumStages = %d, want 3", s.NumStages())
 	}
 	st := Stage{}
-	if st.repeats() != 1 {
+	if st.Repeats() != 1 {
 		t.Error("zero Repeat should execute once")
 	}
 }

@@ -233,7 +233,7 @@ func (rs *replayState) run(stages []Stage) error {
 	for i := range stages {
 		st := &stages[i]
 		stageRecv := make([]blockSet, rs.p)
-		for rep := 0; rep < st.repeats(); rep++ {
+		for rep := 0; rep < st.Repeats(); rep++ {
 			if err := rs.runStage(st, stageRecv); err != nil {
 				return fmt.Errorf("stage %d repeat %d: %w", i, rep, err)
 			}
@@ -342,7 +342,7 @@ func (s *Schedule) VerifyAllreduce() error {
 	}
 	for si := range s.Stages {
 		st := &s.Stages[si]
-		for rep := 0; rep < st.repeats(); rep++ {
+		for rep := 0; rep < st.Repeats(); rep++ {
 			type delivery struct {
 				dst, block int32
 				set        blockSet

@@ -29,9 +29,9 @@ func planetBatch() *BatchRequest {
 
 // BenchmarkBatchMapSpeedup pins the batch amortisation claim: mapping the
 // 32-pattern planet workload as one batch against N=32 sequential cold
-// requests, on fresh services each iteration. The process-wide schedule
-// compile cache is prewarmed first so both modes measure topology build and
-// heuristic work, not one-time schedule compilation.
+// requests, on fresh services each iteration. One batch runs first so the
+// process-wide one-time costs (the topology-fingerprint memo) are paid
+// before either mode is timed.
 func BenchmarkBatchMapSpeedup(b *testing.B) {
 	ctx := context.Background()
 	breq := planetBatch()

@@ -452,8 +452,10 @@ type topoEnv struct {
 	oracleK string // "hierarchy" or "dense", for trace marks
 	machine *simnet.Machine
 
-	heurMaps   onceMap[string, core.Mapping]
-	schedNames onceMap[core.Pattern, string]
+	heurMaps onceMap[string, core.Mapping]
+	// scheds holds the one schedule built per pattern. Both profiles and the
+	// response's Schedule name read it; none of them may modify it.
+	scheds onceMap[core.Pattern, *sched.Schedule]
 
 	decMu sync.Mutex
 	decs  map[decKey]SizeResult
@@ -500,8 +502,8 @@ func (om *onceMap[K, V]) do(k K, build func() (V, error)) (V, error) {
 	return s.val, s.err
 }
 
-// progKey identifies one compiled order-preserved schedule: the base pattern,
-// the order fix and the permutation it bakes in.
+// progKey identifies one order-preserved profile: the base pattern, the order
+// fix and the permutation it bakes in.
 type progKey struct {
 	pattern core.Pattern
 	mode    sched.OrderMode
@@ -513,61 +515,43 @@ type progKey struct {
 // cluster whose interconnect fingerprints as a torus covering every rank is
 // re-materialised with the family's torus-native dimension-wise construction
 // — the schedule-side win the complete-exchange pattern gets, since at the
-// graph level every mapping of a complete graph prices identically.
+// graph level every mapping of a complete graph prices identically. The
+// schedule is built once per env (p is the env's process count) and shared,
+// read-only, by every candidate and batch item.
 func (e *topoEnv) scheduleFor(pat core.Pattern, p int) (*sched.Schedule, error) {
-	if spec, ok := sched.PatternFor(pat); ok && spec.FamilyDefault {
-		if dims, torus := topology.TorusRankDims(e.cluster, p); torus {
-			if fam, err := spec.Family.Desc(); err == nil && fam.TorusBuilder != nil {
-				return fam.TorusBuilder(dims)
+	return e.scheds.do(pat, func() (*sched.Schedule, error) {
+		if spec, ok := sched.PatternFor(pat); ok && spec.FamilyDefault {
+			if dims, torus := topology.TorusRankDims(e.cluster, p); torus {
+				if fam, err := spec.Family.Desc(); err == nil && fam.TorusBuilder != nil {
+					return fam.TorusBuilder(dims)
+				}
 			}
 		}
-	}
-	return sched.ForPattern(pat, p)
-}
-
-// scheduleNameFor reports the name of the schedule scheduleFor resolves,
-// memoised per env (one build per pattern, shared across a batch).
-func (e *topoEnv) scheduleNameFor(pat core.Pattern, p int) string {
-	name, err := e.schedNames.do(pat, func() (string, error) {
-		s, err := e.scheduleFor(pat, p)
-		if err != nil {
-			return "", err
-		}
-		return s.Name, nil
+		return sched.ForPattern(pat, p)
 	})
-	if err != nil {
-		return ""
-	}
-	return name
 }
 
 // profilesFor builds the default and the order-preserved pricing profiles
-// for (pattern, mapping, mode) at most once per env. Schedule construction,
-// the compile-cache key hash and the contention aggregation cost
-// milliseconds each at p=4096; a 32-pattern batch revisits the same few
-// schedules dozens of times, so the memo turns the pricing loop into pure
-// envelope evaluations.
-func (e *topoEnv) profilesFor(pat core.Pattern, layout []int, m core.Mapping, mapFP uint64, mode sched.OrderMode) (base, reord *simnet.PriceProfile, err error) {
+// for (pattern, mapping, mode) at most once per env. Both walk the env's one
+// schedule for the pattern directly (simnet.ProfileSchedule validates it and
+// reads its stages in place): WithOrderPreservation shares the base stages
+// and only adds a prologue or an epilogue, so nothing is rebuilt, copied or
+// hashed for the compile cache, which this path never consults. A 32-pattern
+// batch revisits the same few schedules dozens of times, so the memo turns
+// the pricing loop into pure envelope evaluations.
+func (e *topoEnv) profilesFor(ctx context.Context, pat core.Pattern, layout []int, m core.Mapping, mapFP uint64, mode sched.OrderMode) (base, reord *simnet.PriceProfile, err error) {
+	schedule, err := e.scheduleFor(pat, len(layout))
+	if err != nil {
+		return nil, nil, err
+	}
 	base, err = e.baseProfs.do(pat, func() (*simnet.PriceProfile, error) {
-		schedule, err := e.scheduleFor(pat, len(layout))
-		if err != nil {
-			return nil, err
-		}
-		prog, err := sched.CompileCached(schedule)
-		if err != nil {
-			return nil, err
-		}
-		return e.machine.Profile(prog, layout)
+		return e.machine.ProfileSchedule(ctx, schedule, layout)
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	key := progKey{pattern: pat, mode: mode, mapFP: mapFP}
 	reord, err = e.reordered.do(key, func() (*simnet.PriceProfile, error) {
-		schedule, err := e.scheduleFor(pat, len(layout))
-		if err != nil {
-			return nil, err
-		}
 		eff, err := m.Apply(layout)
 		if err != nil {
 			return nil, err
@@ -576,11 +560,7 @@ func (e *topoEnv) profilesFor(pat core.Pattern, layout []int, m core.Mapping, ma
 		if err != nil {
 			return nil, err
 		}
-		prog, err := sched.CompileCached(withOrder)
-		if err != nil {
-			return nil, err
-		}
-		return e.machine.Profile(prog, eff)
+		return e.machine.ProfileSchedule(ctx, withOrder, eff)
 	})
 	if err != nil {
 		return nil, nil, err
@@ -713,7 +693,7 @@ func (s *Service) run(ctx context.Context, c *compiled, envFn func() (*topoEnv, 
 		// Nothing finished. Deadline pressure degrades; anything else is a
 		// real failure worth surfacing.
 		for i := range evals {
-			if evals[i].err != nil && ctx.Err() == nil {
+			if evals[i].err != nil && expired(ctx) == nil {
 				return nil, evals[i].err
 			}
 		}
@@ -730,7 +710,12 @@ func (s *Service) run(ctx context.Context, c *compiled, envFn func() (*topoEnv, 
 		GraphCost: win.gcost,
 	}
 	if c.graph == nil {
-		resp.Schedule = env.scheduleNameFor(c.pattern, c.procs)
+		// The winner was priced on this schedule, so the memo holds it.
+		schedule, err := env.scheduleFor(c.pattern, c.procs)
+		if err != nil {
+			return nil, err
+		}
+		resp.Schedule = schedule.Name
 	}
 	return resp, nil
 }
@@ -778,7 +763,7 @@ func (s *Service) evaluate(ctx context.Context, c *compiled, env *topoEnv, cand 
 	// experiments.AdaptivePolicy exactly (default price on the base
 	// schedule, reordered price on the order-preserved schedule over the
 	// permuted layout, keep the reordering where it wins), with the schedule
-	// build, compile and contention aggregation amortised across the env by
+	// build and the contention aggregation amortised across the env by
 	// profilesFor.
 	var base, reord *simnet.PriceProfile
 	for _, size := range c.sizes {
@@ -792,7 +777,13 @@ func (s *Service) evaluate(ctx context.Context, c *compiled, env *topoEnv, cand 
 		env.decMu.Unlock()
 		if !ok {
 			if base == nil {
-				base, reord, err = env.profilesFor(c.pattern, c.layout, ev.mapping, mapFP, mode)
+				base, reord, err = env.profilesFor(ctx, c.pattern, c.layout, ev.mapping, mapFP, mode)
+				if err == nil {
+					// Building and profiling the schedule is the long step of
+					// a cold request: a single-size request never comes back
+					// round to the check at the top of the loop.
+					err = expired(ctx)
+				}
 				if err != nil {
 					ev.err = err
 					return ev

@@ -35,11 +35,7 @@ func (m *Machine) PricePipelined(s *sched.Schedule, layout []int, blockBytes int
 			if durations, err = m.transferDurations(sc, durations[:0], st.Transfers, layout, blockBytes); err != nil {
 				return 0, err
 			}
-			reps := st.Repeat
-			if reps < 1 {
-				reps = 1
-			}
-			for rep := 0; rep < reps; rep++ {
+			for rep := st.Repeats(); rep > 0; rep-- {
 				snapshot = append(snapshot[:0], ready...)
 				for ti, tr := range st.Transfers {
 					start := snapshot[tr.Src]
@@ -75,7 +71,7 @@ func (m *Machine) PricePipelined(s *sched.Schedule, layout []int, blockBytes int
 func (m *Machine) transferDurations(sc *priceScratch, dst []float64, transfers []sched.Transfer, layout []int, blockBytes int) ([]float64, error) {
 	m.aggregateStage(sc, transfers, layout)
 	for i := range transfers {
-		t, err := m.transferTimeSparse(sc, &transfers[i], layout, blockBytes)
+		t, err := m.transferTimeSparse(sc, transfers, i, layout, blockBytes)
 		if err != nil {
 			return nil, err
 		}

@@ -14,6 +14,7 @@
 package simnet
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/sched"
@@ -32,8 +33,9 @@ type profileStage struct {
 	lines  []priceLine
 }
 
-// PriceProfile is the size-independent pricing summary of one compiled
-// program under one layout. Build with Machine.Profile, evaluate any message
+// PriceProfile is the size-independent pricing summary of one schedule under
+// one layout. Build with Machine.Profile (from a compiled program) or
+// Machine.ProfileSchedule (from the schedule itself), evaluate any message
 // size with Price. The profile is immutable and safe for concurrent use.
 type PriceProfile struct {
 	stages  []profileStage
@@ -45,8 +47,36 @@ type PriceProfile struct {
 // returns the reusable summary. The cost is about one PriceProgram call;
 // every subsequent Price is a handful of multiply-adds per stage.
 func (m *Machine) Profile(prog *sched.Program, layout []int) (*PriceProfile, error) {
-	if len(layout) < prog.P {
-		return nil, fmt.Errorf("simnet: layout covers %d ranks, schedule has %d", len(layout), prog.P)
+	return m.profile(context.Background(), prog.P, prog.PostCopyBlocks, layout, len(prog.Stages),
+		func(i int) ([]sched.Transfer, int) { return prog.Stages[i].Transfers, prog.Stages[i].Repeat })
+}
+
+// ProfileSchedule is Profile for a schedule that has not been compiled: it
+// validates s and walks its Pre and main stages in place — the stages, in the
+// order, that sched.Compile would copy into a Program — so a caller that only
+// prices (mapd's compute path) neither copies the transfer lists nor hashes
+// them for the compile cache. The result equals Profile(Compile(s)) exactly.
+// s is read, never written, and must not change during the call. ctx is
+// consulted once per stage; an expired ctx abandons the walk with its error.
+func (m *Machine) ProfileSchedule(ctx context.Context, s *sched.Schedule, layout []int) (*PriceProfile, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	pre := len(s.Pre)
+	return m.profile(ctx, s.P, s.PostCopyBlocks, layout, pre+len(s.Stages),
+		func(i int) ([]sched.Transfer, int) {
+			if i < pre {
+				return s.Pre[i].Transfers, s.Pre[i].Repeats()
+			}
+			return s.Stages[i-pre].Transfers, s.Stages[i-pre].Repeats()
+		})
+}
+
+// profile is the one stage walk behind Profile and ProfileSchedule: stage(i)
+// yields the i-th priced stage's transfers and its execution count.
+func (m *Machine) profile(ctx context.Context, p, postCopyBlocks int, layout []int, stages int, stage func(i int) ([]sched.Transfer, int)) (*PriceProfile, error) {
+	if len(layout) < p {
+		return nil, fmt.Errorf("simnet: layout covers %d ranks, schedule has %d", len(layout), p)
 	}
 	sc := m.getScratch()
 	defer m.scratch.Put(sc)
@@ -54,21 +84,24 @@ func (m *Machine) Profile(prog *sched.Program, layout []int) (*PriceProfile, err
 		return nil, err
 	}
 	pp := &PriceProfile{
-		stages:  make([]profileStage, 0, len(prog.Stages)),
-		post:    float64(prog.PostCopyBlocks),
+		stages:  make([]profileStage, 0, stages),
+		post:    float64(postCopyBlocks),
 		memCopy: m.Params.MemCopy,
 	}
-	for i := range prog.Stages {
-		st := &prog.Stages[i]
-		ps := profileStage{repeat: float64(st.Repeat)}
-		if len(st.Transfers) > 0 {
-			m.aggregateStage(sc, st.Transfers, layout)
-			for j := range st.Transfers {
-				alpha, inv, err := m.transferLineSparse(sc, &st.Transfers[j], layout)
+	for i := 0; i < stages; i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		transfers, repeat := stage(i)
+		ps := profileStage{repeat: float64(repeat)}
+		if len(transfers) > 0 {
+			m.aggregateStage(sc, transfers, layout)
+			for j := range transfers {
+				alpha, inv, err := m.transferLineSparse(sc, transfers, j, layout)
 				if err != nil {
 					return nil, err
 				}
-				ps.lines = addLine(ps.lines, priceLine{alpha: alpha, n: float64(st.Transfers[j].N), inv: inv})
+				ps.lines = addLine(ps.lines, priceLine{alpha: alpha, n: float64(transfers[j].N), inv: inv})
 			}
 		}
 		pp.stages = append(pp.stages, ps)

@@ -14,9 +14,14 @@
 // regardless of machine size.
 //
 // Routes are deterministic per (srcNode, dstNode) pair, so the scratch also
-// caches each pair's interned link-id list; a transfer's pricing pass reuses
-// the list its aggregation pass interned, and repeated stages (every ring
-// repeat, every heuristic probe of the same machine) never re-route at all.
+// interns each pair's hop count and link-id list: the lists sit back to back
+// in one arena behind a flat open-addressed index (flatIndex), and a second
+// such index gives the directed links their dense ids. The aggregation pass
+// notes each transfer's route for the pricing pass, and repeated stages (every
+// ring repeat, every heuristic probe of the same machine) never re-route. A
+// machine that is new on every request — mapd's cold path — pays one RouteDir
+// and one Hops per node pair, one allocation-free lookup per transfer and no
+// per-route slice or map growth.
 //
 // Every arithmetic step mirrors the retained dense reference (dense_test.go)
 // operation for operation — same operands, same order — so prices are
@@ -26,6 +31,7 @@ package simnet
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sched"
 	"repro/internal/topology"
@@ -89,18 +95,82 @@ type priceScratch struct {
 	sockMem  epochCounts // per global socket: memory-bandwidth clients
 	qpiOut   epochCounts // per sending side's global socket: QPI crossings
 
-	// Link interning: linkID assigns each directed link a dense id on first
+	// Link interning: links assigns each directed link a dense id on first
 	// sight; linkCap memoizes the link's aggregate directional capacity
 	// (CapNetPerCable × multiplicity) and linkLoad/linkEpoch are the link's
 	// epoch-stamped stage load.
-	linkID    map[topology.DirLink]int32
+	links     flatIndex[topology.DirLink]
 	linkCap   []float64
 	linkLoad  []int32
 	linkEpoch []uint32
 
-	// routes caches each (srcNode, dstNode) pair's interned link-id route.
-	routes   map[uint64][]int32
-	routeBuf []topology.DirLink
+	// Route interning: routes maps a packed (srcNode, dstNode) pair to its
+	// offset in routeArena, where the route is stored as hop count, link
+	// count, link ids. stageRoutes[i] is the offset for transfer i of the
+	// stage aggregateStage last saw (network transfers only), so the pricing
+	// pass over the same list looks nothing up.
+	routes      flatIndex[uint64]
+	routeArena  []int32
+	routeBuf    []topology.DirLink
+	stageRoutes []int32
+}
+
+// flatIndex is an open-addressed, linearly probed hash table from K to an
+// int32: power-of-two size, at most half full, no deletion. It stands where
+// the pricing passes went through a Go map per transfer, whose hashing and
+// growth dominated pricing on a cold machine. Callers supply the hash; keys
+// are compared exactly, so a poor hash costs probes, never correctness.
+type flatIndex[K comparable] struct {
+	slots []flatSlot[K]
+	shift uint // 64 - log2(len(slots))
+	count int
+}
+
+// flatSlot is one entry; hash 0 marks it empty (stored hashes have bit 0 set).
+type flatSlot[K comparable] struct {
+	hash uint64
+	key  K
+	val  int32
+}
+
+// flatIndexMin is the initial table size (a 10-node all-to-all's routes).
+const flatIndexMin = 256
+
+// fibHash, the Fibonacci multiplier, spreads structured keys (packed node
+// pairs, link endpoints) over the high bits flatIndex indexes by.
+const fibHash = 0x9E3779B97F4A7C15
+
+// slot returns the slot holding key or, when absent, the empty slot where it
+// belongs (fill it with put).
+func (t *flatIndex[K]) slot(key K, hash uint64) *flatSlot[K] {
+	hash |= 1
+	mask := len(t.slots) - 1
+	for i := int(hash >> t.shift); ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.hash == 0 || (s.hash == hash && s.key == key) {
+			return s
+		}
+	}
+}
+
+// put fills the empty slot s that slot(key, hash) returned, doubling the
+// table when it passes half full (which invalidates s).
+func (t *flatIndex[K]) put(s *flatSlot[K], key K, hash uint64, val int32) {
+	*s = flatSlot[K]{hash: hash | 1, key: key, val: val}
+	if t.count++; t.count*2 > len(t.slots) {
+		t.resize(2 * len(t.slots))
+	}
+}
+
+// resize rebuilds the table with n slots (a power of two).
+func (t *flatIndex[K]) resize(n int) {
+	old := t.slots
+	t.slots = make([]flatSlot[K], n)
+	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	for i := range old {
+		if o := &old[i]; o.hash != 0 {
+			*t.slot(o.key, o.hash) = *o
+		}
+	}
 }
 
 // getScratch returns a pricing scratch sized for m's cluster, drawing from
@@ -110,10 +180,9 @@ type priceScratch struct {
 func (m *Machine) getScratch() *priceScratch {
 	sc, ok := m.scratch.Get().(*priceScratch)
 	if !ok {
-		sc = &priceScratch{
-			linkID: make(map[topology.DirLink]int32),
-			routes: make(map[uint64][]int32),
-		}
+		sc = &priceScratch{}
+		sc.links.resize(flatIndexMin)
+		sc.routes.resize(flatIndexMin)
 	}
 	cores := m.Cluster.TotalCores()
 	sockets := m.Cluster.Nodes * m.Cluster.SocketsPerNode
@@ -162,28 +231,50 @@ func (sc *priceScratch) validateLayout(c *topology.Cluster, layout []int) error 
 	return nil
 }
 
-// routeIDs returns the interned link-id route from srcNode to dstNode,
-// computing and caching it on first sight of the pair.
-func (sc *priceScratch) routeIDs(net topology.Network, p *Params, srcNode, dstNode int) []int32 {
+// linkIDOf returns dl's dense id, assigning the next one (and memoizing the
+// link's capacity) on first sight.
+func (sc *priceScratch) linkIDOf(net topology.Network, p *Params, dl topology.DirLink) int32 {
+	h := uint64(dl.Link.A)<<32 ^ uint64(dl.Link.B)<<3 ^ uint64(dl.Link.Kind)<<1
+	if dl.Forward {
+		h ^= 1
+	}
+	h *= fibHash
+	s := sc.links.slot(dl, h)
+	if s.hash != 0 {
+		return s.val
+	}
+	id := int32(len(sc.linkCap))
+	sc.links.put(s, dl, h, id)
+	sc.linkCap = append(sc.linkCap, p.CapNetPerCable*float64(net.Multiplicity(dl.Link)))
+	sc.linkLoad = append(sc.linkLoad, 0)
+	sc.linkEpoch = append(sc.linkEpoch, 0)
+	return id
+}
+
+// routeAt returns the arena offset of the interned route from srcNode to
+// dstNode (distinct nodes), asking the network for the route and its hop
+// count on first sight of the pair only. routeArena[at] is the hop count,
+// routeLinks(at) the link ids.
+func (sc *priceScratch) routeAt(net topology.Network, p *Params, srcNode, dstNode int) int32 {
 	key := uint64(uint32(srcNode))<<32 | uint64(uint32(dstNode))
-	if ids, ok := sc.routes[key]; ok {
-		return ids
+	h := key * fibHash
+	s := sc.routes.slot(key, h)
+	if s.hash != 0 {
+		return s.val
 	}
+	at := int32(len(sc.routeArena))
+	sc.routes.put(s, key, h, at)
 	sc.routeBuf = net.RouteDir(sc.routeBuf[:0], srcNode, dstNode)
-	ids := make([]int32, len(sc.routeBuf))
-	for i, dl := range sc.routeBuf {
-		id, ok := sc.linkID[dl]
-		if !ok {
-			id = int32(len(sc.linkCap))
-			sc.linkID[dl] = id
-			sc.linkCap = append(sc.linkCap, p.CapNetPerCable*float64(net.Multiplicity(dl.Link)))
-			sc.linkLoad = append(sc.linkLoad, 0)
-			sc.linkEpoch = append(sc.linkEpoch, 0)
-		}
-		ids[i] = id
+	sc.routeArena = append(sc.routeArena, int32(net.Hops(srcNode, dstNode)), int32(len(sc.routeBuf)))
+	for _, dl := range sc.routeBuf {
+		sc.routeArena = append(sc.routeArena, sc.linkIDOf(net, p, dl))
 	}
-	sc.routes[key] = ids
-	return ids
+	return at
+}
+
+// routeLinks returns the link ids of the route interned at arena offset at.
+func (sc *priceScratch) routeLinks(at int32) []int32 {
+	return sc.routeArena[at+2 : at+2+sc.routeArena[at+1]]
 }
 
 // priceStage returns the completion time of one execution of a stage's
@@ -198,7 +289,7 @@ func (m *Machine) priceStage(sc *priceScratch, transfers []sched.Transfer, layou
 
 	worst := 0.0
 	for i := range transfers {
-		t, err := m.transferTimeSparse(sc, &transfers[i], layout, blockBytes)
+		t, err := m.transferTimeSparse(sc, transfers, i, layout, blockBytes)
 		if err != nil {
 			return 0, err
 		}
@@ -216,6 +307,10 @@ func (m *Machine) aggregateStage(sc *priceScratch, transfers []sched.Transfer, l
 	sc.beginStage()
 	ep := sc.epoch
 	c := m.Cluster
+	if cap(sc.stageRoutes) < len(transfers) {
+		sc.stageRoutes = make([]int32, len(transfers))
+	}
+	sc.stageRoutes = sc.stageRoutes[:len(transfers)]
 	for i := range transfers {
 		tr := &transfers[i]
 		src, dst := layout[tr.Src], layout[tr.Dst]
@@ -227,7 +322,9 @@ func (m *Machine) aggregateStage(sc *priceScratch, transfers []sched.Transfer, l
 			if c.Net == nil {
 				continue // uniform inter-node channel, no link accounting
 			}
-			for _, id := range sc.routeIDs(c.Net, &m.Params, srcNode, dstNode) {
+			at := sc.routeAt(c.Net, &m.Params, srcNode, dstNode)
+			sc.stageRoutes[i] = at
+			for _, id := range sc.routeLinks(at) {
 				if sc.linkEpoch[id] != ep {
 					sc.linkEpoch[id] = ep
 					sc.linkLoad[id] = 1
@@ -247,22 +344,24 @@ func (m *Machine) aggregateStage(sc *priceScratch, transfers []sched.Transfer, l
 	}
 }
 
-// transferTimeSparse prices one transfer under the stage's aggregated loads,
-// reading the epoch-stamped counters.
-func (m *Machine) transferTimeSparse(sc *priceScratch, tr *sched.Transfer, layout []int, blockBytes int) (float64, error) {
-	alpha, maxInv, err := m.transferLineSparse(sc, tr, layout)
+// transferTimeSparse prices transfer i of the list aggregateStage last saw
+// under the stage's aggregated loads, reading the epoch-stamped counters.
+func (m *Machine) transferTimeSparse(sc *priceScratch, transfers []sched.Transfer, i int, layout []int, blockBytes int) (float64, error) {
+	alpha, maxInv, err := m.transferLineSparse(sc, transfers, i, layout)
 	if err != nil {
 		return 0, err
 	}
-	bytes := float64(tr.N) * float64(blockBytes)
+	bytes := float64(transfers[i].N) * float64(blockBytes)
 	return alpha + bytes*maxInv, nil
 }
 
-// transferLineSparse computes the size-independent cost line of one transfer
-// under the stage's aggregated loads: its channel latency alpha and the worst
-// effective seconds-per-byte maxInv across the resources it crosses. The
-// transfer's time at block size b is alpha + (N*b)*maxInv.
-func (m *Machine) transferLineSparse(sc *priceScratch, tr *sched.Transfer, layout []int) (float64, float64, error) {
+// transferLineSparse computes the size-independent cost line of transfer i
+// of the list aggregateStage last saw, under the stage's aggregated loads:
+// its channel latency alpha and the worst effective seconds-per-byte maxInv
+// across the resources it crosses. The transfer's time at block size b is
+// alpha + (N*b)*maxInv.
+func (m *Machine) transferLineSparse(sc *priceScratch, transfers []sched.Transfer, i int, layout []int) (float64, float64, error) {
+	tr := &transfers[i]
 	p := &m.Params
 	ep := sc.epoch
 	src, dst := layout[tr.Src], layout[tr.Dst]
@@ -280,14 +379,11 @@ func (m *Machine) transferLineSparse(sc *priceScratch, tr *sched.Transfer, layou
 	maxInv := 0.0
 	switch {
 	case srcNode != dstNode:
-		hops := 2
+		hops := 2 // uniform inter-node channel
 		if m.Cluster.Net != nil {
-			hops = m.Cluster.Net.Hops(srcNode, dstNode)
-		}
-		alpha = p.AlphaNet + p.AlphaPerHop*float64(hops)
-		streamBeta = 1 / p.StreamNet
-		if m.Cluster.Net != nil {
-			for _, id := range sc.routeIDs(m.Cluster.Net, p, srcNode, dstNode) {
+			at := sc.stageRoutes[i]
+			hops = int(sc.routeArena[at])
+			for _, id := range sc.routeLinks(at) {
 				var load int32
 				if sc.linkEpoch[id] == ep {
 					load = sc.linkLoad[id]
@@ -297,6 +393,8 @@ func (m *Machine) transferLineSparse(sc *priceScratch, tr *sched.Transfer, layou
 				}
 			}
 		}
+		alpha = p.AlphaNet + p.AlphaPerHop*float64(hops)
+		streamBeta = 1 / p.StreamNet
 	case !m.Cluster.SameSocket(src, dst):
 		alpha = p.AlphaQPI
 		streamBeta = 1 / p.StreamQPI

@@ -335,10 +335,7 @@ func (s *searcher) lowerBound(sch *sched.Schedule, blockBytes int) float64 {
 			if len(st.Transfers) == 0 {
 				continue
 			}
-			reps := st.Repeat
-			if reps < 1 {
-				reps = 1
-			}
+			reps := st.Repeats()
 			stages += reps
 			for _, tr := range st.Transfers {
 				recv[tr.Dst] += int64(tr.N) * int64(reps)

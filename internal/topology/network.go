@@ -46,9 +46,12 @@ var (
 func (f *FatTree) Label() string { return f.Name }
 
 // RouteDir implements Network for the fat-tree: the first half of a route
-// ascends toward the spine (Forward), the second half descends.
+// ascends toward the spine (Forward), the second half descends. The links
+// are routed into a stack array (the longest route is node-leaf-line-spine-
+// line-leaf-node, six links), so with room in buf the call does not allocate.
 func (f *FatTree) RouteDir(buf []DirLink, src, dst int) []DirLink {
-	links := f.Route(nil, src, dst)
+	var route [6]Link
+	links := f.Route(route[:0], src, dst)
 	srcLeaf, dstLeaf := f.LeafOf(src), f.LeafOf(dst)
 	for _, l := range links {
 		fwd := true

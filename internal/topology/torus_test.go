@@ -186,3 +186,29 @@ func TestFatTreeRouteDirMatchesRoute(t *testing.T) {
 		}
 	}
 }
+
+// TestFatTreeRouteDirAppends: RouteDir extends the caller's buffer in place
+// (prefix kept, no reallocation while capacity lasts) and therefore does not
+// allocate — the pricing scratch hands it one reusable buffer per machine.
+func TestFatTreeRouteDirAppends(t *testing.T) {
+	f := GPCFatTree()
+	buf := make([]DirLink, 1, 16)
+	sentinel := DirLink{Link: Link{Kind: LinkNodeLeaf, A: -1, B: -1}}
+	buf[0] = sentinel
+	out := f.RouteDir(buf, 0, 496)
+	if &out[0] != &buf[0] || out[0] != sentinel {
+		t.Fatal("RouteDir did not append into the caller's buffer")
+	}
+	want := f.RouteDir(nil, 0, 496)
+	if len(out) != 1+len(want) {
+		t.Fatalf("appended %d links, want %d", len(out)-1, len(want))
+	}
+	for i := range want {
+		if out[1+i] != want[i] {
+			t.Errorf("link %d: %+v, want %+v", i, out[1+i], want[i])
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() { buf = f.RouteDir(buf[:0], 3, 300) }); avg != 0 {
+		t.Errorf("RouteDir into a sized buffer allocates %.1f times per call, want 0", avg)
+	}
+}
