@@ -400,7 +400,7 @@ func BenchmarkExtensionAllreduce(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s, err := collective.AllreduceSchedule(8)
+	s, err := sched.BinomialReduceBroadcast(8)
 	if err != nil {
 		b.Fatal(err)
 	}

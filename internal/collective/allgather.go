@@ -5,10 +5,10 @@
 //
 // Every collective is a static schedule from package sched, compiled to a
 // sched.Program and run by one engine, the schedule executor (executor.go):
-// a front door only selects a program — from the world's synth table, its
-// Tuning thresholds or the family registry's baseline rule — and hands it
-// over. The program simnet prices is therefore the program that moves the
-// bytes. Correctness is checked against closed-form expected buffers per
+// a front door only selects a program (selectProgram: the forced builder,
+// else the world's synth table, else the family registry's size rule) and
+// hands it over. The program simnet prices is therefore the program that
+// moves the bytes. Correctness is checked against closed-form expected buffers per
 // family, never against a second implementation. Order preservation under
 // rank reordering (Section V-B) is a Placement: the executor stores each
 // block at the output offset of its *original* contributor, so ring-like

@@ -92,35 +92,10 @@ func HierarchicalAllreduce(c *mpi.Comm, buf []byte, op ReduceOp, nodeID func(wor
 	return Broadcast(nodeComm, 0, buf)
 }
 
-// RabenseifnerThresholdBytes is the buffer size at and above which Allreduce
-// prefers the reduce-scatter + allgather (Rabenseifner) schedule when the
-// communicator shape admits it, matching the large-message switch point of
-// MPI libraries.
-const RabenseifnerThresholdBytes = 32768
-
-// selectAllreduceSchedule picks the compiled reduction program for p ranks
-// and an n-byte buffer under the tuning's threshold: the Rabenseifner
-// reduce-scatter + allgather for large buffers on power-of-two communicators
-// whose buffer divides into p blocks, and the binomial reduce + broadcast
-// tree otherwise.
-func (t Tuning) selectAllreduceSchedule(p, n int) (*sched.Schedule, string, error) {
-	threshold := t.RabenseifnerThreshold
-	if threshold <= 0 {
-		threshold = RabenseifnerThresholdBytes
-	}
-	if p > 1 && p&(p-1) == 0 && n%p == 0 && n >= threshold {
-		s, err := sched.ReduceScatterAllgather(p)
-		return s, "rabenseifner", err
-	}
-	s, err := sched.BinomialReduceBroadcast(p)
-	return s, "allreduce", err
-}
-
-// Allreduce combines buf in place across all ranks. The world's synthesized
-// schedule table (Config.Synth) is consulted first; on a miss the buffer
-// shape and the world's Tuning threshold select between the Rabenseifner
-// reduce-scatter + allgather schedule and the binomial reduce + broadcast
-// tree. The compiled schedule runs on the generic executor. op must be
+// Allreduce combines buf in place across all ranks with the program
+// selectProgram picks: the world's synth table entry, else the registry rule
+// (reduce-scatter + allgather for large divisible buffers on power-of-two
+// communicators, the binomial reduce + broadcast tree otherwise). op must be
 // associative and commutative.
 func Allreduce(c *mpi.Comm, buf []byte, op ReduceOp) error {
 	if len(buf) == 0 {
@@ -129,29 +104,21 @@ func Allreduce(c *mpi.Comm, buf []byte, op ReduceOp) error {
 	if op == nil {
 		return fmt.Errorf("collective: nil reduce op")
 	}
-	if prog, ok := synthProgram(c, sched.FamilyAllreduce, len(buf)); ok {
-		return tracedExecute(c, "allreduce", prog.Name, func() error {
-			return ExecuteAllreduce(c, prog, buf, op)
-		})
-	}
-	s, label, err := configOf(c).Tuning.selectAllreduceSchedule(c.Size(), len(buf))
+	prog, err := selectProgram(c, sched.FamilyAllreduce, len(buf), AlgAuto)
 	if err != nil {
 		return err
 	}
-	prog, err := sched.CompileCached(s)
-	if err != nil {
-		return err
-	}
-	return tracedExecute(c, "allreduce", label, func() error {
+	return tracedExecute(c, "allreduce", allreduceLabel(prog), func() error {
 		return ExecuteAllreduce(c, prog, buf, op)
 	})
 }
 
-// AllreduceSchedule builds the priceable schedule of the flat allreduce: the
-// binomial reduce stages (fixed-size messages, since reductions combine
-// rather than concatenate) followed by the binomial broadcast stages. It
-// delegates to the sched builder the executor runs, so the benchmarked
-// schedule is the executed one.
-func AllreduceSchedule(p int) (*sched.Schedule, error) {
-	return sched.BinomialReduceBroadcast(p)
+// allreduceLabel is the metrics and trace label of an allreduce program: its
+// name, except that reduce-scatter + allgather keeps the label its series
+// have always carried.
+func allreduceLabel(prog *sched.Program) string {
+	if prog.Name == "reduce-scatter-allgather" {
+		return "rabenseifner"
+	}
+	return prog.Name
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/mpi"
+	"repro/internal/sched"
 )
 
 // sumOp adds little-endian uint64 vectors.
@@ -132,7 +133,7 @@ func TestReduceErrors(t *testing.T) {
 }
 
 func TestAllreduceSchedule(t *testing.T) {
-	s, err := AllreduceSchedule(16)
+	s, err := sched.BinomialReduceBroadcast(16)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -219,6 +219,25 @@ func TestGatherWithPlacement(t *testing.T) {
 	}
 }
 
+// selected returns the program selectProgram hands a front door of family f
+// on a p-rank world.
+func selected(t *testing.T, p int, f sched.FamilyID, payload int, forced Algorithm) *sched.Program {
+	t.Helper()
+	var prog *sched.Program
+	err := mpi.Run(p, func(c *mpi.Comm) (err error) {
+		if c.Rank() == 0 {
+			prog, err = selectProgram(c, f, payload, forced)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// TestSelect pins the allgather selection against literals: the registry's
+// MVAPICH-style size rule under AlgAuto, the named builder when forced.
 func TestSelect(t *testing.T) {
 	cases := []struct {
 		alg  Algorithm
@@ -227,37 +246,19 @@ func TestSelect(t *testing.T) {
 		want Algorithm
 	}{
 		{AlgAuto, 64, 512, AlgRecursiveDoubling},
+		{AlgAuto, 64, RingThresholdBytes, AlgRecursiveDoubling},
+		{AlgAuto, 64, RingThresholdBytes + 1, AlgRing},
 		{AlgAuto, 64, 4096, AlgRing},
 		{AlgAuto, 48, 512, AlgBruck},
 		{AlgAuto, 48, 40960, AlgRing},
 		{AlgRing, 64, 16, AlgRing},
 		{AlgBruck, 64, 1 << 20, AlgBruck},
+		{AlgNeighborExchange, 48, 512, AlgNeighborExchange},
 	}
 	for _, tc := range cases {
-		if got := Select(tc.alg, tc.p, tc.blk); got != tc.want {
-			t.Errorf("Select(%v,%d,%d) = %v, want %v", tc.alg, tc.p, tc.blk, got, tc.want)
+		if got := selected(t, tc.p, sched.FamilyAllgather, tc.blk, tc.alg).Name; got != tc.want.String() {
+			t.Errorf("selectProgram(%v,%d,%d) = %v, want %v", tc.alg, tc.p, tc.blk, got, tc.want)
 		}
-	}
-}
-
-func TestTuning(t *testing.T) {
-	custom := Tuning{RingThreshold: 4096}
-	if got := custom.Select(AlgAuto, 64, 2048); got != AlgRecursiveDoubling {
-		t.Errorf("raised threshold ignored: %v", got)
-	}
-	if got := custom.Select(AlgAuto, 64, 8192); got != AlgRing {
-		t.Errorf("above raised threshold: %v", got)
-	}
-	bruck := Tuning{PreferBruck: true}
-	if got := bruck.Select(AlgAuto, 64, 128); got != AlgBruck {
-		t.Errorf("PreferBruck ignored: %v", got)
-	}
-	var zero Tuning // zero value must behave like the defaults
-	if got := zero.Select(AlgAuto, 64, 512); got != Select(AlgAuto, 64, 512) {
-		t.Errorf("zero tuning diverges from defaults: %v", got)
-	}
-	if got := zero.Select(AlgRing, 64, 4); got != AlgRing {
-		t.Errorf("explicit algorithm overridden: %v", got)
 	}
 }
 

@@ -10,20 +10,21 @@ import (
 // configuration lives under.
 const worldConfigKey = "collective.config"
 
-// Config is the per-world collective configuration: the algorithm-selection
-// thresholds (previously package constants) and an optional synthesized
-// schedule table consulted before the hand-coded rules. Install it with
-// Configure; worlds without one run the defaults.
+// Config is the per-world collective configuration: an optional synthesized
+// schedule table consulted before the registry's size rules — the per-world
+// override of algorithm selection — plus the executor's sampling knobs and
+// observability sinks. Install it with Configure; worlds without one run the
+// defaults.
 //
 // Config values are immutable snapshots — Configure replaces the whole
 // value — so concurrent collectives on the same world read a consistent
 // configuration without locking beyond the world store's own.
 type Config struct {
-	// Tuning holds the threshold knobs (ring switch point, Bruck
-	// preference, Rabenseifner switch point). Zero fields select defaults.
+	// Tuning holds the executor's stage-sampling knobs. Zero fields select
+	// defaults.
 	Tuning Tuning
 	// Synth serves winners from a loaded synth.Table. A nil selector always
-	// misses, leaving the hand-coded rules in charge.
+	// misses, leaving the registry's rules in charge.
 	Synth *synth.Selector
 	// Flight overrides the flight recorder the executor's sampling rank
 	// records execution profiles into. Nil selects the process-wide
@@ -55,4 +56,3 @@ func configOf(c *mpi.Comm) Config {
 	}
 	return Config{}
 }
-

@@ -53,7 +53,7 @@ func BenchmarkScheduleExecutor(b *testing.B) {
 		alg Algorithm
 		p   int
 	}{{AlgRing, 4}, {AlgRing, 16}, {AlgRecursiveDoubling, 16}} {
-		prog, err := scheduleProgram(tc.alg, tc.p)
+		prog, err := scheduleBuilt(sched.FamilyAllgather, tc.alg.String(), tc.p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func BenchmarkScheduleExecutor(b *testing.B) {
 	}
 	const blk = 64
 	for _, tc := range execCases {
-		prog, err := scheduleProgram(tc.alg, tc.p)
+		prog, err := scheduleBuilt(sched.FamilyAllgather, tc.alg.String(), tc.p)
 		if err != nil {
 			b.Fatal(err)
 		}

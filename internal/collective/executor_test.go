@@ -80,7 +80,7 @@ func TestExecutorMatchesLegacyPlaced(t *testing.T) {
 			m := randomMapping(p, rnd)
 			place := func(j int) int { return m[j] }
 			t.Run(fmt.Sprintf("%v/p%d", alg, p), func(t *testing.T) {
-				prog, err := scheduleProgram(alg, p)
+				prog, err := scheduleBuilt(sched.FamilyAllgather, alg.String(), p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -181,7 +181,8 @@ func TestExecutorMatchesLegacyRabenseifner(t *testing.T) {
 	}
 }
 
-// TestAllreduceSelection pins the size/shape selection table.
+// TestAllreduceSelection pins the size/shape selection table, by the metrics
+// label the front door runs the selected program under.
 func TestAllreduceSelection(t *testing.T) {
 	cases := []struct {
 		p, n int
@@ -194,12 +195,8 @@ func TestAllreduceSelection(t *testing.T) {
 		{1, RabenseifnerThresholdBytes, "allreduce"},     // single rank
 	}
 	for _, tc := range cases {
-		_, label, err := DefaultTuning().selectAllreduceSchedule(tc.p, tc.n)
-		if err != nil {
-			t.Fatalf("p=%d n=%d: %v", tc.p, tc.n, err)
-		}
-		if label != tc.want {
-			t.Errorf("p=%d n=%d: selected %q, want %q", tc.p, tc.n, label, tc.want)
+		if got := allreduceLabel(selected(t, tc.p, sched.FamilyAllreduce, tc.n, AlgAuto)); got != tc.want {
+			t.Errorf("p=%d n=%d: selected %q, want %q", tc.p, tc.n, got, tc.want)
 		}
 	}
 }
@@ -360,7 +357,7 @@ func TestExecutorCacheReuse(t *testing.T) {
 
 // TestExecutorErrors covers the executor wrappers' contract checks.
 func TestExecutorErrors(t *testing.T) {
-	ringProg, err := scheduleProgram(AlgRing, 4)
+	ringProg, err := scheduleBuilt(sched.FamilyAllgather, AlgRing.String(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,34 +5,29 @@ import (
 	"repro/internal/sched"
 )
 
-// Front-door selection shared by every family whose choice is "synth table,
-// else the registry's baseline rule" (broadcast, gather, scatter,
-// all-to-all; allgather and allreduce add their Tuning thresholds on top).
-// Whatever is selected runs on the schedule executor — there is no other
-// execution path.
-
-// synthProgram consults the world's synthesized selection table for family f
-// at the given payload.
-func synthProgram(c *mpi.Comm, f sched.FamilyID, payloadBytes int) (*sched.Program, bool) {
-	if payloadBytes <= 0 {
-		return nil, false
-	}
-	return configOf(c).Synth.Program(f, c.Size(), payloadBytes)
-}
+// Front-door selection: every collective in this package — flat, reordered
+// and rooted — obtains its program from selectProgram, and whatever is
+// selected runs on the schedule executor. There is no other selection rule
+// and no other execution path.
 
 // selectProgram returns the program a front door of family f executes for
-// the given payload: the world's synth table entry when one covers (f, p,
-// payload), the registry's hand-coded baseline compiled through the schedule
-// cache otherwise.
-func selectProgram(c *mpi.Comm, f sched.FamilyID, payloadBytes int) (*sched.Program, error) {
-	if prog, ok := synthProgram(c, f, payloadBytes); ok {
-		return prog, nil
-	}
+// the given payload. A forcing Algorithm names the builder outright;
+// otherwise the world's synth table entry covering (f, p, payload) wins, and
+// on a miss the registry's Baseline rule names the builder. Builders resolve
+// through the program table, so a warm call is one lookup.
+func selectProgram(c *mpi.Comm, f sched.FamilyID, payloadBytes int, forced Algorithm) (*sched.Program, error) {
 	fam, err := f.Desc()
 	if err != nil {
 		return nil, err
 	}
-	return fam.BuildCached(fam.Baseline(c.Size(), payloadBytes), c.Size())
+	builder := forced.String()
+	if forced == AlgAuto {
+		if prog, ok := configOf(c).Synth.Program(f, c.Size(), payloadBytes); ok {
+			return prog, nil
+		}
+		builder = fam.Baseline(c.Size(), payloadBytes)
+	}
+	return fam.BuildCached(builder, c.Size())
 }
 
 // tracedExecute wraps one front-door execution in the collective metrics
@@ -51,7 +46,7 @@ func tracedExecute(c *mpi.Comm, famName, progName string, run func() error) erro
 
 // Broadcast is the MPI_Bcast front door: root's data reaches every rank.
 func Broadcast(c *mpi.Comm, root int, data []byte) error {
-	prog, err := selectProgram(c, sched.FamilyBroadcast, len(data))
+	prog, err := selectProgram(c, sched.FamilyBroadcast, len(data), AlgAuto)
 	if err != nil {
 		return err
 	}
@@ -63,7 +58,7 @@ func Broadcast(c *mpi.Comm, root int, data []byte) error {
 // Gather is the MPI_Gather front door: every rank contributes send and the
 // root's recv (one block per rank) ends up in rank order.
 func Gather(c *mpi.Comm, root int, send, recv []byte) error {
-	prog, err := selectProgram(c, sched.FamilyGather, len(send))
+	prog, err := selectProgram(c, sched.FamilyGather, len(send), AlgAuto)
 	if err != nil {
 		return err
 	}
@@ -75,7 +70,7 @@ func Gather(c *mpi.Comm, root int, send, recv []byte) error {
 // Scatter is the MPI_Scatter front door: the root's data (one block per
 // rank) is distributed so rank r receives block r in out.
 func Scatter(c *mpi.Comm, root int, data, out []byte) error {
-	prog, err := selectProgram(c, sched.FamilyScatter, len(out))
+	prog, err := selectProgram(c, sched.FamilyScatter, len(out), AlgAuto)
 	if err != nil {
 		return err
 	}

@@ -178,3 +178,59 @@ func TestFrontDoorsAnyRoot(t *testing.T) {
 		}
 	}
 }
+
+// callFrontDoor runs family f's front door on c with the given payload (the
+// family's own sizing: per-rank block, whole buffer, or whole send row).
+func callFrontDoor(c *mpi.Comm, f sched.FamilyID, payload int) error {
+	p := c.Size()
+	switch f {
+	case sched.FamilyAllgather:
+		return Allgather(c, make([]byte, payload), make([]byte, p*payload), AlgAuto)
+	case sched.FamilyAllreduce:
+		return Allreduce(c, make([]byte, payload), sumOp)
+	case sched.FamilyBroadcast:
+		return Broadcast(c, 0, make([]byte, payload))
+	case sched.FamilyGather:
+		return Gather(c, 0, make([]byte, payload), make([]byte, p*payload))
+	case sched.FamilyScatter:
+		return Scatter(c, 0, make([]byte, p*payload), make([]byte, payload))
+	case sched.FamilyAlltoall:
+		return Alltoall(c, make([]byte, payload), make([]byte, payload))
+	}
+	return fmt.Errorf("no front door for family %v", f)
+}
+
+// TestFrontDoorFollowsRegistryBaseline: with no synth table and nothing
+// forced, every family's front door executes exactly the program its
+// registry Baseline rule names — over rank counts on both sides of the
+// power-of-two conditions and payloads straddling each rule's threshold.
+// There is no second copy of any rule for this to keep in sync; it pins that
+// the front doors consult the one there is.
+func TestFrontDoorFollowsRegistryBaseline(t *testing.T) {
+	sizes := map[sched.FamilyID][]int{
+		sched.FamilyAllgather: {512, RingThresholdBytes, RingThresholdBytes + 1, 4096},
+		sched.FamilyAllreduce: {4096, RabenseifnerThresholdBytes - 48, RabenseifnerThresholdBytes,
+			RabenseifnerThresholdBytes + 4, 2 * RabenseifnerThresholdBytes},
+		sched.FamilyBroadcast: {64, 4096},
+		sched.FamilyGather:    {64, 4096},
+		sched.FamilyScatter:   {64, 4096},
+		sched.FamilyAlltoall:  {512, 1024, 1025, 4096}, // per pair; the payload is p of them
+	}
+	for _, fam := range sched.Families() {
+		for _, p := range []int{1, 2, 6, 8, 16} {
+			for _, n := range sizes[fam.ID] {
+				if fam.Payload == sched.PayloadPerPair {
+					n *= p
+				}
+				want := fam.Baseline(p, n)
+				before := scheduleExecutions.With("algorithm", want).Value()
+				if err := mpi.Run(p, func(c *mpi.Comm) error { return callFrontDoor(c, fam.ID, n) }); err != nil {
+					t.Fatalf("%s p=%d n=%d: %v", fam.Name, p, n, err)
+				}
+				if got := scheduleExecutions.With("algorithm", want).Value() - before; got != uint64(p) {
+					t.Errorf("%s p=%d n=%d: baseline %q executed on %d ranks, want %d", fam.Name, p, n, want, got, p)
+				}
+			}
+		}
+	}
+}

@@ -40,7 +40,7 @@ func FuzzExecutorAllgather(f *testing.F) {
 				p++
 			}
 		}
-		prog, err := scheduleProgram(alg, p)
+		prog, err := scheduleBuilt(sched.FamilyAllgather, alg.String(), p)
 		if err != nil {
 			t.Fatal(err)
 		}

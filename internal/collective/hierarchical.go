@@ -1,8 +1,7 @@
 package collective
 
 import (
-	"encoding/binary"
-	"sync"
+	"unsafe"
 
 	"repro/internal/mpi"
 	"repro/internal/sched"
@@ -56,57 +55,37 @@ func runHierarchical(c *mpi.Comm, alg string, prog *sched.Program, send, recv []
 // function of these, so plans are shared across communicators and worlds of
 // equal shape.
 type hierPlanKey struct {
-	ids     string // 8 little-endian bytes per comm rank
+	ids     string // the ids slice's bytes, see hierPlan
 	cluster *topology.Cluster
 	cfg     sched.HierarchicalConfig
 }
 
-// hierPlanEntry is built by the first rank to ask for it; every other rank
-// of the same call blocks on the Once and shares the result (or the error).
-type hierPlanEntry struct {
-	once sync.Once
-	prog *sched.Program
-	err  error
-}
-
-// hierPlanCap bounds the plan table; when it fills, the table is dropped and
-// live shapes rebuild on their next call.
-const hierPlanCap = 64
-
-var hierPlans = struct {
-	sync.Mutex
-	m map[hierPlanKey]*hierPlanEntry
-}{m: make(map[hierPlanKey]*hierPlanEntry)}
+// hierPlanTable is the hierarchical compositions' instance of the program
+// table: same per-key once, bound, counters and ResetCompileCache as the
+// flat front doors' (family, builder, p) table.
+var hierPlanTable = sched.NewProgramTable[hierPlanKey]()
 
 // hierPlan returns the compiled, executable program of the hierarchical
 // composition identified by (ids, cluster, cfg), building it with build on
 // first use — the runtime counterpart of the paper creating the reordered
 // communicators once, at communicator-creation time. A steady-state call is
 // one table lookup: no grouping, no mapping heuristic, no compile.
+//
+// ids must be the caller's own, never-again-written slice (both callers fill
+// a fresh Comm.Members copy): the key views its memory as a string instead of
+// copying it, which is what keeps the lookup allocation-free on every rank of
+// every call.
 func hierPlan(ids []int, cluster *topology.Cluster, cfg sched.HierarchicalConfig, build func() (*sched.Schedule, error)) (*sched.Program, error) {
-	packed := make([]byte, 0, 512) // stays on the stack up to 64 ranks
-	for _, id := range ids {
-		packed = binary.LittleEndian.AppendUint64(packed, uint64(id))
-	}
-	hierPlans.Lock()
-	e := hierPlans.m[hierPlanKey{string(packed), cluster, cfg}]
-	if e == nil {
-		if len(hierPlans.m) >= hierPlanCap {
-			clear(hierPlans.m)
-		}
-		e = new(hierPlanEntry)
-		hierPlans.m[hierPlanKey{string(packed), cluster, cfg}] = e
-	}
-	hierPlans.Unlock()
-	e.once.Do(func() {
+	view := unsafe.String((*byte)(unsafe.Pointer(unsafe.SliceData(ids))), len(ids)*int(unsafe.Sizeof(ids[0])))
+	return hierPlanTable.Get(hierPlanKey{view, cluster, cfg}, func() (*sched.Program, error) {
 		s, err := build()
-		if err == nil {
-			e.prog, err = sched.CompileCached(s)
+		if err != nil {
+			return nil, err
 		}
-		if err == nil {
-			err = e.prog.EnsureExecutable()
+		prog, err := sched.Compile(s)
+		if err != nil {
+			return nil, err
 		}
-		e.err = err
+		return prog, prog.EnsureExecutable()
 	})
-	return e.prog, e.err
 }

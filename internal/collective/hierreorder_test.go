@@ -58,8 +58,8 @@ func TestHierarchicalReorderedAllgather(t *testing.T) {
 // TestHierarchicalReorderedPlansOnce: the grouping, the four mapping
 // heuristics and the compile run once per (communicator members, cluster,
 // layout, cfg), as the paper builds its reordered communicators once; every
-// later call — any rank, any world of the same shape — is a plan lookup that
-// runs no heuristic and does not touch the compile cache.
+// later call — any rank, any world of the same shape — is a program-table
+// hit that runs no heuristic and compiles nothing.
 func TestHierarchicalReorderedPlansOnce(t *testing.T) {
 	const p, blk = 16, 8
 	cluster, layout := hierCluster(t, 4, 2, 2, p, topology.BlockScatter)
@@ -102,8 +102,8 @@ func TestHierarchicalReorderedPlansOnce(t *testing.T) {
 	if got := heuristicRuns() - runs1; got != 0 {
 		t.Errorf("steady-state calls ran %d mapping heuristics, want 0", got)
 	}
-	if hits2 != hits1 || misses2 != misses1 {
-		t.Errorf("steady-state calls touched the compile cache: %d lookups, %d compiles", hits2-hits1+misses2-misses1, misses2-misses1)
+	if hits2-hits1 != 3*p || misses2 != misses1 {
+		t.Errorf("steady-state calls: %d program-table hits and %d compiles, want %d and 0", hits2-hits1, misses2-misses1, 3*p)
 	}
 }
 
@@ -180,5 +180,39 @@ func TestHierarchicalReorderedErrors(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResetCompileCacheDropsHierarchicalPlans: hierarchical plans live in the
+// program table, so "a new job is a new process" covers them too — after a
+// reset the next call plans and compiles again (one miss, however many ranks
+// ask), and the call after that is hits only.
+func TestResetCompileCacheDropsHierarchicalPlans(t *testing.T) {
+	const p, blk = 8, 8
+	cluster, layout := hierCluster(t, 2, 2, 2, p, topology.BlockBunch)
+	cfg := sched.HierarchicalConfig{Intra: sched.NonLinear, Inter: sched.InterRing}
+	world := func() (hits, misses uint64) {
+		t.Helper()
+		h0, m0 := sched.CompileCacheCounters()
+		err := mpi.Run(p, func(c *mpi.Comm) error {
+			recv := make([]byte, p*blk)
+			if err := HierarchicalReorderedAllgather(c, input(c.Rank(), blk), recv, cluster, layout, cfg); err != nil {
+				return err
+			}
+			return HierarchicalAllgather(c, input(c.Rank(), blk), recv, func(w int) int { return w / 4 }, cfg)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h1, m1 := sched.CompileCacheCounters()
+		return h1 - h0, m1 - m0
+	}
+	world()
+	if hits, misses := world(); hits != 2*p || misses != 0 {
+		t.Errorf("warm hierarchical calls: %d hits, %d misses, want %d and 0", hits, misses, 2*p)
+	}
+	sched.ResetCompileCache()
+	if hits, misses := world(); misses != 2 || hits != 2*p-2 {
+		t.Errorf("after ResetCompileCache: %d hits, %d misses, want %d and 2 (one rebuild per plan)", hits, misses, 2*p-2)
 	}
 }

@@ -31,7 +31,7 @@ func TestNeighborExchangeRejectsOdd(t *testing.T) {
 func TestNeighborExchangeWithPlacement(t *testing.T) {
 	// Reversed placement relocates every contributor's block.
 	const p, blk = 8, 8
-	prog, err := scheduleProgram(AlgNeighborExchange, p)
+	prog, err := scheduleBuilt(sched.FamilyAllgather, AlgNeighborExchange.String(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

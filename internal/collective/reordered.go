@@ -12,8 +12,8 @@ import (
 type Algorithm uint8
 
 const (
-	// AlgAuto selects by message size with MVAPICH-style thresholds: see
-	// Select.
+	// AlgAuto leaves the choice to selectProgram: the world's synth table,
+	// else the family registry's MVAPICH-style size rule.
 	AlgAuto Algorithm = iota
 	// AlgRecursiveDoubling forces recursive doubling.
 	AlgRecursiveDoubling
@@ -26,7 +26,8 @@ const (
 	AlgNeighborExchange
 )
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer. For a forcing value it is exactly the
+// registered builder name in the allgather family.
 func (a Algorithm) String() string {
 	switch a {
 	case AlgAuto:
@@ -44,27 +45,20 @@ func (a Algorithm) String() string {
 	}
 }
 
-// RingThresholdBytes is the per-process message size above which Select
-// prefers the ring algorithm, matching the switch point the paper observes
-// in MVAPICH ("MVAPICH uses recursive doubling in this range [below 1KB]...
-// uses the ring algorithm in this range [above 1KB]").
-const RingThresholdBytes = 1024
+// RingThresholdBytes and RabenseifnerThresholdBytes re-export the family
+// registry's switch points (sched/family.go, where the rules live) for the
+// figure drivers and commands that label their output with them.
+const (
+	RingThresholdBytes         = sched.RingThresholdBytes
+	RabenseifnerThresholdBytes = sched.RabenseifnerThresholdBytes
+)
 
-// Tuning holds the algorithm-selection thresholds MPI libraries expose as
-// tunables. The zero value selects the defaults. Tuning is injectable
-// per-world: install one with Configure and every collective on that world
-// selects under it, leaving other worlds in the process on their own knobs.
+// Tuning holds the per-world executor sampling knobs. The zero value selects
+// the defaults. Algorithm selection is not tunable here: the size rules are
+// the family registry's constants, and a world that wants a different choice
+// at some (family, p, size) installs a synth table (Config.Synth), which
+// every front door consults first.
 type Tuning struct {
-	// RingThreshold is the per-process byte size above which the ring
-	// algorithm is used (default RingThresholdBytes).
-	RingThreshold int
-	// PreferBruck selects Bruck over recursive doubling even for
-	// power-of-two communicators below the ring threshold.
-	PreferBruck bool
-	// RabenseifnerThreshold is the buffer size at and above which Allreduce
-	// prefers the reduce-scatter + allgather schedule when the communicator
-	// shape admits it (default RabenseifnerThresholdBytes).
-	RabenseifnerThreshold int
 	// StageSampleRank selects the rank that clocks per-stage wall time and
 	// records flight-recorder profiles (default rank 0). Pointing it at a
 	// straggler rank makes the recorder see that rank's view of each stage.
@@ -76,64 +70,19 @@ type Tuning struct {
 	StageSampleEvery int
 }
 
-// DefaultTuning returns the MVAPICH-style defaults the paper's evaluation
-// assumes.
-func DefaultTuning() Tuning {
-	return Tuning{
-		RingThreshold:         RingThresholdBytes,
-		RabenseifnerThreshold: RabenseifnerThresholdBytes,
-	}
-}
-
-// Select resolves alg for p ranks and blkBytes-per-process messages under t:
-// ring above the threshold; below it, recursive doubling on power-of-two
-// communicators (unless PreferBruck) and Bruck otherwise.
-func (t Tuning) Select(a Algorithm, p, blkBytes int) Algorithm {
-	if a != AlgAuto {
-		return a
-	}
-	threshold := t.RingThreshold
-	if threshold <= 0 {
-		threshold = RingThresholdBytes
-	}
-	if blkBytes > threshold {
-		return AlgRing
-	}
-	if p&(p-1) == 0 && !t.PreferBruck {
-		return AlgRecursiveDoubling
-	}
-	return AlgBruck
-}
-
-// Select resolves AlgAuto under the default tuning.
-func Select(a Algorithm, p, blkBytes int) Algorithm {
-	return DefaultTuning().Select(a, p, blkBytes)
-}
-
-// Allgather runs the selected flat allgather on c with the standard output
-// contract (block r at offset r). Under AlgAuto the world's synthesized
-// schedule table (Config.Synth) is consulted first; on a miss — or when the
-// caller forces an algorithm — the world's Tuning thresholds select among
-// the hand-coded builders. The chosen schedule is compiled to a
-// sched.Program (cached per shape) and run by the generic schedule executor.
+// Allgather runs a flat allgather on c with the standard output contract
+// (block r at offset r). alg forces a builder; under AlgAuto the world's
+// synth table, else the registry's size rule, selects it (selectProgram).
 func Allgather(c *mpi.Comm, send, recv []byte, alg Algorithm) error {
 	blk, err := checkAllgatherArgs(c, send, recv)
 	if err != nil {
 		return err
 	}
-	if alg == AlgAuto {
-		if prog, ok := synthProgram(c, sched.FamilyAllgather, blk); ok {
-			return tracedExecute(c, "allgather", prog.Name, func() error {
-				return ExecuteAllgather(c, prog, send, recv, nil)
-			})
-		}
-	}
-	resolved := configOf(c).Tuning.Select(alg, c.Size(), blk)
-	prog, err := scheduleProgram(resolved, c.Size())
+	prog, err := selectProgram(c, sched.FamilyAllgather, blk, alg)
 	if err != nil {
 		return err
 	}
-	return tracedExecute(c, "allgather", resolved.String(), func() error {
+	return tracedExecute(c, "allgather", prog.Name, func() error {
 		return ExecuteAllgather(c, prog, send, recv, nil)
 	})
 }
@@ -173,8 +122,8 @@ func (r *Reordered) Mapping() core.Mapping { return r.mapping }
 //
 // Order preservation (paper Section V-B):
 //
-//   - the ring stores incoming blocks at original-rank offsets in-algorithm
-//     (no overhead);
+//   - the ring, neighbour exchange and synthesized programs store incoming
+//     blocks at original-rank offsets in-algorithm (no overhead);
 //   - recursive doubling and Bruck use the configured mechanism: InitComm
 //     exchanges input vectors up front so new rank j starts with original
 //     rank j's input, EndShuffle permutes the output buffer afterwards.
@@ -184,19 +133,15 @@ func (r *Reordered) Allgather(send, recv []byte, alg Algorithm) error {
 		return err
 	}
 	defer beginCollective("reordered")()
-	resolved := configOf(r.re).Tuning.Select(alg, r.re.Size(), blk)
-	if resolved == AlgRing || resolved == AlgNeighborExchange {
+	prog, err := selectProgram(r.re, sched.FamilyAllgather, blk, alg)
+	if err != nil {
+		return err
+	}
+	if prog.Name != "recursive-doubling" && prog.Name != "bruck" {
 		// In-algorithm fix: contributor with new rank j is original rank
 		// mapping[j]; the executor places its block there, so no extra
 		// order-preservation mechanism is needed.
-		prog, err := scheduleProgram(resolved, r.re.Size())
-		if err != nil {
-			return err
-		}
-		name := "allgather/" + resolved.String()
-		r.re.TraceEnter(name)
-		defer r.re.TraceExit(name)
-		return ExecuteAllgather(r.re, prog, send, recv, func(j int) int { return r.mapping[j] })
+		return r.execute(prog, send, recv, func(j int) int { return r.mapping[j] })
 	}
 
 	switch r.mode {
@@ -221,12 +166,12 @@ func (r *Reordered) Allgather(send, recv []byte, alg Algorithm) error {
 			}
 			input = in
 		}
-		return r.runFlat(resolved, input, recv)
+		return r.execute(prog, input, recv, nil)
 	case sched.EndShuffle, sched.NoOrderFix:
 		// Run in place, then shuffle: the block at position j belongs to
 		// original rank mapping[j]. NoOrderFix on an order-sensitive
 		// algorithm would return permuted output, so it shuffles too.
-		if err := r.runFlat(resolved, send, recv); err != nil {
+		if err := r.execute(prog, send, recv, nil); err != nil {
 			return err
 		}
 		r.re.TraceEnter("reordered/end-shuffle")
@@ -242,18 +187,10 @@ func (r *Reordered) Allgather(send, recv []byte, alg Algorithm) error {
 	}
 }
 
-func (r *Reordered) runFlat(alg Algorithm, send, recv []byte) error {
-	switch alg {
-	case AlgRecursiveDoubling, AlgBruck:
-		prog, err := scheduleProgram(alg, r.re.Size())
-		if err != nil {
-			return err
-		}
-		name := "allgather/" + alg.String()
-		r.re.TraceEnter(name)
-		defer r.re.TraceExit(name)
-		return ExecuteAllgather(r.re, prog, send, recv, nil)
-	default:
-		return fmt.Errorf("collective: unexpected algorithm %v in reordered path", alg)
-	}
+// execute runs prog on the reordered communicator inside its trace span.
+func (r *Reordered) execute(prog *sched.Program, send, recv []byte, place Placement) error {
+	name := "allgather/" + prog.Name
+	r.re.TraceEnter(name)
+	defer r.re.TraceExit(name)
+	return ExecuteAllgather(r.re, prog, send, recv, place)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/mpi"
+	"repro/internal/obs"
 	"repro/internal/simnet"
 	"repro/internal/synth"
 	"repro/internal/topology"
@@ -128,36 +129,17 @@ func TestSynthTableMissFallsBack(t *testing.T) {
 	}
 }
 
-// TestBaselineMatchesFrontDoor pins synth.BaselineRecipe — the searcher's
-// mirror of the hand-coded selection rules, which it cannot import without a
-// cycle — against the real front-door selection, so the two cannot drift.
+// TestBaselineMatchesFrontDoor pins synth.BaselineRecipe — the comparison
+// point every search prices — against the all-to-all rule written out by
+// hand. Since the front doors select through the same registry Baseline the
+// recipe reads (TestFrontDoorFollowsRegistryBaseline), nothing is left to
+// drift for the other families.
 func TestBaselineMatchesFrontDoor(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 32, 64, 100, 128} {
 		for _, n := range []int{1, 8, 512, 1024, 1025, 2048, 32768, 32768 + 8, 65536} {
-			// Allgather: the recipe's base builder must name the same
-			// algorithm Select resolves.
-			got := synth.BaselineRecipe(synth.Allgather, p, n).Alg
-			want := Select(AlgAuto, p, n).String()
-			if got != want {
-				t.Errorf("allgather p=%d n=%d: BaselineRecipe=%q, front door=%q", p, n, got, want)
-			}
-			// Allreduce: map the front door's label onto the recipe space.
-			_, label, err := DefaultTuning().selectAllreduceSchedule(p, n)
-			if err != nil {
-				t.Fatalf("selectAllreduceSchedule(%d, %d): %v", p, n, err)
-			}
-			want = "allreduce"
-			if label == "rabenseifner" {
-				want = "reduce-scatter-allgather"
-			}
-			if got := synth.BaselineRecipe(synth.Allreduce, p, n).Alg; got != want {
-				t.Errorf("allreduce p=%d n=%d: BaselineRecipe=%q, front door=%q", p, n, got, want)
-			}
-			// Alltoall: the baseline switches on the per-pair message size
-			// (payload/p), Bruck below the threshold and pairwise exchange
-			// above — the registry rule the Alltoall front door compiles
-			// through baselineProgram.
-			want = "bruck-alltoall"
+			// The baseline switches on the per-pair message size (payload/p):
+			// Bruck up to the threshold, pairwise exchange above.
+			want := "bruck-alltoall"
 			if n/p > 1024 {
 				want = "pairwise-alltoall"
 			}
@@ -168,73 +150,41 @@ func TestBaselineMatchesFrontDoor(t *testing.T) {
 	}
 }
 
-// TestPerWorldTuning: two worlds in one process run different thresholds —
-// one world's Configure does not leak into the other.
+// TestPerWorldTuning: two worlds in one process run different configurations
+// — one world's Configure does not leak into the other. World A moves its
+// stage sampling to rank 2 and its own flight recorder; world B, configured
+// with nothing, still samples on rank 0 into the process-wide ring.
 func TestPerWorldTuning(t *testing.T) {
 	const p, blk = 4, 2048
-	rd0 := scheduleExecutions.With("algorithm", "recursive-doubling").Value()
-	// World A: ring threshold raised above blk, so AlgAuto picks recursive
-	// doubling where the default would pick ring.
+	allgather := func(c *mpi.Comm) error {
+		return Allgather(c, make([]byte, blk), make([]byte, p*blk), AlgAuto)
+	}
+	own := obs.NewRecorder(8)
 	err := mpi.Run(p, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
-			Configure(c, Config{Tuning: Tuning{RingThreshold: 4096}})
+			Configure(c, Config{Tuning: Tuning{StageSampleRank: 2}, Flight: own})
 		}
 		if err := c.Barrier(); err != nil {
 			return err
 		}
-		send := make([]byte, blk)
-		recv := make([]byte, p*blk)
-		return Allgather(c, send, recv, AlgAuto)
+		return allgather(c)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rd1 := scheduleExecutions.With("algorithm", "recursive-doubling").Value(); rd1 != rd0+p {
-		t.Errorf("tuned world ran recursive doubling %d times, want %d", rd1-rd0, p)
+	profs := own.Snapshot()
+	if len(profs) != 1 || profs[0].Rank != 2 {
+		t.Fatalf("configured world recorded %+v, want one profile from rank 2", profs)
 	}
 
-	// World B (default): same shape picks ring.
-	ring0 := scheduleExecutions.With("algorithm", "ring").Value()
-	err = mpi.Run(p, func(c *mpi.Comm) error {
-		send := make([]byte, blk)
-		recv := make([]byte, p*blk)
-		return Allgather(c, send, recv, AlgAuto)
-	})
-	if err != nil {
+	shared0 := obs.Flight.Recorded()
+	if err := mpi.Run(p, allgather); err != nil {
 		t.Fatal(err)
 	}
-	if ring1 := scheduleExecutions.With("algorithm", "ring").Value(); ring1 != ring0+p {
-		t.Errorf("default world ran ring %d times, want %d", ring1-ring0, p)
+	if got := obs.Flight.Recorded() - shared0; got != 1 {
+		t.Errorf("default world recorded %d profiles in the process-wide ring, want 1", got)
 	}
-}
-
-// TestPerWorldRabenseifnerThreshold: lowering the threshold per-world routes
-// a small buffer through the reduce-scatter + allgather schedule.
-func TestPerWorldRabenseifnerThreshold(t *testing.T) {
-	const p = 4
-	n := 1024 // below the default 32768 threshold, divisible by p
-	rs0 := scheduleExecutions.With("algorithm", "reduce-scatter-allgather").Value()
-	err := mpi.Run(p, func(c *mpi.Comm) error {
-		if c.Rank() == 0 {
-			Configure(c, Config{Tuning: Tuning{RabenseifnerThreshold: 512}})
-		}
-		if err := c.Barrier(); err != nil {
-			return err
-		}
-		buf := make([]byte, n)
-		for i := range buf {
-			buf[i] = byte(c.Rank())
-		}
-		return Allreduce(c, buf, func(dst, src []byte) {
-			for i := range dst {
-				dst[i] += src[i]
-			}
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs1 := scheduleExecutions.With("algorithm", "reduce-scatter-allgather").Value(); rs1 != rs0+p {
-		t.Errorf("tuned world ran rabenseifner %d times, want %d", rs1-rs0, p)
+	if got := len(own.Snapshot()); got != 1 {
+		t.Errorf("default world leaked %d profiles into the other world's recorder", got-1)
 	}
 }

@@ -17,17 +17,6 @@ func ATAMH(d *topology.Distances, opts *Options) (Mapping, error) {
 	return Identity(d.N()), nil
 }
 
-// ATAMHContext is ATAMH with the common context-aware signature; the mapping
-// is O(p), so there is no traversal loop to cancel.
-func ATAMHContext(ctx context.Context, d *topology.Distances, opts *Options) (Mapping, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return Identity(d.N()), nil
-}
-
 // ATAMHOracle is ATAMH over any distance oracle.
 func ATAMHOracle(ctx context.Context, o topology.Oracle, opts *Options) (Mapping, error) {
 	if ctx != nil {

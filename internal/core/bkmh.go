@@ -23,11 +23,6 @@ func BKMH(d *topology.Distances, opts *Options) (Mapping, error) {
 	return BKMHOracle(nil, d, opts)
 }
 
-// BKMHContext is BKMH with context cancellation checked on every placement.
-func BKMHContext(ctx context.Context, d *topology.Distances, opts *Options) (Mapping, error) {
-	return BKMHOracle(ctx, d, opts)
-}
-
 // BKMHOracle is BKMH over an arbitrary distance oracle.
 func BKMHOracle(ctx context.Context, o topology.Oracle, opts *Options) (m Mapping, err error) {
 	mp, err := newMapper(o, opts)

@@ -8,18 +8,25 @@ import (
 	"repro/internal/topology"
 )
 
-// contextHeuristics lists every cancellable heuristic with its plain
-// counterpart, so the tests can assert both interruption and equivalence.
+// contextHeuristics lists every cancellable heuristic — the *Oracle forms,
+// which a dense *topology.Distances satisfies — with its plain counterpart,
+// so the tests can assert both interruption and equivalence.
 var contextHeuristics = []struct {
 	name  string
 	plain Heuristic
-	ctx   ContextHeuristic
+	ctx   OracleHeuristic
 }{
-	{"RDMH", RDMH, RDMHContext},
-	{"RMH", RMH, RMHContext},
-	{"BBMH", BBMH, BBMHContext},
-	{"BGMH", BGMH, BGMHContext},
-	{"BKMH", BKMH, BKMHContext},
+	{"RDMH", RDMH, RDMHOracle},
+	{"RMH", RMH, RMHOracle},
+	{"BBMH", BBMH, BBMHOracle},
+	{"BGMH", BGMH, BGMHOracle},
+	{"BKMH", BKMH, BKMHOracle},
+	{"ATAMH", ATAMH, ATAMHOracle},
+	{"BBMH/larger-first", func(d *topology.Distances, o *Options) (Mapping, error) {
+		return BBMHWithTraversal(d, o, LargerSubtreeFirst)
+	}, func(ctx context.Context, o topology.Oracle, opts *Options) (Mapping, error) {
+		return BBMHWithTraversalOracle(ctx, o, opts, LargerSubtreeFirst)
+	}},
 }
 
 func contextTestDistances(t *testing.T, p int) *topology.Distances {
@@ -79,7 +86,7 @@ func TestContextHeuristicMidRunCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	n := 0
 	countingCtx := &countAfter{Context: ctx, limit: 10, fire: cancel, n: &n}
-	_, err := RMHContext(countingCtx, d, nil)
+	_, err := RMHOracle(countingCtx, d, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled mid-run, got %v", err)
 	}
@@ -108,9 +115,9 @@ func (c *countAfter) Err() error {
 func TestPatternContextHeuristic(t *testing.T) {
 	d := contextTestDistances(t, 32)
 	for _, pat := range Patterns {
-		h := pat.ContextHeuristic()
+		h := pat.OracleHeuristic()
 		if h == nil {
-			t.Fatalf("%v: nil context heuristic", pat)
+			t.Fatalf("%v: nil cancellable heuristic", pat)
 		}
 		m, err := h(context.Background(), d, nil)
 		if err != nil {
@@ -120,8 +127,8 @@ func TestPatternContextHeuristic(t *testing.T) {
 			t.Errorf("%v: %v", pat, err)
 		}
 	}
-	if Pattern(250).ContextHeuristic() != nil {
-		t.Error("unknown pattern should have no context heuristic")
+	if Pattern(250).OracleHeuristic() != nil {
+		t.Error("unknown pattern should have no cancellable heuristic")
 	}
 }
 

@@ -133,18 +133,14 @@ func (o *Options) rdmhRefUpdate() int {
 // rank), produce the rank reordering.
 type Heuristic func(d *topology.Distances, opts *Options) (Mapping, error)
 
-// ContextHeuristic is a Heuristic whose traversal loop honours context
-// cancellation: when ctx is cancelled or its deadline passes, the heuristic
-// returns ctx's error promptly instead of completing the mapping. A nil
-// context disables the checks, making the function equivalent to its plain
-// Heuristic counterpart.
-type ContextHeuristic func(ctx context.Context, d *topology.Distances, opts *Options) (Mapping, error)
-
 // OracleHeuristic is the kernel-agnostic form of a mapping heuristic: it
 // consumes any distance oracle — the dense matrix or the compact
 // O(p)-memory topology.Hierarchy — so callers can map large jobs without
 // ever materialising O(p²) state. The *Distances entry points delegate
-// here.
+// here. The traversal loop honours context cancellation: when ctx is
+// cancelled or its deadline passes, the heuristic returns ctx's error
+// promptly instead of completing the mapping; a nil context disables the
+// checks.
 type OracleHeuristic func(ctx context.Context, o topology.Oracle, opts *Options) (Mapping, error)
 
 // mapper carries the shared state of Algorithm 1. The free-slot set and the
@@ -233,11 +229,6 @@ func RDMH(d *topology.Distances, opts *Options) (Mapping, error) {
 	return RDMHOracle(nil, d, opts)
 }
 
-// RDMHContext is RDMH with context cancellation checked on every placement.
-func RDMHContext(ctx context.Context, d *topology.Distances, opts *Options) (Mapping, error) {
-	return RDMHOracle(ctx, d, opts)
-}
-
 // RDMHOracle is RDMH over an arbitrary distance oracle.
 func RDMHOracle(ctx context.Context, o topology.Oracle, opts *Options) (m Mapping, err error) {
 	mp, err := newMapper(o, opts)
@@ -302,11 +293,6 @@ func RMH(d *topology.Distances, opts *Options) (Mapping, error) {
 	return RMHOracle(nil, d, opts)
 }
 
-// RMHContext is RMH with context cancellation checked on every placement.
-func RMHContext(ctx context.Context, d *topology.Distances, opts *Options) (Mapping, error) {
-	return RMHOracle(ctx, d, opts)
-}
-
 // RMHOracle is RMH over an arbitrary distance oracle.
 func RMHOracle(ctx context.Context, o topology.Oracle, opts *Options) (m Mapping, err error) {
 	mp, err := newMapper(o, opts)
@@ -338,11 +324,6 @@ func BBMH(d *topology.Distances, opts *Options) (Mapping, error) {
 	return BBMHWithTraversal(d, opts, SmallerSubtreeFirst)
 }
 
-// BBMHContext is BBMH with context cancellation checked on every placement.
-func BBMHContext(ctx context.Context, d *topology.Distances, opts *Options) (Mapping, error) {
-	return BBMHWithTraversalContext(ctx, d, opts, SmallerSubtreeFirst)
-}
-
 // BBMHOracle is BBMH over an arbitrary distance oracle.
 func BBMHOracle(ctx context.Context, o topology.Oracle, opts *Options) (Mapping, error) {
 	return BBMHWithTraversalOracle(ctx, o, opts, SmallerSubtreeFirst)
@@ -356,11 +337,6 @@ func BBMHOracle(ctx context.Context, o topology.Oracle, opts *Options) (Mapping,
 // newly mapped rank joins the set of potential reference cores.
 func BGMH(d *topology.Distances, opts *Options) (Mapping, error) {
 	return BGMHOracle(nil, d, opts)
-}
-
-// BGMHContext is BGMH with context cancellation checked on every placement.
-func BGMHContext(ctx context.Context, d *topology.Distances, opts *Options) (Mapping, error) {
-	return BGMHOracle(ctx, d, opts)
 }
 
 // BGMHOracle is BGMH over an arbitrary distance oracle.

@@ -73,25 +73,6 @@ func (p Pattern) Heuristic() Heuristic {
 	}
 }
 
-// ContextHeuristic returns the cancellable variant of the pattern's
-// fine-tuned mapping heuristic.
-func (p Pattern) ContextHeuristic() ContextHeuristic {
-	switch p {
-	case RecursiveDoubling:
-		return RDMHContext
-	case Ring:
-		return RMHContext
-	case BinomialBroadcast:
-		return BBMHContext
-	case BinomialGather:
-		return BGMHContext
-	case Alltoall:
-		return ATAMHContext
-	default:
-		return nil
-	}
-}
-
 // OracleHeuristic returns the kernel-agnostic variant of the pattern's
 // fine-tuned mapping heuristic, usable with the compact topology.Hierarchy
 // oracle as well as the dense matrix.

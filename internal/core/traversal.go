@@ -44,13 +44,7 @@ func (t Traversal) String() string {
 // BBMHWithTraversal is BBMH with a selectable tree traversal order. BBMH
 // itself is BBMHWithTraversal(..., SmallerSubtreeFirst).
 func BBMHWithTraversal(d *topology.Distances, opts *Options, tr Traversal) (Mapping, error) {
-	return BBMHWithTraversalContext(nil, d, opts, tr)
-}
-
-// BBMHWithTraversalContext is BBMHWithTraversal with context cancellation
-// checked on every placement.
-func BBMHWithTraversalContext(ctx context.Context, d *topology.Distances, opts *Options, tr Traversal) (Mapping, error) {
-	return BBMHWithTraversalOracle(ctx, d, opts, tr)
+	return BBMHWithTraversalOracle(nil, d, opts, tr)
 }
 
 // BBMHWithTraversalOracle is BBMHWithTraversal over an arbitrary distance

@@ -198,9 +198,13 @@ func LinearBroadcast(p, blocks int) (*Schedule, error) {
 // algorithm's pattern is the ring's neighbour structure, so RMH is its
 // fine-tuned heuristic, and like the ring it needs no order-preservation
 // mechanism: every block travels with its identity.
+//
+// A single rank has nobody to exchange with: p = 1 is the zero-stage
+// schedule, named for the algorithm so metrics and trace spans agree with
+// what the caller asked for.
 func NeighborExchange(p int) (*Schedule, error) {
-	if p <= 0 || p%2 != 0 {
-		return nil, fmt.Errorf("sched: neighbor exchange needs a positive even rank count, got %d", p)
+	if p <= 0 || p%2 != 0 && p != 1 {
+		return nil, fmt.Errorf("sched: neighbor exchange needs one rank or a positive even rank count, got %d", p)
 	}
 	s := &Schedule{Name: "neighbor-exchange", P: p}
 	// Send ranges are advanced incrementally — at step s each rank forwards

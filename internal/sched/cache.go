@@ -95,92 +95,115 @@ func Fingerprint(s *Schedule) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// compileCacheCap bounds the cache in keys (a program reached through
-// Family.BuildCached is filed under two); the working set of a figure run or
-// of a world's front doors (a few algorithms x a few shapes) fits comfortably.
-const compileCacheCap = 64
+// programTableCap bounds each program table; the working set of a figure run
+// or of a world's front doors (a few algorithms x a few shapes) fits
+// comfortably.
+const programTableCap = 64
 
-// cacheKey addresses a cached program either by its schedule's structural
-// fingerprint, or by the registry builder call that produces the schedule.
-// The second form is what lets a front door that names (family, builder, p)
-// reach its program with one lookup instead of rebuilding and hashing the
-// schedule on every rank of every call.
-type cacheKey struct {
-	fingerprint string
-	family      FamilyID
-	builder     string
-	p           int
-}
-
-type cacheEntry struct {
-	key  cacheKey
-	prog *Program
-}
-
-var compileCache = struct {
+// ProgramTable is a bounded LRU from a comparable key to a program built
+// under a per-key sync.Once: the first caller of a cold key builds (one
+// schedule_cache_misses_total), every other caller — concurrent ranks of the
+// same collective call included — waits for and shares that result (one
+// schedule_cache_hits_total each). A failed build is forgotten, so the next
+// caller retries. The table is generic so each key shape gets its own typed
+// map and a warm lookup allocates nothing; every instance counts on the same
+// two counters and is emptied by ResetCompileCache.
+type ProgramTable[K comparable] struct {
 	mu    sync.Mutex
-	ll    *list.List
-	byKey map[cacheKey]*list.Element
-}{ll: list.New(), byKey: make(map[cacheKey]*list.Element)}
+	ll    *list.List // of *tableEntry[K], most recently used first
+	byKey map[K]*list.Element
+}
 
-// cachedProgram returns the program stored under key, counting the hit or
-// the miss.
-func cachedProgram(key cacheKey) (*Program, bool) {
-	compileCache.mu.Lock()
-	e, ok := compileCache.byKey[key]
-	if !ok {
-		compileCache.mu.Unlock()
+type tableEntry[K comparable] struct {
+	key  K
+	once sync.Once
+	prog *Program
+	err  error
+}
+
+// programTables lists every table's reset hook. Tables are package-level
+// variables, so the list is complete before main runs and read-only after.
+var programTables []func()
+
+// NewProgramTable returns an empty table registered with ResetCompileCache.
+// Call it from a package-level variable initialiser.
+func NewProgramTable[K comparable]() *ProgramTable[K] {
+	t := &ProgramTable[K]{ll: list.New(), byKey: make(map[K]*list.Element)}
+	programTables = append(programTables, t.reset)
+	return t
+}
+
+func (t *ProgramTable[K]) reset() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.ll = list.New()
+	clear(t.byKey)
+}
+
+// Get returns the program filed under key, building it with build on first
+// use.
+func (t *ProgramTable[K]) Get(key K, build func() (*Program, error)) (*Program, error) {
+	t.mu.Lock()
+	el, hit := t.byKey[key]
+	if hit {
+		t.ll.MoveToFront(el)
+	} else {
+		el = t.ll.PushFront(&tableEntry[K]{key: key})
+		t.byKey[key] = el
+		if t.ll.Len() > programTableCap {
+			oldest := t.ll.Back()
+			t.ll.Remove(oldest)
+			delete(t.byKey, oldest.Value.(*tableEntry[K]).key)
+		}
+	}
+	t.mu.Unlock()
+	if hit {
+		scheduleCacheHits.Inc()
+	} else {
 		scheduleCacheMisses.Inc()
-		return nil, false
 	}
-	compileCache.ll.MoveToFront(e)
-	prog := e.Value.(*cacheEntry).prog
-	compileCache.mu.Unlock()
-	scheduleCacheHits.Inc()
-	return prog, true
+	e := el.Value.(*tableEntry[K])
+	e.once.Do(func() { e.prog, e.err = build() })
+	if e.err != nil {
+		t.mu.Lock()
+		if t.byKey[key] == el {
+			t.ll.Remove(el)
+			delete(t.byKey, key)
+		}
+		t.mu.Unlock()
+	}
+	return e.prog, e.err
 }
 
-// storeProgram files prog under key and returns the program the cache holds
-// for it — a concurrent caller may have stored the same key first, and
-// sharing its program means the executable view is built only once.
-func storeProgram(key cacheKey, prog *Program) *Program {
-	compileCache.mu.Lock()
-	defer compileCache.mu.Unlock()
-	if e, ok := compileCache.byKey[key]; ok {
-		compileCache.ll.MoveToFront(e)
-		return e.Value.(*cacheEntry).prog
-	}
-	compileCache.byKey[key] = compileCache.ll.PushFront(&cacheEntry{key: key, prog: prog})
-	for compileCache.ll.Len() > compileCacheCap {
-		oldest := compileCache.ll.Back()
-		compileCache.ll.Remove(oldest)
-		delete(compileCache.byKey, oldest.Value.(*cacheEntry).key)
-	}
-	return prog
+// builderKey addresses a program by the registry builder call that produces
+// its schedule — what lets a front door that names (family, builder, p)
+// reach its program with one lookup, never building or hashing a schedule.
+type builderKey struct {
+	family  FamilyID
+	builder string
+	p       int
 }
 
-// CompileCached compiles s through a bounded process-wide LRU keyed by the
-// schedule fingerprint, so repeated collectives (and repeated pricings of
-// the same schedule shape) reuse one Program — including its lazily built
-// executable view. Compilation errors are not cached.
+var (
+	programsByBuilder     = NewProgramTable[builderKey]()
+	programsByFingerprint = NewProgramTable[string]()
+)
+
+// CompileCached compiles s through the process-wide program table keyed by
+// the schedule fingerprint, so repeated pricings of one schedule shape reuse
+// one Program — including its lazily built executable view. It serves the
+// callers that only hold a schedule; runtime front doors name a registry
+// builder and go through Family.BuildCached, which hashes nothing.
 func CompileCached(s *Schedule) (*Program, error) {
-	key := cacheKey{fingerprint: Fingerprint(s)}
-	if prog, ok := cachedProgram(key); ok {
-		return prog, nil
-	}
-	prog, err := Compile(s)
-	if err != nil {
-		return nil, err
-	}
-	return storeProgram(key, prog), nil
+	return programsByFingerprint.Get(Fingerprint(s), func() (*Program, error) { return Compile(s) })
 }
 
-// ResetCompileCache empties the cache (cold-compile benchmarks and tests).
+// ResetCompileCache empties every program table (cold-compile benchmarks and
+// tests; "a new job is a new process").
 func ResetCompileCache() {
-	compileCache.mu.Lock()
-	defer compileCache.mu.Unlock()
-	compileCache.ll = list.New()
-	compileCache.byKey = make(map[cacheKey]*list.Element)
+	for _, reset := range programTables {
+		reset()
+	}
 }
 
 // CompileCacheCounters returns the cumulative hit and miss counts.

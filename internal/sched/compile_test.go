@@ -330,7 +330,7 @@ func TestCompileCachedSharesAndEvicts(t *testing.T) {
 	}
 	// Flood the cache past its capacity with distinct shapes (none equal to
 	// s); the probed entry must be evicted and recompile on next use.
-	for p := 100; p < 100+compileCacheCap+4; p++ {
+	for p := 100; p < 100+programTableCap+4; p++ {
 		r, err := Ring(p)
 		if err != nil {
 			t.Fatal(err)

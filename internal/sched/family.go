@@ -82,23 +82,17 @@ func (f *Family) Build(name string, p int) (*Schedule, error) {
 }
 
 // BuildCached returns the compiled program of the named base schedule over p
-// ranks from the process-wide schedule cache — the form runtime front doors
-// consume. A warm call is one lookup under the (family, builder, p) key; a
-// cold one builds the schedule and compiles it through CompileCached.
+// ranks from the process-wide program table — the form runtime front doors
+// consume. The key is (family, builder, p): a warm call is one lookup, a
+// cold one builds and compiles the schedule once however many ranks race.
 func (f *Family) BuildCached(name string, p int) (*Program, error) {
-	key := cacheKey{family: f.ID, builder: name, p: p}
-	if prog, ok := cachedProgram(key); ok {
-		return prog, nil
-	}
-	s, err := f.Build(name, p)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := CompileCached(s)
-	if err != nil {
-		return nil, err
-	}
-	return storeProgram(key, prog), nil
+	return programsByBuilder.Get(builderKey{f.ID, name, p}, func() (*Program, error) {
+		s, err := f.Build(name, p)
+		if err != nil {
+			return nil, err
+		}
+		return Compile(s)
+	})
 }
 
 // BuilderNames returns the family's base-builder names, sorted.
@@ -287,10 +281,26 @@ func ForPattern(pat core.Pattern, p int) (*Schedule, error) {
 	return f.Build(spec.Builder, p)
 }
 
-// alltoallBaselinePerPair is the per-pair byte threshold below which the
-// logarithmic Bruck exchange beats pairwise exchange (fewer rounds, more
-// volume) in the hand-coded rules.
-const alltoallBaselinePerPair = 1024
+// The switch points of the Baseline rules below — the only place they are
+// written down. They are constants, not per-world knobs: MVAPICH's values are
+// the only ones any caller ever used, and a world that wants a different
+// choice at some size installs a synth table entry for it.
+const (
+	// RingThresholdBytes is the per-process allgather block size above which
+	// the ring replaces recursive doubling / Bruck, the switch point the
+	// paper observes in MVAPICH ("MVAPICH uses recursive doubling in this
+	// range [below 1KB]... uses the ring algorithm in this range [above
+	// 1KB]").
+	RingThresholdBytes = 1024
+	// RabenseifnerThresholdBytes is the allreduce buffer size at and above
+	// which reduce-scatter + allgather replaces the binomial tree on
+	// power-of-two communicators whose buffer divides into p blocks.
+	RabenseifnerThresholdBytes = 32768
+	// alltoallBaselinePerPair is the per-pair byte threshold up to which the
+	// logarithmic Bruck exchange beats pairwise exchange (fewer rounds, more
+	// volume).
+	alltoallBaselinePerPair = 1024
+)
 
 func init() {
 	RegisterFamily(&Family{
@@ -304,7 +314,7 @@ func init() {
 		},
 		Baseline: func(p, payloadBytes int) string {
 			switch {
-			case payloadBytes > 1024:
+			case payloadBytes > RingThresholdBytes:
 				return "ring"
 			case p&(p-1) == 0:
 				return "recursive-doubling"
@@ -323,7 +333,7 @@ func init() {
 			"reduce-scatter-allgather": ReduceScatterAllgather,
 		},
 		Baseline: func(p, payloadBytes int) string {
-			if p > 1 && p&(p-1) == 0 && payloadBytes%p == 0 && payloadBytes >= 32768 {
+			if p > 1 && p&(p-1) == 0 && payloadBytes%p == 0 && payloadBytes >= RabenseifnerThresholdBytes {
 				return "reduce-scatter-allgather"
 			}
 			return "allreduce"

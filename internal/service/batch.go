@@ -81,7 +81,8 @@ func (b *BatchRequest) itemRequest(i int) *Request {
 // counts on the same per-request metrics. Patterns owned by peer shards
 // are grouped and forwarded as sub-batches. An invalid pattern fails the
 // whole batch (the response array would otherwise silently change
-// meaning); pressure degrades per item, never the batch.
+// meaning); a deadline degrades per item, and admission control (-shed)
+// admits or sheds the batch's local computations as one.
 func (s *Service) ComputeBatch(ctx context.Context, breq *BatchRequest) (*BatchResponse, error) {
 	startAll := time.Now()
 	n := len(breq.Patterns)
@@ -142,8 +143,13 @@ func (s *Service) ComputeBatch(ctx context.Context, breq *BatchRequest) (*BatchR
 		}
 	}
 
+	// Admission is decided once, before the fan-out: the local items queue
+	// on the pool by design, so letting each test the queue depth would make
+	// a batch wider than the threshold shed its own tail.
+	shed := s.underPressure()
 	var wg sync.WaitGroup
 	for _, i := range local {
+		items[i].shed = &shed
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()

@@ -503,3 +503,46 @@ func TestHTTPBatch(t *testing.T) {
 		t.Errorf("batch with unknown field = %d, want 400", bad.StatusCode)
 	}
 }
+
+// TestBatchAdmittedAsOne: under -shed a batch is admitted or shed once,
+// before it fans out. A 16-pattern batch on one worker queues 15 of its own
+// items — far past the threshold of 2 — and used to shed most of them to the
+// identity mapping; now none degrade. A batch that arrives with the queue
+// already at the threshold still sheds, as a whole.
+func TestBatchAdmittedAsOne(t *testing.T) {
+	s := New(Config{Workers: 1, ShedOnPressure: true})
+	defer s.Close()
+	batch := func(firstSize int) *BatchRequest {
+		b := &BatchRequest{Topology: smallTopo()}
+		for i := 0; i < 16; i++ {
+			b.Patterns = append(b.Patterns, BatchPattern{Name: "ring", Sizes: []int{firstSize + i}})
+		}
+		return b
+	}
+	degraded := func(r *BatchResponse) (n int) {
+		for _, resp := range r.Responses {
+			if resp.Degraded {
+				n++
+			}
+		}
+		return n
+	}
+
+	got, err := s.ComputeBatch(context.Background(), batch(1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := degraded(got); n != 0 || s.Stats().Shed != 0 {
+		t.Errorf("idle service: %d of 16 batch items degraded, shed = %d; want 0 and 0", n, s.Stats().Shed)
+	}
+
+	s.stats.queueDepth.Set(int64(s.cfg.ReadyMaxQueue)) // someone else's backlog
+	got, err = s.ComputeBatch(context.Background(), batch(4096))
+	s.stats.queueDepth.Set(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := degraded(got); n != 16 || s.Stats().Shed != 16 {
+		t.Errorf("saturated service: %d of 16 batch items degraded, shed = %d; want 16 and 16", n, s.Stats().Shed)
+	}
+}

@@ -156,6 +156,10 @@ type compiled struct {
 	forwarded bool          // relayed by a peer shard: serve locally
 	timeout   time.Duration // 0: server default
 	key       string        // hex content hash over everything above
+	// shed, when non-nil, is the admission decision ComputeBatch took for
+	// the whole batch this item belongs to; nil asks leaderServe to test the
+	// queue itself.
+	shed *bool
 }
 
 // compiledBase is the topology-dependent prefix of compilation, shared by

@@ -249,6 +249,16 @@ func (s *Service) serve(ctx context.Context, req *Request, c *compiled, envFn fu
 		}
 	}
 
+	if resp, ok := s.cache.get(c.key); ok {
+		// The previous leader published and retired its flight between this
+		// request's cache miss and its join: share that result rather than
+		// compute the key a second time.
+		s.flight.complete(c.key, call, resp, nil)
+		s.stats.shared()
+		mark("joined-completed")
+		return stamp(resp, true, start, rec), nil
+	}
+
 	resp, computed, err := s.leaderServe(ctx, req, c, envFn, mark)
 	if err == nil && !resp.Degraded {
 		s.cache.put(c.key, resp)
@@ -281,7 +291,8 @@ func (s *Service) leaderServe(ctx context.Context, req *Request, c *compiled, en
 		}
 		return resp, false, nil
 	}
-	if s.cfg.ShedOnPressure && s.stats.queueDepth.Value() >= int64(s.cfg.ReadyMaxQueue) {
+	// A batch item carries its batch's decision; a single request asks now.
+	if c.shed != nil && *c.shed || c.shed == nil && s.underPressure() {
 		s.stats.shedded()
 		mark("shed")
 		return degradedResponse(c), false, nil
@@ -291,6 +302,12 @@ func (s *Service) leaderServe(ctx context.Context, req *Request, c *compiled, en
 		resp.Shard = s.shardSelf()
 	}
 	return resp, true, err
+}
+
+// underPressure is the admission test of ShedOnPressure: the pool queue has
+// reached the /readyz threshold.
+func (s *Service) underPressure() bool {
+	return s.cfg.ShedOnPressure && s.stats.queueDepth.Value() >= int64(s.cfg.ReadyMaxQueue)
 }
 
 func outcomeFor(resp *Response) int {
@@ -457,9 +474,6 @@ type topoEnv struct {
 	// response's Schedule name read it; none of them may modify it.
 	scheds onceMap[core.Pattern, *sched.Schedule]
 
-	decMu sync.Mutex
-	decs  map[decKey]SizeResult
-
 	baseProfs onceMap[core.Pattern, *simnet.PriceProfile]
 	reordered onceMap[progKey, *simnet.PriceProfile]
 }
@@ -568,18 +582,6 @@ func (e *topoEnv) profilesFor(ctx context.Context, pat core.Pattern, layout []in
 	return base, reord, nil
 }
 
-// decKey identifies one priced adaptive decision within an env: the pattern
-// schedule, the order fix, the message size and the mapping (by content
-// fingerprint). Distinct heuristics frequently converge to the same
-// permutation, and batches repeat (pattern, size) across heuristics — both
-// collapse to one pricing.
-type decKey struct {
-	pattern core.Pattern
-	mode    sched.OrderMode
-	size    int
-	mapFP   uint64
-}
-
 // mappingFingerprint is an FNV-1a over the permutation's bytes.
 func mappingFingerprint(m core.Mapping) uint64 {
 	const (
@@ -608,10 +610,7 @@ func (e *topoEnv) mappingFor(ctx context.Context, name string, fn func(context.C
 // built for named-pattern requests — explicit graphs are costed on the
 // oracle alone.
 func (s *Service) buildEnv(c *compiled) (*topoEnv, error) {
-	env := &topoEnv{
-		cluster: c.cluster,
-		decs:    make(map[decKey]SizeResult),
-	}
+	env := &topoEnv{cluster: c.cluster}
 	// The compact hierarchical oracle (O(p) memory, bucketed find-closest
 	// kernel) where the network allows it; tori get the dense matrix and
 	// the scan kernel.
@@ -754,63 +753,45 @@ func (s *Service) evaluate(ctx context.Context, c *compiled, env *topoEnv, cand 
 		ev.err = err
 		return ev
 	}
-	mapFP := mappingFingerprint(ev.mapping)
-	// Pricing one size at a time keeps a cancellation point between sizes,
-	// so the loop also respects the deadline at size granularity. Decisions
-	// memoise on the env keyed by (pattern, order, size, mapping): within a
-	// batch, candidates that converge to the same permutation — and repeat
-	// patterns across heuristics — price once. This mirrors
-	// experiments.AdaptivePolicy exactly (default price on the base
-	// schedule, reordered price on the order-preserved schedule over the
+	// This mirrors experiments.AdaptivePolicy exactly (default price on the
+	// base schedule, reordered price on the order-preserved schedule over the
 	// permuted layout, keep the reordering where it wins), with the schedule
 	// build and the contention aggregation amortised across the env by
-	// profilesFor.
-	var base, reord *simnet.PriceProfile
+	// profilesFor — which is also where candidates converging to one
+	// permutation, and patterns repeated across a batch, collapse.
+	base, reord, err := env.profilesFor(ctx, c.pattern, c.layout, ev.mapping, mappingFingerprint(ev.mapping), mode)
+	if err == nil {
+		// Building and profiling the schedule is the long step of a cold
+		// request; pricing a size afterwards is two table reads.
+		err = expired(ctx)
+	}
+	if err != nil {
+		ev.err = err
+		return ev
+	}
 	for _, size := range c.sizes {
-		if err := expired(ctx); err != nil {
+		// One cancellation point per size keeps long sweeps inside the
+		// deadline at size granularity.
+		if ev.err = expired(ctx); ev.err != nil {
+			return ev
+		}
+		def, err := base.Price(size)
+		if err != nil {
 			ev.err = err
 			return ev
 		}
-		key := decKey{pattern: c.pattern, mode: mode, size: size, mapFP: mapFP}
-		env.decMu.Lock()
-		res, ok := env.decs[key]
-		env.decMu.Unlock()
-		if !ok {
-			if base == nil {
-				base, reord, err = env.profilesFor(ctx, c.pattern, c.layout, ev.mapping, mapFP, mode)
-				if err == nil {
-					// Building and profiling the schedule is the long step of
-					// a cold request: a single-size request never comes back
-					// round to the check at the top of the loop.
-					err = expired(ctx)
-				}
-				if err != nil {
-					ev.err = err
-					return ev
-				}
-			}
-			def, err := base.Price(size)
-			if err != nil {
-				ev.err = err
-				return ev
-			}
-			re, err := reord.Price(size)
-			if err != nil {
-				ev.err = err
-				return ev
-			}
-			res = SizeResult{
-				Bytes:            size,
-				DefaultSeconds:   def,
-				ReorderedSeconds: re,
-				UseReordered:     re < def,
-			}
-			env.decMu.Lock()
-			env.decs[key] = res
-			env.decMu.Unlock()
+		re, err := reord.Price(size)
+		if err != nil {
+			ev.err = err
+			return ev
 		}
-		ev.results = append(ev.results, res)
-		ev.cost += res.ReorderedSeconds
+		ev.results = append(ev.results, SizeResult{
+			Bytes:            size,
+			DefaultSeconds:   def,
+			ReorderedSeconds: re,
+			UseReordered:     re < def,
+		})
+		ev.cost += re
 	}
 	return ev
 }

@@ -83,14 +83,13 @@ func (r *Result) Improvement() float64 {
 	return 1 - r.Best.Price/r.Baseline.Price
 }
 
-// BaselineRecipe mirrors the hand-coded selection rules of package
-// collective (MVAPICH-style thresholds) through the family registry's
-// Baseline hook: ring above 1 KiB per-rank blocks, recursive doubling on
-// power-of-two communicators below it, Bruck otherwise; Rabenseifner for
-// large divisible power-of-two allreduces, the binomial reduce+broadcast
-// tree otherwise; Bruck for small per-pair all-to-alls, pairwise exchange
-// above. TestBaselineMatchesFrontDoor in package collective pins the hook
-// against the real selection so the two cannot drift.
+// BaselineRecipe is the comparison point every search prices: the builder
+// the family registry's Baseline rule names for (p, payload) — the same
+// rule, through the same hook, that package collective's front doors run
+// when no table entry covers a call (MVAPICH-style: ring above 1 KiB
+// per-rank blocks, recursive doubling on power-of-two communicators below
+// it, Bruck otherwise; Rabenseifner for large divisible power-of-two
+// allreduces; Bruck for small per-pair all-to-alls).
 func BaselineRecipe(f Family, p, payloadBytes int) Recipe {
 	fam, err := f.Desc()
 	if err != nil {

@@ -381,10 +381,13 @@ func NewReordered(c *Comm, m Mapping, mode OrderMode) (*Reordered, error) {
 // Schedule-synthesis re-exports: offline-searched schedule tables and
 // per-world selection tuning (DESIGN.md §11).
 type (
-	// CollectiveConfig carries a world's collective selection state: the
-	// hand-coded thresholds plus an optional synthesized-schedule table.
+	// CollectiveConfig carries a world's collective state: an optional
+	// synthesized-schedule table — the one per-world override of algorithm
+	// selection — plus executor sampling and observability hooks.
 	CollectiveConfig = collective.Config
-	// CollectiveTuning holds the hand-coded selection thresholds.
+	// CollectiveTuning holds the executor's stage-sampling knobs
+	// (StageSampleRank, StageSampleEvery). The selection thresholds are
+	// constants of the family registry, not fields here.
 	CollectiveTuning = collective.Tuning
 	// SynthTable is a table of searched schedule winners, keyed by
 	// topology fingerprint x family x size bucket (written by cmd/synth).
@@ -397,9 +400,6 @@ type (
 // Configure installs per-world collective configuration on c's world; any
 // rank may call it and every rank (and derived communicator) observes it.
 func Configure(c *Comm, cfg CollectiveConfig) { collective.Configure(c, cfg) }
-
-// DefaultCollectiveTuning returns the hand-coded selection thresholds.
-func DefaultCollectiveTuning() CollectiveTuning { return collective.DefaultTuning() }
 
 // LoadSynthTable reads a synthesized-schedule table written by cmd/synth.
 func LoadSynthTable(path string) (*SynthTable, error) { return synth.LoadFile(path) }

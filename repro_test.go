@@ -210,10 +210,7 @@ func TestFacadeSynthTable(t *testing.T) {
 	const p, blk = 16, 64
 	err = Run(p, func(c *Comm) error {
 		if c.Rank() == 0 {
-			Configure(c, CollectiveConfig{
-				Tuning: DefaultCollectiveTuning(),
-				Synth:  NewSynthSelector(loaded),
-			})
+			Configure(c, CollectiveConfig{Synth: NewSynthSelector(loaded)})
 		}
 		c.Barrier()
 		send := make([]byte, blk)
