@@ -104,9 +104,3 @@ func RunSolver(cfg SolverConfig) (SolverResult, error) {
 	})
 	return res, err
 }
-
-// SolverModeledTime returns the modelled solver time given a per-allreduce
-// latency: iterations x (compute + 2 x allreduce).
-func (c *SolverConfig) SolverModeledTime(allreduceSeconds float64) float64 {
-	return float64(c.Iterations) * (c.ComputePerIter.Seconds() + 2*allreduceSeconds)
-}

@@ -52,15 +52,6 @@ func TestSolverRunsFlatAndHierarchical(t *testing.T) {
 	}
 }
 
-func TestSolverModeledTime(t *testing.T) {
-	cfg := SolverConfig{Procs: 4, Iterations: 10, DotElems: 1, ComputePerIter: time.Millisecond}
-	got := cfg.SolverModeledTime(0.0005)
-	want := 10 * (0.001 + 0.001)
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("modeled time %g, want %g", got, want)
-	}
-}
-
 func TestSolverRejectsInvalid(t *testing.T) {
 	if _, err := RunSolver(SolverConfig{}); err == nil {
 		t.Error("invalid config accepted")

@@ -92,7 +92,7 @@ func resolvePlaceOffsets(place Placement, blocks, blk int) *[]int {
 // any.
 //
 // The step loop is allocation-free in steady state: block byte offsets are
-// precomputed per (program, blk) — or per call into pooled storage when a
+// one multiply per block — or one lookup in a per-call pooled table when a
 // Placement is active — outgoing payloads are staged straight into pooled
 // buffers lent to the runtime via SendOwned (one copy instead of the old
 // stage-then-copy two), consumed receive payloads are recycled with
@@ -114,9 +114,8 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, rot int, buf []byte, blk i
 	steps := prog.RankSteps(rotate(me, p-rot, p))
 	stages := prog.ExecStages()
 	ops := prog.Ops()
-	// offs[i] is the buffer byte offset of blockIdx entry i under the
-	// identity placement; placeOff[b] the offset of block b under place.
-	offs := prog.BlockOffsets(blk)
+	// placeOff[b] is the buffer byte offset of block b under place; under
+	// the identity placement it is b*blk, computed in the loop.
 	var placeOff []int
 	if place != nil {
 		holder := resolvePlaceOffsets(place, prog.Blocks, blk)
@@ -184,7 +183,8 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, rot int, buf []byte, blk i
 			out := mpi.GetBuf(n)
 			w := 0
 			if place == nil {
-				for _, off := range offs[o.Blk0 : o.Blk0+o.NumBlk] {
+				for _, b := range prog.OpBlocks(*o) {
+					off := int(b) * blk
 					copy(out[w:w+blk], buf[off:off+blk])
 					w += blk
 				}
@@ -215,7 +215,8 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, rot int, buf []byte, blk i
 				return fmt.Errorf("collective: schedule %q has reduce stages but no reduce operator", prog.Name)
 			}
 			if place == nil {
-				for k, off := range offs[o.Blk0 : o.Blk0+o.NumBlk] {
+				for k, b := range prog.OpBlocks(*o) {
+					off := int(b) * blk
 					op(buf[off:off+blk], in[k*blk:(k+1)*blk])
 				}
 			} else {
@@ -226,7 +227,8 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, rot int, buf []byte, blk i
 			}
 		} else {
 			if place == nil {
-				for k, off := range offs[o.Blk0 : o.Blk0+o.NumBlk] {
+				for k, b := range prog.OpBlocks(*o) {
+					off := int(b) * blk
 					copy(buf[off:off+blk], in[k*blk:(k+1)*blk])
 				}
 			} else {

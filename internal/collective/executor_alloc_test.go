@@ -127,8 +127,8 @@ func (w *steadyWorld) close() error {
 }
 
 // TestExecuteProgramSteadyStateAllocs extends the metrics AllocsPerRun
-// discipline to the executor: once buffers, offsets and metric handles are
-// warm, a full collective round (every rank staging sends into pooled
+// discipline to the executor: once buffers and metric handles are warm, a
+// full collective round (every rank staging sends into pooled
 // buffers, lending them to the runtime, consuming and recycling receives)
 // must not allocate — for the allgather step loop, for the rooted entries
 // whose staging buffers come from the same pool (at the program's root and
@@ -204,8 +204,8 @@ func TestExecuteProgramSteadyStateAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}()
-			// Warm the pools, the inbox capacities and the memoized offset
-			// table beyond AllocsPerRun's own single warm-up run.
+			// Warm the pools and the inbox capacities beyond AllocsPerRun's
+			// own single warm-up run.
 			for i := 0; i < 8; i++ {
 				if err := w.round(); err != nil {
 					t.Fatal(err)

@@ -47,8 +47,7 @@ func BenchmarkScheduleExecutor(b *testing.B) {
 	// a persistent world executes one allgather per iteration, so ns/op and
 	// allocs/op reflect executeProgram's steady state. The step loop is
 	// allocation-free (0 allocs/op): payload buffers cycle through the
-	// mpi buffer pool, offsets are memoized per (program, blk) and metric
-	// handles are cached per program name.
+	// mpi buffer pool and metric handles are cached per program name.
 	for _, tc := range []struct {
 		alg Algorithm
 		p   int

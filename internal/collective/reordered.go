@@ -175,11 +175,12 @@ func (r *Reordered) Allgather(send, recv []byte, alg Algorithm) error {
 			return err
 		}
 		r.re.TraceEnter("reordered/end-shuffle")
-		tmp := make([]byte, len(recv))
+		tmp := mpi.GetBuf(len(recv))
 		copy(tmp, recv)
 		for j := 0; j < r.re.Size(); j++ {
 			copy(recv[r.mapping[j]*blk:], tmp[j*blk:(j+1)*blk])
 		}
+		mpi.FreeBuf(tmp)
 		r.re.TraceExit("reordered/end-shuffle")
 		return nil
 	default:

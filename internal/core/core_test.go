@@ -101,7 +101,7 @@ func TestRMHRepairsCyclic(t *testing.T) {
 	crossings := 0
 	for r := 0; r < p; r++ {
 		a, b := d.Cores[m[r]], d.Cores[m[(r+1)%p]]
-		if !c.SameNode(a, b) {
+		if c.NodeOf(a) != c.NodeOf(b) {
 			crossings++
 		}
 	}

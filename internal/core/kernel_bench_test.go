@@ -11,8 +11,7 @@ import (
 // dense matrix + linear scan, dense matrix + bucketed index, and the
 // compact Hierarchy oracle + bucketed index — across the paper's heuristics
 // at GPC scale. Distance-source construction happens outside the timer so
-// the numbers isolate mapping time; cmd/benchjson turns the output into
-// BENCH_heuristics.json for CI.
+// the numbers isolate mapping time.
 func BenchmarkHeuristicKernel(b *testing.B) {
 	c := topology.GPC()
 	heuristics := []struct {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -33,11 +34,7 @@ func AdaptivePolicy(s *Setup, layout []int, m core.Mapping, pat core.Pattern, or
 	// Both communicators' contention profiles are size-independent, so the
 	// sweep aggregates each once and prices every size from the envelopes —
 	// bit-identical to pricing size by size (see simnet.PriceProfile).
-	prog, err := sched.CompileCached(schedule)
-	if err != nil {
-		return nil, err
-	}
-	defProfile, err := s.Machine.Profile(prog, layout)
+	defProfile, err := s.Machine.ProfileSchedule(context.Background(), schedule, layout)
 	if err != nil {
 		return nil, err
 	}
@@ -49,11 +46,7 @@ func AdaptivePolicy(s *Setup, layout []int, m core.Mapping, pat core.Pattern, or
 	if err != nil {
 		return nil, err
 	}
-	reProg, err := sched.CompileCached(withOrder)
-	if err != nil {
-		return nil, err
-	}
-	reProfile, err := s.Machine.Profile(reProg, eff)
+	reProfile, err := s.Machine.ProfileSchedule(context.Background(), withOrder, eff)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/sched"
@@ -48,11 +49,7 @@ func AlltoallSchedules(s *Setup, perPair []int) ([]AlltoallRow, error) {
 		if err != nil {
 			return 0, err
 		}
-		prog, err := sched.CompileCached(sc)
-		if err != nil {
-			return 0, err
-		}
-		prof, err := s.Machine.Profile(prog, layout)
+		prof, err := s.Machine.ProfileSchedule(context.Background(), sc, layout)
 		if err != nil {
 			return 0, err
 		}

@@ -67,9 +67,6 @@ func (g *Graph) addHalf(u, v int, w int64) {
 // Neighbors returns the adjacency list of u (aliased, not copied).
 func (g *Graph) Neighbors(u int) []Edge { return g.adj[u] }
 
-// Degree returns the number of distinct neighbours of u.
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
-
 // WeightedDegree returns the total weight incident to u.
 func (g *Graph) WeightedDegree(u int) int64 {
 	var sum int64
@@ -137,29 +134,4 @@ func (g *Graph) CutWeight(verts []int, inA func(v int) bool) int64 {
 		}
 	}
 	return cut
-}
-
-// Connected reports whether the subgraph induced by verts is connected.
-// An empty set is considered connected.
-func (g *Graph) Connected(verts []int) bool {
-	if len(verts) == 0 {
-		return true
-	}
-	inSet := make(map[int]bool, len(verts))
-	for _, v := range verts {
-		inSet[v] = true
-	}
-	seen := map[int]bool{verts[0]: true}
-	stack := []int{verts[0]}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.adj[u] {
-			if inSet[e.To] && !seen[e.To] {
-				seen[e.To] = true
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	return len(seen) == len(verts)
 }

@@ -48,7 +48,9 @@ func TestSendOwnedRangeError(t *testing.T) {
 	}
 }
 
-// TestGetBufLengths pins the pool API edge cases.
+// TestGetBufLengths pins the pool API edge cases and the size-class
+// invariants: a buffer is never more than twice the request, and a freed
+// buffer never serves a request larger than its capacity.
 func TestGetBufLengths(t *testing.T) {
 	if b := GetBuf(0); len(b) != 0 {
 		t.Errorf("GetBuf(0) = %d bytes", len(b))
@@ -66,6 +68,58 @@ func TestGetBufLengths(t *testing.T) {
 		t.Errorf("GetBuf(5) after free = %d bytes", len(c))
 	}
 	FreeBuf(c)
+	for _, n := range []int{1, 2, 3, 4, 5, 63, 64, 65, 1000, 1024, 1025, 1 << 20, 1<<20 + 1} {
+		b := GetBuf(n)
+		if len(b) != n || (n >= 2 && cap(b) >= 2*n) {
+			t.Errorf("GetBuf(%d): len %d cap %d, want len %d and cap < %d", n, len(b), cap(b), n, 2*n)
+		}
+		FreeBuf(b)
+	}
+	// Foreign capacities (buffers the pool did not make) are accepted and
+	// must never come back for a request they cannot hold. The pool is
+	// per-P, so the request right after the free sees the freed buffer.
+	for _, c := range []int{1, 3, 48, 100, 1000, 4097} {
+		FreeBuf(make([]byte, c))
+		for _, n := range []int{c + 1, 2 * c, c} {
+			b := GetBuf(n)
+			if len(b) != n || cap(b) < n || (n >= 2 && cap(b) >= 2*n) {
+				t.Errorf("after FreeBuf(cap %d): GetBuf(%d) has len %d cap %d", c, n, len(b), cap(b))
+			}
+		}
+	}
+}
+
+// TestBufPoolMixedSizesSteadyState is the traffic the single-pool design
+// got wrong: a small, a medium and a large buffer in flight together, as a
+// rank holds them mid-collective. One variable-capacity pool served small
+// requests with large buffers and allocated again for the large request
+// until every pooled buffer had grown to the maximum (and again after each
+// GC emptied it); with size classes a warm rotation allocates nothing and
+// each request is served from its own class.
+func TestBufPoolMixedSizesSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops entries at random under the race detector")
+	}
+	sizes := [...]int{64, 16 << 10, 1 << 20}
+	var held [len(sizes)][]byte
+	round := func() {
+		for i, n := range sizes {
+			held[i] = GetBuf(n)
+			held[i][n-1] = 1
+		}
+		for _, b := range held {
+			FreeBuf(b)
+		}
+	}
+	round()
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Errorf("warm mixed-size rotation allocates %.2f times per round, want 0", avg)
+	}
+	for i, n := range sizes {
+		if cap(held[i]) >= 2*n {
+			t.Errorf("warm %d-byte request was served a %d-byte buffer", n, cap(held[i]))
+		}
+	}
 }
 
 // TestPooledSendBuffersConcurrent drives many worlds' worth of pooled sends,

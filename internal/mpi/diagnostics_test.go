@@ -227,9 +227,10 @@ func TestTracerRecordsCommLifecycle(t *testing.T) {
 }
 
 // TestStressReorderedNonblockingWithTracing floods a reordered communicator
-// with concurrent Isend/Irecv traffic while tracing and stats are enabled.
-// Its job is to fail under `go test -race` if any of the recorder, stats or
-// runtime paths share state unsafely.
+// with concurrent traffic — one sending and one receiving goroutine per peer
+// on every rank — while tracing and stats are enabled. Its job is to fail
+// under `go test -race` if any of the recorder, stats or runtime paths share
+// state unsafely.
 func TestStressReorderedNonblockingWithTracing(t *testing.T) {
 	const (
 		p     = 8
@@ -243,37 +244,36 @@ func TestStressReorderedNonblockingWithTracing(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		var reqs []*Request
-		var mu sync.Mutex
+		errs := make(chan error, 2*(p-1)) // one slot per goroutine below
 		var wg sync.WaitGroup
 		for peer := 0; peer < p; peer++ {
 			if peer == re.Rank() {
 				continue
 			}
-			wg.Add(1)
+			wg.Add(2)
 			go func(peer int) {
 				defer wg.Done()
 				for i := 0; i < msgs; i++ {
-					r := re.Irecv(peer, tagLo+i)
-					mu.Lock()
-					reqs = append(reqs, r)
-					mu.Unlock()
+					if _, err := re.Recv(peer, tagLo+i); err != nil {
+						errs <- err
+						return
+					}
 				}
 			}(peer)
-			wg.Add(1)
 			go func(peer int) {
 				defer wg.Done()
 				payload := []byte{byte(re.Rank()), byte(peer)}
 				for i := 0; i < msgs; i++ {
-					r := re.Isend(peer, tagLo+i, payload)
-					mu.Lock()
-					reqs = append(reqs, r)
-					mu.Unlock()
+					if err := re.Send(peer, tagLo+i, payload); err != nil {
+						errs <- err
+						return
+					}
 				}
 			}(peer)
 		}
 		wg.Wait()
-		return WaitAll(reqs...)
+		close(errs)
+		return <-errs // nil when no goroutine failed
 	}, WithTracer(rec), WithStats(stats), WithTimeout(30*time.Second))
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +325,8 @@ func TestStatsSizeHistogram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := stats.SizeHistogram(0, 1)
+	all := stats.PairHistograms()
+	h := all[[2]int{0, 1}]
 	want := map[int]int64{0: 1, 1: 1, 4: 2, 1024: 1}
 	if len(h) != len(want) {
 		t.Fatalf("histogram = %v, want %v", h, want)
@@ -335,19 +336,11 @@ func TestStatsSizeHistogram(t *testing.T) {
 			t.Errorf("bucket %d = %d, want %d", bucket, h[bucket], count)
 		}
 	}
-	if stats.SizeHistogram(1, 0) != nil {
-		t.Error("silent pair has a histogram")
+	if len(all) != 1 {
+		t.Errorf("silent pair has a histogram: %v", all)
 	}
 	// Copies, not views.
-	h[0] = 99
-	if stats.SizeHistogram(0, 1)[0] != 1 {
-		t.Error("SizeHistogram returned a view")
-	}
-	all := stats.PairHistograms()
-	if len(all) != 1 || all[[2]int{0, 1}][1024] != 1 {
-		t.Errorf("PairHistograms = %v", all)
-	}
-	all[[2]int{0, 1}][1024] = 99
+	h[1024] = 99
 	if stats.PairHistograms()[[2]int{0, 1}][1024] != 1 {
 		t.Error("PairHistograms returned a view")
 	}

@@ -415,3 +415,55 @@ func TestManyRanksStress(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestInfoKeys(t *testing.T) {
+	err := Run(1, func(c *Comm) error {
+		if !c.ReorderEnabled() {
+			return fmt.Errorf("reordering should default to enabled")
+		}
+		if _, ok := c.Info(InfoTopoReorder); ok {
+			return fmt.Errorf("phantom info key")
+		}
+		c.SetInfo(InfoTopoReorder, "false")
+		if c.ReorderEnabled() {
+			return fmt.Errorf("info key ignored")
+		}
+		c.SetInfo(InfoTopoReorder, "true")
+		if !c.ReorderEnabled() {
+			return fmt.Errorf("re-enable failed")
+		}
+		v, ok := c.Info(InfoTopoReorder)
+		if !ok || v != "true" {
+			return fmt.Errorf("Info() = %q, %v", v, ok)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestMembers(t *testing.T) {
+	err := Run(4, func(c *Comm) error {
+		m := c.Members()
+		if len(m) != 4 {
+			return fmt.Errorf("members = %v", m)
+		}
+		m[0] = 99 // must be a copy
+		if c.Members()[0] == 99 {
+			return fmt.Errorf("Members aliases internal state")
+		}
+		sub, err := c.Split(c.Rank()%2, c.Rank())
+		if err != nil {
+			return err
+		}
+		sm := sub.Members()
+		if len(sm) != 2 || sm[0]%2 != c.Rank()%2 {
+			return fmt.Errorf("sub members = %v", sm)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

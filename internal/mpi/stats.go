@@ -89,26 +89,10 @@ func (s *Stats) TotalBytes() int64 {
 	return n
 }
 
-// SizeHistogram returns a copy of the message-size histogram for the
-// src->dst pair: bucket upper bound (see SizeBucket) -> message count. The
-// result is nil when the pair never communicated.
-func (s *Stats) SizeHistogram(src, dst int) map[int]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h := s.hist[[2]int{src, dst}]
-	if h == nil {
-		return nil
-	}
-	out := make(map[int]int64, len(h))
-	for k, v := range h {
-		out[k] = v
-	}
-	return out
-}
-
-// PairHistograms returns a copy of every pair's message-size histogram —
-// the observed-traffic matrix that experiment CSVs cross-validate the
-// simnet model against.
+// PairHistograms returns a copy of every pair's message-size histogram
+// (bucket upper bound, see SizeBucket -> message count; pairs that never
+// communicated are absent) — the observed-traffic matrix that experiment
+// CSVs cross-validate the simnet model against.
 func (s *Stats) PairHistograms() map[[2]int]map[int]int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

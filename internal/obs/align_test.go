@@ -135,7 +135,7 @@ func TestExplainProgramMatchesProfileBins(t *testing.T) {
 			}
 		}
 		// A model-faithful profile fills exactly the non-Pre bins.
-		prof := SyntheticProfile(prog, bd, 2048)
+		prof := syntheticProfile(prog, bd, 2048)
 		if int(prof.Stages) != len(prog.Stages) {
 			t.Fatalf("%s: profile declares %d stages, want %d", prog.Name, prof.Stages, len(prog.Stages))
 		}

@@ -298,29 +298,6 @@ func (c *Calibrator) observe(prog *sched.Program, p Profile) (DriftEvent, bool) 
 	}, true
 }
 
-// SyntheticProfile builds the profile a perfectly model-faithful execution
-// of prog would produce under breakdown bd: each non-Pre pricing stage
-// contributes Seconds×Repeat to its bin. Tests use it to feed a calibrator
-// measurements taken from a differently-parameterised machine.
-func SyntheticProfile(prog *sched.Program, bd *simnet.Breakdown, blockBytes int) Profile {
-	p := Profile{
-		Program:    prog.Name,
-		P:          int32(prog.P),
-		Blocks:     int32(prog.Blocks),
-		BlockBytes: int32(blockBytes),
-		Stages:     int32(len(prog.Stages)),
-	}
-	for i, st := range bd.Stages {
-		if st.Pre {
-			continue
-		}
-		p.AddStage(i, st.Seconds*float64(st.Repeat))
-		p.Transfers += int64(st.Transfers)
-		p.Bytes += st.BytesMoved * int64(st.Repeat)
-	}
-	return p
-}
-
 // StageSkew is one pricing stage's measured-vs-predicted aggregate.
 type StageSkew struct {
 	Index     int     `json:"index"`

@@ -10,6 +10,29 @@ import (
 	"repro/internal/topology"
 )
 
+// syntheticProfile builds the profile a perfectly model-faithful execution
+// of prog would produce under breakdown bd: each non-Pre pricing stage
+// contributes Seconds×Repeat to its bin. It feeds a calibrator
+// measurements taken from a differently-parameterised machine.
+func syntheticProfile(prog *sched.Program, bd *simnet.Breakdown, blockBytes int) Profile {
+	p := Profile{
+		Program:    prog.Name,
+		P:          int32(prog.P),
+		Blocks:     int32(prog.Blocks),
+		BlockBytes: int32(blockBytes),
+		Stages:     int32(len(prog.Stages)),
+	}
+	for i, st := range bd.Stages {
+		if st.Pre {
+			continue
+		}
+		p.AddStage(i, st.Seconds*float64(st.Repeat))
+		p.Transfers += int64(st.Transfers)
+		p.Bytes += st.BytesMoved * int64(st.Repeat)
+	}
+	return p
+}
+
 // fatTree64 is the acceptance-point machine: 8 nodes x 2 sockets x 4 cores
 // under a two-level fat tree, 64 ranks, with params p.
 func fatTree64(t testing.TB, params simnet.Params) *simnet.Machine {
@@ -54,7 +77,7 @@ func TestCalibratorFaithfulModel(t *testing.T) {
 	cal := NewCalibrator(m, layout, Options{Window: 4, Band: 1.5,
 		OnDrift: func(e DriftEvent) { fired = append(fired, e) }})
 	for i := 0; i < 10; i++ {
-		cal.ObserveExecution(prog, SyntheticProfile(prog, bd, blk))
+		cal.ObserveExecution(prog, syntheticProfile(prog, bd, blk))
 	}
 	if len(fired) != 0 || cal.Drifts() != 0 {
 		t.Fatalf("faithful model fired drift %d times (%v)", len(fired), fired)
@@ -110,7 +133,7 @@ func TestCalibratorDriftOnDegradedLink(t *testing.T) {
 	cal := NewCalibrator(healthy, layout, Options{Window: 4, Band: 1.5,
 		OnDrift: func(e DriftEvent) { fired = append(fired, e) }})
 	for i := 0; i < 12; i++ {
-		cal.ObserveExecution(prog, SyntheticProfile(prog, measuredBd, blk))
+		cal.ObserveExecution(prog, syntheticProfile(prog, measuredBd, blk))
 	}
 	if len(fired) != 1 {
 		t.Fatalf("drift fired %d times, want exactly 1 (latched after firing): %+v", len(fired), fired)
@@ -156,9 +179,9 @@ func TestCalibratorDriftOnDegradedLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cal.ObserveExecution(prog, SyntheticProfile(prog, goodBd, blk))
+	cal.ObserveExecution(prog, syntheticProfile(prog, goodBd, blk))
 	for i := 0; i < 6; i++ {
-		cal.ObserveExecution(prog, SyntheticProfile(prog, measuredBd, blk))
+		cal.ObserveExecution(prog, syntheticProfile(prog, measuredBd, blk))
 	}
 	if len(fired) != 2 {
 		t.Fatalf("drift fired %d times after recovery + re-degradation, want 2", len(fired))

@@ -178,8 +178,25 @@ func TestDumpFlight(t *testing.T) {
 	}
 }
 
-// BenchmarkFlightRecord pins the record path's allocation behavior: CI
-// asserts allocs/op <= 1 from BENCH_obs.json (the path is designed for 0).
+// TestFlightRecordAllocs pins the record path's allocation behaviour: the
+// executor records one profile per sampled execution on a rank's critical
+// path, by value into the ring (the path is designed for 0 allocations).
+func TestFlightRecordAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector shadow state allocates on mutex and slice operations")
+	}
+	r := NewRecorder(1024)
+	p := mkProfile(1)
+	if avg := testing.AllocsPerRun(1000, func() {
+		p.UnixNanos++
+		r.Record(p)
+	}); avg > 1 {
+		t.Errorf("Recorder.Record allocates %.2f times per call, want at most 1", avg)
+	}
+}
+
+// BenchmarkFlightRecord times the record path TestFlightRecordAllocs counts
+// allocations on.
 func BenchmarkFlightRecord(b *testing.B) {
 	r := NewRecorder(1024)
 	p := mkProfile(1)

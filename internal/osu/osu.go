@@ -3,11 +3,12 @@
 // time the collective over a number of iterations after a warmup, and report
 // the average latency.
 //
-// Two backends are provided. The model backend prices schedules on the
-// simnet cost model — this is what regenerates the paper's 4096-process
-// figures. The runtime backend times the real goroutine MPI runtime with the
-// wall clock, usable at laptop scales to sanity-check that the collectives
-// actually run.
+// The paper's 4096-process figures are regenerated on the simnet cost model,
+// which is deterministic and needs no iteration loop (simnet.Machine.Price
+// is the OSU average); this package supplies the size sweep and improvement
+// metric those drivers share, and a runtime backend that times the real
+// goroutine MPI runtime with the wall clock, usable at laptop scales to
+// sanity-check that the collectives actually run.
 package osu
 
 import (
@@ -16,8 +17,6 @@ import (
 
 	"repro/internal/collective"
 	"repro/internal/mpi"
-	"repro/internal/sched"
-	"repro/internal/simnet"
 )
 
 // Sizes returns the OSU-style power-of-two message-size sweep from lo to hi
@@ -33,13 +32,6 @@ func Sizes(lo, hi int) []int {
 // DefaultSizes is the sweep of the paper's micro-benchmark section: 4 B to
 // 256 KB per process (256 KB being the memory-imposed cap at 4096 ranks).
 func DefaultSizes() []int { return Sizes(4, 256*1024) }
-
-// ModelLatency prices one allgather execution of schedule s under the given
-// placement and per-block message size. The cost model is deterministic, so
-// no iteration loop is needed; the value corresponds to the OSU average.
-func ModelLatency(m *simnet.Machine, s *sched.Schedule, layout []int, msgBytes int) (float64, error) {
-	return m.Price(s, layout, msgBytes)
-}
 
 // Improvement returns the percentage improvement of reordered over default
 // latency, the quantity plotted in paper Figs. 3 and 4: positive when

@@ -4,9 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/collective"
-	"repro/internal/sched"
-	"repro/internal/simnet"
-	"repro/internal/topology"
 )
 
 func TestSizes(t *testing.T) {
@@ -35,26 +32,6 @@ func TestImprovement(t *testing.T) {
 	}
 	if got := Improvement(0, 5); got != 0 {
 		t.Errorf("Improvement(0,5) = %g", got)
-	}
-}
-
-func TestModelLatency(t *testing.T) {
-	c := topology.GPC()
-	m, err := simnet.NewMachine(c, simnet.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := sched.Ring(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout := topology.MustLayout(c, 64, topology.BlockBunch)
-	v, err := ModelLatency(m, s, layout, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v <= 0 {
-		t.Errorf("latency = %g", v)
 	}
 }
 

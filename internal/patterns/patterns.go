@@ -118,18 +118,3 @@ func TreeEdges(p int, fn func(parent, child, subtreeSize int)) {
 	}
 	rec(0, span)
 }
-
-// TreeParent returns the parent of rank r (> 0) in the binomial tree rooted
-// at 0: r with its lowest set bit cleared.
-func TreeParent(r int) int { return r & (r - 1) }
-
-// TreeDepth returns the stage at which rank r receives the broadcast
-// message: the number of set bits in r.
-func TreeDepth(r int) int {
-	d := 0
-	for r != 0 {
-		r &= r - 1
-		d++
-	}
-	return d
-}

@@ -138,8 +138,10 @@ func TestTreeEdgesCoverAllRanks(t *testing.T) {
 
 func TestTreeEdgesMatchesTreeParent(t *testing.T) {
 	TreeEdges(64, func(parent, child, _ int) {
-		if TreeParent(child) != parent {
-			t.Errorf("TreeParent(%d) = %d, TreeEdges says %d", child, TreeParent(child), parent)
+		// A rank's binomial-tree parent is the rank with its lowest set
+		// bit cleared.
+		if want := child & (child - 1); want != parent {
+			t.Errorf("TreeEdges gives rank %d parent %d, want %d", child, parent, want)
 		}
 	})
 }
@@ -158,14 +160,5 @@ func TestTreeEdgesSubtreeSizesSum(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestTreeDepth(t *testing.T) {
-	cases := map[int]int{0: 0, 1: 1, 2: 1, 3: 2, 7: 3, 8: 1, 12: 2, 255: 8}
-	for r, want := range cases {
-		if got := TreeDepth(r); got != want {
-			t.Errorf("TreeDepth(%d) = %d, want %d", r, got, want)
-		}
 	}
 }

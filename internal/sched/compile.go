@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -43,17 +42,6 @@ type Program struct {
 	blockIdx    []int32
 	steps       [][]RankStep
 	execToPrice []int32
-
-	// offsets caches blockIdx scaled to byte offsets for one block size
-	// (see BlockOffsets). Programs are overwhelmingly executed at a single
-	// block size per cached instance, so a one-entry cache suffices.
-	offsets atomic.Pointer[blockOffsets]
-}
-
-// blockOffsets is one memoized BlockOffsets result.
-type blockOffsets struct {
-	blk int
-	off []int
 }
 
 // ProgStage is one stage of the pricing view.
@@ -148,25 +136,6 @@ func (p *Program) RankSteps(r int) []RankStep { return p.steps[r] }
 // not executed). The flight recorder uses this to bin measured stage times
 // against simnet.Breakdown indices. Call EnsureExecutable first.
 func (p *Program) PriceStageMap() []int32 { return p.execToPrice }
-
-// BlockOffsets returns the identity-placement byte offset of every blockIdx
-// entry for block size blk: BlockOffsets(blk)[i] == int(blockIdx[i]) * blk.
-// The executor's step loop indexes this table instead of multiplying per
-// block, keeping the loop pure index arithmetic. The result is memoized per
-// (program, blk); a different block size recomputes into a fresh slice, so
-// concurrent readers of the previous table stay valid. Call EnsureExecutable
-// first.
-func (p *Program) BlockOffsets(blk int) []int {
-	if bo := p.offsets.Load(); bo != nil && bo.blk == blk {
-		return bo.off
-	}
-	off := make([]int, len(p.blockIdx))
-	for i, b := range p.blockIdx {
-		off[i] = int(b) * blk
-	}
-	p.offsets.Store(&blockOffsets{blk: blk, off: off})
-	return off
-}
 
 // rangeBlockList resolves a Range send into its explicit block list,
 // checking possession.

@@ -362,40 +362,3 @@ func TestInitKindString(t *testing.T) {
 		}
 	}
 }
-
-func TestBlockOffsetsMatchBlockIdx(t *testing.T) {
-	s, err := Ring(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := Compile(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := prog.EnsureExecutable(); err != nil {
-		t.Fatal(err)
-	}
-	for _, blk := range []int{1, 64, 4096} {
-		off := prog.BlockOffsets(blk)
-		if len(off) != len(prog.blockIdx) {
-			t.Fatalf("blk=%d: %d offsets for %d block indices", blk, len(off), len(prog.blockIdx))
-		}
-		for i, b := range prog.blockIdx {
-			if off[i] != int(b)*blk {
-				t.Fatalf("blk=%d: off[%d] = %d, want %d", blk, i, off[i], int(b)*blk)
-			}
-		}
-		// The memoized table must be returned on a repeated request.
-		if again := prog.BlockOffsets(blk); &again[0] != &off[0] {
-			t.Errorf("blk=%d: repeated BlockOffsets recomputed", blk)
-		}
-	}
-	// Switching block sizes back must still yield correct (recomputed)
-	// offsets: the cache holds one entry, not stale data.
-	off64 := prog.BlockOffsets(64)
-	for i, b := range prog.blockIdx {
-		if off64[i] != int(b)*64 {
-			t.Fatalf("re-request blk=64: off[%d] = %d, want %d", i, off64[i], int(b)*64)
-		}
-	}
-}

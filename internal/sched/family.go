@@ -125,15 +125,6 @@ func RegisterFamily(f *Family) {
 	familiesByName[f.Name] = f
 }
 
-// FamilyByID returns the registered descriptor, or nil.
-func FamilyByID(id FamilyID) *Family { return familiesByID[id] }
-
-// FamilyByName returns the registered descriptor by stable name.
-func FamilyByName(name string) (*Family, bool) {
-	f, ok := familiesByName[name]
-	return f, ok
-}
-
 // Families returns every registered family, ascending by ID.
 func Families() []*Family {
 	out := make([]*Family, 0, len(familiesByID))

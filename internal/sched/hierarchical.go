@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"fmt"
-
-	"repro/internal/core"
-)
+import "fmt"
 
 // IntraKind selects the intra-node phases of the hierarchical allgather
 // (paper Section II): either direct linear transfers to/from the node
@@ -332,21 +328,4 @@ func Groups(layout []int, nodeOf func(core int) int) [][]int {
 		groups[gi] = append(groups[gi], r)
 	}
 	return groups
-}
-
-// HierarchicalPatterns reports which mapping-heuristic patterns the phases
-// of a hierarchical configuration expose, in (intra-gather, inter, intra-
-// broadcast) order; Linear phases expose no pattern (nil entries).
-func HierarchicalPatterns(cfg HierarchicalConfig) (intraGather, inter, intraBcast *core.Pattern) {
-	pat := func(p core.Pattern) *core.Pattern { return &p }
-	if cfg.Intra == NonLinear {
-		intraGather = pat(core.BinomialGather)
-		intraBcast = pat(core.BinomialBroadcast)
-	}
-	if cfg.Inter == InterRecursiveDoubling {
-		inter = pat(core.RecursiveDoubling)
-	} else {
-		inter = pat(core.Ring)
-	}
-	return
 }

@@ -189,26 +189,6 @@ func TestGroups(t *testing.T) {
 	}
 }
 
-func TestHierarchicalPatterns(t *testing.T) {
-	ig, inter, ib := HierarchicalPatterns(HierarchicalConfig{NonLinear, InterRecursiveDoubling})
-	if ig == nil || *ig != core.BinomialGather {
-		t.Error("non-linear gather pattern missing")
-	}
-	if inter == nil || *inter != core.RecursiveDoubling {
-		t.Error("inter pattern wrong")
-	}
-	if ib == nil || *ib != core.BinomialBroadcast {
-		t.Error("non-linear bcast pattern missing")
-	}
-	ig, inter, ib = HierarchicalPatterns(HierarchicalConfig{Linear, InterRing})
-	if ig != nil || ib != nil {
-		t.Error("linear phases should expose no pattern")
-	}
-	if inter == nil || *inter != core.Ring {
-		t.Error("ring inter pattern wrong")
-	}
-}
-
 func TestHierarchicalName(t *testing.T) {
 	s, err := Hierarchical(contiguousGroups(2, 2), HierarchicalConfig{NonLinear, InterRing})
 	if err != nil {

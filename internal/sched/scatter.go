@@ -66,14 +66,6 @@ func (s *Schedule) VerifyScatter(root int) error {
 	return nil
 }
 
-// VerifyChunkedBroadcast replays a schedule whose initial condition is a
-// root holding all chunks (the scatter-allgather broadcast) and checks that
-// every rank ends holding every chunk. It is the broadcast contract over
-// the schedule's block space.
-func (s *Schedule) VerifyChunkedBroadcast(root int) error {
-	return s.VerifyBroadcast(root)
-}
-
 // ScatterAllgatherBroadcast composes the large-message broadcast schedule:
 // binomial scatter of the p-chunk message followed by a ring allgather of
 // the chunks. Each transfer's block unit is one chunk (message size / p).

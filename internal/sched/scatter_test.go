@@ -79,7 +79,7 @@ func TestScatterAllgatherBroadcastVerifies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
-		if err := s.VerifyChunkedBroadcast(0); err != nil {
+		if err := s.VerifyBroadcast(0); err != nil {
 			t.Errorf("p=%d: %v", p, err)
 		}
 	}

@@ -214,19 +214,6 @@ func (s *Schedule) Validate() error {
 	return check(s.Stages, "main")
 }
 
-// NumStages returns the total number of executed stages including repeats
-// (Pre included).
-func (s *Schedule) NumStages() int {
-	n := 0
-	for i := range s.Pre {
-		n += s.Pre[i].Repeats()
-	}
-	for i := range s.Stages {
-		n += s.Stages[i].Repeats()
-	}
-	return n
-}
-
 // TotalBlocksMoved returns the total number of block transmissions of the
 // main schedule — the traffic volume in units of the per-process message.
 func (s *Schedule) TotalBlocksMoved() int64 {

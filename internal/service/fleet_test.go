@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/store"
 	"repro/internal/synth"
 )
@@ -46,10 +47,28 @@ func TestBatchMatchesSequential(t *testing.T) {
 		}
 	}
 
+	// The amortisation a batch exists for, as counts rather than a wall-clock
+	// ratio: the four items share one topoEnv, so each oracle heuristic runs
+	// once for the whole batch (the sequential service above ran it once per
+	// request that raced it).
+	mappings := metrics.NewCounterVec("heuristic_mappings_total", "", "heuristic")
+	runs := func() map[string]uint64 {
+		out := make(map[string]uint64, len(autoCandidates))
+		for _, h := range autoCandidates {
+			out[h] = mappings.With("heuristic", h).Value()
+		}
+		return out
+	}
+	before := runs()
 	bat := newTestService(t)
 	got, err := bat.ComputeBatch(context.Background(), breq)
 	if err != nil {
 		t.Fatalf("ComputeBatch: %v", err)
+	}
+	for h, n := range runs() {
+		if n-before[h] != 1 {
+			t.Errorf("a %d-pattern batch ran %s %d times, want once on the shared environment", len(breq.Patterns), h, n-before[h])
+		}
 	}
 	if len(got.Responses) != len(breq.Patterns) {
 		t.Fatalf("got %d responses, want %d", len(got.Responses), len(breq.Patterns))

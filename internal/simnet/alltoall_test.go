@@ -151,10 +151,10 @@ func fatTreeMachine(t testing.TB, p int) *Machine {
 
 // BenchmarkAlltoall prices the three all-to-all schedules on tori and fat
 // trees at p in {64, 256, 1024} and reports the modelled collective time as
-// the modeled_s metric — the rows BENCH_alltoall.json archives. The per-pair
-// payload is 1 KiB, the small-message regime all-to-alls overwhelmingly run
-// in; the CI assert reads the Torus/64 entries, where torus-rr must price
-// strictly below pairwise and Bruck.
+// the modeled_s metric. The per-pair payload is 1 KiB, the small-message
+// regime all-to-alls overwhelmingly run in;
+// TestTorusRRBeatsFatTreeHeuristicSchedules asserts the Torus/64 ordering,
+// where torus-rr must price strictly below pairwise and Bruck.
 func BenchmarkAlltoall(b *testing.B) {
 	const perPair = 1024
 	type torusShape struct{ x, y, z int }

@@ -250,8 +250,8 @@ func TestPriceStageAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkPriceProgram is the scaling benchmark behind BENCH_simnet.json:
-// a full ring pricing at three process counts, allocs reported. The p=65536
+// BenchmarkPriceProgram is the cost model's scaling benchmark: a full ring
+// pricing at three process counts, allocs reported. The p=65536
 // machine matches the acceptance test above.
 func BenchmarkPriceProgram(b *testing.B) {
 	cases := []struct {

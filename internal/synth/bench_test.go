@@ -55,7 +55,7 @@ func benchMachine(b *testing.B, topo string, p int) *simnet.Machine {
 // BenchmarkSynthSearch runs one full allgather search per iteration across
 // the benchmark topology matrix, reporting search throughput as
 // candidates/s (priced plus pruned per wall-clock second) and the size of
-// the emitted pareto front. CI publishes these via BENCH_synth.json.
+// the emitted pareto front.
 func BenchmarkSynthSearch(b *testing.B) {
 	for _, topo := range []string{"fattree", "torus"} {
 		for _, p := range []int{64, 256, 1024} {

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -279,13 +280,20 @@ func (s *searcher) evaluate(r Recipe, prune bool) (*Candidate, error) {
 			return nil, nil
 		}
 	}
-	price, err := s.m.Price(sch, s.layout, blockBytes)
+	// One contention profile prices both ends of the pareto front: the
+	// candidate was just deduplicated by fingerprint, so a compile-cache
+	// lookup here could only ever miss.
+	prof, err := s.m.ProfileSchedule(context.Background(), sch, s.layout)
+	var price float64
+	if err == nil {
+		price, err = prof.Price(blockBytes)
+	}
 	if err != nil {
 		s.prunedShape++
 		synthPrunedShape.Inc()
 		return nil, err
 	}
-	lat, err := s.m.Price(sch, s.layout, 1)
+	lat, err := prof.Price(1)
 	if err != nil {
 		return nil, err
 	}

@@ -237,35 +237,58 @@ func TestSearchAllreduceVerifyGate(t *testing.T) {
 	}
 }
 
-// TestEmittedSchedulesRoundTripCache is the satellite property test: every
-// schedule the searcher emits re-materialises from its recipe to the same
-// fingerprint, and compiling that re-materialisation is a pure cache hit —
-// the front door never re-pays compilation for a schedule the search priced.
-func TestEmittedSchedulesRoundTripCache(t *testing.T) {
-	m := fatTree64(t)
-	res, err := Search(m, nil, Allgather, 64, 2048, Options{})
+// TestEvaluatePricesMatchMachinePrice pins the searcher's one-profile
+// pricing to the model's front door: for every candidate a fat-tree and a
+// torus search emit, both prices read off the candidate's contention profile
+// equal Machine.Price of the same schedule bit for bit, and the recipe
+// re-materialises to the fingerprint the search recorded (what a persisted
+// table entry is checked against).
+func TestEvaluatePricesMatchMachinePrice(t *testing.T) {
+	torus, err := topology.NewCluster(64, 1, 1, topology.NewTorus3D(8, 8, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	emitted := append([]*Candidate{res.Best, res.Baseline}, res.Pareto...)
-	for _, c := range emitted {
-		re, err := c.Recipe.Materialize(Allgather, 64)
+	torusM, err := simnet.NewMachine(torus, simnet.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		m       *simnet.Machine
+		f       Family
+		payload int
+	}{
+		{"fattree/allgather", fatTree64(t), Allgather, 2048},
+		{"fattree/allreduce", fatTree64(t), Allreduce, 64 * 512},
+		{"torus/alltoall", torusM, Alltoall, 64 * 1024},
+	} {
+		const p = 64
+		res, err := Search(tc.m, nil, tc.f, p, tc.payload, Options{})
 		if err != nil {
-			t.Fatalf("re-materialise %s: %v", c.Recipe, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if fp := sched.Fingerprint(re); fp != c.Fingerprint {
-			t.Fatalf("%s: re-materialised fingerprint %s != emitted %s", c.Recipe, fp, c.Fingerprint)
+		layout := make([]int, p)
+		for r := range layout {
+			layout[r] = r
 		}
-		h0, m0 := sched.CompileCacheCounters()
-		if _, err := sched.CompileCached(re); err != nil {
-			t.Fatalf("CompileCached %s: %v", c.Recipe, err)
-		}
-		h1, m1 := sched.CompileCacheCounters()
-		if m1 != m0 {
-			t.Errorf("%s: compile was a cache miss, search result not reusable", c.Recipe)
-		}
-		if h1 != h0+1 {
-			t.Errorf("%s: expected exactly one cache hit, got %d", c.Recipe, h1-h0)
+		for _, c := range append([]*Candidate{res.Best, res.Baseline}, res.Pareto...) {
+			blockBytes, err := tc.f.BlockBytes(c.Schedule, tc.payload)
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, c.Recipe, err)
+			}
+			if want, err := tc.m.Price(c.Schedule, layout, blockBytes); err != nil || c.Price != want {
+				t.Errorf("%s %s: Price %v, Machine.Price %v (err %v)", tc.name, c.Recipe, c.Price, want, err)
+			}
+			if want, err := tc.m.Price(c.Schedule, layout, 1); err != nil || c.LatPrice != want {
+				t.Errorf("%s %s: LatPrice %v, Machine.Price at 1 byte %v (err %v)", tc.name, c.Recipe, c.LatPrice, want, err)
+			}
+			re, err := c.Recipe.Materialize(tc.f, p)
+			if err != nil {
+				t.Fatalf("%s: re-materialise %s: %v", tc.name, c.Recipe, err)
+			}
+			if fp := sched.Fingerprint(re); fp != c.Fingerprint {
+				t.Errorf("%s %s: re-materialised fingerprint %s != emitted %s", tc.name, c.Recipe, fp, c.Fingerprint)
+			}
 		}
 	}
 }

@@ -86,6 +86,8 @@ func (s *Selector) Program(f Family, p, payloadBytes int) (*sched.Program, bool)
 // materializeEntry rebuilds and compiles a table entry, refusing it when the
 // rebuilt schedule's fingerprint differs from the one the search recorded —
 // the recipe vocabulary or a builder changed since the table was written.
+// The Selector's per-(family, p, bucket) memo is the compiled program's only
+// cache.
 func materializeEntry(f Family, p int, e *Entry) (*sched.Program, error) {
 	sch, err := e.Recipe.Materialize(f, p)
 	if err != nil {
@@ -95,5 +97,5 @@ func materializeEntry(f Family, p int, e *Entry) (*sched.Program, error) {
 		return nil, fmt.Errorf("synth: table entry %s/p=%d/b=%d: recipe %s rebuilds fingerprint %s, table recorded %s",
 			e.Family, e.P, e.SizeBucket, e.Recipe, fp, e.Schedule)
 	}
-	return sched.CompileCached(sch)
+	return sched.Compile(sch)
 }

@@ -13,9 +13,10 @@
 // materialisation (swap or merge adjacent stages, split a wide stage in two,
 // swap intra/inter kinds, vary the hierarchical radix or chunk count).
 // Candidates that fail their family's Verify contract are pruned and
-// counted; survivors are priced with simnet.PriceProgram through
-// sched.CompileCached, with a cheap admissible lower bound pruning
-// candidates that cannot beat the incumbent. The result is a pareto front
+// counted; each survivor is priced from one simnet contention profile
+// (Machine.ProfileSchedule: no compile, no hash, exact at every size), with a
+// cheap admissible lower bound pruning candidates that cannot beat the
+// incumbent. The result is a pareto front
 // over (latency price, bandwidth price) and a single winner per (topology
 // fingerprint, family, rank count, size bucket) that lands in a Table the
 // front-door selection in package collective consults before falling back to

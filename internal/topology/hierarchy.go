@@ -209,10 +209,6 @@ func (h *Hierarchy) At(i, j int) int32 {
 // Levels returns the number of hierarchy levels.
 func (h *Hierarchy) Levels() int { return len(h.dists) }
 
-// LevelDistance returns the distance of slot pairs whose finest shared
-// level is l.
-func (h *Hierarchy) LevelDistance(l int) int32 { return h.dists[l] }
-
 // UnitCount returns the number of distinct units at level l.
 func (h *Hierarchy) UnitCount(l int) int { return int(h.units[l]) }
 

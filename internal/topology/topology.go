@@ -78,9 +78,6 @@ func (c *Cluster) CoreAt(node, socket, core int) int {
 	return node*c.CoresPerNode() + socket*c.CoresPerSocket + core
 }
 
-// SameNode reports whether two global core indices share a node.
-func (c *Cluster) SameNode(a, b int) bool { return c.NodeOf(a) == c.NodeOf(b) }
-
 // SameSocket reports whether two global core indices share a socket.
 func (c *Cluster) SameSocket(a, b int) bool { return c.SocketOf(a) == c.SocketOf(b) }
 

@@ -78,8 +78,8 @@ func TestSameNodeSameSocket(t *testing.T) {
 	if !c.SameSocket(0, 3) || c.SameSocket(3, 4) {
 		t.Error("SameSocket misclassifies socket boundary")
 	}
-	if !c.SameNode(0, 7) || c.SameNode(7, 8) {
-		t.Error("SameNode misclassifies node boundary")
+	if c.NodeOf(0) != c.NodeOf(7) || c.NodeOf(7) == c.NodeOf(8) {
+		t.Error("NodeOf misclassifies node boundary")
 	}
 }
 

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -279,29 +280,19 @@ func (p *ReorderPlan) profiles(m *Machine) (def, reordered *simnet.PriceProfile,
 	if err != nil {
 		return nil, nil, err
 	}
-	if def, err = profileOf(m, s, p.Layout); err != nil {
+	if def, err = m.ProfileSchedule(context.Background(), s, p.Layout); err != nil {
 		return nil, nil, err
 	}
 	withFix, err := sched.WithOrderPreservation(s, p.Mapping, sched.InitComm)
 	if err != nil {
 		return nil, nil, err
 	}
-	if reordered, err = profileOf(m, withFix, p.ReorderedLayout); err != nil {
+	if reordered, err = m.ProfileSchedule(context.Background(), withFix, p.ReorderedLayout); err != nil {
 		return nil, nil, err
 	}
 	p.profCluster, p.profParams = m.Cluster, m.Params
 	p.defProf, p.reorderProf = def, reordered
 	return def, reordered, nil
-}
-
-// profileOf compiles s (through the process-wide cache) and aggregates its
-// contention under layout on m.
-func profileOf(m *Machine, s *sched.Schedule, layout []int) (*simnet.PriceProfile, error) {
-	prog, err := sched.CompileCached(s)
-	if err != nil {
-		return nil, err
-	}
-	return m.Profile(prog, layout)
 }
 
 // Runtime re-exports: the goroutine MPI-like runtime.
