@@ -21,10 +21,9 @@ type BatchPattern struct {
 }
 
 // BatchRequest maps N patterns against one topology in a single call
-// (POST /map with a "patterns" array). The topology is materialised once —
-// cluster wiring, layout, distance oracle and priced machine are shared —
-// and the patterns fan out through the worker pool, so a cold batch costs
-// one topology build plus N heuristic runs instead of N of everything.
+// (POST /map with a "patterns" array). The patterns share one topology
+// context — cluster wiring, layout, distance oracle, priced machine, one
+// mapping per oracle heuristic — and fan out through the worker pool.
 type BatchRequest struct {
 	Topology TopologySpec   `json:"topology"`
 	Procs    int            `json:"procs,omitempty"`
@@ -74,15 +73,14 @@ func (b *BatchRequest) itemRequest(i int) *Request {
 	return req
 }
 
-// ComputeBatch answers a batch request. Compilation shares one topology
-// base; computation shares one lazily-built topology environment (distance
-// oracle + priced machine); each pattern then runs the same per-request
-// pipeline as Compute — cache, store, single-flight, worker pool — and
-// counts on the same per-request metrics. Patterns owned by peer shards
-// are grouped and forwarded as sub-batches. An invalid pattern fails the
-// whole batch (the response array would otherwise silently change
-// meaning); a deadline degrades per item, and admission control (-shed)
-// admits or sheds the batch's local computations as one.
+// ComputeBatch answers a batch request. Every pattern compiles against the
+// batch's one topology context, which is all the patterns share, and then
+// runs the same per-request pipeline as Compute — cache, store, single-flight,
+// worker pool — counting on the same per-request metrics. Patterns owned by
+// peer shards are grouped and forwarded as sub-batches. An invalid pattern
+// fails the whole batch (the response array would otherwise silently change
+// meaning); a deadline degrades per item, and admission control (-shed) admits
+// or sheds the batch's local computations as one.
 func (s *Service) ComputeBatch(ctx context.Context, breq *BatchRequest) (*BatchResponse, error) {
 	startAll := time.Now()
 	n := len(breq.Patterns)
@@ -92,7 +90,7 @@ func (s *Service) ComputeBatch(ctx context.Context, breq *BatchRequest) (*BatchR
 	if n > MaxBatchPatterns {
 		return nil, fmt.Errorf("service: batch of %d patterns exceeds %d", n, MaxBatchPatterns)
 	}
-	base, err := s.compileBase(&breq.Topology, breq.Procs, breq.Layout)
+	tc, err := s.contexts.get(&breq.Topology, breq.Procs, breq.Layout)
 	if err != nil {
 		return nil, err
 	}
@@ -100,34 +98,13 @@ func (s *Service) ComputeBatch(ctx context.Context, breq *BatchRequest) (*BatchR
 	items := make([]*compiled, n)
 	for i := range breq.Patterns {
 		reqs[i] = breq.itemRequest(i)
-		c, err := s.compileWith(base, reqs[i])
+		c, err := compileWith(tc, reqs[i])
 		if err != nil {
 			return nil, fmt.Errorf("patterns[%d]: %w", i, err)
 		}
 		items[i] = c
 	}
 	s.stats.batch(n)
-
-	// The shared environment builds once, on the first pattern that
-	// actually computes — a fully cache-warm batch never builds it. A
-	// named-pattern representative is preferred so the machine exists for
-	// every item that prices.
-	rep := items[0]
-	for _, c := range items {
-		if c.graph == nil {
-			rep = c
-			break
-		}
-	}
-	var (
-		envOnce   sync.Once
-		sharedEnv *topoEnv
-		envErr    error
-	)
-	envFn := func() (*topoEnv, error) {
-		envOnce.Do(func() { sharedEnv, envErr = s.buildEnv(rep) })
-		return sharedEnv, envErr
-	}
 
 	// Partition by ring owner: local patterns fan out through the pool,
 	// remote patterns are grouped into one sub-batch per owning peer.
@@ -153,7 +130,7 @@ func (s *Service) ComputeBatch(ctx context.Context, breq *BatchRequest) (*BatchR
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			responses[i], errs[i] = s.serveItem(ctx, reqs[i], items[i], envFn)
+			responses[i], errs[i] = s.serveItem(ctx, reqs[i], items[i], time.Now())
 		}(i)
 	}
 	for owner, idxs := range remote {
@@ -176,20 +153,6 @@ func (s *Service) ComputeBatch(ctx context.Context, breq *BatchRequest) (*BatchR
 	}, nil
 }
 
-// serveItem is one pattern's request-counted trip through serve.
-func (s *Service) serveItem(ctx context.Context, req *Request, c *compiled, envFn func() (*topoEnv, error)) (*Response, error) {
-	start := time.Now()
-	s.stats.begin()
-	outcome := outcomeError
-	defer func() { s.stats.end(start, outcome) }()
-	resp, err := s.serve(ctx, req, c, envFn, start)
-	if err != nil {
-		return nil, err
-	}
-	outcome = outcomeFor(resp)
-	return resp, nil
-}
-
 // serveRemoteGroup answers the batch patterns owned by one peer: cache and
 // store first, then a single forwarded sub-batch for the flight leaders
 // among the rest. Followers (duplicate keys already in flight, locally or
@@ -197,17 +160,7 @@ func (s *Service) serveItem(ctx context.Context, req *Request, c *compiled, envF
 // flight holds across the hop. A failed forward degrades every leader to
 // the identity mapping; it never fails the batch.
 func (s *Service) serveRemoteGroup(ctx context.Context, owner string, breq *BatchRequest, items []*compiled, idxs []int, responses []*Response) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	timeout := time.Duration(breq.TimeoutMillis) * time.Millisecond
-	if timeout == 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+	ctx, cancel := s.budget(ctx, time.Duration(breq.TimeoutMillis)*time.Millisecond)
 	defer cancel()
 
 	finish := func(i int, start time.Time, resp *Response, cached bool) {
@@ -216,18 +169,18 @@ func (s *Service) serveRemoteGroup(ctx context.Context, owner string, breq *Batc
 	}
 
 	var leaders []int
-	calls := make(map[int]*flightCall)
+	calls := make(map[int]*onceSlot[*Response])
 	var wait sync.WaitGroup
 	for _, i := range idxs {
 		start := time.Now()
 		s.stats.begin()
 		c := items[i]
 		if resp, ok := s.cache.get(c.key); ok {
-			s.stats.hit()
+			s.stats.cacheHits.Inc()
 			finish(i, start, resp, true)
 			continue
 		}
-		s.stats.miss()
+		s.stats.cacheMisses.Inc()
 		if resp, ok := s.storeGet(c.key); ok {
 			s.cache.put(c.key, resp)
 			finish(i, start, resp, true)
@@ -235,17 +188,17 @@ func (s *Service) serveRemoteGroup(ctx context.Context, owner string, breq *Batc
 		}
 		call, leader := s.flight.join(c.key)
 		if !leader {
-			s.stats.shared()
+			s.stats.flightShared.Inc()
 			wait.Add(1)
-			go func(i int, start time.Time, call *flightCall) {
+			go func(i int, start time.Time, call *onceSlot[*Response]) {
 				defer wait.Done()
 				select {
 				case <-call.done:
-					if call.err != nil || call.resp == nil {
+					if call.err != nil || call.val == nil {
 						finish(i, start, degradedResponse(items[i]), false)
 						return
 					}
-					finish(i, start, call.resp, false)
+					finish(i, start, call.val, false)
 				case <-ctx.Done():
 					finish(i, start, degradedResponse(items[i]), false)
 				}
@@ -287,7 +240,7 @@ func (s *Service) serveRemoteGroup(ctx context.Context, owner string, breq *Batc
 			if !resp.Degraded {
 				s.cache.put(items[i].key, resp)
 			}
-			s.flight.complete(items[i].key, calls[i], resp, nil)
+			s.flight.retire(items[i].key, calls[i], resp, nil)
 			finish(i, start, resp, false)
 		}
 	}

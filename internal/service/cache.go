@@ -21,9 +21,9 @@ type resultCache struct {
 	order    *list.List // front = most recently used; values are *cacheEntry
 	entries  map[string]*list.Element
 
-	evictions  *metrics.Counter // may be nil in direct-construction tests
-	size       *metrics.Gauge   // may be nil in direct-construction tests
-	bytesGauge *metrics.Gauge   // may be nil in direct-construction tests
+	evictions  *metrics.Counter
+	size       *metrics.Gauge
+	bytesGauge *metrics.Gauge
 }
 
 type cacheEntry struct {
@@ -102,70 +102,14 @@ func (c *resultCache) put(key string, resp *Response) {
 		c.order.Remove(oldest)
 		delete(c.entries, e.key)
 		c.bytes -= e.bytes
-		if c.evictions != nil {
-			c.evictions.Inc()
-		}
+		c.evictions.Inc()
 	}
-	if c.size != nil {
-		c.size.Set(int64(len(c.entries)))
-	}
-	if c.bytesGauge != nil {
-		c.bytesGauge.Set(c.bytes)
-	}
+	c.size.Set(int64(len(c.entries)))
+	c.bytesGauge.Set(c.bytes)
 }
 
 func (c *resultCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// bytesHeld reports the approximate heap bytes currently cached.
-func (c *resultCache) bytesHeld() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
-// flightGroup deduplicates concurrent computations of the same key
-// (single-flight): the first caller becomes the leader and computes; later
-// callers block on the leader's completion (or their own deadline) and
-// share its result.
-type flightGroup struct {
-	mu    sync.Mutex
-	calls map[string]*flightCall
-}
-
-type flightCall struct {
-	done chan struct{} // closed when resp/err are set
-	resp *Response
-	err  error
-}
-
-func newFlightGroup() *flightGroup {
-	return &flightGroup{calls: make(map[string]*flightCall)}
-}
-
-// join returns the in-flight call for key, creating it when absent. leader
-// reports whether the caller must perform the computation and complete()
-// the call.
-func (g *flightGroup) join(key string) (call *flightCall, leader bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if call, ok := g.calls[key]; ok {
-		return call, false
-	}
-	call = &flightCall{done: make(chan struct{})}
-	g.calls[key] = call
-	return call, true
-}
-
-// complete publishes the leader's result to every waiter and retires the
-// key so the next request consults the cache afresh.
-func (g *flightGroup) complete(key string, call *flightCall, resp *Response, err error) {
-	g.mu.Lock()
-	delete(g.calls, key)
-	g.mu.Unlock()
-	call.resp, call.err = resp, err
-	close(call.done)
 }

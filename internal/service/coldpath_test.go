@@ -27,8 +27,9 @@ func TestComputeSingleSizeDeadlineDegrades(t *testing.T) {
 		Nodes: 128, SocketsPerNode: 2, CoresPerSocket: 4,
 		Network: &NetworkSpec{Kind: "fattree", Leaves: 8, NodesPerLeaf: 16, Uplinks: 8},
 	}
-	// Warm the topology-fingerprint memo so the budget is spent in the
-	// computation, as it is for every request after a daemon's first.
+	// Build the topology context (its fingerprint) first so the budget is
+	// spent in the computation, as it is for every request after a daemon's
+	// first.
 	if _, err := s.Compute(context.Background(), &Request{
 		Topology: topo, Pattern: PatternSpec{Name: "ring"}, Sizes: []int{8}, TimeoutMillis: 1,
 	}); err != nil {
@@ -97,9 +98,10 @@ func TestComputeDoesNotTouchCompileCache(t *testing.T) {
 	}
 }
 
-// TestScheduleBuiltOncePerEnv drives one shared environment the way a batch
-// does — concurrent "auto" computations of one pattern — and asserts through
-// the env's own memo that the schedule was built exactly once: one memo
+// TestScheduleBuiltOncePerEnv drives one topology context the way a batch, or
+// a burst of unrelated requests, does — concurrent "auto" computations of one
+// pattern — and asserts through the context's own memo that the schedule was
+// built exactly once: one memo
 // entry, every reader handed the same instance, and that instance still
 // structurally what the registry builds (profiling and order preservation
 // read it, never write it). Run under -race -count=10 in CI.
@@ -112,10 +114,7 @@ func TestScheduleBuiltOncePerEnv(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	env, err := s.buildEnv(c)
-	if err != nil {
-		t.Fatalf("buildEnv: %v", err)
-	}
+	env := c.tc
 	const workers = 8
 	seen := make([]*sched.Schedule, workers)
 	var wg sync.WaitGroup
@@ -123,19 +122,19 @@ func TestScheduleBuiltOncePerEnv(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			resp, err := s.run(context.Background(), c, func() (*topoEnv, error) { return env, nil }, func(string) {})
+			resp, err := s.run(context.Background(), c, func(string) {})
 			if err != nil || resp.Degraded || resp.Schedule != "recursive-doubling" || len(resp.Results) != 3 {
 				t.Errorf("worker %d: resp=%+v err=%v", g, resp, err)
 				return
 			}
-			if seen[g], err = env.scheduleFor(c.pattern, c.procs); err != nil {
+			if seen[g], err = env.scheduleFor(context.Background(), c.pattern); err != nil {
 				t.Errorf("worker %d: scheduleFor: %v", g, err)
 			}
 		}(g)
 	}
 	wg.Wait()
 	if n := len(env.scheds.m); n != 1 {
-		t.Fatalf("env memoised %d schedules for one pattern", n)
+		t.Fatalf("context memoised %d schedules for one pattern", n)
 	}
 	for g := 1; g < workers; g++ {
 		if seen[g] != seen[0] {
@@ -150,6 +149,6 @@ func TestScheduleBuiltOncePerEnv(t *testing.T) {
 		t.Error("the shared schedule no longer matches a fresh build: a reader modified it")
 	}
 	if n := len(env.baseProfs.m); n != 1 {
-		t.Errorf("env holds %d base profiles for one pattern", n)
+		t.Errorf("context holds %d base profiles for one pattern", n)
 	}
 }

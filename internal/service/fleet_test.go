@@ -48,9 +48,10 @@ func TestBatchMatchesSequential(t *testing.T) {
 	}
 
 	// The amortisation a batch exists for, as counts rather than a wall-clock
-	// ratio: the four items share one topoEnv, so each oracle heuristic runs
-	// once for the whole batch (the sequential service above ran it once per
-	// request that raced it).
+	// ratio: the four items share one topology context, so each oracle
+	// heuristic runs once for the whole batch (as it did on the sequential
+	// service above, whose four requests found the context the first one
+	// left in the table).
 	mappings := metrics.NewCounterVec("heuristic_mappings_total", "", "heuristic")
 	runs := func() map[string]uint64 {
 		out := make(map[string]uint64, len(autoCandidates))
@@ -67,7 +68,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 	}
 	for h, n := range runs() {
 		if n-before[h] != 1 {
-			t.Errorf("a %d-pattern batch ran %s %d times, want once on the shared environment", len(breq.Patterns), h, n-before[h])
+			t.Errorf("a %d-pattern batch ran %s %d times, want once on the shared context", len(breq.Patterns), h, n-before[h])
 		}
 	}
 	if len(got.Responses) != len(breq.Patterns) {

@@ -72,27 +72,32 @@ func rowOf(name string, resp *Response) goldenRow {
 	}
 }
 
-// goldenRows computes the whole table on a fresh service: every bench
-// topology x pattern x layout as a cold single (all-to-all only where
-// p <= 256, as in the benchmark), an "auto" race per topology for two
-// patterns, and one batch of four per topology.
-func goldenRows(t *testing.T) []goldenRow {
+// goldenRows computes the whole table on s: every bench topology x pattern x
+// layout as a cold single (all-to-all only where p <= 256, as in the
+// benchmark), an "auto" race per topology for two patterns, and one batch of
+// four per topology. The requests are issued in table order, or last first
+// when reverse is set; the rows always come back in table order.
+func goldenRows(t *testing.T, s *Service, reverse bool) []goldenRow {
 	t.Helper()
-	s := New(Config{Workers: 4, CacheEntries: 4096})
-	defer s.Close()
 	ctx := context.Background()
 	var rows []goldenRow
+	var jobs []func()
 	single := func(name string, req *Request) {
-		resp, err := s.Compute(ctx, req)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if resp.Cached || resp.Degraded {
-			t.Fatalf("%s: not a cold compute (cached=%v degraded=%v)", name, resp.Cached, resp.Degraded)
-		}
-		rows = append(rows, rowOf(name, resp))
+		at := len(rows)
+		rows = append(rows, goldenRow{})
+		jobs = append(jobs, func() {
+			resp, err := s.Compute(ctx, req)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if resp.Cached || resp.Degraded {
+				t.Fatalf("%s: not a cold compute (cached=%v degraded=%v)", name, resp.Cached, resp.Degraded)
+			}
+			rows[at] = rowOf(name, resp)
+		})
 	}
 	for _, topo := range goldenTopologies {
+		topo := topo
 		for _, pat := range goldenPatterns {
 			if pat == "alltoall" && topo.cores > 256 {
 				continue
@@ -115,42 +120,33 @@ func goldenRows(t *testing.T) []goldenRow {
 		for _, pat := range goldenPatterns[:4] {
 			breq.Patterns = append(breq.Patterns, BatchPattern{Name: pat})
 		}
-		bresp, err := s.ComputeBatch(ctx, breq)
-		if err != nil {
-			t.Fatalf("%s/batch4: %v", topo.name, err)
-		}
-		for i, resp := range bresp.Responses {
-			if resp.Degraded {
-				t.Fatalf("%s/batch4[%d]: degraded", topo.name, i)
+		at := len(rows)
+		rows = append(rows, make([]goldenRow, len(breq.Patterns))...)
+		jobs = append(jobs, func() {
+			bresp, err := s.ComputeBatch(ctx, breq)
+			if err != nil {
+				t.Fatalf("%s/batch4: %v", topo.name, err)
 			}
-			rows = append(rows, rowOf(fmt.Sprintf("%s/batch4/%s", topo.name, goldenPatterns[i]), resp))
+			for i, resp := range bresp.Responses {
+				if resp.Cached || resp.Degraded {
+					t.Fatalf("%s/batch4[%d]: not a cold compute (cached=%v degraded=%v)", topo.name, i, resp.Cached, resp.Degraded)
+				}
+				rows[at+i] = rowOf(fmt.Sprintf("%s/batch4/%s", topo.name, goldenPatterns[i]), resp)
+			}
+		})
+	}
+	for i := range jobs {
+		if reverse {
+			i = len(jobs) - 1 - i
 		}
+		jobs[i]()
 	}
 	return rows
 }
 
-// TestColdPathGolden pins the cold compute path end to end: mapping,
-// winning heuristic, priced schedule and every modelled latency must equal
-// the table generated before the path was restructured.
-func TestColdPathGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("computes ~180 cold requests up to p=4096")
-	}
-	got := goldenRows(t)
-	if *updateGolden {
-		blob, err := json.MarshalIndent(got, "", " ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenPath, append(blob, '\n'), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d rows to %s", len(got), goldenPath)
-		return
-	}
+// readGolden loads the checked-in table.
+func readGolden(t *testing.T) []goldenRow {
+	t.Helper()
 	blob, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatal(err)
@@ -159,6 +155,12 @@ func TestColdPathGolden(t *testing.T) {
 	if err := json.Unmarshal(blob, &want); err != nil {
 		t.Fatal(err)
 	}
+	return want
+}
+
+// checkGolden requires got to equal the table row for row, floats with ==.
+func checkGolden(t *testing.T, got, want []goldenRow) {
+	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("computed %d rows, golden table has %d", len(got), len(want))
 	}
@@ -180,5 +182,64 @@ func TestColdPathGolden(t *testing.T) {
 				t.Errorf("%s: size row %d = %+v, want %+v", w.Case, j, g.Results[j], w.Results[j])
 			}
 		}
+	}
+}
+
+// TestColdPathGolden pins the cold compute path end to end: mapping,
+// winning heuristic, priced schedule and every modelled latency must equal
+// the table generated before the path was restructured.
+func TestColdPathGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("computes ~180 cold requests up to p=4096")
+	}
+	s := New(Config{Workers: 4, CacheEntries: 4096})
+	defer s.Close()
+	got := goldenRows(t, s, false)
+	if *updateGolden {
+		blob, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(blob, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d rows to %s", len(got), goldenPath)
+		return
+	}
+	checkGolden(t, got, readGolden(t))
+}
+
+// TestWarmContextGolden: a warm topology context may never change an answer.
+// The table is computed three times on one service — cold, again on the
+// contexts the first pass left behind, and once more last request first —
+// with a one-entry result cache, so that every row is recomputed, and each
+// pass must equal the checked-in table exactly.
+func TestWarmContextGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("computes ~540 requests up to p=4096")
+	}
+	s := New(Config{Workers: 4, CacheEntries: 1})
+	defer s.Close()
+	want := readGolden(t)
+	for pass, reverse := range []bool{false, false, true} {
+		checkGolden(t, goldenRows(t, s, reverse), want)
+		if t.Failed() {
+			t.Fatalf("pass %d (reverse=%v) differs from the golden table", pass, reverse)
+		}
+		// The reversed pass opens with the request the pass before it closed
+		// with; put another key in the one-entry result cache between them.
+		if _, err := s.Compute(context.Background(), &Request{
+			Topology: smallTopo(), Pattern: PatternSpec{Name: "ring"}, Sizes: []int{pass + 1},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.Stats()
+	if st.CacheHits != 0 || st.ContextHits == 0 || st.ContextEvictions != 0 {
+		t.Errorf("cache hits %d, context hits %d, context evictions %d: the warm passes did not recompute on held contexts",
+			st.CacheHits, st.ContextHits, st.ContextEvictions)
 	}
 }

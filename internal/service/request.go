@@ -5,8 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -143,10 +141,8 @@ var defaultSizes = []int{1024, 65536}
 // compiled is the canonical, validated form of a Request: everything the
 // compute path needs, plus the content-addressed cache key.
 type compiled struct {
-	cluster   *topology.Cluster
+	tc        *topoContext // cluster, layout and everything built on them
 	procs     int
-	layout    []int
-	kind      topology.LayoutKind
 	pattern   core.Pattern // valid when graph == nil
 	graph     *graph.Graph // non-nil for explicit-graph requests
 	selector  string       // canonical heuristic selector
@@ -160,18 +156,6 @@ type compiled struct {
 	// the whole batch this item belongs to; nil asks leaderServe to test the
 	// queue itself.
 	shed *bool
-}
-
-// compiledBase is the topology-dependent prefix of compilation, shared by
-// every pattern of a batch: the materialised cluster, the resolved process
-// count and the layout. Building it once per batch is what amortises the
-// cluster wiring and layout work that dominates cold single requests.
-type compiledBase struct {
-	spec    TopologySpec
-	cluster *topology.Cluster
-	procs   int
-	layout  []int
-	kind    topology.LayoutKind
 }
 
 // buildCluster materialises the topology spec.
@@ -245,59 +229,20 @@ func buildGraph(spec *GraphSpec) (*graph.Graph, error) {
 	return g, nil
 }
 
-// knownSelectors names the accepted heuristic selectors.
-var knownSelectors = map[string]bool{
-	"auto": true, "rdmh": true, "rmh": true, "bbmh": true,
-	"bgmh": true, "bkmh": true, "scotch": true,
-}
-
 // compile validates req and resolves every default, producing the canonical
 // form used by the compute path and the cache key.
 func (s *Service) compile(req *Request) (*compiled, error) {
-	base, err := s.compileBase(&req.Topology, req.Procs, req.Layout)
+	tc, err := s.contexts.get(&req.Topology, req.Procs, req.Layout)
 	if err != nil {
 		return nil, err
 	}
-	return s.compileWith(base, req)
+	return compileWith(tc, req)
 }
 
-// compileBase materialises the topology-dependent request prefix: cluster,
-// process count, layout.
-func (s *Service) compileBase(spec *TopologySpec, procs int, layoutName string) (*compiledBase, error) {
-	cluster, err := buildCluster(spec)
-	if err != nil {
-		return nil, err
-	}
-	b := &compiledBase{spec: *spec, cluster: cluster, procs: procs}
-	if b.procs == 0 {
-		b.procs = cluster.TotalCores()
-	}
-	if b.procs <= 0 || b.procs > cluster.TotalCores() {
-		return nil, fmt.Errorf("service: procs %d outside 1..%d", b.procs, cluster.TotalCores())
-	}
-	if layoutName == "" {
-		layoutName = topology.BlockBunch.String()
-	}
-	if b.kind, err = topology.ParseLayoutKind(layoutName); err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
-	if b.layout, err = topology.Layout(cluster, b.procs, b.kind); err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
-	return b, nil
-}
-
-// compileWith finishes compilation against a prebuilt topology base. req's
-// topology/procs/layout fields are ignored — the base is authoritative.
-func (s *Service) compileWith(base *compiledBase, req *Request) (*compiled, error) {
-	c := &compiled{
-		cluster:   base.cluster,
-		procs:     base.procs,
-		layout:    base.layout,
-		kind:      base.kind,
-		trace:     req.Trace,
-		forwarded: req.Forwarded,
-	}
+// compileWith finishes compilation against a topology context. req's
+// topology/procs/layout fields are ignored — the context is authoritative.
+func compileWith(tc *topoContext, req *Request) (*compiled, error) {
+	c := &compiled{tc: tc, procs: tc.procs, trace: req.Trace, forwarded: req.Forwarded}
 	var err error
 	var patFP uint64
 	switch {
@@ -328,7 +273,7 @@ func (s *Service) compileWith(base *compiledBase, req *Request) (*compiled, erro
 			c.selector = heuristicNameFor(c.pattern)
 		}
 	}
-	if !knownSelectors[c.selector] {
+	if c.selector != "auto" && c.selector != "scotch" && contextHeuristics[c.selector] == nil {
 		return nil, fmt.Errorf("service: unknown heuristic %q", req.Heuristic)
 	}
 
@@ -350,7 +295,7 @@ func (s *Service) compileWith(base *compiledBase, req *Request) (*compiled, erro
 	}
 	c.timeout = time.Duration(req.TimeoutMillis) * time.Millisecond
 
-	c.key = s.cacheKey(c, &base.spec, patFP)
+	c.key = cacheKey(c, patFP)
 	return c, nil
 }
 
@@ -404,38 +349,13 @@ func heuristicNameFor(p core.Pattern) string {
 
 // cacheKey derives the content-addressed key: a SHA-256 over the canonical
 // encoding of everything that determines the result. The cluster is
-// represented by its structural fingerprint (memoised per topology spec —
-// hashing the GPC wiring takes visible milliseconds).
-func (s *Service) cacheKey(c *compiled, spec *TopologySpec, patternFP uint64) string {
+// represented by its structural fingerprint, which the topology context holds.
+func cacheKey(c *compiled, patternFP uint64) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "mapd/1\x00topo:%x\x00p:%d\x00layout:%s\x00pat:%x\x00h:%s\x00order:%s\x00sizes:",
-		s.clusterFingerprint(spec, c.cluster), c.procs, c.kind, patternFP, c.selector, c.order)
+		c.tc.fp, c.procs, c.tc.key.layout, patternFP, c.selector, c.order)
 	for _, size := range c.sizes {
 		fmt.Fprintf(h, "%d,", size)
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// topoFPs memoises topology.Cluster.Fingerprint per canonical topology
-// spec, process-wide: the fingerprint is structural, so every service in
-// the process (and every bench iteration) shares one computation.
-var topoFPs sync.Map // canonical topology spec -> uint64 cluster fingerprint
-
-// clusterFingerprint memoises topology.Cluster.Fingerprint per canonical
-// topology spec.
-func (s *Service) clusterFingerprint(spec *TopologySpec, cluster *topology.Cluster) uint64 {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s/%d/%d/%d", spec.Preset, spec.Nodes, spec.SocketsPerNode, spec.CoresPerSocket)
-	if spec.Network != nil {
-		fmt.Fprintf(&b, "/%s/%d/%d/%d/%d/%d/%d", spec.Network.Kind,
-			spec.Network.Leaves, spec.Network.NodesPerLeaf, spec.Network.Uplinks,
-			spec.Network.X, spec.Network.Y, spec.Network.Z)
-	}
-	memoKey := b.String()
-	if fp, ok := topoFPs.Load(memoKey); ok {
-		return fp.(uint64)
-	}
-	fp := cluster.Fingerprint()
-	topoFPs.Store(memoKey, fp)
-	return fp
 }

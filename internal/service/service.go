@@ -5,7 +5,7 @@
 // message size and the per-size adaptive routing decision.
 //
 // The service is concurrent at the request level — the first layer of this
-// codebase that is — and built from four cooperating mechanisms:
+// codebase that is — and built from five cooperating mechanisms:
 //
 //   - a content-addressed result cache: requests are canonicalised and
 //     hashed (topology fingerprint, pattern fingerprint, heuristic, sizes)
@@ -13,6 +13,12 @@
 //     are answered from memory;
 //   - single-flight deduplication: concurrent identical requests compute
 //     once, with followers sharing the leader's result;
+//   - a topology-context table: what depends only on (topology, procs,
+//     layout) — cluster, fingerprint, layout, distance oracle, priced
+//     machine, heuristic mappings, schedules, pricing profiles — is built
+//     once and kept across requests (at most 64 contexts and 256 MiB of
+//     them), read-only once built, and never hands a build that failed under
+//     one request's deadline to another request as its failure;
 //   - a bounded worker pool sharding independent computations across cores,
 //     with "auto" mode racing the four fine-tuned heuristics in parallel
 //     and keeping the winner by modelled cost;
@@ -23,7 +29,6 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -117,7 +122,8 @@ type Service struct {
 	cfg      Config
 	pool     *workerPool
 	cache    *resultCache
-	flight   *flightGroup
+	contexts *contextTable
+	flight   onceMap[string, *Response] // single-flight by cache key
 	stats    *statsCollector
 	burn     burnTracker
 	stopBurn chan struct{}
@@ -138,7 +144,7 @@ func New(cfg Config) *Service {
 		cfg:         cfg,
 		pool:        newWorkerPool(cfg.Workers, stats.queueDepth),
 		cache:       newResultCache(cfg.CacheEntries, cfg.CacheBytes, stats.evictions, stats.cacheEntries, stats.cacheBytes),
-		flight:      newFlightGroup(),
+		contexts:    newContextTable(stats, cfg.Params),
 		stats:       stats,
 		stopBurn:    make(chan struct{}),
 		store:       cfg.Store,
@@ -165,7 +171,7 @@ func (s *Service) Close() {
 }
 
 // Stats returns a snapshot of the service counters.
-func (s *Service) Stats() Stats { return s.stats.snapshot(s.cache.len(), s.cache.bytesHeld()) }
+func (s *Service) Stats() Stats { return s.stats.snapshot() }
 
 // Compute answers one mapping request. The error return is reserved for
 // invalid requests and internal failures; deadline pressure instead yields
@@ -173,15 +179,21 @@ func (s *Service) Stats() Stats { return s.stats.snapshot(s.cache.len(), s.cache
 // always have something runnable.
 func (s *Service) Compute(ctx context.Context, req *Request) (*Response, error) {
 	start := time.Now()
+	c, err := s.compile(req)
+	if err != nil {
+		s.stats.begin()
+		s.stats.end(start, outcomeError)
+		return nil, err
+	}
+	return s.serveItem(ctx, req, c, start)
+}
+
+// serveItem is one compiled request's counted trip through serve.
+func (s *Service) serveItem(ctx context.Context, req *Request, c *compiled, start time.Time) (*Response, error) {
 	s.stats.begin()
 	outcome := outcomeError
 	defer func() { s.stats.end(start, outcome) }()
-
-	c, err := s.compile(req)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := s.serve(ctx, req, c, nil, start)
+	resp, err := s.serve(ctx, req, c, start)
 	if err != nil {
 		return nil, err
 	}
@@ -191,21 +203,10 @@ func (s *Service) Compute(ctx context.Context, req *Request) (*Response, error) 
 
 // serve answers a compiled request: local cache, then persistent store,
 // then single-flight into either a forward to the owning shard or a local
-// computation. envFn, when non-nil, is the batch path's shared (lazily
-// built) topology environment. serve does not touch the request-level
-// counters — callers wrap it in begin/end.
-func (s *Service) serve(ctx context.Context, req *Request, c *compiled, envFn func() (*topoEnv, error), start time.Time) (*Response, error) {
-	timeout := c.timeout
-	if timeout == 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, cancel := context.WithTimeout(ctx, timeout)
+// computation. serve does not touch the request-level counters — callers
+// wrap it in begin/end.
+func (s *Service) serve(ctx context.Context, req *Request, c *compiled, start time.Time) (*Response, error) {
+	ctx, cancel := s.budget(ctx, c.timeout)
 	defer cancel()
 
 	var rec *trace.Recorder
@@ -217,11 +218,11 @@ func (s *Service) serve(ctx context.Context, req *Request, c *compiled, envFn fu
 	}
 
 	if resp, ok := s.cache.get(c.key); ok {
-		s.stats.hit()
+		s.stats.cacheHits.Inc()
 		mark("cache-hit")
 		return stamp(resp, true, start, rec), nil
 	}
-	s.stats.miss()
+	s.stats.cacheMisses.Inc()
 
 	if resp, ok := s.storeGet(c.key); ok {
 		// A warm store answers without recomputing: promote into the LRU
@@ -233,14 +234,14 @@ func (s *Service) serve(ctx context.Context, req *Request, c *compiled, envFn fu
 
 	call, leader := s.flight.join(c.key)
 	if !leader {
-		s.stats.shared()
+		s.stats.flightShared.Inc()
 		mark("joined-inflight")
 		select {
 		case <-call.done:
 			if call.err != nil {
 				return nil, call.err
 			}
-			return stamp(call.resp, false, start, rec), nil
+			return stamp(call.val, false, start, rec), nil
 		case <-ctx.Done():
 			// The leader is still computing but this caller's budget is
 			// spent: degrade independently, leave the flight in place.
@@ -253,13 +254,13 @@ func (s *Service) serve(ctx context.Context, req *Request, c *compiled, envFn fu
 		// The previous leader published and retired its flight between this
 		// request's cache miss and its join: share that result rather than
 		// compute the key a second time.
-		s.flight.complete(c.key, call, resp, nil)
-		s.stats.shared()
+		s.flight.retire(c.key, call, resp, nil)
+		s.stats.flightShared.Inc()
 		mark("joined-completed")
 		return stamp(resp, true, start, rec), nil
 	}
 
-	resp, computed, err := s.leaderServe(ctx, req, c, envFn, mark)
+	resp, computed, err := s.leaderServe(ctx, req, c, mark)
 	if err == nil && !resp.Degraded {
 		s.cache.put(c.key, resp)
 		if computed {
@@ -268,18 +269,33 @@ func (s *Service) serve(ctx context.Context, req *Request, c *compiled, envFn fu
 			s.storePut(c.key, resp)
 		}
 	}
-	s.flight.complete(c.key, call, resp, err)
+	s.flight.retire(c.key, call, resp, err)
 	if err != nil {
 		return nil, err
 	}
 	return stamp(resp, false, start, rec), nil
 }
 
+// budget bounds ctx (nil: background) by a request's timeout: 0 selects the
+// server default, and MaxTimeout caps every request.
+func (s *Service) budget(ctx context.Context, timeout time.Duration) (context.Context, context.CancelFunc) {
+	if timeout == 0 {
+		timeout = s.cfg.DefaultTimeout
+	}
+	if timeout > s.cfg.MaxTimeout {
+		timeout = s.cfg.MaxTimeout
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	return context.WithTimeout(ctx, timeout)
+}
+
 // leaderServe resolves a cache-missed key as the flight leader: forward to
 // the owning shard when the ring says the key lives elsewhere, shed under
 // queue pressure when admission control is on, otherwise compute locally.
 // computed reports whether the response was produced by this replica.
-func (s *Service) leaderServe(ctx context.Context, req *Request, c *compiled, envFn func() (*topoEnv, error), mark func(string)) (resp *Response, computed bool, err error) {
+func (s *Service) leaderServe(ctx context.Context, req *Request, c *compiled, mark func(string)) (resp *Response, computed bool, err error) {
 	if owner, url, remote := s.shardFor(c.key); remote && !c.forwarded {
 		mark("forward:" + owner)
 		resp, err := s.forwardRequest(ctx, url, req)
@@ -293,11 +309,22 @@ func (s *Service) leaderServe(ctx context.Context, req *Request, c *compiled, en
 	}
 	// A batch item carries its batch's decision; a single request asks now.
 	if c.shed != nil && *c.shed || c.shed == nil && s.underPressure() {
-		s.stats.shedded()
+		s.stats.shed.Inc()
 		mark("shed")
 		return degradedResponse(c), false, nil
 	}
-	resp, err = s.leaderCompute(ctx, c, envFn, mark)
+	// On the worker pool: a deadline while queueing (pool saturated) degrades
+	// immediately; one inside the computation is caught by the heuristic loops.
+	done := make(chan struct{})
+	if s.pool.submit(ctx, func() {
+		defer close(done)
+		resp, err = s.run(ctx, c, mark)
+	}) != nil {
+		mark("deadline-in-queue")
+		resp = degradedResponse(c)
+	} else {
+		<-done
+	}
 	if err == nil {
 		resp.Shard = s.shardSelf()
 	}
@@ -359,32 +386,6 @@ func degradedResponse(c *compiled) *Response {
 	}
 }
 
-// leaderCompute runs the computation on the worker pool. A deadline while
-// queueing (pool saturated) degrades immediately; a deadline inside the
-// computation is detected by the heuristic loops and degrades there.
-func (s *Service) leaderCompute(ctx context.Context, c *compiled, envFn func() (*topoEnv, error), mark func(string)) (*Response, error) {
-	var (
-		resp *Response
-		err  error
-		done = make(chan struct{})
-	)
-	if submitErr := s.pool.submit(ctx, func() {
-		defer close(done)
-		resp, err = s.run(ctx, c, envFn, mark)
-	}); submitErr != nil {
-		mark("deadline-in-queue")
-		return degradedResponse(c), nil
-	}
-	<-done
-	return resp, err
-}
-
-// candidate is one heuristic in the running for a request.
-type candidate struct {
-	name string
-	fn   func(ctx context.Context, d topology.Oracle) (core.Mapping, error)
-}
-
 // contextHeuristics maps selector names to the cancellable heuristics. The
 // oracle form lets the service feed them the compact hierarchical
 // representation: for hierarchical clusters no O(p²) matrix is ever built.
@@ -400,46 +401,30 @@ var contextHeuristics = map[string]core.OracleHeuristic{
 // heuristics.
 var autoCandidates = []string{"rdmh", "rmh", "bbmh", "bgmh"}
 
-// candidates resolves the request's selector into the list of heuristics to
-// evaluate.
-func (s *Service) candidates(c *compiled) ([]candidate, error) {
-	wrap := func(name string) candidate {
-		h := contextHeuristics[name]
-		return candidate{name: name, fn: func(ctx context.Context, d topology.Oracle) (core.Mapping, error) {
-			return h(ctx, d, nil)
-		}}
+// candidates resolves the request's (validated) selector into the names of
+// the heuristics to evaluate.
+func candidates(c *compiled) []string {
+	if c.selector != "auto" {
+		return []string{c.selector}
 	}
-	scotchCand := func() candidate {
-		return candidate{name: "scotch", fn: func(ctx context.Context, d topology.Oracle) (core.Mapping, error) {
-			guest := c.graph
-			if guest == nil {
-				var err error
-				if guest, err = patterns.Build(c.pattern, c.procs); err != nil {
-					return nil, err
-				}
-			}
-			return scotch.MapContext(ctx, guest, d, nil)
-		}}
+	if c.graph == nil {
+		return autoCandidates
 	}
-	switch {
-	case c.selector == "scotch":
-		return []candidate{scotchCand()}, nil
-	case c.selector == "auto":
-		out := make([]candidate, 0, len(autoCandidates)+1)
-		for _, name := range autoCandidates {
-			out = append(out, wrap(name))
+	// For arbitrary graphs the general-purpose mapper belongs in the race:
+	// the fine-tuned heuristics assume their pattern.
+	return append(append([]string(nil), autoCandidates...), "scotch")
+}
+
+// scotchMap maps the request's pattern graph with the general-purpose mapper.
+func scotchMap(ctx context.Context, c *compiled, d topology.Oracle) (core.Mapping, error) {
+	guest := c.graph
+	if guest == nil {
+		var err error
+		if guest, err = patterns.Build(c.pattern, c.procs); err != nil {
+			return nil, err
 		}
-		if c.graph != nil {
-			// For arbitrary graphs the general-purpose mapper belongs in
-			// the race: the fine-tuned heuristics assume their pattern.
-			out = append(out, scotchCand())
-		}
-		return out, nil
-	case contextHeuristics[c.selector] != nil:
-		return []candidate{wrap(c.selector)}, nil
-	default:
-		return nil, fmt.Errorf("service: unknown heuristic %q", c.selector)
 	}
+	return scotch.MapContext(ctx, guest, d, nil)
 }
 
 // evaluation is one candidate's scored result.
@@ -452,229 +437,37 @@ type evaluation struct {
 	err     error
 }
 
-// topoEnv is the per-topology compute environment: the distance oracle the
-// heuristics traverse and the priced machine. Both depend only on
-// (cluster, layout), so one env serves every pattern of a batch and every
-// candidate of a request — building them per candidate was the dominant
-// fixed cost of a cold request.
-//
-// The env also memoises the oracle heuristics' mappings: RDMH and friends
-// read only the distance oracle, never the pattern or the sizes, so within
-// a batch each heuristic traverses the topology once and its mapping is
-// shared by every pattern that selects it. This is the bulk of the batch
-// amortisation on large topologies.
-type topoEnv struct {
-	cluster *topology.Cluster
-	oracle  topology.Oracle
-	oracleK string // "hierarchy" or "dense", for trace marks
-	machine *simnet.Machine
-
-	heurMaps onceMap[string, core.Mapping]
-	// scheds holds the one schedule built per pattern. Both profiles and the
-	// response's Schedule name read it; none of them may modify it.
-	scheds onceMap[core.Pattern, *sched.Schedule]
-
-	baseProfs onceMap[core.Pattern, *simnet.PriceProfile]
-	reordered onceMap[progKey, *simnet.PriceProfile]
-}
-
-// onceMap memoises values by key: each key builds at most once, concurrent
-// callers of the same key wait for the builder, and distinct keys build in
-// parallel (a single map mutex would serialise the heavy builds a batch
-// fans out across the pool). A failed build is forgotten, so a later caller
-// with budget left — e.g. a batch item with a looser deadline — retries.
-type onceMap[K comparable, V any] struct {
-	mu sync.Mutex
-	m  map[K]*onceSlot[V]
-}
-
-type onceSlot[V any] struct {
-	once sync.Once
-	val  V
-	err  error
-}
-
-func (om *onceMap[K, V]) do(k K, build func() (V, error)) (V, error) {
-	om.mu.Lock()
-	if om.m == nil {
-		om.m = make(map[K]*onceSlot[V])
-	}
-	s, ok := om.m[k]
-	if !ok {
-		s = &onceSlot[V]{}
-		om.m[k] = s
-	}
-	om.mu.Unlock()
-	s.once.Do(func() { s.val, s.err = build() })
-	if s.err != nil {
-		om.mu.Lock()
-		if om.m[k] == s {
-			delete(om.m, k)
-		}
-		om.mu.Unlock()
-	}
-	return s.val, s.err
-}
-
-// progKey identifies one order-preserved profile: the base pattern, the order
-// fix and the permutation it bakes in.
-type progKey struct {
-	pattern core.Pattern
-	mode    sched.OrderMode
-	mapFP   uint64
-}
-
-// scheduleFor resolves the schedule the service prices for pat over p ranks:
-// the pattern's registry builder, except that a family-default pattern on a
-// cluster whose interconnect fingerprints as a torus covering every rank is
-// re-materialised with the family's torus-native dimension-wise construction
-// — the schedule-side win the complete-exchange pattern gets, since at the
-// graph level every mapping of a complete graph prices identically. The
-// schedule is built once per env (p is the env's process count) and shared,
-// read-only, by every candidate and batch item.
-func (e *topoEnv) scheduleFor(pat core.Pattern, p int) (*sched.Schedule, error) {
-	return e.scheds.do(pat, func() (*sched.Schedule, error) {
-		if spec, ok := sched.PatternFor(pat); ok && spec.FamilyDefault {
-			if dims, torus := topology.TorusRankDims(e.cluster, p); torus {
-				if fam, err := spec.Family.Desc(); err == nil && fam.TorusBuilder != nil {
-					return fam.TorusBuilder(dims)
-				}
-			}
-		}
-		return sched.ForPattern(pat, p)
-	})
-}
-
-// profilesFor builds the default and the order-preserved pricing profiles
-// for (pattern, mapping, mode) at most once per env. Both walk the env's one
-// schedule for the pattern directly (simnet.ProfileSchedule validates it and
-// reads its stages in place): WithOrderPreservation shares the base stages
-// and only adds a prologue or an epilogue, so nothing is rebuilt, copied or
-// hashed for the compile cache, which this path never consults. A 32-pattern
-// batch revisits the same few schedules dozens of times, so the memo turns
-// the pricing loop into pure envelope evaluations.
-func (e *topoEnv) profilesFor(ctx context.Context, pat core.Pattern, layout []int, m core.Mapping, mapFP uint64, mode sched.OrderMode) (base, reord *simnet.PriceProfile, err error) {
-	schedule, err := e.scheduleFor(pat, len(layout))
-	if err != nil {
-		return nil, nil, err
-	}
-	base, err = e.baseProfs.do(pat, func() (*simnet.PriceProfile, error) {
-		return e.machine.ProfileSchedule(ctx, schedule, layout)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	key := progKey{pattern: pat, mode: mode, mapFP: mapFP}
-	reord, err = e.reordered.do(key, func() (*simnet.PriceProfile, error) {
-		eff, err := m.Apply(layout)
-		if err != nil {
-			return nil, err
-		}
-		withOrder, err := sched.WithOrderPreservation(schedule, m, mode)
-		if err != nil {
-			return nil, err
-		}
-		return e.machine.ProfileSchedule(ctx, withOrder, eff)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return base, reord, nil
-}
-
-// mappingFingerprint is an FNV-1a over the permutation's bytes.
-func mappingFingerprint(m core.Mapping) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, v := range m {
-		h ^= uint64(uint32(v))
-		h *= prime64
-	}
-	return h
-}
-
-// mappingFor runs fn once per heuristic name against the env's oracle and
-// memoises the successful result. Failures (typically deadline
-// cancellation) are not memoised, so a later item with budget left retries.
-// Callers must not mutate the returned mapping.
-func (e *topoEnv) mappingFor(ctx context.Context, name string, fn func(context.Context, topology.Oracle) (core.Mapping, error)) (core.Mapping, error) {
-	return e.heurMaps.do(name, func() (core.Mapping, error) {
-		return fn(ctx, e.oracle)
-	})
-}
-
-// buildEnv constructs the topology environment for c. The machine is only
-// built for named-pattern requests — explicit graphs are costed on the
-// oracle alone.
-func (s *Service) buildEnv(c *compiled) (*topoEnv, error) {
-	env := &topoEnv{cluster: c.cluster}
-	// The compact hierarchical oracle (O(p) memory, bucketed find-closest
-	// kernel) where the network allows it; tori get the dense matrix and
-	// the scan kernel.
-	oracle, err := topology.NewOracle(c.cluster, c.layout)
-	if err != nil {
-		return nil, err
-	}
-	env.oracle, env.oracleK = oracle, "dense"
-	if _, ok := oracle.(*topology.Hierarchy); ok {
-		env.oracleK = "hierarchy"
-	}
-	if c.graph == nil {
-		params := simnet.DefaultParams()
-		if s.cfg.Params != nil {
-			params = *s.cfg.Params
-		}
-		machine, err := simnet.NewMachine(c.cluster, params)
-		if err != nil {
-			return nil, err
-		}
-		env.machine = machine
-	}
-	return env, nil
-}
-
 // run performs the actual computation on a pool worker: distances, then
 // every candidate heuristic in parallel, then selection by modelled cost.
-// envFn may be nil (single-request path) — the environment is built here;
-// the batch path passes a shared lazy provider.
-func (s *Service) run(ctx context.Context, c *compiled, envFn func() (*topoEnv, error), mark func(string)) (*Response, error) {
-	s.stats.computed()
-	var env *topoEnv
-	if envFn != nil {
-		shared, err := envFn()
-		if err != nil {
-			return nil, err
+// Whatever c's topology context already holds is not computed again.
+func (s *Service) run(ctx context.Context, c *compiled, mark func(string)) (*Response, error) {
+	s.stats.computes.Inc()
+	oracle, err := c.tc.oracleFor(ctx)
+	if err != nil {
+		if expired(ctx) != nil {
+			return degradedResponse(c), nil
 		}
-		env = shared
+		return nil, err
 	}
-	if env == nil || (c.graph == nil && env.machine == nil) {
-		built, err := s.buildEnv(c)
-		if err != nil {
-			return nil, err
-		}
-		env = built
+	if _, ok := oracle.(*topology.Hierarchy); ok {
+		mark("oracle:hierarchy")
+	} else {
+		mark("oracle:dense")
 	}
-	mark("oracle:" + env.oracleK)
 	mark("distances")
 	if expired(ctx) != nil {
 		return degradedResponse(c), nil
 	}
 
-	cands, err := s.candidates(c)
-	if err != nil {
-		return nil, err
-	}
+	cands := candidates(c)
 	evals := make([]evaluation, len(cands))
 	var wg sync.WaitGroup
 	for i := range cands {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			evals[i] = s.evaluate(ctx, c, env, cands[i])
-			mark("evaluated:" + cands[i].name)
+			evals[i] = s.evaluate(ctx, c, oracle, cands[i])
+			mark("evaluated:" + cands[i])
 		}(i)
 	}
 	wg.Wait()
@@ -710,7 +503,7 @@ func (s *Service) run(ctx context.Context, c *compiled, envFn func() (*topoEnv, 
 	}
 	if c.graph == nil {
 		// The winner was priced on this schedule, so the memo holds it.
-		schedule, err := env.scheduleFor(c.pattern, c.procs)
+		schedule, err := c.tc.scheduleFor(ctx, c.pattern)
 		if err != nil {
 			return nil, err
 		}
@@ -721,19 +514,18 @@ func (s *Service) run(ctx context.Context, c *compiled, envFn func() (*topoEnv, 
 
 // evaluate computes one candidate's mapping and its modelled cost: the
 // summed reordered latency across the size sweep for named patterns, the
-// weighted-distance objective for explicit graphs. The oracle and machine
-// come from the shared topology environment — simnet.Machine is
-// concurrency-safe, so every candidate (and every batch pattern) prices on
-// the same instance and shares its warm route caches.
-func (s *Service) evaluate(ctx context.Context, c *compiled, env *topoEnv, cand candidate) evaluation {
-	d := env.oracle
-	ev := evaluation{name: cand.name}
-	if contextHeuristics[cand.name] != nil {
-		// Oracle heuristics depend only on the topology: memoise per env.
-		// Scotch reads the pattern graph, so it always runs.
-		ev.mapping, ev.err = env.mappingFor(ctx, cand.name, cand.fn)
+// weighted-distance objective for explicit graphs. d is the topology
+// context's oracle.
+func (s *Service) evaluate(ctx context.Context, c *compiled, d topology.Oracle, name string) evaluation {
+	ev := evaluation{name: name}
+	if name == "scotch" {
+		// Scotch reads the pattern graph, so it always runs; the oracle
+		// heuristics depend only on the topology and are memoised per context.
+		ev.mapping, ev.err = scotchMap(ctx, c, d)
 	} else {
-		ev.mapping, ev.err = cand.fn(ctx, d)
+		ev.mapping, ev.err = c.tc.heurMaps.do(ctx, name, func() (core.Mapping, error) {
+			return contextHeuristics[name](ctx, d, nil)
+		})
 	}
 	if ev.err != nil {
 		return ev
@@ -748,18 +540,10 @@ func (s *Service) evaluate(ctx context.Context, c *compiled, env *topoEnv, cand 
 		return ev
 	}
 
-	mode, err := orderModeOf(c.order)
-	if err != nil {
-		ev.err = err
-		return ev
-	}
-	// This mirrors experiments.AdaptivePolicy exactly (default price on the
+	// This mirrors experiments.AdaptivePolicy exactly: default price on the
 	// base schedule, reordered price on the order-preserved schedule over the
-	// permuted layout, keep the reordering where it wins), with the schedule
-	// build and the contention aggregation amortised across the env by
-	// profilesFor — which is also where candidates converging to one
-	// permutation, and patterns repeated across a batch, collapse.
-	base, reord, err := env.profilesFor(ctx, c.pattern, c.layout, ev.mapping, mappingFingerprint(ev.mapping), mode)
+	// permuted layout, keep the reordering where it wins.
+	base, reord, err := c.tc.profilesFor(ctx, c.pattern, ev.mapping, orderModes[c.order])
 	if err == nil {
 		// Building and profiling the schedule is the long step of a cold
 		// request; pricing a size afterwards is two table reads.
@@ -796,18 +580,9 @@ func (s *Service) evaluate(ctx context.Context, c *compiled, env *topoEnv, cand 
 	return ev
 }
 
-// orderModeOf maps the canonical order name to the schedule transform.
-func orderModeOf(name string) (sched.OrderMode, error) {
-	switch name {
-	case "initComm":
-		return sched.InitComm, nil
-	case "endShfl":
-		return sched.EndShuffle, nil
-	case "none":
-		return sched.NoOrderFix, nil
-	default:
-		return 0, fmt.Errorf("service: unknown order mode %q", name)
-	}
+// orderModes maps the canonical order names to the schedule transforms.
+var orderModes = map[string]sched.OrderMode{
+	"initComm": sched.InitComm, "endShfl": sched.EndShuffle, "none": sched.NoOrderFix,
 }
 
 // graphCostOf is the mapping objective for explicit graphs: total

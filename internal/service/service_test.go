@@ -241,8 +241,8 @@ func TestComputeDeadlineDegrades(t *testing.T) {
 
 func TestComputeTightTimeoutDegrades(t *testing.T) {
 	s := newTestService(t)
-	// Warm the topology-fingerprint memo so the 1ms budget is spent inside
-	// the computation (where cancellation checks live), not in compile.
+	// Build the topology context first so the 1ms budget is spent inside the
+	// computation (where cancellation checks live), not in compile.
 	if _, err := s.Compute(context.Background(), &Request{
 		Topology: TopologySpec{Preset: "gpc"}, Pattern: PatternSpec{Name: "ring"},
 		Heuristic: "rmh", Sizes: []int{8}, TimeoutMillis: 1,

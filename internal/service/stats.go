@@ -48,6 +48,11 @@ type statsCollector struct {
 	forwardsErr    *metrics.Counter
 	forwardSecs    *metrics.Histogram
 	shed           *metrics.Counter
+
+	contextHits      *metrics.Counter
+	contextMisses    *metrics.Counter
+	contextEvictions *metrics.Counter
+	contexts         *metrics.Gauge
 }
 
 // newStatsCollector builds the instrument set on its own registry.
@@ -75,6 +80,14 @@ func newStatsCollector() *statsCollector {
 		"Mapping computations actually performed.")
 	s.cacheEntries = reg.Gauge("mapd_cache_entries",
 		"Result-cache entries currently held.")
+	s.contextHits = reg.Counter("mapd_topo_context_hits_total",
+		"Requests and batches whose (topology, procs, layout) context was already held.")
+	s.contextMisses = reg.Counter("mapd_topo_context_misses_total",
+		"Requests and batches that built their topology context.")
+	s.contextEvictions = reg.Counter("mapd_topo_context_evictions_total",
+		"Topology contexts dropped by the table's entry or byte bound.")
+	s.contexts = reg.Gauge("mapd_topo_contexts",
+		"Topology contexts currently held.")
 	s.queueDepth = reg.Gauge("mapd_pool_queue_depth",
 		"Submissions waiting for a free pool worker.")
 	s.latency = reg.Histogram("mapd_request_seconds",
@@ -144,6 +157,12 @@ type Stats struct {
 	Forwards    uint64 `json:"forwards"`
 	Shed        uint64 `json:"shed"`
 
+	// The topology-context table: one lookup per request or batch.
+	ContextHits      uint64 `json:"topo_context_hits"`
+	ContextMisses    uint64 `json:"topo_context_misses"`
+	ContextEvictions uint64 `json:"topo_context_evictions"`
+	Contexts         int64  `json:"topo_contexts"`
+
 	P50Micros int64 `json:"p50_us"`
 	P99Micros int64 `json:"p99_us"`
 }
@@ -173,12 +192,6 @@ func (s *statsCollector) end(start time.Time, outcome int) {
 	s.latency.Observe(time.Since(start).Seconds())
 }
 
-func (s *statsCollector) hit()      { s.cacheHits.Inc() }
-func (s *statsCollector) miss()     { s.cacheMisses.Inc() }
-func (s *statsCollector) shared()   { s.flightShared.Inc() }
-func (s *statsCollector) computed() { s.computes.Inc() }
-func (s *statsCollector) shedded()  { s.shed.Inc() }
-
 func (s *statsCollector) batch(patterns int) {
 	s.batches.Inc()
 	s.batchPatterns.Add(uint64(patterns))
@@ -198,7 +211,7 @@ func (s *statsCollector) forwarded(start time.Time, err error) {
 // percentiles interpolate within the latency histogram's exponential buckets
 // instead of sorting a sample window, so snapshots are O(buckets) and the
 // request path stays allocation-free.
-func (s *statsCollector) snapshot(cacheEntries int, cacheBytes int64) Stats {
+func (s *statsCollector) snapshot() Stats {
 	out := Stats{
 		Requests:     s.requests.Value(),
 		OK:           s.ok.Value(),
@@ -209,13 +222,18 @@ func (s *statsCollector) snapshot(cacheEntries int, cacheBytes int64) Stats {
 		CacheMisses:  s.cacheMisses.Value(),
 		FlightShared: s.flightShared.Value(),
 		Computes:     s.computes.Value(),
-		CacheEntries: cacheEntries,
-		CacheBytes:   cacheBytes,
+		CacheEntries: int(s.cacheEntries.Value()),
+		CacheBytes:   s.cacheBytes.Value(),
 		StoreHits:    s.storeHits.Value(),
 		StoreMisses:  s.storeMisses.Value(),
 		Batches:      s.batches.Value(),
 		Forwards:     s.forwardsOK.Value() + s.forwardsErr.Value(),
 		Shed:         s.shed.Value(),
+
+		ContextHits:      s.contextHits.Value(),
+		ContextMisses:    s.contextMisses.Value(),
+		ContextEvictions: s.contextEvictions.Value(),
+		Contexts:         s.contexts.Value(),
 	}
 	if out.Requests > 0 {
 		out.HitRatio = float64(out.CacheHits+out.FlightShared) / float64(out.Requests)
