@@ -73,12 +73,18 @@ func Fingerprint(s *Schedule) string {
 			}
 			tag(reduce)
 			word(int64(len(st.Transfers)))
-			for _, tr := range st.Transfers {
-				word(int64(tr.Src))
-				word(int64(tr.Dst))
-				word(int64(tr.First))
-				word(int64(tr.N))
-				word(int64(tr.Mode))
+			for j := range st.Transfers {
+				tr := &st.Transfers[j]
+				// A transfer record is five words, staged behind one check.
+				room(40)
+				n := len(buf)
+				buf = buf[:n+40]
+				rec := buf[n:]
+				binary.LittleEndian.PutUint64(rec[0:], uint64(tr.Src))
+				binary.LittleEndian.PutUint64(rec[8:], uint64(tr.Dst))
+				binary.LittleEndian.PutUint64(rec[16:], uint64(tr.First))
+				binary.LittleEndian.PutUint64(rec[24:], uint64(tr.N))
+				binary.LittleEndian.PutUint64(rec[32:], uint64(tr.Mode))
 				if tr.Mode == List {
 					// Only List transfers hash their block list, so every
 					// pre-existing schedule keeps its fingerprint.

@@ -12,6 +12,7 @@ type blockSet []uint64
 func newBlockSet(n int) blockSet { return make(blockSet, (n+63)/64) }
 
 func (b blockSet) add(i int32)      { b[i>>6] |= 1 << (uint(i) & 63) }
+func (b blockSet) del(i int32)      { b[i>>6] &^= 1 << (uint(i) & 63) }
 func (b blockSet) has(i int32) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 func (b blockSet) count() int {
@@ -36,12 +37,6 @@ func (b blockSet) intersects(o blockSet) bool {
 		}
 	}
 	return false
-}
-
-func (b blockSet) clone() blockSet {
-	c := make(blockSet, len(b))
-	copy(c, b)
-	return c
 }
 
 // appendBlocks appends the set's members to dst in ascending order.
@@ -96,16 +91,33 @@ func (b blockSet) missingFrom(blocks int) string {
 
 // replayState tracks per-rank block possession through a schedule. The block
 // space has size blocks (Schedule.NumBlocks), independent of the rank count.
+// A replay allocates its state once, and a repeat costs O(blocks moved): each
+// transfer's blocks are enumerated into one reused arena.
 type replayState struct {
 	p      int
 	blocks int
 	held   []blockSet
+	// incoming[d] holds the blocks delivered to rank d so far in the current
+	// repeat: the same-stage overlap check. Landing clears it.
+	incoming []blockSet
+	// Transfer i of the current repeat moves moved[cut[i]:cut[i+1]]; prevMoved
+	// and prevCut keep the previous repeat's arena for Latest senders.
+	moved, prevMoved []int32
+	cut, prevCut     []int32
+	// inHead[r] is 1 + the first transfer of a Latest stage delivering to
+	// rank r, inNext[i] 1 + the next one after transfer i; 0 ends the list.
+	inHead, inNext []int32
 }
 
 func newReplay(p, blocks int, initial func(rank int) []int32) *replayState {
-	rs := &replayState{p: p, blocks: blocks, held: make([]blockSet, p)}
+	words := (blocks + 63) / 64
+	bits := make([]uint64, 2*p*words)
+	sets := make([]blockSet, 2*p)
+	for i := range sets {
+		sets[i] = bits[i*words : (i+1)*words : (i+1)*words]
+	}
+	rs := &replayState{p: p, blocks: blocks, held: sets[:p], incoming: sets[p:]}
 	for r := 0; r < p; r++ {
-		rs.held[r] = newBlockSet(blocks)
 		for _, b := range initial(r) {
 			rs.held[r].add(b)
 		}
@@ -146,96 +158,131 @@ func (s *Schedule) initialHolding() (func(rank int) []int32, error) {
 	return nil, fmt.Errorf("sched: %q has unknown init kind %d", s.Name, s.Init)
 }
 
-// rangeBlocks resolves a contiguous (mod blocks) range send, checking that
-// the sender holds every block in it.
-func (rs *replayState) rangeBlocks(src, first, n int32) (blockSet, error) {
-	moved := newBlockSet(rs.blocks)
-	for k := int32(0); k < n; k++ {
-		b := (first + k) % int32(rs.blocks)
-		if !rs.held[src].has(b) {
-			return nil, fmt.Errorf("rank %d sends block %d of range [%d,+%d) before holding it (holds %d of %d blocks)",
-				src, b, first, n, rs.held[src].count(), rs.blocks)
+// gather appends the blocks tr moves this repeat to the arena, checking that
+// the sender holds what it sends. With latest set, a Latest sender that
+// received in the previous repeat forwards what it received; otherwise Latest
+// reads as Range.
+func (rs *replayState) gather(tr *Transfer, latest bool) error {
+	held := rs.held[tr.Src]
+	switch tr.Mode {
+	case All:
+		rs.moved = held.appendBlocks(rs.moved)
+	case Latest:
+		if latest && rs.inHead[tr.Src] > 0 {
+			for j := rs.inHead[tr.Src]; j > 0; j = rs.inNext[j-1] {
+				rs.moved = append(rs.moved, rs.prevMoved[rs.prevCut[j-1]:rs.prevCut[j]]...)
+			}
+			return nil
 		}
-		moved.add(b)
+		fallthrough
+	case Range:
+		for k := int32(0); k < tr.N; k++ {
+			b := (tr.First + k) % int32(rs.blocks)
+			if !held.has(b) {
+				return fmt.Errorf("rank %d sends block %d of range [%d,+%d) before holding it (holds %d of %d blocks)",
+					tr.Src, b, tr.First, tr.N, held.count(), rs.blocks)
+			}
+			rs.moved = append(rs.moved, b)
+		}
+	case List:
+		for _, b := range tr.Blocks {
+			if !held.has(b) {
+				return fmt.Errorf("rank %d sends listed block %d before holding it (holds %d of %d blocks)",
+					tr.Src, b, held.count(), rs.blocks)
+			}
+		}
+		rs.moved = append(rs.moved, tr.Blocks...)
+	default:
+		return fmt.Errorf("unknown transfer mode %d", tr.Mode)
 	}
-	return moved, nil
+	return nil
 }
 
-// runStage executes one repeat of a stage: all transfers read the pre-repeat
-// state and deliveries land together afterwards, modelling the concurrency
-// of a stage. stageRecv carries the pipeline state of the Latest mode across
-// the repeats of one stage: on the first repeat a rank forwards the range
-// [First, First+N) it already holds; afterwards it forwards what the
-// previous repeat delivered to it.
+// runRepeat executes one repeat of a stage: all transfers read the
+// pre-repeat state and deliveries land together afterwards, modelling the
+// concurrency of a stage.
 //
 // Two transfers of the same stage repeat may target one destination only
 // with disjoint block sets; overlapping same-stage deliveries are rejected
 // as a schedule bug (the executor could not order the stores).
-func (rs *replayState) runStage(st *Stage, stageRecv []blockSet) error {
-	type delivery struct {
-		src, dst int32
-		blocks   blockSet
-	}
-	deliveries := make([]delivery, 0, len(st.Transfers))
-	for ti, tr := range st.Transfers {
-		var moved blockSet
-		var err error
-		switch tr.Mode {
-		case All:
-			moved = rs.held[tr.Src].clone()
-		case Range:
-			if moved, err = rs.rangeBlocks(tr.Src, tr.First, tr.N); err != nil {
-				return fmt.Errorf("transfer %d (rank %d -> rank %d): %w", ti, tr.Src, tr.Dst, err)
-			}
-		case Latest:
-			if prev := stageRecv[tr.Src]; prev != nil {
-				moved = prev.clone()
-			} else if moved, err = rs.rangeBlocks(tr.Src, tr.First, tr.N); err != nil {
-				return fmt.Errorf("transfer %d (rank %d -> rank %d): %w", ti, tr.Src, tr.Dst, err)
-			}
-		case List:
-			moved = newBlockSet(rs.blocks)
-			for _, b := range tr.Blocks {
-				if !rs.held[tr.Src].has(b) {
-					return fmt.Errorf("transfer %d (rank %d -> rank %d): rank %d sends listed block %d before holding it (holds %d of %d blocks)",
-						ti, tr.Src, tr.Dst, tr.Src, b, rs.held[tr.Src].count(), rs.blocks)
-				}
-				moved.add(b)
-			}
-		default:
-			return fmt.Errorf("transfer %d (rank %d -> rank %d): unknown transfer mode %d",
-				ti, tr.Src, tr.Dst, tr.Mode)
+func (rs *replayState) runRepeat(st *Stage, latest bool) error {
+	rs.moved, rs.cut = rs.moved[:0], append(rs.cut[:0], 0)
+	for ti := range st.Transfers {
+		tr := &st.Transfers[ti]
+		if err := rs.gather(tr, latest); err != nil {
+			return fmt.Errorf("transfer %d (rank %d -> rank %d): %w", ti, tr.Src, tr.Dst, err)
 		}
-		for _, d := range deliveries {
-			if d.dst == tr.Dst && d.blocks.intersects(moved) {
-				return fmt.Errorf("transfer %d: ranks %d and %d both deliver block %d to rank %d in one stage",
-					ti, d.src, tr.Src, d.blocks.firstCommon(moved), tr.Dst)
+		rs.cut = append(rs.cut, int32(len(rs.moved)))
+		in, mine := rs.incoming[tr.Dst], rs.moved[rs.cut[ti]:]
+		for _, b := range mine {
+			if in.has(b) {
+				return rs.overlapError(st, ti)
 			}
 		}
-		deliveries = append(deliveries, delivery{tr.Src, tr.Dst, moved})
+		for _, b := range mine {
+			in.add(b)
+		}
 	}
-	// Deliveries land together; a rank's "latest received" becomes the union
-	// of everything that arrived this repeat.
-	delivered := make(map[int32]bool, len(deliveries))
-	for _, d := range deliveries {
-		rs.held[d.dst].union(d.blocks)
-		if delivered[d.dst] {
-			stageRecv[d.dst].union(d.blocks)
-		} else {
-			stageRecv[d.dst] = d.blocks
-			delivered[d.dst] = true
+	for ti := range st.Transfers {
+		held, in := rs.held[st.Transfers[ti].Dst], rs.incoming[st.Transfers[ti].Dst]
+		for _, b := range rs.moved[rs.cut[ti]:rs.cut[ti+1]] {
+			held.add(b)
+			in.del(b)
 		}
 	}
 	return nil
 }
 
+// overlapError is the overlap check's slow path: it names the first earlier
+// delivery of the repeat that shares a block with transfer ti, and the
+// smallest block they share.
+func (rs *replayState) overlapError(st *Stage, ti int) error {
+	tr, mine := &st.Transfers[ti], rs.movedSet(ti)
+	for tj, d := range st.Transfers[:ti] {
+		if d.Dst != tr.Dst {
+			continue
+		}
+		if theirs := rs.movedSet(tj); theirs.intersects(mine) {
+			return fmt.Errorf("transfer %d: ranks %d and %d both deliver block %d to rank %d in one stage",
+				ti, d.Src, tr.Src, theirs.firstCommon(mine), tr.Dst)
+		}
+	}
+	panic("sched: replay overlap check disagrees with the repeat's deliveries")
+}
+
+// movedSet returns the blocks transfer ti moved this repeat as a set.
+func (rs *replayState) movedSet(ti int) blockSet {
+	set := newBlockSet(rs.blocks)
+	for _, b := range rs.moved[rs.cut[ti]:rs.cut[ti+1]] {
+		set.add(b)
+	}
+	return set
+}
+
 func (rs *replayState) run(stages []Stage) error {
 	for i := range stages {
 		st := &stages[i]
-		stageRecv := make([]blockSet, rs.p)
+		// A Latest sender of a repeated stage forwards what the previous
+		// repeat delivered to it: link each rank's deliveries, the same every
+		// repeat, and keep the previous repeat's arena.
+		latest := false
+		for _, tr := range st.Transfers {
+			latest = latest || tr.Mode == Latest && st.Repeats() > 1
+		}
+		if latest {
+			rs.inHead, rs.inNext = make([]int32, rs.p), make([]int32, len(st.Transfers))
+			for ti := len(st.Transfers) - 1; ti >= 0; ti-- {
+				dst := st.Transfers[ti].Dst
+				rs.inNext[ti], rs.inHead[dst] = rs.inHead[dst], int32(ti+1)
+			}
+		}
 		for rep := 0; rep < st.Repeats(); rep++ {
-			if err := rs.runStage(st, stageRecv); err != nil {
+			if err := rs.runRepeat(st, latest && rep > 0); err != nil {
 				return fmt.Errorf("stage %d repeat %d: %w", i, rep, err)
+			}
+			if latest {
+				rs.moved, rs.prevMoved = rs.prevMoved, rs.moved
+				rs.cut, rs.prevCut = rs.prevCut, rs.cut
 			}
 		}
 	}
@@ -330,59 +377,62 @@ func (s *Schedule) VerifyAllreduce() error {
 		return fmt.Errorf("sched: %q: allreduce schedules need the InitAll initial condition, got %v", s.Name, s.Init)
 	}
 	p, blocks := s.P, s.NumBlocks()
-	// contrib[r][b] is the set of ranks whose inputs rank r's copy of block
-	// b has absorbed. Every copy starts holding its own rank's input.
-	contrib := make([][]blockSet, p)
-	for r := 0; r < p; r++ {
-		contrib[r] = make([]blockSet, blocks)
-		for b := 0; b < blocks; b++ {
-			contrib[r][b] = newBlockSet(p)
-			contrib[r][b].add(int32(r))
+	// contrib(r, b) is the set of ranks whose inputs rank r's copy of block b
+	// has absorbed; every copy starts holding its own rank's input.
+	words := (p + 63) / 64
+	sets := make([]uint64, p*blocks*words)
+	contrib := func(r, b int32) blockSet {
+		i := (int(r)*blocks + int(b)) * words
+		return sets[i : i+words : i+words]
+	}
+	for r := int32(0); r < int32(p); r++ {
+		for b := int32(0); b < int32(blocks); b++ {
+			contrib(r, b).add(r)
 		}
 	}
+	// The per-repeat arena: each delivery's copy of its sender's set, taken
+	// before any delivery of the repeat lands.
+	type delivery struct{ dst, block int32 }
+	var deliveries []delivery
+	var sent []uint64
 	for si := range s.Stages {
 		st := &s.Stages[si]
 		for rep := 0; rep < st.Repeats(); rep++ {
-			type delivery struct {
-				dst, block int32
-				set        blockSet
-			}
-			var deliveries []delivery
+			deliveries, sent = deliveries[:0], sent[:0]
 			for _, tr := range st.Transfers {
+				first, n := tr.First, tr.N
 				switch tr.Mode {
 				case Range:
-					for k := int32(0); k < tr.N; k++ {
-						b := (tr.First + k) % int32(blocks)
-						deliveries = append(deliveries, delivery{tr.Dst, b, contrib[tr.Src][b].clone()})
-					}
-				case All:
-					// Under InitAll every rank holds every block throughout.
-					for b := int32(0); b < int32(blocks); b++ {
-						deliveries = append(deliveries, delivery{tr.Dst, b, contrib[tr.Src][b].clone()})
-					}
+				case All: // under InitAll every rank holds every block throughout
+					first, n = 0, int32(blocks)
 				default:
 					return fmt.Errorf("sched: %q: stage %d: allreduce replay supports Range and All transfers only", s.Name, si)
 				}
-			}
-			for _, d := range deliveries {
-				cur := contrib[d.dst][d.block]
-				if st.Reduce {
-					if cur.intersects(d.set) {
-						return fmt.Errorf("sched: %q: stage %d repeat %d: rank %d would absorb rank %d's contribution twice for block %d",
-							s.Name, si, rep, d.dst, cur.firstCommon(d.set), d.block)
-					}
-					cur.union(d.set)
-				} else {
-					contrib[d.dst][d.block] = d.set
+				for k := int32(0); k < n; k++ {
+					b := (first + k) % int32(blocks)
+					deliveries = append(deliveries, delivery{tr.Dst, b})
+					sent = append(sent, contrib(tr.Src, b)...)
 				}
+			}
+			for i, d := range deliveries {
+				cur, set := contrib(d.dst, d.block), blockSet(sent[i*words:(i+1)*words])
+				if !st.Reduce {
+					copy(cur, set)
+					continue
+				}
+				if cur.intersects(set) {
+					return fmt.Errorf("sched: %q: stage %d repeat %d: rank %d would absorb rank %d's contribution twice for block %d",
+						s.Name, si, rep, d.dst, cur.firstCommon(set), d.block)
+				}
+				cur.union(set)
 			}
 		}
 	}
-	for r := 0; r < p; r++ {
-		for b := 0; b < blocks; b++ {
-			if got := contrib[r][b].count(); got != p {
+	for r := int32(0); r < int32(p); r++ {
+		for b := int32(0); b < int32(blocks); b++ {
+			if got := contrib(r, b).count(); got != p {
 				return fmt.Errorf("sched: %q: rank %d block %d absorbs %d of %d contributions, missing ranks %s",
-					s.Name, r, b, got, p, contrib[r][b].missingFrom(p))
+					s.Name, r, b, got, p, contrib(r, b).missingFrom(p))
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -27,10 +28,11 @@ func bodyOf(t *testing.T, resp *Response) string {
 }
 
 // TestContextDeadlineIsolation: request A's budget is A's alone. On one
-// service, A (GPC, 1 ms) and B (same topology context, other sizes, default
-// budget) start together and meet inside the context's memos, where whichever
-// arrives first builds for both. A must degrade and leave nothing behind —
-// not in the result cache, not in the store, not in the context; B must be
+// service, A (GPC, 1 ms) starts first, and B (same topology context, other
+// sizes, default budget) once A is building inside the context's memos, where
+// B waits for A's build or leads the next one. A must degrade and leave
+// nothing behind — not in the result cache, not in the store, not in the
+// context; B must be
 // healthy and byte-equal to B on a service that never saw A (a waiter handed
 // A's expiry would answer HTTP 500 instead); and A asked again with a normal
 // budget must be healthy. Each round races on fresh memos: a new layout, or a
@@ -68,16 +70,30 @@ func TestContextDeadlineIsolation(t *testing.T) {
 				t.Fatalf("reference B: resp=%+v err=%v", want, err)
 			}
 			entries, records := s.cache.len(), st.Stats().Records
+			c, err := s.compile(reqA)
+			if err != nil {
+				t.Fatal(err)
+			}
 
+			// B starts only once A is inside a build of the context (or has
+			// answered): started together, B could finish every build before
+			// A ran, and A would read them and answer healthy well inside its
+			// 1 ms.
 			var a, b *Response
 			var errA, errB error
-			var wg sync.WaitGroup
-			gate := make(chan struct{})
-			wg.Add(2)
-			go func() { defer wg.Done(); <-gate; a, errA = s.Compute(ctx, reqA) }()
-			go func() { defer wg.Done(); <-gate; b, errB = s.Compute(ctx, reqB) }()
-			close(gate)
-			wg.Wait()
+			aDone, bDone := make(chan struct{}), make(chan struct{})
+			go func() { defer close(aDone); a, errA = s.Compute(ctx, reqA) }()
+			for waiting := true; waiting && !building(c.tc); {
+				select {
+				case <-aDone:
+					waiting = false
+				default:
+					runtime.Gosched()
+				}
+			}
+			go func() { defer close(bDone); b, errB = s.Compute(ctx, reqB) }()
+			<-aDone
+			<-bDone
 
 			if errA != nil || !a.Degraded || a.Cached {
 				t.Fatalf("%s/%s: A: resp=%+v err=%v, want degraded", layout, heuristic, a, errA)
@@ -105,6 +121,25 @@ func TestContextDeadlineIsolation(t *testing.T) {
 			}
 		}
 	}
+}
+
+// building reports whether a build of one of tc's per-request memos is in
+// flight.
+func building(tc *topoContext) bool {
+	return inFlight(&tc.heurMaps) || inFlight(&tc.scheds) || inFlight(&tc.baseProfs) || inFlight(&tc.reordered)
+}
+
+func inFlight[K comparable, V any](om *onceMap[K, V]) bool {
+	om.mu.Lock()
+	defer om.mu.Unlock()
+	for _, s := range om.m {
+		select {
+		case <-s.done:
+		default:
+			return true
+		}
+	}
+	return false
 }
 
 // TestOnceMapFailureIsTheBuildersAlone pins the primitive under the deadline

@@ -52,31 +52,42 @@ func benchMachine(b *testing.B, topo string, p int) *simnet.Machine {
 	return m
 }
 
-// BenchmarkSynthSearch runs one full allgather search per iteration across
-// the benchmark topology matrix, reporting search throughput as
-// candidates/s (priced plus pruned per wall-clock second) and the size of
-// the emitted pareto front.
+// BenchmarkSynthSearch runs one full search per iteration, reporting search
+// throughput as candidates/s (priced plus pruned per wall-clock second), the
+// size of the emitted pareto front and, with -benchmem, what a search
+// allocates. Allgather at 2 KiB runs across the benchmark topology matrix;
+// every family runs at 2 KiB and 256 KiB on fattree/p64, where all-to-all
+// @ 256 KiB (pairwise exchange: 63 stages over a 4096-block space) is the
+// heavy point.
 func BenchmarkSynthSearch(b *testing.B) {
+	run := func(name, topo string, p int, f Family, payload int) {
+		b.Run(name, func(b *testing.B) {
+			m := benchMachine(b, topo, p)
+			var candidates, pareto float64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := Search(m, nil, f, p, payload, Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Best == nil {
+					b.Fatal("search emitted no winner")
+				}
+				candidates += float64(res.Explored + res.PrunedVerify + res.PrunedBound + res.PrunedShape)
+				pareto = float64(len(res.Pareto))
+			}
+			b.ReportMetric(candidates/b.Elapsed().Seconds(), "candidates/s")
+			b.ReportMetric(pareto, "pareto-schedules")
+		})
+	}
 	for _, topo := range []string{"fattree", "torus"} {
 		for _, p := range []int{64, 256, 1024} {
-			b.Run(fmt.Sprintf("%s/p%d", topo, p), func(b *testing.B) {
-				m := benchMachine(b, topo, p)
-				var candidates, pareto float64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := Search(m, nil, Allgather, p, 2048, Options{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if res.Best == nil {
-						b.Fatal("search emitted no winner")
-					}
-					candidates += float64(res.Explored + res.PrunedVerify + res.PrunedBound + res.PrunedShape)
-					pareto = float64(len(res.Pareto))
-				}
-				b.ReportMetric(candidates/b.Elapsed().Seconds(), "candidates/s")
-				b.ReportMetric(pareto, "pareto-schedules")
-			})
+			run(fmt.Sprintf("%s/p%d", topo, p), topo, p, Allgather, 2048)
+		}
+	}
+	for _, f := range Families() {
+		for _, payload := range []int{2 << 10, 256 << 10} {
+			run(fmt.Sprintf("fattree/p64/%v/%dKiB", f, payload>>10), "fattree", 64, f, payload)
 		}
 	}
 }

@@ -127,12 +127,27 @@ func (r Recipe) Materialize(f Family, p int) (*sched.Schedule, error) {
 		return nil, err
 	}
 	for _, op := range r.Ops {
-		if err := applyStageOp(s, op); err != nil {
+		if s, err = withStageOp(s, op); err != nil {
 			return nil, err
 		}
-		s.Name = fmt.Sprintf("%s~%s%d", s.Name, op.Op, op.Stage)
 	}
 	return s, nil
+}
+
+// withStageOp returns s with one stage op applied and named, leaving s as it
+// was: the result has its own Stages header slice and shares s's Pre and
+// transfer arrays, which applyStageOp never writes (merge allocates, split
+// re-slices with capped capacity) and the schedule-immutability contract
+// covers. A search derives each stage-op mutant from its parent this way.
+func withStageOp(s *sched.Schedule, op StageOp) (*sched.Schedule, error) {
+	out := *s
+	out.Stages = make([]sched.Stage, len(s.Stages), len(s.Stages)+1)
+	copy(out.Stages, s.Stages)
+	if err := applyStageOp(&out, op); err != nil {
+		return nil, err
+	}
+	out.Name = fmt.Sprintf("%s~%s%d", s.Name, op.Op, op.Stage)
+	return &out, nil
 }
 
 // base dispatches to the family registry's builder for the recipe's Alg.

@@ -169,6 +169,15 @@ type searcher struct {
 // cheapest candidate, and the priced hand-coded baseline.
 func Search(m *simnet.Machine, layout []int, f Family, p, payloadBytes int, opt Options) (*Result, error) {
 	start := time.Now()
+	s, err := newSearcher(m, layout, f, p, payloadBytes, opt)
+	if err != nil {
+		return nil, err
+	}
+	return s.run(start)
+}
+
+// newSearcher validates a Search call and sets up its state.
+func newSearcher(m *simnet.Machine, layout []int, f Family, p, payloadBytes int, opt Options) (*searcher, error) {
 	opt = opt.withDefaults()
 	if p <= 0 {
 		return nil, fmt.Errorf("synth: rank count must be positive, got %d", p)
@@ -193,29 +202,38 @@ func Search(m *simnet.Machine, layout []int, f Family, p, payloadBytes int, opt 
 	if dims, ok := topology.TorusRankDims(m.Cluster, p); ok {
 		env.TorusDims = dims
 	}
-	s := &searcher{
+	return &searcher{
 		m: m, layout: layout, f: f, p: p, payload: payloadBytes, opt: opt, env: env,
 		seen: make(map[string]bool), incumbent: inf(), bestLat: inf(),
-	}
+	}, nil
+}
 
+// run searches: baseline, seeds, then mutation rounds over the beam. It is
+// apart from Search so that tests can read the searcher's state afterwards.
+func (s *searcher) run(start time.Time) (*Result, error) {
+	f, p, opt := s.f, s.p, s.opt
 	// The baseline is priced first and unconditionally: it seeds the
 	// incumbent for bound pruning and is the comparison point the table
 	// stores.
-	baseline, err := s.evaluate(BaselineRecipe(f, p, payloadBytes), false)
+	baseline, err := s.evaluate(BaselineRecipe(f, p, s.payload), nil, false)
 	if err != nil {
 		return nil, fmt.Errorf("synth: baseline for %v p=%d: %w", f, p, err)
 	}
 
-	for _, r := range seedRecipes(f, env) {
-		s.evaluate(r, true) //nolint:errcheck — pruned candidates are counted, not fatal
+	for _, r := range seedRecipes(f, s.env) {
+		s.evaluate(r, nil, true) //nolint:errcheck — pruned candidates are counted, not fatal
 	}
 
 	beam := s.topK(opt.BeamWidth)
 	for round := 0; round < opt.Rounds; round++ {
 		improvedFrom := s.incumbent
 		for _, b := range beam {
-			for _, mut := range s.mutations(b) {
-				s.evaluate(mut, true) //nolint:errcheck
+			moves, ops := s.mutations(b)
+			for _, r := range moves {
+				s.evaluate(r, nil, true) //nolint:errcheck
+			}
+			for _, op := range ops {
+				s.evaluate(withOp(b.Recipe, op), b, true) //nolint:errcheck
 			}
 		}
 		beam = s.topK(opt.BeamWidth)
@@ -225,7 +243,7 @@ func Search(m *simnet.Machine, layout []int, f Family, p, payloadBytes int, opt 
 	}
 
 	res := &Result{
-		Family: f, P: p, PayloadBytes: payloadBytes,
+		Family: f, P: p, PayloadBytes: s.payload,
 		Baseline: baseline,
 		Best:     s.best(),
 		Pareto:   s.pareto(),
@@ -239,12 +257,19 @@ func Search(m *simnet.Machine, layout []int, f Family, p, payloadBytes int, opt 
 
 func inf() float64 { return 1e308 }
 
-// evaluate materialises, verifies, bounds and prices one recipe. With prune
-// set, verify/bound failures are counted and swallowed; the baseline runs
-// with prune=false so that a broken baseline surfaces as an error.
-func (s *searcher) evaluate(r Recipe, prune bool) (*Candidate, error) {
+// evaluate materialises, verifies, bounds and prices one recipe; a recipe
+// that is parent's plus one stage op is derived from parent's schedule. With
+// prune set, verify/bound failures are counted and swallowed; the baseline
+// runs with prune=false so that a broken baseline surfaces as an error.
+func (s *searcher) evaluate(r Recipe, parent *Candidate, prune bool) (*Candidate, error) {
 	synthCandidates.Inc()
-	sch, err := r.Materialize(s.f, s.p)
+	var sch *sched.Schedule
+	var err error
+	if parent != nil {
+		sch, err = withStageOp(parent.Schedule, r.Ops[len(r.Ops)-1])
+	} else {
+		sch, err = r.Materialize(s.f, s.p)
+	}
 	if err != nil {
 		s.prunedShape++
 		synthPrunedShape.Inc()
@@ -360,12 +385,12 @@ func (s *searcher) lowerBound(sch *sched.Schedule, blockBytes int) float64 {
 	return float64(stages)*minAlpha + float64(maxRecv)*float64(blockBytes)/maxStream
 }
 
-// mutations derives the neighbour recipes of a beam member: hierarchical
-// parameter moves (toggle intra/inter kind, change radix), the family's
-// registered hook operators (pipelining chunk moves), and stage operators
-// probed from both ends of the schedule.
-func (s *searcher) mutations(c *Candidate) []Recipe {
-	out := hookMutations(s.f, s.env, c)
+// mutations derives the neighbours of a beam member: moves, the family's
+// registered hook operators (pipelining chunk moves) and hierarchical
+// parameter moves (toggle intra/inter kind, change radix); then ops, the stage
+// operators probed from both ends of the schedule, each extending c's recipe.
+func (s *searcher) mutations(c *Candidate) (moves []Recipe, ops []StageOp) {
+	moves = hookMutations(s.f, s.env, c)
 	r := c.Recipe
 	if r.Alg == "hierarchical" {
 		alt := r
@@ -374,37 +399,33 @@ func (s *searcher) mutations(c *Candidate) []Recipe {
 		} else {
 			alt.Intra = "linear"
 		}
-		out = append(out, alt)
+		moves = append(moves, alt)
 		alt = r
 		if r.Inter == "ring" {
 			alt.Inter = "recursive-doubling"
 		} else {
 			alt.Inter = "ring"
 		}
-		out = append(out, alt)
+		moves = append(moves, alt)
 		for _, g := range radixCandidates(s.m, s.p) {
 			if g != r.GroupSize {
 				alt = r
 				alt.GroupSize = g
-				out = append(out, alt)
+				moves = append(moves, alt)
 			}
 		}
 	}
 	if len(r.Ops) >= s.opt.MaxOps {
-		return out
+		return moves, nil
 	}
 	n := len(c.Schedule.Stages)
-	idx := stageOpIndices(n, s.opt.MaxStageOpIndex)
-	for _, i := range idx {
+	for _, i := range stageOpIndices(n, s.opt.MaxStageOpIndex) {
 		if i+1 < n {
-			out = append(out,
-				withOp(r, StageOp{Op: "swap", Stage: i}),
-				withOp(r, StageOp{Op: "merge", Stage: i}),
-			)
+			ops = append(ops, StageOp{Op: "swap", Stage: i}, StageOp{Op: "merge", Stage: i})
 		}
-		out = append(out, withOp(r, StageOp{Op: "split", Stage: i}))
+		ops = append(ops, StageOp{Op: "split", Stage: i})
 	}
-	return out
+	return moves, ops
 }
 
 // withOp appends one stage op to a copy of the recipe.

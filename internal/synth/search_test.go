@@ -3,6 +3,7 @@ package synth
 import (
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/sched"
 	"repro/internal/simnet"
@@ -290,6 +291,51 @@ func TestEvaluatePricesMatchMachinePrice(t *testing.T) {
 				t.Errorf("%s %s: re-materialised fingerprint %s != emitted %s", tc.name, c.Recipe, fp, c.Fingerprint)
 			}
 		}
+	}
+}
+
+// TestDerivedMutantsMatchMaterialize: a search derives each stage-op mutant
+// from its parent's schedule instead of materialising its recipe. For every
+// family at 2 KiB and 256 KiB on the 64-rank fat tree, every candidate the
+// search keeps is the schedule its recipe materialises from scratch (same
+// fingerprint), and so is every stage-op mutant of the final beam, refusals
+// included; deriving leaves every parent's schedule as it was.
+func TestDerivedMutantsMatchMaterialize(t *testing.T) {
+	m := fatTree64(t)
+	derived := 0
+	for _, f := range Families() {
+		for _, payload := range []int{2 << 10, 256 << 10} {
+			s, err := newSearcher(m, nil, f, 64, payload, Options{})
+			if err == nil {
+				_, err = s.run(time.Now())
+			}
+			if err != nil {
+				t.Fatalf("%v @ %d B: %v", f, payload, err)
+			}
+			for _, c := range s.topK(s.opt.BeamWidth) {
+				_, ops := s.mutations(c)
+				for _, op := range ops {
+					r := withOp(c.Recipe, op)
+					got, gotErr := withStageOp(c.Schedule, op)
+					want, wantErr := r.Materialize(f, 64)
+					if (gotErr == nil) != (wantErr == nil) {
+						t.Errorf("%v @ %d B: %s derived err %v, materialised err %v", f, payload, r, gotErr, wantErr)
+					} else if gotErr == nil && sched.Fingerprint(got) != sched.Fingerprint(want) {
+						t.Errorf("%v @ %d B: %s derived from its parent differs from its materialisation", f, payload, r)
+					}
+					derived++
+				}
+			}
+			for _, c := range s.cands {
+				re, err := c.Recipe.Materialize(f, 64)
+				if err != nil || sched.Fingerprint(re) != c.Fingerprint || sched.Fingerprint(c.Schedule) != c.Fingerprint {
+					t.Errorf("%v @ %d B: candidate %s is not its recipe's schedule, or deriving changed it (err %v)", f, payload, c.Recipe, err)
+				}
+			}
+		}
+	}
+	if derived == 0 {
+		t.Error("no search derived a mutant")
 	}
 }
 
