@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -94,15 +95,11 @@ func run(w io.Writer, p int, layoutName string, size int, algName string, withSc
 	fmt.Fprintf(w, "  default mapping:   %10.3f ms\n", def*1e3)
 
 	evaluate := func(name string, m core.Mapping) error {
-		eff, err := m.Apply(layout)
+		prof, err := machine.ProfileReordered(context.Background(), schedule, layout, m, sched.InitComm)
 		if err != nil {
 			return err
 		}
-		withFix, err := sched.WithOrderPreservation(schedule, m, sched.InitComm)
-		if err != nil {
-			return err
-		}
-		re, err := machine.Price(withFix, eff, size)
+		re, err := prof.Price(size)
 		if err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -58,36 +59,17 @@ func main() {
 			}
 			row := fmt.Sprintf("%-16v %-20v %12.3fms", kind, pat, def*1e3)
 
-			h := pat.Heuristic()
-			hm, err := h(d, nil)
+			hm, err := pat.Heuristic()(d, nil)
 			if err != nil {
 				log.Fatal(err)
 			}
-			hEff, _ := hm.Apply(layout)
-			hs, err := sched.WithOrderPreservation(s, hm, sched.InitComm)
-			if err != nil {
-				log.Fatal(err)
-			}
-			hTime, err := machine.Price(hs, hEff, size)
-			if err != nil {
-				log.Fatal(err)
-			}
-			row += fmt.Sprintf(" %7.1f%%", osu.Improvement(def, hTime))
+			row += fmt.Sprintf(" %7.1f%%", gain(machine, s, layout, hm, def, size))
 
 			sm, err := repro.ScotchMap(pat, d)
 			if err != nil {
 				log.Fatal(err)
 			}
-			sEff, _ := sm.Apply(layout)
-			ss, err := sched.WithOrderPreservation(s, sm, sched.InitComm)
-			if err != nil {
-				log.Fatal(err)
-			}
-			sTime, err := machine.Price(ss, sEff, size)
-			if err != nil {
-				log.Fatal(err)
-			}
-			row += fmt.Sprintf("      %7.1f%%", osu.Improvement(def, sTime))
+			row += fmt.Sprintf("      %7.1f%%", gain(machine, s, layout, sm, def, size))
 			fmt.Println(row)
 		}
 		fmt.Println()
@@ -135,16 +117,7 @@ func main() {
 				if err != nil {
 					log.Fatal(err)
 				}
-				eff, _ := m.Apply(layout)
-				ws, err := sched.WithOrderPreservation(s, m, sched.InitComm)
-				if err != nil {
-					log.Fatal(err)
-				}
-				tt, err := nodeMachine.Price(ws, eff, size)
-				if err != nil {
-					log.Fatal(err)
-				}
-				row += fmt.Sprintf("       %7.1f%%", osu.Improvement(def, tt))
+				row += fmt.Sprintf("       %7.1f%%", gain(nodeMachine, s, layout, m, def, size))
 			}
 			fmt.Println(row)
 		}
@@ -155,4 +128,18 @@ func main() {
 	fmt.Println("note: on 4-socket nodes the gather heuristic trades heavy-edge locality")
 	fmt.Println("against early-stage QPI contention and can lose slightly on an already-")
 	fmt.Println("bunched layout — the wider-node regime the paper left as future work.")
+}
+
+// gain prices s on the layout reordered by m, with the initComm order fix,
+// and returns its latency reduction in percent over def seconds.
+func gain(machine *repro.Machine, s *sched.Schedule, layout []int, m repro.Mapping, def float64, size int) float64 {
+	prof, err := machine.ProfileReordered(context.Background(), s, layout, m, sched.InitComm)
+	if err != nil {
+		log.Fatal(err)
+	}
+	t, err := prof.Price(size)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return osu.Improvement(def, t)
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -67,16 +68,17 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		eff, err := m.Apply(layout)
-		if err != nil {
-			log.Fatal(err)
-		}
 		const chunkBytes = 1024 // a 4 MiB vector
 		def, err := machine.Price(s, layout, chunkBytes)
 		if err != nil {
 			log.Fatal(err)
 		}
-		re, err := machine.Price(s, eff, chunkBytes)
+		// Every rank holds a whole vector, so the sum needs no order fix.
+		prof, err := machine.ProfileReordered(context.Background(), s, layout, m, sched.NoOrderFix)
+		if err != nil {
+			log.Fatal(err)
+		}
+		re, err := prof.Price(chunkBytes)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -38,15 +38,7 @@ func AdaptivePolicy(s *Setup, layout []int, m core.Mapping, pat core.Pattern, or
 	if err != nil {
 		return nil, err
 	}
-	eff, err := m.Apply(layout)
-	if err != nil {
-		return nil, err
-	}
-	withOrder, err := sched.WithOrderPreservation(schedule, m, order)
-	if err != nil {
-		return nil, err
-	}
-	reProfile, err := s.Machine.ProfileSchedule(context.Background(), withOrder, eff)
+	reProfile, err := s.Machine.ProfileReordered(context.Background(), schedule, layout, m, order)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/app"
@@ -201,6 +203,37 @@ func TestFig6SmallScale(t *testing.T) {
 	}
 }
 
+// TestFiguresShareSetup runs Fig6 and Fig4 concurrently on one Setup whose
+// P differs from Fig6's process count. The drivers only read the Setup, so
+// under -race neither sees the other, and Fig4 equals a run on its own.
+func TestFiguresShareSetup(t *testing.T) {
+	s, err := NewSetup(64, []int{64, 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := app.Config{Procs: 128, MsgBytes: 4096, Steps: 5, ComputePerStep: 1e6}
+	var f4 []Fig4Panel
+	var err4, err6 error
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); f4, err4 = Fig4(s) }()
+	go func() { defer wg.Done(); _, err6 = Fig6(s, cfg) }()
+	wg.Wait()
+	if err4 != nil || err6 != nil {
+		t.Fatalf("Fig4: %v, Fig6: %v", err4, err6)
+	}
+	if s.P != 64 {
+		t.Fatalf("Setup.P = %d after the run, want 64", s.P)
+	}
+	alone, err := Fig4(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(f4, alone) {
+		t.Errorf("Fig4 beside Fig6 differs from Fig4 alone:\n%v\n%v", f4, alone)
+	}
+}
+
 func TestFig6RejectsBadConfig(t *testing.T) {
 	s := smallSetup(t)
 	if _, err := Fig6(s, app.Config{}); err == nil {
@@ -267,11 +300,15 @@ func TestMappingForUnknown(t *testing.T) {
 
 func TestCompositeMappingIsPermutation(t *testing.T) {
 	s := smallSetup(t)
-	h, err := s.newHierPricer(topology.BlockScatter, sched.NonLinear)
+	h, err := s.newHierPricer(topology.BlockScatter, sched.NonLinear, s.P)
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp := h.compositeMapping(h.gatherMaps[MapperHeuristic], h.leaderMaps[MapperHeuristic][core.Ring])
+	gather, _, leader, err := h.mappings(s.Machine.Cluster, MapperHeuristic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comp := h.compositeMapping(gather, leader[core.Ring])
 	if err := comp.Validate(); err != nil {
 		t.Fatal(err)
 	}

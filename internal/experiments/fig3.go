@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/collective"
 	"repro/internal/core"
 	"repro/internal/osu"
 	"repro/internal/sched"
+	"repro/internal/simnet"
 	"repro/internal/topology"
 )
 
@@ -69,51 +71,67 @@ func (s *Setup) fig3Panel(kind topology.LayoutKind) (Panel, error) {
 		return Panel{}, err
 	}
 
-	// Schedules and mappings per pattern, computed once per panel.
-	scheds := map[core.Pattern]*sched.Schedule{}
+	// One profile per (pattern, layout) and one per (variant, pattern), so
+	// each size is a read of two profiles.
+	type profiles struct {
+		def      *simnet.PriceProfile
+		variants []*simnet.PriceProfile // parallel to Fig3Variants
+	}
+	pats := []core.Pattern{core.Ring}
 	if s.P&(s.P-1) == 0 {
-		if scheds[core.RecursiveDoubling], err = sched.RecursiveDoubling(s.P); err != nil {
+		pats = append(pats, core.RecursiveDoubling)
+	}
+	byPattern := map[core.Pattern]*profiles{}
+	ctx := context.Background()
+	for _, pat := range pats {
+		schedule, err := sched.ForPattern(pat, s.P)
+		if err != nil {
 			return Panel{}, err
 		}
-	}
-	if scheds[core.Ring], err = sched.Ring(s.P); err != nil {
-		return Panel{}, err
-	}
-
-	mappings := map[Mapper]map[core.Pattern]core.Mapping{}
-	for _, mp := range []Mapper{MapperHeuristic, MapperScotch} {
-		mappings[mp] = map[core.Pattern]core.Mapping{}
-		for pat := range scheds {
-			m, err := mappingFor(mp, pat, d)
-			if err != nil {
+		mappings := map[Mapper]core.Mapping{}
+		for _, mp := range []Mapper{MapperHeuristic, MapperScotch} {
+			if mappings[mp], err = mappingFor(mp, pat, d); err != nil {
 				return Panel{}, err
 			}
-			mappings[mp][pat] = m
 		}
+		pp := &profiles{variants: make([]*simnet.PriceProfile, len(Fig3Variants))}
+		if pp.def, err = s.Machine.ProfileSchedule(ctx, schedule, layout); err != nil {
+			return Panel{}, err
+		}
+		for i, v := range Fig3Variants {
+			if pp.variants[i], err = s.Machine.ProfileReordered(ctx, schedule, layout, mappings[v.Mapper], v.Order); err != nil {
+				return Panel{}, err
+			}
+		}
+		byPattern[pat] = pp
 	}
 
 	panel := Panel{Layout: kind, Series: map[string][]Point{}}
 	for _, size := range s.Sizes {
-		pat := patternForSize(s.P, size)
-		schedule, ok := scheds[pat]
-		if !ok {
-			return Panel{}, fmt.Errorf("no schedule for pattern %v", pat)
-		}
-		defTime, err := s.Machine.Price(schedule, layout, size)
-		if err != nil {
-			return Panel{}, err
-		}
-		for _, v := range Fig3Variants {
-			m := mappings[v.Mapper][pat]
-			reordered, err := s.priceReordered(schedule, layout, m, v.Order, size)
+		pp := byPattern[patternForSize(s.P, size)]
+		for i, v := range Fig3Variants {
+			gain, err := improvement(pp.def, pp.variants[i], size)
 			if err != nil {
 				return Panel{}, err
 			}
-			panel.Series[v.String()] = append(panel.Series[v.String()],
-				Point{Bytes: size, Improvement: osu.Improvement(defTime, reordered)})
+			panel.Series[v.String()] = append(panel.Series[v.String()], Point{Bytes: size, Improvement: gain})
 		}
 	}
 	return panel, nil
+}
+
+// improvement reads the default and the reordered profile at one size and
+// returns the reordering's gain in percent.
+func improvement(def, reordered *simnet.PriceProfile, size int) (float64, error) {
+	d, err := def.Price(size)
+	if err != nil {
+		return 0, err
+	}
+	r, err := reordered.Price(size)
+	if err != nil {
+		return 0, err
+	}
+	return osu.Improvement(d, r), nil
 }
 
 // patternForSize mirrors the MVAPICH algorithm selection of the paper's
@@ -125,18 +143,4 @@ func patternForSize(p, size int) core.Pattern {
 		return core.RecursiveDoubling
 	}
 	return core.Ring
-}
-
-// priceReordered prices a schedule under mapping m with the given order
-// mechanism attached.
-func (s *Setup) priceReordered(base *sched.Schedule, layout []int, m core.Mapping, order sched.OrderMode, size int) (float64, error) {
-	eff, err := m.Apply(layout)
-	if err != nil {
-		return 0, err
-	}
-	withOrder, err := sched.WithOrderPreservation(base, m, order)
-	if err != nil {
-		return 0, err
-	}
-	return s.Machine.Price(withOrder, eff, size)
 }

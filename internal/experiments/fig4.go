@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/osu"
 	"repro/internal/sched"
+	"repro/internal/simnet"
 	"repro/internal/topology"
 )
 
@@ -37,127 +39,143 @@ func Fig4(s *Setup) ([]Fig4Panel, error) {
 
 // hierPricer prices the three hierarchical phases separately so that each
 // phase can run under its own rank reordering, mirroring the paper's
-// per-pattern reordered communicators.
+// per-pattern reordered communicators. Every phase and every order fix is
+// one price profile built with the pricer, so a size is a read of a few.
 type hierPricer struct {
-	s      *Setup
-	layout []int
-	groups [][]int
-	k, g   int
-	intra  sched.IntraKind
-
-	gatherSched *sched.Schedule
-	bcastSched  *sched.Schedule
-	interScheds map[core.Pattern]*sched.Schedule
+	layout      []int
+	groups      [][]int
 	leaderCores []int
+	k, g        int
+	intra       sched.IntraKind
+	pats        []core.Pattern // leader-phase patterns that apply at g
 
-	// Phase mappings per mapper (identity for MapperNone). Intra mappings
-	// are per node.
-	gatherMaps map[Mapper][]core.Mapping
-	bcastMaps  map[Mapper][]core.Mapping
-	leaderMaps map[Mapper]map[core.Pattern]core.Mapping
+	phases map[Mapper]*hierPhases
 }
 
-func (s *Setup) newHierPricer(kind topology.LayoutKind, intra sched.IntraKind) (*hierPricer, error) {
-	layout, err := topology.Layout(s.Machine.Cluster, s.P, kind)
+// hierPhases is one mapper's phase profiles; fix holds the order fix of
+// each (inter pattern, order mode) whose composition needs one.
+type hierPhases struct {
+	gather, bcast *simnet.PriceProfile
+	leader        map[core.Pattern]*simnet.PriceProfile
+	fix           map[fixKey]*simnet.PriceProfile
+}
+
+type fixKey struct {
+	pat   core.Pattern
+	order sched.OrderMode
+}
+
+// newHierPricer profiles the hierarchical allgather of procs ranks laid out
+// by kind under every mapper.
+func (s *Setup) newHierPricer(kind topology.LayoutKind, intra sched.IntraKind, procs int) (*hierPricer, error) {
+	c := s.Machine.Cluster
+	layout, err := topology.Layout(c, procs, kind)
 	if err != nil {
 		return nil, err
 	}
-	groups := sched.Groups(layout, s.Machine.Cluster.NodeOf)
+	groups := sched.Groups(layout, c.NodeOf)
 	h := &hierPricer{
-		s: s, layout: layout, groups: groups,
+		layout: layout, groups: groups,
 		k: len(groups[0]), g: len(groups), intra: intra,
+		pats:   []core.Pattern{core.Ring},
+		phases: map[Mapper]*hierPhases{},
 	}
-	if h.gatherSched, err = sched.IntraGather(groups, intra); err != nil {
-		return nil, err
-	}
-	if h.bcastSched, err = sched.IntraBroadcast(groups, intra); err != nil {
-		return nil, err
-	}
-	h.interScheds = map[core.Pattern]*sched.Schedule{}
 	if h.g&(h.g-1) == 0 {
-		if h.interScheds[core.RecursiveDoubling], err = sched.RecursiveDoubling(h.g); err != nil {
-			return nil, err
-		}
-	}
-	if h.interScheds[core.Ring], err = sched.Ring(h.g); err != nil {
-		return nil, err
+		h.pats = append(h.pats, core.RecursiveDoubling)
 	}
 	h.leaderCores = make([]int, h.g)
 	for gi, grp := range groups {
 		h.leaderCores[gi] = layout[grp[0]]
 	}
-
-	// Mappings.
-	h.gatherMaps = map[Mapper][]core.Mapping{}
-	h.bcastMaps = map[Mapper][]core.Mapping{}
-	h.leaderMaps = map[Mapper]map[core.Pattern]core.Mapping{}
-	for _, mp := range []Mapper{MapperNone, MapperHeuristic, MapperScotch} {
-		if err := h.computeMappings(mp); err != nil {
+	gather, err := sched.IntraGather(groups, intra)
+	if err != nil {
+		return nil, err
+	}
+	bcast, err := sched.IntraBroadcast(groups, intra)
+	if err != nil {
+		return nil, err
+	}
+	inter := map[core.Pattern]*sched.Schedule{}
+	for _, pat := range h.pats {
+		if inter[pat], err = sched.ForPattern(pat, h.g); err != nil {
 			return nil, err
 		}
+	}
+	ctx := context.Background()
+	endShuffle, err := s.Machine.ProfileSchedule(ctx, sched.EndShuffleSchedule(procs), layout)
+	if err != nil {
+		return nil, err
+	}
+	for _, mp := range []Mapper{MapperNone, MapperHeuristic, MapperScotch} {
+		gm, bm, lms, err := h.mappings(c, mp)
+		if err != nil {
+			return nil, err
+		}
+		ph := &hierPhases{leader: map[core.Pattern]*simnet.PriceProfile{}, fix: map[fixKey]*simnet.PriceProfile{}}
+		if ph.gather, err = s.Machine.ProfileReordered(ctx, gather, layout, gm, sched.NoOrderFix); err != nil {
+			return nil, err
+		}
+		if ph.bcast, err = s.Machine.ProfileReordered(ctx, bcast, layout, bm, sched.NoOrderFix); err != nil {
+			return nil, err
+		}
+		for _, pat := range h.pats {
+			if ph.leader[pat], err = s.Machine.ProfileReordered(ctx, inter[pat], h.leaderCores, lms[pat], sched.NoOrderFix); err != nil {
+				return nil, err
+			}
+			comp := h.compositeMapping(gm, lms[pat])
+			if mp == MapperNone || !h.needsOrderFix(pat) || comp.IsIdentity() {
+				continue
+			}
+			if ph.fix[fixKey{pat, sched.InitComm}], err = s.Machine.ProfileReordered(ctx, sched.InitCommSchedule(comp), layout, comp, sched.NoOrderFix); err != nil {
+				return nil, err
+			}
+			ph.fix[fixKey{pat, sched.EndShuffle}] = endShuffle
+		}
+		h.phases[mp] = ph
 	}
 	return h, nil
 }
 
-// computeMappings fills the phase mappings for one mapper.
-func (h *hierPricer) computeMappings(mp Mapper) error {
-	gm := make([]core.Mapping, h.g)
-	bm := make([]core.Mapping, h.g)
-	for gi, grp := range h.groups {
-		if mp == MapperNone || h.intra == sched.Linear {
-			// Linear intra phases expose no pattern to optimise (paper
-			// Section VI-A2): identity mappings.
-			gm[gi] = core.Identity(len(grp))
-			bm[gi] = core.Identity(len(grp))
-			continue
+// mappings computes one mapper's phase reorderings on cluster c (identity
+// for MapperNone): the gather and broadcast mappings, every node's composed
+// into one over all ranks, and one leader mapping per inter pattern.
+func (h *hierPricer) mappings(c *topology.Cluster, mp Mapper) (gather, bcast core.Mapping, leader map[core.Pattern]core.Mapping, err error) {
+	gather, bcast = make(core.Mapping, len(h.layout)), make(core.Mapping, len(h.layout))
+	for _, grp := range h.groups {
+		gm, bm := core.Identity(len(grp)), core.Identity(len(grp))
+		// Linear intra phases expose no pattern to optimise (paper Section
+		// VI-A2): identity mappings.
+		if mp != MapperNone && h.intra != sched.Linear {
+			cores := make([]int, len(grp))
+			for j, r := range grp {
+				cores[j] = h.layout[r]
+			}
+			d, err := topology.NewDistances(c, cores)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			if gm, err = mappingFor(mp, core.BinomialGather, d); err != nil {
+				return nil, nil, nil, err
+			}
+			if bm, err = mappingFor(mp, core.BinomialBroadcast, d); err != nil {
+				return nil, nil, nil, err
+			}
 		}
-		cores := make([]int, len(grp))
 		for j, r := range grp {
-			cores[j] = h.layout[r]
-		}
-		d, err := topology.NewDistances(h.s.Machine.Cluster, cores)
-		if err != nil {
-			return err
-		}
-		if gm[gi], err = mappingFor(mp, core.BinomialGather, d); err != nil {
-			return err
-		}
-		if bm[gi], err = mappingFor(mp, core.BinomialBroadcast, d); err != nil {
-			return err
+			gather[r], bcast[r] = grp[gm[j]], grp[bm[j]]
 		}
 	}
-	h.gatherMaps[mp] = gm
-	h.bcastMaps[mp] = bm
-
-	lm := map[core.Pattern]core.Mapping{}
-	ld, err := topology.NewDistances(h.s.Machine.Cluster, h.leaderCores)
+	ld, err := topology.NewDistances(c, h.leaderCores)
 	if err != nil {
-		return err
+		return nil, nil, nil, err
 	}
-	for pat := range h.interScheds {
-		if mp == MapperNone {
-			lm[pat] = core.Identity(h.g)
-			continue
-		}
-		if lm[pat], err = mappingFor(mp, pat, ld); err != nil {
-			return err
+	leader = map[core.Pattern]core.Mapping{}
+	for _, pat := range h.pats {
+		if leader[pat], err = mappingFor(mp, pat, ld); err != nil {
+			return nil, nil, nil, err
 		}
 	}
-	h.leaderMaps[mp] = lm
-	return nil
-}
-
-// intraEffLayout composes per-node mappings into a global effective layout.
-func (h *hierPricer) intraEffLayout(maps []core.Mapping) []int {
-	eff := make([]int, len(h.layout))
-	copy(eff, h.layout)
-	for gi, grp := range h.groups {
-		m := maps[gi]
-		for jNew, jOld := range m {
-			eff[grp[jNew]] = h.layout[grp[jOld]]
-		}
-	}
-	return eff
+	return gather, bcast, leader, nil
 }
 
 // needsOrderFix reports whether the reordered configuration must pay an
@@ -170,75 +188,47 @@ func (h *hierPricer) needsOrderFix(interPat core.Pattern) bool {
 
 // compositeMapping builds the global output permutation implied by the
 // gather-phase and leader-phase mappings, for pricing the initComm fix.
-func (h *hierPricer) compositeMapping(gatherMaps []core.Mapping, leaderMap core.Mapping) core.Mapping {
-	m := make(core.Mapping, h.s.P)
+func (h *hierPricer) compositeMapping(gather, leader core.Mapping) core.Mapping {
+	m := make(core.Mapping, len(h.layout))
 	for gNew := 0; gNew < h.g; gNew++ {
-		gOld := leaderMap[gNew]
-		lm := gatherMaps[gOld]
-		for jNew := 0; jNew < h.k; jNew++ {
-			m[gNew*h.k+jNew] = h.groups[gOld][lm[jNew]]
+		for jNew, r := range h.groups[leader[gNew]] {
+			m[gNew*h.k+jNew] = gather[r]
 		}
 	}
 	return m
 }
 
 // price returns the modelled hierarchical allgather time for one mapper and
-// order mode at message size m bytes.
+// order mode at message size msgBytes.
 func (h *hierPricer) price(mp Mapper, order sched.OrderMode, msgBytes int) (float64, error) {
 	interPat := patternForSize(h.g, msgBytes)
-	interSched, ok := h.interScheds[interPat]
-	if !ok {
-		return 0, fmt.Errorf("no inter schedule for %v", interPat)
-	}
-
-	t1, err := h.s.Machine.Price(h.gatherSched, h.intraEffLayout(h.gatherMaps[mp]), msgBytes)
+	ph := h.phases[mp]
+	t1, err := ph.gather.Price(msgBytes)
 	if err != nil {
 		return 0, err
 	}
-	leaderEff := make([]int, h.g)
-	lm := h.leaderMaps[mp][interPat]
-	for gNew := range leaderEff {
-		leaderEff[gNew] = h.leaderCores[lm[gNew]]
-	}
-	t2, err := h.s.Machine.Price(interSched, leaderEff, h.k*msgBytes)
+	t2, err := ph.leader[interPat].Price(h.k * msgBytes)
 	if err != nil {
 		return 0, err
 	}
-	t3, err := h.s.Machine.Price(h.bcastSched, h.intraEffLayout(h.bcastMaps[mp]), msgBytes)
+	t3, err := ph.bcast.Price(msgBytes)
 	if err != nil {
 		return 0, err
 	}
 	total := t1 + t2 + t3
-
-	if mp != MapperNone && h.needsOrderFix(interPat) {
-		comp := h.compositeMapping(h.gatherMaps[mp], lm)
-		if !comp.IsIdentity() {
-			switch order {
-			case sched.InitComm:
-				eff, err := comp.Apply(h.layout)
-				if err != nil {
-					return 0, err
-				}
-				fix, err := h.s.Machine.Price(sched.InitCommSchedule(comp), eff, msgBytes)
-				if err != nil {
-					return 0, err
-				}
-				total += fix
-			case sched.EndShuffle:
-				fix, err := h.s.Machine.Price(sched.EndShuffleSchedule(h.s.P), h.layout, msgBytes)
-				if err != nil {
-					return 0, err
-				}
-				total += fix
-			}
+	if fix := ph.fix[fixKey{interPat, order}]; fix != nil {
+		t, err := fix.Price(msgBytes)
+		if err != nil {
+			return 0, err
 		}
+		total += t
 	}
 	return total, nil
 }
 
 // fig4Panel computes one (layout, intra) panel.
 func (s *Setup) fig4Panel(kind topology.LayoutKind, intra sched.IntraKind) (Fig4Panel, error) {
-	h, err := s.newHierPricer(kind, intra)
+	h, err := s.newHierPricer(kind, intra, s.P)
 	if err != nil {
 		return Fig4Panel{}, err
 	}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/sched"
 	"repro/internal/topology"
 )
@@ -17,43 +16,33 @@ func TestFig4PhaseBreakdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := s.newHierPricer(topology.BlockScatter, sched.NonLinear)
+	h, err := s.newHierPricer(topology.BlockScatter, sched.NonLinear, s.P)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const size = 2048
+	interPat := patternForSize(h.g, size)
 	for _, mp := range []Mapper{MapperNone, MapperHeuristic} {
-		t1, err := s.Machine.Price(h.gatherSched, h.intraEffLayout(h.gatherMaps[mp]), size)
+		ph := h.phases[mp]
+		t1, err := ph.gather.Price(size)
 		if err != nil {
 			t.Fatal(err)
 		}
-		interPat := patternForSize(h.g, size)
-		lm := h.leaderMaps[mp][interPat]
-		leaderEff := make([]int, h.g)
-		for gNew := range leaderEff {
-			leaderEff[gNew] = h.leaderCores[lm[gNew]]
-		}
-		t2, err := s.Machine.Price(h.interScheds[interPat], leaderEff, h.k*size)
+		t2, err := ph.leader[interPat].Price(h.k * size)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t3, err := s.Machine.Price(h.bcastSched, h.intraEffLayout(h.bcastMaps[mp]), size)
+		t3, err := ph.bcast.Price(size)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("%v: t1=%.3gms t2=%.3gms t3=%.3gms interPat=%v leaderIdentity=%v",
-			mp, t1*1e3, t2*1e3, t3*1e3, interPat, lm.IsIdentity())
-		if mp == MapperHeuristic {
-			comp := h.compositeMapping(h.gatherMaps[mp], lm)
-			eff, _ := comp.Apply(h.layout)
-			fix, err := s.Machine.Price(sched.InitCommSchedule(comp), eff, size)
+		t.Logf("%v: t1=%.3gms t2=%.3gms t3=%.3gms interPat=%v", mp, t1*1e3, t2*1e3, t3*1e3, interPat)
+		if fix := ph.fix[fixKey{interPat, sched.InitComm}]; fix != nil {
+			ft, err := fix.Price(size)
 			if err != nil {
 				t.Fatal(err)
 			}
-			t.Logf("  initComm fix=%.3gms compIdentity=%v", fix*1e3, comp.IsIdentity())
-			gm := h.gatherMaps[mp][0]
-			t.Logf("  node0 gather map=%v bcast map=%v", gm, h.bcastMaps[mp][0])
+			t.Logf("  initComm fix=%.3gms", ft*1e3)
 		}
 	}
-	_ = core.Identity(1)
 }

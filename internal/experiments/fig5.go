@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/app"
@@ -49,7 +50,11 @@ func Fig5(s *Setup, cfg app.Config) ([]Fig5Panel, error) {
 		if err != nil {
 			return nil, err
 		}
-		defLat, err := s.Machine.Price(schedule, layout, cfg.MsgBytes)
+		def, err := s.Machine.ProfileSchedule(context.Background(), schedule, layout)
+		if err != nil {
+			return nil, err
+		}
+		defLat, err := def.Price(cfg.MsgBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -61,7 +66,11 @@ func Fig5(s *Setup, cfg app.Config) ([]Fig5Panel, error) {
 			if err != nil {
 				return nil, err
 			}
-			lat, err := s.priceReordered(schedule, layout, m, sched.InitComm, cfg.MsgBytes)
+			re, err := s.Machine.ProfileReordered(context.Background(), schedule, layout, m, sched.InitComm)
+			if err != nil {
+				return nil, err
+			}
+			lat, err := re.Price(cfg.MsgBytes)
 			if err != nil {
 				return nil, err
 			}
@@ -110,14 +119,10 @@ func Fig6(s *Setup, cfg app.Config) ([]Fig6Panel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	saved := s.P
-	s.P = cfg.Procs
-	defer func() { s.P = saved }()
-
 	var out []Fig6Panel
 	for _, intra := range []sched.IntraKind{sched.NonLinear, sched.Linear} {
 		for _, kind := range []topology.LayoutKind{topology.BlockBunch, topology.BlockScatter} {
-			h, err := s.newHierPricer(kind, intra)
+			h, err := s.newHierPricer(kind, intra, cfg.Procs)
 			if err != nil {
 				return nil, fmt.Errorf("fig6 %v/%v: %w", kind, intra, err)
 			}
@@ -131,20 +136,16 @@ func Fig6(s *Setup, cfg app.Config) ([]Fig6Panel, error) {
 			if intra == sched.Linear {
 				suffix = "-L"
 			}
+			d, err := s.distancesForLayout(h.layout)
+			if err != nil {
+				return nil, err
+			}
 			for _, mp := range []Mapper{MapperHeuristic, MapperScotch} {
 				lat, err := h.price(mp, sched.InitComm, cfg.MsgBytes)
 				if err != nil {
 					return nil, err
 				}
-				layout, err := topology.Layout(s.Machine.Cluster, cfg.Procs, kind)
-				if err != nil {
-					return nil, err
-				}
-				d, err := s.distancesForLayout(layout)
-				if err != nil {
-					return nil, err
-				}
-				overhead, err := s.reorderOverhead(layout, mp, patternForSize(h.g, cfg.MsgBytes), d)
+				overhead, err := s.reorderOverhead(h.layout, mp, patternForSize(h.g, cfg.MsgBytes), d)
 				if err != nil {
 					return nil, err
 				}

@@ -1,10 +1,10 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/osu"
 	"repro/internal/sched"
 	"repro/internal/simnet"
 	"repro/internal/topology"
@@ -85,24 +85,16 @@ func Sensitivity(p int, scales []float64) ([]SensitivityRow, error) {
 		return nil, err
 	}
 
-	improvement := func(m *simnet.Machine, s *sched.Schedule, layout []int, mp core.Mapping, bytes int) (float64, error) {
-		def, err := m.Price(s, layout, bytes)
+	gain := func(m *simnet.Machine, s *sched.Schedule, layout []int, mp core.Mapping, bytes int) (float64, error) {
+		def, err := m.ProfileSchedule(context.Background(), s, layout)
 		if err != nil {
 			return 0, err
 		}
-		withFix, err := sched.WithOrderPreservation(s, mp, sched.InitComm)
+		re, err := m.ProfileReordered(context.Background(), s, layout, mp, sched.InitComm)
 		if err != nil {
 			return 0, err
 		}
-		eff, err := mp.Apply(layout)
-		if err != nil {
-			return 0, err
-		}
-		re, err := m.Price(withFix, eff, bytes)
-		if err != nil {
-			return 0, err
-		}
-		return osu.Improvement(def, re), nil
+		return improvement(def, re, bytes)
 	}
 
 	var rows []SensitivityRow
@@ -115,13 +107,13 @@ func Sensitivity(p int, scales []float64) ([]SensitivityRow, error) {
 				return nil, err
 			}
 			row := SensitivityRow{Param: param.name, Scale: scale}
-			if row.CyclicRing, err = improvement(m, ring, cyc, rmhCyc, 64*1024); err != nil {
+			if row.CyclicRing, err = gain(m, ring, cyc, rmhCyc, 64*1024); err != nil {
 				return nil, err
 			}
-			if row.IdealRing, err = improvement(m, ring, ideal, rmhIdeal, 64*1024); err != nil {
+			if row.IdealRing, err = gain(m, ring, ideal, rmhIdeal, 64*1024); err != nil {
 				return nil, err
 			}
-			if row.BlockRD, err = improvement(m, rd, ideal, rdmhIdeal, 512); err != nil {
+			if row.BlockRD, err = gain(m, rd, ideal, rdmhIdeal, 512); err != nil {
 				return nil, err
 			}
 			rows = append(rows, row)

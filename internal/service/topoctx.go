@@ -166,10 +166,11 @@ func (e *topoContext) buildSchedule(pat core.Pattern) (*sched.Schedule, error) {
 
 // profilesFor builds the default and the order-preserved pricing profiles for
 // (pattern, mapping, mode) at most once per context. Both walk the context's
-// one schedule in place (simnet.ProfileSchedule; WithOrderPreservation shares
-// the base stages), so nothing is rebuilt, copied or hashed for the compile
-// cache. Candidates converging to one permutation, patterns repeated across a
-// batch and later requests for other sizes all land on the memo.
+// one schedule in place (simnet.ProfileSchedule and ProfileReordered, whose
+// order fix shares the base stages), so nothing is rebuilt, copied or hashed
+// for the compile cache. Candidates converging to one permutation, patterns
+// repeated across a batch and later requests for other sizes all land on the
+// memo.
 func (e *topoContext) profilesFor(ctx context.Context, pat core.Pattern, m core.Mapping, mode sched.OrderMode) (base, reord *simnet.PriceProfile, err error) {
 	schedule, err := e.scheduleFor(ctx, pat)
 	if err != nil {
@@ -189,15 +190,7 @@ func (e *topoContext) profilesFor(ctx context.Context, pat core.Pattern, m core.
 	}
 	key := progKey{pattern: pat, mode: mode, mapFP: mappingFingerprint(m)}
 	reord, err = e.reordered.do(ctx, key, func() (*simnet.PriceProfile, error) {
-		eff, err := m.Apply(e.layout)
-		if err != nil {
-			return nil, err
-		}
-		withOrder, err := sched.WithOrderPreservation(schedule, m, mode)
-		if err != nil {
-			return nil, err
-		}
-		return machine.ProfileSchedule(ctx, withOrder, eff)
+		return machine.ProfileReordered(ctx, schedule, e.layout, m, mode)
 	})
 	return base, reord, err
 }

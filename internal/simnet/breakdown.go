@@ -47,10 +47,10 @@ func (b *Breakdown) String() string {
 	return sb.String()
 }
 
-// Explain prices a schedule like Price but returns the per-stage detail. It
-// consumes the same compiled program as Price and the executor.
+// Explain prices a schedule like Price but returns the per-stage detail, on
+// the program sched.Compile builds for the executor.
 func (m *Machine) Explain(s *sched.Schedule, layout []int, blockBytes int) (*Breakdown, error) {
-	prog, err := sched.CompileCached(s)
+	prog, err := sched.Compile(s)
 	if err != nil {
 		return nil, err
 	}
@@ -60,13 +60,14 @@ func (m *Machine) Explain(s *sched.Schedule, layout []int, blockBytes int) (*Bre
 // ExplainProgram is Explain for an already-compiled program. Stage indices
 // of the result are positions in prog.Stages (the pricing view), the same
 // index space sched.Program.PriceStageMap and obs profiles bin against.
+// Total sums the stages in PriceProgram's order, so it equals its price.
 func (m *Machine) ExplainProgram(prog *sched.Program, layout []int, blockBytes int) (*Breakdown, error) {
-	if _, err := m.PriceProgram(prog, layout, blockBytes); err != nil {
+	sc := m.getScratch()
+	defer m.scratch.Put(sc)
+	if err := m.checkArgs(sc, prog.P, layout, blockBytes); err != nil {
 		return nil, err
 	}
 	out := &Breakdown{}
-	sc := m.getScratch()
-	defer m.scratch.Put(sc)
 	for idx := range prog.Stages {
 		st := &prog.Stages[idx]
 		t, err := m.priceStage(sc, st.Transfers, layout, blockBytes)

@@ -99,8 +99,24 @@ func TestExplainPostCopy(t *testing.T) {
 func TestExplainRejectsInvalid(t *testing.T) {
 	m := testMachine(t)
 	s, _ := sched.Ring(8)
+	layout := topology.MustLayout(m.Cluster, 8, topology.BlockBunch)
+	for name, bad := range badLayouts(m, layout) {
+		if _, err := m.Explain(s, bad, 1024); err == nil {
+			t.Errorf("%s layout accepted", name)
+		}
+	}
 	s.Stages[0].Transfers[0].N = -1
-	if _, err := m.Explain(s, topology.MustLayout(m.Cluster, 8, topology.BlockBunch), 1024); err == nil {
+	if _, err := m.Explain(s, layout, 1024); err == nil {
 		t.Error("invalid schedule accepted")
 	}
+}
+
+// badLayouts returns copies of layout that put two ranks on one core and
+// one rank on a core outside m's cluster.
+func badLayouts(m *Machine, layout []int) map[string][]int {
+	dup := append([]int(nil), layout...)
+	dup[1] = dup[0]
+	outside := append([]int(nil), layout...)
+	outside[len(outside)-1] = m.Cluster.TotalCores()
+	return map[string][]int{"duplicate-core": dup, "out-of-range-core": outside}
 }

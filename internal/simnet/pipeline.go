@@ -17,11 +17,11 @@ func (m *Machine) PricePipelined(s *sched.Schedule, layout []int, blockBytes int
 	if err := s.Validate(); err != nil {
 		return 0, err
 	}
-	if _, err := m.Price(s, layout, blockBytes); err != nil {
-		return 0, err // reuse Price's argument validation
-	}
 	sc := m.getScratch()
 	defer m.scratch.Put(sc)
+	if err := m.checkArgs(sc, s.P, layout, blockBytes); err != nil {
+		return 0, err
+	}
 	ready := make([]float64, s.P)
 	var snapshot, durations []float64
 	for _, stages := range [][]sched.Stage{s.Pre, s.Stages} {

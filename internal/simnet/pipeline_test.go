@@ -156,6 +156,11 @@ func TestPipelinedErrors(t *testing.T) {
 	if _, err := m.PricePipelined(s, layout, 0); err == nil {
 		t.Error("zero block size accepted")
 	}
+	for name, bad := range badLayouts(m, layout) {
+		if _, err := m.PricePipelined(s, bad, 64); err == nil {
+			t.Errorf("%s layout accepted", name)
+		}
+	}
 	s.Stages[0].Transfers[0].N = -1
 	if _, err := m.PricePipelined(s, layout, 64); err == nil {
 		t.Error("invalid schedule accepted")

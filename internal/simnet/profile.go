@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/sched"
 )
 
@@ -34,9 +35,10 @@ type profileStage struct {
 }
 
 // PriceProfile is the size-independent pricing summary of one schedule under
-// one layout. Build with Machine.Profile (from a compiled program) or
-// Machine.ProfileSchedule (from the schedule itself), evaluate any message
-// size with Price. The profile is immutable and safe for concurrent use.
+// one layout. Build with Machine.Profile (from a compiled program),
+// ProfileSchedule (from the schedule itself) or ProfileReordered (under a
+// rank reordering), evaluate any message size with Price. The profile is
+// immutable and safe for concurrent use.
 type PriceProfile struct {
 	stages  []profileStage
 	post    float64 // float64(prog.PostCopyBlocks), 0 when absent
@@ -72,15 +74,31 @@ func (m *Machine) ProfileSchedule(ctx context.Context, s *sched.Schedule, layout
 		})
 }
 
+// ProfileReordered profiles s as the reordered communicator runs it: with
+// mode's order fix (paper Section V-B) attached for mapping, and new rank r
+// on core layout[mapping[r]]. Against ProfileSchedule(ctx, s, layout) it is
+// the paper's cost comparison; a mapping that is no permutation is an error.
+func (m *Machine) ProfileReordered(ctx context.Context, s *sched.Schedule, layout []int, mapping core.Mapping, mode sched.OrderMode) (*PriceProfile, error) {
+	// Apply first: it rejects a short mapping or an out-of-range slot before
+	// the order fix inverts it; the layout check rejects a repeated slot.
+	eff, err := mapping.Apply(layout)
+	if err != nil {
+		return nil, err
+	}
+	withOrder, err := sched.WithOrderPreservation(s, mapping, mode)
+	if err != nil {
+		return nil, err
+	}
+	return m.ProfileSchedule(ctx, withOrder, eff)
+}
+
 // profile is the one stage walk behind Profile and ProfileSchedule: stage(i)
 // yields the i-th priced stage's transfers and its execution count.
 func (m *Machine) profile(ctx context.Context, p, postCopyBlocks int, layout []int, stages int, stage func(i int) ([]sched.Transfer, int)) (*PriceProfile, error) {
-	if len(layout) < p {
-		return nil, fmt.Errorf("simnet: layout covers %d ranks, schedule has %d", len(layout), p)
-	}
 	sc := m.getScratch()
 	defer m.scratch.Put(sc)
-	if err := sc.validateLayout(m.Cluster, layout); err != nil {
+	// A profile serves every size; PriceProfile.Price checks each one.
+	if err := m.checkArgs(sc, p, layout, 1); err != nil {
 		return nil, err
 	}
 	pp := &PriceProfile{

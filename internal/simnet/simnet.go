@@ -27,6 +27,7 @@
 package simnet
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -127,16 +128,28 @@ func NewMachine(c *topology.Cluster, p Params) (*Machine, error) {
 }
 
 // Price computes the modelled execution time of schedule s in seconds, with
-// rank r placed on core layout[r] and every block blockBytes bytes. The
-// schedule is compiled through the process-wide schedule cache and the
-// compiled program is priced, so the cost model consumes exactly the
-// artifact the generic executor runs.
+// rank r placed on core layout[r] and every block blockBytes bytes. It is
+// ProfileSchedule read at one size; a caller that prices one (schedule,
+// layout) pair at several sizes holds the profile instead.
 func (m *Machine) Price(s *sched.Schedule, layout []int, blockBytes int) (float64, error) {
-	prog, err := sched.CompileCached(s)
+	pp, err := m.ProfileSchedule(context.Background(), s, layout)
 	if err != nil {
 		return 0, err
 	}
-	return m.PriceProgram(prog, layout, blockBytes)
+	return pp.Price(blockBytes)
+}
+
+// checkArgs is the one argument check of every pricing entry point: the
+// layout covers the schedule's p ranks, the block size is positive, and no
+// two ranks share a core or sit outside the cluster (validated on sc).
+func (m *Machine) checkArgs(sc *priceScratch, p int, layout []int, blockBytes int) error {
+	if len(layout) < p {
+		return fmt.Errorf("simnet: layout covers %d ranks, schedule has %d", len(layout), p)
+	}
+	if blockBytes <= 0 {
+		return fmt.Errorf("simnet: block size must be positive, got %d", blockBytes)
+	}
+	return sc.validateLayout(m.Cluster, layout)
 }
 
 // PriceProgram prices a compiled program: the sum over its pricing-view
@@ -145,15 +158,9 @@ func (m *Machine) Price(s *sched.Schedule, layout []int, blockBytes int) (float6
 // pricing scratch (sparse.go) serves all stages, so steady-state pricing of
 // warm machines does not allocate beyond layout validation.
 func (m *Machine) PriceProgram(prog *sched.Program, layout []int, blockBytes int) (float64, error) {
-	if len(layout) < prog.P {
-		return 0, fmt.Errorf("simnet: layout covers %d ranks, schedule has %d", len(layout), prog.P)
-	}
-	if blockBytes <= 0 {
-		return 0, fmt.Errorf("simnet: block size must be positive, got %d", blockBytes)
-	}
 	sc := m.getScratch()
 	defer m.scratch.Put(sc)
-	if err := sc.validateLayout(m.Cluster, layout); err != nil {
+	if err := m.checkArgs(sc, prog.P, layout, blockBytes); err != nil {
 		return 0, err
 	}
 	total := 0.0

@@ -283,11 +283,16 @@ func (p *ReorderPlan) profiles(m *Machine) (def, reordered *simnet.PriceProfile,
 	if def, err = m.ProfileSchedule(context.Background(), s, p.Layout); err != nil {
 		return nil, nil, err
 	}
-	withFix, err := sched.WithOrderPreservation(s, p.Mapping, sched.InitComm)
-	if err != nil {
-		return nil, nil, err
+	// ReorderedLayout records Mapping.Apply(Layout), which ProfileReordered
+	// recomputes: a plan whose fields disagree is refused, not priced.
+	agree := len(p.ReorderedLayout) == len(p.Mapping)
+	for r, slot := range p.Mapping {
+		agree = agree && slot >= 0 && slot < len(p.Layout) && p.ReorderedLayout[r] == p.Layout[slot]
 	}
-	if reordered, err = m.ProfileSchedule(context.Background(), withFix, p.ReorderedLayout); err != nil {
+	if !agree {
+		return nil, nil, fmt.Errorf("repro: the plan's ReorderedLayout is not its Mapping applied to its Layout")
+	}
+	if reordered, err = m.ProfileReordered(context.Background(), s, p.Layout, p.Mapping, sched.InitComm); err != nil {
 		return nil, nil, err
 	}
 	p.profCluster, p.profParams = m.Cluster, m.Params
