@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"strings"
 	"unsafe"
 
 	"repro/internal/mpi"
@@ -61,8 +62,8 @@ type hierPlanKey struct {
 }
 
 // hierPlanTable is the hierarchical compositions' instance of the program
-// table: same per-key once, bound, counters and ResetCompileCache as the
-// flat front doors' (family, builder, p) table.
+// table: same bound, counters and ResetCompileCache as the flat front doors'
+// (family, builder, p) table.
 var hierPlanTable = sched.NewProgramTable[hierPlanKey]()
 
 // hierPlan returns the compiled, executable program of the hierarchical
@@ -71,13 +72,16 @@ var hierPlanTable = sched.NewProgramTable[hierPlanKey]()
 // communicators once, at communicator-creation time. A steady-state call is
 // one table lookup: no grouping, no mapping heuristic, no compile.
 //
-// ids must be the caller's own, never-again-written slice (both callers fill
-// a fresh Comm.Members copy): the key views its memory as a string instead of
-// copying it, which is what keeps the lookup allocation-free on every rank of
-// every call.
+// The lookup views ids' memory as a string instead of copying it, which keeps
+// it allocation-free on every rank of every call; a miss files a copy, so the
+// table never keeps a key that aliases the caller's slice.
 func hierPlan(ids []int, cluster *topology.Cluster, cfg sched.HierarchicalConfig, build func() (*sched.Schedule, error)) (*sched.Program, error) {
-	view := unsafe.String((*byte)(unsafe.Pointer(unsafe.SliceData(ids))), len(ids)*int(unsafe.Sizeof(ids[0])))
-	return hierPlanTable.Get(hierPlanKey{view, cluster, cfg}, func() (*sched.Program, error) {
+	key := hierPlanKey{unsafe.String((*byte)(unsafe.Pointer(unsafe.SliceData(ids))), len(ids)*int(unsafe.Sizeof(ids[0]))), cluster, cfg}
+	if prog, ok := hierPlanTable.Lookup(key); ok {
+		return prog, nil
+	}
+	key.ids = strings.Clone(key.ids)
+	return hierPlanTable.Get(key, func() (*sched.Program, error) {
 		s, err := build()
 		if err != nil {
 			return nil, err

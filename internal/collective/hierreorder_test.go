@@ -216,3 +216,32 @@ func TestResetCompileCacheDropsHierarchicalPlans(t *testing.T) {
 		t.Errorf("after ResetCompileCache: %d hits, %d misses, want %d and 2 (one rebuild per plan)", hits, misses, 2*p-2)
 	}
 }
+
+// TestHierPlanKeyOwnsItsIDs: the plan table files its own copy of a plan's
+// ids. Overwriting the slice a first call passed must not change the key under
+// the map, so a second call with a fresh slice of the same ids is a hit on the
+// same program: one miss in all. Run under -race.
+func TestHierPlanKeyOwnsItsIDs(t *testing.T) {
+	sched.ResetCompileCache()
+	cfg := sched.HierarchicalConfig{Intra: sched.NonLinear, Inter: sched.InterRing}
+	nodes := func() []int { return []int{0, 0, 0, 1, 1, 1, 2, 2, 2} }
+	build := func() (*sched.Schedule, error) {
+		return sched.Hierarchical(sched.Groups(nodes(), func(node int) int { return node }), cfg)
+	}
+	_, m0 := sched.CompileCacheCounters()
+	ids := nodes()
+	first, err := hierPlan(ids, nil, cfg, build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ids {
+		ids[i] = 7
+	}
+	second, err := hierPlan(nodes(), nil, cfg, build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, m1 := sched.CompileCacheCounters(); m1-m0 != 1 || second != first {
+		t.Errorf("%d misses, programs %p and %p; want one miss and one program", m1-m0, first, second)
+	}
+}

@@ -1,12 +1,12 @@
 package sched
 
 import (
-	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sync"
 
+	"repro/internal/memo"
 	"repro/internal/metrics"
 )
 
@@ -106,26 +106,13 @@ func Fingerprint(s *Schedule) string {
 // comfortably.
 const programTableCap = 64
 
-// ProgramTable is a bounded LRU from a comparable key to a program built
-// under a per-key sync.Once: the first caller of a cold key builds (one
-// schedule_cache_misses_total), every other caller — concurrent ranks of the
-// same collective call included — waits for and shares that result (one
-// schedule_cache_hits_total each). A failed build is forgotten, so the next
-// caller retries. The table is generic so each key shape gets its own typed
-// map and a warm lookup allocates nothing; every instance counts on the same
-// two counters and is emptied by ResetCompileCache.
-type ProgramTable[K comparable] struct {
-	mu    sync.Mutex
-	ll    *list.List // of *tableEntry[K], most recently used first
-	byKey map[K]*list.Element
-}
-
-type tableEntry[K comparable] struct {
-	key  K
-	once sync.Once
-	prog *Program
-	err  error
-}
+// ProgramTable is a memo.Table of compiled programs bounded to
+// programTableCap entries. A caller that builds counts one
+// schedule_cache_misses_total, one that shares a build or a kept program one
+// schedule_cache_hits_total; every instance is emptied by ResetCompileCache.
+// It is generic so each key shape gets its own typed map and a warm lookup
+// allocates nothing.
+type ProgramTable[K comparable] struct{ programs memo.Table[K, *Program] }
 
 // programTables lists every table's reset hook. Tables are package-level
 // variables, so the list is complete before main runs and read-only after.
@@ -134,51 +121,35 @@ var programTables []func()
 // NewProgramTable returns an empty table registered with ResetCompileCache.
 // Call it from a package-level variable initialiser.
 func NewProgramTable[K comparable]() *ProgramTable[K] {
-	t := &ProgramTable[K]{ll: list.New(), byKey: make(map[K]*list.Element)}
-	programTables = append(programTables, t.reset)
+	t := &ProgramTable[K]{}
+	t.programs.MaxEntries = programTableCap
+	programTables = append(programTables, t.programs.Reset)
 	return t
 }
 
-func (t *ProgramTable[K]) reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.ll = list.New()
-	clear(t.byKey)
+// Lookup returns the program kept under key, counting a hit; it never builds.
+func (t *ProgramTable[K]) Lookup(key K) (*Program, bool) {
+	prog, ok := t.programs.Get(key)
+	if ok {
+		scheduleCacheHits.Inc()
+	}
+	return prog, ok
 }
 
 // Get returns the program filed under key, building it with build on first
 // use.
 func (t *ProgramTable[K]) Get(key K, build func() (*Program, error)) (*Program, error) {
-	t.mu.Lock()
-	el, hit := t.byKey[key]
-	if hit {
-		t.ll.MoveToFront(el)
-	} else {
-		el = t.ll.PushFront(&tableEntry[K]{key: key})
-		t.byKey[key] = el
-		if t.ll.Len() > programTableCap {
-			oldest := t.ll.Back()
-			t.ll.Remove(oldest)
-			delete(t.byKey, oldest.Value.(*tableEntry[K]).key)
-		}
-	}
-	t.mu.Unlock()
-	if hit {
-		scheduleCacheHits.Inc()
-	} else {
+	built := false
+	prog, err := t.programs.Do(context.Background(), key, func() (*Program, error) {
+		built = true
+		return build()
+	})
+	if built {
 		scheduleCacheMisses.Inc()
+	} else {
+		scheduleCacheHits.Inc()
 	}
-	e := el.Value.(*tableEntry[K])
-	e.once.Do(func() { e.prog, e.err = build() })
-	if e.err != nil {
-		t.mu.Lock()
-		if t.byKey[key] == el {
-			t.ll.Remove(el)
-			delete(t.byKey, key)
-		}
-		t.mu.Unlock()
-	}
-	return e.prog, e.err
+	return prog, err
 }
 
 // builderKey addresses a program by the registry builder call that produces

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/memo"
 )
 
 // MaxBatchPatterns bounds one batch request.
@@ -90,7 +92,7 @@ func (s *Service) ComputeBatch(ctx context.Context, breq *BatchRequest) (*BatchR
 	if n > MaxBatchPatterns {
 		return nil, fmt.Errorf("service: batch of %d patterns exceeds %d", n, MaxBatchPatterns)
 	}
-	tc, err := s.contexts.get(&breq.Topology, breq.Procs, breq.Layout)
+	tc, err := s.contextFor(&breq.Topology, breq.Procs, breq.Layout)
 	if err != nil {
 		return nil, err
 	}
@@ -169,43 +171,31 @@ func (s *Service) serveRemoteGroup(ctx context.Context, owner string, breq *Batc
 	}
 
 	var leaders []int
-	calls := make(map[int]*onceSlot[*Response])
+	var flights []*memo.Entry[string, *Response] // one per leader
 	var wait sync.WaitGroup
 	for _, i := range idxs {
 		start := time.Now()
 		s.stats.begin()
 		c := items[i]
-		if resp, ok := s.cache.get(c.key); ok {
-			s.stats.cacheHits.Inc()
+		if resp, ok := s.cached(c.key, func(string) {}); ok {
 			finish(i, start, resp, true)
 			continue
 		}
-		s.stats.cacheMisses.Inc()
-		if resp, ok := s.storeGet(c.key); ok {
-			s.cache.put(c.key, resp)
-			finish(i, start, resp, true)
-			continue
-		}
-		call, leader := s.flight.join(c.key)
-		if !leader {
+		flight, lead := s.results.Join(c.key)
+		if !lead {
 			s.stats.flightShared.Inc()
 			wait.Add(1)
-			go func(i int, start time.Time, call *onceSlot[*Response]) {
+			go func(i int, start time.Time) {
 				defer wait.Done()
-				select {
-				case <-call.done:
-					if call.err != nil || call.val == nil {
-						finish(i, start, degradedResponse(items[i]), false)
-						return
-					}
-					finish(i, start, call.val, false)
-				case <-ctx.Done():
-					finish(i, start, degradedResponse(items[i]), false)
+				resp, err := flight.Wait(ctx)
+				if err != nil {
+					resp = degradedResponse(items[i])
 				}
-			}(i, start, call)
+				finish(i, start, resp, false)
+			}(i, start)
 			continue
 		}
-		calls[i] = call
+		flights = append(flights, flight)
 		leaders = append(leaders, i)
 		// The leader's clock keeps running until the group returns; record
 		// its start by reusing the response slot.
@@ -237,10 +227,7 @@ func (s *Service) serveRemoteGroup(ctx context.Context, owner string, breq *Batc
 			} else {
 				resp = degradedResponse(items[i])
 			}
-			if !resp.Degraded {
-				s.cache.put(items[i].key, resp)
-			}
-			s.flight.retire(items[i].key, calls[i], resp, nil)
+			s.results.Publish(flights[pos], resp, nil, !resp.Degraded)
 			finish(i, start, resp, false)
 		}
 	}

@@ -35,7 +35,7 @@ func TestComputeSingleSizeDeadlineDegrades(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("warmup: %v", err)
 	}
-	entries, records := s.cache.len(), st.Stats().Records
+	entries, records := kept(&s.results), st.Stats().Records
 
 	const timeout = 40 * time.Millisecond
 	start := time.Now()
@@ -56,7 +56,7 @@ func TestComputeSingleSizeDeadlineDegrades(t *testing.T) {
 	if len(resp.Results) != 0 {
 		t.Errorf("degraded response carries %d priced rows", len(resp.Results))
 	}
-	if got := s.cache.len(); got != entries {
+	if got := kept(&s.results); got != entries {
 		t.Errorf("result cache grew from %d to %d entries on a degraded response", entries, got)
 	}
 	if got := st.Stats().Records; got != records {
@@ -133,7 +133,7 @@ func TestScheduleBuiltOncePerEnv(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := len(env.scheds.m); n != 1 {
+	if n := kept(&env.scheds); n != 1 {
 		t.Fatalf("context memoised %d schedules for one pattern", n)
 	}
 	for g := 1; g < workers; g++ {
@@ -148,7 +148,7 @@ func TestScheduleBuiltOncePerEnv(t *testing.T) {
 	if seen[0] == nil || sched.Fingerprint(seen[0]) != sched.Fingerprint(fresh) {
 		t.Error("the shared schedule no longer matches a fresh build: a reader modified it")
 	}
-	if n := len(env.baseProfs.m); n != 1 {
+	if n := kept(&env.baseProfs); n != 1 {
 		t.Errorf("context holds %d base profiles for one pattern", n)
 	}
 }

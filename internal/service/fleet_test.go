@@ -375,13 +375,23 @@ func TestShedOnPressure(t *testing.T) {
 }
 
 // TestCacheBytesBound: the byte budget evicts independently of the entry
-// bound.
+// bound and keeps the newest entry when it fits; a response larger than the
+// whole budget is served but not kept, and flushes nothing on its way.
 func TestCacheBytesBound(t *testing.T) {
-	s := New(Config{Workers: 2, CacheEntries: 64, CacheBytes: 1})
+	ctx := context.Background()
+	ring := func(topo TopologySpec, size int) *Request {
+		return &Request{Topology: topo, Pattern: PatternSpec{Name: "ring"}, Sizes: []int{size}}
+	}
+	probe := newTestService(t)
+	one, err := probe.Compute(ctx, ring(smallTopo(), 1024))
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := approxResponseBytes(one) * 3 / 2 // one 16-rank response, not two
+	s := New(Config{Workers: 2, CacheEntries: 64, CacheBytes: budget})
 	defer s.Close()
 	for i := 0; i < 4; i++ {
-		req := &Request{Topology: smallTopo(), Pattern: PatternSpec{Name: "ring"}, Sizes: []int{1024 * (i + 1)}}
-		if _, err := s.Compute(context.Background(), req); err != nil {
+		if _, err := s.Compute(ctx, ring(smallTopo(), 1024*(i+1))); err != nil {
 			t.Fatalf("Compute %d: %v", i, err)
 		}
 	}
@@ -389,8 +399,25 @@ func TestCacheBytesBound(t *testing.T) {
 	if st.CacheEntries != 1 {
 		t.Errorf("cache entries = %d, want 1 (byte budget keeps only the newest)", st.CacheEntries)
 	}
-	if st.CacheBytes <= 0 {
-		t.Errorf("cache bytes = %d, want > 0", st.CacheBytes)
+	if st.CacheBytes <= 0 || st.CacheBytes > budget {
+		t.Errorf("cache bytes = %d, want within (0, %d]", st.CacheBytes, budget)
+	}
+	newest := ring(smallTopo(), 4096)
+	if resp, err := s.Compute(ctx, newest); err != nil || !resp.Cached {
+		t.Errorf("newest entry: resp=%+v err=%v, want a cache hit", resp, err)
+	}
+
+	big := ring(TopologySpec{Nodes: 16, SocketsPerNode: 2, CoresPerSocket: 2}, 4096) // 64 ranks
+	for i := 0; i < 2; i++ {
+		if resp, err := s.Compute(ctx, big); err != nil || resp.Degraded || resp.Cached {
+			t.Fatalf("oversized response, call %d: resp=%+v err=%v, want served and never kept", i, resp, err)
+		}
+	}
+	if after := s.Stats(); after.CacheEntries != 1 || after.CacheBytes != st.CacheBytes {
+		t.Errorf("after an oversized response: %d entries, %d bytes; want %d, %d", after.CacheEntries, after.CacheBytes, 1, st.CacheBytes)
+	}
+	if resp, err := s.Compute(ctx, newest); err != nil || !resp.Cached {
+		t.Errorf("the oversized response flushed the newest entry: resp=%+v err=%v", resp, err)
 	}
 }
 

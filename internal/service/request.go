@@ -232,7 +232,7 @@ func buildGraph(spec *GraphSpec) (*graph.Graph, error) {
 // compile validates req and resolves every default, producing the canonical
 // form used by the compute path and the cache key.
 func (s *Service) compile(req *Request) (*compiled, error) {
-	tc, err := s.contexts.get(&req.Topology, req.Procs, req.Layout)
+	tc, err := s.contextFor(&req.Topology, req.Procs, req.Layout)
 	if err != nil {
 		return nil, err
 	}

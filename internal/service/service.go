@@ -5,13 +5,12 @@
 // message size and the per-size adaptive routing decision.
 //
 // The service is concurrent at the request level — the first layer of this
-// codebase that is — and built from five cooperating mechanisms:
+// codebase that is — and built from four cooperating mechanisms:
 //
-//   - a content-addressed result cache: requests are canonicalised and
+//   - a content-addressed result table: requests are canonicalised and
 //     hashed (topology fingerprint, pattern fingerprint, heuristic, sizes)
 //     so the recurring (topology, pattern) requests of job-launch traffic
-//     are answered from memory;
-//   - single-flight deduplication: concurrent identical requests compute
+//     are answered from memory, and concurrent identical requests compute
 //     once, with followers sharing the leader's result;
 //   - a topology-context table: what depends only on (topology, procs,
 //     layout) — cluster, fingerprint, layout, distance oracle, priced
@@ -25,6 +24,8 @@
 //   - per-request deadlines threaded as context cancellation into the
 //     heuristic traversal loops, so an over-budget request degrades to the
 //     identity mapping (Degraded=true) instead of blocking a worker.
+//
+// Both tables, and every memo inside a topology context, are memo.Tables.
 package service
 
 import (
@@ -36,6 +37,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/memo"
 	"repro/internal/metrics"
 	"repro/internal/patterns"
 	"repro/internal/sched"
@@ -72,7 +74,8 @@ type Config struct {
 	ReadyMaxQueue int
 	// CacheBytes bounds the result cache's approximate heap footprint
 	// (default 256 MiB). The entry bound still applies; whichever is hit
-	// first evicts.
+	// first evicts, and a response larger than the whole budget is served
+	// but not kept.
 	CacheBytes int64
 	// Store, when set, persists computed responses and synth tables across
 	// restarts. The service owns neither opening nor closing it.
@@ -94,6 +97,14 @@ func (cfg *Config) withDefaults() Config {
 	}
 	if out.CacheEntries <= 0 {
 		out.CacheEntries = 512
+	}
+	params := simnet.DefaultParams()
+	if out.Params != nil {
+		params = *out.Params
+	}
+	out.Params = &params
+	if out.CacheBytes <= 0 {
+		out.CacheBytes = defaultCacheBytes
 	}
 	if out.DefaultTimeout <= 0 {
 		out.DefaultTimeout = 10 * time.Second
@@ -121,9 +132,8 @@ func (cfg *Config) withDefaults() Config {
 type Service struct {
 	cfg      Config
 	pool     *workerPool
-	cache    *resultCache
-	contexts *contextTable
-	flight   onceMap[string, *Response] // single-flight by cache key
+	results  memo.Table[string, *Response]    // see cache.go; a build in flight is its key's single flight
+	contexts memo.Table[ctxKey, *topoContext] // see topoctx.go
 	stats    *statsCollector
 	burn     burnTracker
 	stopBurn chan struct{}
@@ -143,13 +153,21 @@ func New(cfg Config) *Service {
 	s := &Service{
 		cfg:         cfg,
 		pool:        newWorkerPool(cfg.Workers, stats.queueDepth),
-		cache:       newResultCache(cfg.CacheEntries, cfg.CacheBytes, stats.evictions, stats.cacheEntries, stats.cacheBytes),
-		contexts:    newContextTable(stats, cfg.Params),
 		stats:       stats,
 		stopBurn:    make(chan struct{}),
 		store:       cfg.Store,
 		synthTables: make(map[string]*synth.Table),
 	}
+	s.results.MaxEntries, s.results.MaxBytes, s.results.Size = cfg.CacheEntries, cfg.CacheBytes, approxResponseBytes
+	s.results.OnEvict = stats.evictions.Inc
+	s.results.OnResize = func(n int, bytes int64) {
+		stats.cacheEntries.Set(int64(n))
+		stats.cacheBytes.Set(bytes)
+	}
+	s.contexts.MaxEntries, s.contexts.MaxBytes = maxContexts, maxContextBytes
+	s.contexts.Size = func(e *topoContext) int64 { return contextRankCost*int64(e.procs) + e.grown.Load() }
+	s.contexts.OnEvict = stats.contextEvictions.Inc
+	s.contexts.OnResize = func(n int, _ int64) { stats.contexts.Set(int64(n)) }
 	s.loadSynthTables()
 	s.refreshStoreGauges()
 	if cfg.Shard != nil {
@@ -217,63 +235,60 @@ func (s *Service) serve(ctx context.Context, req *Request, c *compiled, start ti
 		rec.Record(trace.Event{Kind: trace.KindPoint, Peer: -1, Name: name})
 	}
 
-	if resp, ok := s.cache.get(c.key); ok {
-		s.stats.cacheHits.Inc()
-		mark("cache-hit")
-		return stamp(resp, true, start, rec), nil
-	}
-	s.stats.cacheMisses.Inc()
-
-	if resp, ok := s.storeGet(c.key); ok {
-		// A warm store answers without recomputing: promote into the LRU
-		// and serve as a (persistent) cache hit.
-		mark("store-hit")
-		s.cache.put(c.key, resp)
+	if resp, ok := s.cached(c.key, mark); ok {
 		return stamp(resp, true, start, rec), nil
 	}
 
-	call, leader := s.flight.join(c.key)
-	if !leader {
+	flight, lead := s.results.Join(c.key)
+	for !lead {
 		s.stats.flightShared.Inc()
 		mark("joined-inflight")
-		select {
-		case <-call.done:
-			if call.err != nil {
-				return nil, call.err
-			}
-			return stamp(call.val, false, start, rec), nil
-		case <-ctx.Done():
-			// The leader is still computing but this caller's budget is
-			// spent: degrade independently, leave the flight in place.
+		resp, err := flight.Wait(ctx)
+		if err == nil {
+			return stamp(resp, false, start, rec), nil
+		}
+		if memo.Expired(ctx) != nil {
+			// The leader is still computing (or failed) and this caller's
+			// budget is spent: degrade independently.
 			mark("deadline-while-waiting")
 			return stamp(degradedResponse(c), false, start, rec), nil
 		}
-	}
-
-	if resp, ok := s.cache.get(c.key); ok {
-		// The previous leader published and retired its flight between this
-		// request's cache miss and its join: share that result rather than
-		// compute the key a second time.
-		s.flight.retire(c.key, call, resp, nil)
-		s.stats.flightShared.Inc()
-		mark("joined-completed")
-		return stamp(resp, true, start, rec), nil
+		// The leader failed under its own budget; this caller has one left.
+		flight, lead = s.results.Join(c.key)
 	}
 
 	resp, computed, err := s.leaderServe(ctx, req, c, mark)
-	if err == nil && !resp.Degraded {
-		s.cache.put(c.key, resp)
-		if computed {
-			// Only locally computed results persist: the owning shard's
-			// store is the system of record for its keyspace slice.
-			s.storePut(c.key, resp)
-		}
+	keep := err == nil && !resp.Degraded
+	if keep && computed {
+		// Only locally computed results persist: the owning shard's store is
+		// the system of record for its keyspace slice.
+		s.storePut(c.key, resp)
 	}
-	s.flight.retire(c.key, call, resp, err)
+	// A degraded response reaches the requests waiting on this flight but is
+	// not kept for later ones.
+	s.results.Publish(flight, resp, err, keep)
 	if err != nil {
 		return nil, err
 	}
 	return stamp(resp, false, start, rec), nil
+}
+
+// cached answers key from the result table or, promoted into it, from the
+// persistent store: a warm store answers without recomputing, as a
+// (persistent) cache hit.
+func (s *Service) cached(key string, mark func(string)) (*Response, bool) {
+	if resp, ok := s.results.Get(key); ok {
+		s.stats.cacheHits.Inc()
+		mark("cache-hit")
+		return resp, true
+	}
+	s.stats.cacheMisses.Inc()
+	resp, ok := s.storeGet(key)
+	if ok {
+		mark("store-hit")
+		s.results.Put(key, resp)
+	}
+	return resp, ok
 }
 
 // budget bounds ctx (nil: background) by a request's timeout: 0 selects the
@@ -360,21 +375,6 @@ func stamp(base *Response, cached bool, start time.Time, rec *trace.Recorder) *R
 	return &out
 }
 
-// expired reports whether ctx's budget is spent. It consults the clock as
-// well as ctx.Err(): the now-memoised computes finish in single-digit
-// milliseconds, faster than a loaded single-CPU runtime delivers timer
-// cancellations, so checking only Err() would make tight deadlines
-// nondeterministic.
-func expired(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
-		return context.DeadlineExceeded
-	}
-	return nil
-}
-
 // degradedResponse is the graceful-degradation fallback: the identity
 // mapping keeps the job runnable with the default rank order.
 func degradedResponse(c *compiled) *Response {
@@ -444,7 +444,7 @@ func (s *Service) run(ctx context.Context, c *compiled, mark func(string)) (*Res
 	s.stats.computes.Inc()
 	oracle, err := c.tc.oracleFor(ctx)
 	if err != nil {
-		if expired(ctx) != nil {
+		if memo.Expired(ctx) != nil {
 			return degradedResponse(c), nil
 		}
 		return nil, err
@@ -455,7 +455,7 @@ func (s *Service) run(ctx context.Context, c *compiled, mark func(string)) (*Res
 		mark("oracle:dense")
 	}
 	mark("distances")
-	if expired(ctx) != nil {
+	if memo.Expired(ctx) != nil {
 		return degradedResponse(c), nil
 	}
 
@@ -485,7 +485,7 @@ func (s *Service) run(ctx context.Context, c *compiled, mark func(string)) (*Res
 		// Nothing finished. Deadline pressure degrades; anything else is a
 		// real failure worth surfacing.
 		for i := range evals {
-			if evals[i].err != nil && expired(ctx) == nil {
+			if evals[i].err != nil && memo.Expired(ctx) == nil {
 				return nil, evals[i].err
 			}
 		}
@@ -523,7 +523,7 @@ func (s *Service) evaluate(ctx context.Context, c *compiled, d topology.Oracle, 
 		// heuristics depend only on the topology and are memoised per context.
 		ev.mapping, ev.err = scotchMap(ctx, c, d)
 	} else {
-		ev.mapping, ev.err = c.tc.heurMaps.do(ctx, name, func() (core.Mapping, error) {
+		ev.mapping, ev.err = c.tc.heurMaps.Do(ctx, name, func() (core.Mapping, error) {
 			return contextHeuristics[name](ctx, d, nil)
 		})
 	}
@@ -547,7 +547,7 @@ func (s *Service) evaluate(ctx context.Context, c *compiled, d topology.Oracle, 
 	if err == nil {
 		// Building and profiling the schedule is the long step of a cold
 		// request; pricing a size afterwards is two table reads.
-		err = expired(ctx)
+		err = memo.Expired(ctx)
 	}
 	if err != nil {
 		ev.err = err
@@ -556,7 +556,7 @@ func (s *Service) evaluate(ctx context.Context, c *compiled, d topology.Oracle, 
 	for _, size := range c.sizes {
 		// One cancellation point per size keeps long sweeps inside the
 		// deadline at size granularity.
-		if ev.err = expired(ctx); ev.err != nil {
+		if ev.err = memo.Expired(ctx); ev.err != nil {
 			return ev
 		}
 		def, err := base.Price(size)

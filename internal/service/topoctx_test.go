@@ -3,14 +3,12 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"path/filepath"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
+	"repro/internal/memo"
 	"repro/internal/metrics"
 	"repro/internal/topology"
 )
@@ -69,7 +67,7 @@ func TestContextDeadlineIsolation(t *testing.T) {
 			if err != nil || want.Degraded || want.Cached {
 				t.Fatalf("reference B: resp=%+v err=%v", want, err)
 			}
-			entries, records := s.cache.len(), st.Stats().Records
+			entries, records := kept(&s.results), st.Stats().Records
 			c, err := s.compile(reqA)
 			if err != nil {
 				t.Fatal(err)
@@ -107,7 +105,7 @@ func TestContextDeadlineIsolation(t *testing.T) {
 			if got, want := bodyOf(t, b), bodyOf(t, want); got != want {
 				t.Errorf("%s/%s: B beside A differs from B alone:\n got %s\nwant %s", layout, heuristic, got, want)
 			}
-			if got := s.cache.len(); got != entries+1 {
+			if got := kept(&s.results); got != entries+1 {
 				t.Errorf("%s/%s: result cache went from %d to %d entries, want B's alone", layout, heuristic, entries, got)
 			}
 			if got := st.Stats().Records; got != records+1 {
@@ -129,74 +127,15 @@ func building(tc *topoContext) bool {
 	return inFlight(&tc.heurMaps) || inFlight(&tc.scheds) || inFlight(&tc.baseProfs) || inFlight(&tc.reordered)
 }
 
-func inFlight[K comparable, V any](om *onceMap[K, V]) bool {
-	om.mu.Lock()
-	defer om.mu.Unlock()
-	for _, s := range om.m {
-		select {
-		case <-s.done:
-		default:
-			return true
-		}
-	}
-	return false
+func inFlight[K comparable, V any](t *memo.Table[K, V]) bool {
+	_, n := t.Len()
+	return n > 0
 }
 
-// TestOnceMapFailureIsTheBuildersAlone pins the primitive under the deadline
-// contract: a waiter with budget left retries a failed build itself, a waiter
-// without reports its own expiry without waiting, and a failure leaves no
-// slot behind.
-func TestOnceMapFailureIsTheBuildersAlone(t *testing.T) {
-	var om onceMap[string, int]
-	building, release := make(chan struct{}), make(chan struct{})
-	var builds atomic.Int32
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, err := om.do(context.Background(), "k", func() (int, error) {
-			builds.Add(1)
-			close(building)
-			<-release
-			return 0, context.DeadlineExceeded
-		})
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("builder: err = %v, want its own failure", err)
-		}
-	}()
-	<-building
-
-	spent, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := om.do(spent, "k", func() (int, error) { t.Error("a spent waiter built"); return 0, nil }); !errors.Is(err, context.Canceled) {
-		t.Errorf("spent waiter: err = %v, want its own context's", err)
-	}
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		v, err := om.do(context.Background(), "k", func() (int, error) { builds.Add(1); return 7, nil })
-		if v != 7 || err != nil {
-			t.Errorf("live waiter: (%d, %v), want its own retry's (7, nil)", v, err)
-		}
-	}()
-	// The live waiter joins the slot (or arrives after the failure: either
-	// way it must end up building).
-	time.Sleep(time.Millisecond)
-	close(release)
-	wg.Wait()
-	if n := builds.Load(); n != 2 {
-		t.Errorf("%d builds, want the failed one and the waiter's retry", n)
-	}
-	if v, err := om.do(context.Background(), "k", func() (int, error) { t.Error("rebuilt a held value"); return 0, nil }); v != 7 || err != nil {
-		t.Errorf("memoised value: (%d, %v), want (7, nil)", v, err)
-	}
-	if _, err := om.do(context.Background(), "bad", func() (int, error) { return 0, errors.New("boom") }); err == nil {
-		t.Error("a failed build reported success")
-	}
-	if len(om.m) != 1 {
-		t.Errorf("map holds %d slots, want only the successful key", len(om.m))
-	}
+// kept is the number of entries t keeps.
+func kept[K comparable, V any](t *memo.Table[K, V]) int {
+	n, _ := t.Len()
+	return n
 }
 
 // TestContextBuiltOnce: 16 concurrent requests that differ only in sizes land
@@ -257,11 +196,12 @@ func TestContextBuiltOnce(t *testing.T) {
 			t.Fatalf("worker %d read a different oracle instance: it was built more than once", g)
 		}
 	}
-	tc := s.contexts.order.Front().Value.(*topoContext)
-	if o, h, sc, b := len(tc.oracle.m), len(tc.heurMaps.m), len(tc.scheds.m), len(tc.baseProfs.m); o != 1 || h != 1 || sc != 1 || b != 1 {
+	var tc *topoContext
+	s.contexts.Range(func(_ ctxKey, e *topoContext) bool { tc = e; return false })
+	if o, h, sc, b := kept(&tc.oracle), kept(&tc.heurMaps), kept(&tc.scheds), kept(&tc.baseProfs); o != 1 || h != 1 || sc != 1 || b != 1 {
 		t.Errorf("context holds %d oracles, %d mappings, %d schedules, %d base profiles; want one of each", o, h, sc, b)
 	}
-	if r := len(tc.reordered.m); r != 1 {
+	if r := kept(&tc.reordered); r != 1 {
 		t.Errorf("context holds %d order-preserved profiles for one (pattern, mode, mapping)", r)
 	}
 }
@@ -289,8 +229,8 @@ func TestContextTableBounded(t *testing.T) {
 		if first == nil {
 			first = resp
 		}
-		if held := s.contexts.order.Len(); held > maxContexts || held != len(s.contexts.slots.m) {
-			t.Fatalf("nodes=%d: table holds %d contexts in %d slots, bound %d", nodes, held, len(s.contexts.slots.m), maxContexts)
+		if held, slots := s.contexts.Len(); held > maxContexts || slots != 0 {
+			t.Fatalf("nodes=%d: table holds %d contexts in %d slots, bound %d", nodes, held, held+slots, maxContexts)
 		}
 	}
 	st := s.Stats()
@@ -311,7 +251,7 @@ func TestContextTableBounded(t *testing.T) {
 	}
 
 	// Invalid specs fail compilation and occupy nothing.
-	held := s.contexts.order.Len()
+	held := kept(&s.contexts)
 	for i, req := range []*Request{
 		{Topology: TopologySpec{Preset: "nope"}, Pattern: PatternSpec{Name: "ring"}},
 		{Topology: smallTopo(), Procs: 1000, Pattern: PatternSpec{Name: "ring"}},
@@ -322,15 +262,15 @@ func TestContextTableBounded(t *testing.T) {
 			t.Errorf("invalid spec %d accepted", i)
 		}
 	}
-	if got := s.contexts.order.Len(); got != held || len(s.contexts.slots.m) != held {
-		t.Errorf("invalid specs left the table at %d contexts in %d slots, was %d", got, len(s.contexts.slots.m), held)
+	if got, slots := s.contexts.Len(); got != held || slots != 0 {
+		t.Errorf("invalid specs left the table at %d contexts in %d slots, was %d", got, got+slots, held)
 	}
 
 	// A context that outgrows the byte ceiling is built, used and dropped —
 	// alone: the smaller contexts beside it stay.
 	small := New(Config{Workers: 2, CacheEntries: 1})
 	defer small.Close()
-	small.contexts.maxBytes = 8 << 10
+	small.contexts.MaxBytes = 8 << 10
 	if _, err := small.Compute(ctx, request(4)); err != nil {
 		t.Fatal(err)
 	}
@@ -340,8 +280,8 @@ func TestContextTableBounded(t *testing.T) {
 		if resp, err := small.Compute(ctx, torus); err != nil || resp.Degraded || resp.Cached {
 			t.Fatalf("over-ceiling context: resp=%+v err=%v", resp, err)
 		}
-		if held := small.contexts.order.Len(); held != 1 || len(small.contexts.slots.m) != 1 || small.contexts.bytes > small.contexts.maxBytes {
-			t.Fatalf("after an over-ceiling context the table holds %d contexts, %d slots, %d bytes; want the small one alone", held, len(small.contexts.slots.m), small.contexts.bytes)
+		if held, slots := small.contexts.Len(); held != 1 || slots != 0 || small.contexts.Bytes() > small.contexts.MaxBytes {
+			t.Fatalf("after an over-ceiling context the table holds %d contexts, %d slots, %d bytes; want the small one alone", held, held+slots, small.contexts.Bytes())
 		}
 	}
 	if st := small.Stats(); st.ContextMisses != 3 || st.ContextEvictions != 2 {

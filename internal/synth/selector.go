@@ -1,23 +1,24 @@
 package synth
 
 import (
-	"fmt"
-	"sync"
+	"context"
 
+	"repro/internal/memo"
 	"repro/internal/sched"
 )
 
 // Selector serves compiled programs from a synthesis table to a front door.
 // It memoises materialisation: the first lookup of a (family, p, bucket) key
 // re-builds the stored recipe, proves the schedule fingerprint matches what
-// the search priced, and compiles through the process-wide schedule cache;
-// every later lookup is a map read. A nil *Selector always misses, so front
-// doors can hold one unconditionally.
+// the search priced, and compiles it with sched.Compile; every later lookup
+// is a table read. The verdict on an entry that fails the proof is kept too,
+// so a stale entry is refused without being rebuilt. A nil *Selector always
+// misses, so front doors can hold one unconditionally.
 type Selector struct {
 	table *Table
-
-	mu    sync.Mutex
-	cache map[selKey]*selEntry
+	// programs holds nil for an entry whose recipe no longer reproduces its
+	// fingerprint.
+	programs memo.Table[selKey, *sched.Program]
 }
 
 type selKey struct {
@@ -26,15 +27,10 @@ type selKey struct {
 	bucket int
 }
 
-type selEntry struct {
-	prog *sched.Program
-	err  error
-}
-
 // NewSelector wraps a loaded table. The caller is responsible for checking
 // Table.Topology against the machine it runs on (see TopologyKey).
 func NewSelector(t *Table) *Selector {
-	return &Selector{table: t, cache: make(map[selKey]*selEntry)}
+	return &Selector{table: t}
 }
 
 // Table returns the wrapped table (nil for a nil selector).
@@ -59,43 +55,33 @@ func (s *Selector) Program(f Family, p, payloadBytes int) (*sched.Program, bool)
 		synthTableMisses.Inc()
 		return nil, false
 	}
-	key := selKey{f: f, p: p, bucket: e.SizeBucket}
-	s.mu.Lock()
-	ce := s.cache[key]
-	if ce == nil {
-		ce = &selEntry{}
-		ce.prog, ce.err = materializeEntry(f, p, e)
-		s.cache[key] = ce
-	}
-	s.mu.Unlock()
-	if ce.err != nil {
+	prog, _ := s.programs.Do(context.Background(), selKey{f: f, p: p, bucket: e.SizeBucket}, func() (*sched.Program, error) {
+		return materializeEntry(f, p, e), nil
+	})
+	if prog == nil {
 		synthTableMisses.Inc()
 		return nil, false
 	}
 	// Divisibility is per-payload, not per-bucket: a bucket covers a range
 	// of sizes and only those that split evenly over the block space can
 	// execute this schedule.
-	if _, err := f.ProgramBlockBytes(ce.prog, payloadBytes); err != nil {
+	if _, err := f.ProgramBlockBytes(prog, payloadBytes); err != nil {
 		synthTableMisses.Inc()
 		return nil, false
 	}
 	synthTableHits.Inc()
-	return ce.prog, true
+	return prog, true
 }
 
-// materializeEntry rebuilds and compiles a table entry, refusing it when the
-// rebuilt schedule's fingerprint differs from the one the search recorded —
-// the recipe vocabulary or a builder changed since the table was written.
-// The Selector's per-(family, p, bucket) memo is the compiled program's only
-// cache.
-func materializeEntry(f Family, p int, e *Entry) (*sched.Program, error) {
+// materializeEntry rebuilds and compiles a table entry, refusing it (nil) when
+// the rebuilt schedule's fingerprint differs from the one the search
+// recorded — the recipe vocabulary or a builder changed since the table was
+// written.
+func materializeEntry(f Family, p int, e *Entry) *sched.Program {
 	sch, err := e.Recipe.Materialize(f, p)
-	if err != nil {
-		return nil, fmt.Errorf("synth: table entry %s/p=%d/b=%d: %w", e.Family, e.P, e.SizeBucket, err)
+	if err != nil || sched.Fingerprint(sch) != e.Schedule {
+		return nil
 	}
-	if fp := sched.Fingerprint(sch); fp != e.Schedule {
-		return nil, fmt.Errorf("synth: table entry %s/p=%d/b=%d: recipe %s rebuilds fingerprint %s, table recorded %s",
-			e.Family, e.P, e.SizeBucket, e.Recipe, fp, e.Schedule)
-	}
-	return sched.Compile(sch)
+	prog, _ := sched.Compile(sch) // nil on failure
+	return prog
 }

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+
+	"repro/internal/sched"
 )
 
 func TestSizeBucket(t *testing.T) {
@@ -213,5 +216,74 @@ func TestSelectorRejectsStaleFingerprint(t *testing.T) {
 	sel := NewSelector(tab)
 	if _, ok := sel.Program(Allgather, 64, 2048); ok {
 		t.Fatal("selector served an entry with a stale fingerprint")
+	}
+}
+
+// validAndStaleSelector wraps a table with a valid ring allgather entry and a
+// binomial broadcast entry whose recorded fingerprint its recipe does not
+// reproduce, both at p=64 and 2 KiB.
+func validAndStaleSelector(t *testing.T) *Selector {
+	t.Helper()
+	tab := NewTable(fatTree64(t))
+	put := func(f Family, alg, fingerprint string) {
+		sch, err := Recipe{Alg: alg}.Materialize(f, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fingerprint == "" {
+			fingerprint = sched.Fingerprint(sch)
+		}
+		tab.Put(Entry{Family: f.String(), P: 64, SizeBucket: familyBucket(f, 64, 2048), PayloadBytes: 2048,
+			Recipe: Recipe{Alg: alg}, Schedule: fingerprint, Name: sch.Name})
+		if _, ok := tab.Lookup(f, 64, 2048); !ok {
+			t.Fatalf("table does not cover %s at p=64, 2 KiB", f)
+		}
+	}
+	put(Allgather, "ring", "")
+	put(Broadcast, "binomial-broadcast", "not-the-real-fingerprint")
+	return NewSelector(tab)
+}
+
+// TestSelectorConcurrentVerdicts: 64 goroutines race one selector's valid and
+// stale entries. Every caller of the valid entry gets the same program, and no
+// caller of the stale entry gets one. Run under -race.
+func TestSelectorConcurrentVerdicts(t *testing.T) {
+	sel := validAndStaleSelector(t)
+	const callers = 64
+	progs := make([]*sched.Program, callers)
+	var wg sync.WaitGroup
+	for i := range progs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			progs[i], _ = sel.Program(Allgather, 64, 2048)
+			if prog, ok := sel.Program(Broadcast, 64, 2048); ok || prog != nil {
+				t.Errorf("caller %d was served the stale entry", i)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, prog := range progs {
+		if prog == nil || prog != progs[0] {
+			t.Fatalf("caller %d got program %p, caller 0 got %p", i, prog, progs[0])
+		}
+	}
+}
+
+// TestSelectorKeepsStaleVerdict: a repeated lookup of a stale entry reads the
+// kept verdict — it allocates nothing, so nothing is re-materialised or
+// re-hashed.
+func TestSelectorKeepsStaleVerdict(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	sel := validAndStaleSelector(t)
+	sel.Program(Broadcast, 64, 2048)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, ok := sel.Program(Broadcast, 64, 2048); ok {
+			t.Fatal("selector served the stale entry")
+		}
+	}); n != 0 {
+		t.Errorf("stale lookup: %.1f allocations, want 0", n)
 	}
 }
