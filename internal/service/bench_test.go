@@ -1,7 +1,11 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -17,7 +21,7 @@ func benchRequest(size int) *Request {
 // BenchmarkServiceRequest measures the two ends of the result cache: cold
 // (every iteration a distinct key, computed on the topology context the first
 // iteration left behind) and warm (one key, answered from the
-// content-addressed cache).
+// content-addressed cache), the latter also through Handler.
 func BenchmarkServiceRequest(b *testing.B) {
 	b.Run("cold", func(b *testing.B) {
 		s := New(Config{Workers: 4, CacheEntries: 1})
@@ -64,6 +68,38 @@ func BenchmarkServiceRequest(b *testing.B) {
 			}
 		})
 	})
+	// warm-http is warm plus what a hit costs over HTTP: the strict decode
+	// and the reply write, on a 64-core cluster and on GPC (p=4096).
+	for _, tc := range []struct {
+		name string
+		topo TopologySpec
+	}{
+		{"p64", benchRequest(1024).Topology},
+		{"gpc", TopologySpec{Preset: "gpc"}},
+	} {
+		b.Run("warm-http/"+tc.name, func(b *testing.B) {
+			s := New(Config{Workers: 4, CacheEntries: 16})
+			defer s.Close()
+			h := s.Handler()
+			body, err := json.Marshal(&Request{Topology: tc.topo, Pattern: PatternSpec{Name: "recursive-doubling"}, Sizes: []int{1024}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			w := &discardWriter{h: http.Header{}}
+			for i := -1; i < b.N; i++ {
+				if i == 0 {
+					// The first request computed; the timed ones hit.
+					b.ReportAllocs()
+					b.ResetTimer()
+				}
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/map", bytes.NewReader(body)))
+			}
+			b.StopTimer()
+			if st := s.Stats(); st.CacheHits != uint64(b.N) || st.OK != st.Requests {
+				b.Fatalf("%d hits and %d of %d requests ok, want %d hits and all ok", st.CacheHits, st.OK, st.Requests, b.N)
+			}
+		})
+	}
 }
 
 // coldClasses are the request classes that dominate a mapd-cold round (see

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -82,7 +83,7 @@ func (s *Service) handleMap(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, resp)
+		writeReply(w, resp.appendJSON(make([]byte, 0, resp.replyCap())))
 		return
 	}
 	var req Request
@@ -95,13 +96,89 @@ func (s *Service) handleMap(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeReply(w, resp.appendJSON(make([]byte, 0, resp.replyCap())))
 }
 
+// strictUnmarshal decodes exactly one JSON value into v: unknown fields and
+// anything but whitespace after the value are errors.
 func strictUnmarshal(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) != 0 {
+		return errors.New("service: data after the request's JSON value")
+	}
+	return nil
+}
+
+// Reply encoding. encoding/json runs once per base response, in seal; a
+// /map reply is that encoding with the per-request fields written over its
+// end, byte-identical to json.Marshal of the stamped response.
+
+// baseSuffix ends every base response's encoding: the per-request fields at
+// their zero values, Trace omitted.
+const baseSuffix = `"cached":false,"elapsed_us":0}`
+
+// seal makes r a base response: it records r's compact encoding. r must
+// carry no per-request fields and must not be shared yet.
+func (r *Response) seal() error {
+	body, err := json.Marshal(r)
+	r.body = body
+	return err
+}
+
+// replyCap bounds appendJSON's output for an untraced response.
+func (r *Response) replyCap() int { return len(r.body) + 32 }
+
+// appendJSON appends the reply encoding of r, a stamped copy of a sealed
+// base response.
+func (r *Response) appendJSON(dst []byte) []byte {
+	dst = append(dst, r.body[:len(r.body)-len(baseSuffix)]...)
+	dst = append(dst, `"cached":`...)
+	dst = strconv.AppendBool(dst, r.Cached)
+	dst = append(dst, `,"elapsed_us":`...)
+	dst = strconv.AppendInt(dst, r.ElapsedMicros, 10)
+	if len(r.Trace) > 0 {
+		trace, _ := json.Marshal(r.Trace) // names and integers: cannot fail
+		dst = append(append(dst, `,"trace":`...), trace...)
+	}
+	return append(dst, '}')
+}
+
+func (b *BatchResponse) replyCap() int {
+	n := 64
+	for _, r := range b.Responses {
+		n += r.replyCap() + 1
+	}
+	return n
+}
+
+// appendJSON appends the reply encoding of b, each item as Response.appendJSON
+// writes it.
+func (b *BatchResponse) appendJSON(dst []byte) []byte {
+	dst = append(dst, `{"responses":[`...)
+	for i, r := range b.Responses {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = r.appendJSON(dst)
+	}
+	dst = append(dst, `],"elapsed_us":`...)
+	dst = strconv.AppendInt(dst, b.ElapsedMicros, 10)
+	return append(dst, '}')
+}
+
+// writeReply writes a /map reply in one Write, newline-terminated as
+// json.Encoder terminates the diagnostic endpoints' replies.
+func writeReply(w http.ResponseWriter, body []byte) {
+	body = append(body, '\n')
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 func (s *Service) handleSynthTable(w http.ResponseWriter, r *http.Request) {

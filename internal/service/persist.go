@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -18,7 +19,8 @@ const (
 )
 
 // storeGet consults the persistent store for a cache-missed key. Hits are
-// decoded base responses — never Degraded, by construction of storePut.
+// decoded base responses — never Degraded, by construction of storePut —
+// whose encoding is the record itself.
 func (s *Service) storeGet(key string) (*Response, bool) {
 	if s.store == nil {
 		return nil, false
@@ -33,25 +35,23 @@ func (s *Service) storeGet(key string) (*Response, bool) {
 		s.stats.storeMisses.Inc()
 		return nil, false
 	}
+	resp.body = data
+	if !bytes.HasSuffix(data, []byte(baseSuffix)) {
+		// A record written before the per-request fields moved to the end.
+		resp.seal()
+	}
 	s.stats.storeHits.Inc()
 	return &resp, true
 }
 
-// storePut persists a freshly computed base response. Degraded responses
-// are never stored — they describe pressure, not the topology.
+// storePut persists a freshly computed base response: the record is its
+// encoding. Degraded responses are never stored — they describe pressure,
+// not the topology.
 func (s *Service) storePut(key string, resp *Response) {
 	if s.store == nil || resp.Degraded {
 		return
 	}
-	base := *resp
-	base.Cached = false
-	base.ElapsedMicros = 0
-	base.Trace = nil
-	data, err := json.Marshal(&base)
-	if err != nil {
-		return
-	}
-	if err := s.store.Put(storeMappingPrefix+key, data); err != nil {
+	if err := s.store.Put(storeMappingPrefix+key, resp.body); err != nil {
 		return
 	}
 	s.stats.storeAppends.Inc()

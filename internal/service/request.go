@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -122,17 +123,26 @@ type Response struct {
 	// Degraded reports that the request exceeded its deadline and the
 	// service fell back to the identity mapping. Degraded responses are
 	// never cached.
-	Degraded bool `json:"degraded"`
-	// Cached reports that the response was served from the result cache.
-	Cached  bool         `json:"cached"`
-	Results []SizeResult `json:"results,omitempty"`
+	Degraded bool         `json:"degraded"`
+	Results  []SizeResult `json:"results,omitempty"`
 	// GraphCost is set for explicit-graph requests instead of Results.
-	GraphCost     *GraphCost   `json:"graph_cost,omitempty"`
-	ElapsedMicros int64        `json:"elapsed_us"`
-	Trace         []TraceEvent `json:"trace,omitempty"`
+	GraphCost *GraphCost `json:"graph_cost,omitempty"`
 	// Shard names the replica that computed the response, when the service
 	// runs sharded. Follows the response across the forward hop.
 	Shard string `json:"shard,omitempty"`
+
+	// The per-request fields come last: a reply is its base response's
+	// encoding with them written over its end (see appendJSON).
+
+	// Cached reports that the response was served from the result cache.
+	Cached        bool         `json:"cached"`
+	ElapsedMicros int64        `json:"elapsed_us"`
+	Trace         []TraceEvent `json:"trace,omitempty"`
+
+	// body is the base response's compact encoding, per-request fields at
+	// their zero values. seal sets it once, before the response is kept or
+	// shared; a stamped copy shares it.
+	body []byte
 }
 
 // Default request parameters.
@@ -351,11 +361,17 @@ func heuristicNameFor(p core.Pattern) string {
 // encoding of everything that determines the result. The cluster is
 // represented by its structural fingerprint, which the topology context holds.
 func cacheKey(c *compiled, patternFP uint64) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "mapd/1\x00topo:%x\x00p:%d\x00layout:%s\x00pat:%x\x00h:%s\x00order:%s\x00sizes:",
-		c.tc.fp, c.procs, c.tc.key.layout, patternFP, c.selector, c.order)
+	b := make([]byte, 0, 128)
+	b = strconv.AppendUint(append(b, "mapd/1\x00topo:"...), c.tc.fp, 16)
+	b = strconv.AppendInt(append(b, "\x00p:"...), int64(c.procs), 10)
+	b = append(append(b, "\x00layout:"...), c.tc.key.layout...)
+	b = strconv.AppendUint(append(b, "\x00pat:"...), patternFP, 16)
+	b = append(append(b, "\x00h:"...), c.selector...)
+	b = append(append(b, "\x00order:"...), c.order...)
+	b = append(b, "\x00sizes:"...)
 	for _, size := range c.sizes {
-		fmt.Fprintf(h, "%d,", size)
+		b = append(strconv.AppendInt(b, int64(size), 10), ',')
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }

@@ -30,6 +30,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -340,9 +341,6 @@ func (s *Service) leaderServe(ctx context.Context, req *Request, c *compiled, ma
 	} else {
 		<-done
 	}
-	if err == nil {
-		resp.Shard = s.shardSelf()
-	}
 	return resp, true, err
 }
 
@@ -360,7 +358,8 @@ func outcomeFor(resp *Response) int {
 }
 
 // stamp copies base and fills the per-request fields. Cached and shared
-// responses are immutable; the copy keeps them so.
+// responses are immutable; the copy keeps them so, and shares their
+// encoding.
 func stamp(base *Response, cached bool, start time.Time, rec *trace.Recorder) *Response {
 	out := *base
 	out.Cached = cached
@@ -376,14 +375,17 @@ func stamp(base *Response, cached bool, start time.Time, rec *trace.Recorder) *R
 }
 
 // degradedResponse is the graceful-degradation fallback: the identity
-// mapping keeps the job runnable with the default rank order.
+// mapping keeps the job runnable with the default rank order. It names no
+// shard, having computed nothing.
 func degradedResponse(c *compiled) *Response {
-	return &Response{
+	resp := &Response{
 		Mapping:   core.Identity(c.procs),
 		Heuristic: c.selector,
 		Order:     c.order,
 		Degraded:  true,
 	}
+	resp.seal() // integers and strings: cannot fail
+	return resp
 }
 
 // contextHeuristics maps selector names to the cancellable heuristics. The
@@ -500,6 +502,7 @@ func (s *Service) run(ctx context.Context, c *compiled, mark func(string)) (*Res
 		Order:     c.order,
 		Results:   win.results,
 		GraphCost: win.gcost,
+		Shard:     s.shardSelf(),
 	}
 	if c.graph == nil {
 		// The winner was priced on this schedule, so the memo holds it.
@@ -508,6 +511,9 @@ func (s *Service) run(ctx context.Context, c *compiled, mark func(string)) (*Res
 			return nil, err
 		}
 		resp.Schedule = schedule.Name
+	}
+	if err := resp.seal(); err != nil {
+		return nil, fmt.Errorf("service: encoding the response: %w", err)
 	}
 	return resp, nil
 }

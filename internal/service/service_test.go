@@ -125,6 +125,35 @@ func TestCacheKeyCanonical(t *testing.T) {
 	}
 }
 
+// TestCacheKeyStable pins the content-addressed key of a few requests: the
+// persistent store is keyed by it, so a changed key strands every record a
+// store holds.
+func TestCacheKeyStable(t *testing.T) {
+	s := newTestService(t)
+	torus64 := TopologySpec{Nodes: 64, SocketsPerNode: 1, CoresPerSocket: 1, Network: &NetworkSpec{Kind: "torus", X: 8, Y: 8, Z: 1}}
+	for _, tc := range []struct {
+		req  *Request
+		want string
+	}{
+		{&Request{Topology: TopologySpec{Preset: "gpc"}, Pattern: PatternSpec{Name: "recursive-doubling"}, Heuristic: "auto"},
+			"c650c23c30ce35bf7797f0e111d24635da6fae2a17e032c55bec3cbd7bca11ec"},
+		{&Request{Topology: smallTopo(), Procs: 12, Layout: "cyclic-scatter", Pattern: PatternSpec{Name: "ring"}, Sizes: []int{65536, 3, 1 << 30}},
+			"0a266aaccbbdf3d53f3e2587bec2e2b0e7eec5c19a191aaf1ac2f5961cbd3460"},
+		{&Request{Topology: smallTopo(), Pattern: PatternSpec{Graph: ringGraph(16)}, Sizes: []int{-7, 9}},
+			"f6e9ef333258b21fe2dd702cee89e4a9ee0e75eff167aed339b9f03c822d2d35"},
+		{&Request{Topology: torus64, Pattern: PatternSpec{Name: "alltoall"}, Order: "endShfl"},
+			"732e4434f3a5c09a1c9bef196699e6cdde0a2871eb2420fb7aec4df95fcb4811"},
+	} {
+		c, err := s.compile(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.key != tc.want {
+			t.Errorf("%+v: key %s, want %s", tc.req, c.key, tc.want)
+		}
+	}
+}
+
 func TestComputeAutoPicksBestCandidate(t *testing.T) {
 	s := newTestService(t)
 	req := &Request{
@@ -167,21 +196,24 @@ func TestComputeAutoPicksBestCandidate(t *testing.T) {
 	}
 }
 
+// ringGraph is a ring over n processes, given explicitly in CSR form (each
+// edge in both directions).
+func ringGraph(n int) *GraphSpec {
+	g := &GraphSpec{N: n}
+	for u := 0; u < n; u++ {
+		g.XAdj = append(g.XAdj, len(g.Adjncy))
+		g.Adjncy = append(g.Adjncy, (u+1)%n, (u+n-1)%n)
+	}
+	g.XAdj = append(g.XAdj, len(g.Adjncy))
+	return g
+}
+
 func TestComputeExplicitGraph(t *testing.T) {
 	s := newTestService(t)
-	// A ring over 16 processes, given explicitly in CSR form (each edge in
-	// both directions).
 	const n = 16
-	var xadj []int
-	var adjncy []int
-	for u := 0; u < n; u++ {
-		xadj = append(xadj, len(adjncy))
-		adjncy = append(adjncy, (u+1)%n, (u+n-1)%n)
-	}
-	xadj = append(xadj, len(adjncy))
 	req := &Request{
 		Topology: smallTopo(),
-		Pattern:  PatternSpec{Graph: &GraphSpec{N: n, XAdj: xadj, Adjncy: adjncy}},
+		Pattern:  PatternSpec{Graph: ringGraph(n)},
 	}
 	resp, err := s.Compute(context.Background(), req)
 	if err != nil {

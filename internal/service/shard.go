@@ -107,8 +107,8 @@ func (s *Service) shardFor(key string) (owner, url string, remote bool) {
 // forwardRequest relays req to the owning peer with the Forwarded marker
 // set, preserving single-flight across the hop: the caller holds the local
 // flight leadership, the peer dedupes concurrent arrivals on its own
-// flight group. The response is sanitised of per-hop stamps before the
-// caller re-caches it.
+// flight group. The response is sanitised of per-hop stamps and sealed as a
+// base response before the caller re-caches it.
 func (s *Service) forwardRequest(ctx context.Context, url string, req *Request) (*Response, error) {
 	st := s.shard.Load()
 	if st == nil {
@@ -120,10 +120,16 @@ func (s *Service) forwardRequest(ctx context.Context, url string, req *Request) 
 	if err != nil {
 		return nil, err
 	}
-	resp.Cached = false
-	resp.ElapsedMicros = 0
-	resp.Trace = nil
+	rebase(resp)
 	return resp, nil
+}
+
+// rebase turns a response received from a peer into a local base response.
+func rebase(r *Response) {
+	r.Cached = false
+	r.ElapsedMicros = 0
+	r.Trace = nil
+	r.seal() // decoded from JSON: cannot fail
 }
 
 // forwardBatch relays a whole sub-batch to the owning peer.
@@ -142,9 +148,7 @@ func (s *Service) forwardBatch(ctx context.Context, url string, breq *BatchReque
 	}
 	for _, r := range resp.Responses {
 		if r != nil {
-			r.Cached = false
-			r.ElapsedMicros = 0
-			r.Trace = nil
+			rebase(r)
 		}
 	}
 	return resp, nil
