@@ -62,25 +62,8 @@ func TestExportsHaveCallers(t *testing.T) {
 	declSites := map[string]int{} // bare name -> top-level declarations of it
 	mentions := map[string]int{}  // bare name -> identifier occurrences
 
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir // .git, .bench_build (a Go module cache), ...
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
+	walkGoFiles(t, func(path string, f *ast.File) {
+		internal := strings.HasPrefix(path, "internal/")
 		declare := func(id *ast.Ident, recv string) {
 			declSites[id.Name]++
 			if internal && id.IsExported() {
@@ -114,11 +97,7 @@ func TestExportsHaveCallers(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(decls) < 500 {
 		t.Fatalf("scan found only %d exported declarations under internal/; is the test running at the repository root?", len(decls))
 	}
@@ -148,6 +127,37 @@ func TestExportsHaveCallers(t *testing.T) {
 	}
 	for _, key := range stale {
 		t.Errorf("%s is in keptExports but now has a caller (or is gone): remove the entry", key)
+	}
+}
+
+// walkGoFiles parses every non-test .go file of the checkout (internal/, cmd/,
+// examples/, bench/, the root package) and calls visit with its slash-separated
+// path and syntax tree. Directories whose names start with a dot are skipped.
+func walkGoFiles(t *testing.T, visit func(path string, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir // .git, .bench_build (a Go module cache), ...
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		visit(filepath.ToSlash(path), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

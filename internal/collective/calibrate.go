@@ -26,9 +26,6 @@ type CalibrateConfig struct {
 	// Layout is the initial rank placement priced by the model (default
 	// topology.BlockBunch).
 	Layout topology.LayoutKind
-	// Band and Window tune the drift detector (defaults per obs.Options).
-	Band   float64
-	Window int
 }
 
 // Calibrate executes real allgathers on the goroutine runtime with a
@@ -58,8 +55,6 @@ func Calibrate(w io.Writer, cc CalibrateConfig) error {
 		return err
 	}
 	cal := obs.NewCalibrator(machine, layout, obs.Options{
-		Band:   cc.Band,
-		Window: cc.Window,
 		OnDrift: func(ev obs.DriftEvent) {
 			fmt.Fprintf(w, "drift suspected: %s p=%d bucket=%d ratio %.2fx outside band %.2fx for %d samples\n",
 				ev.Program, ev.P, ev.Bucket, ev.Ratio, ev.Band, ev.Window)

@@ -12,23 +12,18 @@ const worldConfigKey = "collective.config"
 
 // Config is the per-world collective configuration: an optional synthesized
 // schedule table consulted before the registry's size rules — the per-world
-// override of algorithm selection — plus the executor's sampling knobs and
-// observability sinks. Install it with Configure; worlds without one run the
-// defaults.
+// override of algorithm selection — plus the executor's observability sinks.
+// Install it with Configure; worlds without one run the defaults.
 //
 // Config values are immutable snapshots — Configure replaces the whole
 // value — so concurrent collectives on the same world read a consistent
 // configuration without locking beyond the world store's own.
 type Config struct {
-	// Tuning holds the executor's stage-sampling knobs. Zero fields select
-	// defaults.
-	Tuning Tuning
 	// Synth serves winners from a loaded synth.Table. A nil selector always
 	// misses, leaving the registry's rules in charge.
 	Synth *synth.Selector
-	// Flight overrides the flight recorder the executor's sampling rank
-	// records execution profiles into. Nil selects the process-wide
-	// obs.Flight ring.
+	// Flight overrides the flight recorder rank 0 records execution profiles
+	// into. Nil selects the process-wide obs.Flight ring.
 	Flight *obs.Recorder
 	// Calibrator, when set, receives every sampled execution profile for
 	// measured-vs-predicted skew tracking and drift detection. Nil (the

@@ -17,7 +17,6 @@ package collective
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/metrics"
@@ -38,9 +37,6 @@ type execMetrics struct {
 	transfers    *metrics.Counter
 	bytes        *metrics.Counter
 	stageSeconds *metrics.Histogram
-	// sampleTick counts the sample rank's executions of this program for
-	// Tuning.StageSampleEvery rate division.
-	sampleTick atomic.Uint64
 }
 
 var execMetricsCache sync.Map // program name -> *execMetrics
@@ -122,23 +118,13 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, rot int, buf []byte, blk i
 		defer placeOffsetsPool.Put(holder)
 		placeOff = *holder
 	}
-	// Stage timing is sampled on one rank only: a stage's duration is a
-	// collective property, and every rank clocking it would both multiply
-	// the histogram's count by p and put two time syscalls plus an Observe
-	// on each rank's critical path. The sample rank (default 0) and rate
-	// (default every execution) come from the world's Tuning, so the flight
-	// recorder can be pointed at a straggler rank. Send counters accumulate
+	// Stage timing is sampled on rank 0 only, every execution: a stage's
+	// duration is a collective property, and every rank clocking it would
+	// both multiply the histogram's count by p and put two time syscalls
+	// plus an Observe on each rank's critical path. Send counters accumulate
 	// in locals and flush once per execution — per-message atomic adds on
 	// shared counters ping-pong cache lines across the communicator's ranks.
-	cfg := configOf(c)
-	sampleRank := cfg.Tuning.StageSampleRank % p
-	if sampleRank < 0 {
-		sampleRank += p
-	}
-	timed := me == sampleRank
-	if timed && cfg.Tuning.StageSampleEvery > 1 {
-		timed = em.sampleTick.Add(1)%uint64(cfg.Tuning.StageSampleEvery) == 0
-	}
+	timed := me == 0
 	// prof accumulates the sampled execution's flight-recorder profile on
 	// the stack; stage times bin by pricing-view index so they line up with
 	// simnet.Breakdown. Recording is a by-value copy into the ring — the
@@ -255,6 +241,7 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, rot int, buf []byte, blk i
 	if timed {
 		prof.Transfers = int64(sent)
 		prof.Bytes = int64(sentBytes)
+		cfg := configOf(c)
 		rec := cfg.Flight
 		if rec == nil {
 			rec = obs.Flight

@@ -25,8 +25,7 @@ var (
 	scheduleExecutions = metrics.NewCounterVec("schedule_executions_total",
 		"Schedule-executor runs, one per participating rank.", "algorithm")
 	scheduleStageSeconds = metrics.NewHistogramVec("schedule_stage_seconds",
-		"Wall time of executed schedule stages, sampled on the world's "+
-			"configured sample rank (Tuning.StageSampleRank, default 0).",
+		"Wall time of executed schedule stages, sampled on rank 0.",
 		metrics.DurationOpts, "algorithm")
 	scheduleTransfers = metrics.NewCounterVec("schedule_transfers_total",
 		"Messages sent by the schedule executor.", "algorithm")

@@ -45,24 +45,20 @@ func runAllgatherWorld(t *testing.T, p, blk, rounds int, alg Algorithm, cfg Conf
 	}
 }
 
-// TestFlightRecorderSamplesConfiguredRank proves the PR 6 rank-0-only
-// sampling is now steerable: with Tuning.StageSampleRank pointed at rank 3,
-// the world's flight recorder fills with rank-3 profiles whose stage bins
-// carry real time.
+// TestFlightRecorderSamplesConfiguredRank: rank 0 records one profile per
+// execution into the world's flight recorder, and its stage bins, bytes and
+// transfers carry real measurements.
 func TestFlightRecorderSamplesConfiguredRank(t *testing.T) {
 	rec := obs.NewRecorder(64)
 	const p, blk, rounds = 8, 512, 5
-	runAllgatherWorld(t, p, blk, rounds, AlgRing, Config{
-		Tuning: Tuning{StageSampleRank: 3},
-		Flight: rec,
-	})
+	runAllgatherWorld(t, p, blk, rounds, AlgRing, Config{Flight: rec})
 	snap := rec.Snapshot()
 	if len(snap) != rounds {
 		t.Fatalf("recorded %d profiles, want %d (one per round)", len(snap), rounds)
 	}
 	for i, prof := range snap {
-		if prof.Rank != 3 {
-			t.Fatalf("profile %d sampled on rank %d, want configured rank 3", i, prof.Rank)
+		if prof.Rank != 0 {
+			t.Fatalf("profile %d sampled on rank %d, want rank 0", i, prof.Rank)
 		}
 		if prof.Program != "ring" || prof.P != p || prof.BlockBytes != blk {
 			t.Fatalf("profile %d = %+v, want ring/%d at %d B", i, prof, p, blk)
@@ -73,40 +69,6 @@ func TestFlightRecorderSamplesConfiguredRank(t *testing.T) {
 		if prof.Stages != 1 || prof.StageSeconds[0] != prof.TotalSeconds {
 			t.Fatalf("ring profile %d stage bins wrong: %+v", i, prof)
 		}
-	}
-}
-
-// TestFlightRecorderSampleRankWraps: an out-of-range sample rank wraps
-// modulo the communicator size instead of silencing sampling entirely.
-func TestFlightRecorderSampleRankWraps(t *testing.T) {
-	rec := obs.NewRecorder(64)
-	const p = 8
-	runAllgatherWorld(t, p, 256, 2, AlgRing, Config{
-		Tuning: Tuning{StageSampleRank: p + 2}, // wraps to rank 2
-		Flight: rec,
-	})
-	snap := rec.Snapshot()
-	if len(snap) == 0 {
-		t.Fatal("out-of-range sample rank recorded nothing")
-	}
-	for _, prof := range snap {
-		if prof.Rank != 2 {
-			t.Fatalf("profile sampled on rank %d, want wrapped rank 2", prof.Rank)
-		}
-	}
-}
-
-// TestFlightRecorderSampleRate: StageSampleEvery=4 records exactly one
-// profile per four executions on the sample rank, whatever the tick offset.
-func TestFlightRecorderSampleRate(t *testing.T) {
-	rec := obs.NewRecorder(64)
-	const rounds = 8
-	runAllgatherWorld(t, 8, 512, rounds, AlgRing, Config{
-		Tuning: Tuning{StageSampleEvery: 4},
-		Flight: rec,
-	})
-	if got := len(rec.Snapshot()); got != rounds/4 {
-		t.Fatalf("recorded %d profiles over %d rounds at 1-in-4, want %d", got, rounds, rounds/4)
 	}
 }
 

@@ -53,23 +53,6 @@ const (
 	RabenseifnerThresholdBytes = sched.RabenseifnerThresholdBytes
 )
 
-// Tuning holds the per-world executor sampling knobs. The zero value selects
-// the defaults. Algorithm selection is not tunable here: the size rules are
-// the family registry's constants, and a world that wants a different choice
-// at some (family, p, size) installs a synth table (Config.Synth), which
-// every front door consults first.
-type Tuning struct {
-	// StageSampleRank selects the rank that clocks per-stage wall time and
-	// records flight-recorder profiles (default rank 0). Pointing it at a
-	// straggler rank makes the recorder see that rank's view of each stage.
-	// Values outside [0, p) wrap modulo the communicator size.
-	StageSampleRank int
-	// StageSampleEvery records one profile per this many executions on the
-	// sample rank (default 1: every execution). Raising it cheapens very
-	// high-rate workloads at the cost of profile coverage.
-	StageSampleEvery int
-}
-
 // Allgather runs a flat allgather on c with the standard output contract
 // (block r at offset r). alg forces a builder; under AlgAuto the world's
 // synth table, else the registry's size rule, selects it (selectProgram).

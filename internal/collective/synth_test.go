@@ -151,9 +151,9 @@ func TestBaselineMatchesFrontDoor(t *testing.T) {
 }
 
 // TestPerWorldTuning: two worlds in one process run different configurations
-// — one world's Configure does not leak into the other. World A moves its
-// stage sampling to rank 2 and its own flight recorder; world B, configured
-// with nothing, still samples on rank 0 into the process-wide ring.
+// — one world's Configure does not leak into the other. World A records into
+// its own flight recorder; world B, configured with nothing, records into the
+// process-wide ring.
 func TestPerWorldTuning(t *testing.T) {
 	const p, blk = 4, 2048
 	allgather := func(c *mpi.Comm) error {
@@ -162,7 +162,7 @@ func TestPerWorldTuning(t *testing.T) {
 	own := obs.NewRecorder(8)
 	err := mpi.Run(p, func(c *mpi.Comm) error {
 		if c.Rank() == 0 {
-			Configure(c, Config{Tuning: Tuning{StageSampleRank: 2}, Flight: own})
+			Configure(c, Config{Flight: own})
 		}
 		if err := c.Barrier(); err != nil {
 			return err
@@ -173,8 +173,8 @@ func TestPerWorldTuning(t *testing.T) {
 		t.Fatal(err)
 	}
 	profs := own.Snapshot()
-	if len(profs) != 1 || profs[0].Rank != 2 {
-		t.Fatalf("configured world recorded %+v, want one profile from rank 2", profs)
+	if len(profs) != 1 || profs[0].Rank != 0 {
+		t.Fatalf("configured world recorded %+v, want one profile from rank 0", profs)
 	}
 
 	shared0 := obs.Flight.Recorded()

@@ -113,12 +113,10 @@ type Options struct {
 	// 2, the default). 0 selects the default; negative means never advance
 	// — the ablation knobs of the design study.
 	RDMHRefUpdate int
-	// Kernel selects the find-closest engine. The default, KernelAuto,
-	// uses the hierarchy-bucketed kernel whenever the distance source
-	// exposes (or a one-time inference pass finds) a nested hierarchy, and
-	// the reference linear scan otherwise — the two produce identical
-	// mappings under deterministic tie-breaking.
-	Kernel KernelMode
+	// kernel forces a find-closest engine for tests that compare the two;
+	// see kernelMode. The two produce identical mappings under
+	// deterministic tie-breaking.
+	kernel kernelMode
 }
 
 func (o *Options) rdmhRefUpdate() int {
@@ -182,10 +180,10 @@ func newMapper(o topology.Oracle, opts *Options) (*mapper, error) {
 		m:    make(Mapping, p),
 		left: p,
 	}
-	mode := KernelAuto
+	mode := kernelAuto
 	if opts != nil {
 		mp.rnd = opts.Rand
-		mode = opts.Kernel
+		mode = opts.kernel
 	}
 	kern, err := newKernel(o, mode, mp.rnd, &mp.scanned)
 	if err != nil {

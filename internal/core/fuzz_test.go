@@ -118,11 +118,11 @@ func FuzzKernelEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		for name, heur := range oracleHeuristics {
-			scan, err := heur(nil, d, &Options{Kernel: KernelScan})
+			scan, err := heur(nil, d, &Options{kernel: kernelScan})
 			if err != nil {
 				t.Fatalf("%s scan: %v", name, err)
 			}
-			bucketed, err := heur(nil, d, &Options{Kernel: KernelBucketed})
+			bucketed, err := heur(nil, d, &Options{kernel: kernelBucketed})
 			if err != nil {
 				t.Fatalf("%s bucketed: %v", name, err)
 			}

@@ -7,34 +7,20 @@ import (
 	"repro/internal/topology"
 )
 
-// KernelMode selects the find-closest kernel backing a mapper.
-type KernelMode uint8
+// kernelMode is the test hook that forces a find-closest kernel
+// (Options.kernel). Production leaves it at kernelAuto: the bucketed kernel
+// whenever the distance source has a hierarchical view (constructed or
+// inferred), the generic scan otherwise.
+type kernelMode uint8
 
 const (
-	// KernelAuto picks the bucketed kernel whenever the distance source has
-	// a hierarchical view (constructed or inferred) and falls back to the
-	// generic scan otherwise. This is the default.
-	KernelAuto KernelMode = iota
-	// KernelScan forces the reference linear scan over the free list.
-	KernelScan
-	// KernelBucketed forces the hierarchy-bucketed kernel; mapping fails
+	kernelAuto kernelMode = iota
+	// kernelScan forces the reference linear scan over the free list.
+	kernelScan
+	// kernelBucketed forces the hierarchy-bucketed kernel; mapping fails
 	// when the distance source is not hierarchical.
-	KernelBucketed
+	kernelBucketed
 )
-
-// String implements fmt.Stringer.
-func (k KernelMode) String() string {
-	switch k {
-	case KernelAuto:
-		return "auto"
-	case KernelScan:
-		return "scan"
-	case KernelBucketed:
-		return "bucketed"
-	default:
-		return fmt.Sprintf("KernelMode(%d)", uint8(k))
-	}
-}
 
 // kernel is the find-closest engine of Algorithm 1: it owns the free-slot
 // set and answers "the free slot closest to refSlot" (consuming it) as well
@@ -48,32 +34,23 @@ type kernel interface {
 	takeSlot(slot int)
 }
 
-// newKernel picks the kernel for a distance oracle under the requested mode
-// and reports the choice on the kernel-selection metric.
-func newKernel(o topology.Oracle, mode KernelMode, rnd *rand.Rand, scanned *int64) (kernel, error) {
+// newKernel picks the kernel for a distance oracle — bucketed exactly when a
+// hierarchy exists, unless the test hook forces one — and reports the choice
+// on the kernel-selection metric.
+func newKernel(o topology.Oracle, mode kernelMode, rnd *rand.Rand, scanned *int64) (kernel, error) {
 	var h *topology.Hierarchy
 	switch src := o.(type) {
 	case *topology.Hierarchy:
 		h = src
 	case *topology.Distances:
-		if mode != KernelScan {
+		if mode != kernelScan {
 			h = src.Hierarchy()
 		}
 	}
-	useBucketed := false
-	switch mode {
-	case KernelScan:
-	case KernelBucketed:
-		if h == nil {
-			return nil, fmt.Errorf("core: bucketed kernel requires a hierarchical distance source")
-		}
-		useBucketed = true
-	case KernelAuto:
-		useBucketed = h != nil
-	default:
-		return nil, fmt.Errorf("core: unknown kernel mode %v", mode)
+	if mode == kernelBucketed && h == nil {
+		return nil, fmt.Errorf("core: bucketed kernel requires a hierarchical distance source")
 	}
-	if useBucketed {
+	if h != nil && mode != kernelScan {
 		kernelSelections.With("kernel", "bucketed").Inc()
 		return newBucketKernel(h, rnd, scanned), nil
 	}

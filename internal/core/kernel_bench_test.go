@@ -38,8 +38,8 @@ func BenchmarkHeuristicKernel(b *testing.B) {
 			o    topology.Oracle
 			opts *Options
 		}{
-			{"scan", d, &Options{Kernel: KernelScan}},
-			{"bucketed", d, &Options{Kernel: KernelBucketed}},
+			{"scan", d, &Options{kernel: kernelScan}},
+			{"bucketed", d, &Options{kernel: kernelBucketed}},
 			{"oracle", h, nil},
 		}
 		for _, hr := range heuristics {

@@ -73,7 +73,7 @@ func TestKernelEquivalence(t *testing.T) {
 		}
 		h, hierErr := topology.NewHierarchy(fx.c, fx.cores)
 		for hname, heur := range oracleHeuristics {
-			scan, err := heur(nil, d, &Options{Kernel: KernelScan})
+			scan, err := heur(nil, d, &Options{kernel: kernelScan})
 			if err != nil {
 				t.Fatalf("%s/%s scan: %v", fname, hname, err)
 			}
@@ -88,7 +88,7 @@ func TestKernelEquivalence(t *testing.T) {
 				t.Errorf("%s/%s: auto kernel diverged from scan\nscan: %v\nauto: %v", fname, hname, scan, auto)
 			}
 			if d.Hierarchy() != nil {
-				bucketed, err := heur(nil, d, &Options{Kernel: KernelBucketed})
+				bucketed, err := heur(nil, d, &Options{kernel: kernelBucketed})
 				if err != nil {
 					t.Fatalf("%s/%s bucketed: %v", fname, hname, err)
 				}
@@ -132,7 +132,7 @@ func TestKernelBucketedRejectsTorus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RMH(d, &Options{Kernel: KernelBucketed}); err == nil {
+	if _, err := RMH(d, &Options{kernel: kernelBucketed}); err == nil {
 		t.Fatal("bucketed kernel accepted a torus matrix")
 	}
 	// Auto must fall back to the scan kernel and still succeed.
@@ -149,8 +149,8 @@ func TestKernelRandomTiesStayUniformlyValid(t *testing.T) {
 	d := distancesFor(t, c, 32, topology.CyclicBunch)
 	for hname, heur := range oracleHeuristics {
 		for seed := int64(0); seed < 4; seed++ {
-			for _, mode := range []KernelMode{KernelScan, KernelBucketed} {
-				m, err := heur(nil, d, &Options{Rand: rand.New(rand.NewSource(seed)), Kernel: mode})
+			for _, mode := range []kernelMode{kernelScan, kernelBucketed} {
+				m, err := heur(nil, d, &Options{Rand: rand.New(rand.NewSource(seed)), kernel: mode})
 				if err != nil {
 					t.Fatalf("%s/%v seed %d: %v", hname, mode, seed, err)
 				}
@@ -170,8 +170,8 @@ func TestKernelRandomTiesStayUniformlyValid(t *testing.T) {
 func TestKernelScannedAccounting(t *testing.T) {
 	c := testCluster()
 	d := distancesFor(t, c, 64, topology.BlockBunch)
-	scannedOf := func(mode KernelMode) int64 {
-		mp, err := newMapper(d, &Options{Kernel: mode})
+	scannedOf := func(mode kernelMode) int64 {
+		mp, err := newMapper(d, &Options{kernel: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,8 +184,8 @@ func TestKernelScannedAccounting(t *testing.T) {
 		}
 		return mp.scanned
 	}
-	scan := scannedOf(KernelScan)
-	bucketed := scannedOf(KernelBucketed)
+	scan := scannedOf(kernelScan)
+	bucketed := scannedOf(kernelBucketed)
 	// The ring places p-1 ranks over free lists of length p-1, p-2, ..., 1.
 	p := int64(d.N())
 	if want := p * (p - 1) / 2; scan != want {

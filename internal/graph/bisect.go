@@ -1,32 +1,17 @@
 package graph
 
-// BisectOptions bounds the work of the Kernighan–Lin-style refinement.
-// The zero value selects sensible defaults.
-type BisectOptions struct {
-	// MaxPasses is the number of KL refinement passes (default 2).
-	MaxPasses int
-	// MaxSwapsPerPass caps the swap sequence explored in one pass
-	// (default 128). Classic KL explores n/2 swaps, which is cubic
-	// overall; the cap keeps large bisections tractable while preserving
-	// most of the cut improvement.
-	MaxSwapsPerPass int
-	// Candidates restricts each swap step to the Candidates highest-gain
-	// vertices per side (default 24), the usual KL/FM speedup.
-	Candidates int
-}
-
-func (o BisectOptions) withDefaults() BisectOptions {
-	if o.MaxPasses <= 0 {
-		o.MaxPasses = 2
-	}
-	if o.MaxSwapsPerPass <= 0 {
-		o.MaxSwapsPerPass = 128
-	}
-	if o.Candidates <= 0 {
-		o.Candidates = 24
-	}
-	return o
-}
+// The work bounds of the Kernighan–Lin-style refinement.
+const (
+	// klPasses is the number of KL refinement passes.
+	klPasses = 2
+	// klSwapsPerPass caps the swap sequence explored in one pass. Classic
+	// KL explores n/2 swaps, which is cubic overall; the cap keeps large
+	// bisections tractable while preserving most of the cut improvement.
+	klSwapsPerPass = 128
+	// klCandidates restricts each swap step to the highest-gain vertices
+	// per side, the usual KL/FM speedup.
+	klCandidates = 24
+)
 
 // Bisect partitions the vertex subset verts of g into two parts where the
 // first has exactly sizeA elements, attempting to minimise the weight of
@@ -35,8 +20,7 @@ func (o BisectOptions) withDefaults() BisectOptions {
 // recipe of recursive-bipartitioning mappers such as Scotch.
 //
 // Edges leaving the subset are ignored. The input slice is not modified.
-func Bisect(g *Graph, verts []int, sizeA int, opt BisectOptions) (a, b []int) {
-	opt = opt.withDefaults()
+func Bisect(g *Graph, verts []int, sizeA int) (a, b []int) {
 	n := len(verts)
 	if sizeA <= 0 {
 		return nil, append([]int(nil), verts...)
@@ -122,7 +106,7 @@ func Bisect(g *Graph, verts []int, sizeA int, opt BisectOptions) (a, b []int) {
 		return 0
 	}
 	locked := make([]bool, n)
-	for pass := 0; pass < opt.MaxPasses; pass++ {
+	for pass := 0; pass < klPasses; pass++ {
 		computeD()
 		for i := range locked {
 			locked[i] = false
@@ -131,9 +115,9 @@ func Bisect(g *Graph, verts []int, sizeA int, opt BisectOptions) (a, b []int) {
 		var seq []swap
 		var cum, bestCum int64
 		bestK := -1
-		candA := make([]int, 0, opt.Candidates)
-		candB := make([]int, 0, opt.Candidates)
-		for step := 0; step < opt.MaxSwapsPerPass; step++ {
+		candA := make([]int, 0, klCandidates)
+		candB := make([]int, 0, klCandidates)
+		for step := 0; step < klSwapsPerPass; step++ {
 			// Candidate vertices: the highest-D unlocked vertices per side.
 			candA, candB = candA[:0], candB[:0]
 			for i := 0; i < n; i++ {
@@ -144,7 +128,7 @@ func Bisect(g *Graph, verts []int, sizeA int, opt BisectOptions) (a, b []int) {
 				if inA[i] {
 					cand = &candA
 				}
-				insertTopD(cand, dval, i, opt.Candidates)
+				insertTopD(cand, dval, i, klCandidates)
 			}
 			// Best swap pair among the candidates by KL gain.
 			sa, sb, sg := -1, -1, int64(0)

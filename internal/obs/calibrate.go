@@ -11,35 +11,20 @@ import (
 	"repro/internal/synth"
 )
 
+// The drift detector's constants: drift is suspected when driftWindow
+// consecutive observations of one key all fall outside the skew band, a
+// measured/predicted ratio outside [1/driftBand, driftBand].
+const (
+	driftWindow = 8
+	driftBand   = 2.0
+)
+
 // Options configure a Calibrator's drift detector.
 type Options struct {
-	// Window is the sliding-window length of the drift detector: drift is
-	// suspected when this many consecutive observations of one key all fall
-	// outside the band. Default 8.
-	Window int
-	// Band is the acceptable skew band: a measured/predicted ratio inside
-	// [1/Band, Band] is considered in calibration. Default 2.0.
-	Band float64
-	// MinSamples is the minimum number of joined observations a key needs
-	// before drift may fire. Default: Window.
-	MinSamples int
 	// OnDrift, if set, is invoked (without internal locks held) each time
 	// the detector fires for a key. The intended consumer is the remap
 	// trigger of the ROADMAP's drift→remap loop.
 	OnDrift func(DriftEvent)
-}
-
-func (o Options) withDefaults() Options {
-	if o.Window <= 0 {
-		o.Window = 8
-	}
-	if o.Band <= 1 {
-		o.Band = 2.0
-	}
-	if o.MinSamples <= 0 {
-		o.MinSamples = o.Window
-	}
-	return o
 }
 
 // DriftEvent describes one drift-detector firing: every observation in the
@@ -70,7 +55,7 @@ type ckState struct {
 	sumRatio  float64
 	// window is a ring of the most recent in/out-of-band verdicts; outside
 	// counts the outside verdicts currently in the ring.
-	window  []bool
+	window  [driftWindow]bool
 	wpos    int
 	wfill   int
 	outside int
@@ -148,7 +133,7 @@ func NewCalibrator(m *simnet.Machine, layout []int, opts Options) *Calibrator {
 		machine:   m,
 		layout:    lay,
 		topo:      synth.TopologyKey(m),
-		opts:      opts.withDefaults(),
+		opts:      opts,
 		state:     make(map[ckey]*ckState),
 		explained: make(map[explainKey]*Breakdown),
 	}
@@ -224,7 +209,6 @@ func (c *Calibrator) observe(prog *sched.Program, p Profile) (DriftEvent, bool) 
 	if st == nil {
 		ns := len(bd.Full.Stages)
 		st = &ckState{
-			window:    make([]bool, c.opts.Window),
 			stageMeas: make([]float64, ns),
 			stagePred: make([]float64, ns),
 			stagePre:  make([]bool, ns),
@@ -264,7 +248,7 @@ func (c *Calibrator) observe(prog *sched.Program, p Profile) (DriftEvent, bool) 
 	betaRatio.With("topology", c.topo, "program", p.Program, "bucket", bstr).Set(int64(beta * 1000))
 
 	// Drift window: replace the oldest verdict with this one.
-	out := ratio > c.opts.Band || ratio < 1/c.opts.Band
+	out := ratio > driftBand || ratio < 1/driftBand
 	if st.wfill == len(st.window) {
 		if st.window[st.wpos] {
 			st.outside--
@@ -281,8 +265,7 @@ func (c *Calibrator) observe(prog *sched.Program, p Profile) (DriftEvent, bool) 
 		st.drifting = false
 		return DriftEvent{}, false
 	}
-	if st.drifting || st.wfill < len(st.window) || st.outside < len(st.window) ||
-		st.samples < uint64(c.opts.MinSamples) {
+	if st.drifting || st.outside < len(st.window) {
 		return DriftEvent{}, false
 	}
 	st.drifting = true
@@ -293,8 +276,8 @@ func (c *Calibrator) observe(prog *sched.Program, p Profile) (DriftEvent, bool) 
 		Bucket:   bucket,
 		P:        int(p.P),
 		Ratio:    ratio,
-		Window:   c.opts.Window,
-		Band:     c.opts.Band,
+		Window:   driftWindow,
+		Band:     driftBand,
 	}, true
 }
 
@@ -337,7 +320,7 @@ type Report struct {
 func (c *Calibrator) Report() *Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r := &Report{Topology: c.topo, Band: c.opts.Band, Window: c.opts.Window, Drifts: c.drifts}
+	r := &Report{Topology: c.topo, Band: driftBand, Window: driftWindow, Drifts: c.drifts}
 	for k, st := range c.state {
 		alpha, beta := st.fit()
 		e := ReportEntry{

@@ -74,8 +74,7 @@ func TestCalibratorFaithfulModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fired []DriftEvent
-	cal := NewCalibrator(m, layout, Options{Window: 4, Band: 1.5,
-		OnDrift: func(e DriftEvent) { fired = append(fired, e) }})
+	cal := NewCalibrator(m, layout, Options{OnDrift: func(e DriftEvent) { fired = append(fired, e) }})
 	for i := 0; i < 10; i++ {
 		cal.ObserveExecution(prog, syntheticProfile(prog, bd, blk))
 	}
@@ -130,17 +129,22 @@ func TestCalibratorDriftOnDegradedLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fired []DriftEvent
-	cal := NewCalibrator(healthy, layout, Options{Window: 4, Band: 1.5,
-		OnDrift: func(e DriftEvent) { fired = append(fired, e) }})
-	for i := 0; i < 12; i++ {
+	cal := NewCalibrator(healthy, layout, Options{OnDrift: func(e DriftEvent) { fired = append(fired, e) }})
+	for i := 0; i < driftWindow-1; i++ {
+		cal.ObserveExecution(prog, syntheticProfile(prog, measuredBd, blk))
+	}
+	if len(fired) != 0 {
+		t.Fatalf("drift fired %d times before the window filled", len(fired))
+	}
+	for i := 0; i < driftWindow+4; i++ {
 		cal.ObserveExecution(prog, syntheticProfile(prog, measuredBd, blk))
 	}
 	if len(fired) != 1 {
 		t.Fatalf("drift fired %d times, want exactly 1 (latched after firing): %+v", len(fired), fired)
 	}
 	ev := fired[0]
-	if ev.Program != "ring" || ev.P != 64 || ev.Ratio <= 1.5 {
-		t.Fatalf("drift event = %+v, want ring/64 with ratio above the band", ev)
+	if ev.Program != "ring" || ev.P != 64 || ev.Ratio <= driftBand || ev.Band != driftBand || ev.Window != driftWindow {
+		t.Fatalf("drift event = %+v, want ring/64 with ratio above band %g over window %d", ev, driftBand, driftWindow)
 	}
 	if ev.Topology != cal.Topology() {
 		t.Fatalf("drift event topology %q, want %q", ev.Topology, cal.Topology())
@@ -154,12 +158,13 @@ func TestCalibratorDriftOnDegradedLink(t *testing.T) {
 		t.Fatalf("report = %+v, want one drifting entry", r.Entries)
 	}
 	e := r.Entries[0]
-	if e.LastRatio <= 1.5 {
-		t.Fatalf("reported ratio %g, want outside band 1.5", e.LastRatio)
+	if e.LastRatio <= driftBand || r.Band != driftBand || r.Window != driftWindow {
+		t.Fatalf("reported ratio %g (band %g, window %d), want outside band %g over window %d",
+			e.LastRatio, r.Band, r.Window, driftBand, driftWindow)
 	}
 	skewed := 0
 	for _, ss := range e.Stages {
-		if ss.Ratio > 1.5 {
+		if ss.Ratio > driftBand {
 			skewed++
 		}
 	}
@@ -180,7 +185,7 @@ func TestCalibratorDriftOnDegradedLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	cal.ObserveExecution(prog, syntheticProfile(prog, goodBd, blk))
-	for i := 0; i < 6; i++ {
+	for i := 0; i < driftWindow; i++ {
 		cal.ObserveExecution(prog, syntheticProfile(prog, measuredBd, blk))
 	}
 	if len(fired) != 2 {

@@ -22,11 +22,9 @@ import (
 	"repro/internal/topology"
 )
 
-// Options tunes the mapper.
-type Options struct {
-	// Bisect configures the guest-graph refinement.
-	Bisect graph.BisectOptions
-}
+// Options tunes the mapper. It has no fields: the refinement's bounds are
+// graph.Bisect's constants. Callers pass nil.
+type Options struct{}
 
 // Map assigns the vertices of guest (processes, indexed by rank in the
 // collective's pattern) to the slots of the host distance oracle d (cores,
@@ -54,10 +52,6 @@ func MapContext(ctx context.Context, guest *graph.Graph, d topology.Oracle, opts
 	if n == 0 {
 		return nil, fmt.Errorf("scotch: empty mapping problem")
 	}
-	var bopt graph.BisectOptions
-	if opts != nil {
-		bopt = opts.Bisect
-	}
 	m := make(core.Mapping, n)
 	verts := make([]int, n)
 	slots := make([]int, n)
@@ -65,7 +59,7 @@ func MapContext(ctx context.Context, guest *graph.Graph, d topology.Oracle, opts
 		verts[i], slots[i] = i, i
 	}
 	start := time.Now()
-	if err := mapRec(ctx, guest, d, verts, slots, m, bopt); err != nil {
+	if err := mapRec(ctx, guest, d, verts, slots, m); err != nil {
 		core.RecordMapping("scotch", start, 0, 0, err)
 		return nil, err
 	}
@@ -76,7 +70,7 @@ func MapContext(ctx context.Context, guest *graph.Graph, d topology.Oracle, opts
 // mapRec performs one level of dual recursive bipartitioning: split the host
 // slots into two physically cohesive halves, split the guest vertices into
 // matching-size halves of minimal cut weight, pair them up and recurse.
-func mapRec(ctx context.Context, guest *graph.Graph, d topology.Oracle, verts, slots []int, m core.Mapping, bopt graph.BisectOptions) error {
+func mapRec(ctx context.Context, guest *graph.Graph, d topology.Oracle, verts, slots []int, m core.Mapping) error {
 	if len(verts) != len(slots) {
 		panic("scotch: internal imbalance between guest and host halves")
 	}
@@ -93,11 +87,11 @@ func mapRec(ctx context.Context, guest *graph.Graph, d topology.Oracle, verts, s
 		return nil
 	}
 	h0, h1 := bisectHost(d, slots)
-	g0, g1 := graph.Bisect(guest, verts, len(h0), bopt)
-	if err := mapRec(ctx, guest, d, g0, h0, m, bopt); err != nil {
+	g0, g1 := graph.Bisect(guest, verts, len(h0))
+	if err := mapRec(ctx, guest, d, g0, h0, m); err != nil {
 		return err
 	}
-	return mapRec(ctx, guest, d, g1, h1, m, bopt)
+	return mapRec(ctx, guest, d, g1, h1, m)
 }
 
 // bisectHost splits a slot set into two halves that are physically cohesive:

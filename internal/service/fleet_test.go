@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/store"
@@ -350,10 +353,122 @@ func TestFleetStoresPersistPerOwner(t *testing.T) {
 	}
 }
 
+// TestSlowPeerDegradesWithinBudget: the forward hop has no timeout of its
+// own, so the request's budget must bound it. With the owning peer stalling
+// for 2 s, a single request and a sub-batch with timeout_ms 200 each answer
+// degraded in about the budget. Neither answer is kept in the result table
+// or the store, so once the peer recovers a repeat is forwarded again.
+func TestSlowPeerDegradesWithinBudget(t *testing.T) {
+	peer := New(Config{Workers: 2})
+	defer peer.Close()
+	var stalled atomic.Bool
+	stalled.Store(true)
+	peerSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !stalled.Load() {
+			peer.Handler().ServeHTTP(w, r)
+			return
+		}
+		io.Copy(io.Discard, r.Body) // a drained body lets the server see the caller hang up
+		select {
+		case <-time.After(2 * time.Second):
+		case <-r.Context().Done():
+		}
+		http.Error(w, "stalled", http.StatusServiceUnavailable)
+	}))
+	defer peerSrv.Close()
+
+	st := openTestStore(t, filepath.Join(t.TempDir(), "store.log"))
+	defer st.Close()
+	front := New(Config{Workers: 2, Store: st, Shard: &ShardConfig{Self: "front", Peers: map[string]string{"peer": peerSrv.URL}}})
+	defer front.Close()
+
+	var single *Request
+	batch := &BatchRequest{Topology: smallTopo(), TimeoutMillis: 200}
+	for i := 0; i < 64 && (single == nil || len(batch.Patterns) < 3); i++ {
+		r := &Request{Topology: smallTopo(), Pattern: PatternSpec{Name: "ring"}, Sizes: []int{256 * (i + 1)}, TimeoutMillis: 200}
+		if _, _, remote := front.shardFor(keyOf(t, front, r)); !remote {
+			continue
+		}
+		if single == nil {
+			single = r
+		} else {
+			batch.Patterns = append(batch.Patterns, BatchPattern{Name: "ring", Sizes: r.Sizes})
+		}
+	}
+	if single == nil || len(batch.Patterns) < 3 {
+		t.Fatal("too few peer-owned requests in 64 tries")
+	}
+	keys := []string{keyOf(t, front, single)}
+	for i := range batch.Patterns {
+		keys = append(keys, keyOf(t, front, batch.itemRequest(i)))
+	}
+	ctx := context.Background()
+	// withinBudget runs one call against the stalled peer and requires that
+	// it returns well before the stall ends.
+	withinBudget := func(what string, call func()) {
+		t.Helper()
+		start := time.Now()
+		call()
+		if took := time.Since(start); took > time.Second {
+			t.Errorf("%s against a stalled peer took %v, want about its 200 ms budget", what, took)
+		}
+	}
+
+	withinBudget("single request", func() {
+		resp, err := front.Compute(ctx, single)
+		if err != nil || !resp.Degraded {
+			t.Fatalf("single request: resp=%+v err=%v, want degraded", resp, err)
+		}
+	})
+	withinBudget("sub-batch", func() {
+		got, err := front.ComputeBatch(ctx, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, resp := range got.Responses {
+			if !resp.Degraded {
+				t.Fatalf("batch item %d not degraded", i)
+			}
+		}
+	})
+	for _, key := range keys {
+		if _, ok := front.results.Get(key); ok {
+			t.Errorf("degraded answer for %.12s kept in the result table", key)
+		}
+		if _, ok := st.Get(storeMappingPrefix + key); ok {
+			t.Errorf("degraded answer for %.12s persisted", key)
+		}
+	}
+
+	// The budget is not part of the key; the repeats take the default one so
+	// that a slow cold compute on the peer cannot degrade them.
+	stalled.Store(false)
+	single.TimeoutMillis, batch.TimeoutMillis = 0, 0
+	forwards := front.Stats().Forwards
+	if resp, err := front.Compute(ctx, single); err != nil || resp.Degraded || resp.Cached {
+		t.Fatalf("single repeat after recovery: resp=%+v err=%v, want a fresh forwarded answer", resp, err)
+	}
+	got, err := front.ComputeBatch(ctx, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, resp := range got.Responses {
+		if resp.Degraded || resp.Cached {
+			t.Fatalf("batch item %d after recovery: degraded=%v cached=%v, want a fresh forwarded answer", i, resp.Degraded, resp.Cached)
+		}
+	}
+	if n := front.Stats().Forwards - forwards; n != 2 {
+		t.Errorf("%d forwards after recovery, want 2 (the single request and the sub-batch)", n)
+	}
+	if front.Stats().Computes != 0 {
+		t.Error("the front computed peer-owned keys itself")
+	}
+}
+
 func TestShedOnPressure(t *testing.T) {
-	s := New(Config{Workers: 1, ReadyMaxQueue: 1, ShedOnPressure: true})
+	s := New(Config{Workers: 1, ShedOnPressure: true})
 	defer s.Close()
-	s.stats.queueDepth.Set(1) // saturate the admission threshold
+	s.stats.queueDepth.Set(2) // saturate the admission threshold, 2x Workers
 	resp, err := s.Compute(context.Background(), &Request{Topology: smallTopo(), Pattern: PatternSpec{Name: "ring"}})
 	if err != nil {
 		t.Fatalf("Compute: %v", err)
@@ -583,7 +698,7 @@ func TestBatchAdmittedAsOne(t *testing.T) {
 		t.Errorf("idle service: %d of 16 batch items degraded, shed = %d; want 0 and 0", n, s.Stats().Shed)
 	}
 
-	s.stats.queueDepth.Set(int64(s.cfg.ReadyMaxQueue)) // someone else's backlog
+	s.stats.queueDepth.Set(int64(s.maxQueue())) // someone else's backlog
 	got, err = s.ComputeBatch(context.Background(), batch(4096))
 	s.stats.queueDepth.Set(0)
 	if err != nil {

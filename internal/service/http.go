@@ -30,7 +30,7 @@ import (
 //	                     registry merged with the service registry
 //	GET  /healthz      — liveness probe
 //	GET  /readyz       — readiness probe; 503 once the pool queue reaches
-//	                     the shedding threshold (Config.ReadyMaxQueue)
+//	                     the shedding threshold (2x Config.Workers)
 //	GET  /debug/flight — process-wide schedule flight ring as JSON
 //	GET  /calibration  — cost-model calibration report (obs.Global);
 //	                     ?format=table renders the human table

@@ -20,26 +20,20 @@ const (
 
 // storeGet consults the persistent store for a cache-missed key. Hits are
 // decoded base responses — never Degraded, by construction of storePut —
-// whose encoding is the record itself.
+// whose encoding is the record itself. A record that does not end in
+// baseSuffix (written before the per-request fields moved to the end) is a
+// miss: the store is a cache, and the recompute overwrites it.
 func (s *Service) storeGet(key string) (*Response, bool) {
 	if s.store == nil {
 		return nil, false
 	}
 	data, ok := s.store.Get(storeMappingPrefix + key)
-	if !ok {
-		s.stats.storeMisses.Inc()
-		return nil, false
-	}
 	var resp Response
-	if err := json.Unmarshal(data, &resp); err != nil || resp.Degraded {
+	if !ok || !bytes.HasSuffix(data, []byte(baseSuffix)) || json.Unmarshal(data, &resp) != nil || resp.Degraded {
 		s.stats.storeMisses.Inc()
 		return nil, false
 	}
 	resp.body = data
-	if !bytes.HasSuffix(data, []byte(baseSuffix)) {
-		// A record written before the per-request fields moved to the end.
-		resp.seal()
-	}
 	s.stats.storeHits.Inc()
 	return &resp, true
 }

@@ -86,8 +86,7 @@ func keyOf(t *testing.T, s *Service, req *Request) string {
 }
 
 // TestReplyBytesMatchEncoding: every way a /map reply is made — computed, LRU
-// hit, store hit after a restart (including a record written before the
-// per-request fields moved last), traced, degraded, explicit graph,
+// hit, store hit after a restart, traced, degraded, explicit graph,
 // forwarded single and sub-batch, batch — writes exactly json.Marshal of
 // the reply plus a newline, and every kept entry's encoding is the record
 // the store holds.
@@ -137,25 +136,6 @@ func TestReplyBytesMatchEncoding(t *testing.T) {
 		t.Fatalf("batch reply: %d items, want 3 with only the third computed", len(r.Responses))
 	}
 
-	// A record in the field order of earlier releases, results before the
-	// per-request fields, still answers with the encoder's bytes.
-	legacy := &Request{Topology: smallTopo(), Pattern: PatternSpec{Name: "binomial-broadcast"}, Sizes: []int{2048}}
-	legacyKey := keyOf(t, s1, legacy)
-	legacyRec, err := json.Marshal(struct {
-		Mapping       []int        `json:"mapping"`
-		Heuristic     string       `json:"heuristic"`
-		Degraded      bool         `json:"degraded"`
-		Cached        bool         `json:"cached"`
-		Results       []SizeResult `json:"results"`
-		ElapsedMicros int64        `json:"elapsed_us"`
-	}{Mapping: core.Identity(16), Heuristic: "bbmh", Results: []SizeResult{{Bytes: 2048, DefaultSeconds: 1, ReorderedSeconds: 0.5, UseReordered: true}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st1.Put(storeMappingPrefix+legacyKey, legacyRec); err != nil {
-		t.Fatal(err)
-	}
-
 	s1.Close()
 	if err := st1.Close(); err != nil {
 		t.Fatal(err)
@@ -169,11 +149,8 @@ func TestReplyBytesMatchEncoding(t *testing.T) {
 		t.Fatal("restarted reply was not a store hit")
 	}
 	checkBase(t, s2, keyOf(t, s2, req))
-	if r := checkReply[Response](t, ctx, h2, legacy); !r.Cached || r.Heuristic != "bbmh" || len(r.Results) != 1 {
-		t.Fatalf("legacy record reply = %+v", r)
-	}
-	if st := s2.Stats(); st.StoreHits != 2 || st.Computes != 0 {
-		t.Fatalf("restarted service: %d store hits, %d computes; want 2, 0", st.StoreHits, st.Computes)
+	if st := s2.Stats(); st.StoreHits != 1 || st.Computes != 0 {
+		t.Fatalf("restarted service: %d store hits, %d computes; want 1, 0", st.StoreHits, st.Computes)
 	}
 
 	// Forwarded: a single and a sub-batch answered by peers of the front.
@@ -208,6 +185,44 @@ func TestReplyBytesMatchEncoding(t *testing.T) {
 	if front.Stats().Computes != 0 {
 		t.Error("the front computed peer-owned keys itself")
 	}
+}
+
+// TestOldOrderStoreRecordMisses: a store record in the field order of
+// earlier releases, results before the per-request fields, does not end in
+// the base suffix a reply is spliced onto. It counts as a store miss: the
+// request computes, answers with the encoder's bytes, and the recompute
+// overwrites the record with the current encoding.
+func TestOldOrderStoreRecordMisses(t *testing.T) {
+	ctx := context.Background()
+	st := openTestStore(t, filepath.Join(t.TempDir(), "store.log"))
+	defer st.Close()
+	s := New(Config{Workers: 2, Store: st})
+	defer s.Close()
+
+	req := &Request{Topology: smallTopo(), Pattern: PatternSpec{Name: "binomial-broadcast"}, Sizes: []int{2048}}
+	key := keyOf(t, s, req)
+	old, err := json.Marshal(struct {
+		Mapping       []int        `json:"mapping"`
+		Heuristic     string       `json:"heuristic"`
+		Degraded      bool         `json:"degraded"`
+		Cached        bool         `json:"cached"`
+		Results       []SizeResult `json:"results"`
+		ElapsedMicros int64        `json:"elapsed_us"`
+	}{Mapping: core.Identity(16), Heuristic: "bbmh", Results: []SizeResult{{Bytes: 2048, DefaultSeconds: 1, ReorderedSeconds: 0.5, UseReordered: true}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(storeMappingPrefix+key, old); err != nil {
+		t.Fatal(err)
+	}
+
+	if r := checkReply[Response](t, ctx, s.Handler(), req); r.Cached || r.Degraded {
+		t.Fatalf("reply over an old-order record: cached=%v degraded=%v, want computed", r.Cached, r.Degraded)
+	}
+	if stats := s.Stats(); stats.StoreHits != 0 || stats.StoreMisses != 1 || stats.Computes != 1 {
+		t.Fatalf("%d store hits, %d store misses, %d computes; want 0, 1, 1", stats.StoreHits, stats.StoreMisses, stats.Computes)
+	}
+	checkBase(t, s, key) // the record is now the kept encoding
 }
 
 // TestMapRejectsTrailingData: a /map body is one JSON value. A second value or

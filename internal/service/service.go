@@ -43,7 +43,6 @@ import (
 	"repro/internal/patterns"
 	"repro/internal/sched"
 	"repro/internal/scotch"
-	"repro/internal/simnet"
 	"repro/internal/store"
 	"repro/internal/synth"
 	"repro/internal/topology"
@@ -60,19 +59,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout caps any requested deadline (default 60s).
 	MaxTimeout time.Duration
-	// Params overrides the cost-model constants (default simnet.DefaultParams).
-	Params *simnet.Params
-	// SLOLatency is the per-request latency objective the burn-rate alerts
-	// measure against (default 500ms).
-	SLOLatency time.Duration
-	// SLOTarget is the objective's success fraction; the error budget is
-	// 1-SLOTarget (default 0.99).
-	SLOTarget float64
-	// SLOTick is the burn-rate sampling period (default 10s).
-	SLOTick time.Duration
-	// ReadyMaxQueue is the pool queue depth at which /readyz starts
-	// shedding (default 2x Workers).
-	ReadyMaxQueue int
 	// CacheBytes bounds the result cache's approximate heap footprint
 	// (default 256 MiB). The entry bound still applies; whichever is hit
 	// first evicts, and a response larger than the whole budget is served
@@ -85,7 +71,7 @@ type Config struct {
 	// fleet: misses on keys another replica owns are forwarded there.
 	Shard *ShardConfig
 	// ShedOnPressure turns the /readyz queue-depth threshold into admission
-	// control: once the pool queue reaches ReadyMaxQueue, new computations
+	// control: once the pool queue reaches 2x Workers, new computations
 	// answer with the identity mapping (Degraded) instead of queueing. Off
 	// by default — single-process embedders prefer to absorb bursts.
 	ShedOnPressure bool
@@ -99,11 +85,6 @@ func (cfg *Config) withDefaults() Config {
 	if out.CacheEntries <= 0 {
 		out.CacheEntries = 512
 	}
-	params := simnet.DefaultParams()
-	if out.Params != nil {
-		params = *out.Params
-	}
-	out.Params = &params
 	if out.CacheBytes <= 0 {
 		out.CacheBytes = defaultCacheBytes
 	}
@@ -113,20 +94,12 @@ func (cfg *Config) withDefaults() Config {
 	if out.MaxTimeout <= 0 {
 		out.MaxTimeout = 60 * time.Second
 	}
-	if out.SLOLatency <= 0 {
-		out.SLOLatency = 500 * time.Millisecond
-	}
-	if out.SLOTarget <= 0 || out.SLOTarget >= 1 {
-		out.SLOTarget = 0.99
-	}
-	if out.SLOTick <= 0 {
-		out.SLOTick = 10 * time.Second
-	}
-	if out.ReadyMaxQueue <= 0 {
-		out.ReadyMaxQueue = 2 * out.Workers
-	}
 	return out
 }
+
+// maxQueue is the pool queue depth at which /readyz starts shedding, and
+// ShedOnPressure with it: two waiting computations per worker.
+func (s *Service) maxQueue() int { return 2 * s.cfg.Workers }
 
 // Service is the mapping service. Create with New, share freely across
 // goroutines, Close when done.
@@ -172,7 +145,7 @@ func New(cfg Config) *Service {
 	s.loadSynthTables()
 	s.refreshStoreGauges()
 	if cfg.Shard != nil {
-		s.setShardState(cfg.Shard.Self, cfg.Shard.Peers, cfg.Shard.VNodes, cfg.Shard.Client)
+		s.setShardState(cfg.Shard.Self, cfg.Shard.Peers, cfg.Shard.VNodes)
 	}
 	go s.burnLoop()
 	return s
@@ -347,7 +320,7 @@ func (s *Service) leaderServe(ctx context.Context, req *Request, c *compiled, ma
 // underPressure is the admission test of ShedOnPressure: the pool queue has
 // reached the /readyz threshold.
 func (s *Service) underPressure() bool {
-	return s.cfg.ShedOnPressure && s.stats.queueDepth.Value() >= int64(s.cfg.ReadyMaxQueue)
+	return s.cfg.ShedOnPressure && s.stats.queueDepth.Value() >= int64(s.maxQueue())
 }
 
 func outcomeFor(resp *Response) int {

@@ -26,42 +26,31 @@ type ShardConfig struct {
 	Peers map[string]string
 	// VNodes is the virtual points per member (default ring.DefaultVirtualNodes).
 	VNodes int
-	// Client issues forwarded requests (default: 10s-timeout client).
-	Client *http.Client
 }
 
 // shardState is the immutable resolved sharding view, swapped atomically on
 // SetPeers so the request path reads it lock-free.
 type shardState struct {
-	self   string
-	ring   *ring.Ring
-	peers  map[string]string
-	client *http.Client
+	self  string
+	ring  *ring.Ring
+	peers map[string]string
 }
 
 // setShardState rebuilds the ring over self plus the peer names.
-func (s *Service) setShardState(self string, peers map[string]string, vnodes int, client *http.Client) {
+func (s *Service) setShardState(self string, peers map[string]string, vnodes int) {
 	names := make([]string, 0, len(peers)+1)
 	names = append(names, self)
 	for name := range peers {
 		names = append(names, name)
-	}
-	if client == nil {
-		if prev := s.shard.Load(); prev != nil && prev.client != nil {
-			client = prev.client
-		} else {
-			client = &http.Client{Timeout: 10 * time.Second}
-		}
 	}
 	peerCopy := make(map[string]string, len(peers))
 	for name, url := range peers {
 		peerCopy[name] = url
 	}
 	s.shard.Store(&shardState{
-		self:   self,
-		ring:   ring.New(names, vnodes),
-		peers:  peerCopy,
-		client: client,
+		self:  self,
+		ring:  ring.New(names, vnodes),
+		peers: peerCopy,
 	})
 }
 
@@ -73,7 +62,7 @@ func (s *Service) SetPeers(peers map[string]string) error {
 	if st == nil {
 		return fmt.Errorf("service: SetPeers on a service without Config.Shard")
 	}
-	s.setShardState(st.self, peers, s.cfg.Shard.VNodes, st.client)
+	s.setShardState(st.self, peers, s.cfg.Shard.VNodes)
 	return nil
 }
 
@@ -110,12 +99,8 @@ func (s *Service) shardFor(key string) (owner, url string, remote bool) {
 // flight group. The response is sanitised of per-hop stamps and sealed as a
 // base response before the caller re-caches it.
 func (s *Service) forwardRequest(ctx context.Context, url string, req *Request) (*Response, error) {
-	st := s.shard.Load()
-	if st == nil {
-		return nil, fmt.Errorf("service: forward without shard state")
-	}
 	start := time.Now()
-	resp, err := postJSON[Response](ctx, st.client, url+"/map", forwardedCopy(req))
+	resp, err := postJSON[Response](ctx, url+"/map", forwardedCopy(req))
 	s.stats.forwarded(start, err)
 	if err != nil {
 		return nil, err
@@ -134,14 +119,10 @@ func rebase(r *Response) {
 
 // forwardBatch relays a whole sub-batch to the owning peer.
 func (s *Service) forwardBatch(ctx context.Context, url string, breq *BatchRequest) (*BatchResponse, error) {
-	st := s.shard.Load()
-	if st == nil {
-		return nil, fmt.Errorf("service: forward without shard state")
-	}
 	start := time.Now()
 	fwd := *breq
 	fwd.Forwarded = true
-	resp, err := postJSON[BatchResponse](ctx, st.client, url+"/map", &fwd)
+	resp, err := postJSON[BatchResponse](ctx, url+"/map", &fwd)
 	s.stats.forwarded(start, err)
 	if err != nil {
 		return nil, err
@@ -161,8 +142,10 @@ func forwardedCopy(req *Request) *Request {
 	return &out
 }
 
-// postJSON posts v and decodes a T reply, surfacing error-body messages.
-func postJSON[T any](ctx context.Context, client *http.Client, url string, v any) (*T, error) {
+// postJSON posts v and decodes a T reply, surfacing error-body messages. The
+// client sets no timeout of its own: a forward hop runs under the forwarding
+// request's budget context, which bounds it.
+func postJSON[T any](ctx context.Context, url string, v any) (*T, error) {
 	body, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
@@ -172,7 +155,7 @@ func postJSON[T any](ctx context.Context, client *http.Client, url string, v any
 		return nil, err
 	}
 	hreq.Header.Set("Content-Type", "application/json")
-	hresp, err := client.Do(hreq)
+	hresp, err := http.DefaultClient.Do(hreq)
 	if err != nil {
 		return nil, err
 	}

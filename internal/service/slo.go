@@ -6,12 +6,20 @@ import (
 	"time"
 )
 
-// SLO burn-rate windows, the standard fast/slow multiwindow pair: the fast
-// window pages on sharp regressions, the slow one on sustained budget leaks.
+// The latency SLO: sloTarget of requests answer within sloLatency, so the
+// error budget is 1-sloTarget. Burn rates are sampled every sloTick over the
+// standard fast/slow multiwindow pair: the fast window pages on sharp
+// regressions, the slow one on sustained budget leaks.
 const (
+	sloLatency     = 500 * time.Millisecond
+	sloTick        = 10 * time.Second
 	burnFastWindow = 5 * time.Minute
 	burnSlowWindow = time.Hour
 )
+
+// sloTarget is typed so that 1-sloTarget rounds in float64, as the error
+// budget always has.
+const sloTarget float64 = 0.99
 
 // burnSample is one periodic reading of the latency histogram's SLO split.
 type burnSample struct {
@@ -44,9 +52,9 @@ func (b *burnTracker) record(s burnSample) {
 }
 
 // rate computes the burn over the trailing window ending at the newest
-// sample, against an error budget of (1 - target). Windows with no traffic
-// burn nothing.
-func (b *burnTracker) rate(window time.Duration, target float64) float64 {
+// sample, against the error budget 1-sloTarget. Windows with no traffic burn
+// nothing.
+func (b *burnTracker) rate(window time.Duration) float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if len(b.samples) < 2 {
@@ -68,11 +76,7 @@ func (b *burnTracker) rate(window time.Duration, target float64) float64 {
 		return 0
 	}
 	bad := float64(total) - float64(newest.good-base.good)
-	budget := 1 - target
-	if budget <= 0 {
-		budget = 1e-9
-	}
-	return bad / float64(total) / budget
+	return bad / float64(total) / (1 - sloTarget)
 }
 
 // sampleBurn takes one reading of the latency histogram and refreshes the
@@ -82,17 +86,17 @@ func (s *Service) sampleBurn(now time.Time) {
 	s.burn.record(burnSample{
 		at:    now,
 		total: h.Count(),
-		good:  h.CountAtOrBelow(s.cfg.SLOLatency.Seconds()),
+		good:  h.CountAtOrBelow(sloLatency.Seconds()),
 	})
-	fast := s.burn.rate(burnFastWindow, s.cfg.SLOTarget)
-	slow := s.burn.rate(burnSlowWindow, s.cfg.SLOTarget)
+	fast := s.burn.rate(burnFastWindow)
+	slow := s.burn.rate(burnSlowWindow)
 	s.stats.burnFast.Set(int64(fast * 1000))
 	s.stats.burnSlow.Set(int64(slow * 1000))
 }
 
-// burnLoop drives sampleBurn on the configured tick until Close.
+// burnLoop drives sampleBurn every sloTick until Close.
 func (s *Service) burnLoop() {
-	t := time.NewTicker(s.cfg.SLOTick)
+	t := time.NewTicker(sloTick)
 	defer t.Stop()
 	for {
 		select {
@@ -118,12 +122,12 @@ type Readiness struct {
 }
 
 // Ready reports whether the service should accept new traffic: it sheds
-// (not ready) once the pool queue reaches ReadyMaxQueue, before submissions
-// start burning whole request deadlines waiting for a worker.
+// (not ready) once the pool queue reaches maxQueue, before submissions start
+// burning whole request deadlines waiting for a worker.
 func (s *Service) Ready() Readiness {
 	r := Readiness{
 		QueueDepth:    s.stats.queueDepth.Value(),
-		MaxQueue:      s.cfg.ReadyMaxQueue,
+		MaxQueue:      s.maxQueue(),
 		BurnFastMilli: s.stats.burnFast.Value(),
 		BurnSlowMilli: s.stats.burnSlow.Value(),
 	}

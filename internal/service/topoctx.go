@@ -175,7 +175,7 @@ func (e *topoContext) profilesFor(ctx context.Context, pat core.Pattern, m core.
 		return nil, nil, err
 	}
 	machine, err := e.machine.Do(ctx, struct{}{}, func() (*simnet.Machine, error) {
-		return simnet.NewMachine(e.cluster, *e.svc.cfg.Params)
+		return simnet.NewMachine(e.cluster, simnet.DefaultParams())
 	})
 	if err != nil {
 		return nil, nil, err

@@ -22,11 +22,6 @@ type Options struct {
 	// evaluation (default 2). A round that fails to improve the incumbent
 	// stops the search early.
 	Rounds int
-	// MaxStageOpIndex bounds how many stage indices, from each end of the
-	// schedule, the stage operators probe (default 4).
-	MaxStageOpIndex int
-	// MaxOps caps the mutation-chain length of one recipe (default 3).
-	MaxOps int
 }
 
 func (o Options) withDefaults() Options {
@@ -36,14 +31,16 @@ func (o Options) withDefaults() Options {
 	if o.Rounds <= 0 {
 		o.Rounds = 2
 	}
-	if o.MaxStageOpIndex <= 0 {
-		o.MaxStageOpIndex = 4
-	}
-	if o.MaxOps <= 0 {
-		o.MaxOps = 3
-	}
 	return o
 }
+
+// The mutation bounds: stage operators probe maxStageOpIndex stage indices
+// from each end of the schedule, and one recipe chains at most maxOps of
+// them.
+const (
+	maxStageOpIndex = 4
+	maxOps          = 3
+)
 
 // Candidate is one verified, priced schedule of a search.
 type Candidate struct {
@@ -415,11 +412,11 @@ func (s *searcher) mutations(c *Candidate) (moves []Recipe, ops []StageOp) {
 			}
 		}
 	}
-	if len(r.Ops) >= s.opt.MaxOps {
+	if len(r.Ops) >= maxOps {
 		return moves, nil
 	}
 	n := len(c.Schedule.Stages)
-	for _, i := range stageOpIndices(n, s.opt.MaxStageOpIndex) {
+	for _, i := range stageOpIndices(n) {
 		if i+1 < n {
 			ops = append(ops, StageOp{Op: "swap", Stage: i}, StageOp{Op: "merge", Stage: i})
 		}
@@ -437,9 +434,9 @@ func withOp(r Recipe, op StageOp) Recipe {
 	return r
 }
 
-// stageOpIndices returns up to limit stage indices from each end of an
-// n-stage schedule, ascending and deduplicated.
-func stageOpIndices(n, limit int) []int {
+// stageOpIndices returns up to maxStageOpIndex stage indices from each end of
+// an n-stage schedule, ascending and deduplicated.
+func stageOpIndices(n int) []int {
 	seen := map[int]bool{}
 	var out []int
 	add := func(i int) {
@@ -448,10 +445,10 @@ func stageOpIndices(n, limit int) []int {
 			out = append(out, i)
 		}
 	}
-	for i := 0; i < limit; i++ {
+	for i := 0; i < maxStageOpIndex; i++ {
 		add(i)
 	}
-	for i := 0; i < limit; i++ {
+	for i := 0; i < maxStageOpIndex; i++ {
 		add(n - 1 - i)
 	}
 	sort.Ints(out)

@@ -379,12 +379,8 @@ func NewReordered(c *Comm, m Mapping, mode OrderMode) (*Reordered, error) {
 type (
 	// CollectiveConfig carries a world's collective state: an optional
 	// synthesized-schedule table — the one per-world override of algorithm
-	// selection — plus executor sampling and observability hooks.
+	// selection — plus observability hooks.
 	CollectiveConfig = collective.Config
-	// CollectiveTuning holds the executor's stage-sampling knobs
-	// (StageSampleRank, StageSampleEvery). The selection thresholds are
-	// constants of the family registry, not fields here.
-	CollectiveTuning = collective.Tuning
 	// SynthTable is a table of searched schedule winners, keyed by
 	// topology fingerprint x family x size bucket (written by cmd/synth).
 	SynthTable = synth.Table
