@@ -252,7 +252,7 @@ func TestPipelinedBroadcastVerifies(t *testing.T) {
 			if err != nil {
 				t.Fatalf("p=%d chunks=%d: %v", p, chunks, err)
 			}
-			if err := s.VerifyBroadcast(0); err != nil {
+			if err := s.VerifyBroadcast(); err != nil {
 				t.Errorf("p=%d chunks=%d: %v", p, chunks, err)
 			}
 		}
@@ -353,8 +353,14 @@ func TestFamilyRegistryComplete(t *testing.T) {
 // TestFamilyBuildersVerify builds every registered base builder at a
 // power-of-two and an odd rank count and replays it against the family's
 // own Verify contract — the registry invariant that makes front doors and
-// the synth searcher safe without per-family switches.
+// the synth searcher safe without per-family switches. The same schedule
+// declaring an initial condition its family's executor refuses (wrongInit)
+// must fail to verify.
 func TestFamilyBuildersVerify(t *testing.T) {
+	wrongInit := map[FamilyID]InitKind{
+		FamilyAllgather: InitRoot, FamilyAllreduce: InitOwn, FamilyBroadcast: InitOwn,
+		FamilyGather: InitRoot, FamilyScatter: InitOwn, FamilyAlltoall: InitOwn,
+	}
 	for _, f := range Families() {
 		for _, name := range f.BuilderNames() {
 			for _, p := range []int{8, 6} {
@@ -366,6 +372,11 @@ func TestFamilyBuildersVerify(t *testing.T) {
 				}
 				if err := f.Verify(s); err != nil {
 					t.Errorf("%s/%s p=%d: %v", f.Name, name, p, err)
+				}
+				wrong := *s
+				wrong.Init = wrongInit[f.ID]
+				if err := f.Verify(&wrong); err == nil || !strings.Contains(err.Error(), "initial condition") {
+					t.Errorf("%s/%s p=%d with Init %v: want an initial-condition error, got %v", f.Name, name, p, wrong.Init, err)
 				}
 			}
 		}

@@ -1,6 +1,9 @@
 package sched
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // BenchmarkVerify replays every registry builder's schedule at p = 64 against
 // its family's contract — the check a synth search runs on every candidate.
@@ -21,6 +24,50 @@ func BenchmarkVerify(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+var expandSink *Program
+
+// BenchmarkExpand compiles a schedule and builds its executable view, the
+// cold path of a job's first collective call on a new program: what the
+// job-launch workload expands (ring, recursive doubling, binomial allreduce
+// and binomial broadcast at p = 128, Bruck at p = 48), plus the p = 64
+// pairwise all-to-all, the largest view a 64-rank job builds.
+func BenchmarkExpand(b *testing.B) {
+	for _, c := range []struct {
+		fam  FamilyID
+		name string
+		p    int
+	}{
+		{FamilyAllgather, "ring", 128},
+		{FamilyAllgather, "recursive-doubling", 128},
+		{FamilyAllgather, "bruck", 48},
+		{FamilyAllreduce, "allreduce", 128},
+		{FamilyBroadcast, "binomial-broadcast", 128},
+		{FamilyAlltoall, "pairwise-alltoall", 64},
+	} {
+		f, err := c.fam.Desc()
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := f.Build(c.name, c.p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("%s/p%d", c.name, c.p), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				prog, err := Compile(s)
+				if err == nil {
+					err = prog.EnsureExecutable()
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				expandSink = prog
+			}
+		})
 	}
 }
 

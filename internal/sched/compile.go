@@ -15,10 +15,11 @@ import (
 //     stage regardless of repeat counts — a 4096-rank ring prices 1 stage,
 //     not 4095;
 //   - the executable view (ExecStages/Ops/RankSteps) expands repeats and
-//     resolves every transfer's symbolic block mode (All, Range, Latest)
-//     into an explicit block list by replaying possession from the
-//     schedule's InitKind. It is built lazily on first use and memoized,
-//     so pricing-only programs never pay for it.
+//     resolves every transfer's symbolic block mode (All, Range, Latest,
+//     List) into an explicit block list: it records the verifier's
+//     possession replay from the schedule's InitKind, so the view holds
+//     exactly the payloads Verify checked. It is built lazily on first use
+//     and memoized, so pricing-only programs never pay for it.
 //
 // A Program is immutable after compilation (the executable view's lazy
 // build is guarded by a sync.Once), so one cached Program may be shared by
@@ -137,146 +138,63 @@ func (p *Program) RankSteps(r int) []RankStep { return p.steps[r] }
 // against simnet.Breakdown indices. Call EnsureExecutable first.
 func (p *Program) PriceStageMap() []int32 { return p.execToPrice }
 
-// rangeBlockList resolves a Range send into its explicit block list,
-// checking possession.
-func (p *Program) rangeBlockList(held blockSet, src, first, n int32) ([]int32, error) {
-	out := make([]int32, 0, n)
-	for k := int32(0); k < n; k++ {
-		b := (first + k) % int32(p.Blocks)
-		if !held.has(b) {
-			return nil, fmt.Errorf("sched: compile %q: rank %d sends block %d it does not hold", p.Name, src, b)
-		}
-		out = append(out, b)
-	}
-	return out, nil
-}
-
+// buildExec records the verifier's possession replay of the main stages:
+// each repeat becomes one expanded stage whose ops carry, in transmission
+// order, the blocks the replay moved.
 func (p *Program) buildExec() {
 	start := time.Now()
-	if p.Init == InitSizedOnly {
-		p.execErr = fmt.Errorf("sched: %q is a pricing-only program with no executable initial condition", p.Name)
+	s := Schedule{Name: p.Name, P: p.P, Blocks: p.Blocks, Init: p.Init, Root: p.Root}
+	rs, err := s.newReplay()
+	if err != nil {
+		p.execErr = err
 		return
 	}
-	// Seed per-rank possession from the init kind.
-	held := make([]blockSet, p.P)
-	for r := 0; r < p.P; r++ {
-		held[r] = newBlockSet(p.Blocks)
+	// Compile puts Pre stages first; they are priced, not executed (order
+	// fixes run in the caller).
+	pre := 0
+	for pre < len(p.Stages) && p.Stages[pre].Pre {
+		pre++
 	}
-	switch p.Init {
-	case InitOwn:
-		for r := 0; r < p.P; r++ {
-			held[r].add(int32(r))
+	// Size the view from the stages: a transfer moves N blocks (a hint only,
+	// as a malformed All or Latest transfer may move another count).
+	main, nops, nblk := make([]Stage, len(p.Stages)-pre), 0, 0
+	for i, st := range p.Stages[pre:] {
+		main[i] = Stage{Transfers: st.Transfers, Repeat: st.Repeat, Reduce: st.Reduce}
+		for _, tr := range st.Transfers {
+			nops, nblk = nops+st.Repeat, nblk+int(tr.N)*st.Repeat
 		}
-	case InitRoot:
-		for b := 0; b < p.Blocks; b++ {
-			held[p.Root].add(int32(b))
-		}
-	case InitAll:
-		for r := 0; r < p.P; r++ {
-			for b := 0; b < p.Blocks; b++ {
-				held[r].add(int32(b))
+	}
+	p.ops, p.blockIdx = make([]ExecOp, 0, nops), make([]int32, 0, nblk)
+	rs.record = func(si int) error {
+		op0 := len(p.ops)
+		for ti, tr := range main[si].Transfers {
+			blocks := rs.moved[rs.cut[ti]:rs.cut[ti+1]]
+			if len(blocks) == 0 {
+				return fmt.Errorf("rank %d sends an empty message to %d", tr.Src, tr.Dst)
 			}
+			p.ops = append(p.ops, ExecOp{Src: tr.Src, Dst: tr.Dst, Blk0: len(p.blockIdx), NumBlk: len(blocks)})
+			p.blockIdx = append(p.blockIdx, blocks...)
 		}
-	case InitSlab:
-		if p.Blocks%p.P != 0 {
-			p.execErr = fmt.Errorf("sched: %q has slab init with %d blocks not divisible by P=%d", p.Name, p.Blocks, p.P)
-			return
-		}
-		slab := p.Blocks / p.P
-		for r := 0; r < p.P; r++ {
-			for b := r * slab; b < (r+1)*slab; b++ {
-				held[r].add(int32(b))
-			}
-		}
-	default:
-		p.execErr = fmt.Errorf("sched: %q has unknown init kind %d", p.Name, p.Init)
+		p.execStages = append(p.execStages, ExecStage{Reduce: main[si].Reduce, Op0: op0, OpN: len(p.ops)})
+		p.execToPrice = append(p.execToPrice, int32(pre+si))
+		return nil
+	}
+	if err := rs.run(main); err != nil {
+		p.execErr = fmt.Errorf("sched: %q: %w", p.Name, err)
 		return
-	}
-	// lastRecv mirrors the verifier's Latest pipeline state within a stage:
-	// the block list a rank received in the previous repeat, nil before its
-	// first delivery. ambiguous marks ranks whose latest repeat delivered
-	// more than one message — a Latest forward from such a rank has no
-	// defined payload order.
-	lastRecv := make([][]int32, p.P)
-	ambiguous := make([]bool, p.P)
-	// stamp[r] records the repeat counter of rank r's latest delivery, so a
-	// second same-repeat delivery is detected in O(1).
-	stamp := make([]int, p.P)
-	repCounter := 0
-	for si := range p.Stages {
-		st := &p.Stages[si]
-		if st.Pre {
-			continue // Pre stages are priced, not executed (order fixes run in the caller)
-		}
-		for r := range lastRecv {
-			lastRecv[r] = nil
-			ambiguous[r] = false
-		}
-		for rep := 0; rep < st.Repeat; rep++ {
-			op0 := len(p.ops)
-			for _, tr := range st.Transfers {
-				var blocks []int32
-				var err error
-				switch tr.Mode {
-				case All:
-					blocks = held[tr.Src].appendBlocks(nil)
-				case Range:
-					blocks, err = p.rangeBlockList(held[tr.Src], tr.Src, tr.First, tr.N)
-				case Latest:
-					if prev := lastRecv[tr.Src]; prev != nil {
-						if ambiguous[tr.Src] {
-							err = fmt.Errorf("sched: compile %q: rank %d forwards 'latest' after multiple same-repeat deliveries", p.Name, tr.Src)
-						}
-						blocks = prev
-					} else {
-						blocks, err = p.rangeBlockList(held[tr.Src], tr.Src, tr.First, tr.N)
-					}
-				case List:
-					for _, b := range tr.Blocks {
-						if !held[tr.Src].has(b) {
-							err = fmt.Errorf("sched: compile %q: rank %d sends listed block %d it does not hold", p.Name, tr.Src, b)
-							break
-						}
-					}
-					blocks = tr.Blocks
-				default:
-					err = fmt.Errorf("sched: compile %q: unknown transfer mode %d", p.Name, tr.Mode)
-				}
-				if err != nil {
-					p.execErr = err
-					return
-				}
-				if len(blocks) == 0 {
-					p.execErr = fmt.Errorf("sched: compile %q: rank %d sends an empty message to %d", p.Name, tr.Src, tr.Dst)
-					return
-				}
-				blk0 := len(p.blockIdx)
-				p.blockIdx = append(p.blockIdx, blocks...)
-				p.ops = append(p.ops, ExecOp{Src: tr.Src, Dst: tr.Dst, Blk0: blk0, NumBlk: len(blocks)})
-			}
-			// Deliveries land together after all sends of the repeat are
-			// resolved against the pre-repeat state.
-			repCounter++
-			for i := op0; i < len(p.ops); i++ {
-				op := &p.ops[i]
-				if stamp[op.Dst] == repCounter {
-					ambiguous[op.Dst] = true
-				} else {
-					stamp[op.Dst] = repCounter
-					lastRecv[op.Dst] = p.blockIdx[op.Blk0 : op.Blk0+op.NumBlk]
-					ambiguous[op.Dst] = false
-				}
-				for _, b := range p.OpBlocks(*op) {
-					held[op.Dst].add(b)
-				}
-			}
-			p.execStages = append(p.execStages, ExecStage{Reduce: st.Reduce, Op0: op0, OpN: len(p.ops)})
-			p.execToPrice = append(p.execToPrice, int32(si))
-		}
 	}
 	// Per-rank linear streams: sends first, then receives, each in
-	// ascending op order within the stage.
+	// ascending op order within the stage, carved from one array.
+	n := make([]int, p.P)
+	for _, op := range p.ops {
+		n[op.Src]++
+		n[op.Dst]++
+	}
 	p.steps = make([][]RankStep, p.P)
+	arena := make([]RankStep, 2*len(p.ops))
+	for r := range p.steps {
+		p.steps[r], arena = arena[:0:n[r]], arena[n[r]:]
+	}
 	for si, es := range p.execStages {
 		for i := es.Op0; i < es.OpN; i++ {
 			src := p.ops[i].Src

@@ -1,6 +1,10 @@
 package sched
 
 import (
+	"fmt"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -100,6 +104,64 @@ func TestCompileDetectsUnheldSend(t *testing.T) {
 	}
 }
 
+// TestExecViewMatchesReference: on every construction of every family at
+// p ∈ {4, 6, 16, 64}, on its order-preserving variants (Pre stages, which the
+// view skips but PriceStageMap counts) and on every mutant of it, the
+// executable view the replay records equals the one the reference builder in
+// compile_ref_test.go resolves — ops, block lists, expanded stages, their
+// pricing indices and every rank's step stream — and a schedule the reference
+// refuses is refused. Beyond the reference, the view refuses only mutants in
+// which two transfers of one non-Reduce stage repeat deliver the same block
+// to one rank (the executor could not order the stores), and never a
+// construction.
+func TestExecViewMatchesReference(t *testing.T) {
+	doubleDelivery := regexp.MustCompile(`: stage (\d+) repeat \d+: transfer \d+: ranks \d+ and \d+ both deliver block`)
+	atoi := func(s string) int { n, _ := strconv.Atoi(s); return n } // the pattern matched digits only
+	var equal, bothRefuse, doubles int
+	for _, p := range verifySuiteRanks {
+		for _, in := range verifyInputs(p) {
+			built := append([]verifyMutant{{"as built", in.s}}, orderFixes(in.s)...)
+			for i, m := range append(built, verifyMutants(in.s)...) {
+				ref, refErr := refExecView(m.s)
+				if ref == nil {
+					continue // does not compile
+				}
+				prog, err := Compile(m.s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				err = prog.EnsureExecutable()
+				what := fmt.Sprintf("%s/%s p=%d, %s", in.fam.Name, in.name, p, m.what)
+				switch {
+				case refErr != nil && err != nil:
+					bothRefuse++
+				case refErr != nil:
+					t.Errorf("%s: the reference refuses (%v), the view builds", what, refErr)
+				case err != nil:
+					doubles++
+					sm := doubleDelivery.FindStringSubmatch(err.Error())
+					if i < len(built) || sm == nil || m.s.Stages[atoi(sm[1])].Reduce {
+						t.Errorf("%s: the view refuses (%v), the reference builds", what, err)
+					}
+				default:
+					equal++
+					if !slices.Equal(prog.Ops(), ref.Ops()) || !slices.Equal(prog.blockIdx, ref.blockIdx) ||
+						!slices.Equal(prog.ExecStages(), ref.ExecStages()) || !slices.Equal(prog.PriceStageMap(), ref.PriceStageMap()) {
+						t.Errorf("%s: the executable view differs from the reference", what)
+					}
+					for r := 0; r < p; r++ {
+						if !slices.Equal(prog.RankSteps(r), ref.RankSteps(r)) {
+							t.Errorf("%s: rank %d's steps differ from the reference", what, r)
+							break
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d views equal, %d refused by both, %d double deliveries refused by the view only", equal, bothRefuse, doubles)
+}
+
 // TestRankStepsSendBeforeRecv pins the deadlock-freedom invariant the
 // executor relies on: within every expanded stage, each rank's sends precede
 // its receives and op indices ascend on both sides.
@@ -160,7 +222,7 @@ func TestVerifyRejectsOverlappingStageDeliveries(t *testing.T) {
 			{Src: 1, Dst: 2, First: 1, N: 1, Mode: Range},
 		}},
 	}}
-	_, err := s.replayMain(func(r int) []int32 { return []int32{0, 1, 2} })
+	_, err := s.replayMain()
 	if err == nil {
 		t.Fatal("overlapping same-stage deliveries accepted")
 	}

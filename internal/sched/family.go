@@ -51,8 +51,9 @@ type Family struct {
 	Name string
 	// Payload selects the payload-to-block sizing convention.
 	Payload PayloadKind
-	// Verify is the family's possession-replay correctness contract.
-	// Rooted families verify against the schedule's own Root.
+	// Verify is the family's possession-replay correctness contract, run
+	// from the schedule's own Init (the one the family's executor requires)
+	// and Root.
 	Verify func(*Schedule) error
 	// Builders maps base-builder names (the synth Recipe.Alg vocabulary) to
 	// constructors.
@@ -334,7 +335,7 @@ func init() {
 	})
 	RegisterFamily(&Family{
 		ID: FamilyBroadcast, Name: "bcast", Payload: PayloadBuffer,
-		Verify: func(s *Schedule) error { return s.VerifyBroadcast(s.Root) },
+		Verify: (*Schedule).VerifyBroadcast,
 		Builders: map[string]Builder{
 			"binomial-broadcast":          func(p int) (*Schedule, error) { return BinomialBroadcast(p, 1) },
 			"linear-broadcast":            func(p int) (*Schedule, error) { return LinearBroadcast(p, 1) },
@@ -346,7 +347,7 @@ func init() {
 	})
 	RegisterFamily(&Family{
 		ID: FamilyGather, Name: "gather", Payload: PayloadBlock,
-		Verify: func(s *Schedule) error { return s.VerifyGather(s.Root) },
+		Verify: (*Schedule).VerifyGather,
 		Builders: map[string]Builder{
 			"binomial-gather": BinomialGather,
 			"linear-gather":   LinearGather,
@@ -356,7 +357,7 @@ func init() {
 	})
 	RegisterFamily(&Family{
 		ID: FamilyScatter, Name: "scatter", Payload: PayloadBlock,
-		Verify: func(s *Schedule) error { return s.VerifyScatter(s.Root) },
+		Verify: (*Schedule).VerifyScatter,
 		Builders: map[string]Builder{
 			"binomial-scatter": BinomialScatter,
 		},

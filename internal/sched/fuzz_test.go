@@ -45,7 +45,7 @@ func FuzzAllgatherSchedulesVerify(f *testing.F) {
 			verify = (*Schedule).VerifyAllreduce
 		default:
 			s, err = ScatterAllgatherBroadcast(p)
-			verify = func(s *Schedule) error { return s.VerifyBroadcast(0) }
+			verify = (*Schedule).VerifyBroadcast
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -41,19 +41,14 @@ func BinomialScatter(p int) (*Schedule, error) {
 	return s, nil
 }
 
-// VerifyScatter replays s from the scatter initial condition (the root holds
-// every block) and checks that every rank ends up holding its own block.
-func (s *Schedule) VerifyScatter(root int) error {
-	all := make([]int32, s.NumBlocks())
-	for i := range all {
-		all[i] = int32(i)
+// VerifyScatter replays s from the scatter initial condition (InitRoot:
+// s.Root holds every block) and checks that every rank ends up holding its
+// own block.
+func (s *Schedule) VerifyScatter() error {
+	if s.Init != InitRoot {
+		return fmt.Errorf("sched: %q: scatter schedules need the InitRoot initial condition, got %v", s.Name, s.Init)
 	}
-	rs, err := s.replayMain(func(r int) []int32 {
-		if r != root {
-			return nil
-		}
-		return all
-	})
+	rs, err := s.replayMain()
 	if err != nil {
 		return err
 	}

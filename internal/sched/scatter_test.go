@@ -8,7 +8,7 @@ func TestBinomialScatterVerifies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
-		if err := s.VerifyScatter(0); err != nil {
+		if err := s.VerifyScatter(); err != nil {
 			t.Errorf("p=%d: %v", p, err)
 		}
 	}
@@ -79,7 +79,7 @@ func TestScatterAllgatherBroadcastVerifies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
-		if err := s.VerifyBroadcast(0); err != nil {
+		if err := s.VerifyBroadcast(); err != nil {
 			t.Errorf("p=%d: %v", p, err)
 		}
 	}
@@ -100,7 +100,7 @@ func TestVerifyScatterDetectsTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Stages = s.Stages[:1]
-	if err := s.VerifyScatter(0); err == nil {
+	if err := s.VerifyScatter(); err == nil {
 		t.Error("truncated scatter verified")
 	}
 }

@@ -33,7 +33,8 @@ const (
 	// Latest forwards the blocks most recently received by the sender —
 	// ring pipelining. On the first repeat the sender has received nothing
 	// yet and transmits the range [First, First+N) instead, which it must
-	// already hold.
+	// already hold. A sender that receives several messages per repeat has
+	// no one message to forward: the schedule neither verifies nor runs.
 	Latest
 	// List sends the explicit block set Transfer.Blocks. All-to-all
 	// schedules move non-contiguous per-pair blocks (Bruck rounds bundle

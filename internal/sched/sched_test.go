@@ -105,7 +105,7 @@ func TestBinomialGatherVerifies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
-		if err := s.VerifyGather(0); err != nil {
+		if err := s.VerifyGather(); err != nil {
 			t.Errorf("p=%d: %v", p, err)
 		}
 	}
@@ -125,7 +125,7 @@ func TestBinomialBroadcastVerifies(t *testing.T) {
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
-		if err := s.VerifyBroadcast(0); err != nil {
+		if err := s.VerifyBroadcast(); err != nil {
 			t.Errorf("p=%d: %v", p, err)
 		}
 		for _, st := range s.Stages {
@@ -143,7 +143,7 @@ func TestLinearSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.VerifyGather(0); err != nil {
+	if err := g.VerifyGather(); err != nil {
 		t.Error(err)
 	}
 	if numStages(g) != 1 {
@@ -153,7 +153,7 @@ func TestLinearSchedules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.VerifyBroadcast(0); err != nil {
+	if err := b.VerifyBroadcast(); err != nil {
 		t.Error(err)
 	}
 }
@@ -229,12 +229,12 @@ func TestVerifyDetectsBrokenSchedule(t *testing.T) {
 	}
 	g, _ := BinomialGather(8)
 	g.Stages = g.Stages[:1]
-	if err := g.VerifyGather(0); err == nil {
+	if err := g.VerifyGather(); err == nil {
 		t.Error("truncated gather verified")
 	}
 	b, _ := BinomialBroadcast(8, 1)
 	b.Stages = b.Stages[1:]
-	if err := b.VerifyBroadcast(0); err == nil {
+	if err := b.VerifyBroadcast(); err == nil {
 		t.Error("headless broadcast verified")
 	}
 }

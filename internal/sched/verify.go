@@ -93,6 +93,10 @@ func (b blockSet) missingFrom(blocks int) string {
 // space has size blocks (Schedule.NumBlocks), independent of the rank count.
 // A replay allocates its state once, and a repeat costs O(blocks moved): each
 // transfer's blocks are enumerated into one reused arena.
+//
+// It is the only possession replay in the package: every Verify* runs it, and
+// Program.EnsureExecutable records it into the executable view, so a
+// schedule Verify accepts resolves to the payloads the executor runs.
 type replayState struct {
 	p      int
 	blocks int
@@ -104,12 +108,19 @@ type replayState struct {
 	// and prevCut keep the previous repeat's arena for Latest senders.
 	moved, prevMoved []int32
 	cut, prevCut     []int32
-	// inHead[r] is 1 + the first transfer of a Latest stage delivering to
-	// rank r, inNext[i] 1 + the next one after transfer i; 0 ends the list.
-	inHead, inNext []int32
+	// from[r] is 1 + the transfer of a repeated Latest stage that delivers to
+	// rank r, 0 if none does and -1 if several do.
+	from []int32
+	// record, if set, runs after each repeat lands, with the index of its
+	// stage, while the arena still holds what the repeat moved.
+	record func(stage int) error
 }
 
-func newReplay(p, blocks int, initial func(rank int) []int32) *replayState {
+// newReplay seeds a replay from the initial condition s declares, in which
+// every rank holds one contiguous block range, or fails for InitSizedOnly
+// schedules, which have no executable initial condition.
+func (s *Schedule) newReplay() (*replayState, error) {
+	p, blocks := s.P, s.NumBlocks()
 	words := (blocks + 63) / 64
 	bits := make([]uint64, 2*p*words)
 	sets := make([]blockSet, 2*p)
@@ -118,61 +129,49 @@ func newReplay(p, blocks int, initial func(rank int) []int32) *replayState {
 	}
 	rs := &replayState{p: p, blocks: blocks, held: sets[:p], incoming: sets[p:]}
 	for r := 0; r < p; r++ {
-		for _, b := range initial(r) {
-			rs.held[r].add(b)
+		var lo, hi int // rank r starts holding blocks [lo, hi)
+		switch s.Init {
+		case InitOwn:
+			lo, hi = r, r+1
+		case InitRoot:
+			if r == s.Root {
+				hi = blocks
+			}
+		case InitAll:
+			hi = blocks
+		case InitSlab:
+			lo, hi = r*(blocks/p), (r+1)*(blocks/p)
+		case InitSizedOnly:
+			return nil, fmt.Errorf("sched: %q is a pricing-only schedule with no initial block condition", s.Name)
+		default:
+			return nil, fmt.Errorf("sched: %q has unknown init kind %d", s.Name, s.Init)
+		}
+		for b := lo; b < hi; b++ {
+			rs.held[r].add(int32(b))
 		}
 	}
-	return rs
-}
-
-// initialHolding returns the initial per-rank block sets declared by the
-// schedule's InitKind, or an error for InitSizedOnly schedules, which have no
-// executable initial condition.
-func (s *Schedule) initialHolding() (func(rank int) []int32, error) {
-	blocks := s.NumBlocks()
-	all := make([]int32, blocks)
-	for i := range all {
-		all[i] = int32(i)
-	}
-	switch s.Init {
-	case InitOwn:
-		return func(r int) []int32 { return []int32{int32(r)} }, nil
-	case InitRoot:
-		root := s.Root
-		return func(r int) []int32 {
-			if r == root {
-				return all
-			}
-			return nil
-		}, nil
-	case InitAll:
-		return func(r int) []int32 { return all }, nil
-	case InitSlab:
-		slab := blocks / s.P
-		return func(r int) []int32 {
-			return all[r*slab : (r+1)*slab]
-		}, nil
-	case InitSizedOnly:
-		return nil, fmt.Errorf("sched: %q is a pricing-only schedule with no initial block condition", s.Name)
-	}
-	return nil, fmt.Errorf("sched: %q has unknown init kind %d", s.Name, s.Init)
+	return rs, nil
 }
 
 // gather appends the blocks tr moves this repeat to the arena, checking that
 // the sender holds what it sends. With latest set, a Latest sender that
 // received in the previous repeat forwards what it received; otherwise Latest
-// reads as Range.
+// reads as Range. A sender that received several messages per repeat has no
+// one message to forward, so its Latest forward is an error.
 func (rs *replayState) gather(tr *Transfer, latest bool) error {
 	held := rs.held[tr.Src]
 	switch tr.Mode {
 	case All:
 		rs.moved = held.appendBlocks(rs.moved)
 	case Latest:
-		if latest && rs.inHead[tr.Src] > 0 {
-			for j := rs.inHead[tr.Src]; j > 0; j = rs.inNext[j-1] {
+		if latest {
+			switch j := rs.from[tr.Src]; {
+			case j < 0:
+				return fmt.Errorf("rank %d forwards 'latest' after multiple same-repeat deliveries", tr.Src)
+			case j > 0:
 				rs.moved = append(rs.moved, rs.prevMoved[rs.prevCut[j-1]:rs.prevCut[j]]...)
+				return nil
 			}
-			return nil
 		}
 		fallthrough
 	case Range:
@@ -204,7 +203,9 @@ func (rs *replayState) gather(tr *Transfer, latest bool) error {
 //
 // Two transfers of the same stage repeat may target one destination only
 // with disjoint block sets; overlapping same-stage deliveries are rejected
-// as a schedule bug (the executor could not order the stores).
+// as a schedule bug (the executor could not order the stores). Reduce stages
+// combine rather than store, and VerifyAllreduce's contribution replay is
+// what checks them.
 func (rs *replayState) runRepeat(st *Stage, latest bool) error {
 	rs.moved, rs.cut = rs.moved[:0], append(rs.cut[:0], 0)
 	for ti := range st.Transfers {
@@ -213,6 +214,9 @@ func (rs *replayState) runRepeat(st *Stage, latest bool) error {
 			return fmt.Errorf("transfer %d (rank %d -> rank %d): %w", ti, tr.Src, tr.Dst, err)
 		}
 		rs.cut = append(rs.cut, int32(len(rs.moved)))
+		if st.Reduce {
+			continue
+		}
 		in, mine := rs.incoming[tr.Dst], rs.moved[rs.cut[ti]:]
 		for _, b := range mine {
 			if in.has(b) {
@@ -263,21 +267,28 @@ func (rs *replayState) run(stages []Stage) error {
 	for i := range stages {
 		st := &stages[i]
 		// A Latest sender of a repeated stage forwards what the previous
-		// repeat delivered to it: link each rank's deliveries, the same every
+		// repeat delivered to it: find each rank's delivery, the same every
 		// repeat, and keep the previous repeat's arena.
 		latest := false
 		for _, tr := range st.Transfers {
 			latest = latest || tr.Mode == Latest && st.Repeats() > 1
 		}
 		if latest {
-			rs.inHead, rs.inNext = make([]int32, rs.p), make([]int32, len(st.Transfers))
-			for ti := len(st.Transfers) - 1; ti >= 0; ti-- {
-				dst := st.Transfers[ti].Dst
-				rs.inNext[ti], rs.inHead[dst] = rs.inHead[dst], int32(ti+1)
+			rs.from = make([]int32, rs.p)
+			for ti, tr := range st.Transfers {
+				if rs.from[tr.Dst] == 0 {
+					rs.from[tr.Dst] = int32(ti + 1)
+				} else {
+					rs.from[tr.Dst] = -1
+				}
 			}
 		}
 		for rep := 0; rep < st.Repeats(); rep++ {
-			if err := rs.runRepeat(st, latest && rep > 0); err != nil {
+			err := rs.runRepeat(st, latest && rep > 0)
+			if err == nil && rs.record != nil {
+				err = rs.record(i)
+			}
+			if err != nil {
 				return fmt.Errorf("stage %d repeat %d: %w", i, rep, err)
 			}
 			if latest {
@@ -289,14 +300,17 @@ func (rs *replayState) run(stages []Stage) error {
 	return nil
 }
 
-// replayMain validates s, seeds a replay from initial and runs the main
-// stages (Pre stages are not replayed: they move input vectors between
-// processes before the collective's block space is defined).
-func (s *Schedule) replayMain(initial func(rank int) []int32) (*replayState, error) {
+// replayMain validates s, seeds a replay from its declared initial condition
+// and runs the main stages (Pre stages are not replayed: they move input
+// vectors between processes before the collective's block space is defined).
+func (s *Schedule) replayMain() (*replayState, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	rs := newReplay(s.P, s.NumBlocks(), initial)
+	rs, err := s.newReplay()
+	if err != nil {
+		return nil, err
+	}
 	if err := rs.run(s.Stages); err != nil {
 		return nil, fmt.Errorf("sched: %q: %w", s.Name, err)
 	}
@@ -304,10 +318,13 @@ func (s *Schedule) replayMain(initial func(rank int) []int32) (*replayState, err
 }
 
 // VerifyAllgather replays the main stages of s from the allgather initial
-// condition (rank r holds block r) and checks that every rank ends holding
-// all blocks.
+// condition (InitOwn: rank r holds block r) and checks that every rank ends
+// holding all blocks.
 func (s *Schedule) VerifyAllgather() error {
-	rs, err := s.replayMain(func(r int) []int32 { return []int32{int32(r)} })
+	if s.Init != InitOwn {
+		return fmt.Errorf("sched: %q: allgather schedules need the InitOwn initial condition, got %v", s.Name, s.Init)
+	}
+	rs, err := s.replayMain()
 	if err != nil {
 		return err
 	}
@@ -321,38 +338,36 @@ func (s *Schedule) VerifyAllgather() error {
 	return nil
 }
 
-// VerifyGather replays s and checks that the root ends holding all blocks.
-func (s *Schedule) VerifyGather(root int) error {
-	rs, err := s.replayMain(func(r int) []int32 { return []int32{int32(r)} })
+// VerifyGather replays s from the gather initial condition (InitOwn) and
+// checks that s.Root ends holding all blocks.
+func (s *Schedule) VerifyGather() error {
+	if s.Init != InitOwn {
+		return fmt.Errorf("sched: %q: gather schedules need the InitOwn initial condition, got %v", s.Name, s.Init)
+	}
+	rs, err := s.replayMain()
 	if err != nil {
 		return err
 	}
 	blocks := s.NumBlocks()
-	if got := rs.held[root].count(); got != blocks {
+	if got := rs.held[s.Root].count(); got != blocks {
 		return fmt.Errorf("sched: %q: root rank %d ends with %d of %d blocks, missing %s",
-			s.Name, root, got, blocks, rs.held[root].missingFrom(blocks))
+			s.Name, s.Root, got, blocks, rs.held[s.Root].missingFrom(blocks))
 	}
 	return nil
 }
 
-// VerifyBroadcast replays s from the broadcast initial condition (only the
-// root holds the message, i.e. all NumBlocks blocks) and checks that every
-// rank ends holding all of them.
-func (s *Schedule) VerifyBroadcast(root int) error {
-	blocks := s.NumBlocks()
-	all := make([]int32, blocks)
-	for i := range all {
-		all[i] = int32(i)
+// VerifyBroadcast replays s from the broadcast initial condition (InitRoot:
+// only s.Root holds the message, i.e. all NumBlocks blocks) and checks that
+// every rank ends holding all of them.
+func (s *Schedule) VerifyBroadcast() error {
+	if s.Init != InitRoot {
+		return fmt.Errorf("sched: %q: broadcast schedules need the InitRoot initial condition, got %v", s.Name, s.Init)
 	}
-	rs, err := s.replayMain(func(r int) []int32 {
-		if r == root {
-			return all
-		}
-		return nil
-	})
+	rs, err := s.replayMain()
 	if err != nil {
 		return err
 	}
+	blocks := s.NumBlocks()
 	for r := 0; r < s.P; r++ {
 		if got := rs.held[r].count(); got != blocks {
 			return fmt.Errorf("sched: %q: rank %d ends with %d of %d blocks, missing %s",
@@ -455,11 +470,7 @@ func (s *Schedule) VerifyAlltoall() error {
 	if s.Init != InitSlab {
 		return fmt.Errorf("sched: %q: all-to-all schedules need the InitSlab initial condition, got %v", s.Name, s.Init)
 	}
-	initial, err := s.initialHolding()
-	if err != nil {
-		return err
-	}
-	rs, err := s.replayMain(initial)
+	rs, err := s.replayMain()
 	if err != nil {
 		return err
 	}

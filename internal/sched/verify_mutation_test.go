@@ -160,6 +160,22 @@ func verifyMutants(s *Schedule) []verifyMutant {
 	return out
 }
 
+// orderFixes lists s's order-preserving variants under a mapping that swaps
+// the first and last rank: an InitComm prologue (a Pre stage) and an
+// EndShuffle copy. Only InitOwn schedules take them.
+func orderFixes(s *Schedule) []verifyMutant {
+	var out []verifyMutant
+	if m := core.Identity(s.P); s.Init == InitOwn {
+		m[0], m[s.P-1] = m[s.P-1], m[0]
+		for _, mode := range []OrderMode{InitComm, EndShuffle} {
+			if withOrder, err := WithOrderPreservation(s, m, mode); err == nil {
+				out = append(out, verifyMutant{"order fix " + mode.String(), withOrder})
+			}
+		}
+	}
+	return out
+}
+
 func errText(err error) string {
 	if err == nil {
 		return "<nil>"
@@ -168,17 +184,15 @@ func errText(err error) string {
 }
 
 // execute is the mutation suite's ground truth, independent of the replay: it
-// compiles s, runs the explicit block lists of its executable view (which
-// Compile resolves from the schedule's own InitKind) and checks the family's
-// definition of a correct result. A schedule that stores a block into one
-// rank twice in one stage (possession families) or absorbs a contribution
-// twice (allreduce) is not correct. err reports an executable view that
-// cannot be built. Contribution sets are single words, so p <= 64.
+// runs the explicit block lists of s's executable view as the reference
+// builder in compile_ref_test.go resolves them from the schedule's own
+// InitKind, and checks the family's definition of a correct result. A
+// schedule that stores a block into one rank twice in one stage (possession
+// families) or absorbs a contribution twice (allreduce) is not correct. err
+// reports an executable view that cannot be built. Contribution sets are
+// single words, so p <= 64.
 func execute(f *Family, s *Schedule) (correct bool, err error) {
-	prog, err := Compile(s)
-	if err == nil {
-		err = prog.EnsureExecutable()
-	}
+	prog, err := refExecView(s)
 	if err != nil {
 		return false, err
 	}
@@ -280,7 +294,7 @@ func TestVerifyMatchesReference(t *testing.T) {
 				if err != nil || in.fam.ID == FamilyAllreduce {
 					continue
 				}
-				rs, err := m.s.replayMain(initial)
+				rs, err := m.s.replayMain()
 				ref, refErr := refReplayMain(m.s, initial)
 				if errText(err) != errText(refErr) {
 					t.Errorf("%s/%s p=%d, %s: replay says %q, reference %q", in.fam.Name, in.name, p, m.what, errText(err), errText(refErr))
@@ -303,15 +317,8 @@ func TestVerifyMatchesReference(t *testing.T) {
 // correctly, and every mutant that breaks the collective — judged by execute,
 // which shares no code with the replay — is rejected. Every drop mutant
 // breaks its collective, so no family's suite is vacuous.
-//
-// One class is outside both verdicts: in a repeated stage where a rank
-// receives two messages per repeat, the replay has a Latest forward from that
-// rank send their union, while the executable view leaves the forward
-// undefined and refuses to build. Retargeting a ring transfer produces it.
-// Such mutants are counted, not judged.
 func TestVerifyRejectsBrokenMutants(t *testing.T) {
-	const undefinedLatest = "forwards 'latest' after multiple same-repeat deliveries"
-	broken, undefined := map[string]int{}, 0
+	broken := map[string]int{}
 	for _, p := range verifySuiteRanks {
 		for _, in := range verifyInputs(p) {
 			correct, err := execute(in.fam, in.s)
@@ -321,10 +328,6 @@ func TestVerifyRejectsBrokenMutants(t *testing.T) {
 			}
 			for _, m := range verifyMutants(in.s) {
 				correct, err := execute(in.fam, m.s)
-				if err != nil && strings.Contains(err.Error(), undefinedLatest) {
-					undefined++
-					continue
-				}
 				if correct {
 					if strings.HasPrefix(m.what, "drop ") {
 						t.Errorf("%s/%s p=%d, %s: the mutant still executes correctly", in.fam.Name, in.name, p, m.what)
@@ -343,7 +346,7 @@ func TestVerifyRejectsBrokenMutants(t *testing.T) {
 			t.Errorf("family %s: no mutant broke its collective", f.Name)
 		}
 	}
-	t.Logf("broken mutants rejected per family: %v; %d with an undefined Latest forward", broken, undefined)
+	t.Logf("broken mutants rejected per family: %v", broken)
 }
 
 // TestFingerprintMatchesReference: the record-staging Fingerprint produces
@@ -356,15 +359,7 @@ func TestFingerprintMatchesReference(t *testing.T) {
 			long := *in.s
 			long.Name = strings.Repeat(in.s.Name, 4096/len(in.s.Name)+1)
 			cases := append([]verifyMutant{{"as built", in.s}, {"long name", &long}}, verifyMutants(in.s)...)
-			if m := core.Identity(p); in.s.Init == InitOwn {
-				m[0], m[p-1] = m[p-1], m[0]
-				for _, mode := range []OrderMode{InitComm, EndShuffle} {
-					if withOrder, err := WithOrderPreservation(in.s, m, mode); err == nil {
-						cases = append(cases, verifyMutant{"order fix " + mode.String(), withOrder})
-					}
-				}
-			}
-			for _, m := range cases {
+			for _, m := range append(cases, orderFixes(in.s)...) {
 				if got, want := Fingerprint(m.s), refFingerprint(m.s); got != want {
 					t.Errorf("%s/%s p=%d, %s: fingerprint %s, reference %s", in.fam.Name, in.name, p, m.what, got, want)
 				}

@@ -10,6 +10,15 @@ import (
 // The reference implementations the replay, VerifyAllreduce and Fingerprint
 // were rewritten from, kept verbatim (renamed) so that the equivalence tests
 // in verify_mutation_test.go compare the rewrites against them with ==.
+// initialHolding, the per-rank block lists the replay was once seeded from,
+// seeds the reference replay.
+//
+// One rule has changed since: a Latest forward from a rank that received
+// several messages in the previous repeat used to send their union; it is
+// now an error, the executable view's rule, because the replay builds that
+// view and the view has no one message to forward. 43 mutants of the suite
+// (retargeted ring-style transfers at p ∈ {4, 6, 16, 64}) now fail to verify,
+// four of which — scatter-allgather-broadcast retargets — verified before.
 
 func (b blockSet) clone() blockSet {
 	c := make(blockSet, len(b))
@@ -23,6 +32,39 @@ type refReplayState struct {
 	p      int
 	blocks int
 	held   []blockSet
+}
+
+// initialHolding returns the initial per-rank block sets declared by the
+// schedule's InitKind, or an error for InitSizedOnly schedules, which have no
+// executable initial condition.
+func (s *Schedule) initialHolding() (func(rank int) []int32, error) {
+	blocks := s.NumBlocks()
+	all := make([]int32, blocks)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	switch s.Init {
+	case InitOwn:
+		return func(r int) []int32 { return []int32{int32(r)} }, nil
+	case InitRoot:
+		root := s.Root
+		return func(r int) []int32 {
+			if r == root {
+				return all
+			}
+			return nil
+		}, nil
+	case InitAll:
+		return func(r int) []int32 { return all }, nil
+	case InitSlab:
+		slab := blocks / s.P
+		return func(r int) []int32 {
+			return all[r*slab : (r+1)*slab]
+		}, nil
+	case InitSizedOnly:
+		return nil, fmt.Errorf("sched: %q is a pricing-only schedule with no initial block condition", s.Name)
+	}
+	return nil, fmt.Errorf("sched: %q has unknown init kind %d", s.Name, s.Init)
 }
 
 func newRefReplay(p, blocks int, initial func(rank int) []int32) *refReplayState {
@@ -49,7 +91,9 @@ func (rs *refReplayState) rangeBlocks(src, first, n int32) (blockSet, error) {
 	return moved, nil
 }
 
-func (rs *refReplayState) runStage(st *Stage, stageRecv []blockSet) error {
+// stageRecv[r] is what rank r received in the previous repeat, and multi[r]
+// whether that was more than one message.
+func (rs *refReplayState) runStage(st *Stage, stageRecv []blockSet, multi []bool) error {
 	type delivery struct {
 		src, dst int32
 		blocks   blockSet
@@ -66,7 +110,10 @@ func (rs *refReplayState) runStage(st *Stage, stageRecv []blockSet) error {
 				return fmt.Errorf("transfer %d (rank %d -> rank %d): %w", ti, tr.Src, tr.Dst, err)
 			}
 		case Latest:
-			if prev := stageRecv[tr.Src]; prev != nil {
+			if prev := stageRecv[tr.Src]; prev != nil && multi[tr.Src] {
+				return fmt.Errorf("transfer %d (rank %d -> rank %d): rank %d forwards 'latest' after multiple same-repeat deliveries",
+					ti, tr.Src, tr.Dst, tr.Src)
+			} else if prev != nil {
 				moved = prev.clone()
 			} else if moved, err = rs.rangeBlocks(tr.Src, tr.First, tr.N); err != nil {
 				return fmt.Errorf("transfer %d (rank %d -> rank %d): %w", ti, tr.Src, tr.Dst, err)
@@ -96,9 +143,9 @@ func (rs *refReplayState) runStage(st *Stage, stageRecv []blockSet) error {
 	for _, d := range deliveries {
 		rs.held[d.dst].union(d.blocks)
 		if delivered[d.dst] {
-			stageRecv[d.dst].union(d.blocks)
+			multi[d.dst] = true
 		} else {
-			stageRecv[d.dst] = d.blocks
+			stageRecv[d.dst], multi[d.dst] = d.blocks, false
 			delivered[d.dst] = true
 		}
 	}
@@ -108,9 +155,9 @@ func (rs *refReplayState) runStage(st *Stage, stageRecv []blockSet) error {
 func (rs *refReplayState) run(stages []Stage) error {
 	for i := range stages {
 		st := &stages[i]
-		stageRecv := make([]blockSet, rs.p)
+		stageRecv, multi := make([]blockSet, rs.p), make([]bool, rs.p)
 		for rep := 0; rep < st.Repeats(); rep++ {
-			if err := rs.runStage(st, stageRecv); err != nil {
+			if err := rs.runStage(st, stageRecv, multi); err != nil {
 				return fmt.Errorf("stage %d repeat %d: %w", i, rep, err)
 			}
 		}
