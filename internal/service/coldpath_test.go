@@ -122,7 +122,7 @@ func TestScheduleBuiltOncePerEnv(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			resp, err := s.run(context.Background(), c, func(string) {})
+			resp, err := s.run(context.Background(), c)
 			if err != nil || resp.Degraded || resp.Schedule != "recursive-doubling" || len(resp.Results) != 3 {
 				t.Errorf("worker %d: resp=%+v err=%v", g, resp, err)
 				return

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -353,115 +355,299 @@ func TestFleetStoresPersistPerOwner(t *testing.T) {
 	}
 }
 
+// peerOwned returns n requests for pattern on smallTopo, distinct by size,
+// whose keys s forwards to a peer.
+func peerOwned(t *testing.T, s *Service, pattern string, n int) []*Request {
+	t.Helper()
+	var out []*Request
+	for i := 0; i < 64 && len(out) < n; i++ {
+		r := &Request{Topology: smallTopo(), Pattern: PatternSpec{Name: pattern}, Sizes: []int{256 * (i + 1)}}
+		if _, _, remote := s.shardFor(keyOf(t, s, r)); remote {
+			out = append(out, r)
+		}
+	}
+	if len(out) < n {
+		t.Fatalf("%d peer-owned requests in 64 tries, want %d", len(out), n)
+	}
+	return out
+}
+
+// marked reports whether r's trace carries the named mark.
+func marked(r *Response, name string) bool {
+	for _, e := range r.Trace {
+		if e.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
 // TestSlowPeerDegradesWithinBudget: the forward hop has no timeout of its
-// own, so the request's budget must bound it. With the owning peer stalling
-// for 2 s, a single request and a sub-batch with timeout_ms 200 each answer
-// degraded in about the budget. Neither answer is kept in the result table
-// or the store, so once the peer recovers a repeat is forwarded again.
+// own, so the request's budget must bound it, and a hop that fails degrades
+// every item it carried. Each row fails the hop one way: a peer stalling 2 s
+// past a 200 ms budget, a peer that reads the body and hangs up, a caller
+// whose budget is spent before the hop starts, a peer that answers 200 with
+// fewer responses than patterns. In each, a single request (a batch of one
+// on the wire) and a 3-pattern sub-batch answer degraded in about the
+// budget, nothing is kept in the result table or the store, and once the
+// peer recovers a repeat is forwarded again.
 func TestSlowPeerDegradesWithinBudget(t *testing.T) {
+	spent, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, row := range []struct {
+		name string
+		ctx  context.Context  // the caller's context while the hop fails
+		fail http.HandlerFunc // the peer until it recovers; nil: healthy
+	}{
+		{"stalled", context.Background(), func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body) // a drained body lets the server see the caller hang up
+			select {
+			case <-time.After(2 * time.Second):
+			case <-r.Context().Done():
+			}
+			http.Error(w, "stalled", http.StatusServiceUnavailable)
+		}},
+		{"hangs-up", context.Background(), func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			if conn, _, err := http.NewResponseController(w).Hijack(); err == nil {
+				conn.Close()
+			}
+		}},
+		{"budget-spent", spent, nil},
+		{"short-reply", context.Background(), func(w http.ResponseWriter, r *http.Request) {
+			io.Copy(io.Discard, r.Body)
+			w.Header().Set("Content-Type", "application/json")
+			io.WriteString(w, `{"responses":[],"elapsed_us":0}`+"\n")
+		}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			peer := New(Config{Workers: 2})
+			defer peer.Close()
+			var failing atomic.Bool
+			failing.Store(row.fail != nil)
+			peerSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if failing.Load() {
+					row.fail(w, r)
+					return
+				}
+				peer.Handler().ServeHTTP(w, r)
+			}))
+			defer peerSrv.Close()
+
+			st := openTestStore(t, filepath.Join(t.TempDir(), "store.log"))
+			defer st.Close()
+			front := New(Config{Workers: 2, Store: st, Shard: &ShardConfig{Self: "front", Peers: map[string]string{"peer": peerSrv.URL}}})
+			defer front.Close()
+
+			reqs := peerOwned(t, front, "ring", 4)
+			single := reqs[0]
+			single.TimeoutMillis = 200
+			batch := &BatchRequest{Topology: smallTopo(), TimeoutMillis: 200}
+			for _, r := range reqs[1:] {
+				batch.Patterns = append(batch.Patterns, BatchPattern{Name: "ring", Sizes: r.Sizes})
+			}
+			keys := []string{keyOf(t, front, single)}
+			for i := range batch.Patterns {
+				keys = append(keys, keyOf(t, front, batch.itemRequest(i)))
+			}
+			// withinBudget runs one call against the failing hop and requires
+			// that it returns well before a stall would end.
+			withinBudget := func(what string, call func()) {
+				t.Helper()
+				start := time.Now()
+				call()
+				if took := time.Since(start); took > time.Second {
+					t.Errorf("%s took %v, want about its 200 ms budget", what, took)
+				}
+			}
+
+			withinBudget("single request", func() {
+				resp, err := front.Compute(row.ctx, single)
+				if err != nil || !resp.Degraded {
+					t.Fatalf("single request: resp=%+v err=%v, want degraded", resp, err)
+				}
+			})
+			withinBudget("sub-batch", func() {
+				got, err := front.ComputeBatch(row.ctx, batch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, resp := range got.Responses {
+					if !resp.Degraded {
+						t.Fatalf("batch item %d not degraded", i)
+					}
+				}
+			})
+			for _, key := range keys {
+				if _, ok := front.results.Get(key); ok {
+					t.Errorf("degraded answer for %.12s kept in the result table", key)
+				}
+				if _, ok := st.Get(storeMappingPrefix + key); ok {
+					t.Errorf("degraded answer for %.12s persisted", key)
+				}
+			}
+
+			// The budget is not part of the key; the repeats take the default
+			// one so that a slow cold compute on the peer cannot degrade them.
+			failing.Store(false)
+			single.TimeoutMillis, batch.TimeoutMillis = 0, 0
+			ctx := context.Background()
+			forwards := front.Stats().Forwards
+			if resp, err := front.Compute(ctx, single); err != nil || resp.Degraded || resp.Cached {
+				t.Fatalf("single repeat after recovery: resp=%+v err=%v, want a fresh forwarded answer", resp, err)
+			}
+			got, err := front.ComputeBatch(ctx, batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, resp := range got.Responses {
+				if resp.Degraded || resp.Cached {
+					t.Fatalf("batch item %d after recovery: degraded=%v cached=%v, want a fresh forwarded answer", i, resp.Degraded, resp.Cached)
+				}
+			}
+			if n := front.Stats().Forwards - forwards; n != 2 {
+				t.Errorf("%d forwards after recovery, want 2 (the single request and the sub-batch)", n)
+			}
+			if front.Stats().Computes != 0 {
+				t.Error("the front computed peer-owned keys itself")
+			}
+		})
+	}
+}
+
+// TestForwardSharesOneFlight: single flight holds across the hop. A traced
+// single request leads a peer-owned key's flight and marks its forward; a
+// batch naming the same pattern three times, sent while that hop is at the
+// peer, joins the flight three times. The peer receives the pattern once, in
+// one hop. Against a closed peer a traced single marks the failed hop.
+func TestForwardSharesOneFlight(t *testing.T) {
 	peer := New(Config{Workers: 2})
 	defer peer.Close()
-	var stalled atomic.Bool
-	stalled.Store(true)
+	var hops, patterns atomic.Int64
+	arrived, release := make(chan struct{}, 1), make(chan struct{})
 	peerSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !stalled.Load() {
-			peer.Handler().ServeHTTP(w, r)
+		body, err := io.ReadAll(r.Body)
+		var hop BatchRequest
+		if err != nil || json.Unmarshal(body, &hop) != nil || !hop.Forwarded {
+			http.Error(w, "not a forwarded batch", http.StatusBadRequest)
 			return
 		}
-		io.Copy(io.Discard, r.Body) // a drained body lets the server see the caller hang up
+		hops.Add(1)
+		patterns.Add(int64(len(hop.Patterns)))
 		select {
-		case <-time.After(2 * time.Second):
-		case <-r.Context().Done():
+		case arrived <- struct{}{}:
+		default:
 		}
-		http.Error(w, "stalled", http.StatusServiceUnavailable)
+		<-release
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		peer.Handler().ServeHTTP(w, r)
 	}))
 	defer peerSrv.Close()
-
-	st := openTestStore(t, filepath.Join(t.TempDir(), "store.log"))
-	defer st.Close()
-	front := New(Config{Workers: 2, Store: st, Shard: &ShardConfig{Self: "front", Peers: map[string]string{"peer": peerSrv.URL}}})
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock()
+	front := New(Config{Workers: 2, Shard: &ShardConfig{Self: "front", Peers: map[string]string{"peer": peerSrv.URL}}})
 	defer front.Close()
 
-	var single *Request
-	batch := &BatchRequest{Topology: smallTopo(), TimeoutMillis: 200}
-	for i := 0; i < 64 && (single == nil || len(batch.Patterns) < 3); i++ {
-		r := &Request{Topology: smallTopo(), Pattern: PatternSpec{Name: "ring"}, Sizes: []int{256 * (i + 1)}, TimeoutMillis: 200}
-		if _, _, remote := front.shardFor(keyOf(t, front, r)); !remote {
-			continue
-		}
-		if single == nil {
-			single = r
-		} else {
-			batch.Patterns = append(batch.Patterns, BatchPattern{Name: "ring", Sizes: r.Sizes})
-		}
-	}
-	if single == nil || len(batch.Patterns) < 3 {
-		t.Fatal("too few peer-owned requests in 64 tries")
-	}
-	keys := []string{keyOf(t, front, single)}
-	for i := range batch.Patterns {
-		keys = append(keys, keyOf(t, front, batch.itemRequest(i)))
+	reqs := peerOwned(t, front, "ring", 2)
+	single := reqs[0]
+	single.Trace = true
+	batch := &BatchRequest{Topology: smallTopo()}
+	for i := 0; i < 3; i++ {
+		batch.Patterns = append(batch.Patterns, BatchPattern{Name: "ring", Sizes: single.Sizes})
 	}
 	ctx := context.Background()
-	// withinBudget runs one call against the stalled peer and requires that
-	// it returns well before the stall ends.
-	withinBudget := func(what string, call func()) {
-		t.Helper()
-		start := time.Now()
-		call()
-		if took := time.Since(start); took > time.Second {
-			t.Errorf("%s against a stalled peer took %v, want about its 200 ms budget", what, took)
+	var traced *Response
+	var got *BatchResponse
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		var err error
+		if traced, err = front.Compute(ctx, single); err != nil {
+			t.Error(err)
+		}
+	}()
+	<-arrived // the single's hop is at the peer, its flight open
+	go func() {
+		defer wg.Done()
+		var err error
+		if got, err = front.ComputeBatch(ctx, batch); err != nil {
+			t.Error(err)
+		}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); front.Stats().FlightShared < 3; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the batch's items joined the flight %d times, want 3", front.Stats().FlightShared)
 		}
 	}
-
-	withinBudget("single request", func() {
-		resp, err := front.Compute(ctx, single)
-		if err != nil || !resp.Degraded {
-			t.Fatalf("single request: resp=%+v err=%v, want degraded", resp, err)
-		}
-	})
-	withinBudget("sub-batch", func() {
-		got, err := front.ComputeBatch(ctx, batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, resp := range got.Responses {
-			if !resp.Degraded {
-				t.Fatalf("batch item %d not degraded", i)
-			}
-		}
-	})
-	for _, key := range keys {
-		if _, ok := front.results.Get(key); ok {
-			t.Errorf("degraded answer for %.12s kept in the result table", key)
-		}
-		if _, ok := st.Get(storeMappingPrefix + key); ok {
-			t.Errorf("degraded answer for %.12s persisted", key)
-		}
+	unblock()
+	wg.Wait()
+	if t.Failed() {
+		return
 	}
-
-	// The budget is not part of the key; the repeats take the default one so
-	// that a slow cold compute on the peer cannot degrade them.
-	stalled.Store(false)
-	single.TimeoutMillis, batch.TimeoutMillis = 0, 0
-	forwards := front.Stats().Forwards
-	if resp, err := front.Compute(ctx, single); err != nil || resp.Degraded || resp.Cached {
-		t.Fatalf("single repeat after recovery: resp=%+v err=%v, want a fresh forwarded answer", resp, err)
+	if n, p := hops.Load(), patterns.Load(); n != 1 || p != 1 {
+		t.Errorf("the peer received %d hops carrying %d patterns, want the pattern once", n, p)
 	}
-	got, err := front.ComputeBatch(ctx, batch)
-	if err != nil {
-		t.Fatal(err)
+	if st := front.Stats(); st.Forwards != 1 || st.FlightShared != 3 {
+		t.Errorf("forwards %d, flight shared %d; want 1 and 3", st.Forwards, st.FlightShared)
+	}
+	if traced.Degraded || !marked(traced, "forward:peer") {
+		t.Errorf("traced single: degraded=%v trace=%+v, want a forward:peer mark", traced.Degraded, traced.Trace)
 	}
 	for i, resp := range got.Responses {
-		if resp.Degraded || resp.Cached {
-			t.Fatalf("batch item %d after recovery: degraded=%v cached=%v, want a fresh forwarded answer", i, resp.Degraded, resp.Cached)
+		if resp.Degraded || !slices.Equal(resp.Mapping, traced.Mapping) {
+			t.Errorf("batch item %d: degraded=%v, mapping differs from the leader's", i, resp.Degraded)
 		}
 	}
-	if n := front.Stats().Forwards - forwards; n != 2 {
-		t.Errorf("%d forwards after recovery, want 2 (the single request and the sub-batch)", n)
+
+	peerSrv.Close()
+	failed := reqs[1]
+	failed.Trace = true
+	resp, err := front.Compute(ctx, failed)
+	if err != nil || !resp.Degraded {
+		t.Fatalf("against a closed peer: resp=%+v err=%v, want degraded", resp, err)
 	}
-	if front.Stats().Computes != 0 {
-		t.Error("the front computed peer-owned keys itself")
+	for _, name := range []string{"forward:peer", "forward-failed"} {
+		if !marked(resp, name) {
+			t.Errorf("against a closed peer the trace lacks %q: %+v", name, resp.Trace)
+		}
+	}
+}
+
+// TestForwardHopsAreNotBatches: every forward hop is a batch on the wire, so
+// the batch counters count only bodies a client sent; the sender counts the
+// hop in mapd_forwards_total. After forwarded singles and a forwarded
+// sub-batch, the front has counted its one batch and the peers none.
+func TestForwardHopsAreNotBatches(t *testing.T) {
+	f := newFleet(t, func(string) Config { return Config{Workers: 2, CacheEntries: 64} })
+	front := f.svcs["a"]
+	ctx := context.Background()
+	reqs := peerOwned(t, front, "binomial-broadcast", 5)
+	for i, r := range reqs[:2] {
+		if resp, err := front.Compute(ctx, r); err != nil || resp.Degraded {
+			t.Fatalf("single %d: resp=%+v err=%v", i, resp, err)
+		}
+	}
+	batch := &BatchRequest{Topology: smallTopo()}
+	for _, r := range reqs[2:] {
+		batch.Patterns = append(batch.Patterns, BatchPattern{Name: "binomial-broadcast", Sizes: r.Sizes})
+	}
+	if _, err := front.ComputeBatch(ctx, batch); err != nil {
+		t.Fatal(err)
+	}
+	if st := front.Stats(); st.Batches != 1 || st.Forwards < 3 {
+		t.Errorf("front: %d batches, %d forwards; want 1 batch and a hop per single plus one per owner of the batch", st.Batches, st.Forwards)
+	}
+	var served uint64
+	for _, name := range []string{"b", "c"} {
+		st := f.svcs[name].Stats()
+		served += st.Requests
+		if st.Batches != 0 {
+			t.Errorf("peer %s counted %d batches for forward hops, want 0", name, st.Batches)
+		}
+	}
+	if served != 5 {
+		t.Errorf("the peers served %d forwarded items, want 5", served)
 	}
 }
 

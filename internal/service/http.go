@@ -67,36 +67,36 @@ func (s *Service) handleMap(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	// A "patterns" array selects the batch shape; either way the chosen
-	// shape decodes strictly, so misspelled fields still answer 400.
+	req, breq, err := decodeMap(body)
+	if err == nil && breq != nil {
+		var resp *BatchResponse
+		if resp, err = s.ComputeBatch(r.Context(), breq); err == nil {
+			writeReply(w, resp.appendJSON(make([]byte, 0, resp.replyCap())))
+			return
+		}
+	} else if err == nil {
+		var resp *Response
+		if resp, err = s.Compute(r.Context(), req); err == nil {
+			writeReply(w, resp.appendJSON(make([]byte, 0, resp.replyCap())))
+			return
+		}
+	}
+	httpError(w, http.StatusBadRequest, err)
+}
+
+// decodeMap decodes a /map body. A "patterns" array selects the batch shape;
+// either way the chosen shape decodes strictly, so misspelled fields — and
+// "forwarded" on a single request — answer 400.
+func decodeMap(body []byte) (*Request, *BatchRequest, error) {
 	var probe struct {
 		Patterns json.RawMessage `json:"patterns"`
 	}
 	if json.Unmarshal(body, &probe) == nil && probe.Patterns != nil {
-		var breq BatchRequest
-		if err := strictUnmarshal(body, &breq); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		resp, err := s.ComputeBatch(r.Context(), &breq)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeReply(w, resp.appendJSON(make([]byte, 0, resp.replyCap())))
-		return
+		breq := new(BatchRequest)
+		return nil, breq, strictUnmarshal(body, breq)
 	}
-	var req Request
-	if err := strictUnmarshal(body, &req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	resp, err := s.Compute(r.Context(), &req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	writeReply(w, resp.appendJSON(make([]byte, 0, resp.replyCap())))
+	req := new(Request)
+	return req, nil, strictUnmarshal(body, req)
 }
 
 // strictUnmarshal decodes exactly one JSON value into v: unknown fields and

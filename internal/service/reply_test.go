@@ -245,6 +245,90 @@ func TestMapRejectsTrailingData(t *testing.T) {
 	}
 }
 
+// FuzzParseRequest: a /map body of either shape decodes strictly, as
+// handleMap decodes it, and compiles without a panic, and compiling the same
+// request twice gives the same cache key. Nothing is served. A single body
+// cannot carry "forwarded": only a batch body is a forward hop.
+func FuzzParseRequest(f *testing.F) {
+	topo := smallTopo()
+	for _, v := range []any{
+		&Request{Topology: topo, Pattern: PatternSpec{Name: "recursive-doubling"}, Sizes: []int{1024, 65536}},
+		&Request{Topology: topo, Pattern: PatternSpec{Name: "ring"}, Trace: true},
+		&Request{Topology: topo, Pattern: PatternSpec{Graph: ringGraph(16)}},
+		&Request{Topology: TopologySpec{Preset: "gpc"}, Pattern: PatternSpec{Name: "ring"}, Heuristic: "rmh"},
+		&BatchRequest{Topology: topo, Patterns: []BatchPattern{{Name: "ring"}, {Name: "recursive-doubling"}, {Name: "binomial-broadcast", Sizes: []int{4096}}}, Sizes: []int{1024, 65536}},
+		&BatchRequest{Topology: topo, Patterns: []BatchPattern{{Name: "ring", Sizes: []int{512}}}, Forwarded: true},
+	} {
+		body, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	forwardedSingle := []byte(`{"topology":{"nodes":4,"sockets_per_node":2,"cores_per_socket":2},"pattern":{"name":"ring"},"forwarded":true}`)
+	f.Add(forwardedSingle)
+	s := New(Config{Workers: 1})
+	f.Cleanup(s.Close)
+	if code, reply := serveMap(context.Background(), s.Handler(), forwardedSingle); code != http.StatusBadRequest {
+		f.Fatalf("a single body marked forwarded: %d %s, want 400", code, reply)
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, breq, err := decodeMap(body)
+		if err != nil {
+			return
+		}
+		if breq == nil {
+			if modest(&req.Topology) {
+				sameKey(t, func() (*compiled, error) { return s.compile(req) })
+			}
+			return
+		}
+		if n := len(breq.Patterns); n == 0 || n > MaxBatchPatterns || !modest(&breq.Topology) {
+			return
+		}
+		tc, err := s.contextFor(&breq.Topology, breq.Procs, breq.Layout)
+		if err != nil {
+			return
+		}
+		for i := range breq.Patterns {
+			sameKey(t, func() (*compiled, error) { return compileWith(tc, breq.itemRequest(i)) })
+		}
+	})
+}
+
+// sameKey compiles one request twice and requires one verdict and one key.
+func sameKey(t *testing.T, compile func() (*compiled, error)) {
+	t.Helper()
+	a, errA := compile()
+	b, errB := compile()
+	if (errA == nil) != (errB == nil) {
+		t.Fatalf("compiled once with error %v, again with %v", errA, errB)
+	}
+	if errA == nil && a.key != b.key {
+		t.Fatalf("one request compiled to keys %s and %s", a.key, b.key)
+	}
+}
+
+// modest bounds the clusters the fuzz target builds. No size limit guards a
+// topology spec, so a hostile core count is a question of memory, which
+// this target does not ask.
+func modest(spec *TopologySpec) bool {
+	n := spec.Network
+	if n == nil {
+		n = &NetworkSpec{}
+	}
+	if spec.Nodes > 64 {
+		return false
+	}
+	for _, v := range []int{spec.SocketsPerNode, spec.CoresPerSocket, n.Leaves, n.NodesPerLeaf, n.Uplinks, n.X, n.Y, n.Z} {
+		if v > 16 {
+			return false
+		}
+	}
+	return true
+}
+
 // TestCacheChargesEncoding: a kept entry is charged at least its encoding
 // and its mapping, so CacheBytes bounds what the table holds.
 func TestCacheChargesEncoding(t *testing.T) {

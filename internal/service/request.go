@@ -12,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/sched"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 // Request is the body of a mapping request (POST /map). A request names a
@@ -34,11 +35,6 @@ type Request struct {
 	// Trace, when set, attaches a per-request trace recorder and echoes the
 	// phase timeline in the response.
 	Trace bool `json:"trace,omitempty"`
-	// Forwarded marks a request relayed by a peer shard. The receiving
-	// replica serves it locally even when the ring says another node owns
-	// the key, so a request never bounces between replicas. Set by the
-	// forwarding hop, not by clients.
-	Forwarded bool `json:"forwarded,omitempty"`
 }
 
 // TopologySpec selects the modelled cluster: either a named preset or an
@@ -151,21 +147,18 @@ var defaultSizes = []int{1024, 65536}
 // compiled is the canonical, validated form of a Request: everything the
 // compute path needs, plus the content-addressed cache key.
 type compiled struct {
+	req       *Request     // as the client sent it: what a forward hop relays
 	tc        *topoContext // cluster, layout and everything built on them
 	procs     int
-	pattern   core.Pattern // valid when graph == nil
-	graph     *graph.Graph // non-nil for explicit-graph requests
-	selector  string       // canonical heuristic selector
-	order     string       // canonical order-mode name
-	sizes     []int        // sorted, deduplicated
-	trace     bool
-	forwarded bool          // relayed by a peer shard: serve locally
-	timeout   time.Duration // 0: server default
-	key       string        // hex content hash over everything above
-	// shed, when non-nil, is the admission decision ComputeBatch took for
-	// the whole batch this item belongs to; nil asks leaderServe to test the
-	// queue itself.
-	shed *bool
+	pattern   core.Pattern    // valid when graph == nil
+	graph     *graph.Graph    // non-nil for explicit-graph requests
+	selector  string          // canonical heuristic selector
+	order     string          // canonical order-mode name
+	sizes     []int           // sorted, deduplicated
+	timeout   time.Duration   // 0: server default
+	key       string          // hex content hash over everything above
+	rec       *trace.Recorder // the phase timeline of a traced request; nil when untraced
+	forwarded bool            // in a batch relayed by a peer shard: serve locally
 }
 
 // buildCluster materialises the topology spec.
@@ -252,7 +245,10 @@ func (s *Service) compile(req *Request) (*compiled, error) {
 // compileWith finishes compilation against a topology context. req's
 // topology/procs/layout fields are ignored — the context is authoritative.
 func compileWith(tc *topoContext, req *Request) (*compiled, error) {
-	c := &compiled{tc: tc, procs: tc.procs, trace: req.Trace, forwarded: req.Forwarded}
+	c := &compiled{req: req, tc: tc, procs: tc.procs}
+	if req.Trace {
+		c.rec = trace.NewRecorder()
+	}
 	var err error
 	var patFP uint64
 	switch {

@@ -165,101 +165,163 @@ func (s *Service) Close() {
 // Stats returns a snapshot of the service counters.
 func (s *Service) Stats() Stats { return s.stats.snapshot() }
 
-// Compute answers one mapping request. The error return is reserved for
-// invalid requests and internal failures; deadline pressure instead yields
-// a valid response with Degraded set and the identity mapping, so callers
-// always have something runnable.
+// Compute answers one mapping request: a batch of one. The error return is
+// reserved for invalid requests and internal failures; deadline pressure
+// instead yields a valid response with Degraded set and the identity mapping,
+// so callers always have something runnable.
 func (s *Service) Compute(ctx context.Context, req *Request) (*Response, error) {
 	start := time.Now()
-	c, err := s.compile(req)
-	if err != nil {
-		s.stats.begin()
-		s.stats.end(start, outcomeError)
-		return nil, err
-	}
-	return s.serveItem(ctx, req, c, start)
-}
-
-// serveItem is one compiled request's counted trip through serve.
-func (s *Service) serveItem(ctx context.Context, req *Request, c *compiled, start time.Time) (*Response, error) {
 	s.stats.begin()
-	outcome := outcomeError
-	defer func() { s.stats.end(start, outcome) }()
-	resp, err := s.serve(ctx, req, c, start)
-	if err != nil {
-		return nil, err
+	c, err := s.compile(req)
+	var resp *Response
+	if err == nil {
+		var out []*Response
+		out, err = s.serveItems(ctx, []*compiled{c}, start)
+		resp = out[0]
 	}
-	outcome = outcomeFor(resp)
-	return resp, nil
+	s.stats.end(start, outcomeFor(resp))
+	return resp, err
 }
 
-// serve answers a compiled request: local cache, then persistent store,
-// then single-flight into either a forward to the owning shard or a local
-// computation. serve does not touch the request-level counters — callers
-// wrap it in begin/end.
-func (s *Service) serve(ctx context.Context, req *Request, c *compiled, start time.Time) (*Response, error) {
-	ctx, cancel := s.budget(ctx, c.timeout)
+// serveItems answers a request's compiled items — its one, or a batch's —
+// under the request's budget, each by the same trip through the cache
+// hierarchy. The hit pass answers what the result table or the store holds.
+// The resolve pass joins every miss to its key's single flight: a follower
+// waits for its leader; a leader whose key a peer owns rides that peer's one
+// forward hop; every other leader computes on the pool, and only those
+// results are stored. out[i] is item i's stamped response, nil exactly when
+// the item failed; err is the first failed item's error. Counting the
+// requests is the callers' part.
+func (s *Service) serveItems(ctx context.Context, items []*compiled, start time.Time) (out []*Response, err error) {
+	ctx, cancel := s.budget(ctx, items[0].timeout)
 	defer cancel()
 
-	var rec *trace.Recorder
-	if c.trace {
-		rec = trace.NewRecorder()
-	}
-	mark := func(name string) {
-		rec.Record(trace.Event{Kind: trace.KindPoint, Peer: -1, Name: name})
-	}
-
-	if resp, ok := s.cached(c.key, mark); ok {
-		return stamp(resp, true, start, rec), nil
-	}
-
-	flight, lead := s.results.Join(c.key)
-	for !lead {
-		s.stats.flightShared.Inc()
-		mark("joined-inflight")
-		resp, err := flight.Wait(ctx)
-		if err == nil {
-			return stamp(resp, false, start, rec), nil
+	out = make([]*Response, len(items))
+	hits := 0
+	for i, c := range items {
+		if resp, ok := s.cached(c.key, c.rec); ok {
+			out[i] = stamp(resp, true, start, c.rec)
+			hits++
 		}
-		if memo.Expired(ctx) != nil {
-			// The leader is still computing (or failed) and this caller's
-			// budget is spent: degrade independently.
-			mark("deadline-while-waiting")
-			return stamp(degradedResponse(c), false, start, rec), nil
-		}
-		// The leader failed under its own budget; this caller has one left.
-		flight, lead = s.results.Join(c.key)
+	}
+	if hits == len(items) {
+		return out, nil
 	}
 
-	resp, computed, err := s.leaderServe(ctx, req, c, mark)
-	keep := err == nil && !resp.Degraded
-	if keep && computed {
-		// Only locally computed results persist: the owning shard's store is
-		// the system of record for its keyspace slice.
-		s.storePut(c.key, resp)
+	// Admission is decided once per request, before the fan-out: a batch's
+	// items queue on the pool by design, so letting each test the queue depth
+	// would make a batch wider than the threshold shed its own tail.
+	shed := s.underPressure()
+	errs := make([]error, len(items))
+	finish := func(i int, resp *Response, err error) {
+		if errs[i] = err; err == nil {
+			out[i] = stamp(resp, false, start, items[i].rec)
+		}
 	}
-	// A degraded response reaches the requests waiting on this flight but is
-	// not kept for later ones.
-	s.results.Publish(flight, resp, err, keep)
-	if err != nil {
-		return nil, err
+	var tasks []func()
+	var remote map[string][]int                  // peer URL -> the leaders it owns
+	var flights []*memo.Entry[string, *Response] // of those leaders
+	for i, c := range items {
+		if out[i] != nil {
+			continue
+		}
+		flight, lead := s.results.Join(c.key)
+		owner, url, isRemote := s.shardFor(c.key)
+		switch {
+		case lead && isRemote && !c.forwarded:
+			mark(c.rec, "forward:"+owner)
+			if remote == nil {
+				remote, flights = make(map[string][]int), make([]*memo.Entry[string, *Response], len(items))
+			}
+			remote[url] = append(remote[url], i)
+			flights[i] = flight
+		case lead:
+			tasks = append(tasks, func() {
+				resp, err := s.computeLocal(ctx, c, shed)
+				// Only local computes persist: the owning shard's store is the
+				// system of record for its keyspace slice. A degraded response
+				// reaches the requests waiting on this flight but is not kept.
+				keep := err == nil && !resp.Degraded
+				if keep {
+					s.storePut(c.key, resp)
+				}
+				s.results.Publish(flight, resp, err, keep)
+				finish(i, resp, err)
+			})
+		default:
+			s.stats.flightShared.Inc()
+			mark(c.rec, "joined-inflight")
+			tasks = append(tasks, func() {
+				resp, err := flight.Wait(ctx)
+				switch {
+				case err == nil:
+					finish(i, resp, nil)
+				case memo.Expired(ctx) != nil:
+					// The leader is still computing, or failed, and this
+					// caller's budget is spent: degrade independently.
+					mark(c.rec, "deadline-while-waiting")
+					finish(i, degradedResponse(c), nil)
+				default:
+					// The leader failed under its own budget; this caller has
+					// one left.
+					again, err := s.serveItems(ctx, items[i:i+1], start)
+					out[i], errs[i] = again[0], err
+				}
+			})
+		}
 	}
-	return stamp(resp, false, start, rec), nil
+	for url, idxs := range remote {
+		tasks = append(tasks, func() {
+			got := s.forward(ctx, url, items, idxs)
+			for pos, i := range idxs {
+				resp := got[pos]
+				if resp == nil {
+					// A dead, slow or short-answering peer must not take this
+					// replica's availability with it.
+					mark(items[i].rec, "forward-failed")
+					resp = degradedResponse(items[i])
+				}
+				s.results.Publish(flights[i], resp, nil, !resp.Degraded)
+				finish(i, resp, nil)
+			}
+		})
+	}
+	// The first task runs on this goroutine, so a single request's one task
+	// costs no goroutine hand-off.
+	var wg sync.WaitGroup
+	for _, task := range tasks[1:] {
+		wg.Add(1)
+		go func() { defer wg.Done(); task() }()
+	}
+	tasks[0]()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return out, err
+		}
+	}
+	return out, nil
+}
+
+// mark records a phase marker on a traced request's recorder; rec is nil for
+// an untraced one.
+func mark(rec *trace.Recorder, name string) {
+	rec.Record(trace.Event{Kind: trace.KindPoint, Peer: -1, Name: name})
 }
 
 // cached answers key from the result table or, promoted into it, from the
 // persistent store: a warm store answers without recomputing, as a
 // (persistent) cache hit.
-func (s *Service) cached(key string, mark func(string)) (*Response, bool) {
+func (s *Service) cached(key string, rec *trace.Recorder) (*Response, bool) {
 	if resp, ok := s.results.Get(key); ok {
 		s.stats.cacheHits.Inc()
-		mark("cache-hit")
+		mark(rec, "cache-hit")
 		return resp, true
 	}
 	s.stats.cacheMisses.Inc()
 	resp, ok := s.storeGet(key)
 	if ok {
-		mark("store-hit")
+		mark(rec, "store-hit")
 		s.results.Put(key, resp)
 	}
 	return resp, ok
@@ -280,41 +342,26 @@ func (s *Service) budget(ctx context.Context, timeout time.Duration) (context.Co
 	return context.WithTimeout(ctx, timeout)
 }
 
-// leaderServe resolves a cache-missed key as the flight leader: forward to
-// the owning shard when the ring says the key lives elsewhere, shed under
-// queue pressure when admission control is on, otherwise compute locally.
-// computed reports whether the response was produced by this replica.
-func (s *Service) leaderServe(ctx context.Context, req *Request, c *compiled, mark func(string)) (resp *Response, computed bool, err error) {
-	if owner, url, remote := s.shardFor(c.key); remote && !c.forwarded {
-		mark("forward:" + owner)
-		resp, err := s.forwardRequest(ctx, url, req)
-		if err != nil {
-			// A dead or overloaded peer must not take this replica's
-			// availability with it: degrade to the identity mapping.
-			mark("forward-failed")
-			return degradedResponse(c), false, nil
-		}
-		return resp, false, nil
-	}
-	// A batch item carries its batch's decision; a single request asks now.
-	if c.shed != nil && *c.shed || c.shed == nil && s.underPressure() {
+// computeLocal answers a flight leader's key on this replica: the identity
+// mapping when admission control shed the request, otherwise a computation
+// on the worker pool. A deadline while queueing (pool saturated) degrades at
+// once; one inside the computation is caught by the heuristic loops.
+func (s *Service) computeLocal(ctx context.Context, c *compiled, shed bool) (resp *Response, err error) {
+	if shed {
 		s.stats.shed.Inc()
-		mark("shed")
-		return degradedResponse(c), false, nil
+		mark(c.rec, "shed")
+		return degradedResponse(c), nil
 	}
-	// On the worker pool: a deadline while queueing (pool saturated) degrades
-	// immediately; one inside the computation is caught by the heuristic loops.
 	done := make(chan struct{})
 	if s.pool.submit(ctx, func() {
 		defer close(done)
-		resp, err = s.run(ctx, c, mark)
+		resp, err = s.run(ctx, c)
 	}) != nil {
-		mark("deadline-in-queue")
-		resp = degradedResponse(c)
-	} else {
-		<-done
+		mark(c.rec, "deadline-in-queue")
+		return degradedResponse(c), nil
 	}
-	return resp, true, err
+	<-done
+	return resp, err
 }
 
 // underPressure is the admission test of ShedOnPressure: the pool queue has
@@ -323,8 +370,12 @@ func (s *Service) underPressure() bool {
 	return s.cfg.ShedOnPressure && s.stats.queueDepth.Value() >= int64(s.maxQueue())
 }
 
+// outcomeFor classifies a request's answer; nil is a failed request.
 func outcomeFor(resp *Response) int {
-	if resp.Degraded {
+	switch {
+	case resp == nil:
+		return outcomeError
+	case resp.Degraded:
 		return outcomeDegraded
 	}
 	return outcomeOK
@@ -415,7 +466,7 @@ type evaluation struct {
 // run performs the actual computation on a pool worker: distances, then
 // every candidate heuristic in parallel, then selection by modelled cost.
 // Whatever c's topology context already holds is not computed again.
-func (s *Service) run(ctx context.Context, c *compiled, mark func(string)) (*Response, error) {
+func (s *Service) run(ctx context.Context, c *compiled) (*Response, error) {
 	s.stats.computes.Inc()
 	oracle, err := c.tc.oracleFor(ctx)
 	if err != nil {
@@ -425,11 +476,11 @@ func (s *Service) run(ctx context.Context, c *compiled, mark func(string)) (*Res
 		return nil, err
 	}
 	if _, ok := oracle.(*topology.Hierarchy); ok {
-		mark("oracle:hierarchy")
+		mark(c.rec, "oracle:hierarchy")
 	} else {
-		mark("oracle:dense")
+		mark(c.rec, "oracle:dense")
 	}
-	mark("distances")
+	mark(c.rec, "distances")
 	if memo.Expired(ctx) != nil {
 		return degradedResponse(c), nil
 	}
@@ -442,7 +493,7 @@ func (s *Service) run(ctx context.Context, c *compiled, mark func(string)) (*Res
 		go func(i int) {
 			defer wg.Done()
 			evals[i] = s.evaluate(ctx, c, oracle, cands[i])
-			mark("evaluated:" + cands[i])
+			mark(c.rec, "evaluated:"+cands[i])
 		}(i)
 	}
 	wg.Wait()
@@ -464,11 +515,11 @@ func (s *Service) run(ctx context.Context, c *compiled, mark func(string)) (*Res
 				return nil, evals[i].err
 			}
 		}
-		mark("deadline-degraded")
+		mark(c.rec, "deadline-degraded")
 		return degradedResponse(c), nil
 	}
 	win := &evals[best]
-	mark("selected:" + win.name)
+	mark(c.rec, "selected:"+win.name)
 	resp := &Response{
 		Mapping:   win.mapping,
 		Heuristic: win.name,

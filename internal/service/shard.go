@@ -93,53 +93,41 @@ func (s *Service) shardFor(key string) (owner, url string, remote bool) {
 	return owner, url, true
 }
 
-// forwardRequest relays req to the owning peer with the Forwarded marker
-// set, preserving single-flight across the hop: the caller holds the local
-// flight leadership, the peer dedupes concurrent arrivals on its own
-// flight group. The response is sanitised of per-hop stamps and sealed as a
-// base response before the caller re-caches it.
-func (s *Service) forwardRequest(ctx context.Context, url string, req *Request) (*Response, error) {
-	start := time.Now()
-	resp, err := postJSON[Response](ctx, url+"/map", forwardedCopy(req))
-	s.stats.forwarded(start, err)
-	if err != nil {
-		return nil, err
+// forward relays the leaders idxs of items, whose keys the peer at url owns,
+// in one hop under the request's budget: a BatchRequest marked forwarded,
+// built from the items' own requests, so that a single request forwards as a
+// batch of one. The peer serves every item locally and dedupes concurrent
+// arrivals on its own flights, while the caller leads each item's flight
+// here: single flight holds across the hop. got[pos] is item idxs[pos]'s
+// reply rebased as a local base response — per-request fields cleared, then
+// sealed — or nil when the hop failed or the reply fell short of it.
+func (s *Service) forward(ctx context.Context, url string, items []*compiled, idxs []int) []*Response {
+	first := items[idxs[0]].req
+	hop := BatchRequest{
+		Topology:      first.Topology,
+		Procs:         first.Procs,
+		Layout:        first.Layout,
+		Patterns:      make([]BatchPattern, len(idxs)),
+		TimeoutMillis: first.TimeoutMillis,
+		Forwarded:     true,
 	}
-	rebase(resp)
-	return resp, nil
-}
-
-// rebase turns a response received from a peer into a local base response.
-func rebase(r *Response) {
-	r.Cached = false
-	r.ElapsedMicros = 0
-	r.Trace = nil
-	r.seal() // decoded from JSON: cannot fail
-}
-
-// forwardBatch relays a whole sub-batch to the owning peer.
-func (s *Service) forwardBatch(ctx context.Context, url string, breq *BatchRequest) (*BatchResponse, error) {
-	start := time.Now()
-	fwd := *breq
-	fwd.Forwarded = true
-	resp, err := postJSON[BatchResponse](ctx, url+"/map", &fwd)
-	s.stats.forwarded(start, err)
-	if err != nil {
-		return nil, err
+	for pos, i := range idxs {
+		r := items[i].req
+		hop.Patterns[pos] = BatchPattern{Name: r.Pattern.Name, Graph: r.Pattern.Graph, Heuristic: r.Heuristic, Order: r.Order, Sizes: r.Sizes}
 	}
-	for _, r := range resp.Responses {
-		if r != nil {
-			rebase(r)
+	start := time.Now()
+	reply, err := postJSON[BatchResponse](ctx, url+"/map", &hop)
+	s.stats.forwarded(start, err)
+	got := make([]*Response, len(idxs))
+	for pos := range got {
+		if err == nil && pos < len(reply.Responses) && reply.Responses[pos] != nil {
+			r := reply.Responses[pos]
+			r.Cached, r.ElapsedMicros, r.Trace = false, 0, nil
+			r.seal() // decoded from JSON: cannot fail
+			got[pos] = r
 		}
 	}
-	return resp, nil
-}
-
-func forwardedCopy(req *Request) *Request {
-	out := *req
-	out.Forwarded = true
-	out.Trace = false
-	return &out
+	return got
 }
 
 // postJSON posts v and decodes a T reply, surfacing error-body messages. The

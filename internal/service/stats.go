@@ -117,11 +117,11 @@ func newStatsCollector() *statsCollector {
 	s.synthTables = reg.Gauge("mapd_synth_tables",
 		"Synthesized-schedule tables held, one per topology fingerprint.")
 	s.batches = reg.Counter("mapd_batches_total",
-		"Batch mapping requests received.")
+		"Batch mapping requests received from clients; a peer's forward hop is not one.")
 	s.batchPatterns = reg.Counter("mapd_batch_patterns_total",
-		"Patterns received inside batch requests.")
+		"Patterns received inside client batch requests.")
 	s.batchSize = reg.Histogram("mapd_batch_size",
-		"Patterns per batch request.", metrics.HistogramOpts{Start: 1, Factor: 2, Count: 12})
+		"Patterns per client batch request.", metrics.HistogramOpts{Start: 1, Factor: 2, Count: 12})
 	s.forwardsVec = reg.CounterVec("mapd_forwards_total",
 		"Requests forwarded to the owning shard, by outcome.", "outcome")
 	s.forwardsOK = s.forwardsVec.With("outcome", "ok")
