@@ -154,18 +154,6 @@ func (t *Table[K, V]) Resize(k K) {
 	}
 }
 
-// Range calls f on every kept entry, most recently used first, until f
-// returns false. f must not call back into the table.
-func (t *Table[K, V]) Range(f func(K, V) bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for e := t.lru.next; e != nil && e != &t.lru; e = e.next {
-		if !f(e.key, e.val) {
-			return
-		}
-	}
-}
-
 // Len returns the number of kept entries and of builds in flight.
 func (t *Table[K, V]) Len() (kept, building int) {
 	t.mu.Lock()

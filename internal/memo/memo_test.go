@@ -173,9 +173,14 @@ func TestRandomizedBounds(t *testing.T) {
 			kept, building := tb.Len()
 			var n int
 			var sum int64
-			tb.Range(func(_ int, v *sized) bool { n++; sum += v.size; return true })
+			for k := 0; k < keys; k++ {
+				if v, ok := tb.Get(k); ok {
+					n++
+					sum += v.size
+				}
+			}
 			if kept > maxEntries || tb.Bytes() > maxBytes || building != 0 || n != kept || sum != tb.Bytes() {
-				t.Fatalf("seed %d step %d: %d kept (%d ranged), %d building, %d bytes (%d summed); bounds %d, %d",
+				t.Fatalf("seed %d step %d: %d kept (%d got), %d building, %d bytes (%d summed); bounds %d, %d",
 					seed, step, kept, n, building, tb.Bytes(), sum, maxEntries, maxBytes)
 			}
 			if len(holders) > 0 {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -35,13 +36,18 @@ type BatchRequest struct {
 	Order         string `json:"order,omitempty"`
 	Sizes         []int  `json:"sizes,omitempty"`
 	TimeoutMillis int    `json:"timeout_ms,omitempty"`
-	// Forwarded marks a forward hop from a peer shard, and is the only
-	// forwarded marker on the wire: a peer forwards a single request as a
-	// batch of one. The receiving replica serves every pattern locally even
-	// when the ring says another node owns its key, so a request never
+	// Forwarded marks a forward hop from a peer shard with the sender's
+	// model epoch, the only forwarded marker on the wire: a peer forwards a
+	// single request as a batch of one. The receiving replica refuses a hop
+	// from another epoch, and serves every pattern of its own epoch locally
+	// even when the ring says another node owns its key, so a request never
 	// bounces between replicas. Set by the forwarding hop, not by clients.
-	Forwarded bool `json:"forwarded,omitempty"`
+	Forwarded string `json:"forwarded,omitempty"`
 }
+
+// errOtherEpoch refuses a forward hop whose sender runs another model epoch:
+// neither replica may keep an answer the other's code computed.
+var errOtherEpoch = errors.New("service: forward hop from another model epoch")
 
 // BatchResponse carries one response per requested pattern, in order.
 type BatchResponse struct {
@@ -92,6 +98,9 @@ func (s *Service) ComputeBatch(ctx context.Context, breq *BatchRequest) (*BatchR
 	if n > MaxBatchPatterns {
 		return nil, fmt.Errorf("service: batch of %d patterns exceeds %d", n, MaxBatchPatterns)
 	}
+	if breq.Forwarded != "" && breq.Forwarded != modelEpoch {
+		return nil, fmt.Errorf("%w: %q, this replica runs %q", errOtherEpoch, breq.Forwarded, modelEpoch)
+	}
 	tc, err := s.contextFor(&breq.Topology, breq.Procs, breq.Layout)
 	if err != nil {
 		return nil, err
@@ -102,12 +111,12 @@ func (s *Service) ComputeBatch(ctx context.Context, breq *BatchRequest) (*BatchR
 		if err != nil {
 			return nil, fmt.Errorf("patterns[%d]: %w", i, err)
 		}
-		c.forwarded = breq.Forwarded
+		c.forwarded = breq.Forwarded != ""
 		items[i] = c
 	}
 	// A peer's hop is counted where it leaves (mapd_forwards_total); the
 	// batch counters count what clients send.
-	if !breq.Forwarded {
+	if breq.Forwarded == "" {
 		s.stats.batch(n)
 	}
 	for range items {

@@ -29,13 +29,13 @@ func planetBatch() *BatchRequest {
 
 // BenchmarkBatchMapSpeedup pins the batch amortisation claim: mapping the
 // 32-pattern planet workload as one batch against N=32 sequential requests.
-// cold-context gives every sequential request, and the batch, a Service that
-// has not seen the layout (coldContextService), so the sequential side builds
-// the context's oracle, mappings, schedules and profiles 32 times and the
-// batch once — the ratio the batch path was built for. warm-context runs the
-// 32 sequential requests on one fresh Service, the way a daemon receives
-// them: they now share through the kept context what a batch shares, and the
-// ratio that remains is the fan-out across the pool.
+// cold-context gives every sequential request, and the batch, a fresh
+// Service, so the sequential side builds the context's oracle, mappings,
+// schedules and profiles 32 times and the batch once — the ratio the batch
+// path was built for. warm-context runs the 32 sequential requests on one
+// fresh Service, the way a daemon receives them: they now share through the
+// kept context what a batch shares, and the ratio that remains is the
+// fan-out across the pool.
 func BenchmarkBatchMapSpeedup(b *testing.B) {
 	ctx := context.Background()
 	breq := planetBatch()
@@ -50,7 +50,7 @@ func BenchmarkBatchMapSpeedup(b *testing.B) {
 						if seqSvc != nil {
 							seqSvc.Close()
 						}
-						seqSvc = coldContextService(b, cfg, breq.Topology)
+						seqSvc = New(cfg)
 					}
 					start := time.Now()
 					resp, err := seqSvc.Compute(ctx, breq.itemRequest(j))
@@ -64,7 +64,7 @@ func BenchmarkBatchMapSpeedup(b *testing.B) {
 				}
 				seqSvc.Close()
 
-				batSvc := coldContextService(b, cfg, breq.Topology)
+				batSvc := New(cfg)
 				start := time.Now()
 				got, err := batSvc.ComputeBatch(ctx, breq)
 				batTotal += time.Since(start)

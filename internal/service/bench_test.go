@@ -112,29 +112,14 @@ var coldClasses = [][2]string{
 	{"gpc", "binomial-gather"},
 }
 
-// coldContextService returns a fresh Service that holds topo under a layout
-// the benchmarks do not ask for. The cluster's fingerprint (100 ms on GPC,
-// taken once per cluster a service holds) is thereby paid off the clock, as
-// the process-wide memo paid it when DESIGN's per-class figures were taken,
-// while everything a request under another layout needs — oracle, machine,
-// mapping, schedule, profiles — is still to be built.
-func coldContextService(b *testing.B, cfg Config, topo TopologySpec) *Service {
-	b.Helper()
-	s := New(cfg)
-	if _, err := s.Compute(context.Background(), &Request{
-		Topology: topo, Layout: "cyclic-scatter", Pattern: PatternSpec{Name: "ring"}, Sizes: []int{8},
-	}); err != nil {
-		b.Fatal(err)
-	}
-	return s
-}
-
 // BenchmarkServiceColdClass measures one result-cache-cold Compute per class,
 // fresh sizes every iteration making every request a new cache key.
-// cold-context builds a fresh Service per iteration, so each request pays
-// context, oracle, heuristic, schedule build, contention profile and pricing
-// (the figures of DESIGN's per-class table); warm-context keeps one Service,
-// so every iteration after the first prices on what the context holds.
+// cold-context builds a fresh Service per iteration, so each request names a
+// cluster the service has never seen and pays context (fingerprint
+// included), oracle, heuristic, schedule build, contention profile and
+// pricing (the figures of DESIGN's per-class table); warm-context keeps one
+// Service, so every iteration after the first prices on what the context
+// holds.
 func BenchmarkServiceColdClass(b *testing.B) {
 	cfg := Config{Workers: 4, CacheEntries: 1}
 	for _, cl := range coldClasses {
@@ -162,7 +147,7 @@ func BenchmarkServiceColdClass(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				s := coldContextService(b, cfg, topo)
+				s := New(cfg)
 				b.StartTimer()
 				compute(b, s, i)
 				b.StopTimer()
@@ -171,7 +156,7 @@ func BenchmarkServiceColdClass(b *testing.B) {
 			}
 		})
 		b.Run(name+"/warm-context", func(b *testing.B) {
-			s := coldContextService(b, cfg, topo)
+			s := New(cfg)
 			defer s.Close()
 			compute(b, s, -1)
 			b.ReportAllocs()

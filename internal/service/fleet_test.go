@@ -528,7 +528,7 @@ func TestForwardSharesOneFlight(t *testing.T) {
 	peerSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, err := io.ReadAll(r.Body)
 		var hop BatchRequest
-		if err != nil || json.Unmarshal(body, &hop) != nil || !hop.Forwarded {
+		if err != nil || json.Unmarshal(body, &hop) != nil || hop.Forwarded != modelEpoch {
 			http.Error(w, "not a forwarded batch", http.StatusBadRequest)
 			return
 		}

@@ -35,8 +35,9 @@ import (
 //	GET  /calibration  — cost-model calibration report (obs.Global);
 //	                     ?format=table renders the human table
 //
-// Invalid requests answer 400 with {"error": "..."}; a deadline never turns
-// into an error status — it degrades inside a 200 response.
+// Invalid requests answer 400 with {"error": "..."}, and a forward hop from
+// another model epoch 409; a deadline never turns into an error status — it
+// degrades inside a 200 response.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/map", s.handleMap)
@@ -80,6 +81,10 @@ func (s *Service) handleMap(w http.ResponseWriter, r *http.Request) {
 			writeReply(w, resp.appendJSON(make([]byte, 0, resp.replyCap())))
 			return
 		}
+	}
+	if errors.Is(err, errOtherEpoch) {
+		httpError(w, http.StatusConflict, err)
+		return
 	}
 	httpError(w, http.StatusBadRequest, err)
 }

@@ -20,8 +20,8 @@ const (
 
 // storeGet consults the persistent store for a cache-missed key. Hits are
 // decoded base responses — never Degraded, by construction of storePut —
-// whose encoding is the record itself. A record that does not end in
-// baseSuffix (written before the per-request fields moved to the end) is a
+// whose encoding is the record itself. A record read from disk that does
+// not end in baseSuffix, the bytes appendJSON splices a reply over, is a
 // miss: the store is a cache, and the recompute overwrites it.
 func (s *Service) storeGet(key string) (*Response, bool) {
 	if s.store == nil {

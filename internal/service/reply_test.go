@@ -247,8 +247,9 @@ func TestMapRejectsTrailingData(t *testing.T) {
 
 // FuzzParseRequest: a /map body of either shape decodes strictly, as
 // handleMap decodes it, and compiles without a panic, and compiling the same
-// request twice gives the same cache key. Nothing is served. A single body
-// cannot carry "forwarded": only a batch body is a forward hop.
+// request twice gives the same cache key. Nothing is served. Every spec the
+// service accepts is reached: buildCluster bounds a topology (maxCores). A
+// single body cannot carry "forwarded": only a batch body is a forward hop.
 func FuzzParseRequest(f *testing.F) {
 	topo := smallTopo()
 	for _, v := range []any{
@@ -257,7 +258,7 @@ func FuzzParseRequest(f *testing.F) {
 		&Request{Topology: topo, Pattern: PatternSpec{Graph: ringGraph(16)}},
 		&Request{Topology: TopologySpec{Preset: "gpc"}, Pattern: PatternSpec{Name: "ring"}, Heuristic: "rmh"},
 		&BatchRequest{Topology: topo, Patterns: []BatchPattern{{Name: "ring"}, {Name: "recursive-doubling"}, {Name: "binomial-broadcast", Sizes: []int{4096}}}, Sizes: []int{1024, 65536}},
-		&BatchRequest{Topology: topo, Patterns: []BatchPattern{{Name: "ring", Sizes: []int{512}}}, Forwarded: true},
+		&BatchRequest{Topology: topo, Patterns: []BatchPattern{{Name: "ring", Sizes: []int{512}}}, Forwarded: modelEpoch},
 	} {
 		body, err := json.Marshal(v)
 		if err != nil {
@@ -265,7 +266,7 @@ func FuzzParseRequest(f *testing.F) {
 		}
 		f.Add(body)
 	}
-	forwardedSingle := []byte(`{"topology":{"nodes":4,"sockets_per_node":2,"cores_per_socket":2},"pattern":{"name":"ring"},"forwarded":true}`)
+	forwardedSingle := []byte(`{"topology":{"nodes":4,"sockets_per_node":2,"cores_per_socket":2},"pattern":{"name":"ring"},"forwarded":"mapd/1"}`)
 	f.Add(forwardedSingle)
 	s := New(Config{Workers: 1})
 	f.Cleanup(s.Close)
@@ -279,12 +280,10 @@ func FuzzParseRequest(f *testing.F) {
 			return
 		}
 		if breq == nil {
-			if modest(&req.Topology) {
-				sameKey(t, func() (*compiled, error) { return s.compile(req) })
-			}
+			sameKey(t, func() (*compiled, error) { return s.compile(req) })
 			return
 		}
-		if n := len(breq.Patterns); n == 0 || n > MaxBatchPatterns || !modest(&breq.Topology) {
+		if n := len(breq.Patterns); n == 0 || n > MaxBatchPatterns {
 			return
 		}
 		tc, err := s.contextFor(&breq.Topology, breq.Procs, breq.Layout)
@@ -308,25 +307,6 @@ func sameKey(t *testing.T, compile func() (*compiled, error)) {
 	if errA == nil && a.key != b.key {
 		t.Fatalf("one request compiled to keys %s and %s", a.key, b.key)
 	}
-}
-
-// modest bounds the clusters the fuzz target builds. No size limit guards a
-// topology spec, so a hostile core count is a question of memory, which
-// this target does not ask.
-func modest(spec *TopologySpec) bool {
-	n := spec.Network
-	if n == nil {
-		n = &NetworkSpec{}
-	}
-	if spec.Nodes > 64 {
-		return false
-	}
-	for _, v := range []int{spec.SocketsPerNode, spec.CoresPerSocket, n.Leaves, n.NodesPerLeaf, n.Uplinks, n.X, n.Y, n.Z} {
-		if v > 16 {
-			return false
-		}
-	}
-	return true
 }
 
 // TestCacheChargesEncoding: a kept entry is charged at least its encoding

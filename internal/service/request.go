@@ -161,6 +161,24 @@ type compiled struct {
 	forwarded bool            // in a batch relayed by a peer shard: serve locally
 }
 
+// maxCores bounds a topology spec: a cluster of at most maxCores cores on a
+// network of at most maxCores nodes. The dearest thing a context holds, a
+// dense torus oracle of 4p² bytes, then stays within the context table's
+// ceiling (4·8192² B = maxContextBytes). GPC has 4 096 cores.
+const maxCores = 8192
+
+// bounded reports whether every factor is positive and their product at
+// most maxCores, without overflowing.
+func bounded(factors ...int) bool {
+	n := 1
+	for _, f := range factors {
+		if n *= f; f <= 0 || f > maxCores || n > maxCores {
+			return false
+		}
+	}
+	return true
+}
+
 // buildCluster materialises the topology spec.
 func buildCluster(spec *TopologySpec) (*topology.Cluster, error) {
 	if spec.Preset != "" {
@@ -171,21 +189,21 @@ func buildCluster(spec *TopologySpec) (*topology.Cluster, error) {
 			return nil, fmt.Errorf("service: unknown topology preset %q", spec.Preset)
 		}
 	}
-	if spec.Nodes <= 0 || spec.SocketsPerNode <= 0 || spec.CoresPerSocket <= 0 {
-		return nil, fmt.Errorf("service: topology needs a preset or positive nodes/sockets_per_node/cores_per_socket")
+	if !bounded(spec.Nodes, spec.SocketsPerNode, spec.CoresPerSocket) {
+		return nil, fmt.Errorf("service: topology needs a preset or positive nodes/sockets_per_node/cores_per_socket, at most %d cores", maxCores)
 	}
 	var net topology.Network
 	if spec.Network != nil {
 		switch spec.Network.Kind {
 		case "", "none":
 		case "fattree":
-			if spec.Network.Leaves <= 0 || spec.Network.NodesPerLeaf <= 0 || spec.Network.Uplinks <= 0 {
-				return nil, fmt.Errorf("service: fattree network needs positive leaves/nodes_per_leaf/uplinks")
+			if !bounded(spec.Network.Leaves, spec.Network.NodesPerLeaf) || spec.Network.Uplinks <= 0 {
+				return nil, fmt.Errorf("service: fattree network needs positive leaves/nodes_per_leaf/uplinks, at most %d nodes", maxCores)
 			}
 			net = topology.TwoLevelFatTree(spec.Network.Leaves, spec.Network.NodesPerLeaf, spec.Network.Uplinks)
 		case "torus":
-			if spec.Network.X <= 0 || spec.Network.Y <= 0 || spec.Network.Z <= 0 {
-				return nil, fmt.Errorf("service: torus network needs positive x/y/z")
+			if !bounded(spec.Network.X, spec.Network.Y, spec.Network.Z) {
+				return nil, fmt.Errorf("service: torus network needs positive x/y/z, at most %d nodes", maxCores)
 			}
 			net = topology.NewTorus3D(spec.Network.X, spec.Network.Y, spec.Network.Z)
 		default:
@@ -353,12 +371,18 @@ func heuristicNameFor(p core.Pattern) string {
 	return "auto"
 }
 
-// cacheKey derives the content-addressed key: a SHA-256 over the canonical
-// encoding of everything that determines the result. The cluster is
-// represented by its structural fingerprint, which the topology context holds.
+// modelEpoch names the code that computes an answer: every result key begins
+// with it, so a record of another epoch misses, and a replica refuses a
+// forward hop from another epoch. Bump it with any change that moves an
+// answer, and pin the new answers beside it in TestModelEpochPinned.
+const modelEpoch = "mapd/1"
+
+// cacheKey derives the content-addressed key: a SHA-256 over the model epoch
+// and the canonical encoding of everything that determines the result. The
+// cluster is represented by the fingerprint its topology context holds.
 func cacheKey(c *compiled, patternFP uint64) string {
 	b := make([]byte, 0, 128)
-	b = strconv.AppendUint(append(b, "mapd/1\x00topo:"...), c.tc.fp, 16)
+	b = strconv.AppendUint(append(append(b, modelEpoch...), "\x00topo:"...), c.tc.fp, 16)
 	b = strconv.AppendInt(append(b, "\x00p:"...), int64(c.procs), 10)
 	b = append(append(b, "\x00layout:"...), c.tc.key.layout...)
 	b = strconv.AppendUint(append(b, "\x00pat:"...), patternFP, 16)

@@ -30,6 +30,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -188,10 +189,11 @@ func (s *Service) Compute(ctx context.Context, req *Request) (*Response, error) 
 // hierarchy. The hit pass answers what the result table or the store holds.
 // The resolve pass joins every miss to its key's single flight: a follower
 // waits for its leader; a leader whose key a peer owns rides that peer's one
-// forward hop; every other leader computes on the pool, and only those
-// results are stored. out[i] is item i's stamped response, nil exactly when
-// the item failed; err is the first failed item's error. Counting the
-// requests is the callers' part.
+// forward hop, unless the peer refuses it as another model epoch's; every
+// other leader computes on the pool, and only those results are stored.
+// out[i] is item i's stamped response, nil exactly when the item failed; err
+// is the first failed item's error. Counting the requests is the callers'
+// part.
 func (s *Service) serveItems(ctx context.Context, items []*compiled, start time.Time) (out []*Response, err error) {
 	ctx, cancel := s.budget(ctx, items[0].timeout)
 	defer cancel()
@@ -218,6 +220,19 @@ func (s *Service) serveItems(ctx context.Context, items []*compiled, start time.
 			out[i] = stamp(resp, false, start, items[i].rec)
 		}
 	}
+	// compute answers leader i on this replica. Only local computes persist:
+	// the owning shard's store is the system of record for its keyspace
+	// slice. A degraded response reaches the requests waiting on the flight
+	// but is not kept.
+	compute := func(i int, flight *memo.Entry[string, *Response]) {
+		resp, err := s.computeLocal(ctx, items[i], shed)
+		keep := err == nil && !resp.Degraded
+		if keep {
+			s.storePut(items[i].key, resp)
+		}
+		s.results.Publish(flight, resp, err, keep)
+		finish(i, resp, err)
+	}
 	var tasks []func()
 	var remote map[string][]int                  // peer URL -> the leaders it owns
 	var flights []*memo.Entry[string, *Response] // of those leaders
@@ -236,18 +251,7 @@ func (s *Service) serveItems(ctx context.Context, items []*compiled, start time.
 			remote[url] = append(remote[url], i)
 			flights[i] = flight
 		case lead:
-			tasks = append(tasks, func() {
-				resp, err := s.computeLocal(ctx, c, shed)
-				// Only local computes persist: the owning shard's store is the
-				// system of record for its keyspace slice. A degraded response
-				// reaches the requests waiting on this flight but is not kept.
-				keep := err == nil && !resp.Degraded
-				if keep {
-					s.storePut(c.key, resp)
-				}
-				s.results.Publish(flight, resp, err, keep)
-				finish(i, resp, err)
-			})
+			tasks = append(tasks, func() { compute(i, flight) })
 		default:
 			s.stats.flightShared.Inc()
 			mark(c.rec, "joined-inflight")
@@ -272,7 +276,19 @@ func (s *Service) serveItems(ctx context.Context, items []*compiled, start time.
 	}
 	for url, idxs := range remote {
 		tasks = append(tasks, func() {
-			got := s.forward(ctx, url, items, idxs)
+			got, err := s.forward(ctx, url, items, idxs)
+			if errors.Is(err, errOtherEpoch) {
+				// The owner runs another model: its answers are not this
+				// replica's to serve or keep, so the items compute here.
+				var wg sync.WaitGroup
+				for _, i := range idxs {
+					mark(items[i].rec, "forward-other-epoch")
+					wg.Add(1)
+					go func() { defer wg.Done(); compute(i, flights[i]) }()
+				}
+				wg.Wait()
+				return
+			}
 			for pos, i := range idxs {
 				resp := got[pos]
 				if resp == nil {

@@ -136,13 +136,13 @@ func TestCacheKeyStable(t *testing.T) {
 		want string
 	}{
 		{&Request{Topology: TopologySpec{Preset: "gpc"}, Pattern: PatternSpec{Name: "recursive-doubling"}, Heuristic: "auto"},
-			"c650c23c30ce35bf7797f0e111d24635da6fae2a17e032c55bec3cbd7bca11ec"},
+			"485cd1a11a86479a9f68a520c983b92127fc03b2048f7df8c89a03d04e2eff8e"},
 		{&Request{Topology: smallTopo(), Procs: 12, Layout: "cyclic-scatter", Pattern: PatternSpec{Name: "ring"}, Sizes: []int{65536, 3, 1 << 30}},
-			"0a266aaccbbdf3d53f3e2587bec2e2b0e7eec5c19a191aaf1ac2f5961cbd3460"},
+			"923d1470edda3c89937a3ae6e173b8b0766b4a11ebcb011a1cd97a8c3f971a09"},
 		{&Request{Topology: smallTopo(), Pattern: PatternSpec{Graph: ringGraph(16)}, Sizes: []int{-7, 9}},
-			"f6e9ef333258b21fe2dd702cee89e4a9ee0e75eff167aed339b9f03c822d2d35"},
+			"06839de707bc352b2375e2eed45876f850de5bc28dd8c0d25392fafc553037c5"},
 		{&Request{Topology: torus64, Pattern: PatternSpec{Name: "alltoall"}, Order: "endShfl"},
-			"732e4434f3a5c09a1c9bef196699e6cdde0a2871eb2420fb7aec4df95fcb4811"},
+			"b8d9a243a84b9491e874a14d2856b1c5c752fef92805c252a2d4e03821e99d6b"},
 	} {
 		c, err := s.compile(tc.req)
 		if err != nil {

@@ -100,8 +100,9 @@ func (s *Service) shardFor(key string) (owner, url string, remote bool) {
 // arrivals on its own flights, while the caller leads each item's flight
 // here: single flight holds across the hop. got[pos] is item idxs[pos]'s
 // reply rebased as a local base response — per-request fields cleared, then
-// sealed — or nil when the hop failed or the reply fell short of it.
-func (s *Service) forward(ctx context.Context, url string, items []*compiled, idxs []int) []*Response {
+// sealed — or nil when the hop failed or the reply fell short of it. err is
+// the hop's failure; errOtherEpoch when the peer runs another model epoch.
+func (s *Service) forward(ctx context.Context, url string, items []*compiled, idxs []int) ([]*Response, error) {
 	first := items[idxs[0]].req
 	hop := BatchRequest{
 		Topology:      first.Topology,
@@ -109,7 +110,7 @@ func (s *Service) forward(ctx context.Context, url string, items []*compiled, id
 		Layout:        first.Layout,
 		Patterns:      make([]BatchPattern, len(idxs)),
 		TimeoutMillis: first.TimeoutMillis,
-		Forwarded:     true,
+		Forwarded:     modelEpoch,
 	}
 	for pos, i := range idxs {
 		r := items[i].req
@@ -127,12 +128,12 @@ func (s *Service) forward(ctx context.Context, url string, items []*compiled, id
 			got[pos] = r
 		}
 	}
-	return got
+	return got, err
 }
 
-// postJSON posts v and decodes a T reply, surfacing error-body messages. The
-// client sets no timeout of its own: a forward hop runs under the forwarding
-// request's budget context, which bounds it.
+// postJSON posts v and decodes a T reply, surfacing error-body messages; a
+// 409 is errOtherEpoch. The client sets no timeout of its own: a forward hop
+// runs under the forwarding request's budget context, which bounds it.
 func postJSON[T any](ctx context.Context, url string, v any) (*T, error) {
 	body, err := json.Marshal(v)
 	if err != nil {
@@ -151,6 +152,9 @@ func postJSON[T any](ctx context.Context, url string, v any) (*T, error) {
 	data, err := io.ReadAll(io.LimitReader(hresp.Body, 64<<20))
 	if err != nil {
 		return nil, err
+	}
+	if hresp.StatusCode == http.StatusConflict {
+		return nil, fmt.Errorf("peer: %w", errOtherEpoch)
 	}
 	if hresp.StatusCode != http.StatusOK {
 		var e struct {

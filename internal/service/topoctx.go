@@ -89,7 +89,7 @@ type progKey struct {
 }
 
 // buildContext validates the topology-dependent request prefix and materialises it:
-// cluster, process count, layout, fingerprint.
+// cluster, process count, layout, fingerprint (of the cluster's parameters).
 func (s *Service) buildContext(key ctxKey, spec *TopologySpec) (*topoContext, error) {
 	cluster, err := buildCluster(spec)
 	if err != nil {
@@ -109,13 +109,7 @@ func (s *Service) buildContext(key ctxKey, spec *TopologySpec) (*topoContext, er
 	if e.layout, err = topology.Layout(cluster, e.procs, kind); err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
-	// Hashing the routed wiring is the dear step (100 ms on GPC): last, so
-	// that an invalid request never pays it, and once per cluster held.
-	if sib := s.sibling(key); sib != nil {
-		e.fp = sib.fp
-	} else {
-		e.fp = cluster.Fingerprint()
-	}
+	e.fp = cluster.Fingerprint()
 	return e, nil
 }
 
@@ -210,7 +204,7 @@ func mappingFingerprint(m core.Mapping) uint64 {
 // contextFor returns the topology context of (spec, procs, layout) from the
 // Service's context table, building it on first use. The wait for another
 // request's build of it is unconditional: compilation precedes the request's
-// budget and fails only on an invalid request.
+// budget, fails only on an invalid request, and builds O(maxCores) at most.
 func (s *Service) contextFor(spec *TopologySpec, procs int, layout string) (*topoContext, error) {
 	key, built := contextKey(spec, procs, layout), false
 	e, err := s.contexts.Do(context.Background(), key, func() (*topoContext, error) {
@@ -223,19 +217,6 @@ func (s *Service) contextFor(spec *TopologySpec, procs int, layout string) (*top
 		s.stats.contextHits.Inc()
 	}
 	return e, err
-}
-
-// sibling returns a held context of key's cluster — any layout, any process
-// count — or nil.
-func (s *Service) sibling(key ctxKey) (sib *topoContext) {
-	key.procs, key.layout = 0, ""
-	s.contexts.Range(func(k ctxKey, e *topoContext) bool {
-		if k.procs, k.layout = 0, ""; k == key {
-			sib = e
-		}
-		return sib == nil
-	})
-	return sib
 }
 
 // charge records that e grew by n approximate bytes, and the table evicts

@@ -3,10 +3,13 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/memo"
 	"repro/internal/metrics"
@@ -196,8 +199,10 @@ func TestContextBuiltOnce(t *testing.T) {
 			t.Fatalf("worker %d read a different oracle instance: it was built more than once", g)
 		}
 	}
-	var tc *topoContext
-	s.contexts.Range(func(_ ctxKey, e *topoContext) bool { tc = e; return false })
+	tc, ok := s.contexts.Get(contextKey(&topo, 0, "cyclic-bunch"))
+	if !ok {
+		t.Fatal("the one context is not held")
+	}
 	if o, h, sc, b := kept(&tc.oracle), kept(&tc.heurMaps), kept(&tc.scheds), kept(&tc.baseProfs); o != 1 || h != 1 || sc != 1 || b != 1 {
 		t.Errorf("context holds %d oracles, %d mappings, %d schedules, %d base profiles; want one of each", o, h, sc, b)
 	}
@@ -292,5 +297,70 @@ func TestContextTableBounded(t *testing.T) {
 	}
 	if st := small.Stats(); st.ContextHits != 1 {
 		t.Errorf("context hits %d: the small context did not survive the large one's passage", st.ContextHits)
+	}
+}
+
+// TestTopologySpecBounded: a spec above maxCores cores or network nodes, or
+// whose products overflow, is a 400 from buildCluster, before any layout is
+// built; a spec at the bound compiles.
+func TestTopologySpecBounded(t *testing.T) {
+	s := newTestService(t)
+	h := s.Handler()
+	reject := func(what, topology string) {
+		t.Helper()
+		body := []byte(`{"topology":` + topology + `,"pattern":{"name":"ring"}}`)
+		code, reply := serveMap(context.Background(), h, body)
+		if code != http.StatusBadRequest || !strings.Contains(string(reply), "at most 8192") {
+			// The larger specs below would allocate their layout unbounded.
+			t.Fatalf("%s: %d %s, want a 400 naming the bound", what, code, reply)
+		}
+	}
+	reject("8193 cores", `{"nodes":8193,"sockets_per_node":1,"cores_per_socket":1}`)
+	reject("a torus of 8193 nodes", `{"nodes":1,"sockets_per_node":1,"cores_per_socket":1,"network":{"kind":"torus","x":8193,"y":1,"z":1}}`)
+	reject("a fat-tree of 8193 nodes", `{"nodes":1,"sockets_per_node":1,"cores_per_socket":1,"network":{"kind":"fattree","leaves":1,"nodes_per_leaf":8193,"uplinks":1}}`)
+	reject("an overflowing core count", `{"nodes":4294967296,"sockets_per_node":4294967296,"cores_per_socket":1}`)
+	reject("an overflowing torus", `{"nodes":1,"sockets_per_node":1,"cores_per_socket":1,"network":{"kind":"torus","x":4294967296,"y":4294967296,"z":1}}`)
+	start := time.Now()
+	reject("10⁹ cores", `{"nodes":1000000,"sockets_per_node":1000,"cores_per_socket":1}`)
+	if took := time.Since(start); took > 100*time.Millisecond {
+		t.Errorf("rejecting 10⁹ cores took %v", took)
+	}
+	if kept, building := s.contexts.Len(); kept+building != 0 {
+		t.Fatalf("rejected specs left %d contexts", kept+building)
+	}
+	at := &Request{Topology: TopologySpec{Nodes: 8, SocketsPerNode: 1, CoresPerSocket: 1, Network: &NetworkSpec{Kind: "torus", X: 8, Y: 32, Z: 32}}, Pattern: PatternSpec{Name: "ring"}}
+	if _, err := s.compile(at); err != nil {
+		t.Errorf("a torus of exactly %d nodes: %v", maxCores, err)
+	}
+	if _, err := buildCluster(&TopologySpec{Nodes: 1024, SocketsPerNode: 2, CoresPerSocket: 4}); err != nil {
+		t.Errorf("a cluster of exactly %d cores: %v", maxCores, err)
+	}
+}
+
+// TestNewClusterWithinBudget: a request naming a cluster the service does not
+// hold answers within its budget, degraded or not: building its context no
+// longer routes every node pair before the budget starts (155 ms here). The
+// torus's dense oracle, ~16 ms, is built to completion once started; the
+// race detector slows that build about fivefold, and the limit with it.
+func TestNewClusterWithinBudget(t *testing.T) {
+	limit := 100 * time.Millisecond
+	if raceEnabled {
+		limit *= 5
+	}
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	req := &Request{
+		Topology:      TopologySpec{Nodes: 512, SocketsPerNode: 1, CoresPerSocket: 1, Network: &NetworkSpec{Kind: "torus", X: 8, Y: 8, Z: 8}},
+		Pattern:       PatternSpec{Name: "ring"},
+		TimeoutMillis: 20,
+	}
+	start := time.Now()
+	resp, err := s.Compute(context.Background(), req)
+	took := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took > limit {
+		t.Errorf("a new 8×8×8 torus with a 20 ms budget answered after %v (degraded=%v), want under %v", took, resp.Degraded, limit)
 	}
 }

@@ -6,13 +6,12 @@ import (
 	"io"
 )
 
-// Fingerprints give clusters and distance matrices stable content hashes so
-// that higher layers (the mapd service cache, persisted artefacts) can use
-// them as canonical cache keys. Two structurally identical topologies hash
-// equal regardless of how they were constructed; any change to the shape,
-// the interconnect wiring, or the distance units changes the hash. The
-// values are covered by golden regression tests — changing the scheme
-// invalidates every content-addressed cache built on it.
+// A cluster's fingerprint is a stable content hash that higher layers (the
+// mapd service cache, synth tables) use as a canonical cache key. Two
+// structurally identical clusters hash equal regardless of how they were
+// constructed; any change to the shape or the interconnect wiring changes
+// the hash. The values are covered by golden regression tests — changing
+// the scheme invalidates every content-addressed cache built on it.
 
 // fingerprintHash wraps an FNV-1a 64 hash with fixed-width integer writes.
 type fingerprintHash struct {
@@ -28,9 +27,11 @@ func newFingerprintHash(domain string) *fingerprintHash {
 	return &fingerprintHash{h: h, sum: h}
 }
 
-func (f *fingerprintHash) writeInt(v int64) {
-	binary.LittleEndian.PutUint64(f.buf[:], uint64(v))
-	f.h.Write(f.buf[:])
+func (f *fingerprintHash) writeInts(vs ...int) {
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(f.buf[:], uint64(v))
+		f.h.Write(f.buf[:])
+	}
 }
 
 func (f *fingerprintHash) writeString(s string) {
@@ -39,72 +40,35 @@ func (f *fingerprintHash) writeString(s string) {
 }
 
 // Fingerprint returns a stable hash of the cluster's structure: the
-// node/socket/core shape plus — when an interconnect is attached — the
-// network's label and the full routed wiring: every directed route between
-// node pairs with the kind, endpoints, direction and cable multiplicity of
-// each link crossed. Hashing routes (rather than just hop counts)
-// distinguishes networks that agree on distances but differ in wiring or
-// trunking, which the congestion model cares about.
+// node/socket/core shape plus, when an interconnect is attached, the
+// parameters its routing and cable multiplicities are pure functions of.
+// Two clusters whose routed wiring differs — a route, a link, a direction or
+// a trunk — hash apart, which the congestion model cares about; nothing is
+// routed to say so. Two parameter sets that happen to route alike may hash
+// apart too: that costs a cache miss, never a wrong answer.
 func (c *Cluster) Fingerprint() uint64 {
-	f := newFingerprintHash("topology.Cluster")
-	f.writeInt(int64(c.Nodes))
-	f.writeInt(int64(c.SocketsPerNode))
-	f.writeInt(int64(c.CoresPerSocket))
+	f := newFingerprintHash("topology.Cluster/params")
+	f.writeInts(c.Nodes, c.SocketsPerNode, c.CoresPerSocket)
 	if c.Net == nil {
 		f.writeString("no-net")
-		return f.sum.Sum64()
-	}
-	f.writeString(c.Net.Label())
-	n := c.Net.Nodes()
-	f.writeInt(int64(n))
-	var route []DirLink
-	for src := 0; src < n; src++ {
-		for dst := 0; dst < n; dst++ {
-			if src == dst {
-				continue
-			}
-			route = c.Net.RouteDir(route[:0], src, dst)
-			f.writeInt(int64(len(route)))
-			for _, dl := range route {
-				f.writeInt(int64(dl.Link.Kind))
-				f.writeInt(int64(dl.Link.A))
-				f.writeInt(int64(dl.Link.B))
-				if dl.Forward {
-					f.writeInt(1)
-				} else {
-					f.writeInt(0)
-				}
-				f.writeInt(int64(c.Net.Multiplicity(dl.Link)))
-			}
-		}
+	} else {
+		c.Net.writeParams(f)
 	}
 	return f.sum.Sum64()
 }
 
-// Fingerprint returns a stable hash of the distance matrix content: the
-// covered core indices and every entry. This is the exact input the mapping
-// heuristics consume, so it is the strongest possible cache key for a
-// mapping result.
-func (d *Distances) Fingerprint() uint64 {
-	f := newFingerprintHash("topology.Distances")
-	f.writeInt(int64(len(d.Cores)))
-	for _, c := range d.Cores {
-		f.writeInt(int64(c))
-	}
-	// Hash the matrix in 4-byte entries batched through one buffer to keep
-	// the per-entry overhead down on 4096-rank matrices.
-	var buf [4 << 10]byte
-	used := 0
-	for _, v := range d.D {
-		binary.LittleEndian.PutUint32(buf[used:], uint32(v))
-		used += 4
-		if used == len(buf) {
-			f.h.Write(buf[:])
-			used = 0
-		}
-	}
-	if used > 0 {
-		f.h.Write(buf[:used])
-	}
-	return f.sum.Sum64()
+// writeParams hashes what FatTree's Label, Nodes, RouteDir and Multiplicity
+// read.
+func (ft *FatTree) writeParams(f *fingerprintHash) {
+	f.writeString("fattree")
+	f.writeString(ft.Name)
+	f.writeInts(ft.Leaves, ft.NodesPerLeaf, ft.Enclosures, ft.LinesPerEnc, ft.SpinesPerEnc,
+		ft.LeavesPerLine, ft.LeafUplinks, ft.LineUplinks)
+}
+
+// writeParams hashes what Torus3D's Label, Nodes, RouteDir and Multiplicity
+// read: the dims, and the link multiplicity as Multiplicity reads it.
+func (t *Torus3D) writeParams(f *fingerprintHash) {
+	f.writeString("torus")
+	f.writeInts(t.X, t.Y, t.Z, t.Multiplicity(Link{}))
 }

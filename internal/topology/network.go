@@ -12,7 +12,8 @@ type DirLink struct {
 // Network abstracts the inter-node interconnect of a cluster. The library
 // ships two implementations — the multi-level FatTree of the paper's
 // testbed and a Torus3D (the other topology class studied by the related
-// work the paper builds on, e.g. Sack & Gropp's torus collectives).
+// work the paper builds on, e.g. Sack & Gropp's torus collectives). They
+// are the only two: a network's key is its parameters (writeParams).
 type Network interface {
 	// Label names the network for display.
 	Label() string
@@ -34,6 +35,9 @@ type Network interface {
 	// Multiplicity returns the number of parallel cables aggregated in a
 	// link of this network.
 	Multiplicity(l Link) int
+	// writeParams hashes every parameter Label, Nodes, RouteDir and
+	// Multiplicity read: Cluster.Fingerprint's network part.
+	writeParams(f *fingerprintHash)
 }
 
 // Compile-time conformance checks.
