@@ -565,7 +565,7 @@ func BenchmarkRuntimeAllgather(b *testing.B) {
 var planPatterns = []Pattern{RecursiveDoubling, Ring, BinomialBroadcast, BinomialGather}
 
 // BenchmarkPlanGPC4096 measures one repro.Plan per pattern on the full GPC
-// machine: layout validation, the O(p) hierarchy oracle and the heuristic.
+// machine: layout validation, the compact distance oracle and the heuristic.
 func BenchmarkPlanGPC4096(b *testing.B) {
 	c := GPC()
 	layout := topology.MustLayout(c, 4096, topology.CyclicBunch)
@@ -613,8 +613,8 @@ func BenchmarkSpeedupSweepGPC4096(b *testing.B) {
 	}
 }
 
-// BenchmarkNewDistancesGPC4096 measures the dense 4096 x 4096 matrix build
-// that Scotch, the experiments and hwdisc.Discover still need.
+// BenchmarkNewDistancesGPC4096 measures the distance oracle build that Plan,
+// Scotch, the experiments and hwdisc.Discover share.
 func BenchmarkNewDistancesGPC4096(b *testing.B) {
 	c := GPC()
 	layout := topology.MustLayout(c, 4096, topology.CyclicBunch)

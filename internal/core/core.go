@@ -113,10 +113,9 @@ type Options struct {
 	// 2, the default). 0 selects the default; negative means never advance
 	// — the ablation knobs of the design study.
 	RDMHRefUpdate int
-	// kernel forces a find-closest engine for tests that compare the two;
-	// see kernelMode. The two produce identical mappings under
-	// deterministic tie-breaking.
-	kernel kernelMode
+	// newKernel, when set, builds the find-closest engine in place of the
+	// production one. Only tests set it, to run the reference scan.
+	newKernel func(d *topology.Distances, rnd *rand.Rand, scanned *int64) kernel
 }
 
 func (o *Options) rdmhRefUpdate() int {
@@ -131,34 +130,28 @@ func (o *Options) rdmhRefUpdate() int {
 // rank), produce the rank reordering.
 type Heuristic func(d *topology.Distances, opts *Options) (Mapping, error)
 
-// OracleHeuristic is the kernel-agnostic form of a mapping heuristic: it
-// consumes any distance oracle — the dense matrix or the compact
-// O(p)-memory topology.Hierarchy — so callers can map large jobs without
-// ever materialising O(p²) state. The *Distances entry points delegate
-// here. The traversal loop honours context cancellation: when ctx is
-// cancelled or its deadline passes, the heuristic returns ctx's error
+// OracleHeuristic is the context-aware form of a mapping heuristic over a
+// distance oracle (a *topology.Distances); the Heuristic-typed entry points
+// delegate here. The traversal loop honours context cancellation: when ctx
+// is cancelled or its deadline passes, the heuristic returns ctx's error
 // promptly instead of completing the mapping; a nil context disables the
 // checks.
 type OracleHeuristic func(ctx context.Context, o topology.Oracle, opts *Options) (Mapping, error)
 
 // mapper carries the shared state of Algorithm 1. The free-slot set and the
-// find-closest machinery live in the kernel: a linear free-list scan for
-// arbitrary metrics, or the hierarchy-bucketed index that answers each query
-// in O(#levels) on hierarchical topologies.
+// find-closest machinery live in the kernel, which answers each query in
+// O(#levels), or O(#nodes) when a torus placement leaves ref's node.
 type mapper struct {
-	o       topology.Oracle
 	m       Mapping
-	left    int   // number of unmapped ranks
-	scanned int64 // distance evaluations (scan) or bucket probes (bucketed)
-	rnd     *rand.Rand
+	left    int             // number of unmapped ranks
+	scanned int64           // find-closest work: members and units the kernel probed
 	ctx     context.Context // nil when cancellation is disabled
 	kern    kernel
 }
 
 // cancelled reports the mapper's context error, if any. Heuristic loops call
-// it once per placement: each placement already scans the free list, so the
-// check adds a negligible constant to superlinear work while bounding the
-// latency between a cancellation and the loop noticing it.
+// it once per placement: the check adds a small constant to each placement
+// while bounding the latency between a cancellation and the loop noticing it.
 func (mp *mapper) cancelled() error {
 	if mp.ctx == nil {
 		return nil
@@ -175,21 +168,23 @@ func newMapper(o topology.Oracle, opts *Options) (*mapper, error) {
 	if p == 0 {
 		return nil, fmt.Errorf("core: empty distance matrix")
 	}
+	d, ok := o.(*topology.Distances)
+	if !ok {
+		return nil, fmt.Errorf("core: unsupported distance oracle %T", o)
+	}
 	mp := &mapper{
-		o:    o,
 		m:    make(Mapping, p),
 		left: p,
 	}
-	mode := kernelAuto
+	var rnd *rand.Rand
+	newKernel := newBucketKernel
 	if opts != nil {
-		mp.rnd = opts.Rand
-		mode = opts.kernel
+		rnd = opts.Rand
+		if opts.newKernel != nil {
+			newKernel = opts.newKernel
+		}
 	}
-	kern, err := newKernel(o, mode, mp.rnd, &mp.scanned)
-	if err != nil {
-		return nil, err
-	}
-	mp.kern = kern
+	mp.kern = newKernel(d, rnd, &mp.scanned)
 	for i := range mp.m {
 		mp.m[i] = -1
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/topology"
@@ -81,22 +82,31 @@ func FuzzHeuristicsOnRandomLayouts(f *testing.F) {
 }
 
 // FuzzKernelEquivalence drives every oracle heuristic over fuzzer-chosen
-// process counts, layout kinds and allocated node subsets, asserting the
-// bucketed kernel and the compact hierarchy oracle reproduce the reference
-// scan's mapping exactly under deterministic tie-breaking.
+// process counts, layout kinds, allocated node subsets and networks — a
+// fat-tree, and a torus whose placements cross nodes through the node
+// table — asserting the production kernel reproduces the reference scan's
+// mapping exactly under deterministic tie-breaking.
 func FuzzKernelEquivalence(f *testing.F) {
-	f.Add(uint8(8), uint8(0), uint8(0b1111))
-	f.Add(uint8(13), uint8(3), uint8(0b1010))
-	f.Add(uint8(31), uint8(2), uint8(0b0111))
-	f.Add(uint8(1), uint8(1), uint8(0b0001))
-	c, err := topology.NewCluster(4, 2, 4, topology.TwoLevelFatTree(2, 2, 1))
+	f.Add(uint8(8), uint8(0), uint8(0b1111), uint8(0))
+	f.Add(uint8(13), uint8(3), uint8(0b1010), uint8(0))
+	f.Add(uint8(31), uint8(2), uint8(0b0111), uint8(0))
+	f.Add(uint8(1), uint8(1), uint8(0b0001), uint8(0))
+	f.Add(uint8(15), uint8(1), uint8(0b11111111), uint8(1))
+	f.Add(uint8(9), uint8(3), uint8(0b10100101), uint8(1))
+	ft, err := topology.NewCluster(4, 2, 4, topology.TwoLevelFatTree(2, 2, 1))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Fuzz(func(t *testing.T, pRaw, kindRaw, nodeMask uint8) {
+	torus, err := topology.NewCluster(8, 1, 2, topology.NewTorus3D(4, 2, 1))
+	if err != nil {
+		f.Fatal(err)
+	}
+	clusters := []*topology.Cluster{ft, torus}
+	f.Fuzz(func(t *testing.T, pRaw, kindRaw, nodeMask, clusterRaw uint8) {
+		c := clusters[int(clusterRaw)%len(clusters)]
 		kind := topology.AllLayouts[int(kindRaw)%len(topology.AllLayouts)]
 		var nodes []int
-		for n := 0; n < 4; n++ {
+		for n := 0; n < c.Nodes; n++ {
 			if nodeMask&(1<<n) != 0 {
 				nodes = append(nodes, n)
 			}
@@ -113,26 +123,18 @@ func FuzzKernelEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := topology.NewHierarchy(c, layout)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for name, heur := range oracleHeuristics {
-			scan, err := heur(nil, d, &Options{kernel: kernelScan})
+			scan, err := heur(nil, d, scanOpts)
 			if err != nil {
 				t.Fatalf("%s scan: %v", name, err)
 			}
-			bucketed, err := heur(nil, d, &Options{kernel: kernelBucketed})
+			got, err := heur(nil, d, nil)
 			if err != nil {
-				t.Fatalf("%s bucketed: %v", name, err)
+				t.Fatalf("%s: %v", name, err)
 			}
-			compact, err := heur(nil, h, nil)
-			if err != nil {
-				t.Fatalf("%s compact: %v", name, err)
-			}
-			if !equalMappings(scan, bucketed) || !equalMappings(scan, compact) {
-				t.Fatalf("%s diverged (p=%d %v nodes=%v)\nscan:     %v\nbucketed: %v\ncompact:  %v",
-					name, p, kind, nodes, scan, bucketed, compact)
+			if !slices.Equal(scan, got) {
+				t.Fatalf("%s diverged (%s p=%d %v nodes=%v)\nscan:   %v\nkernel: %v",
+					name, c.Net.Label(), p, kind, nodes, scan, got)
 			}
 		}
 	})

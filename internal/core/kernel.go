@@ -1,25 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 
 	"repro/internal/topology"
-)
-
-// kernelMode is the test hook that forces a find-closest kernel
-// (Options.kernel). Production leaves it at kernelAuto: the bucketed kernel
-// whenever the distance source has a hierarchical view (constructed or
-// inferred), the generic scan otherwise.
-type kernelMode uint8
-
-const (
-	kernelAuto kernelMode = iota
-	// kernelScan forces the reference linear scan over the free list.
-	kernelScan
-	// kernelBucketed forces the hierarchy-bucketed kernel; mapping fails
-	// when the distance source is not hierarchical.
-	kernelBucketed
 )
 
 // kernel is the find-closest engine of Algorithm 1: it owns the free-slot
@@ -34,132 +18,20 @@ type kernel interface {
 	takeSlot(slot int)
 }
 
-// newKernel picks the kernel for a distance oracle — bucketed exactly when a
-// hierarchy exists, unless the test hook forces one — and reports the choice
-// on the kernel-selection metric.
-func newKernel(o topology.Oracle, mode kernelMode, rnd *rand.Rand, scanned *int64) (kernel, error) {
-	var h *topology.Hierarchy
-	switch src := o.(type) {
-	case *topology.Hierarchy:
-		h = src
-	case *topology.Distances:
-		if mode != kernelScan {
-			h = src.Hierarchy()
-		}
-	}
-	if mode == kernelBucketed && h == nil {
-		return nil, fmt.Errorf("core: bucketed kernel requires a hierarchical distance source")
-	}
-	if h != nil && mode != kernelScan {
-		kernelSelections.With("kernel", "bucketed").Inc()
-		return newBucketKernel(h, rnd, scanned), nil
-	}
-	kernelSelections.With("kernel", "scan").Inc()
-	return newScanKernel(o, rnd, scanned), nil
-}
-
-// scanKernel is the reference implementation: a compact unordered free list
-// scanned linearly per query, O(free) per placement. A slot→free-index
-// inverse makes direct consumption O(1) (the pre-pinned rank-0 assignment
-// used to pay a full scan here).
-type scanKernel struct {
-	o        topology.Oracle
-	d        *topology.Distances // non-nil when o is dense: row fast path
-	freeList []int32             // slots not yet assigned, unordered
-	freePos  []int32             // slot -> index in freeList, -1 once consumed
-	rnd      *rand.Rand
-	scanned  *int64
-}
-
-func newScanKernel(o topology.Oracle, rnd *rand.Rand, scanned *int64) *scanKernel {
-	n := o.N()
-	k := &scanKernel{
-		o:        o,
-		rnd:      rnd,
-		scanned:  scanned,
-		freeList: make([]int32, n),
-		freePos:  make([]int32, n),
-	}
-	k.d, _ = o.(*topology.Distances)
-	for i := range k.freeList {
-		k.freeList[i] = int32(i)
-		k.freePos[i] = int32(i)
-	}
-	return k
-}
-
-func (k *scanKernel) takeSlot(slot int) {
-	k.removeFree(int(k.freePos[slot]))
-}
-
-// removeFree deletes free-list entry i by swapping in the tail, keeping the
-// slot→index inverse in step.
-func (k *scanKernel) removeFree(i int) {
-	last := len(k.freeList) - 1
-	slot := k.freeList[i]
-	moved := k.freeList[last]
-	k.freeList[i] = moved
-	k.freePos[moved] = int32(i)
-	k.freePos[slot] = -1
-	k.freeList = k.freeList[:last]
-}
-
-// takeClosest implements find_closest_to(ref, D) by scanning the free list.
-// Ties go to the lowest slot index, or are reservoir-sampled when rnd is
-// set — the exact semantics (including random-stream consumption order) of
-// the original mapper scan.
-func (k *scanKernel) takeClosest(refSlot int) int {
-	*k.scanned += int64(len(k.freeList))
-	best, bestIdx, bestDist, nBest := int32(-1), -1, int32(0), 0
-	if k.d != nil {
-		row := k.d.Row(refSlot)
-		for i, s := range k.freeList {
-			dist := row[s]
-			switch {
-			case best < 0 || dist < bestDist || (dist == bestDist && k.rnd == nil && s < best):
-				best, bestIdx, bestDist, nBest = s, i, dist, 1
-			case dist == bestDist && k.rnd != nil:
-				// Reservoir-sample among the minimal slots.
-				nBest++
-				if k.rnd.Intn(nBest) == 0 {
-					best, bestIdx = s, i
-				}
-			}
-		}
-	} else {
-		for i, s := range k.freeList {
-			dist := k.o.At(refSlot, int(s))
-			switch {
-			case best < 0 || dist < bestDist || (dist == bestDist && k.rnd == nil && s < best):
-				best, bestIdx, bestDist, nBest = s, i, dist, 1
-			case dist == bestDist && k.rnd != nil:
-				nBest++
-				if k.rnd.Intn(nBest) == 0 {
-					best, bestIdx = s, i
-				}
-			}
-		}
-	}
-	if best < 0 {
-		// Unreachable: callers only query while unmapped ranks remain.
-		panic("core: no free slot while ranks remain")
-	}
-	k.removeFree(bestIdx)
-	return int(best)
-}
-
-// bucketKernel exploits the hierarchical structure of the distance source:
-// every slot pair's distance is the distance of the finest hierarchy level
-// where the pair shares a unit, so the free slots closest to ref are
-// exactly the free members of ref's unit at the finest level whose unit
-// still has any. The kernel keeps, per (level, unit), the members in
+// bucketKernel is the find-closest engine over the levels of a Distances
+// oracle: two slots are at the distance of the finest level where they share
+// a unit, so the free slots closest to ref are exactly the free members of
+// ref's unit at the finest level whose unit still has any. When even ref's
+// last-level unit is full, the oracle's node table ranks the other
+// last-level units. The kernel keeps, per (level, unit), the members in
 // ascending slot order, a live free count, and a cursor to the lowest
-// possibly-free member; a query probes at most #levels units and the
-// cursors advance monotonically, so the whole mapping run does
-// O(p·levels) work where the scan kernel does O(p²).
+// possibly-free member. A placement probes at most #levels units, or the m
+// last-level units when it crosses nodes of a torus, and the cursors advance
+// monotonically: O(levels) per placement, or O(m), where a scan of the free
+// list is O(p).
 type bucketKernel struct {
+	d        *topology.Distances
 	levels   int
-	unitOf   [][]int32 // [level][slot] -> unit id
 	members  [][]int32 // [level] unit-segmented member slots, ascending
 	start    [][]int32 // [level][unit] -> segment start in members (len = units+1)
 	cursor   [][]int32 // [level][unit] -> first possibly-free member offset
@@ -169,12 +41,12 @@ type bucketKernel struct {
 	scanned  *int64
 }
 
-func newBucketKernel(h *topology.Hierarchy, rnd *rand.Rand, scanned *int64) *bucketKernel {
-	n := h.N()
-	L := h.Levels()
+func newBucketKernel(d *topology.Distances, rnd *rand.Rand, scanned *int64) kernel {
+	n := d.N()
+	L := d.Levels()
 	k := &bucketKernel{
+		d:        d,
 		levels:   L,
-		unitOf:   make([][]int32, L),
 		members:  make([][]int32, L),
 		start:    make([][]int32, L),
 		cursor:   make([][]int32, L),
@@ -183,12 +55,12 @@ func newBucketKernel(h *topology.Hierarchy, rnd *rand.Rand, scanned *int64) *buc
 		rnd:      rnd,
 		scanned:  scanned,
 	}
+	unitOf := make([]int32, n) // one level's column of the oracle's slot-major coordinates
 	for l := 0; l < L; l++ {
-		U := h.UnitCount(l)
-		unitOf := make([]int32, n)
+		U := d.UnitCount(l)
 		counts := make([]int32, U)
-		for s := 0; s < n; s++ {
-			u := h.UnitOf(l, s)
+		for s := range unitOf {
+			u := d.UnitOf(l, s)
 			unitOf[s] = u
 			counts[u]++
 		}
@@ -199,14 +71,12 @@ func newBucketKernel(h *topology.Hierarchy, rnd *rand.Rand, scanned *int64) *buc
 		members := make([]int32, n)
 		fill := make([]int32, U)
 		copy(fill, start[:U])
-		for s := 0; s < n; s++ { // ascending slot order within each unit
-			u := unitOf[s]
+		for s, u := range unitOf { // ascending slot order within each unit
 			members[fill[u]] = int32(s)
 			fill[u]++
 		}
 		cursor := make([]int32, U)
 		copy(cursor, start[:U])
-		k.unitOf[l] = unitOf
 		k.members[l] = members
 		k.start[l] = start
 		k.cursor[l] = cursor
@@ -218,56 +88,99 @@ func newBucketKernel(h *topology.Hierarchy, rnd *rand.Rand, scanned *int64) *buc
 func (k *bucketKernel) takeSlot(slot int) {
 	k.consumed[slot] = true
 	for l := 0; l < k.levels; l++ {
-		k.freeCnt[l][k.unitOf[l][slot]]--
+		k.freeCnt[l][k.d.UnitOf(l, slot)]--
 	}
 }
 
 func (k *bucketKernel) takeClosest(refSlot int) int {
-	for l := 0; l < k.levels; l++ {
-		u := k.unitOf[l][refSlot]
-		if k.freeCnt[l][u] == 0 {
-			continue
+	// Any free member of ref's finest non-full unit is at the minimum
+	// distance: finer units of ref hold no free slots, so none of these
+	// members shares a finer level with ref. When every unit of ref is full,
+	// the free slots lie in other last-level units, which only the node
+	// table tells apart.
+	l, u := 0, int32(0)
+	for ; l < k.levels; l++ {
+		if u = k.d.UnitOf(l, refSlot); k.freeCnt[l][u] > 0 {
+			break
 		}
-		// Any free member of this unit is at the minimum distance: finer
-		// units of ref hold no free slots, so none of these members shares
-		// a finer level with ref.
-		seg := k.members[l][k.start[l][u]:k.start[l][u+1]]
-		if k.rnd == nil {
-			// Lowest free slot of the unit — identical to the scan kernel's
-			// lowest-slot-index tie break. The cursor only ever moves
-			// forward past consumed members, so the advance is amortised
-			// O(1) per query.
-			c := int(k.cursor[l][u] - k.start[l][u])
-			examined := int64(1)
-			for k.consumed[seg[c]] {
-				c++
-				examined++
-			}
-			k.cursor[l][u] = k.start[l][u] + int32(c)
-			*k.scanned += examined
-			slot := int(seg[c])
-			k.takeSlot(slot)
-			return slot
-		}
+	}
+	if l == k.levels {
+		l--
+		u = k.closestUnit(k.d.UnitOf(l, refSlot))
+	}
+	var slot int32
+	if k.rnd == nil {
+		// The lowest free member: the scan's lowest-slot-index tie break.
+		slot = k.lowestFree(l, u)
+	} else {
 		// Reservoir-sample uniformly among the free members. The random
-		// stream is consumed in a different order than the scan kernel's
-		// free-list traversal, so randomized runs are uniform over the same
-		// tie set but not bit-identical across kernels.
+		// stream is consumed in a different order than a free-list scan's,
+		// so randomized runs are uniform over the same tie set but not
+		// bit-identical to one.
+		seg := k.members[l][k.start[l][u]:k.start[l][u+1]]
 		*k.scanned += int64(len(seg))
-		pick, nBest := int32(-1), 0
+		nBest := 0
 		for _, s := range seg {
 			if k.consumed[s] {
 				continue
 			}
 			nBest++
 			if k.rnd.Intn(nBest) == 0 {
-				pick = s
+				slot = s
 			}
 		}
-		k.takeSlot(int(pick))
-		return int(pick)
 	}
-	panic("core: no free slot while ranks remain")
+	k.takeSlot(int(slot))
+	return int(slot)
+}
+
+// lowestFree returns the lowest free member of unit u at level l, which has
+// one. The cursor only ever moves forward past consumed members, so the
+// advance is amortised O(1) per query.
+func (k *bucketKernel) lowestFree(l int, u int32) int32 {
+	c := k.cursor[l][u]
+	members := k.members[l]
+	for k.consumed[members[c]] {
+		c++
+	}
+	*k.scanned += int64(c-k.cursor[l][u]) + 1
+	k.cursor[l][u] = c
+	return members[c]
+}
+
+// closestUnit returns the last-level unit with a free slot nearest to unit
+// ref in the node table. Ties go to the unit holding the lowest free slot,
+// or, with a Rand, to a unit drawn with probability proportional to its free
+// slots, so that takeClosest's draw inside it is uniform over the whole tie
+// set.
+func (k *bucketKernel) closestUnit(ref int32) int32 {
+	last := k.levels - 1
+	best, bestDist, bestSlot, tied := int32(-1), int32(0), int32(0), 0
+	for u, free := range k.freeCnt[last] {
+		if free == 0 {
+			continue
+		}
+		*k.scanned++
+		dist := k.d.TableAt(ref, int32(u))
+		switch {
+		case best >= 0 && dist > bestDist:
+		case k.rnd != nil:
+			if best < 0 || dist < bestDist {
+				best, bestDist, tied = int32(u), dist, int(free)
+			} else if tied += int(free); k.rnd.Intn(tied) < int(free) {
+				best = int32(u)
+			}
+		default:
+			if slot := k.lowestFree(last, int32(u)); best < 0 || dist < bestDist || slot < bestSlot {
+				best, bestDist, bestSlot = int32(u), dist, slot
+			}
+		}
+	}
+	if best < 0 {
+		// Unreachable: callers only query while unmapped ranks remain.
+		panic("core: no free slot while ranks remain")
+	}
+	return best
 }
 
 // maskFrontier tracks, per restart mask, the mapped ranks that may still

@@ -23,8 +23,6 @@ var (
 		"Distance-matrix lookups performed by find-closest scans.", "heuristic")
 	heuristicSeconds = metrics.NewHistogramVec("heuristic_mapping_seconds",
 		"Wall time of mapping computations.", metrics.DurationOpts, "heuristic")
-	kernelSelections = metrics.NewCounterVec("heuristic_kernel_selections_total",
-		"Find-closest kernel chosen per mapping computation.", "kernel")
 )
 
 // knownHeuristics pre-registers the per-heuristic series so that /metrics
@@ -38,9 +36,6 @@ func init() {
 		heuristicPlacements.With("heuristic", h)
 		heuristicCostEvals.With("heuristic", h)
 		heuristicSeconds.With("heuristic", h)
-	}
-	for _, k := range []string{"scan", "bucketed"} {
-		kernelSelections.With("kernel", k)
 	}
 }
 

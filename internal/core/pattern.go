@@ -73,9 +73,8 @@ func (p Pattern) Heuristic() Heuristic {
 	}
 }
 
-// OracleHeuristic returns the kernel-agnostic variant of the pattern's
-// fine-tuned mapping heuristic, usable with the compact topology.Hierarchy
-// oracle as well as the dense matrix.
+// OracleHeuristic returns the context-aware variant of the pattern's
+// fine-tuned mapping heuristic.
 func (p Pattern) OracleHeuristic() OracleHeuristic {
 	switch p {
 	case RecursiveDoubling:

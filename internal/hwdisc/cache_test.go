@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -35,13 +36,8 @@ func TestLoadOrDiscoverCaches(t *testing.T) {
 	if second.Elapsed != 0 {
 		t.Errorf("cached load should be free, got %v", second.Elapsed)
 	}
-	if second.Distances.N() != first.Distances.N() {
-		t.Error("cached matrix differs")
-	}
-	for i := range first.Distances.D {
-		if second.Distances.D[i] != first.Distances.D[i] {
-			t.Fatal("cached entries differ")
-		}
+	if !reflect.DeepEqual(second.Distances, first.Distances) {
+		t.Error("cached distances differ")
 	}
 }
 
@@ -66,7 +62,7 @@ func TestLoadOrDiscoverRejectsMismatchedCache(t *testing.T) {
 		t.Error("mismatched cache was trusted")
 	}
 	if res.Distances.Cores[1] != layoutB[1] {
-		t.Error("rediscovered matrix does not match the new layout")
+		t.Error("rediscovered distances do not match the new layout")
 	}
 }
 

@@ -1,9 +1,9 @@
 // Package hwdisc simulates the physical-distance discovery step of the
 // paper's framework. The original system extracts intra-node distances with
 // hwloc and inter-node distances with InfiniBand subnet tools, once at
-// startup, and saves the resulting matrix (paper Section IV and Fig. 7a).
+// startup, and saves the resulting distances (paper Section IV and Fig. 7a).
 //
-// This reproduction computes the same matrix from the topology model and
+// This reproduction computes the same distances from the topology model and
 // charges a calibrated per-query cost, so the one-time discovery overhead of
 // Fig. 7a can be reproduced without the actual tools. The cost is *returned*
 // rather than slept.
@@ -42,8 +42,8 @@ func DefaultCostModel() CostModel {
 
 // Result is the output of Discover.
 type Result struct {
-	// Distances is the core-to-core matrix over the job's cores, indexed by
-	// initial rank — the input of every mapping heuristic.
+	// Distances is the core-to-core distance oracle over the job's cores,
+	// indexed by initial rank — the input of every mapping heuristic.
 	Distances *topology.Distances
 	// Elapsed is the modelled one-time discovery cost.
 	Elapsed time.Duration
@@ -51,8 +51,8 @@ type Result struct {
 
 // Cost validates the placement of the p processes of layout on cluster c
 // and returns the modelled one-time discovery cost: one hwloc query per
-// process plus one InfiniBand query per distinct node. It builds no matrix,
-// so callers that map on a compact oracle pay only O(p) here.
+// process plus one InfiniBand query per distinct node. It builds no
+// distances, so callers that build their own oracle pay only O(p) here.
 func Cost(c *topology.Cluster, layout []int, cm CostModel) (time.Duration, error) {
 	if c == nil {
 		return 0, fmt.Errorf("hwdisc: nil cluster")
@@ -76,7 +76,7 @@ func Cost(c *topology.Cluster, layout []int, cm CostModel) (time.Duration, error
 		time.Duration(nodes)*cm.PerNode, nil
 }
 
-// Discover extracts the distance matrix for the p processes placed by
+// Discover extracts the distance oracle for the p processes placed by
 // layout on cluster c and returns it with the modelled discovery time.
 func Discover(c *topology.Cluster, layout []int, cm CostModel) (*Result, error) {
 	elapsed, err := Cost(c, layout, cm)
@@ -92,10 +92,10 @@ func Discover(c *topology.Cluster, layout []int, cm CostModel) (*Result, error) 
 
 // LoadOrDiscover implements the paper's "extracted once, and saved for
 // future references" workflow (Section IV): if path holds a valid distance
-// matrix matching the layout it is loaded with zero modelled discovery
-// cost; otherwise the distances are discovered, saved to path, and returned
-// with the full one-time cost. A corrupt or mismatched cache is discovered
-// over, not trusted.
+// file matching the layout it is loaded with zero modelled discovery cost;
+// otherwise the distances are discovered, saved to path, and returned with
+// the full one-time cost. A corrupt, mismatched or older-version cache is
+// discovered over, not trusted.
 func LoadOrDiscover(path string, c *topology.Cluster, layout []int, cm CostModel) (*Result, error) {
 	if f, err := os.Open(path); err == nil {
 		d, rerr := topology.ReadDistances(f)

@@ -28,9 +28,8 @@ type Options struct{}
 
 // Map assigns the vertices of guest (processes, indexed by rank in the
 // collective's pattern) to the slots of the host distance oracle d (cores,
-// indexed by initial rank — the dense matrix or a compact
-// topology.Hierarchy), returning the result in the same Mapping form the
-// fine-tuned heuristics produce: M[rank] = slot.
+// indexed by initial rank), returning the result in the same Mapping form
+// the fine-tuned heuristics produce: M[rank] = slot.
 //
 // The guest graph and host must have the same cardinality (one process per
 // core, as in the paper's dedicated allocations).

@@ -428,9 +428,7 @@ func degradedResponse(c *compiled) *Response {
 	return resp
 }
 
-// contextHeuristics maps selector names to the cancellable heuristics. The
-// oracle form lets the service feed them the compact hierarchical
-// representation: for hierarchical clusters no O(p²) matrix is ever built.
+// contextHeuristics maps selector names to the cancellable heuristics.
 var contextHeuristics = map[string]core.OracleHeuristic{
 	"rdmh": core.RDMHOracle,
 	"rmh":  core.RMHOracle,
@@ -491,11 +489,7 @@ func (s *Service) run(ctx context.Context, c *compiled) (*Response, error) {
 		}
 		return nil, err
 	}
-	if _, ok := oracle.(*topology.Hierarchy); ok {
-		mark(c.rec, "oracle:hierarchy")
-	} else {
-		mark(c.rec, "oracle:dense")
-	}
+	mark(c.rec, "oracle")
 	mark(c.rec, "distances")
 	if memo.Expired(ctx) != nil {
 		return degradedResponse(c), nil

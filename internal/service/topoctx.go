@@ -15,9 +15,9 @@ import (
 // The context table's bounds (DESIGN.md, "Build-once tables"): at most
 // maxContexts contexts and maxContextBytes charged as they grow, least
 // recently used first out. A context is charged a per-rank allowance for what
-// is O(p) in it and the measured size of what can be O(p²): a dense (torus)
-// oracle, 4p² bytes, and its schedules, 48p² for an all-to-all. The figures
-// bound growth; they do not meter the heap.
+// is O(p) in it and the measured size of what can grow faster: a torus
+// oracle's node table, 4m² bytes over m nodes, and its schedules, 48p² for an
+// all-to-all. The figures bound growth; they do not meter the heap.
 const (
 	maxContexts     = 64
 	maxContextBytes = 256 << 20
@@ -113,16 +113,19 @@ func (s *Service) buildContext(key ctxKey, spec *TopologySpec) (*topoContext, er
 	return e, nil
 }
 
-// oracleFor returns the distance oracle: the compact hierarchy (O(p) memory,
-// bucketed find-closest kernel) where the network allows it, else — tori —
-// the dense matrix and the scan kernel.
+// oracleFor returns the distance oracle: per-slot level coordinates, within
+// the per-rank allowance, plus on a torus the m×m node table, charged at
+// 4·m² bytes.
 func (e *topoContext) oracleFor(ctx context.Context) (topology.Oracle, error) {
 	return e.oracle.Do(ctx, struct{}{}, func() (topology.Oracle, error) {
-		o, err := topology.NewOracle(e.cluster, e.layout)
-		if d, dense := o.(*topology.Distances); dense && err == nil {
-			e.charge(4 * int64(len(d.D)))
+		d, err := topology.NewDistances(e.cluster, e.layout)
+		if err != nil {
+			return nil, err
 		}
-		return o, err
+		if m := int64(d.UnitCount(d.Levels() - 1)); m > 1 {
+			e.charge(4 * m * m)
+		}
+		return d, nil
 	})
 }
 

@@ -280,7 +280,7 @@ func TestContextTableBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	torus := &Request{Topology: goldenTopologies[4].spec, Pattern: PatternSpec{Name: "ring"}, Sizes: []int{4096}}
-	for i := 0; i < 2; i++ { // a 64-rank dense oracle alone is 16 KiB
+	for i := 0; i < 2; i++ { // a 64-node torus oracle's table alone is 16 KiB
 		torus.Sizes[0]++
 		if resp, err := small.Compute(ctx, torus); err != nil || resp.Degraded || resp.Cached {
 			t.Fatalf("over-ceiling context: resp=%+v err=%v", resp, err)
@@ -340,8 +340,8 @@ func TestTopologySpecBounded(t *testing.T) {
 // TestNewClusterWithinBudget: a request naming a cluster the service does not
 // hold answers within its budget, degraded or not: building its context no
 // longer routes every node pair before the budget starts (155 ms here). The
-// torus's dense oracle, ~16 ms, is built to completion once started; the
-// race detector slows that build about fivefold, and the limit with it.
+// torus oracle's node table is built to completion once started; the race
+// detector slows that build about fivefold, and the limit with it.
 func TestNewClusterWithinBudget(t *testing.T) {
 	limit := 100 * time.Millisecond
 	if raceEnabled {

@@ -63,7 +63,7 @@ func (m *Machine) Explain(s *sched.Schedule, layout []int, blockBytes int) (*Bre
 // Total sums the stages in PriceProgram's order, so it equals its price.
 func (m *Machine) ExplainProgram(prog *sched.Program, layout []int, blockBytes int) (*Breakdown, error) {
 	sc := m.getScratch()
-	defer m.scratch.Put(sc)
+	defer m.scratch.Store(sc)
 	if err := m.checkArgs(sc, prog.P, layout, blockBytes); err != nil {
 		return nil, err
 	}

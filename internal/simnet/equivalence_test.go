@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -59,7 +60,7 @@ func equivPrograms(t testing.TB, p int) map[string]*sched.Program {
 // TestSparseDensePriceEquivalence pins the sparse epoch-stamped pricing
 // bit-identical (plain float equality, no tolerance) to the dense map-based
 // reference across network classes, algorithms, layouts and message sizes.
-// The scratch is reused across all cases of a machine — exactly the pooled
+// The scratch is reused across all cases of a machine — exactly the retained
 // steady state PriceProgram runs in — so stale-epoch aliasing between
 // unrelated pricings would be caught here.
 func TestSparseDensePriceEquivalence(t *testing.T) {
@@ -130,7 +131,7 @@ func TestSparseDenseTransferEquivalence(t *testing.T) {
 				}
 			}
 		}
-		m.scratch.Put(sc)
+		m.scratch.Store(sc)
 	}
 }
 
@@ -233,7 +234,7 @@ func TestPriceStageAllocs(t *testing.T) {
 	}
 	layout := topology.MustLayout(m.Cluster, p, topology.CyclicBunch)
 	sc := m.getScratch()
-	defer m.scratch.Put(sc)
+	defer m.scratch.Store(sc)
 	transfers := prog.Stages[0].Transfers
 	for i := 0; i < 3; i++ { // warm the route and link-id caches
 		if _, err := m.priceStage(sc, transfers, layout, blockBytes); err != nil {
@@ -247,6 +248,44 @@ func TestPriceStageAllocs(t *testing.T) {
 	})
 	if avg > 0 {
 		t.Errorf("warm priceStage allocates %.2f times per call, want 0", avg)
+	}
+}
+
+// TestPricingScratchSurvivesGC: a machine keeps its warm pricing scratch
+// across garbage collections, so pricing after two GCs allocates no more
+// than a warm pricing does. A scratch that a GC can drop (a sync.Pool)
+// rebuilds its route and link caches after every collection.
+func TestPricingScratchSurvivesGC(t *testing.T) {
+	m := gpcMachine(t)
+	const p, blockBytes = 512, 4096
+	s, err := sched.Ring(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := sched.Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := topology.MustLayout(m.Cluster, p, topology.CyclicBunch)
+	allocated := func(gc bool) uint64 {
+		if gc {
+			runtime.GC()
+			runtime.GC()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := m.PriceProgram(prog, layout, blockBytes); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	allocated(false) // warm the route and link-id caches
+	warm := allocated(false)
+	// The slack covers the race detector's per-call bookkeeping (tens of
+	// bytes); a rebuilt scratch on this machine is over 100 KiB.
+	if afterGC := allocated(true); afterGC > warm+1<<10 {
+		t.Errorf("pricing after a GC allocated %d bytes, a warm pricing %d: the scratch did not survive", afterGC, warm)
 	}
 }
 

@@ -22,7 +22,7 @@ func (m *Machine) MaxStageLinkLoads(prog *sched.Program, layout []int) ([]int, e
 		return nil, fmt.Errorf("simnet: layout covers %d ranks, schedule has %d", len(layout), prog.P)
 	}
 	sc := m.getScratch()
-	defer m.scratch.Put(sc)
+	defer m.scratch.Store(sc)
 	if err := sc.validateLayout(m.Cluster, layout); err != nil {
 		return nil, err
 	}

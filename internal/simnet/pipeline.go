@@ -18,7 +18,7 @@ func (m *Machine) PricePipelined(s *sched.Schedule, layout []int, blockBytes int
 		return 0, err
 	}
 	sc := m.getScratch()
-	defer m.scratch.Put(sc)
+	defer m.scratch.Store(sc)
 	if err := m.checkArgs(sc, s.P, layout, blockBytes); err != nil {
 		return 0, err
 	}

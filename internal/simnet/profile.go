@@ -96,7 +96,7 @@ func (m *Machine) ProfileReordered(ctx context.Context, s *sched.Schedule, layou
 // yields the i-th priced stage's transfers and its execution count.
 func (m *Machine) profile(ctx context.Context, p, postCopyBlocks int, layout []int, stages int, stage func(i int) ([]sched.Transfer, int)) (*PriceProfile, error) {
 	sc := m.getScratch()
-	defer m.scratch.Put(sc)
+	defer m.scratch.Store(sc)
 	// A profile serves every size; PriceProfile.Price checks each one.
 	if err := m.checkArgs(sc, p, layout, 1); err != nil {
 		return nil, err

@@ -29,7 +29,7 @@ package simnet
 import (
 	"context"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/sched"
 	"repro/internal/topology"
@@ -108,9 +108,9 @@ type Machine struct {
 	Cluster *topology.Cluster
 	Params  Params
 
-	// scratch pools priceScratch instances (sparse.go) across pricing
-	// calls, so the route and link caches warm up once per machine.
-	scratch sync.Pool
+	// scratch holds the idle priceScratch (sparse.go) between pricing calls,
+	// through garbage collections, so the caches warm up once per machine.
+	scratch atomic.Pointer[priceScratch]
 }
 
 // NewMachine builds a Machine, validating both halves.
@@ -154,12 +154,12 @@ func (m *Machine) checkArgs(sc *priceScratch, p int, layout []int, blockBytes in
 
 // PriceProgram prices a compiled program: the sum over its pricing-view
 // stages (Pre stages first) of the worst transfer time per execution, times
-// the stage's repeat count, plus the local shuffle epilogue. One pooled
+// the stage's repeat count, plus the local shuffle epilogue. The machine's
 // pricing scratch (sparse.go) serves all stages, so steady-state pricing of
 // warm machines does not allocate beyond layout validation.
 func (m *Machine) PriceProgram(prog *sched.Program, layout []int, blockBytes int) (float64, error) {
 	sc := m.getScratch()
-	defer m.scratch.Put(sc)
+	defer m.scratch.Store(sc)
 	if err := m.checkArgs(sc, prog.P, layout, blockBytes); err != nil {
 		return 0, err
 	}

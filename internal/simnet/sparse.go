@@ -173,13 +173,13 @@ func (t *flatIndex[K]) resize(n int) {
 	}
 }
 
-// getScratch returns a pricing scratch sized for m's cluster, drawing from
-// the machine's pool. Return it with m.scratch.Put when the pricing pass is
-// done. Mutating a Machine's Cluster or Params while pricing runs is outside
-// the contract (the cached routes and capacities would go stale with it).
+// getScratch returns a pricing scratch sized for m's cluster: the machine's
+// idle one, or a new one while another pass holds it. Return it with
+// m.scratch.Store when done. Mutating a Machine's Cluster or Params while
+// pricing runs is outside the contract (cached routes would go stale).
 func (m *Machine) getScratch() *priceScratch {
-	sc, ok := m.scratch.Get().(*priceScratch)
-	if !ok {
+	sc := m.scratch.Swap(nil)
+	if sc == nil {
 		sc = &priceScratch{}
 		sc.links.resize(flatIndexMin)
 		sc.routes.resize(flatIndexMin)

@@ -1,9 +1,6 @@
 package topology
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Distance units. The absolute values are unimportant to the mapping
 // heuristics — only the ordering matters — but they are chosen so that every
@@ -44,33 +41,43 @@ func (c *Cluster) CoreDistance(a, b int) int {
 	return distInterNodeOff + distPerHop*c.Net.Hops(na, nb)
 }
 
-// Distances is a symmetric core-to-core distance matrix over an arbitrary
-// set of cores. Entry (i, j) is the distance between Cores[i] and Cores[j].
-// The matrix is stored flattened row-major in D.
+// Oracle is the read interface the mapping heuristics need from a distance
+// source: the number of covered slots and the pairwise distance between two
+// of them. *Distances is its implementation.
+type Oracle interface {
+	// N returns the number of covered slots.
+	N() int
+	// At returns the distance between the i-th and j-th covered slots.
+	At(i, j int) int32
+}
+
+var _ Oracle = (*Distances)(nil)
+
+// Distances is the core-to-core distance oracle over an arbitrary set of
+// cores: At(i, j) is the distance between Cores[i] and Cores[j].
 //
 // In the paper's framework the distance matrix is extracted once at job
 // start (with hwloc and InfiniBand tools) and saved; the mapping heuristics
-// consume only this matrix, never the topology itself.
+// consume only these distances, never the topology itself. The matrix is
+// held in compact form. Each slot carries its unit id at every level of the
+// physical hierarchy: socket, node, then the network's nested groups. Two
+// slots are at the distance of the finest level where they share a unit.
+// Networks whose hop counts do not nest (tori) stop at the node level and add
+// an m×m table between the job's m distinct nodes, read when two slots share
+// no level. Memory is O(p·levels + m²); no p×p state exists.
 type Distances struct {
-	Cores []int   // global core index of each row/column
-	D     []int32 // len = len(Cores)^2, row-major
+	Cores []int // global core index of each slot
 
-	// hier caches the compact hierarchical view of the matrix: attached at
-	// construction when the cluster's network is hierarchical, otherwise
-	// inferred lazily (and at most once) from the matrix values by
-	// Hierarchy(). nil after hierDone means the matrix is not hierarchical.
-	hier     *Hierarchy
-	hierDone bool
-	hierOnce sync.Once
+	dists  []int32 // distance of each level, strictly ascending
+	units  []int32 // number of distinct units at each level
+	coords []int32 // len(Cores) x len(dists), slot-major: unit id per slot per level
+	table  []int32 // last level's units², row-major; nil when that level is a single unit
 }
 
-// NewDistances computes the distance matrix for the given global core set on
-// cluster c. The cores slice is not copied; callers must not mutate it
-// afterwards.
-//
-// Inter-node distance depends only on the two nodes, so Network.Hops is
-// asked once per ordered pair of the job's distinct nodes (m^2 calls, not
-// p^2) and the rows are filled by lookup in that table.
+// NewDistances computes the distance oracle for the given global core set on
+// cluster c in O(p·levels + m²), asking Network.Hops once per ordered pair of
+// the job's m distinct nodes when the network is not hierarchical. The cores
+// slice is not copied; callers must not mutate it afterwards.
 func NewDistances(c *Cluster, cores []int) (*Distances, error) {
 	n := len(cores)
 	if n == 0 {
@@ -82,134 +89,184 @@ func NewDistances(c *Cluster, cores []int) (*Distances, error) {
 			return nil, fmt.Errorf("topology: core %d outside cluster with %d cores", core, total)
 		}
 	}
-	d := &Distances{Cores: cores, D: make([]int32, n*n)}
 
-	// Dense index of the job's distinct nodes, in first-seen order, through
-	// a flat slice over the cluster's nodes.
-	indexOf := make([]int32, c.Nodes)
-	for i := range indexOf {
-		indexOf[i] = -1
+	type level struct {
+		dist int32
+		key  func(core int) int
 	}
-	var nodes []int
-	nodeIdx := make([]int32, n) // slot -> dense node index
-	sockOf := make([]int32, n)
-	for s, core := range cores {
-		node := c.NodeOf(core)
-		if indexOf[node] < 0 {
-			indexOf[node] = int32(len(nodes))
-			nodes = append(nodes, node)
+	levels := []level{
+		{distSameSocket, c.SocketOf},
+		{distSameNode, c.NodeOf},
+	}
+	switch net := c.Net.(type) {
+	case nil:
+		// Uniform inter-node channel: CoreDistance reports every cross-node
+		// pair at a fixed two-hop distance.
+		levels = append(levels, level{distInterNodeOff + distPerHop*2, func(int) int { return 0 }})
+	case HierarchicalNetwork:
+		prev := 0
+		for _, hl := range net.HierLevels() {
+			if hl.Hops <= prev {
+				return nil, fmt.Errorf("topology: network %q hierarchy levels not ascending", net.Label())
+			}
+			prev = hl.Hops
+			group := hl.GroupOf
+			levels = append(levels, level{
+				int32(distInterNodeOff + distPerHop*hl.Hops),
+				func(core int) int { return group(c.NodeOf(core)) },
+			})
 		}
-		nodeIdx[s] = indexOf[node]
-		sockOf[s] = int32(c.SocketOf(core))
 	}
-	m := len(nodes)
 
-	// table[a*m+b] is the distance between cores on distinct nodes a and b;
-	// the diagonal holds the same-node distance, which the row fill below
-	// refines to same-socket and self.
-	table := make([]int32, m*m)
-	for a, na := range nodes {
-		row := table[a*m : (a+1)*m]
-		for b, nb := range nodes {
-			switch {
-			case a == b:
-				row[b] = distSameNode
-			case c.Net == nil:
-				row[b] = distInterNodeOff + distPerHop*2
-			default:
-				row[b] = int32(distInterNodeOff + distPerHop*c.Net.Hops(na, nb))
+	d := &Distances{Cores: cores}
+	var keys []int // key of each unit of the last level built, by unit id
+	for _, lv := range levels {
+		ids := make([]int32, n)
+		seen := make(map[int]int32, 16)
+		keys = keys[:0]
+		for s, core := range cores {
+			key := lv.key(core)
+			id, ok := seen[key]
+			if !ok {
+				id = int32(len(keys))
+				seen[key] = id
+				keys = append(keys, key)
+			}
+			ids[s] = id
+		}
+		d.dists = append(d.dists, lv.dist)
+		d.units = append(d.units, int32(len(keys)))
+		d.coords = append(d.coords, ids...)
+		if len(keys) == 1 {
+			// Every remaining level is unreachable: At resolves here first.
+			break
+		}
+	}
+	L := len(d.dists)
+	if m := len(keys); m > 1 {
+		if hn, ok := c.Net.(HierarchicalNetwork); ok {
+			return nil, fmt.Errorf("topology: network %q hierarchy does not converge to a single root", hn.Label())
+		}
+		// The levels stopped at the node: keys holds the node of each unit.
+		d.table = make([]int32, m*m)
+		for a, na := range keys {
+			for b, nb := range keys {
+				if a != b {
+					d.table[a*m+b] = int32(distInterNodeOff + distPerHop*c.Net.Hops(na, nb))
+				}
 			}
 		}
 	}
-
-	// Slots grouped by node (counting sort), for the same-node patch.
-	start := make([]int32, m+1)
-	for _, a := range nodeIdx {
-		start[a+1]++
-	}
-	for a := 0; a < m; a++ {
-		start[a+1] += start[a]
-	}
-	byNode := make([]int32, n)
-	fill := append([]int32(nil), start[:m]...)
-	for s, a := range nodeIdx {
-		byNode[fill[a]] = int32(s)
-		fill[a]++
-	}
-
-	// Rows are independent, so fill them across GOMAXPROCS workers.
-	parallelRows(n, func(i int) error {
-		row := d.D[i*n : (i+1)*n]
-		a := nodeIdx[i]
-		fromA := table[int(a)*m : (int(a)+1)*m]
-		for j, b := range nodeIdx {
-			row[j] = fromA[b]
+	// coords was appended level-major; transpose to slot-major so that At
+	// touches one contiguous stripe per slot.
+	bySlot := make([]int32, n*L)
+	for l := 0; l < L; l++ {
+		for s, id := range d.coords[l*n : (l+1)*n] {
+			bySlot[s*L+l] = id
 		}
-		for _, j := range byNode[start[a]:start[a+1]] {
-			if sockOf[j] == sockOf[i] {
-				row[j] = distSameSocket
-			}
-		}
-		row[i] = 0
-		return nil
-	})
-	// Attach the compact view up front when the network supports it: the
-	// heuristics then pick the bucketed kernel without a lazy inference pass.
-	if h, err := NewHierarchy(c, cores); err == nil {
-		d.hier, d.hierDone = h, true
-		d.hierOnce.Do(func() {})
 	}
+	d.coords = bySlot
 	return d, nil
 }
 
-// Hierarchy returns the compact hierarchical view of the matrix, or nil when
-// the matrix is not a nested hierarchy (tori, arbitrary metrics). For
-// matrices built by NewDistances on hierarchical clusters the view is
-// attached at construction; otherwise the first call runs a full
-// InferHierarchy pass over the matrix and the result — either way — is
-// cached. Safe for concurrent use provided no caller mutates D.
-func (d *Distances) Hierarchy() *Hierarchy {
-	d.hierOnce.Do(func() {
-		if d.hierDone {
-			return
-		}
-		d.hierDone = true
-		if h, err := InferHierarchy(d); err == nil {
-			d.hier = h
-		}
-	})
-	return d.hier
-}
-
-// N returns the number of cores covered by the matrix.
+// N returns the number of covered slots.
 func (d *Distances) N() int { return len(d.Cores) }
 
-// At returns the distance between the i-th and j-th covered cores.
-func (d *Distances) At(i, j int) int32 { return d.D[i*len(d.Cores)+j] }
-
-// Row returns the i-th row of the matrix (aliased, not copied).
-func (d *Distances) Row(i int) []int32 {
-	n := len(d.Cores)
-	return d.D[i*n : (i+1)*n]
+// At returns the distance between the i-th and j-th covered slots: the
+// distance of the finest level where they share a unit, else the table entry
+// between their last-level units.
+func (d *Distances) At(i, j int) int32 {
+	if i == j {
+		return 0
+	}
+	L := len(d.dists)
+	ci := d.coords[i*L : i*L+L]
+	cj := d.coords[j*L : j*L+L]
+	for l := 0; l < L; l++ {
+		if ci[l] == cj[l] {
+			return d.dists[l]
+		}
+	}
+	return d.TableAt(ci[L-1], cj[L-1])
 }
 
-// Validate checks the matrix invariants the heuristics rely on: square
-// shape, zero diagonal, symmetry and non-negativity.
+// Levels returns the number of hierarchy levels.
+func (d *Distances) Levels() int { return len(d.dists) }
+
+// UnitCount returns the number of distinct units at level l.
+func (d *Distances) UnitCount(l int) int { return int(d.units[l]) }
+
+// UnitOf returns the unit id of slot s at level l.
+func (d *Distances) UnitOf(l, s int) int32 { return d.coords[s*len(d.dists)+l] }
+
+// TableAt returns the distance between distinct units a and b of the last
+// level. Only oracles whose last level holds more than one unit (tori spread
+// over several nodes) have a table; every entry lies above every level.
+func (d *Distances) TableAt(a, b int32) int32 {
+	return d.table[int(a)*int(d.units[len(d.units)-1])+int(b)]
+}
+
+// Validate checks the invariants At and the mapping kernel rely on: positive,
+// strictly ascending level distances; every coordinate inside its level's
+// unit count; nested levels (each unit lies inside one unit of the next
+// level); and either a single unit at the last level, or a symmetric table
+// with a zero diagonal whose off-diagonal entries lie above the last level's
+// distance.
 func (d *Distances) Validate() error {
-	n := len(d.Cores)
-	if len(d.D) != n*n {
-		return fmt.Errorf("topology: distance matrix has %d entries for %d cores", len(d.D), n)
+	n, L := len(d.Cores), len(d.dists)
+	if n == 0 || L == 0 || len(d.units) != L || len(d.coords) != n*L {
+		return fmt.Errorf("topology: distance oracle shape: %d cores, %d levels, %d unit counts, %d coordinates",
+			n, L, len(d.units), len(d.coords))
 	}
-	for i := 0; i < n; i++ {
-		if d.At(i, i) != 0 {
-			return fmt.Errorf("topology: nonzero self-distance at core %d", i)
+	for l, v := range d.dists {
+		if v <= 0 || (l > 0 && v <= d.dists[l-1]) {
+			return fmt.Errorf("topology: level distances %v not positive and ascending", d.dists)
 		}
-		for j := i + 1; j < n; j++ {
-			switch {
-			case d.At(i, j) != d.At(j, i):
-				return fmt.Errorf("topology: asymmetric distance (%d,%d): %d vs %d", i, j, d.At(i, j), d.At(j, i))
-			case d.At(i, j) <= 0:
-				return fmt.Errorf("topology: non-positive distance %d between distinct cores %d,%d", d.At(i, j), i, j)
+		if d.units[l] < 1 || int(d.units[l]) > n {
+			return fmt.Errorf("topology: level %d has %d units for %d cores", l, d.units[l], n)
+		}
+	}
+	for s := 0; s < n; s++ {
+		for l, u := range d.coords[s*L : s*L+L] {
+			if u < 0 || u >= d.units[l] {
+				return fmt.Errorf("topology: slot %d unit %d outside level %d's %d units", s, u, l, d.units[l])
+			}
+		}
+	}
+	for l := 0; l+1 < L; l++ {
+		parent := make([]int32, d.units[l])
+		for u := range parent {
+			parent[u] = -1
+		}
+		for s := 0; s < n; s++ {
+			u, up := d.coords[s*L+l], d.coords[s*L+l+1]
+			if parent[u] < 0 {
+				parent[u] = up
+			} else if parent[u] != up {
+				return fmt.Errorf("topology: level %d unit %d spans units %d and %d of level %d", l, u, parent[u], up, l+1)
+			}
+		}
+	}
+	m := int(d.units[L-1])
+	if m == 1 {
+		if d.table != nil {
+			return fmt.Errorf("topology: single-rooted oracle carries a %d-entry table", len(d.table))
+		}
+		return nil
+	}
+	if len(d.table) != m*m {
+		return fmt.Errorf("topology: table has %d entries for %d last-level units", len(d.table), m)
+	}
+	for a := 0; a < m; a++ {
+		if v := d.table[a*m+a]; v != 0 {
+			return fmt.Errorf("topology: nonzero table diagonal %d at unit %d", v, a)
+		}
+		for b := a + 1; b < m; b++ {
+			switch v, w := d.table[a*m+b], d.table[b*m+a]; {
+			case v != w:
+				return fmt.Errorf("topology: asymmetric table (%d,%d): %d vs %d", a, b, v, w)
+			case v <= d.dists[L-1]:
+				return fmt.Errorf("topology: table entry (%d,%d) = %d not above level distance %d", a, b, v, d.dists[L-1])
 			}
 		}
 	}

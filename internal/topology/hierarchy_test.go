@@ -2,6 +2,8 @@ package topology
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -67,20 +69,44 @@ func TestHierarchyMatchesCoreDistance(t *testing.T) {
 	}
 }
 
-// TestHierarchyMemoryIsLinear pins the tentpole claim: the compact oracle
-// for a p=4096 job stores O(p·levels) coordinates, not an O(p²) matrix.
+// TestHierarchyMemoryIsLinear pins the compact form: the oracle for a
+// p=4096 job stores O(p·levels) coordinates and, on a torus, an m×m node
+// table, never a p×p matrix. NewDistances allocates at most 1 MB on GPC and
+// 2 MB on an 8×8×8 torus with 2×4 cores per node.
 func TestHierarchyMemoryIsLinear(t *testing.T) {
-	c := GPC()
-	cores := MustLayout(c, 4096, BlockBunch)
-	h, err := NewHierarchy(c, cores)
+	torus, err := NewCluster(512, 2, 4, NewTorus3D(8, 8, 8))
 	if err != nil {
-		t.Fatalf("NewHierarchy: %v", err)
+		t.Fatal(err)
 	}
-	if got, limit := len(h.coords), 4096*h.Levels(); got > limit {
-		t.Errorf("coords holds %d entries, want <= %d", got, limit)
-	}
-	if h.Levels() > maxInferLevels {
-		t.Errorf("Levels = %d, want <= %d", h.Levels(), maxInferLevels)
+	for _, tc := range []struct {
+		name  string
+		c     *Cluster
+		m     int // node table side, 0 for none
+		limit uint64
+	}{
+		{"gpc", GPC(), 0, 1 << 20},
+		{"torus-8x8x8", torus, 512, 2 << 20},
+	} {
+		cores := MustLayout(tc.c, 4096, BlockBunch)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d, err := NewDistances(tc.c, cores)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: NewDistances: %v", tc.name, err)
+		}
+		if got, limit := len(d.coords), 4096*d.Levels(); got > limit {
+			t.Errorf("%s: coords holds %d entries, want <= %d", tc.name, got, limit)
+		}
+		if d.Levels() > maxLevels {
+			t.Errorf("%s: Levels = %d, want <= %d", tc.name, d.Levels(), maxLevels)
+		}
+		if len(d.table) != tc.m*tc.m {
+			t.Errorf("%s: table holds %d entries, want %d", tc.name, len(d.table), tc.m*tc.m)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > tc.limit {
+			t.Errorf("%s: NewDistances allocated %d bytes, want <= %d", tc.name, grew, tc.limit)
+		}
 	}
 }
 
@@ -94,106 +120,45 @@ func TestNewHierarchyRejectsTorus(t *testing.T) {
 	}
 }
 
-func TestInferHierarchyRoundTrip(t *testing.T) {
-	for name, c := range hierClusters(t) {
-		p := c.TotalCores()
-		if p > 256 {
-			p = 256
-		}
-		cores := MustLayout(c, p, CyclicScatter)
-		d, err := NewDistances(c, cores)
-		if err != nil {
-			t.Fatalf("%s: NewDistances: %v", name, err)
-		}
-		h, err := InferHierarchy(d)
-		if err != nil {
-			t.Fatalf("%s: InferHierarchy: %v", name, err)
-		}
-		for i := 0; i < p; i++ {
-			for j := 0; j < p; j++ {
-				if h.At(i, j) != d.At(i, j) {
-					t.Fatalf("%s: inferred At(%d,%d) = %d, want %d", name, i, j, h.At(i, j), d.At(i, j))
-				}
-			}
-		}
-	}
-}
-
-func TestInferHierarchyRejectsNonUltrametric(t *testing.T) {
-	// A 4-node ring (4x1x1 torus) is the smallest non-ultrametric case: the
-	// "distance <= one hop" relation chains all nodes together without being
-	// transitive, which inference must detect.
-	c, err := NewCluster(4, 1, 1, NewTorus3D(4, 1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := NewDistances(c, MustLayout(c, 4, BlockBunch))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := InferHierarchy(d); err == nil {
-		t.Fatal("InferHierarchy accepted a 4-node torus ring")
-	}
-	if h := d.Hierarchy(); h != nil {
-		t.Fatal("Distances.Hierarchy returned a view for a 4-node torus ring")
-	}
-}
-
-func TestInferHierarchyAcceptsDegenerateTorus(t *testing.T) {
-	// With only two nodes the torus metric is trivially hierarchical; the
-	// matrix path should recover a usable view even though NewHierarchy
-	// refuses the network type.
-	c, err := NewCluster(2, 1, 2, NewTorus3D(2, 1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cores := MustLayout(c, 4, BlockBunch)
-	if _, err := NewHierarchy(c, cores); err == nil {
-		t.Fatal("NewHierarchy accepted a torus network type")
-	}
-	d, err := NewDistances(c, cores)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Hierarchy() == nil {
-		t.Fatal("Distances.Hierarchy found no view for a trivially hierarchical torus")
-	}
-}
-
-// TestDistancesHierarchyAttached checks that matrices built by NewDistances
-// on hierarchical clusters carry the compact view without an inference pass,
-// and that persisted-style matrices (no cluster attached) infer it lazily.
+// TestDistancesHierarchyAttached checks where the levels end: on
+// hierarchical clusters they reach a single root and no node table exists;
+// on a torus spread over several nodes they stop at the node level and the
+// m×m table is attached; a torus job inside one node needs no table either.
 func TestDistancesHierarchyAttached(t *testing.T) {
-	c := GPC()
-	cores := MustLayout(c, 64, BlockBunch)
-	d, err := NewDistances(c, cores)
+	torus, err := NewCluster(8, 2, 2, NewTorus3D(2, 2, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := d.Hierarchy()
-	if h == nil {
-		t.Fatal("no hierarchy attached by NewDistances on a fat-tree cluster")
-	}
-	// A matrix reconstructed from raw values (the persistence path) must
-	// infer an equivalent view.
-	raw := &Distances{Cores: d.Cores, D: d.D}
-	hi := raw.Hierarchy()
-	if hi == nil {
-		t.Fatal("no hierarchy inferred from raw fat-tree matrix")
-	}
-	for i := 0; i < d.N(); i++ {
-		for j := 0; j < d.N(); j++ {
-			if h.At(i, j) != hi.At(i, j) {
-				t.Fatalf("attached and inferred views disagree at (%d,%d)", i, j)
-			}
+	for _, tc := range []struct {
+		name   string
+		c      *Cluster
+		cores  []int
+		levels int
+		m      int
+	}{
+		{"gpc", GPC(), MustLayout(GPC(), 64, BlockBunch), 3, 0}, // one leaf switch is the root
+		{"torus", torus, MustLayout(torus, 32, CyclicBunch), 2, 8},
+		{"torus/one-node", torus, MustLayout(torus, 4, BlockBunch), 2, 0},
+		{"torus/one-socket", torus, MustLayout(torus, 2, BlockBunch), 1, 0},
+	} {
+		d, err := NewDistances(tc.c, tc.cores)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("%s: Validate: %v", tc.name, err)
+		}
+		if d.Levels() != tc.levels || len(d.table) != tc.m*tc.m {
+			t.Errorf("%s: %d levels and %d table entries, want %d and %d", tc.name, d.Levels(), len(d.table), tc.levels, tc.m*tc.m)
 		}
 	}
 }
 
 // TestNewDistancesMatchesCoreDistance holds the node-pair hop-table fill to
 // the reference arithmetic: every entry equals CoreDistance of the two
-// cores (the fingerprint regression tests depend on it), and the compact
-// view is attached at construction exactly when NewHierarchy can build one.
+// cores (the fingerprint regression tests depend on it), every oracle
+// validates, and a multi-node torus job is the only one that needs the node
+// table.
 func TestNewDistancesMatchesCoreDistance(t *testing.T) {
 	mk := func(nodes, sockets, cores int, net Network) *Cluster {
 		c, err := NewCluster(nodes, sockets, cores, net)
@@ -230,6 +195,9 @@ func TestNewDistancesMatchesCoreDistance(t *testing.T) {
 		"fattree-8x16": mk(128, 2, 2, TwoLevelFatTree(8, 16, 4)),
 		"torus-4x4x2":  mk(32, 2, 4, NewTorus3D(4, 4, 2)),
 		"torus-8x8x1":  mk(64, 1, 1, NewTorus3D(8, 8, 1)),
+		"torus-2x1x1":  mk(2, 1, 2, NewTorus3D(2, 1, 1)),
+		"torus-4x1x1":  mk(4, 1, 1, NewTorus3D(4, 1, 1)),
+		"torus-1x1x1":  mk(1, 2, 2, NewTorus3D(1, 1, 1)),
 		"uniform":      mk(4, 2, 2, nil),
 	} {
 		jobs = append(jobs, job{name, c, MustLayout(c, c.TotalCores(), CyclicBunch)})
@@ -245,7 +213,10 @@ func TestNewDistancesMatchesCoreDistance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", jb.name, err)
 		}
-		if err := parallelRows(len(jb.cores), func(i int) error {
+		if err := d.Validate(); err != nil {
+			t.Errorf("%s: Validate: %v", jb.name, err)
+		}
+		if err := forEachRow(len(jb.cores), func(i int) error {
 			for j := range jb.cores {
 				if want := int32(jb.c.CoreDistance(jb.cores[i], jb.cores[j])); d.At(i, j) != want {
 					return fmt.Errorf("At(%d,%d) = %d, want %d", i, j, d.At(i, j), want)
@@ -255,9 +226,13 @@ func TestNewDistancesMatchesCoreDistance(t *testing.T) {
 		}); err != nil {
 			t.Errorf("%s: %v", jb.name, err)
 		}
+		nodes := map[int]bool{}
+		for _, core := range jb.cores {
+			nodes[jb.c.NodeOf(core)] = true
+		}
 		_, herr := NewHierarchy(jb.c, jb.cores)
-		if attached := d.hierDone && d.hier != nil; attached != (herr == nil) {
-			t.Errorf("%s: hierarchy attached = %v, NewHierarchy error = %v", jb.name, attached, herr)
+		if wantTable := herr != nil && len(nodes) > 1; (d.table != nil) != wantTable {
+			t.Errorf("%s: table attached = %v over %d nodes, NewHierarchy error = %v", jb.name, d.table != nil, len(nodes), herr)
 		}
 	}
 }
@@ -265,6 +240,7 @@ func TestNewDistancesMatchesCoreDistance(t *testing.T) {
 func BenchmarkNewDistances4096(b *testing.B) {
 	c := GPC()
 	cores := MustLayout(c, 4096, BlockBunch)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		if _, err := NewDistances(c, cores); err != nil {
@@ -273,22 +249,53 @@ func BenchmarkNewDistances4096(b *testing.B) {
 	}
 }
 
-func BenchmarkNewHierarchy4096(b *testing.B) {
-	c := GPC()
+func BenchmarkNewDistancesTorus4096(b *testing.B) {
+	c, err := NewCluster(512, 2, 4, NewTorus3D(8, 8, 8))
+	if err != nil {
+		b.Fatal(err)
+	}
 	cores := MustLayout(c, 4096, BlockBunch)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		if _, err := NewHierarchy(c, cores); err != nil {
+		if _, err := NewDistances(c, cores); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// forEachRow runs fn(i) for every i in [0, n) across GOMAXPROCS workers and
+// returns one of the errors observed.
+func forEachRow(n int, fn func(i int) error) error {
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		first error
+	)
+	workers := runtime.GOMAXPROCS(0)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < n; i += workers {
+				if err := fn(i); err != nil {
+					mu.Lock()
+					first = err
+					mu.Unlock()
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	return first
 }
 
 func ExampleNewHierarchy() {
 	c := GPC()
 	cores := MustLayout(c, 4096, BlockBunch)
 	h, _ := NewHierarchy(c, cores)
-	fmt.Println(h.N(), h.Levels() <= maxInferLevels)
+	fmt.Println(h.N(), h.Levels() <= maxLevels)
 	// Output:
 	// 4096 true
 }

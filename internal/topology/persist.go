@@ -10,116 +10,116 @@ import (
 
 // Distances serialization: the paper extracts physical distances once and
 // saves them "for future references" (Section IV); this file provides that
-// persistence. The format is a small binary header (magic, version, count,
-// CRC of the payload) followed by the core indices and the matrix entries,
-// all little-endian.
+// persistence. The format is the compact oracle, little-endian:
+//
+//	magic u32, version u32, core count u64, level count u32
+//	level distances [levels]i32, unit counts [levels]i32
+//	core indices [count]i64
+//	unit coordinates [count*levels]i32, slot-major
+//	node table [m*m]i32, m = last level's unit count, present when m > 1
+//	CRC-32 (IEEE) of every preceding byte
+//
+// Version 1 files (the dense p×p matrix) are rejected; hwdisc discovers over
+// them like any other unreadable cache.
 
 const (
 	distMagic   = 0x54524d44 // "DMRT"
-	distVersion = 1
+	distVersion = 2
+	// maxCores and maxLevels bound what a header may claim before the
+	// checksum can vouch for it.
+	maxCores  = 1 << 20
+	maxLevels = 32
 )
 
-// WriteTo serialises the distance matrix; it implements io.WriterTo.
+// distHeader is the fixed-size head of a persisted oracle.
+type distHeader struct {
+	Magic, Version uint32
+	Count          uint64
+	Levels         uint32
+}
+
+// WriteTo serialises the oracle; it implements io.WriterTo.
 func (d *Distances) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	n := int64(0)
-	write := func(v any) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-		n += int64(binary.Size(v))
-		return nil
-	}
-	if err := write(uint32(distMagic)); err != nil {
-		return n, err
-	}
-	if err := write(uint32(distVersion)); err != nil {
-		return n, err
-	}
-	if err := write(uint64(len(d.Cores))); err != nil {
-		return n, err
-	}
+	crc := crc32.NewIEEE()
+	bw := bufio.NewWriter(io.MultiWriter(w, crc))
 	cores := make([]int64, len(d.Cores))
 	for i, c := range d.Cores {
 		cores[i] = int64(c)
 	}
-	if err := write(cores); err != nil {
+	hdr := distHeader{distMagic, distVersion, uint64(len(d.Cores)), uint32(len(d.dists))}
+	n := int64(0)
+	for _, v := range []any{hdr, d.dists, d.units, cores, d.coords, d.table} {
+		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
+			return n, err
+		}
+		n += int64(binary.Size(v))
+	}
+	if err := bw.Flush(); err != nil {
 		return n, err
 	}
-	if err := write(d.D); err != nil {
-		return n, err
-	}
-	if err := write(d.checksum()); err != nil {
-		return n, err
-	}
-	return n, bw.Flush()
+	err := binary.Write(w, binary.LittleEndian, crc.Sum32())
+	return n + 4, err
 }
 
-// checksum covers the core list (full 64-bit values, as serialised) and
-// the matrix entries.
-func (d *Distances) checksum() uint32 {
-	h := crc32.NewIEEE()
-	var buf8 [8]byte
-	for _, c := range d.Cores {
-		binary.LittleEndian.PutUint64(buf8[:], uint64(int64(c)))
-		h.Write(buf8[:])
-	}
-	var buf4 [4]byte
-	for _, v := range d.D {
-		binary.LittleEndian.PutUint32(buf4[:], uint32(v))
-		h.Write(buf4[:])
-	}
-	return h.Sum32()
-}
-
-// ReadDistances deserialises a matrix written by WriteTo, verifying the
-// header and checksum.
+// ReadDistances deserialises an oracle written by WriteTo, verifying the
+// header, the checksum and every invariant Validate checks. No length read
+// from the file is trusted with an allocation larger than the bytes that
+// follow it.
 func ReadDistances(r io.Reader) (*Distances, error) {
-	br := bufio.NewReader(r)
-	var magic, version uint32
-	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
+	crc := crc32.NewIEEE()
+	br := io.TeeReader(bufio.NewReader(r), crc)
+	var hdr distHeader
+	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
 		return nil, fmt.Errorf("topology: reading distance header: %w", err)
 	}
-	if magic != distMagic {
-		return nil, fmt.Errorf("topology: not a distance matrix file (magic %#x)", magic)
+	switch {
+	case hdr.Magic != distMagic:
+		return nil, fmt.Errorf("topology: not a distance file (magic %#x)", hdr.Magic)
+	case hdr.Version != distVersion:
+		return nil, fmt.Errorf("topology: unsupported distance file version %d", hdr.Version)
+	case hdr.Count == 0 || hdr.Count > maxCores:
+		return nil, fmt.Errorf("topology: implausible core count %d", hdr.Count)
+	case hdr.Levels == 0 || hdr.Levels > maxLevels:
+		return nil, fmt.Errorf("topology: implausible level count %d", hdr.Levels)
 	}
-	if err := binary.Read(br, binary.LittleEndian, &version); err != nil {
-		return nil, err
+	d := &Distances{dists: make([]int32, hdr.Levels), units: make([]int32, hdr.Levels)}
+	if err := binary.Read(br, binary.LittleEndian, d.dists); err != nil {
+		return nil, fmt.Errorf("topology: reading level distances: %w", err)
 	}
-	if version != distVersion {
-		return nil, fmt.Errorf("topology: unsupported distance file version %d", version)
+	if err := binary.Read(br, binary.LittleEndian, d.units); err != nil {
+		return nil, fmt.Errorf("topology: reading unit counts: %w", err)
 	}
-	var count uint64
-	if err := binary.Read(br, binary.LittleEndian, &count); err != nil {
-		return nil, err
+	for l, u := range d.units {
+		if u < 1 || uint64(u) > hdr.Count {
+			return nil, fmt.Errorf("topology: level %d claims %d units for %d cores", l, u, hdr.Count)
+		}
 	}
-	const maxCores = 1 << 20
-	if count == 0 || count > maxCores {
-		return nil, fmt.Errorf("topology: implausible core count %d", count)
-	}
-	// The count is untrusted until the checksum has been seen: read the body
-	// in bounded chunks so a damaged header costs an error, not count^2
-	// bytes of memory.
-	cores64, err := readChunked[int64](br, count)
+	cores, err := readChunked[int64](br, hdr.Count)
 	if err != nil {
-		return nil, fmt.Errorf("topology: reading %d core indices: %w", count, err)
+		return nil, fmt.Errorf("topology: reading %d core indices: %w", hdr.Count, err)
 	}
-	d := &Distances{Cores: make([]int, count)}
-	for i, c := range cores64 {
+	d.Cores = make([]int, len(cores))
+	for i, c := range cores {
 		d.Cores[i] = int(c)
 	}
-	if d.D, err = readChunked[int32](br, count*count); err != nil {
-		return nil, fmt.Errorf("topology: reading %dx%d distance matrix: %w", count, count, err)
+	if d.coords, err = readChunked[int32](br, hdr.Count*uint64(hdr.Levels)); err != nil {
+		return nil, fmt.Errorf("topology: reading unit coordinates: %w", err)
 	}
+	if m := uint64(d.units[hdr.Levels-1]); m > 1 {
+		if d.table, err = readChunked[int32](br, m*m); err != nil {
+			return nil, fmt.Errorf("topology: reading %dx%d node table: %w", m, m, err)
+		}
+	}
+	want := crc.Sum32()
 	var sum uint32
 	if err := binary.Read(br, binary.LittleEndian, &sum); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("topology: reading distance checksum: %w", err)
 	}
-	if sum != d.checksum() {
+	if sum != want {
 		return nil, fmt.Errorf("topology: distance file checksum mismatch")
 	}
 	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("topology: persisted matrix invalid: %w", err)
+		return nil, fmt.Errorf("topology: persisted oracle invalid: %w", err)
 	}
 	return d, nil
 }

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -266,8 +268,8 @@ func TestNewDistancesAndValidate(t *testing.T) {
 	if d.At(0, 1) != int32(c.CoreDistance(0, 1)) {
 		t.Error("At(0,1) does not match CoreDistance")
 	}
-	if got := d.Row(2); len(got) != len(cores) || got[2] != 0 {
-		t.Errorf("Row(2) = %v", got)
+	if got := d.At(2, 2); got != 0 {
+		t.Errorf("At(2,2) = %d", got)
 	}
 }
 
@@ -281,23 +283,62 @@ func TestNewDistancesRejectsBadCores(t *testing.T) {
 	}
 }
 
+// TestDistancesValidateCatchesCorruption crafts one violation of each rule
+// At and the mapping kernel rely on. Validate must reject every one, and so
+// must ReadDistances on a file that carries it under a correct checksum.
 func TestDistancesValidateCatchesCorruption(t *testing.T) {
-	c := SingleNode(2, 2)
-	d, _ := NewDistances(c, []int{0, 1, 2, 3})
-	d.D[1] = -5
-	if err := d.Validate(); err == nil {
-		t.Error("Validate missed negative distance")
+	fx := persistFixtures(t)
+	clone := func(name string) *Distances {
+		d := fx[name]
+		return &Distances{Cores: slices.Clone(d.Cores), dists: slices.Clone(d.dists),
+			units: slices.Clone(d.units), coords: slices.Clone(d.coords), table: slices.Clone(d.table)}
 	}
-	d2, _ := NewDistances(c, []int{0, 1})
-	d2.D[0] = 7
-	if err := d2.Validate(); err == nil {
-		t.Error("Validate missed nonzero diagonal")
+	cases := []struct {
+		name   string
+		base   string
+		mutate func(d *Distances)
+	}{
+		{"coordinate above unit count", "torus", func(d *Distances) { d.coords[0] = d.units[0] }},
+		{"negative coordinate", "gpc", func(d *Distances) { d.coords[1] = -1 }},
+		{"unit count above cores", "gpc", func(d *Distances) { d.units[0] = int32(len(d.Cores) + 1) }},
+		{"levels not nested", "gpc", func(d *Distances) {
+			// Slot 1 runs on another node than slot 0: give it slot 0's socket.
+			L := len(d.dists)
+			d.coords[L] = d.coords[0]
+		}},
+		{"distances not ascending", "gpc", func(d *Distances) { d.dists[1] = d.dists[0] }},
+		{"distance not positive", "torus", func(d *Distances) { d.dists[0] = 0 }},
+		{"two roots and no table", "gpc", func(d *Distances) {
+			L := len(d.dists)
+			d.units[L-1] = 2
+			d.coords[(len(d.Cores)-1)*L+L-1] = 1
+		}},
+		{"table on a single root", "gpc", func(d *Distances) { d.table = []int32{0} }},
+		{"table of the wrong size", "torus", func(d *Distances) { d.table = d.table[:len(d.table)-1] }},
+		{"nonzero table diagonal", "torus", func(d *Distances) { d.table[0] = d.table[1] }},
+		{"asymmetric table", "torus", func(d *Distances) { d.table[1]++ }},
+		{"table entry not above the levels", "torus", func(d *Distances) {
+			m := int(d.units[len(d.units)-1])
+			d.table[1], d.table[m] = d.dists[len(d.dists)-1], d.dists[len(d.dists)-1]
+		}},
+		{"coordinates of the wrong length", "torus", func(d *Distances) { d.coords = d.coords[1:] }},
 	}
-	d3, _ := NewDistances(c, []int{0, 1})
-	d3.D[1] = 3
-	d3.D[2] = 4
-	if err := d3.Validate(); err == nil {
-		t.Error("Validate missed asymmetry")
+	for _, tc := range cases {
+		d := clone(tc.base)
+		if err := d.Validate(); err != nil {
+			t.Fatalf("%s: unbroken %s fixture rejected: %v", tc.name, tc.base, err)
+		}
+		tc.mutate(d)
+		if err := d.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", tc.name)
+		}
+		var buf bytes.Buffer
+		if _, err := d.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadDistances(&buf); err == nil {
+			t.Errorf("%s: ReadDistances accepted it", tc.name)
+		}
 	}
 }
 

@@ -12,9 +12,9 @@ import (
 )
 
 // TestPlanMatchesDenseHeuristic pins the planner to the path it replaced:
-// Plan maps on whatever topology.NewOracle returns and prices discovery
-// with hwdisc.Cost, and both must equal the dense route — hwdisc.Discover's
-// matrix through the pattern's Heuristic — element for element.
+// Plan maps on topology.NewDistances and prices discovery with hwdisc.Cost,
+// and both must equal the discovery route — hwdisc.Discover's distances
+// through the pattern's Heuristic — element for element.
 func TestPlanMatchesDenseHeuristic(t *testing.T) {
 	mk := func(nodes, sockets, cores int, net Network) *Cluster {
 		c, err := NewCluster(nodes, sockets, cores, net)
@@ -49,7 +49,7 @@ func TestPlanMatchesDenseHeuristic(t *testing.T) {
 		t.Fatal(err)
 	}
 	uniform := mk(4, 2, 2, nil)
-	torus := mk(32, 2, 4, NewTorus3D(4, 4, 2)) // no hierarchy: the dense fallback
+	torus := mk(32, 2, 4, NewTorus3D(4, 4, 2)) // no hierarchy: the node table
 	jobs = append(jobs,
 		job{"gpc/fragmented", gpc, fragLayout},
 		job{"uniform", uniform, layoutOf(uniform, 16, CyclicBunch)},

@@ -29,16 +29,13 @@ type (
 	FatTree = topology.FatTree
 	// Torus3D models a 3D torus network with dimension-order routing.
 	Torus3D = topology.Torus3D
-	// Distances is the core-to-core physical distance matrix consumed by
-	// the mapping heuristics.
+	// Distances is the core-to-core physical distance oracle consumed by
+	// the mapping heuristics, held as per-slot level coordinates plus, on
+	// tori, a node-to-node table: O(p·levels + m²), never p×p.
 	Distances = topology.Distances
-	// DistanceOracle is the read interface the heuristics actually need —
-	// implemented by both *Distances and the compact *Hierarchy.
+	// DistanceOracle is the read interface the heuristics need; *Distances
+	// implements it.
 	DistanceOracle = topology.Oracle
-	// Hierarchy is the O(p)-memory hierarchical distance oracle for
-	// fat-tree-like clusters; at p=4096 it replaces the 64 MB dense matrix,
-	// and Plan runs on it.
-	Hierarchy = topology.Hierarchy
 	// LayoutKind names an initial process-to-core layout policy.
 	LayoutKind = topology.LayoutKind
 )
@@ -81,21 +78,11 @@ func NewLayoutOnNodes(c *Cluster, p int, k LayoutKind, nodes []int) ([]int, erro
 	return topology.LayoutOnNodes(c, p, k, nodes)
 }
 
-// NewDistances computes the dense physical distance matrix over the given
-// cores (indexed by rank) — the input ScotchMap and the Heuristic-typed
-// functions take. Plan does not build it: it maps on the compact oracle
-// wherever the interconnect allows one.
+// NewDistances computes the physical distance oracle over the given cores
+// (indexed by rank): the input of ScotchMap, Plan and the Heuristic-typed
+// functions.
 func NewDistances(c *Cluster, cores []int) (*Distances, error) {
 	return topology.NewDistances(c, cores)
-}
-
-// NewHierarchy computes the compact hierarchical distance oracle over the
-// given cores — equivalent to NewDistances entry for entry on hierarchical
-// interconnects (fat-trees, uniform networks) but in O(p) memory; it is what
-// Plan maps on there. It fails for non-hierarchical networks such as tori;
-// use NewDistances there.
-func NewHierarchy(c *Cluster, cores []int) (*Hierarchy, error) {
-	return topology.NewHierarchy(c, cores)
 }
 
 // Mapping is a rank permutation: Mapping[newRank] = initial rank whose core
@@ -168,8 +155,8 @@ type ReorderPlan struct {
 // Plan performs the full run-time reordering workflow of paper Section IV
 // for one pattern: extract physical distances (once), run the pattern's
 // fine-tuned heuristic, and return the mapping together with its overheads.
-// On hierarchical interconnects the distances are the O(p) Hierarchy, never
-// the p x p matrix.
+// The distances are the compact oracle of NewDistances, never a p x p
+// matrix.
 func Plan(c *Cluster, layout []int, pat Pattern) (*ReorderPlan, error) {
 	plans, err := PlanAll(c, layout, pat)
 	if err != nil {
@@ -192,7 +179,7 @@ func PlanAll(c *Cluster, layout []int, pats ...Pattern) ([]*ReorderPlan, error) 
 	if err != nil {
 		return nil, err
 	}
-	oracle, err := topology.NewOracle(c, layout)
+	oracle, err := topology.NewDistances(c, layout)
 	if err != nil {
 		return nil, err
 	}
