@@ -19,7 +19,7 @@ var keptExports = map[string]string{
 	"core.Optimal":     "reference tests compare against: brute-force optimum bounding every heuristic",
 	"core.PatternCost": "reference tests compare against: the cost Optimal minimises",
 
-	"graph.Graph.CutWeight": "reference tests compare against: cut quality of Bisect",
+	"graph.Graph.CutWeight": "reference tests compare against: cut quality of Bisector.Bisect",
 
 	"experiments.AdaptivePolicy":    "documented experiment driver exercised by its test (EXPERIMENTS.md)",
 	"experiments.AlltoallSchedules": "documented experiment driver exercised by its test (EXPERIMENTS.md)",

@@ -91,7 +91,7 @@ func TestBisectRingFindsMinimalCut(t *testing.T) {
 	for i := range verts {
 		verts[i] = i
 	}
-	a, b := Bisect(g, verts, 8)
+	a, b := NewBisector(g).Bisect(verts, 8)
 	if len(a) != 8 || len(b) != 8 {
 		t.Fatalf("sizes = %d,%d", len(a), len(b))
 	}
@@ -122,7 +122,7 @@ func TestBisectSeparatesCliques(t *testing.T) {
 		t.Fatal(err)
 	}
 	verts := []int{0, 1, 2, 3, 4, 5, 6, 7}
-	a, _ := Bisect(g, verts, 4)
+	a, _ := NewBisector(g).Bisect(verts, 4)
 	inA := make(map[int]bool)
 	for _, v := range a {
 		inA[v] = true
@@ -139,15 +139,15 @@ func TestBisectSeparatesCliques(t *testing.T) {
 func TestBisectDegenerateSizes(t *testing.T) {
 	g := ring(4, 1)
 	verts := []int{0, 1, 2, 3}
-	a, b := Bisect(g, verts, 0)
+	a, b := NewBisector(g).Bisect(verts, 0)
 	if len(a) != 0 || len(b) != 4 {
 		t.Errorf("sizeA=0: %v %v", a, b)
 	}
-	a, b = Bisect(g, verts, 4)
+	a, b = NewBisector(g).Bisect(verts, 4)
 	if len(a) != 4 || len(b) != 0 {
 		t.Errorf("sizeA=4: %v %v", a, b)
 	}
-	a, b = Bisect(g, verts, 7)
+	a, b = NewBisector(g).Bisect(verts, 7)
 	if len(a) != 4 || len(b) != 0 {
 		t.Errorf("sizeA>n: %v %v", a, b)
 	}
@@ -156,7 +156,7 @@ func TestBisectDegenerateSizes(t *testing.T) {
 func TestBisectSubsetOnly(t *testing.T) {
 	g := ring(8, 1)
 	verts := []int{0, 1, 2, 5, 6, 7} // skip 3, 4
-	a, b := Bisect(g, verts, 3)
+	a, b := NewBisector(g).Bisect(verts, 3)
 	if len(a) != 3 || len(b) != 3 {
 		t.Fatalf("sizes = %d,%d", len(a), len(b))
 	}
@@ -180,7 +180,7 @@ func TestBisectPartitionProperty(t *testing.T) {
 	}
 	prop := func(szRaw uint8) bool {
 		sz := int(szRaw) % 33
-		a, b := Bisect(g, verts, sz)
+		a, b := NewBisector(g).Bisect(verts, sz)
 		if len(a) != sz || len(a)+len(b) != 32 {
 			return false
 		}
@@ -202,7 +202,7 @@ func TestBisectIsolatedVertices(t *testing.T) {
 	// A graph with no edges must still partition cleanly.
 	g := New(6)
 	verts := []int{0, 1, 2, 3, 4, 5}
-	a, b := Bisect(g, verts, 2)
+	a, b := NewBisector(g).Bisect(verts, 2)
 	if len(a) != 2 || len(b) != 4 {
 		t.Errorf("sizes = %d,%d", len(a), len(b))
 	}

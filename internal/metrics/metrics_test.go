@@ -256,9 +256,9 @@ func TestHistogramCountAtOrBelow(t *testing.T) {
 		v    float64
 		want uint64
 	}{
-		{0.5, 0},  // no bucket bound is <= 0.5
-		{1, 2},    // bucket (0,1]
-		{1.5, 2},  // (1,2] not fully covered
+		{0.5, 0}, // no bucket bound is <= 0.5
+		{1, 2},   // bucket (0,1]
+		{1.5, 2}, // (1,2] not fully covered
 		{2, 3},
 		{4, 4},
 		{8, 5},

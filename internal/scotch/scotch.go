@@ -12,9 +12,10 @@
 package scotch
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -23,7 +24,7 @@ import (
 )
 
 // Options tunes the mapper. It has no fields: the refinement's bounds are
-// graph.Bisect's constants. Callers pass nil.
+// graph.Bisector's constants. Callers pass nil.
 type Options struct{}
 
 // Map assigns the vertices of guest (processes, indexed by rank in the
@@ -58,7 +59,7 @@ func MapContext(ctx context.Context, guest *graph.Graph, d topology.Oracle, opts
 		verts[i], slots[i] = i, i
 	}
 	start := time.Now()
-	if err := mapRec(ctx, guest, d, verts, slots, m); err != nil {
+	if err := mapRec(ctx, graph.NewBisector(guest), d, verts, slots, m); err != nil {
 		core.RecordMapping("scotch", start, 0, 0, err)
 		return nil, err
 	}
@@ -69,7 +70,7 @@ func MapContext(ctx context.Context, guest *graph.Graph, d topology.Oracle, opts
 // mapRec performs one level of dual recursive bipartitioning: split the host
 // slots into two physically cohesive halves, split the guest vertices into
 // matching-size halves of minimal cut weight, pair them up and recurse.
-func mapRec(ctx context.Context, guest *graph.Graph, d topology.Oracle, verts, slots []int, m core.Mapping) error {
+func mapRec(ctx context.Context, bis *graph.Bisector, d topology.Oracle, verts, slots []int, m core.Mapping) error {
 	if len(verts) != len(slots) {
 		panic("scotch: internal imbalance between guest and host halves")
 	}
@@ -86,27 +87,24 @@ func mapRec(ctx context.Context, guest *graph.Graph, d topology.Oracle, verts, s
 		return nil
 	}
 	h0, h1 := bisectHost(d, slots)
-	g0, g1 := graph.Bisect(guest, verts, len(h0))
-	if err := mapRec(ctx, guest, d, g0, h0, m); err != nil {
+	g0, g1 := bis.Bisect(verts, len(h0))
+	if err := mapRec(ctx, bis, d, g0, h0, m); err != nil {
 		return err
 	}
-	return mapRec(ctx, guest, d, g1, h1, m)
+	return mapRec(ctx, bis, d, g1, h1, m)
 }
 
 // bisectHost splits a slot set into two halves that are physically cohesive:
-// it finds a pair of mutually distant slots as poles, then assigns the
-// ceil(k/2) slots closest to the first pole to the first half. Closeness to
-// a pole follows the machine hierarchy (socket < node < leaf < ...), so the
+// it takes the slot farthest from the first as a pole, then assigns the
+// ceil(k/2) slots closest to the pole to the first half. Closeness to a pole
+// follows the machine hierarchy (socket < node < leaf < ...), so the
 // halves align with physical enclosures exactly as an architecture
 // decomposition would.
 func bisectHost(d topology.Oracle, slots []int) (a, b []int) {
 	k := len(slots)
-	// Poles: approximate the most distant pair with two sweeps (exact
-	// search is quadratic and unnecessary on hierarchical metrics).
+	// Pole: a slot far from slots[0] (an exact most-distant pair is
+	// quadratic and unnecessary on hierarchical metrics).
 	p0 := farthestFrom(d, slots, slots[0])
-	p1 := farthestFrom(d, slots, p0)
-	_ = p1 // p1 anchors the far side implicitly: the near half excludes it.
-
 	type slotDist struct {
 		slot int
 		dist int32
@@ -117,11 +115,11 @@ func bisectHost(d topology.Oracle, slots []int) (a, b []int) {
 	}
 	// Deterministic selection of the sizeA closest slots to p0: sort by
 	// (distance, slot index).
-	sort.Slice(byDist, func(i, j int) bool {
-		if byDist[i].dist != byDist[j].dist {
-			return byDist[i].dist < byDist[j].dist
+	slices.SortFunc(byDist, func(x, y slotDist) int {
+		if c := cmp.Compare(x.dist, y.dist); c != 0 {
+			return c
 		}
-		return byDist[i].slot < byDist[j].slot
+		return cmp.Compare(x.slot, y.slot)
 	})
 	sizeA := (k + 1) / 2
 	a = make([]int, 0, sizeA)

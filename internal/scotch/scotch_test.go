@@ -1,6 +1,8 @@
 package scotch
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -177,4 +179,34 @@ func TestMapDeterministic(t *testing.T) {
 			t.Fatalf("non-deterministic mapping at rank %d", i)
 		}
 	}
+}
+
+// TestMapConcurrentOnOneGraph maps one guest graph from several goroutines
+// at once, as mapd's auto race and concurrent requests do: each Map owns
+// its bisection scratch, so the results equal a lone Map's (run with -race).
+func TestMapConcurrentOnOneGraph(t *testing.T) {
+	c := testCluster()
+	g, err := patterns.Build(core.RecursiveDoubling, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := hostFor(t, c, 64, topology.CyclicScatter)
+	want, err := Map(g, d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				if got, err := Map(g, d, nil); err != nil || !slices.Equal(got, want) {
+					t.Errorf("concurrent Map = %v, %v; want %v", got, err, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
