@@ -140,7 +140,7 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, rot int, buf []byte, blk i
 			BlockBytes: int32(blk),
 			Rank:       int32(me),
 			UnixNanos:  time.Now().UnixNano(),
-			Stages:     int32(len(prog.Stages)),
+			Stages:     int32(prog.NumPriceStages()),
 		}
 	}
 	var sent, sentBytes uint64

@@ -135,35 +135,9 @@ func rdCost(d *topology.Distances, m Mapping) int64 {
 	return sum
 }
 
-// binomialTreeEdges invokes fn(parent, child, weight) for every edge of the
-// binomial tree on p ranks rooted at 0; weight is the subtree size of child
-// (the gather message volume on that edge).
-func binomialTreeEdges(p int, fn func(parent, child, weight int)) {
-	var rec func(r, span int)
-	rec = func(r, span int) {
-		for i := 1; i < span; i <<= 1 {
-			child := r + i
-			if child >= p {
-				break
-			}
-			w := i
-			if child+w > p {
-				w = p - child
-			}
-			fn(r, child, w)
-			rec(child, i)
-		}
-	}
-	span := 1
-	for span < p {
-		span <<= 1
-	}
-	rec(0, span)
-}
-
 func bcastCost(d *topology.Distances, m Mapping) int64 {
 	var sum int64
-	binomialTreeEdges(len(m), func(parent, child, _ int) {
+	TreeEdges(len(m), func(parent, child, _ int) {
 		sum += int64(d.At(m[parent], m[child]))
 	})
 	return sum
@@ -171,7 +145,7 @@ func bcastCost(d *topology.Distances, m Mapping) int64 {
 
 func gatherCost(d *topology.Distances, m Mapping) int64 {
 	var sum int64
-	binomialTreeEdges(len(m), func(parent, child, w int) {
+	TreeEdges(len(m), func(parent, child, w int) {
 		sum += int64(w) * int64(d.At(m[parent], m[child]))
 	})
 	return sum
@@ -460,5 +434,61 @@ func BenchmarkRDMH4096(b *testing.B) {
 		if _, err := RDMH(d, nil); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+func TestTreeEdgesCoverAllRanks(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 5, 8, 12, 16, 31, 64} {
+		seen := make([]bool, p)
+		seen[0] = true
+		edges := 0
+		TreeEdges(p, func(parent, child, size int) {
+			edges++
+			if !seen[parent] {
+				t.Errorf("p=%d: child %d visited before parent %d", p, child, parent)
+			}
+			if seen[child] {
+				t.Errorf("p=%d: rank %d visited twice", p, child)
+			}
+			seen[child] = true
+			if size <= 0 || child+size > p {
+				t.Errorf("p=%d: edge (%d,%d) has bad subtree size %d", p, parent, child, size)
+			}
+		})
+		if edges != p-1 {
+			t.Errorf("p=%d: %d edges, want %d", p, edges, p-1)
+		}
+		for r, ok := range seen {
+			if !ok {
+				t.Errorf("p=%d: rank %d never visited", p, r)
+			}
+		}
+	}
+}
+
+func TestTreeEdgesMatchesTreeParent(t *testing.T) {
+	TreeEdges(64, func(parent, child, _ int) {
+		// A rank's binomial-tree parent is the rank with its lowest set
+		// bit cleared.
+		if want := child & (child - 1); want != parent {
+			t.Errorf("TreeEdges gives rank %d parent %d, want %d", child, parent, want)
+		}
+	})
+}
+
+func TestTreeEdgesSubtreeSizesSum(t *testing.T) {
+	// Property: subtree sizes of the root's children sum to p-1.
+	prop := func(pRaw uint8) bool {
+		p := int(pRaw)%100 + 2
+		sum := 0
+		TreeEdges(p, func(parent, _, size int) {
+			if parent == 0 {
+				sum += size
+			}
+		})
+		return sum == p-1
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
+		t.Error(err)
 	}
 }

@@ -42,7 +42,7 @@ func PatternCost(pat Pattern) (CostFunc, error) {
 	case BinomialBroadcast:
 		return func(d *topology.Distances, m Mapping) float64 {
 			var sum float64
-			binomialEdges(len(m), func(parent, child, _ int) {
+			TreeEdges(len(m), func(parent, child, _ int) {
 				sum += float64(d.At(m[parent], m[child]))
 			})
 			return sum
@@ -50,7 +50,7 @@ func PatternCost(pat Pattern) (CostFunc, error) {
 	case BinomialGather:
 		return func(d *topology.Distances, m Mapping) float64 {
 			var sum float64
-			binomialEdges(len(m), func(parent, child, w int) {
+			TreeEdges(len(m), func(parent, child, w int) {
 				sum += float64(w) * float64(d.At(m[parent], m[child]))
 			})
 			return sum
@@ -74,32 +74,6 @@ func PatternCost(pat Pattern) (CostFunc, error) {
 	default:
 		return nil, fmt.Errorf("core: no cost function for pattern %v", pat)
 	}
-}
-
-// binomialEdges enumerates the clear-lowest-bit binomial tree edges with
-// subtree weights (duplicated from package patterns to avoid an import
-// cycle; kept consistent by tests).
-func binomialEdges(p int, fn func(parent, child, weight int)) {
-	span := 1
-	for span < p {
-		span <<= 1
-	}
-	var rec func(r, span int)
-	rec = func(r, span int) {
-		for i := 1; i < span; i <<= 1 {
-			child := r + i
-			if child >= p {
-				break
-			}
-			w := i
-			if child+w > p {
-				w = p - child
-			}
-			fn(r, child, w)
-			rec(child, i)
-		}
-	}
-	rec(0, span)
 }
 
 // MaxOptimalRanks bounds the exhaustive search of Optimal: (n-1)! mappings

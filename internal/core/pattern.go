@@ -113,3 +113,26 @@ func (p Pattern) Fingerprint() uint64 {
 	io.WriteString(h, p.String())
 	return h.Sum64()
 }
+
+// TreeEdges enumerates the binomial tree over p ranks rooted at 0 (a rank's
+// parent clears its lowest set bit) depth first, smaller subtrees first as
+// BBMH visits them, calling fn(parent, child, subtreeSize); subtreeSize is
+// the child's subtree, the blocks a binomial gather moves over that edge.
+func TreeEdges(p int, fn func(parent, child, subtreeSize int)) {
+	span := 1
+	for span < p {
+		span <<= 1
+	}
+	var rec func(r, span int)
+	rec = func(r, span int) {
+		for i := 1; i < span; i <<= 1 {
+			child := r + i
+			if child >= p {
+				break
+			}
+			fn(r, child, min(i, p-child))
+			rec(child, i)
+		}
+	}
+	rec(0, span)
+}

@@ -49,8 +49,8 @@ func alignPrograms(t *testing.T, p int) []*sched.Program {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(prog.Stages) == 0 || !prog.Stages[0].Pre {
-		t.Fatalf("order-fixed program lost its Pre stage: %+v", prog.Stages)
+	if len(prog.Schedule().Pre) == 0 {
+		t.Fatalf("order-fixed program lost its Pre stage: %+v", priceView(prog))
 	}
 	return append(progs, prog)
 }
@@ -72,24 +72,25 @@ func TestPriceStageMapAlignment(t *testing.T) {
 		}
 		// Walk the map: pricing indices must be non-decreasing, in range,
 		// never Pre, and appear exactly Repeat times.
-		seen := make([]int, len(prog.Stages))
+		view := priceView(prog)
+		seen := make([]int, len(view))
 		prev := int32(-1)
 		for e, si := range pm {
-			if si < 0 || int(si) >= len(prog.Stages) {
+			if si < 0 || int(si) >= len(view) {
 				t.Fatalf("%s: exec stage %d maps to pricing index %d of %d",
-					prog.Name, e, si, len(prog.Stages))
+					prog.Name, e, si, len(view))
 			}
 			if si < prev {
 				t.Fatalf("%s: pricing indices regress at exec stage %d (%d after %d)",
 					prog.Name, e, si, prev)
 			}
-			if prog.Stages[si].Pre {
+			if view[si].Pre {
 				t.Fatalf("%s: exec stage %d maps to Pre pricing stage %d", prog.Name, e, si)
 			}
 			seen[si]++
 			prev = si
 		}
-		for si, st := range prog.Stages {
+		for si, st := range view {
 			want := st.Repeat
 			if st.Pre {
 				want = 0
@@ -103,7 +104,7 @@ func TestPriceStageMapAlignment(t *testing.T) {
 }
 
 // TestExplainProgramMatchesProfileBins pins the other half of the join: the
-// breakdown's stage indices are positions in prog.Stages, so a profile
+// breakdown's stage indices are pricing-view positions, so a profile
 // binned through PriceStageMap lines up bin-for-bin — including Pre stages,
 // whose predicted cost exists while their measured bin stays empty.
 func TestExplainProgramMatchesProfileBins(t *testing.T) {
@@ -121,23 +122,24 @@ func TestExplainProgramMatchesProfileBins(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", prog.Name, err)
 		}
-		if len(bd.Stages) != len(prog.Stages) {
+		view := priceView(prog)
+		if len(bd.Stages) != len(view) {
 			t.Fatalf("%s: breakdown has %d stages, pricing view %d",
-				prog.Name, len(bd.Stages), len(prog.Stages))
+				prog.Name, len(bd.Stages), len(view))
 		}
 		for i, sc := range bd.Stages {
 			if sc.Index != i {
 				t.Fatalf("%s: breakdown stage %d reports index %d", prog.Name, i, sc.Index)
 			}
-			if sc.Pre != prog.Stages[i].Pre || sc.Repeat != prog.Stages[i].Repeat {
+			if sc.Pre != view[i].Pre || sc.Repeat != view[i].Repeat {
 				t.Fatalf("%s: breakdown stage %d = pre %v x%d, pricing view pre %v x%d",
-					prog.Name, i, sc.Pre, sc.Repeat, prog.Stages[i].Pre, prog.Stages[i].Repeat)
+					prog.Name, i, sc.Pre, sc.Repeat, view[i].Pre, view[i].Repeat)
 			}
 		}
 		// A model-faithful profile fills exactly the non-Pre bins.
 		prof := syntheticProfile(prog, bd, 2048)
-		if int(prof.Stages) != len(prog.Stages) {
-			t.Fatalf("%s: profile declares %d stages, want %d", prog.Name, prof.Stages, len(prog.Stages))
+		if int(prof.Stages) != len(view) {
+			t.Fatalf("%s: profile declares %d stages, want %d", prog.Name, prof.Stages, len(view))
 		}
 		for i, sc := range bd.Stages {
 			got := prof.StageSeconds[i]
@@ -153,4 +155,23 @@ func TestExplainProgramMatchesProfileBins(t *testing.T) {
 			}
 		}
 	}
+}
+
+// viewStage is one stage of a program's pricing view.
+type viewStage struct {
+	Pre    bool
+	Repeat int
+}
+
+// priceView lists prog's pricing view: its schedule's Pre stages, then its
+// main stages.
+func priceView(prog *sched.Program) []viewStage {
+	var view []viewStage
+	for _, st := range prog.Schedule().Pre {
+		view = append(view, viewStage{Pre: true, Repeat: st.Repeats()})
+	}
+	for _, st := range prog.Schedule().Stages {
+		view = append(view, viewStage{Repeat: st.Repeats()})
+	}
+	return view
 }

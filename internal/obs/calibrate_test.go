@@ -20,7 +20,7 @@ func syntheticProfile(prog *sched.Program, bd *simnet.Breakdown, blockBytes int)
 		P:          int32(prog.P),
 		Blocks:     int32(prog.Blocks),
 		BlockBytes: int32(blockBytes),
-		Stages:     int32(len(prog.Stages)),
+		Stages:     int32(prog.NumPriceStages()),
 	}
 	for i, st := range bd.Stages {
 		if st.Pre {

@@ -55,7 +55,7 @@ func Build(pat core.Pattern, p int) (*graph.Graph, error) {
 		}
 	case core.BinomialBroadcast:
 		var err error
-		TreeEdges(p, func(parent, child, _ int) {
+		core.TreeEdges(p, func(parent, child, _ int) {
 			if err == nil {
 				// Broadcast sends the full fixed-size message on every edge.
 				err = g.AddEdge(parent, child, 1)
@@ -66,7 +66,7 @@ func Build(pat core.Pattern, p int) (*graph.Graph, error) {
 		}
 	case core.BinomialGather:
 		var err error
-		TreeEdges(p, func(parent, child, subtree int) {
+		core.TreeEdges(p, func(parent, child, subtree int) {
 			if err == nil {
 				// Gather moves the child's whole subtree up this edge.
 				err = g.AddEdge(parent, child, int64(subtree))
@@ -89,32 +89,4 @@ func Build(pat core.Pattern, p int) (*graph.Graph, error) {
 		return nil, fmt.Errorf("patterns: unknown pattern %v", pat)
 	}
 	return g, nil
-}
-
-// TreeEdges enumerates the edges of the binomial tree over p ranks rooted at
-// rank 0, calling fn(parent, child, subtreeSize) for each. subtreeSize is
-// the number of ranks in the child's subtree — the number of blocks a
-// binomial gather moves across that edge. Edges are visited in the
-// smaller-subtree-first depth-first order that BBMH uses.
-func TreeEdges(p int, fn func(parent, child, subtreeSize int)) {
-	span := 1
-	for span < p {
-		span <<= 1
-	}
-	var rec func(r, span int)
-	rec = func(r, span int) {
-		for i := 1; i < span; i <<= 1 {
-			child := r + i
-			if child >= p {
-				break
-			}
-			size := i
-			if child+size > p {
-				size = p - child
-			}
-			fn(r, child, size)
-			rec(child, i)
-		}
-	}
-	rec(0, span)
 }

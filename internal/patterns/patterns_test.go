@@ -2,7 +2,6 @@ package patterns
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/core"
 )
@@ -104,61 +103,5 @@ func TestBuildSingleProcess(t *testing.T) {
 		if len(g.Edges()) != 0 {
 			t.Errorf("%v: p=1 graph has edges", pat)
 		}
-	}
-}
-
-func TestTreeEdgesCoverAllRanks(t *testing.T) {
-	for _, p := range []int{1, 2, 3, 5, 8, 12, 16, 31, 64} {
-		seen := make([]bool, p)
-		seen[0] = true
-		edges := 0
-		TreeEdges(p, func(parent, child, size int) {
-			edges++
-			if !seen[parent] {
-				t.Errorf("p=%d: child %d visited before parent %d", p, child, parent)
-			}
-			if seen[child] {
-				t.Errorf("p=%d: rank %d visited twice", p, child)
-			}
-			seen[child] = true
-			if size <= 0 || child+size > p {
-				t.Errorf("p=%d: edge (%d,%d) has bad subtree size %d", p, parent, child, size)
-			}
-		})
-		if edges != p-1 {
-			t.Errorf("p=%d: %d edges, want %d", p, edges, p-1)
-		}
-		for r, ok := range seen {
-			if !ok {
-				t.Errorf("p=%d: rank %d never visited", p, r)
-			}
-		}
-	}
-}
-
-func TestTreeEdgesMatchesTreeParent(t *testing.T) {
-	TreeEdges(64, func(parent, child, _ int) {
-		// A rank's binomial-tree parent is the rank with its lowest set
-		// bit cleared.
-		if want := child & (child - 1); want != parent {
-			t.Errorf("TreeEdges gives rank %d parent %d, want %d", child, parent, want)
-		}
-	})
-}
-
-func TestTreeEdgesSubtreeSizesSum(t *testing.T) {
-	// Property: subtree sizes of the root's children sum to p-1.
-	prop := func(pRaw uint8) bool {
-		p := int(pRaw)%100 + 2
-		sum := 0
-		TreeEdges(p, func(parent, _, size int) {
-			if parent == 0 {
-				sum += size
-			}
-		})
-		return sum == p-1
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }

@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"fmt"
-
-	"repro/internal/patterns"
-)
+import "fmt"
 
 // RecursiveDoubling builds the recursive doubling allgather schedule over p
 // ranks (paper Section II, Fig. 1): log2(p) stages; at stage s rank i
@@ -291,33 +287,4 @@ func ReduceScatterAllgather(p int) (*Schedule, error) {
 		s.Stages = append(s.Stages, st)
 	}
 	return s, nil
-}
-
-// assertTreeConsistency is a development aid verifying that BinomialGather's
-// stage construction agrees with the canonical binomial tree enumeration of
-// package patterns. It is exercised by tests.
-func assertTreeConsistency(p int) error {
-	want := map[[2]int]int{}
-	patterns.TreeEdges(p, func(parent, child, size int) {
-		want[[2]int{child, parent}] = size
-	})
-	s, err := BinomialGather(p)
-	if err != nil {
-		return err
-	}
-	got := map[[2]int]int{}
-	for _, st := range s.Stages {
-		for _, tr := range st.Transfers {
-			got[[2]int{int(tr.Src), int(tr.Dst)}] = int(tr.N)
-		}
-	}
-	if len(got) != len(want) {
-		return fmt.Errorf("sched: gather has %d edges, tree has %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			return fmt.Errorf("sched: gather edge %v carries %d blocks, tree says %d", k, got[k], v)
-		}
-	}
-	return nil
 }

@@ -10,10 +10,10 @@ import (
 // prices, the generic executor runs, and the figure drivers consume. It
 // carries two views of the same schedule:
 //
-//   - the pricing view (Stages) mirrors the schedule's stage structure 1:1,
-//     with Repeat preserved, so contention pricing costs O(transfers) per
-//     stage regardless of repeat counts — a 4096-rank ring prices 1 stage,
-//     not 4095;
+//   - the pricing view is the Schedule itself (Schedule()): Pre stages
+//     first, then main stages, with Repeat preserved, so contention pricing
+//     costs O(transfers) per stage regardless of repeat counts — a
+//     4096-rank ring prices 1 stage, not 4095;
 //   - the executable view (ExecStages/Ops/RankSteps) expands repeats and
 //     resolves every transfer's symbolic block mode (All, Range, Latest,
 //     List) into an explicit block list: it records the verifier's
@@ -32,9 +32,7 @@ type Program struct {
 	Init           InitKind
 	PostCopyBlocks int
 
-	// Stages is the pricing view: Pre stages first, then main stages, in
-	// schedule order.
-	Stages []ProgStage
+	s *Schedule
 
 	execOnce    sync.Once
 	execErr     error
@@ -43,14 +41,6 @@ type Program struct {
 	blockIdx    []int32
 	steps       [][]RankStep
 	execToPrice []int32
-}
-
-// ProgStage is one stage of the pricing view.
-type ProgStage struct {
-	Pre       bool
-	Repeat    int
-	Reduce    bool
-	Transfers []Transfer
 }
 
 // ExecOp is one point-to-point message of the executable view. Its payload
@@ -79,8 +69,10 @@ type RankStep struct {
 	Send  bool
 }
 
-// Compile validates s and builds its pricing view. The executable view is
-// materialised on demand by EnsureExecutable.
+// Compile validates s and returns its program, whose pricing view is s
+// itself: no transfer is copied. s must not change after compilation (the
+// schedule-immutability contract every reader of a shared schedule relies
+// on). The executable view is materialised on demand by EnsureExecutable.
 func Compile(s *Schedule) (*Program, error) {
 	start := time.Now()
 	if err := s.Validate(); err != nil {
@@ -93,22 +85,19 @@ func Compile(s *Schedule) (*Program, error) {
 		Root:           s.Root,
 		Init:           s.Init,
 		PostCopyBlocks: s.PostCopyBlocks,
-		Stages:         make([]ProgStage, 0, len(s.Pre)+len(s.Stages)),
-	}
-	copyStage := func(st *Stage, pre bool) {
-		trs := make([]Transfer, len(st.Transfers))
-		copy(trs, st.Transfers)
-		p.Stages = append(p.Stages, ProgStage{Pre: pre, Repeat: st.Repeats(), Reduce: st.Reduce, Transfers: trs})
-	}
-	for i := range s.Pre {
-		copyStage(&s.Pre[i], true)
-	}
-	for i := range s.Stages {
-		copyStage(&s.Stages[i], false)
+		s:              s,
 	}
 	scheduleCompileSeconds.With("view", "sized").Observe(time.Since(start).Seconds())
 	return p, nil
 }
+
+// Schedule returns the schedule p was compiled from: its pricing view.
+// Callers read it and never write it.
+func (p *Program) Schedule() *Schedule { return p.s }
+
+// NumPriceStages returns the length of the pricing view: the schedule's Pre
+// stages plus its main stages.
+func (p *Program) NumPriceStages() int { return len(p.s.Pre) + len(p.s.Stages) }
 
 // EnsureExecutable builds the executable view if it has not been built yet
 // and returns its (memoized) result. Safe for concurrent use.
@@ -131,11 +120,12 @@ func (p *Program) OpBlocks(op ExecOp) []int32 { return p.blockIdx[op.Blk0 : op.B
 func (p *Program) RankSteps(r int) []RankStep { return p.steps[r] }
 
 // PriceStageMap maps each expanded (executable-view) stage index back to its
-// pricing-view stage index: PriceStageMap()[e] is the position in Stages of
-// the stage that expanded into ExecStages()[e]. Repeated stages map their
-// repeats to one pricing index; Pre stages never appear (they are priced,
-// not executed). The flight recorder uses this to bin measured stage times
-// against simnet.Breakdown indices. Call EnsureExecutable first.
+// pricing-view stage index: PriceStageMap()[e] is the position, Pre stages
+// first, of the schedule stage that expanded into ExecStages()[e]. Repeated
+// stages map their repeats to one pricing index; Pre stages never appear
+// (they are priced, not executed). The flight recorder uses this to bin
+// measured stage times against simnet.Breakdown indices. Call
+// EnsureExecutable first.
 func (p *Program) PriceStageMap() []int32 { return p.execToPrice }
 
 // buildExec records the verifier's possession replay of the main stages:
@@ -143,25 +133,19 @@ func (p *Program) PriceStageMap() []int32 { return p.execToPrice }
 // order, the blocks the replay moved.
 func (p *Program) buildExec() {
 	start := time.Now()
-	s := Schedule{Name: p.Name, P: p.P, Blocks: p.Blocks, Init: p.Init, Root: p.Root}
-	rs, err := s.newReplay()
+	rs, err := p.s.newReplay()
 	if err != nil {
 		p.execErr = err
 		return
 	}
-	// Compile puts Pre stages first; they are priced, not executed (order
-	// fixes run in the caller).
-	pre := 0
-	for pre < len(p.Stages) && p.Stages[pre].Pre {
-		pre++
-	}
-	// Size the view from the stages: a transfer moves N blocks (a hint only,
-	// as a malformed All or Latest transfer may move another count).
-	main, nops, nblk := make([]Stage, len(p.Stages)-pre), 0, 0
-	for i, st := range p.Stages[pre:] {
-		main[i] = Stage{Transfers: st.Transfers, Repeat: st.Repeat, Reduce: st.Reduce}
-		for _, tr := range st.Transfers {
-			nops, nblk = nops+st.Repeat, nblk+int(tr.N)*st.Repeat
+	// Pre stages are priced, not executed (order fixes run in the caller).
+	// Size the view from the main stages: a transfer moves N blocks (a hint
+	// only, as a malformed All or Latest transfer may move another count).
+	pre, main, nops, nblk := len(p.s.Pre), p.s.Stages, 0, 0
+	for i := range main {
+		rep := main[i].Repeats()
+		for _, tr := range main[i].Transfers {
+			nops, nblk = nops+rep, nblk+int(tr.N)*rep
 		}
 	}
 	p.ops, p.blockIdx = make([]ExecOp, 0, nops), make([]int32, 0, nblk)

@@ -85,16 +85,16 @@ func (p *Program) refBuildExec() {
 	// second same-repeat delivery is detected in O(1).
 	stamp := make([]int, p.P)
 	repCounter := 0
-	for si := range p.Stages {
-		st := &p.Stages[si]
-		if st.Pre {
-			continue // Pre stages are priced, not executed (order fixes run in the caller)
-		}
+	// Pre stages are priced, not executed (order fixes run in the caller);
+	// pricing-view indices count them first.
+	pre := len(p.Schedule().Pre)
+	for mi := range p.Schedule().Stages {
+		si, st := pre+mi, &p.Schedule().Stages[mi]
 		for r := range lastRecv {
 			lastRecv[r] = nil
 			ambiguous[r] = false
 		}
-		for rep := 0; rep < st.Repeat; rep++ {
+		for rep := 0; rep < st.Repeats(); rep++ {
 			op0 := len(p.ops)
 			for _, tr := range st.Transfers {
 				var blocks []int32

@@ -44,8 +44,7 @@ type Builder func(p int) (*Schedule, error)
 
 // Family is one collective family's registry entry: everything the layers
 // above need to route a family without a per-family switch. Adding a family
-// is one RegisterFamily call (plus the per-layer hook registrations in
-// synth/collective) instead of five switch edits.
+// is one RegisterFamily call instead of five switch edits.
 type Family struct {
 	ID   FamilyID
 	Name string
@@ -62,8 +61,8 @@ type Family struct {
 	// (p, payloadBytes) — the comparison point every search prices.
 	Baseline func(p, payloadBytes int) string
 	// Seeds lists the builder names seeded into a synth search, in
-	// deterministic order. Family-specific seeds that need machine context
-	// (hierarchical radixes, torus dimensions) attach via synth's hooks.
+	// deterministic order. synth derives the seeds that need machine context
+	// (hierarchical radixes, torus dimensions, chunk counts) from this entry.
 	Seeds []string
 	// TorusBuilder, when non-nil, builds the family's torus-native
 	// dimension-wise schedule for ranks numbered x-fastest over dims.

@@ -280,6 +280,38 @@ func TestWithOrderPreservation(t *testing.T) {
 	}
 }
 
+// TestOrderFixFingerprintsPinned: WithOrderPreservation and
+// InitCommSchedule build their init-comm stage through one function; the
+// order-fixed fingerprints are the ones the two separate loops produced.
+func TestOrderFixFingerprintsPinned(t *testing.T) {
+	m := make(core.Mapping, 16)
+	for r := range m {
+		m[r] = (r * 5) % 16
+	}
+	rd, err := RecursiveDoubling(16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		mode OrderMode
+		want string
+	}{
+		{InitComm, "8c6420b18684f82c29d3340333c3814cb7726ab0df69cd5fcfdf2b42f66936e4"},
+		{EndShuffle, "52fd4e09f942484c86b355ff675a7881d3366ef111b25664cf45e5267f90c55f"},
+	} {
+		s, err := WithOrderPreservation(rd, m, c.mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Fingerprint(s); got != c.want {
+			t.Errorf("%v: fingerprint %s, want %s", c.mode, got, c.want)
+		}
+	}
+	if got, want := Fingerprint(InitCommSchedule(m)), "784fc1f64b6f8985b003979f67dd5dd5f999e82c952839fea22e77852a1acb5f"; got != want {
+		t.Errorf("InitCommSchedule: fingerprint %s, want %s", got, want)
+	}
+}
+
 func TestWithOrderPreservationNoops(t *testing.T) {
 	s, _ := RecursiveDoubling(8)
 	// Identity mapping: nothing to fix.

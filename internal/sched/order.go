@@ -73,6 +73,17 @@ func (s *Schedule) NeedsOrderFix() bool {
 // every displaced rank. Used to price the order fix of multi-phase
 // (hierarchical) compositions whose phases are priced separately.
 func InitCommSchedule(m core.Mapping) *Schedule {
+	s := &Schedule{Name: "init-comm", P: len(m), Init: InitSizedOnly}
+	if st := initCommStage(m); len(st.Transfers) > 0 {
+		s.Stages = []Stage{st}
+	}
+	return s
+}
+
+// initCommStage is the stage of extra initial communications under mapping
+// m: for every displaced new rank r, one block from the process holding the
+// input r needs (new rank inv[r]) to r, in ascending r.
+func initCommStage(m core.Mapping) Stage {
 	inv := m.NewRankOf()
 	var st Stage
 	for r := 0; r < len(m); r++ {
@@ -82,11 +93,7 @@ func InitCommSchedule(m core.Mapping) *Schedule {
 			})
 		}
 	}
-	s := &Schedule{Name: "init-comm", P: len(m), Init: InitSizedOnly}
-	if len(st.Transfers) > 0 {
-		s.Stages = []Stage{st}
-	}
-	return s
+	return st
 }
 
 // EndShuffleSchedule builds a standalone priceable schedule containing only
@@ -115,18 +122,7 @@ func WithOrderPreservation(s *Schedule, m core.Mapping, mode OrderMode) (*Schedu
 	out := *s
 	switch mode {
 	case InitComm:
-		inv := m.NewRankOf()
-		var st Stage
-		for r := 0; r < s.P; r++ {
-			src := inv[r] // process holding the input that new rank r needs
-			if src == r {
-				continue
-			}
-			st.Transfers = append(st.Transfers, Transfer{
-				Src: int32(src), Dst: int32(r), First: int32(r), N: 1, Mode: Range,
-			})
-		}
-		out.Pre = append(append([]Stage(nil), s.Pre...), st)
+		out.Pre = append(append([]Stage(nil), s.Pre...), initCommStage(m))
 	case EndShuffle:
 		out.PostCopyBlocks = s.PostCopyBlocks + s.P
 	default:

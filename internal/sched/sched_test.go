@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -109,6 +110,34 @@ func TestBinomialGatherVerifies(t *testing.T) {
 			t.Errorf("p=%d: %v", p, err)
 		}
 	}
+}
+
+// assertTreeConsistency verifies that BinomialGather's stage construction
+// agrees with the canonical binomial tree enumeration, core.TreeEdges.
+func assertTreeConsistency(p int) error {
+	want := map[[2]int]int{}
+	core.TreeEdges(p, func(parent, child, size int) {
+		want[[2]int{child, parent}] = size
+	})
+	s, err := BinomialGather(p)
+	if err != nil {
+		return err
+	}
+	got := map[[2]int]int{}
+	for _, st := range s.Stages {
+		for _, tr := range st.Transfers {
+			got[[2]int{int(tr.Src), int(tr.Dst)}] = int(tr.N)
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Errorf("sched: gather has %d edges, tree has %d", len(got), len(want))
+	}
+	for k, v := range want {
+		if got[k] != v {
+			return fmt.Errorf("sched: gather edge %v carries %d blocks, tree says %d", k, got[k], v)
+		}
+	}
+	return nil
 }
 
 func TestBinomialGatherMatchesTree(t *testing.T) {

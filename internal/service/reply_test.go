@@ -256,6 +256,13 @@ func FuzzParseRequest(f *testing.F) {
 		&Request{Topology: topo, Pattern: PatternSpec{Name: "recursive-doubling"}, Sizes: []int{1024, 65536}},
 		&Request{Topology: topo, Pattern: PatternSpec{Name: "ring"}, Trace: true},
 		&Request{Topology: topo, Pattern: PatternSpec{Graph: ringGraph(16)}},
+		// The CSR entries buildGraph must reject or count: a negative
+		// neighbour, a self-loop, edges listed from the higher endpoint
+		// only, a negative weight on a higher-endpoint entry.
+		&Request{Topology: topo, Procs: 3, Pattern: PatternSpec{Graph: csr([][][2]int64{{{1, 5}, {-1, 1}}, {{2, 3}}, {}})}},
+		&Request{Topology: topo, Procs: 3, Pattern: PatternSpec{Graph: csr([][][2]int64{{{1, 5}}, {{1, 1}, {2, 3}}, {}})}},
+		&Request{Topology: topo, Procs: 3, Pattern: PatternSpec{Graph: csr([][][2]int64{{}, {{0, 5}}, {{1, 3}}})}},
+		&Request{Topology: topo, Procs: 3, Pattern: PatternSpec{Graph: csr([][][2]int64{{{1, 5}}, {{0, -7}, {2, 3}}, {}})}},
 		&Request{Topology: TopologySpec{Preset: "gpc"}, Pattern: PatternSpec{Name: "ring"}, Heuristic: "rmh"},
 		&BatchRequest{Topology: topo, Patterns: []BatchPattern{{Name: "ring"}, {Name: "recursive-doubling"}, {Name: "binomial-broadcast", Sizes: []int{4096}}}, Sizes: []int{1024, 65536}},
 		&BatchRequest{Topology: topo, Patterns: []BatchPattern{{Name: "ring", Sizes: []int{512}}}, Forwarded: modelEpoch},

@@ -71,8 +71,10 @@ type PatternSpec struct {
 
 // GraphSpec is a weighted undirected communication graph in CSR form:
 // vertex u's neighbours are Adjncy[XAdj[u]:XAdj[u+1]] with matching entries
-// of Weights (all 1 when Weights is empty). Each undirected edge may appear
-// in one or both directions; duplicate insertions accumulate.
+// of Weights (all 1 when Weights is empty, else all positive). Each
+// undirected edge may appear in one or both directions; duplicate entries
+// in one vertex's list accumulate, and an edge listed in both directions
+// must carry the same total in each.
 type GraphSpec struct {
 	N       int     `json:"n"`
 	XAdj    []int   `json:"xadj"`
@@ -213,7 +215,10 @@ func buildCluster(spec *TopologySpec) (*topology.Cluster, error) {
 	return topology.NewCluster(spec.Nodes, spec.SocketsPerNode, spec.CoresPerSocket, net)
 }
 
-// buildGraph materialises a CSR graph spec.
+// buildGraph materialises a CSR graph spec. Every entry must name another
+// vertex in range with a positive weight. An edge counts once, whether one
+// endpoint lists it or both; listed from both, its per-pair totals (the sums
+// of each endpoint's entries for the other) must agree.
 func buildGraph(spec *GraphSpec) (*graph.Graph, error) {
 	if spec.N <= 0 {
 		return nil, fmt.Errorf("service: graph needs a positive vertex count")
@@ -227,6 +232,14 @@ func buildGraph(spec *GraphSpec) (*graph.Graph, error) {
 	if len(spec.Weights) != 0 && len(spec.Weights) != len(spec.Adjncy) {
 		return nil, fmt.Errorf("service: weights has %d entries, adjncy %d", len(spec.Weights), len(spec.Adjncy))
 	}
+	weight := func(e int) int64 {
+		if len(spec.Weights) == 0 {
+			return 1
+		}
+		return spec.Weights[e]
+	}
+	// Check every entry and add the ones listed from the lower endpoint, in
+	// order.
 	g := graph.New(spec.N)
 	for u := 0; u < spec.N; u++ {
 		lo, hi := spec.XAdj[u], spec.XAdj[u+1]
@@ -234,17 +247,49 @@ func buildGraph(spec *GraphSpec) (*graph.Graph, error) {
 			return nil, fmt.Errorf("service: xadj[%d..%d] = [%d,%d) out of order", u, u+1, lo, hi)
 		}
 		for e := lo; e < hi; e++ {
+			switch v, w := spec.Adjncy[e], weight(e); {
+			case v < 0 || v >= spec.N:
+				return nil, fmt.Errorf("service: adjncy[%d] = %d outside 0..%d", e, v, spec.N-1)
+			case v == u:
+				return nil, fmt.Errorf("service: adjncy[%d] is a self-loop at %d", e, u)
+			case w <= 0:
+				return nil, fmt.Errorf("service: weights[%d] = %d is not positive", e, w)
+			case v > u:
+				if err := g.AddEdge(u, v, w); err != nil {
+					return nil, fmt.Errorf("service: %w", err)
+				}
+			}
+		}
+	}
+	// The entries listed from the higher endpoint u: an edge its lower
+	// endpoint v listed too must carry the same total, the rest are added.
+	lower, upper := make([]int64, spec.N), make([]int64, spec.N)
+	for u := 0; u < spec.N; u++ {
+		for _, e := range g.Neighbors(u) {
+			lower[e.To] = e.W
+		}
+		lo, hi := spec.XAdj[u], spec.XAdj[u+1]
+		for e := lo; e < hi; e++ {
+			if v := spec.Adjncy[e]; v < u {
+				upper[v] += weight(e)
+			}
+		}
+		for e := lo; e < hi; e++ {
 			v := spec.Adjncy[e]
-			if v <= u {
-				continue // count each undirected edge once, from its lower endpoint
+			if v > u || upper[v] == 0 {
+				continue
 			}
-			w := int64(1)
-			if len(spec.Weights) != 0 {
-				w = spec.Weights[e]
+			if lower[v] == 0 {
+				if err := g.AddEdge(u, v, upper[v]); err != nil {
+					return nil, fmt.Errorf("service: %w", err)
+				}
+			} else if lower[v] != upper[v] {
+				return nil, fmt.Errorf("service: edge (%d,%d) weighs %d from %d but %d from %d", v, u, lower[v], v, upper[v], u)
 			}
-			if err := g.AddEdge(u, v, w); err != nil {
-				return nil, fmt.Errorf("service: %w", err)
-			}
+			upper[v] = 0
+		}
+		for _, e := range g.Neighbors(u) {
+			lower[e.To] = 0
 		}
 	}
 	return g, nil

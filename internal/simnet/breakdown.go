@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -47,49 +48,47 @@ func (b *Breakdown) String() string {
 	return sb.String()
 }
 
-// Explain prices a schedule like Price but returns the per-stage detail, on
-// the program sched.Compile builds for the executor.
+// Explain prices a schedule like Price but returns the per-stage detail.
 func (m *Machine) Explain(s *sched.Schedule, layout []int, blockBytes int) (*Breakdown, error) {
-	prog, err := sched.Compile(s)
-	if err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return m.ExplainProgram(prog, layout, blockBytes)
+	return m.explain(s, layout, blockBytes)
 }
 
 // ExplainProgram is Explain for an already-compiled program. Stage indices
-// of the result are positions in prog.Stages (the pricing view), the same
+// of the result are pricing-view positions (Pre stages first), the same
 // index space sched.Program.PriceStageMap and obs profiles bin against.
 // Total sums the stages in PriceProgram's order, so it equals its price.
 func (m *Machine) ExplainProgram(prog *sched.Program, layout []int, blockBytes int) (*Breakdown, error) {
-	sc := m.getScratch()
-	defer m.scratch.Store(sc)
-	if err := m.checkArgs(sc, prog.P, layout, blockBytes); err != nil {
-		return nil, err
-	}
-	out := &Breakdown{}
-	for idx := range prog.Stages {
-		st := &prog.Stages[idx]
-		t, err := m.priceStage(sc, st.Transfers, layout, blockBytes)
-		if err != nil {
-			return nil, err
-		}
+	return m.explain(prog.Schedule(), layout, blockBytes)
+}
+
+// explain is the stage walk behind Explain and ExplainProgram.
+func (m *Machine) explain(s *sched.Schedule, layout []int, blockBytes int) (*Breakdown, error) {
+	stage, out := slowest{b: float64(blockBytes)}, &Breakdown{}
+	err := m.walk(context.Background(), s, layout, blockBytes, stage.add, func(_ *priceScratch, i int, st *sched.Stage) error {
+		t := stage.take()
 		var bytes int64
-		for i := range st.Transfers {
-			bytes += int64(st.Transfers[i].N) * int64(blockBytes)
+		for j := range st.Transfers {
+			bytes += int64(st.Transfers[j].N) * int64(blockBytes)
 		}
 		out.Stages = append(out.Stages, StageCost{
-			Index:      idx,
-			Pre:        st.Pre,
-			Repeat:     st.Repeat,
+			Index:      i,
+			Pre:        i < len(s.Pre),
+			Repeat:     st.Repeats(),
 			Seconds:    t,
 			Transfers:  len(st.Transfers),
 			BytesMoved: bytes,
 		})
-		out.Total += t * float64(st.Repeat)
+		out.Total += t * float64(st.Repeats())
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if prog.PostCopyBlocks > 0 {
-		out.PostCopySeconds = float64(prog.PostCopyBlocks) * float64(blockBytes) / m.Params.MemCopy
+	if s.PostCopyBlocks > 0 {
+		out.PostCopySeconds = float64(s.PostCopyBlocks) * float64(blockBytes) / m.Params.MemCopy
 		out.Total += out.PostCopySeconds
 	}
 	return out, nil

@@ -3,8 +3,8 @@
 // implementation in sparse.go is pinned bit-identical against by
 // equivalence_test.go. It allocates five maps per stage and recomputes every
 // route once during aggregation and once per transfer during pricing;
-// production pricing (PriceProgram, Profile, PricePipelined) runs on the
-// sparse path only.
+// production pricing runs on the sparse path only, through the one stage
+// walk (walk, sparse.go) that every entry point visits.
 package simnet
 
 import (
@@ -102,13 +102,15 @@ func (m *Machine) priceProgramDense(prog *sched.Program, layout []int, blockByte
 		return 0, err
 	}
 	total := 0.0
-	for i := range prog.Stages {
-		st := &prog.Stages[i]
-		t, err := m.priceStageDense(st.Transfers, layout, blockBytes)
-		if err != nil {
-			return 0, err
+	for _, stages := range [][]sched.Stage{prog.Schedule().Pre, prog.Schedule().Stages} {
+		for i := range stages {
+			st := &stages[i]
+			t, err := m.priceStageDense(st.Transfers, layout, blockBytes)
+			if err != nil {
+				return 0, err
+			}
+			total += t * float64(st.Repeats())
 		}
-		total += t * float64(st.Repeat)
 	}
 	if prog.PostCopyBlocks > 0 {
 		total += float64(prog.PostCopyBlocks) * float64(blockBytes) / m.Params.MemCopy

@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -92,10 +94,11 @@ func TestSparseDensePriceEquivalence(t *testing.T) {
 	}
 }
 
-// TestSparseDenseTransferEquivalence pins the per-transfer durations
-// PricePipelined consumes — transferDurations on the sparse scratch — to the
-// dense reference's per-transfer times with plain float equality, stage by
-// stage over the same machine x program x layout x size matrix.
+// TestSparseDenseTransferEquivalence pins the per-transfer cost lines the
+// stage walk hands every visitor — evaluated at one size, as PricePipelined
+// evaluates them — to the dense reference's per-transfer times with plain
+// float equality, stage by stage over the same machine x program x layout x
+// size matrix.
 func TestSparseDenseTransferEquivalence(t *testing.T) {
 	layouts := []topology.LayoutKind{topology.BlockBunch, topology.BlockScatter, topology.CyclicBunch}
 	for mname, m := range equivMachines(t) {
@@ -103,40 +106,41 @@ func TestSparseDenseTransferEquivalence(t *testing.T) {
 		if p > 512 {
 			p = 512
 		}
-		sc := m.getScratch()
 		for pname, prog := range equivPrograms(t, p) {
 			for _, kind := range layouts {
 				layout := topology.MustLayout(m.Cluster, p, kind)
 				for _, blockBytes := range []int{64, 64 * 1024} {
-					for si := range prog.Stages {
-						transfers := prog.Stages[si].Transfers
-						got, err := m.transferDurations(sc, nil, transfers, layout, blockBytes)
-						if err != nil {
-							t.Fatal(err)
-						}
+					var got []float64
+					line := func(l costLine) { got = append(got, l.seconds(float64(blockBytes))) }
+					err := m.walk(context.Background(), prog.Schedule(), layout, blockBytes, line, func(_ *priceScratch, si int, st *sched.Stage) error {
 						loads := newStageLoads()
-						m.aggregateLoads(transfers, layout, loads)
+						m.aggregateLoads(st.Transfers, layout, loads)
 						var routeBuf []topology.DirLink
-						for ti := range transfers {
-							want, err := m.transferTimeDense(&transfers[ti], layout, blockBytes, loads, &routeBuf)
+						for ti := range st.Transfers {
+							want, err := m.transferTimeDense(&st.Transfers[ti], layout, blockBytes, loads, &routeBuf)
 							if err != nil {
-								t.Fatal(err)
+								return err
 							}
 							if got[ti] != want {
 								t.Errorf("%s/%s/%v/%dB stage %d transfer %d: sparse %.17g differs from dense %.17g",
 									mname, pname, kind, blockBytes, si, ti, got[ti], want)
 							}
 						}
+						got = got[:0]
+						return nil
+					})
+					if err != nil {
+						t.Fatal(err)
 					}
 				}
 			}
 		}
-		m.scratch.Store(sc)
 	}
 }
 
-// TestSparseDenseExplainEquivalence checks the per-stage breakdown path,
-// which shares priceStage with PriceProgram, against the dense stage prices.
+// TestSparseDenseExplainEquivalence checks the per-stage breakdown, which
+// shares the stage walk with PriceProgram, against the dense stage prices,
+// and Explain on the schedule against ExplainProgram on its program.
 func TestSparseDenseExplainEquivalence(t *testing.T) {
 	m := gpcMachine(t)
 	const p, blockBytes = 256, 4096
@@ -153,17 +157,24 @@ func TestSparseDenseExplainEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bd.Stages) != len(prog.Stages) {
-		t.Fatalf("breakdown covers %d stages, program has %d", len(bd.Stages), len(prog.Stages))
+	if len(bd.Stages) != prog.NumPriceStages() {
+		t.Fatalf("breakdown covers %d stages, program has %d", len(bd.Stages), prog.NumPriceStages())
 	}
 	for i, st := range bd.Stages {
-		want, err := m.priceStageDense(prog.Stages[i].Transfers, layout, blockBytes)
+		want, err := m.priceStageDense(s.Stages[i].Transfers, layout, blockBytes)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.Seconds != want {
 			t.Errorf("stage %d: sparse %.17g differs from dense %.17g", i, st.Seconds, want)
 		}
+	}
+	fromProg, err := m.ExplainProgram(prog, layout, blockBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromProg, bd) {
+		t.Errorf("ExplainProgram differs from Explain:\n%v\n%v", fromProg, bd)
 	}
 }
 
@@ -217,37 +228,48 @@ func TestPriceProgramRingP65536(t *testing.T) {
 }
 
 // TestPriceStageAllocs extends the AllocsPerRun discipline to the pricing
-// hot loop: with a warm scratch, pricing a stage allocates nothing.
+// hot loop: with a warm scratch, the stage walk — aggregation, cost lines
+// and a pricing visitor — allocates nothing, and neither does PriceProgram.
 func TestPriceStageAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector shadow state allocates on map operations")
 	}
 	m := gpcMachine(t)
 	const p, blockBytes = 512, 4096
-	s, err := sched.Ring(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := sched.CompileCached(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	layout := topology.MustLayout(m.Cluster, p, topology.CyclicBunch)
-	sc := m.getScratch()
-	defer m.scratch.Store(sc)
-	transfers := prog.Stages[0].Transfers
-	for i := 0; i < 3; i++ { // warm the route and link-id caches
-		if _, err := m.priceStage(sc, transfers, layout, blockBytes); err != nil {
+	for _, build := range []func(int) (*sched.Schedule, error){sched.Ring, sched.RecursiveDoubling} {
+		s, err := build(p)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	avg := testing.AllocsPerRun(20, func() {
-		if _, err := m.priceStage(sc, transfers, layout, blockBytes); err != nil {
+		prog, err := sched.Compile(s)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if avg > 0 {
-		t.Errorf("warm priceStage allocates %.2f times per call, want 0", avg)
+		layout := topology.MustLayout(m.Cluster, p, topology.CyclicBunch)
+		stage, total := slowest{b: blockBytes}, 0.0
+		walk := func() {
+			err := m.walk(context.Background(), s, layout, blockBytes, stage.add, func(_ *priceScratch, _ int, st *sched.Stage) error {
+				total += stage.take() * float64(st.Repeats())
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		price := func() {
+			if _, err := m.PriceProgram(prog, layout, blockBytes); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3; i++ { // warm the route and link-id caches
+			walk()
+		}
+		if avg := testing.AllocsPerRun(20, walk); avg > 0 {
+			t.Errorf("%s: warm stage walk allocates %.2f times per call, want 0", s.Name, avg)
+		}
+		if avg := testing.AllocsPerRun(20, price); avg > 0 {
+			t.Errorf("%s: warm PriceProgram allocates %.2f times per call, want 0", s.Name, avg)
+		}
 	}
 }
 

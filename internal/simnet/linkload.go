@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/sched"
@@ -18,27 +19,21 @@ func (m *Machine) MaxStageLinkLoads(prog *sched.Program, layout []int) ([]int, e
 	if m.Cluster.Net == nil {
 		return nil, fmt.Errorf("simnet: cluster has no network model to account links on")
 	}
-	if len(layout) < prog.P {
-		return nil, fmt.Errorf("simnet: layout covers %d ranks, schedule has %d", len(layout), prog.P)
-	}
-	sc := m.getScratch()
-	defer m.scratch.Store(sc)
-	if err := sc.validateLayout(m.Cluster, layout); err != nil {
-		return nil, err
-	}
-	out := make([]int, len(prog.Stages))
-	for i := range prog.Stages {
-		m.aggregateStage(sc, prog.Stages[i].Transfers, layout)
-		ep := sc.epoch
+	out := make([]int, 0, prog.NumPriceStages())
+	err := m.walk(context.Background(), prog.Schedule(), layout, 1, func(costLine) {}, func(sc *priceScratch, _ int, _ *sched.Stage) error {
 		worst := 0
 		// The intern table covers every link any stage so far has touched;
 		// entries from other stages carry stale epochs and read as zero.
 		for id := range sc.linkLoad {
-			if sc.linkEpoch[id] == ep && int(sc.linkLoad[id]) > worst {
+			if sc.linkEpoch[id] == sc.epoch && int(sc.linkLoad[id]) > worst {
 				worst = int(sc.linkLoad[id])
 			}
 		}
-		out[i] = worst
+		out = append(out, worst)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -21,17 +21,10 @@ import (
 	"repro/internal/sched"
 )
 
-// priceLine is one undominated transfer cost line: time(b) = alpha + (n*b)*inv.
-type priceLine struct {
-	alpha float64 // channel latency term
-	n     float64 // blocks transferred, as float64(tr.N)
-	inv   float64 // worst effective seconds-per-byte on the path
-}
-
 // profileStage is one program stage's envelope.
 type profileStage struct {
 	repeat float64
-	lines  []priceLine
+	lines  []costLine // the undominated cost lines
 }
 
 // PriceProfile is the size-independent pricing summary of one schedule under
@@ -49,29 +42,20 @@ type PriceProfile struct {
 // returns the reusable summary. The cost is about one PriceProgram call;
 // every subsequent Price is a handful of multiply-adds per stage.
 func (m *Machine) Profile(prog *sched.Program, layout []int) (*PriceProfile, error) {
-	return m.profile(context.Background(), prog.P, prog.PostCopyBlocks, layout, len(prog.Stages),
-		func(i int) ([]sched.Transfer, int) { return prog.Stages[i].Transfers, prog.Stages[i].Repeat })
+	return m.profile(context.Background(), prog.Schedule(), layout)
 }
 
 // ProfileSchedule is Profile for a schedule that has not been compiled: it
-// validates s and walks its Pre and main stages in place — the stages, in the
-// order, that sched.Compile would copy into a Program — so a caller that only
-// prices (mapd's compute path) neither copies the transfer lists nor hashes
-// them for the compile cache. The result equals Profile(Compile(s)) exactly.
-// s is read, never written, and must not change during the call. ctx is
-// consulted once per stage; an expired ctx abandons the walk with its error.
+// validates s and walks it in place, so a caller that only prices (mapd's
+// compute path) does not hash it for the compile cache. The result equals
+// Profile(Compile(s)) exactly. s is read, never written, and must not
+// change during the call. ctx is consulted once per stage; an expired ctx
+// abandons the walk with its error.
 func (m *Machine) ProfileSchedule(ctx context.Context, s *sched.Schedule, layout []int) (*PriceProfile, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	pre := len(s.Pre)
-	return m.profile(ctx, s.P, s.PostCopyBlocks, layout, pre+len(s.Stages),
-		func(i int) ([]sched.Transfer, int) {
-			if i < pre {
-				return s.Pre[i].Transfers, s.Pre[i].Repeats()
-			}
-			return s.Stages[i-pre].Transfers, s.Stages[i-pre].Repeats()
-		})
+	return m.profile(ctx, s, layout)
 }
 
 // ProfileReordered profiles s as the reordered communicator runs it: with
@@ -92,37 +76,24 @@ func (m *Machine) ProfileReordered(ctx context.Context, s *sched.Schedule, layou
 	return m.ProfileSchedule(ctx, withOrder, eff)
 }
 
-// profile is the one stage walk behind Profile and ProfileSchedule: stage(i)
-// yields the i-th priced stage's transfers and its execution count.
-func (m *Machine) profile(ctx context.Context, p, postCopyBlocks int, layout []int, stages int, stage func(i int) ([]sched.Transfer, int)) (*PriceProfile, error) {
-	sc := m.getScratch()
-	defer m.scratch.Store(sc)
-	// A profile serves every size; PriceProfile.Price checks each one.
-	if err := m.checkArgs(sc, p, layout, 1); err != nil {
-		return nil, err
-	}
+// profile is the stage walk behind Profile and ProfileSchedule: it keeps
+// each stage's envelope of cost lines.
+func (m *Machine) profile(ctx context.Context, s *sched.Schedule, layout []int) (*PriceProfile, error) {
 	pp := &PriceProfile{
-		stages:  make([]profileStage, 0, stages),
-		post:    float64(postCopyBlocks),
+		stages:  make([]profileStage, 0, len(s.Pre)+len(s.Stages)),
+		post:    float64(s.PostCopyBlocks),
 		memCopy: m.Params.MemCopy,
 	}
-	for i := 0; i < stages; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		transfers, repeat := stage(i)
-		ps := profileStage{repeat: float64(repeat)}
-		if len(transfers) > 0 {
-			m.aggregateStage(sc, transfers, layout)
-			for j := range transfers {
-				alpha, inv, err := m.transferLineSparse(sc, transfers, j, layout)
-				if err != nil {
-					return nil, err
-				}
-				ps.lines = addLine(ps.lines, priceLine{alpha: alpha, n: float64(transfers[j].N), inv: inv})
-			}
-		}
-		pp.stages = append(pp.stages, ps)
+	// A profile serves every size; PriceProfile.Price checks each one.
+	var lines []costLine
+	envelope := func(l costLine) { lines = addLine(lines, l) }
+	err := m.walk(ctx, s, layout, 1, envelope, func(_ *priceScratch, _ int, st *sched.Stage) error {
+		pp.stages = append(pp.stages, profileStage{repeat: float64(st.Repeats()), lines: lines})
+		lines = nil
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return pp, nil
 }
@@ -131,7 +102,7 @@ func (m *Machine) profile(ctx context.Context, p, postCopyBlocks int, layout []i
 // lines. Rounding monotonicity makes componentwise domination exact: if
 // every coefficient of l is <= another line's, l can never exceed it at any
 // block size, even after per-operation rounding.
-func addLine(lines []priceLine, l priceLine) []priceLine {
+func addLine(lines []costLine, l costLine) []costLine {
 	for i := range lines {
 		if lines[i].alpha >= l.alpha && lines[i].n >= l.n && lines[i].inv >= l.inv {
 			return lines // dominated by an existing line
@@ -156,18 +127,13 @@ func (pp *PriceProfile) Price(blockBytes int) (float64, error) {
 		return 0, fmt.Errorf("simnet: block size must be positive, got %d", blockBytes)
 	}
 	b := float64(blockBytes)
-	total := 0.0
+	stage, total := slowest{b: b}, 0.0
 	for i := range pp.stages {
 		st := &pp.stages[i]
-		worst := 0.0
-		for j := range st.lines {
-			l := &st.lines[j]
-			bytes := l.n * b
-			if t := l.alpha + bytes*l.inv; t > worst {
-				worst = t
-			}
+		for _, l := range st.lines {
+			stage.add(l)
 		}
-		total += worst * st.repeat
+		total += stage.take() * st.repeat
 	}
 	if pp.post > 0 {
 		total += pp.post * b / pp.memCopy

@@ -36,10 +36,10 @@ func osuSizes() []int {
 
 // TestProfileReorderedMatchesReference pins ProfileReordered to an
 // independent composition — the order-preserved schedule compiled with
-// sched.Compile and priced on the applied layout by PriceProgram, stage by
-// stage through priceStage — with ==, for every registered pattern, order
-// mode, layout kind and OSU size on a fat-tree and a torus. The mapping is
-// the pattern's own heuristic on the layout.
+// sched.Compile and priced on the applied layout by PriceProgram — with ==,
+// for every registered pattern, order mode, layout kind and OSU size on a
+// fat-tree and a torus. The mapping is the pattern's own heuristic on the
+// layout.
 func TestProfileReorderedMatchesReference(t *testing.T) {
 	const p = 64
 	modes := []sched.OrderMode{sched.InitComm, sched.EndShuffle, sched.NoOrderFix}

@@ -156,21 +156,15 @@ func (m *Machine) checkArgs(sc *priceScratch, p int, layout []int, blockBytes in
 // stages (Pre stages first) of the worst transfer time per execution, times
 // the stage's repeat count, plus the local shuffle epilogue. The machine's
 // pricing scratch (sparse.go) serves all stages, so steady-state pricing of
-// warm machines does not allocate beyond layout validation.
+// warm machines does not allocate.
 func (m *Machine) PriceProgram(prog *sched.Program, layout []int, blockBytes int) (float64, error) {
-	sc := m.getScratch()
-	defer m.scratch.Store(sc)
-	if err := m.checkArgs(sc, prog.P, layout, blockBytes); err != nil {
+	stage, total := slowest{b: float64(blockBytes)}, 0.0
+	err := m.walk(context.Background(), prog.Schedule(), layout, blockBytes, stage.add, func(_ *priceScratch, _ int, st *sched.Stage) error {
+		total += stage.take() * float64(st.Repeats())
+		return nil
+	})
+	if err != nil {
 		return 0, err
-	}
-	total := 0.0
-	for i := range prog.Stages {
-		st := &prog.Stages[i]
-		t, err := m.priceStage(sc, st.Transfers, layout, blockBytes)
-		if err != nil {
-			return 0, err
-		}
-		total += t * float64(st.Repeat)
 	}
 	if prog.PostCopyBlocks > 0 {
 		// Every rank shuffles locally in parallel; one rank's copy time.

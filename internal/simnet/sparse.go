@@ -1,5 +1,7 @@
-// Sparse stage pricing: the one production pricer, behind PriceProgram,
-// Profile and PricePipelined.
+// Sparse stage pricing: the one production pricer, and the one stage walk
+// (walk) every pricing entry point visits — PriceProgram and Price,
+// Explain and ExplainProgram, Profile and ProfileSchedule, PricePipelined
+// and MaxStageLinkLoads.
 //
 // A map-per-resource accounting allocates five maps per stage and walks
 // every route twice. The mapping heuristics price thousands of layouts and
@@ -7,11 +9,10 @@
 // map churn dominates. The sparse path replaces the maps with flat
 // epoch-stamped load slices indexed by dense resource ids — global core,
 // global socket, interned network link — held in a priceScratch that one
-// PriceProgram call reuses across all stages and returns to a per-Machine
-// pool. A counter read whose stamp is not the current stage's epoch is
-// zero; starting a stage is a single epoch increment, not a clear of the
-// touched entries, so per-stage cost is O(transfers × route length)
-// regardless of machine size.
+// walk reuses across all stages and returns to its Machine. A counter read
+// whose stamp is not the current stage's epoch is zero; starting a stage is
+// a single epoch increment, not a clear of the touched entries, so
+// per-stage cost is O(transfers × route length) regardless of machine size.
 //
 // Routes are deterministic per (srcNode, dstNode) pair, so the scratch also
 // interns each pair's hop count and link-id list: the lists sit back to back
@@ -30,6 +31,7 @@
 package simnet
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 
@@ -277,32 +279,83 @@ func (sc *priceScratch) routeLinks(at int32) []int32 {
 	return sc.routeArena[at+2 : at+2+sc.routeArena[at+1]]
 }
 
-// priceStage returns the completion time of one execution of a stage's
-// transfer list. The first pass aggregates every shared resource's load into
-// sc's epoch-stamped counters; the second prices each transfer against them.
-// Each route is computed at most once per machine, not twice per transfer.
-func (m *Machine) priceStage(sc *priceScratch, transfers []sched.Transfer, layout []int, blockBytes int) (float64, error) {
-	if len(transfers) == 0 {
-		return 0, nil
-	}
-	m.aggregateStage(sc, transfers, layout)
+// costLine is one transfer's size-independent cost line under its stage's
+// aggregated loads: at block size b the transfer takes
+// alpha + (float64(n)*b)*inv seconds.
+type costLine struct {
+	alpha float64 // channel latency
+	inv   float64 // worst effective seconds-per-byte on the path
+	n     int32   // blocks transferred
+}
 
-	worst := 0.0
-	for i := range transfers {
-		t, err := m.transferTimeSparse(sc, transfers, i, layout, blockBytes)
-		if err != nil {
-			return 0, err
-		}
-		if t > worst {
-			worst = t
+// walk is the one stage walk behind every pricing entry point. It takes the
+// machine's scratch, checks the arguments (a size-independent caller passes
+// blockBytes 1), and visits s's Pre stages, then its main stages. Each
+// stage's loads are aggregated once; line receives every transfer's cost
+// line in transfer order, then stage is called with the stage's
+// pricing-view index i (the index every Breakdown, profile and
+// PriceStageMap shares) while sc still holds the stage's loads. ctx is
+// consulted once per stage; an expired ctx abandons the walk with its
+// error. s is read, never written.
+func (m *Machine) walk(ctx context.Context, s *sched.Schedule, layout []int, blockBytes int, line func(costLine), stage func(sc *priceScratch, i int, st *sched.Stage) error) error {
+	sc := m.getScratch()
+	defer m.scratch.Store(sc)
+	if err := m.checkArgs(sc, s.P, layout, blockBytes); err != nil {
+		return err
+	}
+	i := 0
+	for _, stages := range [2][]sched.Stage{s.Pre, s.Stages} {
+		for k := range stages {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			st := &stages[k]
+			m.aggregateStage(sc, st.Transfers, layout)
+			for j := range st.Transfers {
+				l, err := m.transferLineSparse(sc, st.Transfers, j, layout)
+				if err != nil {
+					return err
+				}
+				line(l)
+			}
+			if err := stage(sc, i, st); err != nil {
+				return err
+			}
+			i++
 		}
 	}
-	return worst, nil
+	return nil
+}
+
+// seconds evaluates the line at block size b.
+func (l *costLine) seconds(b float64) float64 {
+	bytes := float64(l.n) * b
+	return l.alpha + bytes*l.inv
+}
+
+// slowest is the running maximum of a stage's transfer times at block size
+// b: one execution of the stage takes the slowest line's time.
+type slowest struct {
+	b, worst float64
+}
+
+// add takes line l into the maximum.
+func (s *slowest) add(l costLine) {
+	if t := l.seconds(s.b); t > s.worst {
+		s.worst = t
+	}
+}
+
+// take returns the stage's time and resets the maximum for the next stage.
+func (s *slowest) take() float64 {
+	t := s.worst
+	s.worst = 0
+	return t
 }
 
 // aggregateStage opens a fresh epoch and accumulates every shared resource's
 // load for the stage's transfer list — the size-independent first pass of
-// priceStage, shared with Machine.Profile.
+// walk.
 func (m *Machine) aggregateStage(sc *priceScratch, transfers []sched.Transfer, layout []int) {
 	sc.beginStage()
 	ep := sc.epoch
@@ -344,23 +397,11 @@ func (m *Machine) aggregateStage(sc *priceScratch, transfers []sched.Transfer, l
 	}
 }
 
-// transferTimeSparse prices transfer i of the list aggregateStage last saw
-// under the stage's aggregated loads, reading the epoch-stamped counters.
-func (m *Machine) transferTimeSparse(sc *priceScratch, transfers []sched.Transfer, i int, layout []int, blockBytes int) (float64, error) {
-	alpha, maxInv, err := m.transferLineSparse(sc, transfers, i, layout)
-	if err != nil {
-		return 0, err
-	}
-	bytes := float64(transfers[i].N) * float64(blockBytes)
-	return alpha + bytes*maxInv, nil
-}
-
 // transferLineSparse computes the size-independent cost line of transfer i
 // of the list aggregateStage last saw, under the stage's aggregated loads:
 // its channel latency alpha and the worst effective seconds-per-byte maxInv
-// across the resources it crosses. The transfer's time at block size b is
-// alpha + (N*b)*maxInv.
-func (m *Machine) transferLineSparse(sc *priceScratch, transfers []sched.Transfer, i int, layout []int) (float64, float64, error) {
+// across the resources it crosses.
+func (m *Machine) transferLineSparse(sc *priceScratch, transfers []sched.Transfer, i int, layout []int) (costLine, error) {
 	tr := &transfers[i]
 	p := &m.Params
 	ep := sc.epoch
@@ -409,7 +450,7 @@ func (m *Machine) transferLineSparse(sc *priceScratch, transfers []sched.Transfe
 			maxInv = inv
 		}
 	case src == dst:
-		return 0, 0, fmt.Errorf("simnet: transfer between rank %d and %d lands on one core", tr.Src, tr.Dst)
+		return costLine{}, fmt.Errorf("simnet: transfer between rank %d and %d lands on one core", tr.Src, tr.Dst)
 	default:
 		alpha = p.AlphaShm
 		streamBeta = 1 / p.StreamShm
@@ -420,5 +461,5 @@ func (m *Machine) transferLineSparse(sc *priceScratch, transfers []sched.Transfe
 	if inv := streamBeta * float64(endpoint); inv > maxInv {
 		maxInv = inv
 	}
-	return alpha, maxInv, nil
+	return costLine{alpha: alpha, inv: maxInv, n: tr.N}, nil
 }

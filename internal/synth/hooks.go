@@ -1,14 +1,12 @@
 package synth
 
-import (
-	"fmt"
-)
+import "repro/internal/sched"
 
-// SeedEnv carries the machine context a family's search hooks parameterise
-// their recipes with: the rank count, the searched payload, the hierarchical
-// radix candidates derived from the machine shape, and — when the machine is
-// a torus whose cores the job covers under the blocked layout — the
-// mixed-radix torus dimension vector.
+// SeedEnv carries the machine context a family's parameterised seeds and
+// operators are built from: the rank count, the searched payload, the
+// hierarchical radix candidates derived from the machine shape, and — when
+// the machine is a torus whose cores the job covers under the blocked
+// layout — the mixed-radix torus dimension vector.
 type SeedEnv struct {
 	P            int
 	PayloadBytes int
@@ -16,51 +14,33 @@ type SeedEnv struct {
 	TorusDims    []int
 }
 
-// familyHooks are a family's search extensions: extra parameterised seed
-// recipes (hierarchical compositions, torus-native builders, pipelining
-// chunk counts) and family-specific mutation operators applied to beam
-// members. Both are optional; the registry's flat Seeds list is always
-// seeded regardless.
-type familyHooks struct {
-	seeds  func(env SeedEnv) []Recipe
-	mutate func(env SeedEnv, c *Candidate) []Recipe
-}
-
-var familyHookReg = map[Family]familyHooks{}
-
-// registerFamilyHooks installs a family's search hooks (init-time; duplicate
-// registration is a programming error).
-func registerFamilyHooks(f Family, h familyHooks) {
-	if _, dup := familyHookReg[f]; dup {
-		panic(fmt.Sprintf("synth: hooks for family %v registered twice", f))
+// familySeeds returns a family's parameterised seed recipes, derived from
+// its registry entry: hierarchical compositions for the allgather family,
+// then the dimension-wise torus-native builder when the family has one and
+// the machine exposes torus dimensions, then the pipelined variant's chunk
+// counts when the family has one. The registry's flat Seeds list follows
+// them (seedRecipes).
+func familySeeds(fam *sched.Family, env SeedEnv) []Recipe {
+	var seeds []Recipe
+	if fam.ID == Allgather {
+		// Hierarchical seeds come first: they are the cheapest to price and
+		// usually set a tight incumbent, which lets the lower bound prune
+		// the stage-heavy flat algorithms without pricing them.
+		for _, g := range env.GroupSizes {
+			for _, intra := range []string{"linear", "non-linear"} {
+				for _, inter := range []string{"recursive-doubling", "ring"} {
+					seeds = append(seeds, Recipe{Alg: "hierarchical", GroupSize: g, Intra: intra, Inter: inter})
+				}
+			}
+		}
 	}
-	familyHookReg[f] = h
-}
-
-// hookSeeds returns the family's parameterised seed recipes, or nil.
-func hookSeeds(f Family, env SeedEnv) []Recipe {
-	if h, ok := familyHookReg[f]; ok && h.seeds != nil {
-		return h.seeds(env)
+	if fam.TorusBuilder != nil && env.TorusDims != nil {
+		seeds = append(seeds, Recipe{Alg: "torus-native", Dims: env.TorusDims})
 	}
-	return nil
-}
-
-// hookMutations returns the family's extra neighbour recipes for a beam
-// member, or nil.
-func hookMutations(f Family, env SeedEnv, c *Candidate) []Recipe {
-	if h, ok := familyHookReg[f]; ok && h.mutate != nil {
-		return h.mutate(env, c)
+	if fam.Pipelined != nil {
+		seeds = append(seeds, pipelineSeeds(env)...)
 	}
-	return nil
-}
-
-// torusSeeds seeds the family's dimension-wise torus-native builder when the
-// machine exposes torus dimensions.
-func torusSeeds(env SeedEnv) []Recipe {
-	if env.TorusDims == nil {
-		return nil
-	}
-	return []Recipe{{Alg: "torus-native", Dims: env.TorusDims}}
+	return seeds
 }
 
 // pipelineChunkSeeds are the chunk counts the broadcast pipelining operator
@@ -106,26 +86,4 @@ func pipelineMutate(env SeedEnv, c *Candidate) []Recipe {
 		}
 	}
 	return out
-}
-
-func init() {
-	registerFamilyHooks(Allgather, familyHooks{
-		seeds: func(env SeedEnv) []Recipe {
-			// Hierarchical seeds come first: they are the cheapest to price
-			// and usually set a tight incumbent, which lets the lower bound
-			// prune the stage-heavy flat algorithms without pricing them.
-			var seeds []Recipe
-			for _, g := range env.GroupSizes {
-				for _, intra := range []string{"linear", "non-linear"} {
-					for _, inter := range []string{"recursive-doubling", "ring"} {
-						seeds = append(seeds, Recipe{Alg: "hierarchical", GroupSize: g, Intra: intra, Inter: inter})
-					}
-				}
-			}
-			return append(seeds, torusSeeds(env)...)
-		},
-	})
-	registerFamilyHooks(Allreduce, familyHooks{seeds: torusSeeds})
-	registerFamilyHooks(Alltoall, familyHooks{seeds: torusSeeds})
-	registerFamilyHooks(Broadcast, familyHooks{seeds: pipelineSeeds, mutate: pipelineMutate})
 }

@@ -97,16 +97,18 @@ func BaselineRecipe(f Family, p, payloadBytes int) Recipe {
 }
 
 // seedRecipes enumerates the base recipes of a family, in deterministic
-// order: the family's hook seeds first (hierarchical compositions,
-// torus-native builders, pipelining chunk counts — the parameterised
-// constructions that need machine context), then the registry's flat base
-// builders.
+// order: the parameterised seeds familySeeds derives from the registry
+// entry first (hierarchical compositions, torus-native builders, pipelining
+// chunk counts — the constructions that need machine context), then the
+// registry's flat base builders.
 func seedRecipes(f Family, env SeedEnv) []Recipe {
-	seeds := hookSeeds(f, env)
-	if fam, err := f.Desc(); err == nil {
-		for _, alg := range fam.Seeds {
-			seeds = append(seeds, Recipe{Alg: alg})
-		}
+	fam, err := f.Desc()
+	if err != nil {
+		return nil
+	}
+	seeds := familySeeds(fam, env)
+	for _, alg := range fam.Seeds {
+		seeds = append(seeds, Recipe{Alg: alg})
 	}
 	return seeds
 }
@@ -382,12 +384,14 @@ func (s *searcher) lowerBound(sch *sched.Schedule, blockBytes int) float64 {
 	return float64(stages)*minAlpha + float64(maxRecv)*float64(blockBytes)/maxStream
 }
 
-// mutations derives the neighbours of a beam member: moves, the family's
-// registered hook operators (pipelining chunk moves) and hierarchical
+// mutations derives the neighbours of a beam member: moves, its chunk-count
+// moves when the family has a pipelined variant and its hierarchical
 // parameter moves (toggle intra/inter kind, change radix); then ops, the stage
 // operators probed from both ends of the schedule, each extending c's recipe.
 func (s *searcher) mutations(c *Candidate) (moves []Recipe, ops []StageOp) {
-	moves = hookMutations(s.f, s.env, c)
+	if fam, err := s.f.Desc(); err == nil && fam.Pipelined != nil {
+		moves = pipelineMutate(s.env, c)
+	}
 	r := c.Recipe
 	if r.Alg == "hierarchical" {
 		alt := r

@@ -29,9 +29,8 @@ import (
 
 // Family aliases the schedule layer's collective family identifier: the
 // registry in package sched owns the per-family contracts (Verify, payload
-// sizing, base builders, selection-table bucketing), and synth attaches its
-// search hooks — seed recipes and family-specific operators — to the same
-// IDs. String(), Verify, BlockBytes, ProgramBlockBytes and BucketBytes are
+// sizing, base builders, selection-table bucketing), and synth derives its
+// parameterised seeds and family-specific operators from the same entry. String(), Verify, BlockBytes, ProgramBlockBytes and BucketBytes are
 // all methods of the underlying sched.FamilyID.
 type Family = sched.FamilyID
 
