@@ -1,8 +1,13 @@
 package scotch
 
 import (
+	"encoding/binary"
+	"encoding/json"
+	"flag"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"os"
 	"slices"
 	"sort"
 	"testing"
@@ -302,9 +307,35 @@ func chordRing(rng *rand.Rand, p int) *graph.Graph {
 	return g
 }
 
+// updateRef regenerates testdata/map_ref_golden.json by running refMap on
+// the cases it pins. The committed table was recorded from the reference
+// itself; regenerate only if a case's inputs change.
+var updateRef = flag.Bool("update-ref", false, "rewrite testdata/map_ref_golden.json from refMap")
+
+const refGoldenPath = "testdata/map_ref_golden.json"
+
+// liveRefMaxP is the largest p TestMapMatchesReference maps with refMap on
+// every run. Above it the quadratic reference costs seconds per case, so
+// those cases compare Map with the digest of refMap's answer in
+// refGoldenPath instead.
+const liveRefMaxP = 256
+
+// mappingDigest is the FNV-1a hash of a mapping's slots, as hex.
+func mappingDigest(m core.Mapping) string {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, s := range m {
+		binary.LittleEndian.PutUint64(buf[:], uint64(s))
+		h.Write(buf[:])
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
 // TestMapMatchesReference pins Map to refMap, rank for rank: every pattern
 // at p = 1..1024 under the four layouts on a fat-tree and a torus, chord
 // rings on both, and the GPC at p = 4096 for recursive doubling and ring.
+// Cases with p <= liveRefMaxP run refMap; larger ones compare against its
+// recorded digest.
 func TestMapMatchesReference(t *testing.T) {
 	fat, err := topology.NewCluster(128, 2, 4, topology.TwoLevelFatTree(8, 16, 8))
 	if err != nil {
@@ -321,12 +352,20 @@ func TestMapMatchesReference(t *testing.T) {
 		layout topology.LayoutKind
 	}
 	var cases []mcase
+	// Map only reads its guest, so the cases share one graph per pattern
+	// and p (building an all-to-all at p = 1024 takes ~0.1 s).
+	built := map[string]*graph.Graph{}
 	add := func(c *topology.Cluster, pat core.Pattern, p int, k topology.LayoutKind) {
-		g, err := patterns.Build(pat, p)
-		if err != nil {
-			t.Fatal(err)
+		name := fmt.Sprintf("%v p=%d", pat, p)
+		g, ok := built[name]
+		if !ok {
+			var err error
+			if g, err = patterns.Build(pat, p); err != nil {
+				t.Fatal(err)
+			}
+			built[name] = g
 		}
-		cases = append(cases, mcase{c, fmt.Sprintf("%v p=%d", pat, p), g, k})
+		cases = append(cases, mcase{c, name, g, k})
 	}
 	rng := rand.New(rand.NewSource(1))
 	for _, c := range []*topology.Cluster{fat, torus} {
@@ -344,14 +383,53 @@ func TestMapMatchesReference(t *testing.T) {
 	for _, pat := range []core.Pattern{core.RecursiveDoubling, core.Ring} {
 		add(topology.GPC(), pat, 4096, topology.CyclicBunch)
 	}
+	golden := map[string]string{}
+	if !*updateRef {
+		raw, err := os.ReadFile(refGoldenPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, &golden); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recorded := 0
 	for _, mc := range cases {
+		key := fmt.Sprintf("%s %s %v", mc.c.Net.Label(), mc.name, mc.layout)
 		d := hostFor(t, mc.c, mc.g.N(), mc.layout)
 		got, err := Map(mc.g, d, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := refMap(mc.g, d); !slices.Equal(got, want) {
-			t.Errorf("%s %s %v: Map differs from the reference", mc.c.Net.Label(), mc.name, mc.layout)
+		switch {
+		case mc.g.N() <= liveRefMaxP:
+			if want := refMap(mc.g, d); !slices.Equal(got, want) {
+				t.Errorf("%s: Map differs from the reference", key)
+			}
+		case *updateRef:
+			golden[key] = mappingDigest(refMap(mc.g, d))
+		default:
+			want, ok := golden[key]
+			if !ok {
+				t.Fatalf("%s: no recorded reference digest in %s", key, refGoldenPath)
+			}
+			recorded++
+			if got := mappingDigest(got); got != want {
+				t.Errorf("%s: Map digest %s differs from the reference's %s", key, got, want)
+			}
 		}
+	}
+	if *updateRef {
+		raw, err := json.MarshalIndent(golden, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(refGoldenPath, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if recorded != len(golden) {
+		t.Errorf("compared %d cases with recorded digests, %s holds %d", recorded, refGoldenPath, len(golden))
 	}
 }

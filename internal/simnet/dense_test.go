@@ -57,7 +57,7 @@ func (m *Machine) aggregateLoads(transfers []sched.Transfer, layout []int, loads
 			for _, dl := range routeBuf {
 				loads.netLinks[dl]++
 			}
-		case !m.Cluster.SameSocket(src, dst):
+		case m.Cluster.SocketOf(src) != m.Cluster.SocketOf(dst):
 			loads.qpi[qpiDir{srcNode, m.localSocket(src)}]++
 			loads.socketMem[m.Cluster.SocketOf(src)]++
 			loads.socketMem[m.Cluster.SocketOf(dst)]++
@@ -155,7 +155,7 @@ func (m *Machine) transferTimeDense(tr *sched.Transfer, layout []int, blockBytes
 				bump(float64(load) / cap_)
 			}
 		}
-	case !m.Cluster.SameSocket(src, dst):
+	case m.Cluster.SocketOf(src) != m.Cluster.SocketOf(dst):
 		alpha = p.AlphaQPI
 		streamBeta = 1 / p.StreamQPI
 		bump(float64(loads.qpi[qpiDir{srcNode, m.localSocket(src)}]) / p.CapQPIDir)

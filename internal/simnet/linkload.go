@@ -22,11 +22,10 @@ func (m *Machine) MaxStageLinkLoads(prog *sched.Program, layout []int) ([]int, e
 	out := make([]int, 0, prog.NumPriceStages())
 	err := m.walk(context.Background(), prog.Schedule(), layout, 1, func(costLine) {}, func(sc *priceScratch, _ int, _ *sched.Stage) error {
 		worst := 0
-		// The intern table covers every link any stage so far has touched;
-		// entries from other stages carry stale epochs and read as zero.
-		for id := range sc.linkLoad {
-			if sc.linkEpoch[id] == sc.epoch && int(sc.linkLoad[id]) > worst {
-				worst = int(sc.linkLoad[id])
+		// The stage's node pairs' routes are exactly the links it loaded.
+		for k := range sc.pairs {
+			for _, id := range sc.routeLinks(sc.pairs[k].route) {
+				worst = max(worst, int(sc.linkLoad.load[id]))
 			}
 		}
 		out = append(out, worst)

@@ -12,17 +12,24 @@
 // walk reuses across all stages and returns to its Machine. A counter read
 // whose stamp is not the current stage's epoch is zero; starting a stage is
 // a single epoch increment, not a clear of the touched entries, so
-// per-stage cost is O(transfers × route length) regardless of machine size.
+// per-stage cost is O(transfers + node pairs × route length) regardless of
+// machine size.
 //
 // Routes are deterministic per (srcNode, dstNode) pair, so the scratch also
 // interns each pair's hop count and link-id list: the lists sit back to back
 // in one arena behind a flat open-addressed index (flatIndex), and a second
-// such index gives the directed links their dense ids. The aggregation pass
-// notes each transfer's route for the pricing pass, and repeated stages (every
-// ring repeat, every heuristic probe of the same machine) never re-route. A
-// machine that is new on every request — mapd's cold path — pays one RouteDir
-// and one Hops per node pair, one allocation-free lookup per transfer and no
-// per-route slice or map growth.
+// such index gives the directed links their dense ids. A machine that is new
+// on every request — mapd's cold path — pays one RouteDir and one Hops per
+// node pair and no per-route slice or map growth.
+//
+// The node pair is the pricing unit. Layout validation records each rank's
+// node and socket once per walk, and the aggregation pass groups a stage's
+// network transfers into its pair list (a chain per source node from an
+// epoch-stamped head, no map): one routeAt per pair per stage, each pair's
+// count added to its route's links once, and each route's worst
+// load/capacity ratio taken once per pair after the stage's loads are
+// complete. stageRoutes indexes the pair list by transfer, so the pricing
+// pass reads a network transfer's hops and link ratio without a lookup.
 //
 // Every arithmetic step mirrors the retained dense reference (dense_test.go)
 // operation for operation — same operands, same order — so prices are
@@ -34,6 +41,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/sched"
 	"repro/internal/topology"
@@ -60,14 +68,12 @@ func (e *epochCounts) grow(n int) {
 	e.load, e.epoch = load, epoch
 }
 
-// inc bumps counter i in epoch ep.
-func (e *epochCounts) inc(i int, ep uint32) {
+// add adds n to counter i in epoch ep.
+func (e *epochCounts) add(i int, ep uint32, n int32) {
 	if e.epoch[i] != ep {
-		e.epoch[i] = ep
-		e.load[i] = 1
-		return
+		e.epoch[i], e.load[i] = ep, 0
 	}
-	e.load[i]++
+	e.load[i] += n
 }
 
 // get reads counter i in epoch ep; a stale stamp reads as zero.
@@ -99,22 +105,39 @@ type priceScratch struct {
 
 	// Link interning: links assigns each directed link a dense id on first
 	// sight; linkCap memoizes the link's aggregate directional capacity
-	// (CapNetPerCable × multiplicity) and linkLoad/linkEpoch are the link's
-	// epoch-stamped stage load.
-	links     flatIndex[topology.DirLink]
-	linkCap   []float64
-	linkLoad  []int32
-	linkEpoch []uint32
+	// (CapNetPerCable × multiplicity) and linkLoad holds the link's stage
+	// load.
+	links    flatIndex[topology.DirLink]
+	linkCap  []float64
+	linkLoad epochCounts
 
 	// Route interning: routes maps a packed (srcNode, dstNode) pair to its
 	// offset in routeArena, where the route is stored as hop count, link
-	// count, link ids. stageRoutes[i] is the offset for transfer i of the
-	// stage aggregateStage last saw (network transfers only), so the pricing
-	// pass over the same list looks nothing up.
-	routes      flatIndex[uint64]
-	routeArena  []int32
-	routeBuf    []topology.DirLink
+	// count, link ids.
+	routes     flatIndex[uint64]
+	routeArena []int32
+	routeBuf   []topology.DirLink
+
+	// Per rank of the layout last validated: its node and global socket.
+	rankNode, rankSock []int32
+
+	// The stage's node pairs: pairHead holds a source node's first pair
+	// plus one (its chain continues through nodePair.next), and
+	// stageRoutes[i] is the pair of network transfer i of the stage
+	// aggregateStage last saw.
+	pairs       []nodePair
+	pairHead    epochCounts
 	stageRoutes []int32
+}
+
+// nodePair is one (srcNode, dstNode) pair of a stage: every transfer between
+// the two nodes walks the same route and reads the same link loads.
+type nodePair struct {
+	dst   int32   // destination node
+	next  int32   // the source node's next pair, -1 ends the chain
+	route int32   // arena offset of the pair's interned route
+	count int32   // the stage's transfers between the two nodes
+	ratio float64 // the route's worst load/capacity once the stage is loaded
 }
 
 // flatIndex is an open-addressed, linearly probed hash table from K to an
@@ -192,6 +215,7 @@ func (m *Machine) getScratch() *priceScratch {
 	sc.coreRecv.grow(cores)
 	sc.sockMem.grow(sockets)
 	sc.qpiOut.grow(sockets)
+	sc.pairHead.grow(m.Cluster.Nodes)
 	return sc
 }
 
@@ -205,9 +229,8 @@ func (sc *priceScratch) beginStage() {
 		sc.coreRecv.clearStamps()
 		sc.sockMem.clearStamps()
 		sc.qpiOut.clearStamps()
-		for i := range sc.linkEpoch {
-			sc.linkEpoch[i] = 0
-		}
+		sc.pairHead.clearStamps()
+		sc.linkLoad.clearStamps()
 		sc.epoch = 1
 	}
 }
@@ -215,11 +238,15 @@ func (sc *priceScratch) beginStage() {
 // validateLayout mirrors topology.ValidateLayout — an injective placement of
 // ranks onto existing cores — on the scratch's epoch-stamped counters, so
 // steady-state pricing skips the reference implementation's seen-map
-// allocation. It burns one private epoch as the seen-set.
+// allocation. It burns one private epoch as the seen-set, and records each
+// rank's node and global socket for the stage passes.
 func (sc *priceScratch) validateLayout(c *topology.Cluster, layout []int) error {
 	sc.beginStage()
 	ep := sc.epoch
 	total := c.TotalCores()
+	sc.rankNode = slices.Grow(sc.rankNode[:0], len(layout))[:len(layout)]
+	sc.rankSock = slices.Grow(sc.rankSock[:0], len(layout))[:len(layout)]
+	perNode := c.CoresPerNode()
 	for r, core := range layout {
 		if core < 0 || core >= total {
 			return fmt.Errorf("topology: rank %d placed on core %d outside cluster (0..%d)", r, core, total-1)
@@ -229,6 +256,9 @@ func (sc *priceScratch) validateLayout(c *topology.Cluster, layout []int) error 
 		}
 		sc.coreSend.epoch[core] = ep
 		sc.coreSend.load[core] = int32(r) + 1
+		// SocketOf(core) is node*SocketsPerNode + local socket, which is
+		// core / CoresPerSocket.
+		sc.rankNode[r], sc.rankSock[r] = int32(core/perNode), int32(core/c.CoresPerSocket)
 	}
 	return nil
 }
@@ -248,8 +278,8 @@ func (sc *priceScratch) linkIDOf(net topology.Network, p *Params, dl topology.Di
 	id := int32(len(sc.linkCap))
 	sc.links.put(s, dl, h, id)
 	sc.linkCap = append(sc.linkCap, p.CapNetPerCable*float64(net.Multiplicity(dl.Link)))
-	sc.linkLoad = append(sc.linkLoad, 0)
-	sc.linkEpoch = append(sc.linkEpoch, 0)
+	sc.linkLoad.load = append(sc.linkLoad.load, 0)
+	sc.linkLoad.epoch = append(sc.linkLoad.epoch, 0)
 	return id
 }
 
@@ -277,6 +307,23 @@ func (sc *priceScratch) routeAt(net topology.Network, p *Params, srcNode, dstNod
 // routeLinks returns the link ids of the route interned at arena offset at.
 func (sc *priceScratch) routeLinks(at int32) []int32 {
 	return sc.routeArena[at+2 : at+2+sc.routeArena[at+1]]
+}
+
+// pairOf counts one more transfer from srcNode to dstNode in the current
+// stage and returns the pair's index in pairs, opening the pair (and
+// looking up its route) on its first transfer of the stage.
+func (sc *priceScratch) pairOf(net topology.Network, p *Params, srcNode, dstNode int32) int32 {
+	head := sc.pairHead.get(int(srcNode), sc.epoch) - 1
+	for k := head; k >= 0; k = sc.pairs[k].next {
+		if sc.pairs[k].dst == dstNode {
+			sc.pairs[k].count++
+			return k
+		}
+	}
+	k := int32(len(sc.pairs))
+	sc.pairs = append(sc.pairs, nodePair{dst: dstNode, next: head, route: sc.routeAt(net, p, int(srcNode), int(dstNode)), count: 1})
+	sc.pairHead.epoch[srcNode], sc.pairHead.load[srcNode] = sc.epoch, k+1
+	return k
 }
 
 // costLine is one transfer's size-independent cost line under its stage's
@@ -355,44 +402,44 @@ func (s *slowest) take() float64 {
 
 // aggregateStage opens a fresh epoch and accumulates every shared resource's
 // load for the stage's transfer list — the size-independent first pass of
-// walk.
+// walk. Network transfers load links once per node pair, and each pair's
+// ratio is read once all pairs have loaded.
 func (m *Machine) aggregateStage(sc *priceScratch, transfers []sched.Transfer, layout []int) {
 	sc.beginStage()
 	ep := sc.epoch
-	c := m.Cluster
-	if cap(sc.stageRoutes) < len(transfers) {
-		sc.stageRoutes = make([]int32, len(transfers))
-	}
-	sc.stageRoutes = sc.stageRoutes[:len(transfers)]
+	net := m.Cluster.Net
+	sc.stageRoutes = slices.Grow(sc.stageRoutes[:0], len(transfers))[:len(transfers)]
+	sc.pairs = sc.pairs[:0]
 	for i := range transfers {
 		tr := &transfers[i]
-		src, dst := layout[tr.Src], layout[tr.Dst]
-		sc.coreSend.inc(src, ep)
-		sc.coreRecv.inc(dst, ep)
-		srcNode, dstNode := c.NodeOf(src), c.NodeOf(dst)
+		sc.coreSend.add(layout[tr.Src], ep, 1)
+		sc.coreRecv.add(layout[tr.Dst], ep, 1)
+		srcSock, dstSock := int(sc.rankSock[tr.Src]), int(sc.rankSock[tr.Dst])
 		switch {
-		case srcNode != dstNode:
-			if c.Net == nil {
-				continue // uniform inter-node channel, no link accounting
+		case sc.rankNode[tr.Src] != sc.rankNode[tr.Dst]:
+			if net != nil { // a nil network is a uniform channel, no link accounting
+				sc.stageRoutes[i] = sc.pairOf(net, &m.Params, sc.rankNode[tr.Src], sc.rankNode[tr.Dst])
 			}
-			at := sc.routeAt(c.Net, &m.Params, srcNode, dstNode)
-			sc.stageRoutes[i] = at
-			for _, id := range sc.routeLinks(at) {
-				if sc.linkEpoch[id] != ep {
-					sc.linkEpoch[id] = ep
-					sc.linkLoad[id] = 1
-				} else {
-					sc.linkLoad[id]++
-				}
-			}
-		case !c.SameSocket(src, dst):
+		case srcSock != dstSock:
 			// The dense reference keys QPI load by (node, sending local
 			// socket), which is exactly the sender's global socket index.
-			sc.qpiOut.inc(c.SocketOf(src), ep)
-			sc.sockMem.inc(c.SocketOf(src), ep)
-			sc.sockMem.inc(c.SocketOf(dst), ep)
+			sc.qpiOut.add(srcSock, ep, 1)
+			sc.sockMem.add(srcSock, ep, 1)
+			sc.sockMem.add(dstSock, ep, 1)
 		default:
-			sc.sockMem.inc(c.SocketOf(src), ep)
+			sc.sockMem.add(srcSock, ep, 1)
+		}
+	}
+	for _, pr := range sc.pairs {
+		for _, id := range sc.routeLinks(pr.route) {
+			sc.linkLoad.add(int(id), ep, pr.count)
+		}
+	}
+	for k := range sc.pairs {
+		pr := &sc.pairs[k]
+		pr.ratio = 0
+		for _, id := range sc.routeLinks(pr.route) {
+			pr.ratio = max(pr.ratio, float64(sc.linkLoad.load[id])/sc.linkCap[id])
 		}
 	}
 }
@@ -411,35 +458,27 @@ func (m *Machine) transferLineSparse(sc *priceScratch, transfers []sched.Transfe
 		endpoint = r
 	}
 
-	srcNode, dstNode := m.Cluster.NodeOf(src), m.Cluster.NodeOf(dst)
+	srcSock, dstSock := int(sc.rankSock[tr.Src]), int(sc.rankSock[tr.Dst])
 	var alpha, streamBeta float64
 	// maxInv is the largest effective seconds-per-byte across the per-stream
 	// bandwidth (scaled by endpoint serialisation) and every shared resource
-	// on the path. The comparisons are inlined (no closure) to keep the hot
-	// loop allocation-free.
+	// on the path; a network transfer's links are its pair's ratio. The
+	// comparisons are inlined (no closure) to keep the hot loop
+	// allocation-free.
 	maxInv := 0.0
 	switch {
-	case srcNode != dstNode:
+	case sc.rankNode[tr.Src] != sc.rankNode[tr.Dst]:
 		hops := 2 // uniform inter-node channel
 		if m.Cluster.Net != nil {
-			at := sc.stageRoutes[i]
-			hops = int(sc.routeArena[at])
-			for _, id := range sc.routeLinks(at) {
-				var load int32
-				if sc.linkEpoch[id] == ep {
-					load = sc.linkLoad[id]
-				}
-				if inv := float64(load) / sc.linkCap[id]; inv > maxInv {
-					maxInv = inv
-				}
-			}
+			pr := &sc.pairs[sc.stageRoutes[i]]
+			hops = int(sc.routeArena[pr.route])
+			maxInv = pr.ratio
 		}
 		alpha = p.AlphaNet + p.AlphaPerHop*float64(hops)
 		streamBeta = 1 / p.StreamNet
-	case !m.Cluster.SameSocket(src, dst):
+	case srcSock != dstSock:
 		alpha = p.AlphaQPI
 		streamBeta = 1 / p.StreamQPI
-		srcSock, dstSock := m.Cluster.SocketOf(src), m.Cluster.SocketOf(dst)
 		if inv := float64(sc.qpiOut.get(srcSock, ep)) / p.CapQPIDir; inv > maxInv {
 			maxInv = inv
 		}
@@ -454,7 +493,7 @@ func (m *Machine) transferLineSparse(sc *priceScratch, transfers []sched.Transfe
 	default:
 		alpha = p.AlphaShm
 		streamBeta = 1 / p.StreamShm
-		if inv := float64(sc.sockMem.get(m.Cluster.SocketOf(src), ep)) / p.CapSocketMem; inv > maxInv {
+		if inv := float64(sc.sockMem.get(srcSock, ep)) / p.CapSocketMem; inv > maxInv {
 			maxInv = inv
 		}
 	}

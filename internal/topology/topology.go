@@ -78,9 +78,6 @@ func (c *Cluster) CoreAt(node, socket, core int) int {
 	return node*c.CoresPerNode() + socket*c.CoresPerSocket + core
 }
 
-// SameSocket reports whether two global core indices share a socket.
-func (c *Cluster) SameSocket(a, b int) bool { return c.SocketOf(a) == c.SocketOf(b) }
-
 // Validate checks internal consistency and returns a descriptive error when
 // the cluster is malformed.
 func (c *Cluster) Validate() error {

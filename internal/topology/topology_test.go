@@ -77,8 +77,8 @@ func TestNewClusterRejectsSmallNetwork(t *testing.T) {
 
 func TestSameNodeSameSocket(t *testing.T) {
 	c, _ := NewCluster(2, 2, 4, nil)
-	if !c.SameSocket(0, 3) || c.SameSocket(3, 4) {
-		t.Error("SameSocket misclassifies socket boundary")
+	if c.SocketOf(0) != c.SocketOf(3) || c.SocketOf(3) == c.SocketOf(4) {
+		t.Error("SocketOf misclassifies socket boundary")
 	}
 	if c.NodeOf(0) != c.NodeOf(7) || c.NodeOf(7) == c.NodeOf(8) {
 		t.Error("NodeOf misclassifies node boundary")
