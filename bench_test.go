@@ -386,10 +386,15 @@ func BenchmarkExtensionBruck(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionAllreduce evaluates the future-work hierarchical
-// allreduce path: the flat binomial reduce+broadcast schedule priced under
-// default vs BGMH/BBMH-style reordering at node scale.
+// BenchmarkExtensionAllreduce evaluates the future-work allreduce at node
+// scale (65536-byte buffer): improvement_% prices the flat binomial
+// reduce+broadcast schedule under default vs BBMH-style reordering, and
+// hierarchical_% prices the hierarchical schedule collective's
+// HierarchicalAllreduce runs — the 8 ranks grouped by socket, the leader
+// phase the registry's baseline for 2 leaders — against the flat one, both
+// under the default layout.
 func BenchmarkExtensionAllreduce(b *testing.B) {
+	const payload = 65536
 	node := topology.SingleNode(2, 4)
 	machine, err := simnet.NewMachine(node, simnet.DefaultParams())
 	if err != nil {
@@ -404,6 +409,23 @@ func BenchmarkExtensionAllreduce(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	fam, err := sched.FamilyAllreduce.Desc()
+	if err != nil {
+		b.Fatal(err)
+	}
+	groups := sched.Groups(layout, node.SocketOf)
+	leader, err := fam.Build(fam.Baseline(len(groups), payload), len(groups))
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, err := sched.HierarchicalAllreduce(groups, leader)
+	if err != nil {
+		b.Fatal(err)
+	}
+	hBlock, err := sched.FamilyAllreduce.BlockBytes(h, payload)
+	if err != nil {
+		b.Fatal(err)
+	}
 	// Allreduce messages have uniform size across stages, so the
 	// broadcast heuristic (fixed-size rationale) is the right one.
 	m, err := core.BBMH(d, nil)
@@ -414,18 +436,23 @@ func BenchmarkExtensionAllreduce(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var def, re float64
+	var def, re, hier float64
 	for i := 0; i < b.N; i++ {
-		def, err = machine.Price(s, layout, 65536)
+		def, err = machine.Price(s, layout, payload)
 		if err != nil {
 			b.Fatal(err)
 		}
-		re, err = machine.Price(s, eff, 65536)
+		re, err = machine.Price(s, eff, payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		hier, err = machine.Price(h, layout, hBlock)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(osu.Improvement(def, re), "improvement_%")
+	b.ReportMetric(osu.Improvement(def, hier), "hierarchical_%")
 }
 
 // BenchmarkAblationBarrierModel compares the stage-barrier cost model

@@ -42,8 +42,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("CG-style solver, %d ranks x %d iterations (2 allreduce/iter):\n", base.Procs, base.Iterations)
-	fmt.Printf("  flat allreduce:         %8v  (residual %.6f)\n", flat.Elapsed.Round(time.Millisecond), flat.Residual)
-	fmt.Printf("  hierarchical allreduce: %8v  (residual %.6f)\n", hierRes.Elapsed.Round(time.Millisecond), hierRes.Residual)
+	fmt.Printf("  flat allreduce:         %8v  (residual %.6e)\n", flat.Elapsed.Round(time.Millisecond), flat.Residual)
+	fmt.Printf("  hierarchical allreduce: %8v  (residual %.6e)\n", hierRes.Elapsed.Round(time.Millisecond), hierRes.Residual)
 
 	// Part 2: the large-message allreduce (Rabenseifner) on the GPC model.
 	cluster := repro.GPC()

@@ -1,14 +1,16 @@
 // Package collective is the MPI collective layer on top of the mpi runtime:
 // allgather, allreduce, broadcast, gather, scatter and all-to-all front
 // doors, the reordered communicator of paper Section IV, and the three-phase
-// hierarchical composition of Section II.
+// hierarchical compositions: the allgather of Section II and the allreduce of
+// the paper's future work.
 //
 // Every collective is a static schedule from package sched, compiled to a
 // sched.Program and run by one engine, the schedule executor (executor.go):
 // a front door only selects a program (selectProgram: the forced builder,
 // else the world's synth table, else the family registry's size rule) and
-// hands it over. The program simnet prices is therefore the program that
-// moves the bytes. Correctness is checked against closed-form expected buffers per
+// hands it over; a hierarchical composition looks up its one plan program
+// (hierPlan). The program simnet prices is therefore the program that moves
+// the bytes. The one other exchange is Reordered's initComm input swap. Correctness is checked against closed-form expected buffers per
 // family, never against a second implementation. Order preservation under
 // rank reordering (Section V-B) is a Placement: the executor stores each
 // block at the output offset of its *original* contributor, so ring-like

@@ -2,7 +2,7 @@ package collective
 
 import (
 	"fmt"
-	"math/bits"
+	"slices"
 
 	"repro/internal/mpi"
 	"repro/internal/sched"
@@ -10,86 +10,39 @@ import (
 
 // ReduceOp combines src into dst element-wise; both slices have equal
 // length. It must be associative and commutative for tree reductions.
+// Programs combine block by block, cutting buffers only at multiples of
+// sched.ReduceElemBytes, so elements up to that width stay whole.
 type ReduceOp func(dst, src []byte)
-
-// tag base for reductions.
-const tagReduce = 5 << 20
-
-// BinomialReduce reduces every rank's buf into the root along the binomial
-// tree (mirror image of the binomial broadcast, so the BGMH mapping
-// rationale applies: message sizes are fixed but the fan-in pattern matches
-// the gather tree). On return the root's buf holds the combined value;
-// other ranks' buffers are unspecified scratch. A rooted reduce has no
-// schedule family, so this is the one collective loop outside the executor.
-func BinomialReduce(c *mpi.Comm, root int, buf []byte, op ReduceOp) error {
-	p, me := c.Size(), c.Rank()
-	if root < 0 || root >= p {
-		return fmt.Errorf("collective: reduce root %d outside communicator of size %d", root, p)
-	}
-	if op == nil {
-		return fmt.Errorf("collective: nil reduce op")
-	}
-	defer beginCollective("binomial-reduce")()
-	vr := ((me-root)%p + p) % p
-	for mask := 1; mask < p; mask <<= 1 {
-		if vr&mask != 0 {
-			parent := (vr - mask + root) % p
-			return c.Send(parent, tagReduce+bits.TrailingZeros(uint(mask)), buf)
-		}
-		if vr+mask < p {
-			child := (vr + mask + root) % p
-			in, err := c.Recv(child, tagReduce+bits.TrailingZeros(uint(mask)))
-			if err != nil {
-				return err
-			}
-			if len(in) != len(buf) {
-				return fmt.Errorf("collective: reduce received %d bytes, want %d", len(in), len(buf))
-			}
-			op(buf, in)
-		}
-	}
-	return nil
-}
 
 // HierarchicalAllreduce implements the paper's future-work extension: a
 // topology-friendly MPI_Allreduce composed of an intra-node binomial reduce
-// into the leaders, a leader-level allreduce, and an intra-node broadcast —
-// reusing exactly the patterns BGMH and BBMH optimise.
-// nodeID groups world ranks into nodes; buf is combined in place on every
-// rank.
+// into the leaders, a leader-level allreduce, and an intra-node binomial
+// broadcast — reusing exactly the patterns BGMH and BBMH optimise — run as
+// one compiled program on the schedule executor (sched.HierarchicalAllreduce).
+// nodeID groups world ranks into nodes, whose populations may differ; each
+// node's leader is its lowest communicator rank. The leader phase is the
+// program selectProgram picks for an allreduce over the leaders, so a warm
+// call is two table lookups. buf is combined in place on every rank.
 func HierarchicalAllreduce(c *mpi.Comm, buf []byte, op ReduceOp, nodeID func(worldRank int) int) error {
-	if len(buf) == 0 {
-		return fmt.Errorf("collective: empty allreduce buffer")
+	nodes := c.Members()
+	for r, w := range nodes {
+		nodes[r] = nodeID(w)
 	}
-	defer beginCollective("hierarchical-allreduce")()
-	nodeComm, err := c.Split(nodeID(c.WorldRank()), c.Rank())
+	sorted := slices.Clone(nodes)
+	slices.Sort(sorted)
+	leader, err := selectProgram(c, sched.FamilyAllreduce, len(slices.Compact(sorted)), len(buf), AlgAuto)
 	if err != nil {
 		return err
 	}
-	if nodeComm == nil {
-		return fmt.Errorf("collective: allreduce node split produced no communicator")
-	}
-	isLeader := nodeComm.Rank() == 0
-	leaderColor := -1
-	if isLeader {
-		leaderColor = 0
-	}
-	leaderComm, err := c.Split(leaderColor, c.Rank())
+	prog, err := planOf(nodes, hierPlanKey{leader: leader}, func() (*sched.Schedule, error) {
+		return sched.HierarchicalAllreduce(sched.Groups(nodes, func(node int) int { return node }), leader.Schedule())
+	})
 	if err != nil {
 		return err
 	}
-	// Phase 1: reduce within each node.
-	if err := BinomialReduce(nodeComm, 0, buf, op); err != nil {
-		return err
-	}
-	// Phase 2: allreduce among leaders.
-	if isLeader {
-		if err := Allreduce(leaderComm, buf, op); err != nil {
-			return err
-		}
-	}
-	// Phase 3: broadcast inside each node.
-	return Broadcast(nodeComm, 0, buf)
+	return tracedExecute(c, "allreduce", "hierarchical-allreduce", func() error {
+		return ExecuteAllreduce(c, prog, buf, op)
+	})
 }
 
 // Allreduce combines buf in place across all ranks with the program
@@ -98,13 +51,10 @@ func HierarchicalAllreduce(c *mpi.Comm, buf []byte, op ReduceOp, nodeID func(wor
 // communicators, the binomial reduce + broadcast tree otherwise). op must be
 // associative and commutative.
 func Allreduce(c *mpi.Comm, buf []byte, op ReduceOp) error {
-	if len(buf) == 0 {
-		return fmt.Errorf("collective: empty allreduce buffer")
-	}
 	if op == nil {
 		return fmt.Errorf("collective: nil reduce op")
 	}
-	prog, err := selectProgram(c, sched.FamilyAllreduce, len(buf), AlgAuto)
+	prog, err := selectProgram(c, sched.FamilyAllreduce, c.Size(), len(buf), AlgAuto)
 	if err != nil {
 		return err
 	}

@@ -61,6 +61,15 @@ func TestFlatAllreduce(t *testing.T) {
 	}
 }
 
+// TestAllreduceKeepsWordsWhole: 4183 words over 2 ranks do not halve into
+// whole words, so the front door runs the binomial tree, not reduce-scatter +
+// allgather, whose halves would sum the middle word's bytes apart.
+func TestAllreduceKeepsWordsWhole(t *testing.T) {
+	runAllreduce(t, 2, 4183, func(c *mpi.Comm, buf []byte) error {
+		return Allreduce(c, buf, sumOp)
+	})
+}
+
 func TestHierarchicalAllreduce(t *testing.T) {
 	for _, shape := range [][2]int{{1, 4}, {2, 4}, {4, 2}, {4, 8}, {3, 3}} {
 		nodes, ppn := shape[0], shape[1]
@@ -86,6 +95,8 @@ func TestHierarchicalAllreduceUnevenNodes(t *testing.T) {
 	})
 }
 
+// TestBinomialReduce checks the split-based reference's hand-written reduce
+// (allreduce_ref_test.go) against the closed form.
 func TestBinomialReduce(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 7, 16} {
 		for _, root := range []int{0, p - 1} {
@@ -95,7 +106,7 @@ func TestBinomialReduce(t *testing.T) {
 				for j := 0; j < 2; j++ {
 					binary.LittleEndian.PutUint64(buf[j*8:], uint64(c.Rank()*j+1))
 				}
-				if err := BinomialReduce(c, root, buf, sumOp); err != nil {
+				if err := binomialReduceRef(c, root, buf, sumOp); err != nil {
 					return err
 				}
 				if c.Rank() == root {
@@ -116,10 +127,14 @@ func TestBinomialReduce(t *testing.T) {
 
 func TestReduceErrors(t *testing.T) {
 	err := mpi.Run(2, func(c *mpi.Comm) error {
-		if err := BinomialReduce(c, 9, make([]byte, 8), sumOp); err == nil {
-			return fmt.Errorf("bad root accepted")
+		nodeOf := func(w int) int { return w }
+		if err := HierarchicalAllreduce(c, make([]byte, 8), nil, nodeOf); err == nil {
+			return fmt.Errorf("nil op accepted")
 		}
-		if err := BinomialReduce(c, 0, make([]byte, 8), nil); err == nil {
+		if err := HierarchicalAllreduce(c, nil, sumOp, nodeOf); err == nil {
+			return fmt.Errorf("empty buffer accepted")
+		}
+		if err := Allreduce(c, make([]byte, 8), nil); err == nil {
 			return fmt.Errorf("nil op accepted")
 		}
 		if err := Allreduce(c, nil, sumOp); err == nil {

@@ -68,7 +68,7 @@ func Alltoall(c *mpi.Comm, send, recv []byte) error {
 	if _, err := checkAlltoallArgs(c, send, recv); err != nil {
 		return err
 	}
-	prog, err := selectProgram(c, sched.FamilyAlltoall, len(send), AlgAuto)
+	prog, err := selectProgram(c, sched.FamilyAlltoall, c.Size(), len(send), AlgAuto)
 	if err != nil {
 		return err
 	}
@@ -90,7 +90,7 @@ func (r *Reordered) Alltoall(send, recv []byte) error {
 	}
 	defer beginCollective("reordered")()
 	p := r.re.Size()
-	prog, err := selectProgram(r.re, sched.FamilyAlltoall, len(send), AlgAuto)
+	prog, err := selectProgram(r.re, sched.FamilyAlltoall, r.re.Size(), len(send), AlgAuto)
 	if err != nil {
 		return err
 	}

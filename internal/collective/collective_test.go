@@ -226,7 +226,7 @@ func selected(t *testing.T, p int, f sched.FamilyID, payload int, forced Algorit
 	var prog *sched.Program
 	err := mpi.Run(p, func(c *mpi.Comm) (err error) {
 		if c.Rank() == 0 {
-			prog, err = selectProgram(c, f, payload, forced)
+			prog, err = selectProgram(c, f, c.Size(), payload, forced)
 		}
 		return err
 	})

@@ -10,24 +10,26 @@ import (
 // selected runs on the schedule executor. There is no other selection rule
 // and no other execution path.
 
-// selectProgram returns the program a front door of family f executes for
-// the given payload. A forcing Algorithm names the builder outright;
-// otherwise the world's synth table entry covering (f, p, payload) wins, and
-// on a miss the registry's Baseline rule names the builder. Builders resolve
-// through the program table, so a warm call is one lookup.
-func selectProgram(c *mpi.Comm, f sched.FamilyID, payloadBytes int, forced Algorithm) (*sched.Program, error) {
+// selectProgram returns the program a front door of family f executes over p
+// ranks for the given payload: p is the communicator's size, except for a
+// composition's inner phase (the hierarchical allreduce's leaders). A forcing
+// Algorithm names the builder outright; otherwise the world's synth table
+// entry covering (f, p, payload) wins, and on a miss the registry's Baseline
+// rule names the builder. Builders resolve through the program table, so a
+// warm call is one lookup.
+func selectProgram(c *mpi.Comm, f sched.FamilyID, p, payloadBytes int, forced Algorithm) (*sched.Program, error) {
 	fam, err := f.Desc()
 	if err != nil {
 		return nil, err
 	}
 	builder := forced.String()
 	if forced == AlgAuto {
-		if prog, ok := configOf(c).Synth.Program(f, c.Size(), payloadBytes); ok {
+		if prog, ok := configOf(c).Synth.Program(f, p, payloadBytes); ok {
 			return prog, nil
 		}
-		builder = fam.Baseline(c.Size(), payloadBytes)
+		builder = fam.Baseline(p, payloadBytes)
 	}
-	return fam.BuildCached(builder, c.Size())
+	return fam.BuildCached(builder, p)
 }
 
 // tracedExecute wraps one front-door execution in the collective metrics
@@ -46,7 +48,7 @@ func tracedExecute(c *mpi.Comm, famName, progName string, run func() error) erro
 
 // Broadcast is the MPI_Bcast front door: root's data reaches every rank.
 func Broadcast(c *mpi.Comm, root int, data []byte) error {
-	prog, err := selectProgram(c, sched.FamilyBroadcast, len(data), AlgAuto)
+	prog, err := selectProgram(c, sched.FamilyBroadcast, c.Size(), len(data), AlgAuto)
 	if err != nil {
 		return err
 	}
@@ -58,7 +60,7 @@ func Broadcast(c *mpi.Comm, root int, data []byte) error {
 // Gather is the MPI_Gather front door: every rank contributes send and the
 // root's recv (one block per rank) ends up in rank order.
 func Gather(c *mpi.Comm, root int, send, recv []byte) error {
-	prog, err := selectProgram(c, sched.FamilyGather, len(send), AlgAuto)
+	prog, err := selectProgram(c, sched.FamilyGather, c.Size(), len(send), AlgAuto)
 	if err != nil {
 		return err
 	}
@@ -70,7 +72,7 @@ func Gather(c *mpi.Comm, root int, send, recv []byte) error {
 // Scatter is the MPI_Scatter front door: the root's data (one block per
 // rank) is distributed so rank r receives block r in out.
 func Scatter(c *mpi.Comm, root int, data, out []byte) error {
-	prog, err := selectProgram(c, sched.FamilyScatter, len(out), AlgAuto)
+	prog, err := selectProgram(c, sched.FamilyScatter, c.Size(), len(out), AlgAuto)
 	if err != nil {
 		return err
 	}

@@ -51,14 +51,16 @@ func runHierarchical(c *mpi.Comm, alg string, prog *sched.Program, send, recv []
 }
 
 // hierPlanKey identifies one hierarchical plan: the per-comm-rank node ids
-// (plain composition) or cores (reordered composition, with the cluster whose
-// distances order its phases), and the configuration. The program is a pure
+// (plain compositions) or cores (reordered composition, with the cluster
+// whose distances order its phases), the allgather configuration, and the
+// allreduce's leader program (nil for the allgathers). The program is a pure
 // function of these, so plans are shared across communicators and worlds of
 // equal shape.
 type hierPlanKey struct {
-	ids     string // the ids slice's bytes, see hierPlan
+	ids     string // the ids slice's bytes, see planOf
 	cluster *topology.Cluster
 	cfg     sched.HierarchicalConfig
+	leader  *sched.Program
 }
 
 // hierPlanTable is the hierarchical compositions' instance of the program
@@ -67,16 +69,21 @@ type hierPlanKey struct {
 var hierPlanTable = sched.NewProgramTable[hierPlanKey]()
 
 // hierPlan returns the compiled, executable program of the hierarchical
-// composition identified by (ids, cluster, cfg), building it with build on
+// allgather identified by (ids, cluster, cfg), building it with build on
 // first use — the runtime counterpart of the paper creating the reordered
 // communicators once, at communicator-creation time. A steady-state call is
 // one table lookup: no grouping, no mapping heuristic, no compile.
+func hierPlan(ids []int, cluster *topology.Cluster, cfg sched.HierarchicalConfig, build func() (*sched.Schedule, error)) (*sched.Program, error) {
+	return planOf(ids, hierPlanKey{cluster: cluster, cfg: cfg}, build)
+}
+
+// planOf is hierPlan for any key: key with its ids set from ids.
 //
 // The lookup views ids' memory as a string instead of copying it, which keeps
 // it allocation-free on every rank of every call; a miss files a copy, so the
 // table never keeps a key that aliases the caller's slice.
-func hierPlan(ids []int, cluster *topology.Cluster, cfg sched.HierarchicalConfig, build func() (*sched.Schedule, error)) (*sched.Program, error) {
-	key := hierPlanKey{unsafe.String((*byte)(unsafe.Pointer(unsafe.SliceData(ids))), len(ids)*int(unsafe.Sizeof(ids[0]))), cluster, cfg}
+func planOf(ids []int, key hierPlanKey, build func() (*sched.Schedule, error)) (*sched.Program, error) {
+	key.ids = unsafe.String((*byte)(unsafe.Pointer(unsafe.SliceData(ids))), len(ids)*int(unsafe.Sizeof(ids[0])))
 	if prog, ok := hierPlanTable.Lookup(key); ok {
 		return prog, nil
 	}

@@ -40,7 +40,7 @@ var knownAlgorithms = []string{
 	"binomial-broadcast", "linear-broadcast", "binomial-gather",
 	"linear-gather", "binomial-scatter", "scatter-allgather-broadcast",
 	"hierarchical", "hierarchical-reordered", "reordered",
-	"allreduce", "hierarchical-allreduce", "rabenseifner", "binomial-reduce",
+	"allreduce", "hierarchical-allreduce", "rabenseifner",
 }
 
 // knownSchedules pre-registers the executor series for every compiled
@@ -52,6 +52,7 @@ var knownSchedules = []string{
 	"linear-broadcast", "binomial-scatter", "scatter-allgather-broadcast",
 	"hierarchical-linear-ring", "hierarchical-linear-recursive-doubling",
 	"hierarchical-non-linear-ring", "hierarchical-non-linear-recursive-doubling",
+	"hierarchical-allreduce", "hierarchical-reduce-scatter-allgather",
 }
 
 func init() {

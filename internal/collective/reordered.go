@@ -61,7 +61,7 @@ func Allgather(c *mpi.Comm, send, recv []byte, alg Algorithm) error {
 	if err != nil {
 		return err
 	}
-	prog, err := selectProgram(c, sched.FamilyAllgather, blk, alg)
+	prog, err := selectProgram(c, sched.FamilyAllgather, c.Size(), blk, alg)
 	if err != nil {
 		return err
 	}
@@ -116,7 +116,7 @@ func (r *Reordered) Allgather(send, recv []byte, alg Algorithm) error {
 		return err
 	}
 	defer beginCollective("reordered")()
-	prog, err := selectProgram(r.re, sched.FamilyAllgather, blk, alg)
+	prog, err := selectProgram(r.re, sched.FamilyAllgather, r.re.Size(), blk, alg)
 	if err != nil {
 		return err
 	}
@@ -144,6 +144,7 @@ func (r *Reordered) Allgather(send, recv []byte, alg Algorithm) error {
 			if err != nil {
 				return err
 			}
+			defer mpi.FreeBuf(in) // this rank owns the payload; execute copies it into recv
 			if len(in) != blk {
 				return fmt.Errorf("collective: initComm received %d bytes, want %d", len(in), blk)
 			}

@@ -87,11 +87,11 @@ func (s *Setup) newHierPricer(kind topology.LayoutKind, intra sched.IntraKind, p
 	for gi, grp := range groups {
 		h.leaderCores[gi] = layout[grp[0]]
 	}
-	gather, err := sched.IntraGather(groups, intra)
+	gather, err := sched.IntraPhase(groups, intra, true)
 	if err != nil {
 		return nil, err
 	}
-	bcast, err := sched.IntraBroadcast(groups, intra)
+	bcast, err := sched.IntraPhase(groups, intra, false)
 	if err != nil {
 		return nil, err
 	}

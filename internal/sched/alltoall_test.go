@@ -425,3 +425,37 @@ func TestFamilyBlockBytes(t *testing.T) {
 		t.Error("accepted payload not divisible by P")
 	}
 }
+
+// TestReduceBlocksKeepWordsWhole: a reduction combines block by block, so an
+// allreduce buffer splits over several blocks only into whole
+// ReduceElemBytes words — a 513-byte block would combine the halves of one
+// word apart — while a one-block schedule takes any payload.
+func TestReduceBlocksKeepWordsWhole(t *testing.T) {
+	rsa, err := ReduceScatterAllgather(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FamilyAllreduce.BlockBytes(rsa, 64*513); err == nil {
+		t.Error("allreduce accepted 513-byte blocks")
+	}
+	if got, err := FamilyAllreduce.BlockBytes(rsa, 64*512); err != nil || got != 512 {
+		t.Errorf("allreduce BlockBytes = %d, %v; want 512", got, err)
+	}
+	flat, err := BinomialReduceBroadcast(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := FamilyAllreduce.BlockBytes(flat, 13); err != nil || got != 13 {
+		t.Errorf("one-block allreduce BlockBytes = %d, %v; want 13", got, err)
+	}
+	fam, err := FamilyAllreduce.Desc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fam.Baseline(64, 64*513); got != "allreduce" {
+		t.Errorf("Baseline(64, %d) = %q, want the binomial tree", 64*513, got)
+	}
+	if got := fam.Baseline(64, 64*512); got != "reduce-scatter-allgather" {
+		t.Errorf("Baseline(64, %d) = %q, want reduce-scatter-allgather", 64*512, got)
+	}
+}

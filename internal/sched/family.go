@@ -31,8 +31,12 @@ const (
 	// scatter); the priced block is the payload itself.
 	PayloadBlock PayloadKind = iota
 	// PayloadBuffer: the payload is the whole buffer, split evenly over the
-	// schedule's block space (allreduce, broadcast).
+	// schedule's block space (broadcast).
 	PayloadBuffer
+	// PayloadReduce: PayloadBuffer for a reduction (allreduce), which
+	// combines block by block: a buffer splits over several blocks only into
+	// whole ReduceElemBytes words, so no element straddles two blocks.
+	PayloadReduce
 	// PayloadPerPair: the payload is one rank's send buffer of P per-pair
 	// blocks (all-to-all); the priced block — and the selection-table size
 	// bucket — is payload/P, so table entries transfer across rank counts.
@@ -190,8 +194,8 @@ func (id FamilyID) blockBytes(name string, blocks, p, payloadBytes int) (int, er
 	switch f.Payload {
 	case PayloadBlock:
 		return payloadBytes, nil
-	case PayloadBuffer:
-		if payloadBytes%blocks != 0 {
+	case PayloadBuffer, PayloadReduce:
+		if payloadBytes%blocks != 0 || f.Payload == PayloadReduce && blocks > 1 && payloadBytes/blocks%ReduceElemBytes != 0 {
 			return 0, fmt.Errorf("sched: %d-byte payload does not divide into %q's %d blocks",
 				payloadBytes, name, blocks)
 		}
@@ -285,8 +289,12 @@ const (
 	RingThresholdBytes = 1024
 	// RabenseifnerThresholdBytes is the allreduce buffer size at and above
 	// which reduce-scatter + allgather replaces the binomial tree on
-	// power-of-two communicators whose buffer divides into p blocks.
+	// power-of-two communicators whose buffer divides into p blocks of whole
+	// ReduceElemBytes words.
 	RabenseifnerThresholdBytes = 32768
+	// ReduceElemBytes is the widest element a reduction operator combines
+	// (a float64 or uint64 word).
+	ReduceElemBytes = 8
 	// alltoallBaselinePerPair is the per-pair byte threshold up to which the
 	// logarithmic Bruck exchange beats pairwise exchange (fewer rounds, more
 	// volume).
@@ -317,14 +325,14 @@ func init() {
 		TorusBuilder: TorusDimwiseAllgather,
 	})
 	RegisterFamily(&Family{
-		ID: FamilyAllreduce, Name: "allreduce", Payload: PayloadBuffer,
+		ID: FamilyAllreduce, Name: "allreduce", Payload: PayloadReduce,
 		Verify: (*Schedule).VerifyAllreduce,
 		Builders: map[string]Builder{
 			"allreduce":                BinomialReduceBroadcast,
 			"reduce-scatter-allgather": ReduceScatterAllgather,
 		},
 		Baseline: func(p, payloadBytes int) string {
-			if p > 1 && p&(p-1) == 0 && payloadBytes%p == 0 && payloadBytes >= RabenseifnerThresholdBytes {
+			if p > 1 && p&(p-1) == 0 && payloadBytes%(p*ReduceElemBytes) == 0 && payloadBytes >= RabenseifnerThresholdBytes {
 				return "reduce-scatter-allgather"
 			}
 			return "allreduce"

@@ -1,6 +1,9 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // IntraKind selects the intra-node phases of the hierarchical allgather
 // (paper Section II): either direct linear transfers to/from the node
@@ -78,7 +81,11 @@ func HierarchicalPhased(gather, inter, bcast [][]int, cfg HierarchicalConfig) (*
 		return nil, err
 	}
 	leaderOf := make([]int, p)
-	for _, g := range gather {
+	for gi, g := range gather {
+		if len(g) != len(gather[0]) {
+			return nil, fmt.Errorf("sched: hierarchical groups must be uniform: group 0 has %d ranks, group %d has %d",
+				len(gather[0]), gi, len(g))
+		}
 		for _, r := range g {
 			leaderOf[r] = g[0]
 		}
@@ -99,51 +106,73 @@ func HierarchicalPhased(gather, inter, bcast [][]int, cfg HierarchicalConfig) (*
 			}
 		}
 	}
-	s := &Schedule{Name: fmt.Sprintf("hierarchical-%s-%s", cfg.Intra, cfg.Inter), P: p}
-
-	// Phase 1: intra-node gather into the leaders; stages of all groups
-	// proceed concurrently and are merged stage-by-stage.
-	gatherStages, err := intraPhase(gather, cfg.Intra, true)
+	// Phase 1: intra-node gather into the leaders. Phase 2: inter-leader
+	// allgather over aggregated node blocks. Phase 3: intra-node broadcast
+	// of the complete result.
+	gatherStages, err := embed(gather, true, intraStages(cfg.Intra, true, p))
 	if err != nil {
 		return nil, err
 	}
-	s.Stages = append(s.Stages, gatherStages...)
-
-	// Phase 2: inter-leader allgather over aggregated node blocks.
-	leaders := make([]int, len(inter))
-	for gi, g := range inter {
-		leaders[gi] = g[0]
-	}
-	interStages, err := interPhase(inter, leaders, cfg.Inter)
+	interStages, err := interPhase(inter, cfg.Inter)
 	if err != nil {
 		return nil, err
 	}
-	s.Stages = append(s.Stages, interStages...)
-
-	// Phase 3: intra-node broadcast of the complete result.
-	bcastStages, err := intraPhase(bcast, cfg.Intra, false)
+	bcastStages, err := embed(bcast, true, intraStages(cfg.Intra, false, p))
 	if err != nil {
 		return nil, err
 	}
-	s.Stages = append(s.Stages, bcastStages...)
-	return s, nil
+	return &Schedule{Name: fmt.Sprintf("hierarchical-%s-%s", cfg.Intra, cfg.Inter), P: p,
+		Stages: slices.Concat(gatherStages, interStages, bcastStages)}, nil
 }
 
-// checkGroups validates one view of the node partition — non-empty uniform
-// groups covering every rank 0..p-1 exactly once — and returns p.
+// HierarchicalAllreduce builds the hierarchical allreduce over node groups
+// (leader first) as one schedule of three phases: a binomial reduce into
+// every leader, leader — an allreduce schedule over len(groups) ranks —
+// relabelled onto the leaders, and a binomial broadcast of the result back
+// into every node. Group populations may differ: reductions combine rather
+// than concatenate, so every message carries the whole leader block space.
+func HierarchicalAllreduce(groups [][]int, leader *Schedule) (*Schedule, error) {
+	p, err := checkGroups(groups)
+	if err != nil {
+		return nil, err
+	}
+	if leader.P != len(groups) || leader.Init != InitAll || len(leader.Pre) > 0 {
+		return nil, fmt.Errorf("sched: hierarchical allreduce over %d groups needs a %d-rank InitAll leader schedule without prologue, got %q over %d ranks",
+			len(groups), len(groups), leader.Name, leader.P)
+	}
+	blocks := leader.NumBlocks()
+	reduce, err := embed(groups, false, func(n int) ([]Stage, error) { return binomialReduce(n, blocks) })
+	if err != nil {
+		return nil, err
+	}
+	inter, _ := embed([][]int{leadersOf(groups)}, false, func(int) ([]Stage, error) { return leader.Stages, nil }) // cannot fail: given stages, blocks kept
+	bcast, err := embed(groups, false, intraStages(NonLinear, false, blocks))
+	if err != nil {
+		return nil, err
+	}
+	return &Schedule{Name: "hierarchical-" + leader.Name, P: p, Blocks: blocks, Init: InitAll,
+		Stages: slices.Concat(reduce, inter, bcast)}, nil
+}
+
+// leadersOf returns every group's leader, group[0], in group order.
+func leadersOf(groups [][]int) []int {
+	out := make([]int, len(groups))
+	for gi, g := range groups {
+		out[gi] = g[0]
+	}
+	return out
+}
+
+// checkGroups validates one view of the node partition — non-empty groups
+// covering every rank 0..p-1 exactly once — and returns p.
 func checkGroups(groups [][]int) (int, error) {
 	if len(groups) == 0 {
 		return 0, fmt.Errorf("sched: hierarchical needs at least one group")
 	}
-	k := len(groups[0])
 	p := 0
 	for gi, g := range groups {
 		if len(g) == 0 {
 			return 0, fmt.Errorf("sched: hierarchical group %d is empty", gi)
-		}
-		if len(g) != k {
-			return 0, fmt.Errorf("sched: hierarchical groups must be uniform: group 0 has %d ranks, group %d has %d",
-				k, gi, len(g))
 		}
 		p += len(g)
 	}
@@ -162,89 +191,83 @@ func checkGroups(groups [][]int) (int, error) {
 	return p, nil
 }
 
-// IntraGather builds the standalone phase-1 schedule: per-node gathers into
-// the leaders, merged stage-by-stage across nodes. Rank space and block
-// space are global. Used to price hierarchical phases separately when the
-// phases run under different rank reorderings.
-func IntraGather(groups [][]int, kind IntraKind) (*Schedule, error) {
-	p := 0
-	for _, g := range groups {
-		p += len(g)
-	}
-	if p == 0 {
-		return nil, fmt.Errorf("sched: empty groups")
-	}
-	stages, err := intraPhase(groups, kind, true)
+// IntraPhase builds one intra phase of the hierarchical allgather as a
+// standalone pricing-only schedule: per-node gathers into the leaders
+// (gather=true, phase 1) or per-node broadcasts of the complete p-block
+// result from them (phase 3), merged stage-by-stage across nodes. Rank space
+// and block space are global. Used to price hierarchical phases separately
+// when the phases run under different rank reorderings.
+func IntraPhase(groups [][]int, kind IntraKind, gather bool) (*Schedule, error) {
+	p, err := checkGroups(groups)
 	if err != nil {
 		return nil, err
 	}
-	return &Schedule{Name: fmt.Sprintf("intra-gather-%s", kind), P: p, Stages: stages, Init: InitSizedOnly}, nil
-}
-
-// IntraBroadcast builds the standalone phase-3 schedule: per-node broadcasts
-// of the complete p-block result from the leaders.
-func IntraBroadcast(groups [][]int, kind IntraKind) (*Schedule, error) {
-	p := 0
-	for _, g := range groups {
-		p += len(g)
-	}
-	if p == 0 {
-		return nil, fmt.Errorf("sched: empty groups")
-	}
-	stages, err := intraPhase(groups, kind, false)
+	stages, err := embed(groups, true, intraStages(kind, gather, p))
 	if err != nil {
 		return nil, err
 	}
-	return &Schedule{Name: fmt.Sprintf("intra-broadcast-%s", kind), P: p, Stages: stages, Init: InitSizedOnly}, nil
+	name := "intra-broadcast-"
+	if gather {
+		name = "intra-gather-"
+	}
+	return &Schedule{Name: name + kind.String(), P: p, Stages: stages, Init: InitSizedOnly}, nil
 }
 
-// intraPhase builds the merged per-node gather (gather=true) or broadcast
-// stages. In the broadcast phase every transfer carries the full p blocks.
-func intraPhase(groups [][]int, kind IntraKind, gather bool) ([]Stage, error) {
-	p := 0
-	for _, g := range groups {
-		p += len(g)
-	}
-	var merged []Stage
-	ensure := func(i int) *Stage {
-		for len(merged) <= i {
-			merged = append(merged, Stage{})
-		}
-		return &merged[i]
-	}
-	for _, g := range groups {
+// intraStages returns the per-group builder of an intra phase: the gather
+// into local rank 0 (gather=true), or the broadcast of a blocks-block value
+// from it.
+func intraStages(kind IntraKind, gather bool, blocks int) func(n int) ([]Stage, error) {
+	return func(n int) ([]Stage, error) {
 		var local *Schedule
 		var err error
-		n := len(g)
-		if n == 1 {
-			continue
-		}
 		switch {
 		case kind == Linear && gather:
 			local, err = LinearGather(n)
-		case kind == Linear && !gather:
-			local, err = LinearBroadcast(n, p)
+		case kind == Linear:
+			local, err = LinearBroadcast(n, blocks)
 		case gather:
 			local, err = BinomialGather(n)
 		default:
-			local, err = BinomialBroadcast(n, p)
+			local, err = BinomialBroadcast(n, blocks)
 		}
 		if err != nil {
 			return nil, err
 		}
-		for si, st := range local.Stages {
-			out := ensure(si)
+		return local.Stages, nil
+	}
+}
+
+// embed is the one per-group embedding of the hierarchical compositions: it
+// relabels local's stages for every group onto the group's ranks (local rank
+// i is group[i]) and merges the groups' stages index by index, so all groups
+// proceed concurrently. Single-rank groups have nothing to do. With
+// rankBlocks the local block space is the local rank space (a gather's
+// per-rank blocks), so Range transfers are relabelled too; otherwise blocks
+// keep their indices.
+func embed(groups [][]int, rankBlocks bool, local func(n int) ([]Stage, error)) ([]Stage, error) {
+	var merged []Stage
+	for _, g := range groups {
+		if len(g) == 1 {
+			continue
+		}
+		stages, err := local(len(g))
+		if err != nil {
+			return nil, err
+		}
+		for si, st := range stages {
+			if si == len(merged) {
+				merged = append(merged, Stage{Repeat: st.Repeat, Reduce: st.Reduce})
+			}
+			out := &merged[si]
 			for _, tr := range st.Transfers {
-				g0 := tr
-				g0.Src, g0.Dst = int32(g[tr.Src]), int32(g[tr.Dst])
-				if tr.Mode == Range {
-					// Local block index -> global rank block.
-					g0.First = int32(g[tr.First])
-					if g0.N != 1 {
+				tr.Src, tr.Dst = int32(g[tr.Src]), int32(g[tr.Dst])
+				if rankBlocks && tr.Mode == Range {
+					if tr.N != 1 {
 						return nil, fmt.Errorf("sched: internal: multi-block range in intra phase")
 					}
+					tr.First = int32(g[tr.First])
 				}
-				out.Transfers = append(out.Transfers, g0)
+				out.Transfers = append(out.Transfers, tr)
 			}
 		}
 	}
@@ -252,8 +275,8 @@ func intraPhase(groups [][]int, kind IntraKind, gather bool) ([]Stage, error) {
 }
 
 // interPhase builds the leader allgather over node-aggregated blocks.
-func interPhase(groups [][]int, leaders []int, kind InterKind) ([]Stage, error) {
-	g := len(leaders)
+func interPhase(groups [][]int, kind InterKind) ([]Stage, error) {
+	leaders, g := leadersOf(groups), len(groups)
 	if g == 1 {
 		return nil, nil
 	}
@@ -283,12 +306,7 @@ func interPhase(groups [][]int, leaders []int, kind InterKind) ([]Stage, error) 
 		// allgather.
 		lo := make([]int, len(groups))
 		for gi, grp := range groups {
-			lo[gi] = grp[0]
-			for _, r := range grp {
-				if r < lo[gi] {
-					lo[gi] = r
-				}
-			}
+			lo[gi] = slices.Min(grp)
 			for _, r := range grp {
 				if r >= lo[gi]+len(grp) {
 					return nil, fmt.Errorf("sched: inter-leader ring requires contiguous rank groups (block layouts); group %d is not contiguous", gi)
