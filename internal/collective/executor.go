@@ -12,6 +12,13 @@
 // order, so the runtime's FIFO (src, tag) matching pairs messages
 // consistently even when one pair of ranks exchanges several messages in
 // one stage.
+//
+// Single-copy sends: a send the program marks Lend whose blocks lie back to
+// back in the caller's buffer goes out as a view of it (mpi SendLent);
+// other sends pack a pooled copy. Sends still never block: a rank waits for
+// its views once, in WaitLent after its last step, on every return path.
+// By then it has completed all its receives, so no peer waits on it and the
+// wait closes no cycle; after it the caller may write the buffer again.
 package collective
 
 import (
@@ -35,6 +42,7 @@ const tagSchedule = 9 << 20
 type execMetrics struct {
 	executions   *metrics.Counter
 	transfers    *metrics.Counter
+	lent         *metrics.Counter
 	bytes        *metrics.Counter
 	stageSeconds *metrics.Histogram
 }
@@ -49,6 +57,7 @@ func execMetricsFor(name string) *execMetrics {
 	em := &execMetrics{
 		executions:   scheduleExecutions.With("algorithm", name),
 		transfers:    scheduleTransfers.With("algorithm", name),
+		lent:         scheduleLentTransfers.With("algorithm", name),
 		bytes:        scheduleBytes.With("algorithm", name),
 		stageSeconds: scheduleStageSeconds.With("algorithm", name),
 	}
@@ -87,14 +96,14 @@ func resolvePlaceOffsets(place Placement, blocks, blk int) *[]int {
 // delivered blocks on Reduce stages and must be non-nil when the program has
 // any.
 //
-// The step loop is allocation-free in steady state: block byte offsets are
-// one multiply per block — or one lookup in a per-call pooled table when a
-// Placement is active — outgoing payloads are staged straight into pooled
-// buffers lent to the runtime via SendOwned (one copy instead of the old
-// stage-then-copy two), consumed receive payloads are recycled with
-// FreeBuf, metric handles are resolved once per program name, and trace
-// labels are only built when a tracer is installed.
-func executeProgram(c *mpi.Comm, prog *sched.Program, rot int, buf []byte, blk int, place Placement, op ReduceOp) error {
+// Lendable sends go out as views of buf, the rest as pooled copies handed
+// over with SendOwned; receives copy or reduce the payload into buf and
+// release it (see the package comment). The step loop is allocation-free in
+// steady state: block byte offsets are one multiply per block — or one
+// lookup in a per-call pooled table when a Placement is active — metric
+// handles are resolved once per program name, and trace labels are only
+// built when a tracer is installed.
+func executeProgram(c *mpi.Comm, prog *sched.Program, rot int, buf []byte, blk int, place Placement, op ReduceOp) (err error) {
 	p := c.Size()
 	if prog.P != p {
 		return fmt.Errorf("collective: program %q is compiled for %d ranks, communicator has %d",
@@ -143,7 +152,12 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, rot int, buf []byte, blk i
 			Stages:     int32(prog.NumPriceStages()),
 		}
 	}
-	var sent, sentBytes uint64
+	var sent, lent, sentBytes uint64
+	defer func() {
+		if werr := c.WaitLent(); err == nil {
+			err = werr
+		}
+	}()
 	cur := int32(-1)
 	var stageStart time.Time
 	for i := range steps {
@@ -166,6 +180,18 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, rot int, buf []byte, blk i
 		tag := tagSchedule + int(stp.Stage)
 		if stp.Send {
 			n := o.NumBlk * blk
+			dst := rotate(int(o.Dst), rot, p)
+			sent++
+			sentBytes += uint64(n)
+			if stp.Lend {
+				if off, ok := span(prog.OpBlocks(*o), blk, placeOff); ok {
+					if err := c.SendLent(dst, tag, buf[off:off+n]); err != nil {
+						return err
+					}
+					lent++
+					continue
+				}
+			}
 			out := mpi.GetBuf(n)
 			w := 0
 			if place == nil {
@@ -181,23 +207,24 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, rot int, buf []byte, blk i
 					w += blk
 				}
 			}
-			if err := c.SendOwned(rotate(int(o.Dst), rot, p), tag, out); err != nil {
+			if err := c.SendOwned(dst, tag, out); err != nil {
 				return err
 			}
-			sent++
-			sentBytes += uint64(n)
 			continue
 		}
-		in, err := c.Recv(rotate(int(o.Src), rot, p), tag)
+		payload, err := c.RecvPayload(rotate(int(o.Src), rot, p), tag)
 		if err != nil {
 			return err
 		}
+		in := payload.Data
 		if len(in) != o.NumBlk*blk {
+			payload.Release()
 			return fmt.Errorf("collective: schedule %q stage %d: received %d bytes, want %d",
 				prog.Name, stp.Stage, len(in), o.NumBlk*blk)
 		}
 		if stages[stp.Stage].Reduce {
 			if op == nil {
+				payload.Release()
 				return fmt.Errorf("collective: schedule %q has reduce stages but no reduce operator", prog.Name)
 			}
 			if place == nil {
@@ -224,10 +251,9 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, rot int, buf []byte, blk i
 				}
 			}
 		}
-		// The payload has been fully copied or reduced into buf; recycle
-		// it. This rank is the buffer's sole owner: the runtime handed it
-		// over at Recv and retains no alias.
-		mpi.FreeBuf(in)
+		// The payload has been fully copied or reduced into buf: give it
+		// back to the pool or to its lender.
+		payload.Release()
 	}
 	if timed && cur >= 0 {
 		d := time.Since(stageStart).Seconds()
@@ -236,6 +262,7 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, rot int, buf []byte, blk i
 	}
 	if sent > 0 {
 		em.transfers.Add(sent)
+		em.lent.Add(lent)
 		em.bytes.Add(sentBytes)
 	}
 	if timed {
@@ -252,6 +279,24 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, rot int, buf []byte, blk i
 		}
 	}
 	return nil
+}
+
+// span returns the byte offset at which an op's blocks lie back to back in
+// buf, in transmission order, and whether they do: then buf[off:off+n] is
+// the op's payload. placeOff is nil under the identity placement.
+func span(blocks []int32, blk int, placeOff []int) (int, bool) {
+	at := func(b int32) int {
+		if placeOff == nil {
+			return int(b) * blk
+		}
+		return placeOff[b]
+	}
+	for k, b := range blocks {
+		if at(b) != at(blocks[0])+k*blk {
+			return 0, false
+		}
+	}
+	return at(blocks[0]), true
 }
 
 // rotate returns (r + by) mod p for 0 <= r, by <= p.

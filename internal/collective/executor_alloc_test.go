@@ -128,8 +128,8 @@ func (w *steadyWorld) close() error {
 
 // TestExecuteProgramSteadyStateAllocs extends the metrics AllocsPerRun
 // discipline to the executor: once buffers and metric handles are warm, a
-// full collective round (every rank staging sends into pooled
-// buffers, lending them to the runtime, consuming and recycling receives)
+// full collective round (every rank lending views of its buffer or staging
+// sends into pooled ones, consuming and releasing receives)
 // must not allocate — for the allgather step loop, for the rooted entries
 // whose staging buffers come from the same pool (at the program's root and
 // rotated off it, which adds the pooled placement table), and for the

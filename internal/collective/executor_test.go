@@ -2,6 +2,7 @@ package collective
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -385,5 +386,46 @@ func TestExecutorErrors(t *testing.T) {
 	}
 	if err := Allreduce(nil, make([]byte, 8), nil); err == nil {
 		t.Error("nil op accepted")
+	}
+}
+
+// TestExecutorExchangeReduceLendsNothing runs the smallest schedule whose
+// sends must not lend: two ranks exchange their one block and both reduce
+// in the same stage. A rank's receive overwrites the block its send carried,
+// so a view of it could reach the peer already summed. Each iteration must
+// leave both ranks with the closed-form sum.
+func TestExecutorExchangeReduceLendsNothing(t *testing.T) {
+	const words = 64
+	prog, err := sched.Compile(&sched.Schedule{
+		Name: "exchange-reduce", P: 2, Blocks: 1, Init: sched.InitAll,
+		Stages: []sched.Stage{{Reduce: true, Transfers: []sched.Transfer{
+			{Src: 0, Dst: 1, N: 1, Mode: sched.Range},
+			{Src: 1, Dst: 0, N: 1, Mode: sched.Range},
+		}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One world per iteration, so a wrong sum fails at once instead of
+	// leaving the peer blocked in the next iteration.
+	for it := 0; it < 200; it++ {
+		err := mpi.Run(2, func(c *mpi.Comm) error {
+			buf := make([]byte, 8*words)
+			for i := 0; i < words; i++ {
+				putU64(buf[8*i:], uint64((c.Rank()+1)*(i+1)))
+			}
+			if err := ExecuteAllreduce(c, prog, buf, sumOp); err != nil {
+				return err
+			}
+			for i := 0; i < words; i++ {
+				if got, want := binary.LittleEndian.Uint64(buf[8*i:]), uint64(3*(i+1)); got != want {
+					return fmt.Errorf("rank %d read %d at word %d, want %d", c.Rank(), got, i, want)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("iteration %d: %v", it, err)
+		}
 	}
 }

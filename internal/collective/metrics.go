@@ -29,6 +29,8 @@ var (
 		metrics.DurationOpts, "algorithm")
 	scheduleTransfers = metrics.NewCounterVec("schedule_transfers_total",
 		"Messages sent by the schedule executor.", "algorithm")
+	scheduleLentTransfers = metrics.NewCounterVec("schedule_lent_transfers_total",
+		"Messages the schedule executor sent as a view of its buffer instead of a copy.", "algorithm")
 	scheduleBytes = metrics.NewCounterVec("schedule_bytes_total",
 		"Payload bytes sent by the schedule executor.", "algorithm")
 )
@@ -64,6 +66,7 @@ func init() {
 		scheduleExecutions.With("algorithm", a)
 		scheduleStageSeconds.With("algorithm", a)
 		scheduleTransfers.With("algorithm", a)
+		scheduleLentTransfers.With("algorithm", a)
 		scheduleBytes.With("algorithm", a)
 	}
 }

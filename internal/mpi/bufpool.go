@@ -4,7 +4,7 @@
 // every step. The pool gives the runtime an explicit buffer-ownership
 // contract instead:
 //
-//   - GetBuf lends a buffer out of the pool (allocating only when the pool
+//   - GetBuf draws a buffer out of the pool (allocating only when the pool
 //     is empty).
 //   - SendOwned transfers a buffer's ownership to the runtime: no copy is
 //     made, the receiver's Recv returns that exact buffer, and from the
@@ -15,6 +15,12 @@
 //     still aliases is a use-after-free waiting to happen — the executor
 //     only frees buffers it received through its own stage tags and never
 //     retains.
+//   - SendLent lends a view of the sender's own memory: no copy is made and
+//     ownership stays with the sender, who must not write the view until
+//     WaitLent returns. The receiver takes it with RecvPayload, reads it in
+//     place and gives it back with Payload.Release, which for an owned
+//     buffer is FreeBuf. Recv never returns a view: it copies and releases
+//     one, so application code keeps the ownership contract above.
 //
 // Comm.Send keeps its copying contract (the caller may reuse data
 // immediately) but draws the copy's backing store from the same pool, so a
@@ -93,6 +99,74 @@ func (c *Comm) SendOwned(dst, tag int, data []byte) error {
 	if dst < 0 || dst >= len(c.members) {
 		return fmt.Errorf("mpi: send to rank %d outside communicator of size %d", dst, len(c.members))
 	}
-	c.sendPayload(dst, tag, data)
+	c.sendPayload(dst, tag, data, nil)
+	return nil
+}
+
+// SendLent delivers a view of the caller's memory to comm rank dst with the
+// given tag, without copying it. The caller keeps the memory but must not
+// write it until WaitLent returns; reading it stays allowed. The receiver
+// consumes the view in place (RecvPayload) and releases it. Like every
+// send, SendLent never blocks.
+func (c *Comm) SendLent(dst, tag int, view []byte) error {
+	if dst < 0 || dst >= len(c.members) {
+		return fmt.Errorf("mpi: send to rank %d outside communicator of size %d", dst, len(c.members))
+	}
+	owner := c.world.procs[c.members[c.rank]]
+	owner.lent.Add(1)
+	c.sendPayload(dst, tag, view, owner)
+	return nil
+}
+
+// Payload is a received message body with the handle that gives it back.
+type Payload struct {
+	Data  []byte
+	owner *proc // the lender when Data is a view; nil when the receiver owns Data
+}
+
+// Release gives a consumed payload back: an owned buffer returns to the
+// pool, a view to its lender. The caller must not touch Data afterwards.
+func (m Payload) Release() {
+	if m.owner == nil {
+		FreeBuf(m.Data)
+		return
+	}
+	m.owner.release()
+}
+
+// release counts one of p's views back and wakes p if that was the last one
+// WaitLent waits for. A rank that is not parked is not woken: a wake per
+// release costs the lender a scheduler round trip per message.
+func (p *proc) release() {
+	if p.lent.Add(-1) == 0 && p.parked.Load() {
+		p.mu.Lock()
+		p.cond.Broadcast()
+		p.mu.Unlock()
+	}
+}
+
+// WaitLent blocks until every view the calling rank has sent with SendLent,
+// on any communicator, has been released by its receiver. If the world
+// deadline passes first it returns an error wrapping ErrTimeout, and the
+// views stay lent.
+func (c *Comm) WaitLent() error {
+	w, p := c.world, c.world.procs[c.members[c.rank]]
+	if p.lent.Load() == 0 {
+		return nil
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	// parked is set before lent is read again, and release decrements lent
+	// before it reads parked, so either this loop sees zero or the last
+	// release sees parked and broadcasts under p.mu.
+	p.parked.Store(true)
+	defer p.parked.Store(false)
+	for n := p.lent.Load(); n != 0; n = p.lent.Load() {
+		if w.dead.Load() {
+			return fmt.Errorf("mpi: rank %d awaiting release of %d lent views after %v: %w",
+				p.rank, n, w.timeout, ErrTimeout)
+		}
+		p.cond.Wait()
+	}
 	return nil
 }

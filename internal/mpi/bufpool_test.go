@@ -2,7 +2,9 @@ package mpi
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -164,6 +166,73 @@ func TestPooledSendBuffersConcurrent(t *testing.T) {
 		return nil
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLentAndOwnedSendsConcurrent races lent, owned and copied sends in
+// several worlds at once, received both in place (RecvPayload) and through
+// Recv's copy. Every rank rewrites its lent buffer each round once WaitLent
+// returns; under -race that proves a view is never written while a receiver
+// still reads it, and that Recv hands out no view.
+func TestLentAndOwnedSendsConcurrent(t *testing.T) {
+	const (
+		worlds = 4
+		p      = 8
+		rounds = 36
+	)
+	errs := make([]error, worlds)
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[w] = Run(p, func(c *Comm) error {
+				me, size := c.Rank(), c.Size()
+				next, prev := (me+1)%size, (me-1+size)%size
+				own := make([]byte, 512)
+				for r := 0; r < rounds; r++ {
+					for i := range own {
+						own[i] = byte(me + r)
+					}
+					var err error
+					switch r % 3 {
+					case 0:
+						err = c.SendLent(next, r, own)
+					case 1:
+						buf := GetBuf(len(own))
+						copy(buf, own)
+						err = c.SendOwned(next, r, buf)
+					default:
+						err = c.Send(next, r, own)
+					}
+					if err != nil {
+						return err
+					}
+					var in []byte
+					if r%2 == 0 {
+						m, err := c.RecvPayload(prev, r)
+						if err != nil {
+							return err
+						}
+						in = append(in, m.Data...)
+						m.Release()
+					} else if in, err = c.Recv(prev, r); err != nil {
+						return err
+					}
+					if want := bytes.Repeat([]byte{byte(prev + r)}, len(own)); !bytes.Equal(in, want) {
+						return fmt.Errorf("rank %d round %d: corrupted payload (got %d..., want %d...)", me, r, in[0], want[0])
+					}
+					if err := c.WaitLent(); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
 }

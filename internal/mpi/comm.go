@@ -50,14 +50,14 @@ func (c *Comm) Send(dst, tag int, data []byte) error {
 	}
 	buf := GetBuf(len(data))
 	copy(buf, data)
-	c.sendPayload(dst, tag, buf)
+	c.sendPayload(dst, tag, buf, nil)
 	return nil
 }
 
-// sendPayload is the common tail of Send and SendOwned: it records the send
-// and delivers buf — whose ownership has already passed to the runtime — to
-// dst's inbox.
-func (c *Comm) sendPayload(dst, tag int, buf []byte) {
+// sendPayload is the common tail of Send, SendOwned and SendLent: it records
+// the send and delivers buf to dst's inbox. owner is the lender of a view,
+// nil when buf's ownership has passed to the runtime.
+func (c *Comm) sendPayload(dst, tag int, buf []byte, owner *proc) {
 	metricMessagesSent.Inc()
 	metricBytesSent.Add(uint64(len(buf)))
 	if t := c.world.tracer; t != nil {
@@ -67,14 +67,29 @@ func (c *Comm) sendPayload(dst, tag int, buf []byte) {
 		})
 	}
 	c.world.deliver(c.members[dst], c.members[c.rank],
-		message{ctx: c.ctx, src: c.rank, tag: tag, data: buf})
+		message{ctx: c.ctx, src: c.rank, tag: tag, data: buf, owner: owner})
 }
 
 // Recv blocks until a message from comm rank src with the given tag arrives
-// and returns its payload.
+// and returns its payload, which the caller owns: a view sent with SendLent
+// is copied and released here.
 func (c *Comm) Recv(src, tag int) ([]byte, error) {
+	m, err := c.RecvPayload(src, tag)
+	if err != nil || m.owner == nil {
+		return m.Data, err
+	}
+	data := GetBuf(len(m.Data))
+	copy(data, m.Data)
+	m.owner.release()
+	return data, nil
+}
+
+// RecvPayload is Recv for a caller that consumes the payload in place: the
+// payload may be a view of the sender's memory, which the caller must not
+// write or keep, and gives back with Release once consumed.
+func (c *Comm) RecvPayload(src, tag int) (Payload, error) {
 	if src < 0 || src >= len(c.members) {
-		return nil, fmt.Errorf("mpi: recv from rank %d outside communicator of size %d", src, len(c.members))
+		return Payload{}, fmt.Errorf("mpi: recv from rank %d outside communicator of size %d", src, len(c.members))
 	}
 	return c.world.await(c.members[c.rank], c.ctx, src, tag)
 }

@@ -55,6 +55,31 @@ func TestDeadlockReportNamesBlockedRanks(t *testing.T) {
 	}
 }
 
+// TestDeadlockReportNamesLenders: a rank parked in WaitLent on a view its
+// receiver never takes times out with ErrTimeout, and the blocked-rank
+// report names it with its count of unreleased views.
+func TestDeadlockReportNamesLenders(t *testing.T) {
+	err := Run(2, func(c *Comm) error {
+		if c.Rank() == 1 {
+			return nil // never receives the view
+		}
+		view := make([]byte, 16)
+		for i := 0; i < 2; i++ {
+			if err := c.SendLent(1, 3, view); err != nil {
+				return err
+			}
+		}
+		return c.WaitLent()
+	}, WithTimeout(150*time.Millisecond))
+	if !errors.Is(err, ErrTimeout) {
+		t.Fatalf("error does not wrap ErrTimeout: %v", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "blocked-rank report (1 of 2 ranks blocked") ||
+		!strings.Contains(msg, "rank 0: awaiting release of 2 lent views") {
+		t.Errorf("report does not name the lender:\n%s", msg)
+	}
+}
+
 func TestDeadlockReportDescribesDerivedComm(t *testing.T) {
 	err := Run(4, func(c *Comm) error {
 		sub, err := c.Split(c.Rank()%2, c.Rank())

@@ -12,10 +12,6 @@ var (
 		"Point-to-point messages submitted by Comm.Send across all worlds.")
 	metricBytesSent = metrics.NewCounter("mpi_bytes_sent_total",
 		"Payload bytes submitted by Comm.Send across all worlds.")
-	metricMessagesDelivered = metrics.NewCounter("mpi_messages_delivered_total",
-		"Messages enqueued into a destination rank's inbox.")
-	metricBytesDelivered = metrics.NewCounter("mpi_bytes_delivered_total",
-		"Payload bytes enqueued into destination inboxes.")
 	metricActiveWorlds = metrics.NewGauge("mpi_active_worlds",
 		"Worlds currently executing inside mpi.Run.")
 	metricRecvWait = metrics.NewHistogram("mpi_recv_wait_seconds",

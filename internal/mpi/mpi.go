@@ -41,10 +41,11 @@ var (
 
 // message is one in-flight point-to-point message.
 type message struct {
-	ctx  uint64
-	src  int // communicator-local rank of the sender
-	tag  int
-	data []byte
+	ctx   uint64
+	src   int // communicator-local rank of the sender
+	tag   int
+	data  []byte
+	owner *proc // the lender when data is a view (SendLent); nil otherwise
 }
 
 // proc is the per-rank runtime state.
@@ -62,6 +63,12 @@ type proc struct {
 	waitCtx uint64
 	waitSrc int
 	waitTag int
+
+	// lent counts the views this rank has sent with SendLent that no
+	// receiver has released yet; parked is set while WaitLent waits for it
+	// to reach zero, so a release wakes the rank only then.
+	lent   atomic.Int64
+	parked atomic.Bool
 }
 
 // commDesc describes a registered communicator context for diagnostics.
@@ -86,8 +93,8 @@ type World struct {
 	valuesMu sync.Mutex
 	values   map[string]any // world-scoped settings, see values.go
 
+	dead   atomic.Bool
 	deadMu sync.Mutex
-	dead   bool
 	report string // blocked-rank report built when the watchdog fires
 }
 
@@ -171,9 +178,7 @@ func Run(size int, body func(c *Comm) error, opts ...Option) error {
 // and only then wakes the blocked receivers so they return ErrTimeout. The
 // report is therefore complete before any rank observes the timeout.
 func (w *World) expire() {
-	w.deadMu.Lock()
-	w.dead = true
-	w.deadMu.Unlock()
+	w.dead.Store(true)
 	report := w.buildReport()
 	w.deadMu.Lock()
 	w.report = report
@@ -189,11 +194,17 @@ func (w *World) expire() {
 // buildReport renders the blocked-rank report: one line per blocked rank
 // with its pending (src, tag, communicator) and a summary of the unmatched
 // messages sitting in its inbox — the near-miss tags that explain most
-// schedule bugs.
+// schedule bugs — and one line per rank parked in WaitLent with its count of
+// unreleased views.
 func (w *World) buildReport() string {
 	var b strings.Builder
 	blocked := 0
 	for _, p := range w.procs {
+		if p.parked.Load() {
+			blocked++
+			fmt.Fprintf(&b, "  rank %d: awaiting release of %d lent views\n", p.rank, p.lent.Load())
+			continue
+		}
 		p.mu.Lock()
 		if !p.waiting {
 			p.mu.Unlock()
@@ -214,7 +225,7 @@ func (w *World) buildReport() string {
 	if blocked == 0 {
 		return ""
 	}
-	return fmt.Sprintf("mpi: blocked-rank report (%d of %d ranks blocked in recv after %v):\n%s",
+	return fmt.Sprintf("mpi: blocked-rank report (%d of %d ranks blocked after %v):\n%s",
 		blocked, w.size, w.timeout, strings.TrimRight(b.String(), "\n"))
 }
 
@@ -287,19 +298,10 @@ func (w *World) describeCtx(ctx uint64) string {
 	return fmt.Sprintf("%s[size %d] ctx=%d", d.kind, d.size, ctx)
 }
 
-// expired reports whether the world deadline has passed.
-func (w *World) expired() bool {
-	w.deadMu.Lock()
-	defer w.deadMu.Unlock()
-	return w.dead
-}
-
 // deliver enqueues a message into the inbox of world rank dst. worldSrc is
 // the sender's world rank (m.src carries the communicator-local rank used
 // for matching).
 func (w *World) deliver(dst, worldSrc int, m message) {
-	metricMessagesDelivered.Inc()
-	metricBytesDelivered.Add(uint64(len(m.data)))
 	if w.stats != nil {
 		w.stats.record(worldSrc, dst, len(m.data))
 	}
@@ -317,8 +319,8 @@ func (w *World) deliver(dst, worldSrc int, m message) {
 }
 
 // await blocks until a message matching (ctx, src, tag) is available in the
-// inbox of world rank self, removes and returns it.
-func (w *World) await(self int, ctx uint64, src, tag int) ([]byte, error) {
+// inbox of world rank self, removes and returns its payload.
+func (w *World) await(self int, ctx uint64, src, tag int) (Payload, error) {
 	p := w.procs[self]
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -328,7 +330,7 @@ func (w *World) await(self int, ctx uint64, src, tag int) ([]byte, error) {
 		for i := range p.inbox {
 			m := &p.inbox[i]
 			if m.ctx == ctx && m.src == src && m.tag == tag {
-				data := m.data
+				data := Payload{Data: m.data, owner: m.owner}
 				p.inbox = append(p.inbox[:i], p.inbox[i+1:]...)
 				if blocked {
 					p.waiting = false
@@ -336,22 +338,22 @@ func (w *World) await(self int, ctx uint64, src, tag int) ([]byte, error) {
 					if w.tracer != nil {
 						w.tracer.Record(trace.Event{
 							Kind: trace.KindRecvUnblock, Rank: self, Ctx: ctx,
-							Peer: src, Tag: tag, Bytes: len(data),
+							Peer: src, Tag: tag, Bytes: len(data.Data),
 						})
 					}
 				}
 				if w.tracer != nil {
 					w.tracer.Record(trace.Event{
 						Kind: trace.KindRecvMatch, Rank: self, Ctx: ctx,
-						Peer: src, Tag: tag, Bytes: len(data),
+						Peer: src, Tag: tag, Bytes: len(data.Data),
 					})
 				}
 				return data, nil
 			}
 		}
-		if w.expired() {
+		if w.dead.Load() {
 			p.waiting = false
-			return nil, fmt.Errorf("mpi: rank %d blocked in recv (src=%d tag=%d) on %s after %v: %w",
+			return Payload{}, fmt.Errorf("mpi: rank %d blocked in recv (src=%d tag=%d) on %s after %v: %w",
 				self, src, tag, w.describeCtx(ctx), w.timeout, ErrTimeout)
 		}
 		if !blocked {

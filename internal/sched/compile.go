@@ -63,10 +63,17 @@ type ExecStage struct {
 // its sends before its receives (sends never block in the runtime), in
 // ascending op order on both sides so that FIFO (src, tag) matching pairs
 // duplicate (src, dst) messages consistently.
+//
+// Lend marks a send whose blocks no later receive of the rank carries: the
+// rank never writes those blocks again in this execution, so the executor
+// may send a view of its buffer instead of a copy. A stage's receives follow
+// its sends, so a block the rank receives in the sending stage is written
+// later.
 type RankStep struct {
 	Stage int32
 	Op    int32
 	Send  bool
+	Lend  bool
 }
 
 // Compile validates s and returns its program, whose pricing view is s
@@ -187,6 +194,22 @@ func (p *Program) buildExec() {
 		for i := es.Op0; i < es.OpN; i++ {
 			dst := p.ops[i].Dst
 			p.steps[dst] = append(p.steps[dst], RankStep{Stage: int32(si), Op: int32(i), Send: false})
+		}
+	}
+	// Lend marks, one backward pass per rank: written[b] == r+1 once a
+	// receive later in rank r's stream carries block b.
+	written := make([]int32, p.Blocks)
+	for r, steps := range p.steps {
+		for i := len(steps) - 1; i >= 0; i-- {
+			st := &steps[i]
+			st.Lend = st.Send
+			for _, b := range p.OpBlocks(p.ops[st.Op]) {
+				if !st.Send {
+					written[b] = int32(r + 1)
+				} else if written[b] == int32(r+1) {
+					st.Lend = false
+				}
+			}
 		}
 	}
 	scheduleCompileSeconds.With("view", "exec").Observe(time.Since(start).Seconds())

@@ -1,12 +1,16 @@
 package sched
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // The executable-view builder that Program.buildExec replaced, kept verbatim
 // (renamed, its timing metric dropped) as the oracle for
 // TestExecViewMatchesReference and as the mutation suite's ground truth. It
 // resolves block lists with its own possession replay, which shares no code
-// with replayState.
+// with replayState. It derives the Lend marks by a forward scan of each
+// rank's later steps, where buildExec makes one backward pass.
 
 // refExecView compiles s and builds its executable view with the reference
 // body. The returned Program's EnsureExecutable is then a no-op reporting the
@@ -169,4 +173,29 @@ func (p *Program) refBuildExec() {
 			p.steps[dst] = append(p.steps[dst], RankStep{Stage: int32(si), Op: int32(i), Send: false})
 		}
 	}
+	// Lend, derived independently of buildExec's backward pass: a forward
+	// scan of every later step of the rank for a receive sharing a block.
+	for _, steps := range p.steps {
+		for i := range steps {
+			if steps[i].Send {
+				steps[i].Lend = !refWrittenLater(p, steps[i], steps[i+1:])
+			}
+		}
+	}
+}
+
+// refWrittenLater reports whether a receive among later carries a block of
+// the send step's op.
+func refWrittenLater(p *Program, send RankStep, later []RankStep) bool {
+	for _, st := range later {
+		if st.Send {
+			continue
+		}
+		for _, b := range p.OpBlocks(p.ops[st.Op]) {
+			if slices.Contains(p.OpBlocks(p.ops[send.Op]), b) {
+				return true
+			}
+		}
+	}
+	return false
 }

@@ -145,11 +145,11 @@ func TestCompileDetectsUnheldSend(t *testing.T) {
 // view skips but PriceStageMap counts) and on every mutant of it, the
 // executable view the replay records equals the one the reference builder in
 // compile_ref_test.go resolves — ops, block lists, expanded stages, their
-// pricing indices and every rank's step stream — and a schedule the reference
-// refuses is refused. Beyond the reference, the view refuses only mutants in
-// which two transfers of one non-Reduce stage repeat deliver the same block
-// to one rank (the executor could not order the stores), and never a
-// construction.
+// pricing indices and every rank's step stream with its Lend marks — and a
+// schedule the reference refuses is refused. Beyond the reference, the view
+// refuses only mutants in which two transfers of one non-Reduce stage repeat
+// deliver the same block to one rank (the executor could not order the
+// stores), and never a construction.
 func TestExecViewMatchesReference(t *testing.T) {
 	doubleDelivery := regexp.MustCompile(`: stage (\d+) repeat \d+: transfer \d+: ranks \d+ and \d+ both deliver block`)
 	atoi := func(s string) int { n, _ := strconv.Atoi(s); return n } // the pattern matched digits only
