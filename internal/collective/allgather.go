@@ -10,11 +10,12 @@
 // else the world's synth table, else the family registry's size rule) and
 // hands it over; a hierarchical composition looks up its one plan program
 // (hierPlan). The program simnet prices is therefore the program that moves
-// the bytes. The one other exchange is Reordered's initComm input swap. Correctness is checked against closed-form expected buffers per
-// family, never against a second implementation. Order preservation under
-// rank reordering (Section V-B) is a Placement: the executor stores each
-// block at the output offset of its *original* contributor, so ring-like
-// algorithms need no extra mechanism.
+// the bytes, order fixes included: Reordered's initComm exchange is its
+// program's Pre stage. Correctness is checked against closed-form expected
+// buffers per family, never against a second implementation. Order
+// preservation under rank reordering (Section V-B) is a Placement: the
+// executor stores each block at the output offset of its *original*
+// contributor, so ring-like algorithms need no extra mechanism.
 package collective
 
 import (
@@ -28,18 +29,6 @@ import (
 // that block j — contributed by new rank j — lands at its original rank's
 // offset; rooted collectives pass the root rotation.
 type Placement func(block int) int
-
-func position(place Placement, r int) int {
-	if place == nil {
-		return r
-	}
-	return place(r)
-}
-
-// tagOrderFix tags the initComm input exchange of Reordered.Allgather.
-// Successive collectives on one communicator may reuse tags safely because
-// the runtime matches (src, tag) in FIFO order.
-const tagOrderFix = 4 << 20
 
 // checkAllgatherArgs validates the common allgather buffer contract.
 func checkAllgatherArgs(c *mpi.Comm, send, recv []byte) (blk int, err error) {

@@ -34,13 +34,13 @@ func HierarchicalAllreduce(c *mpi.Comm, buf []byte, op ReduceOp, nodeID func(wor
 	if err != nil {
 		return err
 	}
-	prog, err := planOf(nodes, hierPlanKey{leader: leader}, func() (*sched.Schedule, error) {
+	prog, err := planOf(nodes, hierPlanKey{base: leader}, func() (*sched.Schedule, error) {
 		return sched.HierarchicalAllreduce(sched.Groups(nodes, func(node int) int { return node }), leader.Schedule())
 	})
 	if err != nil {
 		return err
 	}
-	return tracedExecute(c, "allreduce", "hierarchical-allreduce", func() error {
+	return tracedExecute(c, "hierarchical-allreduce", "allreduce", "hierarchical-allreduce", func() error {
 		return ExecuteAllreduce(c, prog, buf, op)
 	})
 }
@@ -58,7 +58,8 @@ func Allreduce(c *mpi.Comm, buf []byte, op ReduceOp) error {
 	if err != nil {
 		return err
 	}
-	return tracedExecute(c, "allreduce", allreduceLabel(prog), func() error {
+	label := allreduceLabel(prog)
+	return tracedExecute(c, label, "allreduce", label, func() error {
 		return ExecuteAllreduce(c, prog, buf, op)
 	})
 }

@@ -195,7 +195,7 @@ func TestHierarchicalAllreduceSteadyState(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		prog, err := planOf([]int{0, 0, 1, 1, 2, 2, 3, 3}, hierPlanKey{leader: leader}, func() (*sched.Schedule, error) {
+		prog, err := planOf([]int{0, 0, 1, 1, 2, 2, 3, 3}, hierPlanKey{base: leader}, func() (*sched.Schedule, error) {
 			return nil, fmt.Errorf("plan rebuilt in steady state")
 		})
 		if err != nil {

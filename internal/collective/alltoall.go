@@ -72,7 +72,7 @@ func Alltoall(c *mpi.Comm, send, recv []byte) error {
 	if err != nil {
 		return err
 	}
-	return tracedExecute(c, "alltoall", prog.Name, func() error {
+	return tracedExecute(c, prog.Name, "alltoall", prog.Name, func() error {
 		return ExecuteAlltoall(c, prog, send, recv)
 	})
 }
@@ -88,18 +88,16 @@ func (r *Reordered) Alltoall(send, recv []byte) error {
 	if _, err := checkAlltoallArgs(r.re, send, recv); err != nil {
 		return err
 	}
-	defer beginCollective("reordered")()
 	p := r.re.Size()
-	prog, err := selectProgram(r.re, sched.FamilyAlltoall, r.re.Size(), len(send), AlgAuto)
+	prog, err := selectProgram(r.re, sched.FamilyAlltoall, p, len(send), AlgAuto)
 	if err != nil {
 		return err
 	}
-	name := "alltoall/" + prog.Name
-	r.re.TraceEnter(name)
-	defer r.re.TraceExit(name)
 	// My slab rows are pair blocks (me, d); under place they sit at original
 	// row mapping[me] in original column order — exactly the caller's send
 	// layout — and the column delivered to me is original column mapping[me].
 	place := func(b int) int { return r.mapping[b/p]*p + r.mapping[b%p] }
-	return executeAlltoall(r.re, prog, r.mapping[r.re.Rank()], place, send, recv)
+	return tracedExecute(r.re, "reordered", "alltoall", prog.Name, func() error {
+		return executeAlltoall(r.re, prog, r.mapping[r.re.Rank()], place, send, recv)
+	})
 }

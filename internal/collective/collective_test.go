@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/sched"
+	"repro/internal/synth"
 )
 
 // input returns the deterministic test contribution of a rank.
@@ -323,6 +324,92 @@ func TestReorderedAllgatherAllModes(t *testing.T) {
 				})
 				if err != nil {
 					t.Fatalf("p=%d mode=%v alg=%v: %v", p, mode, alg, err)
+				}
+			}
+		}
+	}
+}
+
+// TestReorderedRunsWhatIsPriced: a reordered allgather sends exactly the
+// messages the cost model prices for it — Σ transfers × repeats over the Pre
+// and main stages of sched.WithOrderPreservation(prog.Schedule(), mapping,
+// mode) — for every allgather builder and a synthesized program served from
+// the world's synth table, under every order mode, and delivers the output
+// in original rank order. Messages are counted as a world with the call
+// minus the same world without it.
+func TestReorderedRunsWhatIsPriced(t *testing.T) {
+	const blk = 64
+	rnd := rand.New(rand.NewSource(3))
+	fam, err := sched.FamilyAllgather.Desc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{8, 16} {
+		m := randomMapping(p, rnd)
+		want := expected(p, blk)
+		type program struct {
+			alg Algorithm
+			sel *synth.Selector
+			s   *sched.Schedule
+		}
+		var progs []program
+		for _, alg := range []Algorithm{AlgRecursiveDoubling, AlgRing, AlgBruck, AlgNeighborExchange} {
+			s, err := fam.Build(alg.String(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			progs = append(progs, program{alg: alg, s: s})
+		}
+		rec := synth.Recipe{Alg: "torus-native", Dims: []int{2, p / 2}}
+		s, err := rec.Materialize(synth.Allgather, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tab := &synth.Table{Topology: "priced-test"}
+		putRecipe(t, tab, synth.Allgather, p, blk, rec)
+		progs = append(progs, program{alg: AlgAuto, sel: synth.NewSelector(tab), s: s})
+
+		for _, pr := range progs {
+			for _, mode := range []sched.OrderMode{sched.InitComm, sched.EndShuffle, sched.NoOrderFix} {
+				fixed, err := sched.WithOrderPreservation(pr.s, m, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var priced int64
+				for _, stages := range [][]sched.Stage{fixed.Pre, fixed.Stages} {
+					for _, st := range stages {
+						priced += int64(len(st.Transfers) * st.Repeats())
+					}
+				}
+				sent := func(call bool) int64 {
+					stats := mpi.NewStats()
+					err := mpi.Run(p, func(c *mpi.Comm) error {
+						if c.Rank() == 0 {
+							Configure(c, Config{Synth: pr.sel})
+						}
+						if err := c.Barrier(); err != nil {
+							return err
+						}
+						re, err := NewReordered(c, m, mode)
+						if err != nil || !call {
+							return err
+						}
+						recv := make([]byte, p*blk)
+						if err := re.Allgather(input(c.Rank(), blk), recv, pr.alg); err != nil {
+							return err
+						}
+						if !bytes.Equal(recv, want) {
+							return fmt.Errorf("old rank %d: output out of order", c.Rank())
+						}
+						return nil
+					}, mpi.WithStats(stats))
+					if err != nil {
+						t.Fatalf("%s p=%d %v: %v", pr.s.Name, p, mode, err)
+					}
+					return stats.TotalMessages()
+				}
+				if got := sent(true) - sent(false); got != priced {
+					t.Errorf("%s p=%d %v: priced %d transfers, sent %d messages", pr.s.Name, p, mode, priced, got)
 				}
 			}
 		}

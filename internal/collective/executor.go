@@ -87,7 +87,35 @@ func resolvePlaceOffsets(place Placement, blocks, blk int) *[]int {
 	return op
 }
 
-// executeProgram runs the main stages of prog on c over buf, a
+// blockOffsets locates program blocks in the caller's buffer: block b of
+// blk bytes starts at b*blk under the identity placement (table nil), and
+// at table[b] under a Placement.
+type blockOffsets struct {
+	blk   int
+	table []int
+}
+
+func (o blockOffsets) at(b int32) int {
+	if o.table == nil {
+		return int(b) * o.blk
+	}
+	return o.table[b]
+}
+
+// span returns the byte offset at which blocks lie back to back in the
+// buffer, in transmission order, and whether they do: then
+// buf[off:off+len(blocks)*blk] is the op's payload.
+func (o blockOffsets) span(blocks []int32) (int, bool) {
+	first := o.at(blocks[0])
+	for k, b := range blocks {
+		if o.at(b) != first+k*o.blk {
+			return 0, false
+		}
+	}
+	return first, true
+}
+
+// executeProgram runs every stage of prog, Pre stages first, on c over buf, a
 // prog.Blocks-block buffer with blk bytes per block. It is the only code in
 // this package that moves collective payload. rot rotates the program's rank
 // space onto the communicator: comm rank r plays program rank (r-rot) mod p,
@@ -119,13 +147,11 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, rot int, buf []byte, blk i
 	steps := prog.RankSteps(rotate(me, p-rot, p))
 	stages := prog.ExecStages()
 	ops := prog.Ops()
-	// placeOff[b] is the buffer byte offset of block b under place; under
-	// the identity placement it is b*blk, computed in the loop.
-	var placeOff []int
+	offs := blockOffsets{blk: blk}
 	if place != nil {
 		holder := resolvePlaceOffsets(place, prog.Blocks, blk)
 		defer placeOffsetsPool.Put(holder)
-		placeOff = *holder
+		offs.table = *holder
 	}
 	// Stage timing is sampled on rank 0 only, every execution: a stage's
 	// duration is a collective property, and every rank clocking it would
@@ -184,7 +210,7 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, rot int, buf []byte, blk i
 			sent++
 			sentBytes += uint64(n)
 			if stp.Lend {
-				if off, ok := span(prog.OpBlocks(*o), blk, placeOff); ok {
+				if off, ok := offs.span(prog.OpBlocks(*o)); ok {
 					if err := c.SendLent(dst, tag, buf[off:off+n]); err != nil {
 						return err
 					}
@@ -193,19 +219,9 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, rot int, buf []byte, blk i
 				}
 			}
 			out := mpi.GetBuf(n)
-			w := 0
-			if place == nil {
-				for _, b := range prog.OpBlocks(*o) {
-					off := int(b) * blk
-					copy(out[w:w+blk], buf[off:off+blk])
-					w += blk
-				}
-			} else {
-				for _, b := range prog.OpBlocks(*o) {
-					off := placeOff[b]
-					copy(out[w:w+blk], buf[off:off+blk])
-					w += blk
-				}
+			for k, b := range prog.OpBlocks(*o) {
+				off := offs.at(b)
+				copy(out[k*blk:(k+1)*blk], buf[off:off+blk])
 			}
 			if err := c.SendOwned(dst, tag, out); err != nil {
 				return err
@@ -227,28 +243,14 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, rot int, buf []byte, blk i
 				payload.Release()
 				return fmt.Errorf("collective: schedule %q has reduce stages but no reduce operator", prog.Name)
 			}
-			if place == nil {
-				for k, b := range prog.OpBlocks(*o) {
-					off := int(b) * blk
-					op(buf[off:off+blk], in[k*blk:(k+1)*blk])
-				}
-			} else {
-				for k, b := range prog.OpBlocks(*o) {
-					off := placeOff[b]
-					op(buf[off:off+blk], in[k*blk:(k+1)*blk])
-				}
+			for k, b := range prog.OpBlocks(*o) {
+				off := offs.at(b)
+				op(buf[off:off+blk], in[k*blk:(k+1)*blk])
 			}
 		} else {
-			if place == nil {
-				for k, b := range prog.OpBlocks(*o) {
-					off := int(b) * blk
-					copy(buf[off:off+blk], in[k*blk:(k+1)*blk])
-				}
-			} else {
-				for k, b := range prog.OpBlocks(*o) {
-					off := placeOff[b]
-					copy(buf[off:off+blk], in[k*blk:(k+1)*blk])
-				}
+			for k, b := range prog.OpBlocks(*o) {
+				off := offs.at(b)
+				copy(buf[off:off+blk], in[k*blk:(k+1)*blk])
 			}
 		}
 		// The payload has been fully copied or reduced into buf: give it
@@ -279,24 +281,6 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, rot int, buf []byte, blk i
 		}
 	}
 	return nil
-}
-
-// span returns the byte offset at which an op's blocks lie back to back in
-// buf, in transmission order, and whether they do: then buf[off:off+n] is
-// the op's payload. placeOff is nil under the identity placement.
-func span(blocks []int32, blk int, placeOff []int) (int, bool) {
-	at := func(b int32) int {
-		if placeOff == nil {
-			return int(b) * blk
-		}
-		return placeOff[b]
-	}
-	for k, b := range blocks {
-		if at(b) != at(blocks[0])+k*blk {
-			return 0, false
-		}
-	}
-	return at(blocks[0]), true
 }
 
 // rotate returns (r + by) mod p for 0 <= r, by <= p.
@@ -341,7 +325,11 @@ func ExecuteAllgather(c *mpi.Comm, prog *sched.Program, send, recv []byte, place
 	if prog.Init != sched.InitOwn || prog.Blocks != prog.P {
 		return fmt.Errorf("collective: program %q is not an allgather program", prog.Name)
 	}
-	copy(recv[position(place, c.Rank())*blk:], send)
+	me := c.Rank()
+	if place != nil {
+		me = place(me)
+	}
+	copy(recv[me*blk:], send)
 	return executeProgram(c, prog, 0, recv, blk, place, nil)
 }
 

@@ -32,13 +32,17 @@ func selectProgram(c *mpi.Comm, f sched.FamilyID, p, payloadBytes int, forced Al
 	return fam.BuildCached(builder, p)
 }
 
-// tracedExecute wraps one front-door execution in the collective metrics
-// scope and the family/program trace span.
-func tracedExecute(c *mpi.Comm, famName, progName string, run func() error) error {
-	defer beginCollective(progName)()
-	name := famName + "/" + progName
-	c.TraceEnter(name)
-	defer c.TraceExit(name)
+// tracedExecute wraps one execution in the collective metrics scope of label
+// and the trace span fam/name. The span's string is built only when c is
+// tracing, so an untraced call allocates nothing for it (mpi.Comm.Tracing).
+func tracedExecute(c *mpi.Comm, label, fam, name string, run func() error) error {
+	defer beginCollective(label)()
+	if !c.Tracing() {
+		return run()
+	}
+	span := fam + "/" + name
+	c.TraceEnter(span)
+	defer c.TraceExit(span)
 	return run()
 }
 
@@ -52,7 +56,7 @@ func Broadcast(c *mpi.Comm, root int, data []byte) error {
 	if err != nil {
 		return err
 	}
-	return tracedExecute(c, "bcast", prog.Name, func() error {
+	return tracedExecute(c, prog.Name, "bcast", prog.Name, func() error {
 		return executeBroadcast(c, prog, root, data)
 	})
 }
@@ -64,7 +68,7 @@ func Gather(c *mpi.Comm, root int, send, recv []byte) error {
 	if err != nil {
 		return err
 	}
-	return tracedExecute(c, "gather", prog.Name, func() error {
+	return tracedExecute(c, prog.Name, "gather", prog.Name, func() error {
 		return ExecuteGather(c, prog, root, send, recv)
 	})
 }
@@ -76,7 +80,7 @@ func Scatter(c *mpi.Comm, root int, data, out []byte) error {
 	if err != nil {
 		return err
 	}
-	return tracedExecute(c, "scatter", prog.Name, func() error {
+	return tracedExecute(c, prog.Name, "scatter", prog.Name, func() error {
 		return executeScatter(c, prog, root, data, out)
 	})
 }

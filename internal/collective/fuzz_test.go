@@ -144,7 +144,7 @@ func FuzzExecutorHierarchicalAllreduce(f *testing.F) {
 			if err != nil {
 				return err
 			}
-			ran, err = planOf(ids, hierPlanKey{leader: leader}, func() (*sched.Schedule, error) {
+			ran, err = planOf(ids, hierPlanKey{base: leader}, func() (*sched.Schedule, error) {
 				return nil, fmt.Errorf("the call's plan is not in the table")
 			})
 			return err

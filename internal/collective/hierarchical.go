@@ -37,35 +37,30 @@ func HierarchicalAllgather(c *mpi.Comm, send, recv []byte, nodeID func(worldRank
 	if err != nil {
 		return err
 	}
-	return runHierarchical(c, "hierarchical", prog, send, recv)
+	return tracedExecute(c, "hierarchical", "allgather", prog.Name, func() error {
+		return ExecuteAllgather(c, prog, send, recv, nil)
+	})
 }
 
-// runHierarchical executes a hierarchical plan's program under the metrics
-// label alg.
-func runHierarchical(c *mpi.Comm, alg string, prog *sched.Program, send, recv []byte) error {
-	defer beginCollective(alg)()
-	name := "allgather/" + prog.Name
-	c.TraceEnter(name)
-	defer c.TraceExit(name)
-	return ExecuteAllgather(c, prog, send, recv, nil)
-}
-
-// hierPlanKey identifies one hierarchical plan: the per-comm-rank node ids
-// (plain compositions) or cores (reordered composition, with the cluster
-// whose distances order its phases), the allgather configuration, and the
-// allreduce's leader program (nil for the allgathers). The program is a pure
-// function of these, so plans are shared across communicators and worlds of
-// equal shape.
+// hierPlanKey identifies one plan: the per-comm-rank node ids (plain
+// compositions), cores (reordered composition, with the cluster whose
+// distances order its phases) or rank mapping (an order-fixed allgather),
+// the allgather configuration, the program the plan is built from (the
+// allreduce's leader program, the order fix's base program; nil for the
+// hierarchical allgathers) and the order-preservation mode. The program is a
+// pure function of these, so plans are shared across communicators and
+// worlds of equal shape.
 type hierPlanKey struct {
 	ids     string // the ids slice's bytes, see planOf
 	cluster *topology.Cluster
 	cfg     sched.HierarchicalConfig
-	leader  *sched.Program
+	base    *sched.Program
+	mode    sched.OrderMode
 }
 
-// hierPlanTable is the hierarchical compositions' instance of the program
-// table: same bound, counters and ResetCompileCache as the flat front doors'
-// (family, builder, p) table.
+// hierPlanTable is the plans' (hierarchical compositions, order-fixed
+// allgathers) instance of the program table: same bound, counters and
+// ResetCompileCache as the flat front doors' (family, builder, p) table.
 var hierPlanTable = sched.NewProgramTable[hierPlanKey]()
 
 // hierPlan returns the compiled, executable program of the hierarchical

@@ -51,7 +51,9 @@ func HierarchicalReorderedAllgather(c *mpi.Comm, send, recv []byte, cluster *top
 	if err != nil {
 		return err
 	}
-	return runHierarchical(c, "hierarchical-reordered", prog, send, recv)
+	return tracedExecute(c, "hierarchical-reordered", "allgather", prog.Name, func() error {
+		return ExecuteAllgather(c, prog, send, recv, nil)
+	})
 }
 
 // reorderedHierarchical builds the hierarchical schedule over ranks placed on

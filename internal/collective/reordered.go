@@ -65,20 +65,18 @@ func Allgather(c *mpi.Comm, send, recv []byte, alg Algorithm) error {
 	if err != nil {
 		return err
 	}
-	return tracedExecute(c, "allgather", prog.Name, func() error {
+	return tracedExecute(c, prog.Name, "allgather", prog.Name, func() error {
 		return ExecuteAllgather(c, prog, send, recv, nil)
 	})
 }
 
-// Reordered couples an original communicator with its reordered copy — the
-// run-time artefact of paper Section IV. Construct it once per communicator
-// and pattern with NewReordered; subsequent Allgather calls go through the
+// Reordered couples a communicator with its reordered copy — the run-time
+// artefact of paper Section IV. Construct it once per communicator and
+// pattern with NewReordered; subsequent Allgather calls go through the
 // reordered copy with output order preserved.
 type Reordered struct {
-	orig    *mpi.Comm
 	re      *mpi.Comm
 	mapping core.Mapping
-	inv     []int // inv[origRank] = new rank
 	mode    sched.OrderMode
 }
 
@@ -90,7 +88,7 @@ func NewReordered(c *mpi.Comm, m core.Mapping, mode sched.OrderMode) (*Reordered
 	if err != nil {
 		return nil, err
 	}
-	return &Reordered{orig: c, re: re, mapping: m, inv: m.NewRankOf(), mode: mode}, nil
+	return &Reordered{re: re, mapping: m, mode: mode}, nil
 }
 
 // Comm returns the reordered communicator.
@@ -101,81 +99,60 @@ func (r *Reordered) Mapping() core.Mapping { return r.mapping }
 
 // Allgather performs the topology-aware allgather: the collective runs over
 // the reordered communicator while send/recv follow the *original* rank
-// contract — recv holds block i of original rank i, for every i.
-//
-// Order preservation (paper Section V-B):
-//
-//   - the ring, neighbour exchange and synthesized programs store incoming
-//     blocks at original-rank offsets in-algorithm (no overhead);
-//   - recursive doubling and Bruck use the configured mechanism: InitComm
-//     exchanges input vectors up front so new rank j starts with original
-//     rank j's input, EndShuffle permutes the output buffer afterwards.
+// contract — recv holds block i of original rank i, for every i. It runs
+// what simnet prices: the selected program under sched.WithOrderPreservation
+// (paper Section V-B). Programs that need no fix (Schedule.NeedsOrderFix),
+// and every program under NoOrderFix, store each block at its original
+// offset through the mapping Placement; under InitComm the order-fixed
+// program's Pre stage hands new rank j original rank j's input; under
+// EndShuffle the output buffer is permuted locally afterwards.
 func (r *Reordered) Allgather(send, recv []byte, alg Algorithm) error {
 	blk, err := checkAllgatherArgs(r.re, send, recv)
 	if err != nil {
 		return err
 	}
-	defer beginCollective("reordered")()
 	prog, err := selectProgram(r.re, sched.FamilyAllgather, r.re.Size(), blk, alg)
 	if err != nil {
 		return err
 	}
-	if prog.Name != "recursive-doubling" && prog.Name != "bruck" {
-		// In-algorithm fix: contributor with new rank j is original rank
-		// mapping[j]; the executor places its block there, so no extra
-		// order-preservation mechanism is needed.
-		return r.execute(prog, send, recv, func(j int) int { return r.mapping[j] })
+	mode := r.mode
+	if !prog.Schedule().NeedsOrderFix() {
+		mode = sched.NoOrderFix
 	}
-
-	switch r.mode {
-	case sched.InitComm:
-		input := send
-		me := r.re.Rank()
-		if r.mapping[me] != me {
-			// Send my input to the process acting as my original rank; my
-			// original rank is mapping[me]. Receive the input of original
-			// rank me from the process holding it (new rank inv[me]).
-			r.re.TraceEnter("reordered/init-comm")
-			if err := r.re.Send(r.mapping[me], tagOrderFix, send); err != nil {
-				return err
-			}
-			in, err := r.re.Recv(r.inv[me], tagOrderFix)
-			r.re.TraceExit("reordered/init-comm")
-			if err != nil {
-				return err
-			}
-			defer mpi.FreeBuf(in) // this rank owns the payload; execute copies it into recv
-			if len(in) != blk {
-				return fmt.Errorf("collective: initComm received %d bytes, want %d", len(in), blk)
-			}
-			input = in
-		}
-		return r.execute(prog, input, recv, nil)
-	case sched.EndShuffle, sched.NoOrderFix:
-		// Run in place, then shuffle: the block at position j belongs to
-		// original rank mapping[j]. NoOrderFix on an order-sensitive
-		// algorithm would return permuted output, so it shuffles too.
-		if err := r.execute(prog, send, recv, nil); err != nil {
+	if mode == sched.InitComm {
+		base := prog
+		prog, err = planOf(r.mapping, hierPlanKey{base: base, mode: mode}, func() (*sched.Schedule, error) {
+			return sched.WithOrderPreservation(base.Schedule(), r.mapping, mode)
+		})
+		if err != nil {
 			return err
 		}
-		r.re.TraceEnter("reordered/end-shuffle")
-		tmp := mpi.GetBuf(len(recv))
-		copy(tmp, recv)
-		for j := 0; j < r.re.Size(); j++ {
-			copy(recv[r.mapping[j]*blk:], tmp[j*blk:(j+1)*blk])
-		}
-		mpi.FreeBuf(tmp)
-		r.re.TraceExit("reordered/end-shuffle")
-		return nil
-	default:
-		return fmt.Errorf("collective: unknown order mode %v", r.mode)
 	}
-}
-
-// execute runs prog on the reordered communicator inside its trace span.
-func (r *Reordered) execute(prog *sched.Program, send, recv []byte, place Placement) error {
-	name := "allgather/" + prog.Name
-	r.re.TraceEnter(name)
-	defer r.re.TraceExit(name)
-	return ExecuteAllgather(r.re, prog, send, recv, place)
+	return tracedExecute(r.re, "reordered", "allgather", prog.Name, func() error {
+		switch mode {
+		case sched.NoOrderFix:
+			// New rank j contributes original rank mapping[j]'s block.
+			return ExecuteAllgather(r.re, prog, send, recv, func(j int) int { return r.mapping[j] })
+		case sched.InitComm:
+			// Blocks are original ranks throughout: mine is block mapping[me].
+			copy(recv[r.mapping[r.re.Rank()]*blk:], send)
+			return executeProgram(r.re, prog, 0, recv, blk, nil, nil)
+		case sched.EndShuffle:
+			// Run in place, then shuffle: the block at position j belongs to
+			// original rank mapping[j].
+			if err := ExecuteAllgather(r.re, prog, send, recv, nil); err != nil {
+				return err
+			}
+			r.re.TraceEnter("reordered/end-shuffle")
+			tmp := mpi.GetBuf(len(recv))
+			copy(tmp, recv)
+			for j, orig := range r.mapping {
+				copy(recv[orig*blk:], tmp[j*blk:(j+1)*blk])
+			}
+			mpi.FreeBuf(tmp)
+			r.re.TraceExit("reordered/end-shuffle")
+			return nil
+		}
+		return fmt.Errorf("collective: unknown order mode %v", mode)
+	})
 }

@@ -12,8 +12,8 @@ import (
 // alignPrograms builds the shapes the Explain↔profile join must survive:
 // a folded-Repeat stage (ring: one pricing stage expanded p-1 times), many
 // single-repeat stages (recursive doubling, Bruck), and a Pre stage that is
-// priced but never executed (recursive doubling under an InitComm order
-// fix).
+// priced and executed ahead of the main stages (recursive doubling under an
+// InitComm order fix).
 func alignPrograms(t *testing.T, p int) []*sched.Program {
 	t.Helper()
 	var progs []*sched.Program
@@ -57,8 +57,8 @@ func alignPrograms(t *testing.T, p int) []*sched.Program {
 
 // TestPriceStageMapAlignment pins the contract the flight recorder and
 // calibrator join on: the Repeat-preserving pricing view maps 1:1 onto the
-// executed stage stream — each non-Pre pricing stage appears exactly Repeat
-// consecutive times in PriceStageMap, Pre stages never appear, and the map
+// executed stage stream — each Pre stage appears exactly once, ahead of the
+// main stages, each main stage exactly Repeat consecutive times, and the map
 // covers every executable stage.
 func TestPriceStageMapAlignment(t *testing.T) {
 	for _, prog := range alignPrograms(t, 16) {
@@ -70,8 +70,9 @@ func TestPriceStageMapAlignment(t *testing.T) {
 			t.Fatalf("%s: PriceStageMap has %d entries for %d exec stages",
 				prog.Name, len(pm), len(prog.ExecStages()))
 		}
-		// Walk the map: pricing indices must be non-decreasing, in range,
-		// never Pre, and appear exactly Repeat times.
+		// Walk the map: pricing indices must be non-decreasing (so Pre
+		// stages, first in the view, run first), in range, and appear
+		// exactly once (Pre) or Repeat times (main).
 		view := priceView(prog)
 		seen := make([]int, len(view))
 		prev := int32(-1)
@@ -84,16 +85,13 @@ func TestPriceStageMapAlignment(t *testing.T) {
 				t.Fatalf("%s: pricing indices regress at exec stage %d (%d after %d)",
 					prog.Name, e, si, prev)
 			}
-			if view[si].Pre {
-				t.Fatalf("%s: exec stage %d maps to Pre pricing stage %d", prog.Name, e, si)
-			}
 			seen[si]++
 			prev = si
 		}
 		for si, st := range view {
 			want := st.Repeat
 			if st.Pre {
-				want = 0
+				want = 1
 			}
 			if seen[si] != want {
 				t.Fatalf("%s: pricing stage %d (pre=%v repeat=%d) appears %d times in the exec stream",

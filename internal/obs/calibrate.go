@@ -41,11 +41,13 @@ type DriftEvent struct {
 }
 
 // ckey identifies one calibration aggregate: a schedule family at a rank
-// count and payload bucket, on the calibrator's topology.
+// count and payload bucket, on the calibrator's topology. stages keeps an
+// order-fixed program's bins apart from its same-named plain base's.
 type ckey struct {
 	program string
 	p       int32
 	bucket  int
+	stages  int32
 }
 
 // ckState is the running aggregate of one key.
@@ -70,7 +72,6 @@ type ckState struct {
 	// Per-pricing-stage measured/predicted second sums for the stage table.
 	stageMeas []float64
 	stagePred []float64
-	stagePre  []bool
 	stageRep  []int
 }
 
@@ -115,12 +116,13 @@ type explainKey struct {
 }
 
 // Breakdown is the executed-stage view of a simnet breakdown: the predicted
-// time of what executeProgram actually runs (Pre stages and the post-copy
-// epilogue are priced for callers but never executed by the step loop).
+// time of what executeProgram actually runs, every stage of the pricing view
+// (the post-copy epilogue is priced for callers but runs outside the step
+// loop).
 type Breakdown struct {
 	// Full is the underlying simnet per-stage breakdown, pricing view.
 	Full *simnet.Breakdown
-	// ExecutedSeconds sums Seconds×Repeat over non-Pre stages only.
+	// ExecutedSeconds sums Seconds×Repeat over every stage.
 	ExecutedSeconds float64
 }
 
@@ -162,9 +164,7 @@ func (c *Calibrator) breakdown(prog *sched.Program, blockBytes int) (*Breakdown,
 	}
 	bd := &Breakdown{Full: full}
 	for _, st := range full.Stages {
-		if !st.Pre {
-			bd.ExecutedSeconds += st.Seconds * float64(st.Repeat)
-		}
+		bd.ExecutedSeconds += st.Seconds * float64(st.Repeat)
 	}
 	c.explained[k] = bd
 	return bd, nil
@@ -204,18 +204,16 @@ func (c *Calibrator) observe(prog *sched.Program, p Profile) (DriftEvent, bool) 
 	}
 	ratio := p.TotalSeconds / bd.ExecutedSeconds
 	bucket := synth.SizeBucket(int(p.BlockBytes) * int(p.Blocks))
-	k := ckey{program: p.Program, p: p.P, bucket: bucket}
+	k := ckey{program: p.Program, p: p.P, bucket: bucket, stages: p.Stages}
 	st := c.state[k]
 	if st == nil {
 		ns := len(bd.Full.Stages)
 		st = &ckState{
 			stageMeas: make([]float64, ns),
 			stagePred: make([]float64, ns),
-			stagePre:  make([]bool, ns),
 			stageRep:  make([]int, ns),
 		}
 		for i, sc := range bd.Full.Stages {
-			st.stagePre[i] = sc.Pre
 			st.stageRep[i] = sc.Repeat
 		}
 		c.state[k] = st
@@ -230,7 +228,7 @@ func (c *Calibrator) observe(prog *sched.Program, p Profile) (DriftEvent, bool) 
 	st.sumXX += x * x
 	st.sumXY += x * y
 	for i, sc := range bd.Full.Stages {
-		if sc.Pre || i >= len(st.stageMeas) {
+		if i >= len(st.stageMeas) {
 			continue
 		}
 		st.stagePred[i] += sc.Seconds * float64(sc.Repeat)
@@ -284,7 +282,6 @@ func (c *Calibrator) observe(prog *sched.Program, p Profile) (DriftEvent, bool) 
 // StageSkew is one pricing stage's measured-vs-predicted aggregate.
 type StageSkew struct {
 	Index     int     `json:"index"`
-	Pre       bool    `json:"pre,omitempty"`
 	Repeat    int     `json:"repeat"`
 	Measured  float64 `json:"measured_seconds"`
 	Predicted float64 `json:"predicted_seconds"`
@@ -316,7 +313,7 @@ type Report struct {
 }
 
 // Report snapshots the calibrator's aggregates, sorted by (program, p,
-// bucket).
+// bucket, stage count).
 func (c *Calibrator) Report() *Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -336,9 +333,6 @@ func (c *Calibrator) Report() *Report {
 			Drifting:   st.drifting,
 		}
 		for i := range st.stagePred {
-			if st.stagePre[i] {
-				continue
-			}
 			ss := StageSkew{
 				Index:     i,
 				Repeat:    st.stageRep[i],
@@ -360,7 +354,10 @@ func (c *Calibrator) Report() *Report {
 		if a.P != b.P {
 			return a.P < b.P
 		}
-		return a.Bucket < b.Bucket
+		if a.Bucket != b.Bucket {
+			return a.Bucket < b.Bucket
+		}
+		return len(a.Stages) < len(b.Stages)
 	})
 	return r
 }

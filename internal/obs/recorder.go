@@ -44,8 +44,8 @@ type Profile struct {
 	Transfers    int64   `json:"transfers"`
 	Bytes        int64   `json:"bytes"`
 	// StageSeconds[i] is the accumulated wall time of pricing stage i
-	// across all its executed repeats. Pre stages are priced but executed
-	// by the caller, so their bins stay zero.
+	// across all its executed repeats; the executor runs every pricing
+	// stage, Pre stages included, so every bin is measured.
 	StageSeconds [MaxProfileStages]float64 `json:"-"`
 }
 

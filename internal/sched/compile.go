@@ -14,12 +14,13 @@ import (
 //     first, then main stages, with Repeat preserved, so contention pricing
 //     costs O(transfers) per stage regardless of repeat counts — a
 //     4096-rank ring prices 1 stage, not 4095;
-//   - the executable view (ExecStages/Ops/RankSteps) expands repeats and
-//     resolves every transfer's symbolic block mode (All, Range, Latest,
-//     List) into an explicit block list: it records the verifier's
-//     possession replay from the schedule's InitKind, so the view holds
-//     exactly the payloads Verify checked. It is built lazily on first use
-//     and memoized, so pricing-only programs never pay for it.
+//   - the executable view (ExecStages/Ops/RankSteps) runs the same stages in
+//     the same order, Pre stages first, with repeats expanded and every
+//     transfer's symbolic block mode (All, Range, Latest, List) resolved
+//     into an explicit block list: it records the verifier's possession
+//     replay of the main stages from the schedule's InitKind, so the view
+//     holds exactly the payloads Verify checked. It is built lazily on
+//     first use and memoized, so pricing-only programs never pay for it.
 //
 // A Program is immutable after compilation (the executable view's lazy
 // build is guarded by a sync.Once), so one cached Program may be shared by
@@ -128,16 +129,17 @@ func (p *Program) RankSteps(r int) []RankStep { return p.steps[r] }
 
 // PriceStageMap maps each expanded (executable-view) stage index back to its
 // pricing-view stage index: PriceStageMap()[e] is the position, Pre stages
-// first, of the schedule stage that expanded into ExecStages()[e]. Repeated
-// stages map their repeats to one pricing index; Pre stages never appear
-// (they are priced, not executed). The flight recorder uses this to bin
+// first, of the schedule stage that expanded into ExecStages()[e]. Each Pre
+// stage appears once, ahead of the main stages; a repeated main stage maps
+// its repeats to one pricing index. The flight recorder uses this to bin
 // measured stage times against simnet.Breakdown indices. Call
 // EnsureExecutable first.
 func (p *Program) PriceStageMap() []int32 { return p.execToPrice }
 
-// buildExec records the verifier's possession replay of the main stages:
-// each repeat becomes one expanded stage whose ops carry, in transmission
-// order, the blocks the replay moved.
+// buildExec records the schedule's Pre stages as they stand, then the
+// verifier's possession replay of the main stages: each repeat becomes one
+// expanded stage whose ops carry, in transmission order, the blocks the
+// replay moved.
 func (p *Program) buildExec() {
 	start := time.Now()
 	rs, err := p.s.newReplay()
@@ -145,17 +147,39 @@ func (p *Program) buildExec() {
 		p.execErr = err
 		return
 	}
-	// Pre stages are priced, not executed (order fixes run in the caller).
-	// Size the view from the main stages: a transfer moves N blocks (a hint
-	// only, as a malformed All or Latest transfer may move another count).
-	pre, main, nops, nblk := len(p.s.Pre), p.s.Stages, 0, 0
-	for i := range main {
-		rep := main[i].Repeats()
-		for _, tr := range main[i].Transfers {
-			nops, nblk = nops+rep, nblk+int(tr.N)*rep
+	// Size the view: a transfer moves N blocks (a hint only, as a malformed
+	// All or Latest transfer may move another count).
+	pre, main, nops, nblk := p.s.Pre, p.s.Stages, 0, 0
+	for _, stages := range [2][]Stage{pre, main} {
+		for _, st := range stages {
+			for _, tr := range st.Transfers {
+				nops, nblk = nops+st.Repeats(), nblk+int(tr.N)*st.Repeats()
+			}
 		}
 	}
 	p.ops, p.blockIdx = make([]ExecOp, 0, nops), make([]int32, 0, nblk)
+	// A Pre stage moves input vectors before the collective's block space
+	// is defined, so the replay cannot check it: it must be Range transfers
+	// run once (what WithOrderPreservation emits), carrying what they name.
+	for si, st := range pre {
+		if st.Repeats() != 1 || st.Reduce {
+			p.execErr = fmt.Errorf("sched: %q: pre stage %d is repeated or reducing", p.Name, si)
+			return
+		}
+		op0 := len(p.ops)
+		for _, tr := range st.Transfers {
+			if tr.Mode != Range {
+				p.execErr = fmt.Errorf("sched: %q: pre stage %d has a non-Range transfer", p.Name, si)
+				return
+			}
+			p.ops = append(p.ops, ExecOp{Src: tr.Src, Dst: tr.Dst, Blk0: len(p.blockIdx), NumBlk: int(tr.N)})
+			for k := int32(0); k < tr.N; k++ {
+				p.blockIdx = append(p.blockIdx, (tr.First+k)%int32(p.Blocks))
+			}
+		}
+		p.execStages = append(p.execStages, ExecStage{Op0: op0, OpN: len(p.ops)})
+		p.execToPrice = append(p.execToPrice, int32(si))
+	}
 	rs.record = func(si int) error {
 		op0 := len(p.ops)
 		for ti, tr := range main[si].Transfers {
@@ -167,7 +191,7 @@ func (p *Program) buildExec() {
 			p.blockIdx = append(p.blockIdx, blocks...)
 		}
 		p.execStages = append(p.execStages, ExecStage{Reduce: main[si].Reduce, Op0: op0, OpN: len(p.ops)})
-		p.execToPrice = append(p.execToPrice, int32(pre+si))
+		p.execToPrice = append(p.execToPrice, int32(len(pre)+si))
 		return nil
 	}
 	if err := rs.run(main); err != nil {

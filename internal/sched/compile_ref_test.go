@@ -89,9 +89,33 @@ func (p *Program) refBuildExec() {
 	// second same-repeat delivery is detected in O(1).
 	stamp := make([]int, p.P)
 	repCounter := 0
-	// Pre stages are priced, not executed (order fixes run in the caller);
-	// pricing-view indices count them first.
+	// Pre stages run first, once each, as the Range transfers they name:
+	// they move input vectors before the block space is defined, so a
+	// sender's possession is not checked (all holds every block).
+	all := newBlockSet(p.Blocks)
+	for b := 0; b < p.Blocks; b++ {
+		all.add(int32(b))
+	}
 	pre := len(p.Schedule().Pre)
+	for si, st := range p.Schedule().Pre {
+		if st.Repeats() != 1 || st.Reduce {
+			p.execErr = fmt.Errorf("sched: compile %q: pre stage %d is repeated or reducing", p.Name, si)
+			return
+		}
+		op0 := len(p.ops)
+		for _, tr := range st.Transfers {
+			if tr.Mode != Range {
+				p.execErr = fmt.Errorf("sched: compile %q: pre stage %d has a non-Range transfer", p.Name, si)
+				return
+			}
+			blocks, _ := p.refRangeBlockList(all, tr.Src, tr.First, tr.N)
+			blk0 := len(p.blockIdx)
+			p.blockIdx = append(p.blockIdx, blocks...)
+			p.ops = append(p.ops, ExecOp{Src: tr.Src, Dst: tr.Dst, Blk0: blk0, NumBlk: len(blocks)})
+		}
+		p.execStages = append(p.execStages, ExecStage{Op0: op0, OpN: len(p.ops)})
+		p.execToPrice = append(p.execToPrice, int32(si))
+	}
 	for mi := range p.Schedule().Stages {
 		si, st := pre+mi, &p.Schedule().Stages[mi]
 		for r := range lastRecv {

@@ -124,6 +124,36 @@ func TestCompileRejectsSizedOnly(t *testing.T) {
 	}
 }
 
+// TestCompileRefusesIrregularPre: the executable view runs a Pre stage only
+// as Range transfers run once, the shape WithOrderPreservation emits; a
+// repeated or reducing Pre stage, or one with another transfer mode, is
+// refused, as the reference builder refuses it.
+func TestCompileRefusesIrregularPre(t *testing.T) {
+	swap := Transfer{Src: 0, Dst: 1, First: 0, N: 1, Mode: Range}
+	list := Transfer{Src: 0, Dst: 1, N: 1, Mode: List, Blocks: []int32{0}}
+	for what, pre := range map[string]Stage{
+		"repeated": {Transfers: []Transfer{swap}, Repeat: 2},
+		"reducing": {Transfers: []Transfer{swap}, Reduce: true},
+		"list":     {Transfers: []Transfer{list}},
+	} {
+		s, err := RecursiveDoubling(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Pre = []Stage{pre}
+		prog, err := Compile(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := prog.EnsureExecutable(); err == nil || !strings.Contains(err.Error(), "pre stage 0") {
+			t.Errorf("%s Pre stage: EnsureExecutable says %v", what, err)
+		}
+		if _, err := refExecView(s); err == nil {
+			t.Errorf("%s Pre stage: the reference builds", what)
+		}
+	}
+}
+
 // TestCompileDetectsUnheldSend: the executable build replays possession and
 // must reject a schedule whose stage reads a block not yet received.
 func TestCompileDetectsUnheldSend(t *testing.T) {
@@ -142,7 +172,7 @@ func TestCompileDetectsUnheldSend(t *testing.T) {
 
 // TestExecViewMatchesReference: on every construction of every family at
 // p ∈ {4, 6, 16, 64}, on its order-preserving variants (Pre stages, which the
-// view skips but PriceStageMap counts) and on every mutant of it, the
+// view runs first) and on every mutant of it, the
 // executable view the replay records equals the one the reference builder in
 // compile_ref_test.go resolves — ops, block lists, expanded stages, their
 // pricing indices and every rank's step stream with its Lend marks — and a

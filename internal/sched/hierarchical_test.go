@@ -224,6 +224,7 @@ func TestNeedsOrderFix(t *testing.T) {
 	}{
 		{func() (*Schedule, error) { return RecursiveDoubling(8) }, true},
 		{func() (*Schedule, error) { return Ring(8) }, false},
+		{func() (*Schedule, error) { return NeighborExchange(8) }, false},
 		{func() (*Schedule, error) { return Bruck(8) }, true},
 		{func() (*Schedule, error) { return BinomialGather(8) }, true},
 		{func() (*Schedule, error) { return BinomialBroadcast(8, 1) }, false},

@@ -43,28 +43,21 @@ func (m OrderMode) String() string {
 
 // NeedsOrderFix reports whether the named algorithm requires an explicit
 // order-preservation mechanism when ranks are reordered. Per the paper, only
-// recursive doubling and the binomial gather do: the ring fixes offsets
-// inside the algorithm, broadcast has no output vector, and the linear
-// patterns place blocks directly. Hierarchical compositions inherit the
-// need from their phases. Bruck's shifted local order likewise requires a
-// fix.
+// recursive doubling and the binomial gather do: the ring and neighbour
+// exchange fix offsets inside the algorithm, broadcast has no output vector,
+// and the linear patterns place blocks directly. Bruck's shifted local order
+// likewise requires a fix. Hierarchical compositions inherit the need from
+// their phases: only linear intra phases around a ring among the leaders
+// resolve every offset in place. Unknown (synthesized) algorithms are
+// conservatively fixed. It is the one rule both the cost model and the
+// reordered runtime (collective.Reordered) follow.
 func (s *Schedule) NeedsOrderFix() bool {
 	switch s.Name {
-	case "recursive-doubling", "binomial-gather", "bruck":
-		return true
-	case "ring", "binomial-broadcast", "linear-gather", "linear-broadcast":
+	case "ring", "neighbor-exchange", "binomial-broadcast", "linear-gather", "linear-broadcast",
+		"hierarchical-linear-ring":
 		return false
 	}
-	// Hierarchical names: hierarchical-<intra>-<inter>.
-	switch s.Name {
-	case "hierarchical-non-linear-recursive-doubling", "hierarchical-non-linear-ring":
-		return true // binomial gather phase needs the fix
-	case "hierarchical-linear-recursive-doubling":
-		return true // recursive doubling among leaders needs the fix
-	case "hierarchical-linear-ring":
-		return false // direct intra phases + ring inter: offsets resolve in place
-	}
-	return true // unknown algorithms: be conservative
+	return true
 }
 
 // InitCommSchedule builds a standalone priceable schedule containing only

@@ -128,9 +128,11 @@ type Schedule struct {
 	Name string
 	// P is the number of ranks.
 	P int
-	// Pre holds prologue stages that are priced but not block-verified —
-	// the "extra initial communications" of Section V-B move input vectors
-	// between processes before the collective proper starts.
+	// Pre holds prologue stages that run before Stages but are not
+	// block-verified — the "extra initial communications" of Section V-B
+	// move input vectors between processes before the collective proper
+	// starts. They are priced and executed like any stage; the executable
+	// view takes them as Range transfers run once.
 	Pre []Stage
 	// Stages is the collective itself.
 	Stages []Stage
