@@ -4,12 +4,12 @@
 // per message size and the adaptive-routing decision; a "patterns" array in
 // the body maps a whole batch against one topology build. /synth/table
 // serves and accepts searched schedule-selection tables; /stats exposes the
-// service counters, /metrics the Prometheus text exposition of every
-// instrumented layer (including the SLO burn-rate gauges), /healthz
-// liveness, /readyz readiness (503 once the worker-pool queue reaches the
-// shedding threshold), /debug/flight the process-wide schedule flight ring
-// and /calibration the cost-model calibration report. With -pprof, the
-// net/http/pprof profiling endpoints mount under /debug/pprof/.
+// service counters, /metrics the Prometheus text exposition of the layers
+// mapd runs (including the SLO burn-rate gauges), /healthz liveness and
+// /readyz readiness (503 once the worker-pool queue reaches the shedding
+// threshold). mapd computes mappings and never executes a collective, so it
+// links none of the goroutine runtime. With -pprof, the net/http/pprof
+// profiling endpoints mount under /debug/pprof/.
 //
 // With -store, computed mappings and synth tables persist to an
 // append-friendly content-addressed log and survive restarts; -warm
@@ -49,11 +49,6 @@ import (
 
 	"repro/internal/service"
 	"repro/internal/store"
-
-	// The daemon never executes a collective itself, but /metrics promises
-	// one family from every instrumented layer; linking the runtime packages
-	// registers their (zero-valued) mpi and collective families.
-	_ "repro/internal/collective"
 )
 
 func main() {

@@ -117,9 +117,8 @@ func TestEndToEnd(t *testing.T) {
 		t.Errorf("stats = %+v, want one request, one compute", st)
 	}
 
-	// /metrics must expose at least one family from every instrumented
-	// layer: the service itself, the heuristics, and the (eagerly
-	// registered, zero-valued here) mpi runtime and collectives.
+	// /metrics exposes mapd's own layers (the service and the heuristics)
+	// and none of the goroutine runtime's families: mapd links no runtime.
 	res, err = http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatalf("GET /metrics: %v", err)
@@ -129,14 +128,14 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil || res.StatusCode != http.StatusOK {
 		t.Fatalf("GET /metrics: status %d, err %v", res.StatusCode, err)
 	}
-	for _, family := range []string{
-		"mapd_requests_total",
-		"heuristic_mappings_total",
-		"mpi_messages_sent_total",
-		"collective_invocations_total",
-	} {
+	for _, family := range []string{"mapd_requests_total", "heuristic_mappings_total"} {
 		if !strings.Contains(string(exposition), family) {
 			t.Errorf("/metrics missing family %s", family)
+		}
+	}
+	for _, family := range []string{"mpi_", "collective_", "obs_", "schedule_executions_total"} {
+		if strings.Contains(string(exposition), "# TYPE "+family) {
+			t.Errorf("/metrics exposes runtime family %s*", family)
 		}
 	}
 

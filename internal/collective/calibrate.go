@@ -16,7 +16,7 @@ type CalibrateConfig struct {
 	// laptop-scale). Required.
 	P int
 	// Sizes lists the per-process message sizes to run, one calibration
-	// bucket each. Required, at least one.
+	// bucket each. Required, at least one, each positive.
 	Sizes []int
 	// Rounds is the number of allgather calls per size (default 5).
 	Rounds int
@@ -30,16 +30,19 @@ type CalibrateConfig struct {
 
 // Calibrate executes real allgathers on the goroutine runtime with a
 // cost-model calibrator attached and writes the predicted-vs-measured skew
-// table to w. Drift events fire inline as they are detected. The calibrator
-// is installed as the process-global one (obs.SetGlobal), so a subsequent
-// -metrics-out snapshot carries the skew gauges and an embedded mapd would
-// serve the same report on /calibration.
+// table (obs.Report.String) to w. The skew gauges land on the default
+// registry, so a subsequent -metrics-out snapshot carries them.
 func Calibrate(w io.Writer, cc CalibrateConfig) error {
 	if cc.P < 2 {
 		return fmt.Errorf("calibrate: world size %d too small", cc.P)
 	}
 	if len(cc.Sizes) == 0 {
 		return fmt.Errorf("calibrate: no message sizes")
+	}
+	for _, size := range cc.Sizes {
+		if size <= 0 {
+			return fmt.Errorf("calibrate: message size %d is not positive", size)
+		}
 	}
 	rounds := cc.Rounds
 	if rounds <= 0 {
@@ -54,13 +57,7 @@ func Calibrate(w io.Writer, cc CalibrateConfig) error {
 	if err != nil {
 		return err
 	}
-	cal := obs.NewCalibrator(machine, layout, obs.Options{
-		OnDrift: func(ev obs.DriftEvent) {
-			fmt.Fprintf(w, "drift suspected: %s p=%d bucket=%d ratio %.2fx outside band %.2fx for %d samples\n",
-				ev.Program, ev.P, ev.Bucket, ev.Ratio, ev.Band, ev.Window)
-		},
-	})
-	obs.SetGlobal(cal)
+	cal := obs.NewCalibrator(machine, layout)
 
 	fmt.Fprintf(w, "calibrating: p=%d layout=%v alg=%v rounds=%d sizes=%v\n",
 		cc.P, cc.Layout, cc.Alg, rounds, cc.Sizes)

@@ -25,9 +25,10 @@ type Config struct {
 	// Flight overrides the flight recorder rank 0 records execution profiles
 	// into. Nil selects the process-wide obs.Flight ring.
 	Flight *obs.Recorder
-	// Calibrator, when set, receives every sampled execution profile for
-	// measured-vs-predicted skew tracking and drift detection. Nil (the
-	// default) keeps the executor's record path allocation-free.
+	// Calibrator, when set, joins every sampled execution profile against
+	// the cost model's per-stage prediction for measured-vs-predicted skew
+	// (obs.Calibrator.Report). Nil (the default) keeps the executor's record
+	// path allocation-free.
 	Calibrator *obs.Calibrator
 }
 

@@ -10,7 +10,8 @@ import (
 // durations are recorded per participating rank: a ring allgather over an
 // 8-rank communicator contributes 8 invocations, mirroring how each rank
 // experiences the collective. Every collective records a single "total"
-// phase; per-stage timing lives in schedule_stage_seconds.
+// phase; per-stage timing lives in schedule_stage_seconds. Series appear on
+// first use (beginCollective, execMetricsFor).
 var (
 	collectiveInvocations = metrics.NewCounterVec("collective_invocations_total",
 		"Collective invocations, one per participating rank.", "algorithm")
@@ -34,42 +35,6 @@ var (
 	scheduleBytes = metrics.NewCounterVec("schedule_bytes_total",
 		"Payload bytes sent by the schedule executor.", "algorithm")
 )
-
-// knownAlgorithms pre-registers the per-algorithm series so that /metrics
-// exposes every family with zero values before the first collective runs.
-var knownAlgorithms = []string{
-	"ring", "recursive-doubling", "bruck", "neighbor-exchange",
-	"binomial-broadcast", "linear-broadcast", "binomial-gather",
-	"linear-gather", "binomial-scatter", "scatter-allgather-broadcast",
-	"hierarchical", "hierarchical-reordered", "reordered",
-	"allreduce", "hierarchical-allreduce", "rabenseifner",
-}
-
-// knownSchedules pre-registers the executor series for every compiled
-// program name the selection tables can produce.
-var knownSchedules = []string{
-	"ring", "recursive-doubling", "bruck", "neighbor-exchange",
-	"allreduce", "reduce-scatter-allgather",
-	"binomial-gather", "binomial-broadcast", "linear-gather",
-	"linear-broadcast", "binomial-scatter", "scatter-allgather-broadcast",
-	"hierarchical-linear-ring", "hierarchical-linear-recursive-doubling",
-	"hierarchical-non-linear-ring", "hierarchical-non-linear-recursive-doubling",
-	"hierarchical-allreduce", "hierarchical-reduce-scatter-allgather",
-}
-
-func init() {
-	for _, a := range knownAlgorithms {
-		collectiveInvocations.With("algorithm", a)
-		collectivePhase.With("algorithm", a, "phase", "total")
-	}
-	for _, a := range knownSchedules {
-		scheduleExecutions.With("algorithm", a)
-		scheduleStageSeconds.With("algorithm", a)
-		scheduleTransfers.With("algorithm", a)
-		scheduleLentTransfers.With("algorithm", a)
-		scheduleBytes.With("algorithm", a)
-	}
-}
 
 // beginCollective counts one invocation of alg on the calling rank and
 // returns the completion hook that records the total phase duration; use as

@@ -78,7 +78,7 @@ func TestFlightRecorderSamplesConfiguredRank(t *testing.T) {
 func TestExecutorCalibratorJoin(t *testing.T) {
 	m := synthFatTree64(t)
 	layout := topology.MustLayout(m.Cluster, 64, topology.BlockBunch)
-	cal := obs.NewCalibrator(m, layout, obs.Options{})
+	cal := obs.NewCalibrator(m, layout)
 	const p, blk, rounds = 64, 2048, 3
 	runAllgatherWorld(t, p, blk, rounds, AlgRing, Config{Calibrator: cal})
 	r := cal.Report()

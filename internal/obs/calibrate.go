@@ -11,35 +11,6 @@ import (
 	"repro/internal/synth"
 )
 
-// The drift detector's constants: drift is suspected when driftWindow
-// consecutive observations of one key all fall outside the skew band, a
-// measured/predicted ratio outside [1/driftBand, driftBand].
-const (
-	driftWindow = 8
-	driftBand   = 2.0
-)
-
-// Options configure a Calibrator's drift detector.
-type Options struct {
-	// OnDrift, if set, is invoked (without internal locks held) each time
-	// the detector fires for a key. The intended consumer is the remap
-	// trigger of the ROADMAP's drift→remap loop.
-	OnDrift func(DriftEvent)
-}
-
-// DriftEvent describes one drift-detector firing: every observation in the
-// trailing window of one (topology, program, bucket) key fell outside the
-// calibration band.
-type DriftEvent struct {
-	Topology string  `json:"topology"`
-	Program  string  `json:"program"`
-	Bucket   int     `json:"bucket"`
-	P        int     `json:"p"`
-	Ratio    float64 `json:"ratio"` // latest measured/predicted ratio
-	Window   int     `json:"window"`
-	Band     float64 `json:"band"`
-}
-
 // ckey identifies one calibration aggregate: a schedule family at a rank
 // count and payload bucket, on the calibrator's topology. stages keeps an
 // order-fixed program's bins apart from its same-named plain base's.
@@ -55,15 +26,6 @@ type ckState struct {
 	samples   uint64
 	lastRatio float64
 	sumRatio  float64
-	// window is a ring of the most recent in/out-of-band verdicts; outside
-	// counts the outside verdicts currently in the ring.
-	window  [driftWindow]bool
-	wpos    int
-	wfill   int
-	outside int
-	// drifting latches after a firing and releases on the first in-band
-	// observation, so a persistently skewed key fires once, not per sample.
-	drifting bool
 	// Least-squares accumulators for the alpha/beta residual fit: x is the
 	// predicted schedule time, y the measured one, across all payloads of
 	// the bucket. The intercept is the unmodelled per-schedule latency
@@ -93,13 +55,12 @@ func (s *ckState) fit() (alpha, beta float64) {
 
 // Calibrator joins measured execution Profiles against the cost model's
 // per-stage predictions for the same compiled programs on one machine and
-// layout, maintaining per-(program, p, size bucket) skew aggregates, metric
-// series, and the drift detector.
+// layout, maintaining per-(program, p, size bucket) skew aggregates and their
+// metric series.
 type Calibrator struct {
 	machine *simnet.Machine
 	layout  []int
 	topo    string
-	opts    Options
 
 	mu    sync.Mutex
 	state map[ckey]*ckState
@@ -107,7 +68,6 @@ type Calibrator struct {
 	// and overwhelmingly executed at one block size, so a tiny cache keyed
 	// by identity removes Explain from the observation path.
 	explained map[explainKey]*Breakdown
-	drifts    uint64
 }
 
 type explainKey struct {
@@ -128,14 +88,13 @@ type Breakdown struct {
 
 // NewCalibrator returns a calibrator for programs executed on machine m with
 // ranks placed by layout (rank→core, as passed to simnet pricing).
-func NewCalibrator(m *simnet.Machine, layout []int, opts Options) *Calibrator {
+func NewCalibrator(m *simnet.Machine, layout []int) *Calibrator {
 	lay := make([]int, len(layout))
 	copy(lay, layout)
 	return &Calibrator{
 		machine:   m,
 		layout:    lay,
 		topo:      synth.TopologyKey(m),
-		opts:      opts,
 		state:     make(map[ckey]*ckState),
 		explained: make(map[explainKey]*Breakdown),
 	}
@@ -143,13 +102,6 @@ func NewCalibrator(m *simnet.Machine, layout []int, opts Options) *Calibrator {
 
 // Topology returns the calibrator's topology fingerprint key.
 func (c *Calibrator) Topology() string { return c.topo }
-
-// Drifts returns the number of drift firings so far.
-func (c *Calibrator) Drifts() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.drifts
-}
 
 // breakdown returns the cached executed-stage prediction for prog at
 // blockBytes. Callers hold c.mu.
@@ -171,7 +123,7 @@ func (c *Calibrator) breakdown(prog *sched.Program, blockBytes int) (*Breakdown,
 }
 
 // ObserveExecution joins one measured profile of prog against the model's
-// prediction and updates skew aggregates, metrics, and the drift detector.
+// prediction and updates the skew aggregates and metrics.
 // The profile is passed by value for the same reason Recorder.Record is:
 // the executor's stack copy must not escape. The observation path itself is
 // not allocation-free (label resolution, map growth) — worlds that need the
@@ -181,26 +133,12 @@ func (c *Calibrator) ObserveExecution(prog *sched.Program, p Profile) {
 	if c == nil || prog == nil {
 		return
 	}
-	event, fired := c.observe(prog, p)
-	if fired {
-		driftSuspected.Inc()
-		if c.opts.OnDrift != nil {
-			c.opts.OnDrift(event)
-		}
-	}
-}
-
-func (c *Calibrator) observe(prog *sched.Program, p Profile) (DriftEvent, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	bd, err := c.breakdown(prog, int(p.BlockBytes))
-	if err != nil {
+	if err != nil || bd.ExecutedSeconds <= 0 || p.TotalSeconds <= 0 {
 		calibrationErrors.Inc()
-		return DriftEvent{}, false
-	}
-	if bd.ExecutedSeconds <= 0 || p.TotalSeconds <= 0 {
-		calibrationErrors.Inc()
-		return DriftEvent{}, false
+		return
 	}
 	ratio := p.TotalSeconds / bd.ExecutedSeconds
 	bucket := synth.SizeBucket(int(p.BlockBytes) * int(p.Blocks))
@@ -244,39 +182,6 @@ func (c *Calibrator) observe(prog *sched.Program, p Profile) (DriftEvent, bool) 
 	alpha, beta := st.fit()
 	alphaResidual.With("topology", c.topo, "program", p.Program, "bucket", bstr).Set(int64(alpha * 1e9))
 	betaRatio.With("topology", c.topo, "program", p.Program, "bucket", bstr).Set(int64(beta * 1000))
-
-	// Drift window: replace the oldest verdict with this one.
-	out := ratio > driftBand || ratio < 1/driftBand
-	if st.wfill == len(st.window) {
-		if st.window[st.wpos] {
-			st.outside--
-		}
-	} else {
-		st.wfill++
-	}
-	st.window[st.wpos] = out
-	if out {
-		st.outside++
-	}
-	st.wpos = (st.wpos + 1) % len(st.window)
-	if !out {
-		st.drifting = false
-		return DriftEvent{}, false
-	}
-	if st.drifting || st.outside < len(st.window) {
-		return DriftEvent{}, false
-	}
-	st.drifting = true
-	c.drifts++
-	return DriftEvent{
-		Topology: c.topo,
-		Program:  p.Program,
-		Bucket:   bucket,
-		P:        int(p.P),
-		Ratio:    ratio,
-		Window:   driftWindow,
-		Band:     driftBand,
-	}, true
 }
 
 // StageSkew is one pricing stage's measured-vs-predicted aggregate.
@@ -299,16 +204,12 @@ type ReportEntry struct {
 	MeanRatio  float64     `json:"mean_ratio"`
 	AlphaResid float64     `json:"alpha_residual_seconds"`
 	BetaRatio  float64     `json:"beta_ratio"`
-	Drifting   bool        `json:"drifting"`
 	Stages     []StageSkew `json:"stages"`
 }
 
 // Report is a point-in-time snapshot of every calibration aggregate.
 type Report struct {
 	Topology string        `json:"topology"`
-	Band     float64       `json:"band"`
-	Window   int           `json:"window"`
-	Drifts   uint64        `json:"drifts"`
 	Entries  []ReportEntry `json:"entries"`
 }
 
@@ -317,7 +218,7 @@ type Report struct {
 func (c *Calibrator) Report() *Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r := &Report{Topology: c.topo, Band: driftBand, Window: driftWindow, Drifts: c.drifts}
+	r := &Report{Topology: c.topo}
 	for k, st := range c.state {
 		alpha, beta := st.fit()
 		e := ReportEntry{
@@ -330,7 +231,6 @@ func (c *Calibrator) Report() *Report {
 			MeanRatio:  st.sumRatio / float64(st.samples),
 			AlphaResid: alpha,
 			BetaRatio:  beta,
-			Drifting:   st.drifting,
 		}
 		for i := range st.stagePred {
 			ss := StageSkew{
@@ -366,22 +266,17 @@ func (c *Calibrator) Report() *Report {
 // the -calibrate CLI modes.
 func (r *Report) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "calibration on topology %s (band %.2fx, window %d, drift firings %d)\n",
-		r.Topology, r.Band, r.Window, r.Drifts)
+	fmt.Fprintf(&sb, "calibration on topology %s\n", r.Topology)
 	if len(r.Entries) == 0 {
 		sb.WriteString("  no joined observations\n")
 		return sb.String()
 	}
-	fmt.Fprintf(&sb, "%-28s %5s %6s %7s %9s %9s %12s %9s %6s\n",
-		"program", "p", "bucket", "samples", "ratio", "mean", "alpha-res", "beta", "drift")
+	fmt.Fprintf(&sb, "%-28s %5s %6s %7s %9s %9s %12s %9s\n",
+		"program", "p", "bucket", "samples", "ratio", "mean", "alpha-res", "beta")
 	for _, e := range r.Entries {
-		drift := ""
-		if e.Drifting {
-			drift = "YES"
-		}
-		fmt.Fprintf(&sb, "%-28s %5d %6d %7d %8.3fx %8.3fx %10.2fus %8.3fx %6s\n",
+		fmt.Fprintf(&sb, "%-28s %5d %6d %7d %8.3fx %8.3fx %10.2fus %8.3fx\n",
 			e.Program, e.P, e.Bucket, e.Samples, e.LastRatio, e.MeanRatio,
-			e.AlphaResid*1e6, e.BetaRatio, drift)
+			e.AlphaResid*1e6, e.BetaRatio)
 		for _, ss := range e.Stages {
 			fmt.Fprintf(&sb, "    stage %-3d x%-5d measured %10.3fus predicted %10.3fus ratio %8.3fx\n",
 				ss.Index, ss.Repeat, ss.Measured*1e6, ss.Predicted*1e6, ss.Ratio)

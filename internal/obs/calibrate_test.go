@@ -62,7 +62,7 @@ func ringProgram(t testing.TB, p int) *sched.Program {
 }
 
 // TestCalibratorFaithfulModel: profiles synthesized from the calibrator's
-// own machine join with per-stage skew ratios of 1 and never drift.
+// own machine join with per-stage skew ratios of 1.
 func TestCalibratorFaithfulModel(t *testing.T) {
 	m := fatTree64(t, simnet.DefaultParams())
 	layout := topology.MustLayout(m.Cluster, 64, topology.BlockBunch)
@@ -73,13 +73,9 @@ func TestCalibratorFaithfulModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fired []DriftEvent
-	cal := NewCalibrator(m, layout, Options{OnDrift: func(e DriftEvent) { fired = append(fired, e) }})
+	cal := NewCalibrator(m, layout)
 	for i := 0; i < 10; i++ {
 		cal.ObserveExecution(prog, syntheticProfile(prog, bd, blk))
-	}
-	if len(fired) != 0 || cal.Drifts() != 0 {
-		t.Fatalf("faithful model fired drift %d times (%v)", len(fired), fired)
 	}
 	r := cal.Report()
 	if len(r.Entries) != 1 {
@@ -103,16 +99,12 @@ func TestCalibratorFaithfulModel(t *testing.T) {
 			t.Fatalf("stage %d skew = %+v, want ratio 1", ss.Index, ss)
 		}
 	}
-	if e.Drifting {
-		t.Fatal("faithful entry marked drifting")
-	}
 }
 
-// TestCalibratorDriftOnDegradedLink is the tentpole acceptance scenario: the
-// calibrator models a healthy fat tree, while measurements come from a world
-// whose network links run ~8x slower. Skew stays far outside the band, the
-// detector fires exactly once (hysteresis), and the report names the
-// per-stage skew.
+// TestCalibratorDriftOnDegradedLink: the calibrator models a healthy fat
+// tree, while measurements come from a world whose network links run ~8x
+// slower. The joined ratio and the per-stage skew land well above 2x, and
+// the report table names the skewed program.
 func TestCalibratorDriftOnDegradedLink(t *testing.T) {
 	healthy := fatTree64(t, simnet.DefaultParams())
 	degradedParams := simnet.DefaultParams()
@@ -128,68 +120,39 @@ func TestCalibratorDriftOnDegradedLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fired []DriftEvent
-	cal := NewCalibrator(healthy, layout, Options{OnDrift: func(e DriftEvent) { fired = append(fired, e) }})
-	for i := 0; i < driftWindow-1; i++ {
+	cal := NewCalibrator(healthy, layout)
+	for i := 0; i < 8; i++ {
 		cal.ObserveExecution(prog, syntheticProfile(prog, measuredBd, blk))
-	}
-	if len(fired) != 0 {
-		t.Fatalf("drift fired %d times before the window filled", len(fired))
-	}
-	for i := 0; i < driftWindow+4; i++ {
-		cal.ObserveExecution(prog, syntheticProfile(prog, measuredBd, blk))
-	}
-	if len(fired) != 1 {
-		t.Fatalf("drift fired %d times, want exactly 1 (latched after firing): %+v", len(fired), fired)
-	}
-	ev := fired[0]
-	if ev.Program != "ring" || ev.P != 64 || ev.Ratio <= driftBand || ev.Band != driftBand || ev.Window != driftWindow {
-		t.Fatalf("drift event = %+v, want ring/64 with ratio above band %g over window %d", ev, driftBand, driftWindow)
-	}
-	if ev.Topology != cal.Topology() {
-		t.Fatalf("drift event topology %q, want %q", ev.Topology, cal.Topology())
-	}
-	if cal.Drifts() != 1 {
-		t.Fatalf("Drifts() = %d, want 1", cal.Drifts())
 	}
 
 	r := cal.Report()
-	if len(r.Entries) != 1 || !r.Entries[0].Drifting {
-		t.Fatalf("report = %+v, want one drifting entry", r.Entries)
+	if len(r.Entries) != 1 {
+		t.Fatalf("report = %+v, want one entry", r.Entries)
 	}
 	e := r.Entries[0]
-	if e.LastRatio <= driftBand || r.Band != driftBand || r.Window != driftWindow {
-		t.Fatalf("reported ratio %g (band %g, window %d), want outside band %g over window %d",
-			e.LastRatio, r.Band, r.Window, driftBand, driftWindow)
+	if e.Program != "ring" || e.P != 64 || e.Samples != 8 {
+		t.Fatalf("entry = %+v, want ring/64 with 8 samples", e)
+	}
+	if e.LastRatio <= 2 || e.MeanRatio <= 2 {
+		t.Fatalf("reported ratios %g / %g, want above 2 on an 8x slower network", e.LastRatio, e.MeanRatio)
+	}
+	if r.Topology != cal.Topology() {
+		t.Fatalf("report topology %q, want %q", r.Topology, cal.Topology())
 	}
 	skewed := 0
 	for _, ss := range e.Stages {
-		if ss.Ratio > driftBand {
+		if ss.Ratio > 2 {
 			skewed++
 		}
 	}
 	if skewed == 0 {
-		t.Fatalf("no per-stage skew above the band in %+v", e.Stages)
+		t.Fatalf("no per-stage skew above 2 in %+v", e.Stages)
 	}
 	out := r.String()
-	for _, want := range []string{"ring", "YES", "calibration on topology"} {
+	for _, want := range []string{"ring", "calibration on topology", "stage 0"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report table lacks %q:\n%s", want, out)
 		}
-	}
-
-	// Recovery: in-band measurements release the latch so a later
-	// degradation can fire again.
-	goodBd, err := healthy.ExplainProgram(prog, layout, blk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cal.ObserveExecution(prog, syntheticProfile(prog, goodBd, blk))
-	for i := 0; i < driftWindow; i++ {
-		cal.ObserveExecution(prog, syntheticProfile(prog, measuredBd, blk))
-	}
-	if len(fired) != 2 {
-		t.Fatalf("drift fired %d times after recovery + re-degradation, want 2", len(fired))
 	}
 }
 
@@ -200,7 +163,7 @@ func TestCalibratorUnpriceableProfile(t *testing.T) {
 	layout := topology.MustLayout(m.Cluster, 64, topology.BlockBunch)
 	prog := ringProgram(t, 64)
 	errs0 := calibrationErrors.Value()
-	cal := NewCalibrator(m, layout, Options{})
+	cal := NewCalibrator(m, layout)
 	cal.ObserveExecution(prog, Profile{Program: "ring", P: 64, BlockBytes: 4096}) // zero measured time
 	if calibrationErrors.Value() != errs0+1 {
 		t.Fatalf("calibration errors %d, want %d", calibrationErrors.Value(), errs0+1)

@@ -2,9 +2,9 @@
 // always-on flight recorder that captures what the schedule executor
 // actually measured, and a calibration engine that joins those measurements
 // against the per-stage predictions of the same compiled program under
-// simnet, so a miscalibrated cost model is detected instead of silently
-// steering mapd, synthesis and the front-door selection tables toward wrong
-// schedules.
+// simnet, so a miscalibrated cost model shows as measured skew instead of
+// silently steering synthesis and the front-door selection tables toward
+// wrong schedules.
 //
 // Three pieces:
 //
@@ -17,8 +17,9 @@
 //   - Calibrator: joins each measured Profile against simnet's per-stage
 //     breakdown for the same compiled program and the same pricing-view
 //     stage indices, maintaining per-(topology fingerprint, program, size
-//     bucket) skew aggregates, fitted alpha/beta residuals, and the drift
-//     detector.
+//     bucket) skew aggregates and fitted alpha/beta residuals. A world
+//     attaches one through collective.Config.Calibrator; collective.Calibrate
+//     prints its Report as the -calibrate table.
 //   - the watchdog dump: when the mpi trace watchdog declares a world dead,
 //     the flight ring is flushed to a JSON file so the last executions
 //     before the deadlock survive the process.
@@ -27,17 +28,13 @@
 // runtime can hook into it without an import cycle.
 package obs
 
-import (
-	"sync/atomic"
+import "repro/internal/metrics"
 
-	"repro/internal/metrics"
-)
-
-// Instrumentation on the default registry, exposed through every /metrics
-// endpoint (mapd included). The skew families are labeled by topology
-// fingerprint, program (schedule family) and ceil-log2 payload bucket — the
-// same key the synthesis tables use, so a drifting entry names exactly the
-// table rows it invalidates.
+// Instrumentation on the default registry of a process that runs
+// collectives; mapd runs none and does not link this package. The skew
+// families are labeled by topology fingerprint, program (schedule family)
+// and ceil-log2 payload bucket — the same key the synthesis tables use, so a
+// skewed entry names exactly the table rows it invalidates.
 var (
 	profilesRecorded = metrics.NewCounter("obs_profiles_recorded_total",
 		"Execution profiles written into flight recorders.")
@@ -47,8 +44,6 @@ var (
 		"Measured profiles joined against cost-model predictions.")
 	calibrationErrors = metrics.NewCounter("obs_calibration_errors_total",
 		"Profiles the calibrator could not join (pricing failure or shape mismatch).")
-	driftSuspected = metrics.NewCounter("obs_drift_suspected_total",
-		"Drift-detector firings: skew stayed outside the band across a full window.")
 	skewGauge = metrics.NewGaugeVec("obs_skew_ratio_milli",
 		"Latest measured/predicted schedule-time ratio x1000.",
 		"topology", "program", "bucket")
@@ -72,13 +67,3 @@ var Flight = NewRecorder(DefaultFlightCapacity)
 // the recent history of a long benchmark sweep, small enough (~300 B/slot)
 // to be irrelevant in memory.
 const DefaultFlightCapacity = 1024
-
-// globalCalibrator is the optional process-wide calibrator served by mapd's
-// /calibration endpoint.
-var globalCalibrator atomic.Pointer[Calibrator]
-
-// SetGlobal installs c as the process-wide calibrator (nil to clear).
-func SetGlobal(c *Calibrator) { globalCalibrator.Store(c) }
-
-// Global returns the process-wide calibrator, or nil.
-func Global() *Calibrator { return globalCalibrator.Load() }

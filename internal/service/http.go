@@ -10,7 +10,6 @@ import (
 	"strconv"
 
 	"repro/internal/metrics"
-	"repro/internal/obs"
 	"repro/internal/synth"
 )
 
@@ -31,9 +30,6 @@ import (
 //	GET  /healthz      — liveness probe
 //	GET  /readyz       — readiness probe; 503 once the pool queue reaches
 //	                     the shedding threshold (2x Config.Workers)
-//	GET  /debug/flight — process-wide schedule flight ring as JSON
-//	GET  /calibration  — cost-model calibration report (obs.Global);
-//	                     ?format=table renders the human table
 //
 // Invalid requests answer 400 with {"error": "..."}, and a forward hop from
 // another model epoch 409; a deadline never turns into an error status — it
@@ -49,8 +45,6 @@ func (s *Service) Handler() http.Handler {
 		w.Write([]byte(`{"ok":true}` + "\n"))
 	})
 	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/debug/flight", s.handleFlight)
-	mux.HandleFunc("/calibration", s.handleCalibration)
 	return mux
 }
 
@@ -255,35 +249,6 @@ func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 	}
 	writeJSON(w, status, ready)
-}
-
-func (s *Service) handleFlight(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	obs.Flight.WriteJSON(w, "http")
-}
-
-func (s *Service) handleCalibration(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	report := &obs.Report{Entries: []obs.ReportEntry{}}
-	if cal := obs.Global(); cal != nil {
-		report = cal.Report()
-		if report.Entries == nil {
-			report.Entries = []obs.ReportEntry{}
-		}
-	}
-	if r.URL.Query().Get("format") == "table" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.Write([]byte(report.String()))
-		return
-	}
-	writeJSON(w, http.StatusOK, report)
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -10,8 +10,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/obs"
 )
 
 func TestBurnTrackerRate(t *testing.T) {
@@ -120,45 +118,37 @@ func TestReadyzSheds(t *testing.T) {
 	}
 }
 
-func TestFlightAndCalibrationEndpoints(t *testing.T) {
+// TestNoRuntimeSurface: mapd runs no collective, so its handler serves no
+// flight ring or calibration report, and /metrics carries no runtime family.
+func TestNoRuntimeSurface(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/debug/flight")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var d obs.Dump
-	err = json.NewDecoder(resp.Body).Decode(&d)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatalf("/debug/flight is not a flight dump: %v", err)
-	}
-	if d.Capacity != obs.Flight.Capacity() {
-		t.Fatalf("/debug/flight capacity = %d, want %d", d.Capacity, obs.Flight.Capacity())
+	for _, path := range []string{"/debug/flight", "/calibration"} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s answered %d, want 404", path, resp.StatusCode)
+		}
 	}
 
-	// Without a process calibrator the report is empty but well-formed.
-	resp, err = http.Get(srv.URL + "/calibration")
+	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
+	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(body), `"entries": []`) {
-		t.Fatalf("/calibration without a calibrator = %s, want empty entries", body)
-	}
-
-	// The table format renders through Report.String.
-	resp, err = http.Get(srv.URL + "/calibration?format=table")
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), "calibration on topology") {
-		t.Fatalf("table format = %q, want the rendered header", body)
+	for _, family := range []string{"mpi_", "collective_", "obs_", "schedule_executions_total"} {
+		if strings.Contains(string(body), "# TYPE "+family) {
+			t.Errorf("/metrics exposes runtime family %s*", family)
+		}
 	}
 }
