@@ -2,17 +2,16 @@
 // /map with a topology, a communication pattern and a heuristic selector
 // answers with the rank permutation, the modelled default/reordered latency
 // per message size and the adaptive-routing decision; a "patterns" array in
-// the body maps a whole batch against one topology build. /synth/table
-// serves and accepts searched schedule-selection tables; /stats exposes the
-// service counters, /metrics the Prometheus text exposition of the layers
-// mapd runs (including the SLO burn-rate gauges), /healthz liveness and
-// /readyz readiness (503 once the worker-pool queue reaches the shedding
-// threshold). mapd computes mappings and never executes a collective, so it
-// links none of the goroutine runtime. With -pprof, the net/http/pprof
-// profiling endpoints mount under /debug/pprof/.
+// the body maps a whole batch against one topology build. /stats exposes
+// the service counters, /metrics the Prometheus text exposition of the
+// layers mapd runs, /healthz liveness and /readyz readiness (503 once the
+// worker-pool queue reaches the shedding threshold). mapd computes mappings
+// and never executes a collective or searches a schedule, so it links
+// neither the goroutine runtime nor the synthesiser. With -pprof, the
+// net/http/pprof profiling endpoints mount under /debug/pprof/.
 //
-// With -store, computed mappings and synth tables persist to an
-// append-friendly content-addressed log and survive restarts; -warm
+// With -store, computed mappings persist to an append-friendly
+// content-addressed log and survive restarts; -warm
 // precomputes a preset's request set into the store and exits. With -self
 // and -peers, N replicas partition the fingerprint space on a consistent
 // ring and forward misses to the owning shard.

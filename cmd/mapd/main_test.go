@@ -61,7 +61,7 @@ func TestRunServesAndShutsDown(t *testing.T) {
 }
 
 // TestEndToEnd exercises the full daemon loop on a fixed logger-scraped
-// address: request, stats, health, shutdown.
+// address: one cold request, stats, metrics, pprof, shutdown.
 func TestEndToEnd(t *testing.T) {
 	var buf safeBuffer
 	logger := log.New(&buf, "", 0)
@@ -136,6 +136,13 @@ func TestEndToEnd(t *testing.T) {
 	for _, family := range []string{"mpi_", "collective_", "obs_", "schedule_executions_total"} {
 		if strings.Contains(string(exposition), "# TYPE "+family) {
 			t.Errorf("/metrics exposes runtime family %s*", family)
+		}
+	}
+	// Nor families mapd never feeds: it links no synthesiser, compiles no
+	// program, holds no synth table and keeps no SLO burn tracker.
+	for _, family := range []string{"synth_", "schedule_cache_", "schedule_compile_seconds", "mapd_synth_tables", "mapd_slo_burn_rate_milli"} {
+		if strings.Contains(string(exposition), "# TYPE "+family) {
+			t.Errorf("/metrics exposes unfed family %s*", family)
 		}
 	}
 

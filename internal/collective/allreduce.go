@@ -40,7 +40,7 @@ func HierarchicalAllreduce(c *mpi.Comm, buf []byte, op ReduceOp, nodeID func(wor
 	if err != nil {
 		return err
 	}
-	return tracedExecute(c, "hierarchical-allreduce", "allreduce", "hierarchical-allreduce", func() error {
+	return tracedExecute(c, "allreduce", "hierarchical-allreduce", func() error {
 		return ExecuteAllreduce(c, prog, buf, op)
 	})
 }
@@ -58,15 +58,14 @@ func Allreduce(c *mpi.Comm, buf []byte, op ReduceOp) error {
 	if err != nil {
 		return err
 	}
-	label := allreduceLabel(prog)
-	return tracedExecute(c, label, "allreduce", label, func() error {
+	return tracedExecute(c, "allreduce", allreduceLabel(prog), func() error {
 		return ExecuteAllreduce(c, prog, buf, op)
 	})
 }
 
-// allreduceLabel is the metrics and trace label of an allreduce program: its
-// name, except that reduce-scatter + allgather keeps the label its series
-// have always carried.
+// allreduceLabel is the trace label of an allreduce program: its name,
+// except that reduce-scatter + allgather keeps the label its spans have
+// always carried.
 func allreduceLabel(prog *sched.Program) string {
 	if prog.Name == "reduce-scatter-allgather" {
 		return "rabenseifner"

@@ -72,7 +72,7 @@ func Alltoall(c *mpi.Comm, send, recv []byte) error {
 	if err != nil {
 		return err
 	}
-	return tracedExecute(c, prog.Name, "alltoall", prog.Name, func() error {
+	return tracedExecute(c, "alltoall", prog.Name, func() error {
 		return ExecuteAlltoall(c, prog, send, recv)
 	})
 }
@@ -97,7 +97,7 @@ func (r *Reordered) Alltoall(send, recv []byte) error {
 	// row mapping[me] in original column order — exactly the caller's send
 	// layout — and the column delivered to me is original column mapping[me].
 	place := func(b int) int { return r.mapping[b/p]*p + r.mapping[b%p] }
-	return tracedExecute(r.re, "reordered", "alltoall", prog.Name, func() error {
+	return tracedExecute(r.re, "alltoall", prog.Name, func() error {
 		return executeAlltoall(r.re, prog, r.mapping[r.re.Rank()], place, send, recv)
 	})
 }

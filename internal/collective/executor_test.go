@@ -182,7 +182,7 @@ func TestExecutorMatchesLegacyRabenseifner(t *testing.T) {
 	}
 }
 
-// TestAllreduceSelection pins the size/shape selection table, by the metrics
+// TestAllreduceSelection pins the size/shape selection table, by the trace
 // label the front door runs the selected program under.
 func TestAllreduceSelection(t *testing.T) {
 	cases := []struct {

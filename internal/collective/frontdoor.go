@@ -32,11 +32,10 @@ func selectProgram(c *mpi.Comm, f sched.FamilyID, p, payloadBytes int, forced Al
 	return fam.BuildCached(builder, p)
 }
 
-// tracedExecute wraps one execution in the collective metrics scope of label
-// and the trace span fam/name. The span's string is built only when c is
-// tracing, so an untraced call allocates nothing for it (mpi.Comm.Tracing).
-func tracedExecute(c *mpi.Comm, label, fam, name string, run func() error) error {
-	defer beginCollective(label)()
+// tracedExecute wraps one execution in the trace span fam/name. The span's
+// string is built only when c is tracing, so an untraced call allocates
+// nothing for it (mpi.Comm.Tracing).
+func tracedExecute(c *mpi.Comm, fam, name string, run func() error) error {
 	if !c.Tracing() {
 		return run()
 	}
@@ -56,7 +55,7 @@ func Broadcast(c *mpi.Comm, root int, data []byte) error {
 	if err != nil {
 		return err
 	}
-	return tracedExecute(c, prog.Name, "bcast", prog.Name, func() error {
+	return tracedExecute(c, "bcast", prog.Name, func() error {
 		return executeBroadcast(c, prog, root, data)
 	})
 }
@@ -68,7 +67,7 @@ func Gather(c *mpi.Comm, root int, send, recv []byte) error {
 	if err != nil {
 		return err
 	}
-	return tracedExecute(c, prog.Name, "gather", prog.Name, func() error {
+	return tracedExecute(c, "gather", prog.Name, func() error {
 		return ExecuteGather(c, prog, root, send, recv)
 	})
 }
@@ -80,7 +79,7 @@ func Scatter(c *mpi.Comm, root int, data, out []byte) error {
 	if err != nil {
 		return err
 	}
-	return tracedExecute(c, prog.Name, "scatter", prog.Name, func() error {
+	return tracedExecute(c, "scatter", prog.Name, func() error {
 		return executeScatter(c, prog, root, data, out)
 	})
 }

@@ -37,7 +37,7 @@ func HierarchicalAllgather(c *mpi.Comm, send, recv []byte, nodeID func(worldRank
 	if err != nil {
 		return err
 	}
-	return tracedExecute(c, "hierarchical", "allgather", prog.Name, func() error {
+	return tracedExecute(c, "allgather", prog.Name, func() error {
 		return ExecuteAllgather(c, prog, send, recv, nil)
 	})
 }

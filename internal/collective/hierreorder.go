@@ -51,7 +51,7 @@ func HierarchicalReorderedAllgather(c *mpi.Comm, send, recv []byte, cluster *top
 	if err != nil {
 		return err
 	}
-	return tracedExecute(c, "hierarchical-reordered", "allgather", prog.Name, func() error {
+	return tracedExecute(c, "allgather", prog.Name, func() error {
 		return ExecuteAllgather(c, prog, send, recv, nil)
 	})
 }

@@ -65,7 +65,7 @@ func Allgather(c *mpi.Comm, send, recv []byte, alg Algorithm) error {
 	if err != nil {
 		return err
 	}
-	return tracedExecute(c, prog.Name, "allgather", prog.Name, func() error {
+	return tracedExecute(c, "allgather", prog.Name, func() error {
 		return ExecuteAllgather(c, prog, send, recv, nil)
 	})
 }
@@ -128,7 +128,7 @@ func (r *Reordered) Allgather(send, recv []byte, alg Algorithm) error {
 			return err
 		}
 	}
-	return tracedExecute(r.re, "reordered", "allgather", prog.Name, func() error {
+	return tracedExecute(r.re, "allgather", prog.Name, func() error {
 		switch mode {
 		case sched.NoOrderFix:
 			// New rank j contributes original rank mapping[j]'s block.

@@ -459,21 +459,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return last
 }
 
-// CountAtOrBelow returns the number of observations in buckets whose upper
-// bound does not exceed v — the largest count provably at or below v given
-// the bucket resolution. SLO trackers use it to split a latency histogram
-// into within-objective and violating observations.
-func (h *Histogram) CountAtOrBelow(v float64) uint64 {
-	var cum uint64
-	for i, b := range h.bounds {
-		if b > v {
-			break
-		}
-		cum += h.counts[i].Load()
-	}
-	return cum
-}
-
 // Histogram returns the (unlabeled) histogram family's single series. A
 // zero opts value selects DurationOpts. The layout is fixed by the first
 // registration of the family.

@@ -244,28 +244,3 @@ func TestHistogramQuantileEdges(t *testing.T) {
 		}
 	}
 }
-
-// TestHistogramCountAtOrBelow pins the SLO split: only buckets whose upper
-// bound is provably within v count.
-func TestHistogramCountAtOrBelow(t *testing.T) {
-	h := NewRegistry().Histogram("cab", "help", HistogramOpts{Start: 1, Factor: 2, Count: 4})
-	for _, v := range []float64{0.5, 1, 2, 3, 5, 100} {
-		h.Observe(v) // buckets: (0,1]=2 (1,2]=1 (2,4]=1 (4,8]=1 +Inf=1
-	}
-	for _, tc := range []struct {
-		v    float64
-		want uint64
-	}{
-		{0.5, 0}, // no bucket bound is <= 0.5
-		{1, 2},   // bucket (0,1]
-		{1.5, 2}, // (1,2] not fully covered
-		{2, 3},
-		{4, 4},
-		{8, 5},
-		{1e12, 5}, // +Inf bucket never counts: unbounded values can exceed any v
-	} {
-		if got := h.CountAtOrBelow(tc.v); got != tc.want {
-			t.Errorf("CountAtOrBelow(%v) = %d, want %d", tc.v, got, tc.want)
-		}
-	}
-}

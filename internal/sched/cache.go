@@ -5,27 +5,34 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"sync"
 
 	"repro/internal/memo"
 	"repro/internal/metrics"
 )
 
-// Cache instrumentation on the default registry, exported through every
-// /metrics endpoint that serves it (mapd included).
-var (
-	scheduleCacheHits = metrics.NewCounter("schedule_cache_hits_total",
-		"Compiled-schedule cache hits.")
-	scheduleCacheMisses = metrics.NewCounter("schedule_cache_misses_total",
-		"Compiled-schedule cache misses (fresh compiles).")
-	scheduleCompileSeconds = metrics.NewHistogramVec("schedule_compile_seconds",
+// compileMetrics is the compiler's and the program tables' instrumentation
+// on the default registry. Its families are registered the first time a
+// program table or the compiler records, so a process that links sched and
+// never compiles (mapd) exposes none of them.
+type compileMetrics struct {
+	hits, misses              *metrics.Counter
+	sizedSeconds, execSeconds *metrics.Histogram
+}
+
+var schedMetrics = sync.OnceValue(func() *compileMetrics {
+	seconds := metrics.NewHistogramVec("schedule_compile_seconds",
 		"Schedule compile latency by view (sized pricing view vs expanded executable view).",
 		metrics.DurationOpts, "view")
-)
-
-func init() {
-	scheduleCompileSeconds.With("view", "sized")
-	scheduleCompileSeconds.With("view", "exec")
-}
+	return &compileMetrics{
+		hits: metrics.NewCounter("schedule_cache_hits_total",
+			"Compiled-schedule cache hits."),
+		misses: metrics.NewCounter("schedule_cache_misses_total",
+			"Compiled-schedule cache misses (fresh compiles)."),
+		sizedSeconds: seconds.With("view", "sized"),
+		execSeconds:  seconds.With("view", "exec"),
+	}
+})
 
 // Fingerprint returns a collision-resistant key for a schedule's full
 // structural content: name, rank/block/root/init geometry, and every stage's
@@ -131,7 +138,7 @@ func NewProgramTable[K comparable]() *ProgramTable[K] {
 func (t *ProgramTable[K]) Lookup(key K) (*Program, bool) {
 	prog, ok := t.programs.Get(key)
 	if ok {
-		scheduleCacheHits.Inc()
+		schedMetrics().hits.Inc()
 	}
 	return prog, ok
 }
@@ -145,9 +152,9 @@ func (t *ProgramTable[K]) Get(key K, build func() (*Program, error)) (*Program, 
 		return build()
 	})
 	if built {
-		scheduleCacheMisses.Inc()
+		schedMetrics().misses.Inc()
 	} else {
-		scheduleCacheHits.Inc()
+		schedMetrics().hits.Inc()
 	}
 	return prog, err
 }
@@ -185,5 +192,6 @@ func ResetCompileCache() {
 
 // CompileCacheCounters returns the cumulative hit and miss counts.
 func CompileCacheCounters() (hits, misses uint64) {
-	return scheduleCacheHits.Value(), scheduleCacheMisses.Value()
+	m := schedMetrics()
+	return m.hits.Value(), m.misses.Value()
 }

@@ -95,7 +95,7 @@ func Compile(s *Schedule) (*Program, error) {
 		PostCopyBlocks: s.PostCopyBlocks,
 		s:              s,
 	}
-	scheduleCompileSeconds.With("view", "sized").Observe(time.Since(start).Seconds())
+	schedMetrics().sizedSeconds.Observe(time.Since(start).Seconds())
 	return p, nil
 }
 
@@ -236,5 +236,5 @@ func (p *Program) buildExec() {
 			}
 		}
 	}
-	scheduleCompileSeconds.With("view", "exec").Observe(time.Since(start).Seconds())
+	schedMetrics().execSeconds.Observe(time.Since(start).Seconds())
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -722,87 +723,60 @@ func TestCacheBytesBound(t *testing.T) {
 	}
 }
 
-// TestSynthTableEndpoint: tables round-trip over PUT/GET and survive a
-// restart through the store.
-func TestSynthTableEndpoint(t *testing.T) {
+// TestStoreWithSynthRecords: a store that holds synth/<fp> records, as
+// earlier mapd versions wrote them, opens and serves /map as any other: the
+// records are never read, and their gauge is gone from /metrics.
+func TestStoreWithSynthRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "store.log")
-	st1 := openTestStore(t, path)
-	s1 := New(Config{Workers: 2, Store: st1})
-	srv := httptest.NewServer(s1.Handler())
-
 	table := &synth.Table{Topology: "00000000cafe0001"}
 	table.Put(synth.Entry{
 		Family: "broadcast", P: 16, SizeBucket: 10, PayloadBytes: 1024,
 		Recipe: synth.Recipe{Alg: "binomial-broadcast"},
 		Name:   "bcast-test", Schedule: "deadbeef",
 	})
-	body, err := table.Marshal()
+	record, err := table.Marshal()
 	if err != nil {
-		t.Fatalf("Marshal: %v", err)
+		t.Fatal(err)
 	}
-	putReq, _ := http.NewRequest(http.MethodPut, srv.URL+"/synth/table", bytes.NewReader(body))
-	putResp, err := http.DefaultClient.Do(putReq)
-	if err != nil {
-		t.Fatalf("PUT /synth/table: %v", err)
+	st := openTestStore(t, path)
+	if err := st.Put("synth/"+table.Topology, record); err != nil {
+		t.Fatal(err)
 	}
-	putResp.Body.Close()
-	if putResp.StatusCode != http.StatusOK {
-		t.Fatalf("PUT /synth/table = %d, want 200", putResp.StatusCode)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
 
-	getResp, err := http.Get(srv.URL + "/synth/table?topology=" + table.Topology)
-	if err != nil {
-		t.Fatalf("GET /synth/table: %v", err)
+	body, _ := json.Marshal(&Request{Topology: smallTopo(), Pattern: PatternSpec{Name: "ring"}})
+	post := func(h http.Handler) Response {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/map", bytes.NewReader(body)))
+		var resp Response
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil || resp.Degraded {
+			t.Fatalf("POST /map = %d %s", rec.Code, rec.Body)
+		}
+		return resp
 	}
-	var got synth.Table
-	if err := json.NewDecoder(getResp.Body).Decode(&got); err != nil {
-		t.Fatalf("decode table: %v", err)
-	}
-	getResp.Body.Close()
-	if got.Topology != table.Topology || len(got.Entries) != 1 || got.Entries[0].Name != "bcast-test" {
-		t.Fatalf("round-tripped table = %+v", got)
-	}
-
-	listResp, err := http.Get(srv.URL + "/synth/table")
-	if err != nil {
-		t.Fatalf("GET list: %v", err)
-	}
-	var list struct {
-		Topologies []string `json:"topologies"`
-	}
-	if err := json.NewDecoder(listResp.Body).Decode(&list); err != nil {
-		t.Fatalf("decode list: %v", err)
-	}
-	listResp.Body.Close()
-	if len(list.Topologies) != 1 || list.Topologies[0] != table.Topology {
-		t.Fatalf("topology list = %v", list.Topologies)
-	}
-
-	missResp, err := http.Get(srv.URL + "/synth/table?topology=ffffffffffffffff")
-	if err != nil {
-		t.Fatalf("GET missing: %v", err)
-	}
-	missResp.Body.Close()
-	if missResp.StatusCode != http.StatusNotFound {
-		t.Errorf("missing table = %d, want 404", missResp.StatusCode)
-	}
-
-	srv.Close()
-	s1.Close()
-	if err := st1.Close(); err != nil {
-		t.Fatalf("store close: %v", err)
-	}
-
-	st2 := openTestStore(t, path)
-	defer st2.Close()
-	s2 := New(Config{Workers: 2, Store: st2})
-	defer s2.Close()
-	held, ok := s2.SynthTable(table.Topology)
-	if !ok {
-		t.Fatal("synth table lost across restart")
-	}
-	if len(held.Entries) != 1 || held.Entries[0].Name != "bcast-test" {
-		t.Fatalf("restarted table = %+v", held)
+	for restart := 0; restart < 2; restart++ {
+		st := openTestStore(t, path)
+		s := New(Config{Workers: 2, Store: st})
+		h := s.Handler()
+		if resp := post(h); resp.Cached != (restart == 1) {
+			t.Errorf("run %d: cached = %v, want %v", restart, resp.Cached, restart == 1)
+		}
+		stats := s.Stats()
+		if want := uint64(1 - restart); stats.Computes != want || stats.StoreHits != uint64(restart) {
+			t.Errorf("run %d: %d computes, %d store hits; want %d, %d", restart, stats.Computes, stats.StoreHits, want, restart)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if strings.Contains(rec.Body.String(), "mapd_synth_tables") {
+			t.Errorf("run %d: /metrics exposes mapd_synth_tables", restart)
+		}
+		s.Close()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 
 	"repro/internal/metrics"
-	"repro/internal/synth"
 )
 
 // Handler exposes the service over HTTP:
@@ -18,12 +16,6 @@ import (
 //	POST /map          — body: Request JSON, reply Response JSON; or, with a
 //	                     "patterns" array, BatchRequest JSON → BatchResponse
 //	                     JSON (N patterns mapped against one topology build)
-//	GET  /synth/table  — ?topology=<fp>: held synth.Table JSON (404 when
-//	                     absent); without the parameter, the sorted list of
-//	                     held topology fingerprints
-//	PUT  /synth/table  — body: synth.Table JSON, merged into the held table
-//	                     and persisted when a store is configured (POST works
-//	                     too)
 //	GET  /stats        — service counters (Stats JSON)
 //	GET  /metrics      — Prometheus text exposition of the process default
 //	                     registry merged with the service registry
@@ -37,7 +29,6 @@ import (
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/map", s.handleMap)
-	mux.HandleFunc("/synth/table", s.handleSynthTable)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -178,47 +169,6 @@ func writeReply(w http.ResponseWriter, body []byte) {
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
-}
-
-func (s *Service) handleSynthTable(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		fp := r.URL.Query().Get("topology")
-		if fp == "" {
-			writeJSON(w, http.StatusOK, map[string]any{"topologies": s.SynthTopologies()})
-			return
-		}
-		t, ok := s.SynthTable(fp)
-		if !ok {
-			httpError(w, http.StatusNotFound, fmt.Errorf("no synth table for topology %q", fp))
-			return
-		}
-		data, err := t.Marshal()
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
-	case http.MethodPut, http.MethodPost:
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxMapBody))
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		t, err := synth.Unmarshal(body)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := s.PutSynthTable(t); err != nil {
-			httpError(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "topology": t.Topology, "entries": len(t.Entries)})
-	default:
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET, PUT or POST only"))
-	}
 }
 
 func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {

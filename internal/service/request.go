@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -362,7 +363,12 @@ func compileWith(tc *topoContext, req *Request) (*compiled, error) {
 	if req.TimeoutMillis < 0 {
 		return nil, fmt.Errorf("service: negative timeout_ms %d", req.TimeoutMillis)
 	}
-	c.timeout = time.Duration(req.TimeoutMillis) * time.Millisecond
+	// Saturate before multiplying: a product past MaxInt64 would wrap to an
+	// already-expired deadline. budget caps the result at MaxTimeout.
+	c.timeout = time.Duration(math.MaxInt64)
+	if ms := int64(req.TimeoutMillis); ms <= math.MaxInt64/int64(time.Millisecond) {
+		c.timeout = time.Duration(ms) * time.Millisecond
+	}
 
 	c.key = cacheKey(c, patFP)
 	return c, nil

@@ -45,7 +45,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/scotch"
 	"repro/internal/store"
-	"repro/internal/synth"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -65,8 +64,8 @@ type Config struct {
 	// first evicts, and a response larger than the whole budget is served
 	// but not kept.
 	CacheBytes int64
-	// Store, when set, persists computed responses and synth tables across
-	// restarts. The service owns neither opening nor closing it.
+	// Store, when set, persists computed responses across restarts. The
+	// service owns neither opening nor closing it.
 	Store *store.Store
 	// Shard, when set, makes this replica one shard of a consistent-hash
 	// fleet: misses on keys another replica owns are forwarded there.
@@ -110,15 +109,9 @@ type Service struct {
 	results  memo.Table[string, *Response]    // see cache.go; a build in flight is its key's single flight
 	contexts memo.Table[ctxKey, *topoContext] // see topoctx.go
 	stats    *statsCollector
-	burn     burnTracker
-	stopBurn chan struct{}
-	stopOnce sync.Once
 
 	store *store.Store
 	shard atomic.Pointer[shardState]
-
-	synthMu     sync.Mutex
-	synthTables map[string]*synth.Table // topology fingerprint -> table
 }
 
 // New builds a Service from cfg (zero value: all defaults).
@@ -126,12 +119,10 @@ func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	stats := newStatsCollector()
 	s := &Service{
-		cfg:         cfg,
-		pool:        newWorkerPool(cfg.Workers, stats.queueDepth),
-		stats:       stats,
-		stopBurn:    make(chan struct{}),
-		store:       cfg.Store,
-		synthTables: make(map[string]*synth.Table),
+		cfg:   cfg,
+		pool:  newWorkerPool(cfg.Workers, stats.queueDepth),
+		stats: stats,
+		store: cfg.Store,
 	}
 	s.results.MaxEntries, s.results.MaxBytes, s.results.Size = cfg.CacheEntries, cfg.CacheBytes, approxResponseBytes
 	s.results.OnEvict = stats.evictions.Inc
@@ -143,12 +134,10 @@ func New(cfg Config) *Service {
 	s.contexts.Size = func(e *topoContext) int64 { return contextRankCost*int64(e.procs) + e.grown.Load() }
 	s.contexts.OnEvict = stats.contextEvictions.Inc
 	s.contexts.OnResize = func(n int, _ int64) { stats.contexts.Set(int64(n)) }
-	s.loadSynthTables()
 	s.refreshStoreGauges()
 	if cfg.Shard != nil {
 		s.setShardState(cfg.Shard.Self, cfg.Shard.Peers, cfg.Shard.VNodes)
 	}
-	go s.burnLoop()
 	return s
 }
 
@@ -156,12 +145,9 @@ func New(cfg Config) *Service {
 // an exposition endpoint alongside the process default registry.
 func (s *Service) Registry() *metrics.Registry { return s.stats.reg }
 
-// Close drains the worker pool and stops the SLO sampler. In-flight
-// computations finish; subsequent Compute calls panic.
-func (s *Service) Close() {
-	s.stopOnce.Do(func() { close(s.stopBurn) })
-	s.pool.close()
-}
+// Close drains the worker pool. In-flight computations finish; subsequent
+// Compute calls panic.
+func (s *Service) Close() { s.pool.close() }
 
 // Stats returns a snapshot of the service counters.
 func (s *Service) Stats() Stats { return s.stats.snapshot() }
@@ -384,6 +370,29 @@ func (s *Service) computeLocal(ctx context.Context, c *compiled, shed bool) (res
 // reached the /readyz threshold.
 func (s *Service) underPressure() bool {
 	return s.cfg.ShedOnPressure && s.stats.queueDepth.Value() >= int64(s.maxQueue())
+}
+
+// Readiness is the /readyz verdict.
+type Readiness struct {
+	Ready bool `json:"ready"`
+	// QueueDepth is the number of submissions waiting for a pool worker;
+	// MaxQueue the shedding threshold.
+	QueueDepth int64  `json:"queue_depth"`
+	MaxQueue   int    `json:"max_queue"`
+	Reason     string `json:"reason,omitempty"`
+}
+
+// Ready reports whether the service should accept new traffic: it sheds
+// (not ready) once the pool queue reaches maxQueue, before submissions start
+// burning whole request deadlines waiting for a worker.
+func (s *Service) Ready() Readiness {
+	r := Readiness{QueueDepth: s.stats.queueDepth.Value(), MaxQueue: s.maxQueue()}
+	if r.QueueDepth >= int64(r.MaxQueue) {
+		r.Reason = fmt.Sprintf("pool queue depth %d at shedding threshold %d", r.QueueDepth, r.MaxQueue)
+		return r
+	}
+	r.Ready = true
+	return r
 }
 
 // outcomeFor classifies a request's answer; nil is a failed request.

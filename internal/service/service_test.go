@@ -294,6 +294,35 @@ func TestComputeTightTimeoutDegrades(t *testing.T) {
 	checkPermutation(t, resp.Mapping, len(resp.Mapping))
 }
 
+// TestComputeHugeTimeoutAnswers: a timeout_ms whose product in nanoseconds
+// overflows int64 is capped at MaxTimeout, for a single request and a batch,
+// instead of wrapping to an expired deadline and degrading.
+func TestComputeHugeTimeoutAnswers(t *testing.T) {
+	const huge = 9223372036855 // ms; x 1e6 ns wraps past MaxInt64
+	s := newTestService(t)
+	resp, err := s.Compute(context.Background(), &Request{
+		Topology: smallTopo(), Pattern: PatternSpec{Name: "ring"}, TimeoutMillis: huge,
+	})
+	if err != nil {
+		t.Fatalf("single request: %v", err)
+	}
+	if resp.Degraded {
+		t.Errorf("single request degraded under timeout_ms %d", huge)
+	}
+	batch, err := s.ComputeBatch(context.Background(), &BatchRequest{
+		Topology: smallTopo(), TimeoutMillis: huge,
+		Patterns: []BatchPattern{{Name: "recursive-doubling"}, {Name: "binomial-broadcast"}},
+	})
+	if err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	for i, r := range batch.Responses {
+		if r.Degraded {
+			t.Errorf("batch item %d degraded under timeout_ms %d", i, huge)
+		}
+	}
+}
+
 func TestComputeTrace(t *testing.T) {
 	s := newTestService(t)
 	resp, err := s.Compute(context.Background(), &Request{

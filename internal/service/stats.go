@@ -27,9 +27,6 @@ type statsCollector struct {
 	cacheEntries *metrics.Gauge
 	queueDepth   *metrics.Gauge
 	latency      *metrics.Histogram
-	burnRates    *metrics.GaugeVec
-	burnFast     *metrics.Gauge
-	burnSlow     *metrics.Gauge
 
 	cacheBytes     *metrics.Gauge
 	storeHits      *metrics.Counter
@@ -39,7 +36,6 @@ type statsCollector struct {
 	storeBytes     *metrics.Gauge
 	storeLiveBytes *metrics.Gauge
 	storeCompacts  *metrics.Gauge
-	synthTables    *metrics.Gauge
 	batches        *metrics.Counter
 	batchPatterns  *metrics.Counter
 	batchSize      *metrics.Histogram
@@ -92,12 +88,6 @@ func newStatsCollector() *statsCollector {
 		"Submissions waiting for a free pool worker.")
 	s.latency = reg.Histogram("mapd_request_seconds",
 		"End-to-end mapping request latency.", metrics.DurationOpts)
-	s.burnRates = reg.GaugeVec("mapd_slo_burn_rate_milli",
-		"SLO error-budget burn rate x1000 over the trailing window: 1000 "+
-			"spends the budget exactly at the SLO period; higher burns faster.",
-		"window")
-	s.burnFast = s.burnRates.With("window", "fast")
-	s.burnSlow = s.burnRates.With("window", "slow")
 	s.cacheBytes = reg.Gauge("mapd_cache_bytes",
 		"Approximate heap bytes held by the result cache.")
 	s.storeHits = reg.Counter("mapd_store_hits_total",
@@ -114,8 +104,6 @@ func newStatsCollector() *statsCollector {
 		"Bytes of live records in the persistent store.")
 	s.storeCompacts = reg.Gauge("mapd_store_compactions_total",
 		"Log compactions performed by this process's store handle.")
-	s.synthTables = reg.Gauge("mapd_synth_tables",
-		"Synthesized-schedule tables held, one per topology fingerprint.")
 	s.batches = reg.Counter("mapd_batches_total",
 		"Batch mapping requests received from clients; a peer's forward hop is not one.")
 	s.batchPatterns = reg.Counter("mapd_batch_patterns_total",
