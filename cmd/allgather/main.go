@@ -40,7 +40,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write a Chrome trace of the -real execution to this file (load in chrome://tracing or Perfetto)")
 	calibrate := flag.Bool("calibrate", false, "execute on the goroutine runtime with a cost-model calibrator attached and print the predicted-vs-measured skew table (small p only)")
 	rounds := flag.Int("rounds", 5, "allgather calls per size in -calibrate mode")
-	metricsOut := flag.String("metrics-out", "", "write a JSON snapshot of the metrics registry to this file at exit")
+	metricsOut := flag.String("metrics-out", "", "write the metrics registry to this file at exit, in the Prometheus text format /metrics serves")
 	flag.Parse()
 
 	if *calibrate {
@@ -53,7 +53,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *metricsOut != "" {
-		if err := metrics.WriteJSONFile(*metricsOut, metrics.Default); err != nil {
+		if err := metrics.WritePrometheusFile(*metricsOut, metrics.Default); err != nil {
 			fmt.Fprintln(os.Stderr, "allgather:", err)
 			os.Exit(1)
 		}

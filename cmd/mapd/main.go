@@ -2,13 +2,13 @@
 // /map with a topology, a communication pattern and a heuristic selector
 // answers with the rank permutation, the modelled default/reordered latency
 // per message size and the adaptive-routing decision; a "patterns" array in
-// the body maps a whole batch against one topology build. /stats exposes
-// the service counters, /metrics the Prometheus text exposition of the
-// layers mapd runs, /healthz liveness and /readyz readiness (503 once the
-// worker-pool queue reaches the shedding threshold). mapd computes mappings
-// and never executes a collective or searches a schedule, so it links
-// neither the goroutine runtime nor the synthesiser. With -pprof, the
-// net/http/pprof profiling endpoints mount under /debug/pprof/.
+// the body maps a whole batch against one topology build. /metrics exposes
+// every counter of the layers mapd runs, in the Prometheus text format;
+// /healthz answers liveness and /readyz readiness (503 once the worker-pool
+// queue reaches the shedding threshold). mapd computes mappings and never
+// executes a collective or searches a schedule, so it links neither the
+// goroutine runtime nor the synthesiser. With -pprof, the net/http/pprof
+// profiling endpoints mount under /debug/pprof/.
 //
 // With -store, computed mappings persist to an append-friendly
 // content-addressed log and survive restarts; -warm

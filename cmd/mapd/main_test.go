@@ -7,6 +7,7 @@ import (
 	"io"
 	"log"
 	"net/http"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -40,7 +41,7 @@ func (b *safeBuffer) addr() string {
 }
 
 // TestRunServesAndShutsDown boots the daemon on an ephemeral port, drives
-// one mapping request plus the stats endpoint through real HTTP, then
+// one mapping request plus the metrics endpoint through real HTTP, then
 // cancels the context and expects a clean exit.
 func TestRunServesAndShutsDown(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
@@ -61,7 +62,7 @@ func TestRunServesAndShutsDown(t *testing.T) {
 }
 
 // TestEndToEnd exercises the full daemon loop on a fixed logger-scraped
-// address: one cold request, stats, metrics, pprof, shutdown.
+// address: one cold request, metrics, pprof, shutdown.
 func TestEndToEnd(t *testing.T) {
 	var buf safeBuffer
 	logger := log.New(&buf, "", 0)
@@ -104,17 +105,14 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("status %d, mapping %d ranks, degraded %v", res.StatusCode, len(resp.Mapping), resp.Degraded)
 	}
 
+	// /metrics is mapd's one counter view: there is no /stats.
 	res, err = http.Get(base + "/stats")
 	if err != nil {
 		t.Fatalf("GET /stats: %v", err)
 	}
-	var st service.Stats
-	if err := json.NewDecoder(res.Body).Decode(&st); err != nil {
-		t.Fatalf("decode stats: %v", err)
-	}
 	res.Body.Close()
-	if st.Requests != 1 || st.Computes != 1 {
-		t.Errorf("stats = %+v, want one request, one compute", st)
+	if res.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /stats answered %d, want 404", res.StatusCode)
 	}
 
 	// /metrics exposes mapd's own layers (the service and the heuristics)
@@ -131,6 +129,14 @@ func TestEndToEnd(t *testing.T) {
 	for _, family := range []string{"mapd_requests_total", "heuristic_mappings_total"} {
 		if !strings.Contains(string(exposition), family) {
 			t.Errorf("/metrics missing family %s", family)
+		}
+	}
+	for _, sample := range []*regexp.Regexp{
+		regexp.MustCompile(`(?m)^mapd_requests_total 1$`),
+		regexp.MustCompile(`(?m)^mapd_computations_total 1$`),
+	} {
+		if !sample.Match(exposition) {
+			t.Errorf("/metrics has no line matching %s after one cold /map", sample)
 		}
 	}
 	for _, family := range []string{"mpi_", "collective_", "obs_", "schedule_executions_total"} {

@@ -38,7 +38,7 @@ func main() {
 	csvOut := flag.Bool("csv", false, "emit CSV instead of text tables")
 	tracePath := flag.String("trace", "", "also run a laptop-scale allgather on the real runtime and write its Chrome trace to this file")
 	calibrate := flag.Bool("calibrate", false, "skip the figures: run laptop-scale allgathers on the real runtime with a cost-model calibrator attached and print the predicted-vs-measured skew table")
-	metricsOut := flag.String("metrics-out", "", "write a JSON snapshot of the metrics registry to this file at exit")
+	metricsOut := flag.String("metrics-out", "", "write the metrics registry to this file at exit, in the Prometheus text format /metrics serves")
 	flag.Parse()
 
 	if *calibrate {
@@ -51,7 +51,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *metricsOut != "" {
-		if err := metrics.WriteJSONFile(*metricsOut, metrics.Default); err != nil {
+		if err := metrics.WritePrometheusFile(*metricsOut, metrics.Default); err != nil {
 			fmt.Fprintln(os.Stderr, "reproduce:", err)
 			os.Exit(1)
 		}

@@ -9,7 +9,7 @@
 // a front door only selects a program (selectProgram: the forced builder,
 // else the world's synth table, else the family registry's size rule) and
 // hands it over; a hierarchical composition looks up its one plan program
-// (hierPlan). The program simnet prices is therefore the program that moves
+// (planOf). The program simnet prices is therefore the program that moves
 // the bytes, order fixes included: Reordered's initComm exchange is its
 // program's Pre stage. Correctness is checked against closed-form expected
 // buffers per family, never against a second implementation. Order

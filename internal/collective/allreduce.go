@@ -24,13 +24,16 @@ type ReduceOp func(dst, src []byte)
 // program selectProgram picks for an allreduce over the leaders, so a warm
 // call is two table lookups. buf is combined in place on every rank.
 func HierarchicalAllreduce(c *mpi.Comm, buf []byte, op ReduceOp, nodeID func(worldRank int) int) error {
-	nodes := c.Members()
+	ids, sorted := pooledInts(c.Size()), pooledInts(c.Size())
+	defer intsPool.Put(ids)
+	defer intsPool.Put(sorted)
+	nodes := c.AppendMembers((*ids)[:0])
 	for r, w := range nodes {
 		nodes[r] = nodeID(w)
 	}
-	sorted := slices.Clone(nodes)
-	slices.Sort(sorted)
-	leader, err := selectProgram(c, sched.FamilyAllreduce, len(slices.Compact(sorted)), len(buf), AlgAuto)
+	copy(*sorted, nodes)
+	slices.Sort(*sorted)
+	leader, err := selectProgram(c, sched.FamilyAllreduce, len(slices.Compact(*sorted)), len(buf), AlgAuto)
 	if err != nil {
 		return err
 	}

@@ -65,26 +65,31 @@ func execMetricsFor(name string) *execMetrics {
 	return actual.(*execMetrics)
 }
 
-// placeOffsetsPool recycles placement-resolved offset tables: off[b] is the
-// buffer byte offset of block b under the call's Placement. A table travels
-// with its holder from Get to Put, so a warm pool never hands out an empty
-// one.
-var placeOffsetsPool = sync.Pool{New: func() any { return new([]int) }}
+// intsPool recycles a call's []int scratch: the executor's
+// placement-resolved offset tables and the hierarchical doors' per-rank node
+// ids. A slice travels with its holder from Get to Put, so a warm pool never
+// hands out an empty one.
+var intsPool = sync.Pool{New: func() any { return new([]int) }}
+
+// pooledInts returns a holder from intsPool whose slice has n elements of
+// any value; the caller returns it to intsPool when done.
+func pooledInts(n int) *[]int {
+	h := intsPool.Get().(*[]int)
+	if cap(*h) < n {
+		*h = make([]int, n)
+	}
+	*h = (*h)[:n]
+	return h
+}
 
 // resolvePlaceOffsets builds the per-block byte offsets for a non-nil
-// placement in pooled storage; the caller returns the holder to
-// placeOffsetsPool when done.
+// placement in pooled storage: off[b] is the buffer byte offset of block b.
 func resolvePlaceOffsets(place Placement, blocks, blk int) *[]int {
-	op := placeOffsetsPool.Get().(*[]int)
-	if cap(*op) < blocks {
-		*op = make([]int, blocks)
+	off := pooledInts(blocks)
+	for b := range *off {
+		(*off)[b] = place(b) * blk
 	}
-	off := (*op)[:blocks]
-	for b := range off {
-		off[b] = place(b) * blk
-	}
-	*op = off
-	return op
+	return off
 }
 
 // blockOffsets locates program blocks in the caller's buffer: block b of
@@ -150,7 +155,7 @@ func executeProgram(c *mpi.Comm, prog *sched.Program, rot int, buf []byte, blk i
 	offs := blockOffsets{blk: blk}
 	if place != nil {
 		holder := resolvePlaceOffsets(place, prog.Blocks, blk)
-		defer placeOffsetsPool.Put(holder)
+		defer intsPool.Put(holder)
 		offs.table = *holder
 	}
 	// Stage timing is sampled on rank 0 only, every execution: a stage's

@@ -184,7 +184,7 @@ func TestExecuteProgramSteadyStateAllocs(t *testing.T) {
 			return executeScatter(c, scatter, 2, recvScratch[c.Rank()], sendScratch[c.Rank()])
 		}},
 		{"hierarchical", func(c *mpi.Comm) error {
-			prog, err := hierPlan(nodes, nil, hierCfg, func() (*sched.Schedule, error) {
+			prog, err := planOf(nodes, hierPlanKey{cfg: hierCfg}, func() (*sched.Schedule, error) {
 				return sched.Hierarchical([][]int{{0, 1}, {2, 3}}, hierCfg)
 			})
 			if err != nil {

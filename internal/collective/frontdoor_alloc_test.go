@@ -13,11 +13,13 @@ import (
 // TestFrontDoorSteadyStateAllocs: selection is one allocation-free table
 // lookup on every front door, and an untraced call builds no trace label.
 // Each case's budget is what the warm front door allocates per rank per call
-// (this harness, p = 16): nothing on the flat and reordered doors, whatever
-// the order fix, since the initComm exchange is a stage of the executed
-// program; one on the hierarchical doors, their Comm.Members copy. Allreduce is held to Broadcast's figure instead of its own — it used
-// to build and SHA-256 its schedule on every rank of every call (51
-// allocations here, 82 at p = 64).
+// (this harness, p = 16): nothing on any door. The flat and reordered doors
+// allocate nothing whatever the order fix, since the initComm exchange is a
+// stage of the executed program; the hierarchical doors read the
+// communicator's members into pooled slices to key their plan. Allreduce is
+// held to Broadcast's figure instead of its own — it used to build and
+// SHA-256 its schedule on every rank of every call (51 allocations here, 82
+// at p = 64).
 func TestFrontDoorSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector shadow state allocates on channel/pool operations")
@@ -88,11 +90,14 @@ func TestFrontDoorSteadyStateAllocs(t *testing.T) {
 			}
 			return Allgather(c, send[r], recv[r], AlgRecursiveDoubling)
 		}},
-		{"hierarchical", 1, func(c *mpi.Comm) error {
+		{"hierarchical", 0, func(c *mpi.Comm) error {
 			return HierarchicalAllgather(c, send[c.Rank()], recv[c.Rank()], func(w int) int { return w / 4 }, hierCfg)
 		}},
-		{"hierarchical-reordered", 1, func(c *mpi.Comm) error {
+		{"hierarchical-reordered", 0, func(c *mpi.Comm) error {
 			return HierarchicalReorderedAllgather(c, send[c.Rank()], recv[c.Rank()], cluster, layout, hierCfg)
+		}},
+		{"hierarchical-allreduce", 0, func(c *mpi.Comm) error {
+			return HierarchicalAllreduce(c, send[c.Rank()], sumOp, func(w int) int { return w / 4 })
 		}},
 	}
 	for _, alg := range []Algorithm{AlgAuto, AlgRecursiveDoubling, AlgRing, AlgBruck, AlgNeighborExchange} {

@@ -136,7 +136,7 @@ func FuzzExecutorHierarchicalAllreduce(f *testing.F) {
 			if c.Rank() != 0 {
 				return nil
 			}
-			ids := c.Members()
+			ids := c.AppendMembers(nil)
 			for r, w := range ids {
 				ids[r] = nodeOf(w)
 			}

@@ -27,11 +27,13 @@ func HierarchicalAllgather(c *mpi.Comm, send, recv []byte, nodeID func(worldRank
 	if _, err := checkAllgatherArgs(c, send, recv); err != nil {
 		return err
 	}
-	nodes := c.Members()
+	ids := pooledInts(c.Size())
+	defer intsPool.Put(ids)
+	nodes := c.AppendMembers((*ids)[:0])
 	for r, w := range nodes {
 		nodes[r] = nodeID(w)
 	}
-	prog, err := hierPlan(nodes, nil, cfg, func() (*sched.Schedule, error) {
+	prog, err := planOf(nodes, hierPlanKey{cfg: cfg}, func() (*sched.Schedule, error) {
 		return sched.Hierarchical(sched.Groups(nodes, func(node int) int { return node }), cfg)
 	})
 	if err != nil {
@@ -63,20 +65,16 @@ type hierPlanKey struct {
 // ResetCompileCache as the flat front doors' (family, builder, p) table.
 var hierPlanTable = sched.NewProgramTable[hierPlanKey]()
 
-// hierPlan returns the compiled, executable program of the hierarchical
-// allgather identified by (ids, cluster, cfg), building it with build on
-// first use — the runtime counterpart of the paper creating the reordered
-// communicators once, at communicator-creation time. A steady-state call is
-// one table lookup: no grouping, no mapping heuristic, no compile.
-func hierPlan(ids []int, cluster *topology.Cluster, cfg sched.HierarchicalConfig, build func() (*sched.Schedule, error)) (*sched.Program, error) {
-	return planOf(ids, hierPlanKey{cluster: cluster, cfg: cfg}, build)
-}
-
-// planOf is hierPlan for any key: key with its ids set from ids.
+// planOf returns the compiled, executable program of the plan identified by
+// key with its ids set from ids, building it with build on first use — the
+// runtime counterpart of the paper creating the reordered communicators once,
+// at communicator-creation time. A steady-state call is one table lookup: no
+// grouping, no mapping heuristic, no compile.
 //
 // The lookup views ids' memory as a string instead of copying it, which keeps
 // it allocation-free on every rank of every call; a miss files a copy, so the
-// table never keeps a key that aliases the caller's slice.
+// table never keeps a key that aliases the caller's slice. A build runs on
+// the caller's goroutine, so ids may be reused once planOf returns.
 func planOf(ids []int, key hierPlanKey, build func() (*sched.Schedule, error)) (*sched.Program, error) {
 	key.ids = unsafe.String((*byte)(unsafe.Pointer(unsafe.SliceData(ids))), len(ids)*int(unsafe.Sizeof(ids[0])))
 	if prog, ok := hierPlanTable.Lookup(key); ok {

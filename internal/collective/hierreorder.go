@@ -35,7 +35,9 @@ func HierarchicalReorderedAllgather(c *mpi.Comm, send, recv []byte, cluster *top
 	if _, err := checkAllgatherArgs(c, send, recv); err != nil {
 		return err
 	}
-	cores := c.Members()
+	ids := pooledInts(c.Size())
+	defer intsPool.Put(ids)
+	cores := c.AppendMembers((*ids)[:0])
 	for r, w := range cores {
 		if w >= len(layout) {
 			return fmt.Errorf("collective: layout covers %d world ranks, rank %d is world rank %d", len(layout), r, w)
@@ -45,7 +47,7 @@ func HierarchicalReorderedAllgather(c *mpi.Comm, send, recv []byte, cluster *top
 	if !c.ReorderEnabled() {
 		return HierarchicalAllgather(c, send, recv, func(w int) int { return cluster.NodeOf(layout[w]) }, cfg)
 	}
-	prog, err := hierPlan(cores, cluster, cfg, func() (*sched.Schedule, error) {
+	prog, err := planOf(cores, hierPlanKey{cluster: cluster, cfg: cfg}, func() (*sched.Schedule, error) {
 		return reorderedHierarchical(cluster, cores, cfg)
 	})
 	if err != nil {

@@ -230,14 +230,14 @@ func TestHierPlanKeyOwnsItsIDs(t *testing.T) {
 	}
 	_, m0 := sched.CompileCacheCounters()
 	ids := nodes()
-	first, err := hierPlan(ids, nil, cfg, build)
+	first, err := planOf(ids, hierPlanKey{cfg: cfg}, build)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range ids {
 		ids[i] = 7
 	}
-	second, err := hierPlan(nodes(), nil, cfg, build)
+	second, err := planOf(nodes(), hierPlanKey{cfg: cfg}, build)
 	if err != nil {
 		t.Fatal(err)
 	}

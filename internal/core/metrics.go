@@ -25,17 +25,21 @@ var (
 		"Wall time of mapping computations.", metrics.DurationOpts, "heuristic")
 )
 
-// knownHeuristics pre-registers the per-heuristic series so that /metrics
-// exposes every family with zero values before the first mapping runs.
-var knownHeuristics = []string{"rdmh", "rmh", "bbmh", "bgmh", "bkmh", "scotch"}
+// heuristicSeries is one heuristic's resolved series.
+type heuristicSeries struct {
+	mappings, cancellations, placements, costEvals *metrics.Counter
+	seconds                                        *metrics.Histogram
+}
+
+// byHeuristic resolves every reporting heuristic's series once, so that
+// recording a mapping resolves no label, and so that /metrics exposes every
+// family with zero values before the first mapping runs.
+var byHeuristic = map[string]*heuristicSeries{}
 
 func init() {
-	for _, h := range knownHeuristics {
-		heuristicMappings.With("heuristic", h)
-		heuristicCancellations.With("heuristic", h)
-		heuristicPlacements.With("heuristic", h)
-		heuristicCostEvals.With("heuristic", h)
-		heuristicSeconds.With("heuristic", h)
+	for _, h := range []string{"rdmh", "rmh", "bbmh", "bgmh", "bkmh", "scotch"} {
+		byHeuristic[h] = &heuristicSeries{heuristicMappings.With("heuristic", h), heuristicCancellations.With("heuristic", h),
+			heuristicPlacements.With("heuristic", h), heuristicCostEvals.With("heuristic", h), heuristicSeconds.With("heuristic", h)}
 	}
 }
 
@@ -44,20 +48,21 @@ func init() {
 // distance evaluations it performed (0 when the mapper does not count them),
 // and its outcome — completed, cancelled (context errors), or failed.
 // External mappers such as the scotch baseline report through this so all
-// heuristics share one family set.
+// heuristics share one family set. heuristic must be a byHeuristic name.
 func RecordMapping(heuristic string, start time.Time, placed int, costEvals int64, err error) {
-	heuristicSeconds.With("heuristic", heuristic).Observe(time.Since(start).Seconds())
+	m := byHeuristic[heuristic]
+	m.seconds.Observe(time.Since(start).Seconds())
 	if placed > 0 {
-		heuristicPlacements.With("heuristic", heuristic).Add(uint64(placed))
+		m.placements.Add(uint64(placed))
 	}
 	if costEvals > 0 {
-		heuristicCostEvals.With("heuristic", heuristic).Add(uint64(costEvals))
+		m.costEvals.Add(uint64(costEvals))
 	}
 	switch {
 	case err == nil:
-		heuristicMappings.With("heuristic", heuristic).Inc()
+		m.mappings.Inc()
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		heuristicCancellations.With("heuristic", heuristic).Inc()
+		m.cancellations.Inc()
 	}
 }
 

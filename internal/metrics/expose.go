@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -52,10 +51,9 @@ func WritePrometheus(w io.Writer, regs ...*Registry) error {
 
 // peek returns the named family if registered, without creating it.
 func (r *Registry) peek(name string) *family {
-	s := r.shardFor(name)
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.fams[name]
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return r.fams[name]
 }
 
 func writeFamily(w io.Writer, f *family) error {
@@ -140,113 +138,15 @@ func escapeLabel(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-// --- JSON snapshot ---
-
-// Snapshot is a point-in-time JSON-friendly view of one or more registries.
-type Snapshot struct {
-	Families []FamilySnapshot `json:"families"`
-}
-
-// FamilySnapshot is one family's snapshot.
-type FamilySnapshot struct {
-	Name    string           `json:"name"`
-	Type    string           `json:"type"`
-	Help    string           `json:"help,omitempty"`
-	Metrics []MetricSnapshot `json:"metrics"`
-}
-
-// MetricSnapshot is one child series. Counters and gauges carry Value;
-// histograms carry Count, Sum, Buckets and derived quantiles.
-type MetricSnapshot struct {
-	Labels  map[string]string `json:"labels,omitempty"`
-	Value   *int64            `json:"value,omitempty"`
-	Count   *uint64           `json:"count,omitempty"`
-	Sum     *float64          `json:"sum,omitempty"`
-	Buckets []BucketSnapshot  `json:"buckets,omitempty"`
-	P50     *float64          `json:"p50,omitempty"`
-	P99     *float64          `json:"p99,omitempty"`
-}
-
-// BucketSnapshot is one cumulative histogram bucket; UpperBound is +Inf on
-// the overflow bucket (rendered as the string "+Inf" in JSON).
-type BucketSnapshot struct {
-	UpperBound string `json:"le"`
-	Cumulative uint64 `json:"cumulative"`
-}
-
-// TakeSnapshot assembles the snapshot of the given registries, families
-// sorted by name; same-named families are merged in argument order.
-func TakeSnapshot(regs ...*Registry) Snapshot {
-	var snap Snapshot
-	index := make(map[string]int)
-	for _, r := range regs {
-		for _, f := range r.families() {
-			fi, ok := index[f.name]
-			if !ok {
-				fi = len(snap.Families)
-				index[f.name] = fi
-				snap.Families = append(snap.Families, FamilySnapshot{
-					Name: f.name,
-					Type: f.kind.String(),
-					Help: f.help,
-				})
-			}
-			fs := &snap.Families[fi]
-			keys, byKey, labels := f.children()
-			for _, k := range keys {
-				ms := MetricSnapshot{}
-				if len(f.keys) > 0 {
-					ms.Labels = make(map[string]string, len(f.keys))
-					for i, lk := range f.keys {
-						ms.Labels[lk] = labels[k][i]
-					}
-				}
-				switch m := byKey[k].(type) {
-				case *Counter:
-					v := int64(m.Value())
-					ms.Value = &v
-				case *Gauge:
-					v := m.Value()
-					ms.Value = &v
-				case *Histogram:
-					c, s := m.Count(), m.Sum()
-					p50, p99 := m.Quantile(0.50), m.Quantile(0.99)
-					ms.Count, ms.Sum, ms.P50, ms.P99 = &c, &s, &p50, &p99
-					var cum uint64
-					for i, b := range m.bounds {
-						cum += m.counts[i].Load()
-						ms.Buckets = append(ms.Buckets, BucketSnapshot{
-							UpperBound: formatFloat(b), Cumulative: cum,
-						})
-					}
-					cum += m.counts[len(m.bounds)].Load()
-					ms.Buckets = append(ms.Buckets, BucketSnapshot{UpperBound: "+Inf", Cumulative: cum})
-				}
-				fs.Metrics = append(fs.Metrics, ms)
-			}
-		}
-	}
-	if snap.Families == nil {
-		snap.Families = []FamilySnapshot{}
-	}
-	return snap
-}
-
-// WriteJSON writes the snapshot of the registries as indented JSON.
-func WriteJSON(w io.Writer, regs ...*Registry) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(TakeSnapshot(regs...))
-}
-
-// WriteJSONFile dumps the snapshot to path — the -metrics-out sink of the
-// offline commands, producing the same numbers the daemon serves live.
-func WriteJSONFile(path string, regs ...*Registry) error {
+// WritePrometheusFile writes the registries' exposition to path — the
+// -metrics-out sink of the offline commands, the same text the daemon's
+// /metrics serves live.
+func WritePrometheusFile(path string, regs ...*Registry) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := WriteJSON(f, regs...); err != nil {
+	if err := WritePrometheus(f, regs...); err != nil {
 		f.Close()
 		return err
 	}

@@ -2,7 +2,8 @@ package metrics
 
 import (
 	"bytes"
-	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -81,41 +82,28 @@ func TestPrometheusMultiRegistry(t *testing.T) {
 	}
 }
 
-func TestJSONSnapshot(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("snap_total", "Count.").Add(5)
-	h := r.Histogram("snap_seconds", "Latency.", HistogramOpts{Start: 1, Factor: 2, Count: 3})
-	h.Observe(1.5)
-	h.Observe(1.5)
-
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, r); err != nil {
+// TestPrometheusFileMatchesWriter: the -metrics-out file is the text that
+// /metrics serves, byte for byte.
+func TestPrometheusFileMatchesWriter(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	a.Counter("file_total", "Count.").Add(3)
+	b.Histogram("file_seconds", "Latency.", HistogramOpts{Start: 1, Factor: 2, Count: 2}).Observe(1.5)
+	path := filepath.Join(t.TempDir(), "metrics.prom")
+	if err := WritePrometheusFile(path, a, b); err != nil {
 		t.Fatal(err)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v", err)
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(snap.Families) != 2 {
-		t.Fatalf("families = %d, want 2", len(snap.Families))
+	var want bytes.Buffer
+	if err := WritePrometheus(&want, a, b); err != nil {
+		t.Fatal(err)
 	}
-	// Sorted by name: snap_seconds before snap_total.
-	hist := snap.Families[0]
-	if hist.Name != "snap_seconds" || hist.Type != "histogram" {
-		t.Fatalf("unexpected first family %+v", hist)
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("file:\n%s\nwriter:\n%s", got, want.Bytes())
 	}
-	m := hist.Metrics[0]
-	if m.Count == nil || *m.Count != 2 || m.Sum == nil || *m.Sum != 3 {
-		t.Errorf("histogram snapshot count/sum wrong: %+v", m)
-	}
-	if len(m.Buckets) != 4 || m.Buckets[len(m.Buckets)-1].UpperBound != "+Inf" {
-		t.Errorf("buckets = %+v", m.Buckets)
-	}
-	if m.P50 == nil || *m.P50 <= 1 || *m.P50 > 2 {
-		t.Errorf("p50 = %v, want in (1, 2]", m.P50)
-	}
-	ctr := snap.Families[1]
-	if ctr.Name != "snap_total" || ctr.Metrics[0].Value == nil || *ctr.Metrics[0].Value != 5 {
-		t.Errorf("counter snapshot wrong: %+v", ctr)
+	if err := WritePrometheusFile(filepath.Join(path, "not-a-dir"), a); err == nil {
+		t.Error("writing under a regular file succeeded")
 	}
 }

@@ -1,7 +1,6 @@
 // Package metrics is the repository's unified observability layer: a
-// dependency-free, lock-sharded metrics registry with Prometheus text
-// exposition and a JSON snapshot, wired from the MPI runtime up to the mapd
-// service.
+// dependency-free metrics registry rendered in one format, the Prometheus
+// text exposition, wired from the MPI runtime up to the mapd service.
 //
 // Three metric kinds cover everything the paper's evaluation measures:
 //
@@ -9,23 +8,22 @@
 //     hits). Inc/Add are single atomic adds.
 //   - Gauge: an integer that can go both ways (active worlds, queue depth).
 //   - Histogram: exponential-bucket distribution with constant-time Observe
-//     (recv-wait times, request latencies). Quantiles are derived from the
-//     bucket counts, replacing sort-on-snapshot sample windows.
+//     (recv-wait times, request latencies); a scraper derives quantiles from
+//     the exposed buckets.
 //
 // Metrics belong to families; a family is either plain (one time series) or
 // labeled ("Vec"), in which case With("key", "value", ...) resolves one
-// child series per label combination. Family lookup is sharded across
-// numShards locks keyed by a name hash, so concurrent registration and
-// exposition do not serialise behind one mutex; the per-sample hot paths
-// (Inc, Add, Set, Observe) on a resolved handle touch no locks at all and
-// allocate nothing — they are pure atomics, cheap enough to live inside the
-// runtime's per-message delivery path.
+// child series per label combination. The registry's one lock guards
+// registration and listing only; the per-sample hot paths (Inc, Add, Set,
+// Observe) on a resolved handle touch no locks at all and allocate nothing —
+// they are pure atomics, cheap enough to live inside the runtime's
+// per-message delivery path.
 //
 // A package-level Default registry serves the process-wide instrumentation
 // (mpi, collective, core, scotch); components that need isolated counters —
 // one Service instance per test — create their own Registry and merge it
-// with Default at exposition time (WritePrometheus and Snapshot accept
-// multiple registries).
+// with Default at exposition time (WritePrometheus accepts multiple
+// registries).
 package metrics
 
 import (
@@ -59,31 +57,17 @@ func (k Kind) String() string {
 	return "untyped"
 }
 
-// numShards spreads family registration and lookup over independent locks.
-// 16 is far beyond the registration concurrency of this codebase; the point
-// is that exposition (which walks all shards) never blocks a With on an
-// unrelated family for long.
-const numShards = 16
-
 // Registry holds metric families. The zero value is not usable; call
-// NewRegistry. Safe for concurrent use.
+// NewRegistry. Safe for concurrent use: its one lock is taken only to
+// register or list families, and With on an existing family takes only that
+// family's own lock.
 type Registry struct {
-	shards [numShards]shard
-}
-
-type shard struct {
 	mu   sync.RWMutex
 	fams map[string]*family
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	r := &Registry{}
-	for i := range r.shards {
-		r.shards[i].fams = make(map[string]*family)
-	}
-	return r
-}
+func NewRegistry() *Registry { return &Registry{fams: make(map[string]*family)} }
 
 // Default is the process-wide registry used by the package-level
 // constructors and by every layer's built-in instrumentation.
@@ -91,33 +75,18 @@ var Default = NewRegistry()
 
 // family is one named metric family with zero or more label keys.
 type family struct {
-	name   string
-	help   string
-	kind   Kind
-	keys   []string // declared label keys, in declaration order
-	hopts  HistogramOpts
-	mu     sync.RWMutex
-	chld   map[string]metric // child key (joined label values) -> metric
-	lbls   map[string][]string
-	zeroed bool // plain family: single child pre-created
+	name  string
+	help  string
+	kind  Kind
+	keys  []string // declared label keys, in declaration order
+	hopts HistogramOpts
+	mu    sync.RWMutex
+	chld  map[string]metric // child key (joined label values) -> metric
+	lbls  map[string][]string
 }
 
 // metric is the common interface of child series.
 type metric interface{}
-
-// fnv1a hashes a family name onto a shard.
-func fnv1a(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-func (r *Registry) shardFor(name string) *shard {
-	return &r.shards[fnv1a(name)%numShards]
-}
 
 // lookup returns the family, creating it when absent. Kind and label-key
 // mismatches against an existing family panic: they are programming errors
@@ -126,13 +95,12 @@ func (r *Registry) lookup(name, help string, kind Kind, keys []string, hopts His
 	if name == "" {
 		panic("metrics: empty family name")
 	}
-	s := r.shardFor(name)
-	s.mu.RLock()
-	f, ok := s.fams[name]
-	s.mu.RUnlock()
+	r.mu.RLock()
+	f, ok := r.fams[name]
+	r.mu.RUnlock()
 	if !ok {
-		s.mu.Lock()
-		f, ok = s.fams[name]
+		r.mu.Lock()
+		f, ok = r.fams[name]
 		if !ok {
 			f = &family{
 				name:  name,
@@ -143,9 +111,9 @@ func (r *Registry) lookup(name, help string, kind Kind, keys []string, hopts His
 				chld:  make(map[string]metric),
 				lbls:  make(map[string][]string),
 			}
-			s.fams[name] = f
+			r.fams[name] = f
 		}
-		s.mu.Unlock()
+		r.mu.Unlock()
 	}
 	if f.kind != kind {
 		panic(fmt.Sprintf("metrics: family %q re-registered as %v (was %v)", name, kind, f.kind))
@@ -384,81 +352,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Quantile estimates the q-quantile (0 <= q <= 1) from the bucket counts,
-// interpolating linearly inside the selected bucket. The extremes report
-// bucket edges rather than interpolating: q=0 is the lower edge of the
-// first occupied bucket (a min estimate) and q=1 the upper edge of the last
-// occupied one (a max estimate). A bucket holding a single observation
-// reports its midpoint for every interior q — one sample gives the
-// histogram no basis for a within-bucket gradient. Values beyond the last
-// finite bound are reported as that bound — the histogram cannot resolve
-// further. Returns 0 when nothing was observed or q is NaN. Not a hot
-// path: it copies the counts once.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 || math.IsNaN(q) {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	last := h.bounds[len(h.bounds)-1]
-	if q == 0 {
-		for i := range h.counts {
-			if h.counts[i].Load() == 0 {
-				continue
-			}
-			if i == 0 {
-				return 0
-			}
-			if i >= len(h.bounds) {
-				return last // +Inf bucket's lower edge is the last bound
-			}
-			return h.bounds[i-1]
-		}
-		return 0
-	}
-	if q == 1 {
-		for i := len(h.counts) - 1; i >= 0; i-- {
-			if h.counts[i].Load() == 0 {
-				continue
-			}
-			if i >= len(h.bounds) {
-				return last // +Inf bucket: saturate at the last finite bound
-			}
-			return h.bounds[i]
-		}
-		return last
-	}
-	rank := q * float64(total)
-	var cum float64
-	for i := range h.counts {
-		n := float64(h.counts[i].Load())
-		if n == 0 {
-			continue
-		}
-		if cum+n >= rank {
-			if i >= len(h.bounds) {
-				return last // +Inf bucket: saturate at the last finite bound
-			}
-			hi := h.bounds[i]
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			if n == 1 {
-				return lo + (hi-lo)/2
-			}
-			frac := (rank - cum) / n
-			return lo + (hi-lo)*frac
-		}
-		cum += n
-	}
-	return last
-}
-
 // Histogram returns the (unlabeled) histogram family's single series. A
 // zero opts value selects DurationOpts. The layout is fixed by the first
 // registration of the family.
@@ -512,17 +405,14 @@ func NewHistogramVec(name, help string, opts HistogramOpts, keys ...string) *His
 }
 
 // families returns every family in the registry, sorted by name — the
-// stable order the exposition formats rely on.
+// stable order the exposition relies on.
 func (r *Registry) families() []*family {
-	var out []*family
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		for _, f := range s.fams {
-			out = append(out, f)
-		}
-		s.mu.RUnlock()
+	r.mu.RLock()
+	out := make([]*family, 0, len(r.fams))
+	for _, f := range r.fams {
+		out = append(out, f)
 	}
+	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"sync"
 	"testing"
@@ -101,34 +102,6 @@ func TestHistogramBoundaryConsistency(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("q_seconds", "help", HistogramOpts{Start: 1, Factor: 2, Count: 10})
-	if q := h.Quantile(0.5); q != 0 {
-		t.Errorf("empty histogram quantile = %v, want 0", q)
-	}
-	// 100 observations uniform in (0, 1]: every one lands in bucket 0.
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i) / 100)
-	}
-	if q := h.Quantile(0.5); q <= 0 || q > 1 {
-		t.Errorf("p50 = %v, want within bucket (0, 1]", q)
-	}
-	// Add a heavy tail in the 64..128 bucket; p99 must move there.
-	for i := 0; i < 100; i++ {
-		h.Observe(100)
-	}
-	if q := h.Quantile(0.99); q < 64 || q > 128 {
-		t.Errorf("p99 = %v, want within bucket [64, 128]", q)
-	}
-	// Quantile saturates at the last finite bound for overflow values.
-	h2 := r.Histogram("q2_seconds", "help", HistogramOpts{Start: 1, Factor: 2, Count: 2})
-	h2.Observe(1e9)
-	if q := h2.Quantile(0.99); q != 2 {
-		t.Errorf("overflow quantile = %v, want last bound 2", q)
-	}
-}
-
 // TestConcurrentObservers is the -race stress test: concurrent With
 // resolution across label sets plus hot-path updates on shared handles.
 func TestConcurrentObservers(t *testing.T) {
@@ -159,13 +132,11 @@ func TestConcurrentObservers(t *testing.T) {
 		expWG.Add(1)
 		go func() {
 			defer expWG.Done()
-			var sink discard
 			for j := 0; j < 50; j++ {
-				if err := WritePrometheus(&sink, r); err != nil {
+				if err := WritePrometheus(io.Discard, r); err != nil {
 					t.Error(err)
 					return
 				}
-				TakeSnapshot(r)
 			}
 		}()
 	}
@@ -188,59 +159,5 @@ func TestConcurrentObservers(t *testing.T) {
 	}
 	if g.Value() != 0 {
 		t.Errorf("gauge = %d, want 0", g.Value())
-	}
-}
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }
-
-// TestHistogramQuantileEdges pins the extreme-bucket behavior: q=0/q=1
-// report bucket edges, a single-observation bucket reports its midpoint for
-// interior q, overflow saturates at the last finite bound, and NaN is
-// rejected.
-func TestHistogramQuantileEdges(t *testing.T) {
-	opts := HistogramOpts{Start: 1, Factor: 2, Count: 4} // bounds 1, 2, 4, 8
-	mk := func(name string, vals ...float64) *Histogram {
-		h := NewRegistry().Histogram(name, "help", opts)
-		for _, v := range vals {
-			h.Observe(v)
-		}
-		return h
-	}
-	for _, tc := range []struct {
-		name string
-		h    *Histogram
-		q    float64
-		want float64
-	}{
-		{"empty q0", mk("e0"), 0, 0},
-		{"empty q1", mk("e1"), 1, 0},
-		{"nan q", mk("nan", 1, 2, 3), math.NaN(), 0},
-		// q=0: lower edge of the first occupied bucket.
-		{"q0 first bucket", mk("q0a", 0.5, 0.7), 0, 0},
-		{"q0 interior bucket", mk("q0b", 3, 5, 7), 0, 2}, // 3 lands in (2, 4]
-		{"q0 overflow only", mk("q0c", 100), 0, 8},
-		// q=1: upper edge of the last occupied bucket.
-		{"q1 first bucket", mk("q1a", 0.5), 1, 1},
-		{"q1 interior bucket", mk("q1b", 0.5, 3), 1, 4},
-		{"q1 overflow", mk("q1c", 0.5, 100), 1, 8},
-		// A single observation reports its bucket midpoint for interior q,
-		// independent of q.
-		{"single obs p25", mk("s1", 3), 0.25, 3},
-		{"single obs p50", mk("s2", 3), 0.5, 3},
-		{"single obs p99", mk("s3", 3), 0.99, 3},
-		// Below-range q clamps to the extremes' edge semantics.
-		{"clamp low", mk("cl", 3), -1, 2},
-		{"clamp high", mk("ch", 3), 2, 4},
-		// Two observations split across buckets: the median rank lands in
-		// the first bucket, which holds one sample, so its midpoint rules.
-		{"median across buckets", mk("mb", 0.5, 3), 0.5, 0.5},
-		// Overflow-only interior quantile saturates at the last bound.
-		{"overflow interior", mk("oi", 100, 200), 0.5, 8},
-	} {
-		if got := tc.h.Quantile(tc.q); got != tc.want {
-			t.Errorf("%s: Quantile(%v) = %v, want %v", tc.name, tc.q, got, tc.want)
-		}
 	}
 }

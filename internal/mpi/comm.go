@@ -30,13 +30,10 @@ func (c *Comm) Size() int { return len(c.members) }
 // WorldRank returns the calling process's rank in the world communicator.
 func (c *Comm) WorldRank() int { return c.members[c.rank] }
 
-// Members returns the world ranks of the communicator's processes in comm
-// rank order (a copy).
-func (c *Comm) Members() []int {
-	out := make([]int, len(c.members))
-	copy(out, c.members)
-	return out
-}
+// AppendMembers appends the world ranks of the communicator's processes to
+// dst in comm rank order and returns the extended slice; it never aliases
+// the communicator's own list.
+func (c *Comm) AppendMembers(dst []int) []int { return append(dst, c.members...) }
 
 // Send delivers data to comm rank dst with the given tag. Sends are
 // asynchronous and buffered (the runtime copies data, so the caller may

@@ -445,19 +445,30 @@ func TestInfoKeys(t *testing.T) {
 
 func TestMembers(t *testing.T) {
 	err := Run(4, func(c *Comm) error {
-		m := c.Members()
+		m := c.AppendMembers(nil)
 		if len(m) != 4 {
 			return fmt.Errorf("members = %v", m)
 		}
 		m[0] = 99 // must be a copy
-		if c.Members()[0] == 99 {
-			return fmt.Errorf("Members aliases internal state")
+		if c.AppendMembers(nil)[0] == 99 {
+			return fmt.Errorf("AppendMembers(nil) aliases internal state")
+		}
+		// Appending into spare capacity writes the caller's array only.
+		buf := make([]int, 1, 8)
+		buf[0] = -1
+		got := c.AppendMembers(buf)
+		if len(got) != 5 || got[0] != -1 || &got[0] != &buf[0] {
+			return fmt.Errorf("AppendMembers(buf) = %v, want -1 then the members in buf's array", got)
+		}
+		got[1] = 99
+		if c.AppendMembers(nil)[0] == 99 {
+			return fmt.Errorf("AppendMembers(buf) aliases internal state")
 		}
 		sub, err := c.Split(c.Rank()%2, c.Rank())
 		if err != nil {
 			return err
 		}
-		sm := sub.Members()
+		sm := sub.AppendMembers(nil)
 		if len(sm) != 2 || sm[0]%2 != c.Rank()%2 {
 			return fmt.Errorf("sub members = %v", sm)
 		}

@@ -121,7 +121,7 @@ func BenchmarkWarmStoreRestart(b *testing.B) {
 		if !resp.Cached {
 			b.Fatal("restarted service recomputed instead of hitting the store")
 		}
-		if svc.Stats().Computes != 0 {
+		if svc.stats.computes.Value() != 0 {
 			b.Fatal("restarted service performed a computation")
 		}
 		svc.Close()

@@ -95,8 +95,8 @@ func BenchmarkServiceRequest(b *testing.B) {
 				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/map", bytes.NewReader(body)))
 			}
 			b.StopTimer()
-			if st := s.Stats(); st.CacheHits != uint64(b.N) || st.OK != st.Requests {
-				b.Fatalf("%d hits and %d of %d requests ok, want %d hits and all ok", st.CacheHits, st.OK, st.Requests, b.N)
+			if hits, ok, reqs := s.stats.cacheHits.Value(), s.stats.ok.Value(), s.stats.requests.Value(); hits != uint64(b.N) || ok != reqs {
+				b.Fatalf("%d hits and %d of %d requests ok, want %d hits and all ok", hits, ok, reqs, b.N)
 			}
 		})
 	}

@@ -85,8 +85,8 @@ func TestOtherEpochHopConflicts(t *testing.T) {
 	if code, reply := serveMap(context.Background(), h, hop(`true`)); code != http.StatusBadRequest {
 		t.Errorf(`a hop marked "forwarded":true: %d %s, want 400`, code, reply)
 	}
-	if st := s.Stats(); st.Computes != 0 {
-		t.Fatalf("refused hops computed %d items", st.Computes)
+	if n := s.stats.computes.Value(); n != 0 {
+		t.Fatalf("refused hops computed %d items", n)
 	}
 	if code, reply := serveMap(context.Background(), h, hop(`"`+modelEpoch+`"`)); code != http.StatusOK {
 		t.Errorf("a hop from this epoch: %d %s, want 200", code, reply)
@@ -120,8 +120,8 @@ func TestOtherEpochPeerComputesLocally(t *testing.T) {
 	if err != nil || resp.Degraded || resp.Shard != "front" || !marked(resp, "forward-other-epoch") {
 		t.Fatalf("single: resp=%+v err=%v, want the front's own answer", resp, err)
 	}
-	if st := front.Stats(); st.Computes != 1 || st.Degraded != 0 {
-		t.Fatalf("single: %d computes, %d degraded; want 1 and 0", st.Computes, st.Degraded)
+	if computes, degraded := front.stats.computes.Value(), front.stats.degraded.Value(); computes != 1 || degraded != 0 {
+		t.Fatalf("single: %d computes, %d degraded; want 1 and 0", computes, degraded)
 	}
 	batch := &BatchRequest{Topology: smallTopo()}
 	for _, r := range reqs[1:] {
@@ -136,8 +136,8 @@ func TestOtherEpochPeerComputesLocally(t *testing.T) {
 			t.Errorf("batch item %d: degraded=%v shard=%q, want the front's own answer", i, r.Degraded, r.Shard)
 		}
 	}
-	if st := front.Stats(); st.Computes != 3 || st.Degraded != 0 || hops.Load() != 2 {
-		t.Errorf("%d computes, %d degraded after %d hops; want 3 and 0 after 2", st.Computes, st.Degraded, hops.Load())
+	if computes, degraded := front.stats.computes.Value(), front.stats.degraded.Value(); computes != 3 || degraded != 0 || hops.Load() != 2 {
+		t.Errorf("%d computes, %d degraded after %d hops; want 3 and 0 after 2", computes, degraded, hops.Load())
 	}
 	for _, r := range reqs {
 		key := keyOf(t, front, r)

@@ -105,16 +105,15 @@ func TestBatchMatchesSequential(t *testing.T) {
 		}
 	}
 
-	st := bat.Stats()
-	if st.Batches != 1 {
-		t.Errorf("batches = %d, want 1", st.Batches)
+	if n := bat.stats.batches.Value(); n != 1 {
+		t.Errorf("batches = %d, want 1", n)
 	}
-	if st.Requests != uint64(len(breq.Patterns)) {
-		t.Errorf("requests = %d, want %d (one per pattern)", st.Requests, len(breq.Patterns))
+	if n := bat.stats.requests.Value(); n != uint64(len(breq.Patterns)) {
+		t.Errorf("requests = %d, want %d (one per pattern)", n, len(breq.Patterns))
 	}
 
 	// A repeat of the same batch is answered entirely from cache.
-	computes := st.Computes
+	computes := bat.stats.computes.Value()
 	again, err := bat.ComputeBatch(context.Background(), breq)
 	if err != nil {
 		t.Fatalf("repeat ComputeBatch: %v", err)
@@ -124,7 +123,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 			t.Errorf("repeat responses[%d] not served from cache", i)
 		}
 	}
-	if got := bat.Stats().Computes; got != computes {
+	if got := bat.stats.computes.Value(); got != computes {
 		t.Errorf("repeat batch recomputed: computes %d -> %d", computes, got)
 	}
 }
@@ -176,13 +175,18 @@ func TestWarmStoreRestart(t *testing.T) {
 			t.Fatalf("stored mapping differs at %d", i)
 		}
 	}
-	stats := s2.Stats()
-	if stats.Computes != 0 {
-		t.Errorf("restarted service recomputed: computes = %d, want 0", stats.Computes)
+	if n := s2.stats.computes.Value(); n != 0 {
+		t.Errorf("restarted service recomputed: computes = %d, want 0", n)
 	}
-	if stats.StoreHits != 1 {
-		t.Errorf("store hits = %d, want 1", stats.StoreHits)
+	if n := s2.stats.storeHits.Value(); n != 1 {
+		t.Errorf("store hits = %d, want 1", n)
 	}
+}
+
+// forwards is the number of hops s sent to a peer, answered or failed: the
+// two outcomes of mapd_forwards_total.
+func forwards(s *Service) uint64 {
+	return s.stats.forwardsOK.Value() + s.stats.forwardsErr.Value()
 }
 
 // fleet is a 3-replica in-process mapd cluster over httptest servers.
@@ -262,12 +266,12 @@ func TestFleetComputesOncePerFingerprint(t *testing.T) {
 
 	var computes uint64
 	for _, name := range f.names {
-		computes += f.svcs[name].Stats().Computes
+		computes += f.svcs[name].stats.computes.Value()
 	}
 	if computes != distinct {
 		t.Errorf("cluster-wide computes = %d, want %d (one per fingerprint)", computes, distinct)
 	}
-	if fw := front.Stats().Forwards; fw == 0 {
+	if fw := forwards(front); fw == 0 {
 		t.Error("no requests were forwarded; ring routed everything to the front replica")
 	}
 	// Each computing replica persisted only its own keyspace slice, and every
@@ -493,7 +497,7 @@ func TestSlowPeerDegradesWithinBudget(t *testing.T) {
 			failing.Store(false)
 			single.TimeoutMillis, batch.TimeoutMillis = 0, 0
 			ctx := context.Background()
-			forwards := front.Stats().Forwards
+			before := forwards(front)
 			if resp, err := front.Compute(ctx, single); err != nil || resp.Degraded || resp.Cached {
 				t.Fatalf("single repeat after recovery: resp=%+v err=%v, want a fresh forwarded answer", resp, err)
 			}
@@ -506,10 +510,10 @@ func TestSlowPeerDegradesWithinBudget(t *testing.T) {
 					t.Fatalf("batch item %d after recovery: degraded=%v cached=%v, want a fresh forwarded answer", i, resp.Degraded, resp.Cached)
 				}
 			}
-			if n := front.Stats().Forwards - forwards; n != 2 {
+			if n := forwards(front) - before; n != 2 {
 				t.Errorf("%d forwards after recovery, want 2 (the single request and the sub-batch)", n)
 			}
-			if front.Stats().Computes != 0 {
+			if front.stats.computes.Value() != 0 {
 				t.Error("the front computed peer-owned keys itself")
 			}
 		})
@@ -576,9 +580,9 @@ func TestForwardSharesOneFlight(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	for deadline := time.Now().Add(10 * time.Second); front.Stats().FlightShared < 3; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); front.stats.flightShared.Value() < 3; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("the batch's items joined the flight %d times, want 3", front.Stats().FlightShared)
+			t.Fatalf("the batch's items joined the flight %d times, want 3", front.stats.flightShared.Value())
 		}
 	}
 	unblock()
@@ -589,8 +593,8 @@ func TestForwardSharesOneFlight(t *testing.T) {
 	if n, p := hops.Load(), patterns.Load(); n != 1 || p != 1 {
 		t.Errorf("the peer received %d hops carrying %d patterns, want the pattern once", n, p)
 	}
-	if st := front.Stats(); st.Forwards != 1 || st.FlightShared != 3 {
-		t.Errorf("forwards %d, flight shared %d; want 1 and 3", st.Forwards, st.FlightShared)
+	if fw, shared := forwards(front), front.stats.flightShared.Value(); fw != 1 || shared != 3 {
+		t.Errorf("forwards %d, flight shared %d; want 1 and 3", fw, shared)
 	}
 	if traced.Degraded || !marked(traced, "forward:peer") {
 		t.Errorf("traced single: degraded=%v trace=%+v, want a forward:peer mark", traced.Degraded, traced.Trace)
@@ -636,15 +640,15 @@ func TestForwardHopsAreNotBatches(t *testing.T) {
 	if _, err := front.ComputeBatch(ctx, batch); err != nil {
 		t.Fatal(err)
 	}
-	if st := front.Stats(); st.Batches != 1 || st.Forwards < 3 {
-		t.Errorf("front: %d batches, %d forwards; want 1 batch and a hop per single plus one per owner of the batch", st.Batches, st.Forwards)
+	if batches, fw := front.stats.batches.Value(), forwards(front); batches != 1 || fw < 3 {
+		t.Errorf("front: %d batches, %d forwards; want 1 batch and a hop per single plus one per owner of the batch", batches, fw)
 	}
 	var served uint64
 	for _, name := range []string{"b", "c"} {
-		st := f.svcs[name].Stats()
-		served += st.Requests
-		if st.Batches != 0 {
-			t.Errorf("peer %s counted %d batches for forward hops, want 0", name, st.Batches)
+		peer := f.svcs[name].stats
+		served += peer.requests.Value()
+		if n := peer.batches.Value(); n != 0 {
+			t.Errorf("peer %s counted %d batches for forward hops, want 0", name, n)
 		}
 	}
 	if served != 5 {
@@ -663,7 +667,7 @@ func TestShedOnPressure(t *testing.T) {
 	if !resp.Degraded {
 		t.Error("admission control did not shed to the identity mapping")
 	}
-	if got := s.Stats().Shed; got != 1 {
+	if got := s.stats.shed.Value(); got != 1 {
 		t.Errorf("shed = %d, want 1", got)
 	}
 	s.stats.queueDepth.Set(0)
@@ -697,12 +701,12 @@ func TestCacheBytesBound(t *testing.T) {
 			t.Fatalf("Compute %d: %v", i, err)
 		}
 	}
-	st := s.Stats()
-	if st.CacheEntries != 1 {
-		t.Errorf("cache entries = %d, want 1 (byte budget keeps only the newest)", st.CacheEntries)
+	if n := s.stats.cacheEntries.Value(); n != 1 {
+		t.Errorf("cache entries = %d, want 1 (byte budget keeps only the newest)", n)
 	}
-	if st.CacheBytes <= 0 || st.CacheBytes > budget {
-		t.Errorf("cache bytes = %d, want within (0, %d]", st.CacheBytes, budget)
+	cacheBytes := s.stats.cacheBytes.Value()
+	if cacheBytes <= 0 || cacheBytes > budget {
+		t.Errorf("cache bytes = %d, want within (0, %d]", cacheBytes, budget)
 	}
 	newest := ring(smallTopo(), 4096)
 	if resp, err := s.Compute(ctx, newest); err != nil || !resp.Cached {
@@ -715,8 +719,8 @@ func TestCacheBytesBound(t *testing.T) {
 			t.Fatalf("oversized response, call %d: resp=%+v err=%v, want served and never kept", i, resp, err)
 		}
 	}
-	if after := s.Stats(); after.CacheEntries != 1 || after.CacheBytes != st.CacheBytes {
-		t.Errorf("after an oversized response: %d entries, %d bytes; want %d, %d", after.CacheEntries, after.CacheBytes, 1, st.CacheBytes)
+	if entries, bytes := s.stats.cacheEntries.Value(), s.stats.cacheBytes.Value(); entries != 1 || bytes != cacheBytes {
+		t.Errorf("after an oversized response: %d entries, %d bytes; want %d, %d", entries, bytes, 1, cacheBytes)
 	}
 	if resp, err := s.Compute(ctx, newest); err != nil || !resp.Cached {
 		t.Errorf("the oversized response flushed the newest entry: resp=%+v err=%v", resp, err)
@@ -764,9 +768,9 @@ func TestStoreWithSynthRecords(t *testing.T) {
 		if resp := post(h); resp.Cached != (restart == 1) {
 			t.Errorf("run %d: cached = %v, want %v", restart, resp.Cached, restart == 1)
 		}
-		stats := s.Stats()
-		if want := uint64(1 - restart); stats.Computes != want || stats.StoreHits != uint64(restart) {
-			t.Errorf("run %d: %d computes, %d store hits; want %d, %d", restart, stats.Computes, stats.StoreHits, want, restart)
+		computes, storeHits := s.stats.computes.Value(), s.stats.storeHits.Value()
+		if want := uint64(1 - restart); computes != want || storeHits != uint64(restart) {
+			t.Errorf("run %d: %d computes, %d store hits; want %d, %d", restart, computes, storeHits, want, restart)
 		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
@@ -854,8 +858,8 @@ func TestBatchAdmittedAsOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := degraded(got); n != 0 || s.Stats().Shed != 0 {
-		t.Errorf("idle service: %d of 16 batch items degraded, shed = %d; want 0 and 0", n, s.Stats().Shed)
+	if n := degraded(got); n != 0 || s.stats.shed.Value() != 0 {
+		t.Errorf("idle service: %d of 16 batch items degraded, shed = %d; want 0 and 0", n, s.stats.shed.Value())
 	}
 
 	s.stats.queueDepth.Set(int64(s.maxQueue())) // someone else's backlog
@@ -864,7 +868,7 @@ func TestBatchAdmittedAsOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := degraded(got); n != 16 || s.Stats().Shed != 16 {
-		t.Errorf("saturated service: %d of 16 batch items degraded, shed = %d; want 16 and 16", n, s.Stats().Shed)
+	if n := degraded(got); n != 16 || s.stats.shed.Value() != 16 {
+		t.Errorf("saturated service: %d of 16 batch items degraded, shed = %d; want 16 and 16", n, s.stats.shed.Value())
 	}
 }

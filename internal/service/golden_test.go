@@ -237,9 +237,9 @@ func TestWarmContextGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := s.Stats()
-	if st.CacheHits != 0 || st.ContextHits == 0 || st.ContextEvictions != 0 {
+	hits, ctxHits, ctxEvictions := s.stats.cacheHits.Value(), s.stats.contextHits.Value(), s.stats.contextEvictions.Value()
+	if hits != 0 || ctxHits == 0 || ctxEvictions != 0 {
 		t.Errorf("cache hits %d, context hits %d, context evictions %d: the warm passes did not recompute on held contexts",
-			st.CacheHits, st.ContextHits, st.ContextEvictions)
+			hits, ctxHits, ctxEvictions)
 	}
 }

@@ -16,9 +16,9 @@ import (
 //	POST /map          — body: Request JSON, reply Response JSON; or, with a
 //	                     "patterns" array, BatchRequest JSON → BatchResponse
 //	                     JSON (N patterns mapped against one topology build)
-//	GET  /stats        — service counters (Stats JSON)
-//	GET  /metrics      — Prometheus text exposition of the process default
-//	                     registry merged with the service registry
+//	GET  /metrics      — every counter, gauge and histogram: the process
+//	                     default registry merged with the service registry,
+//	                     in the Prometheus text format
 //	GET  /healthz      — liveness probe
 //	GET  /readyz       — readiness probe; 503 once the pool queue reaches
 //	                     the shedding threshold (2x Config.Workers)
@@ -29,7 +29,6 @@ import (
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/map", s.handleMap)
-	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -169,14 +168,6 @@ func writeReply(w http.ResponseWriter, body []byte) {
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
-}
-
-func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, errors.New("GET only"))
-		return
-	}
-	writeJSON(w, http.StatusOK, s.Stats())
 }
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {

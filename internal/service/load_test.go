@@ -75,28 +75,30 @@ func TestLoadSingleFlight(t *testing.T) {
 		}
 	}
 
-	st := s.Stats()
+	st := s.stats
 	total := uint64(clients * iterations)
-	if st.Requests != total {
-		t.Errorf("requests = %d, want %d", st.Requests, total)
+	requests := st.requests.Value()
+	if requests != total {
+		t.Errorf("requests = %d, want %d", requests, total)
 	}
-	if st.Computes != keys {
-		t.Errorf("computes = %d, want exactly %d (one per distinct key)", st.Computes, keys)
+	if n := st.computes.Value(); n != keys {
+		t.Errorf("computes = %d, want exactly %d (one per distinct key)", n, keys)
 	}
-	if st.CacheEntries != keys {
-		t.Errorf("cache holds %d entries, want %d", st.CacheEntries, keys)
+	if n := st.cacheEntries.Value(); n != keys {
+		t.Errorf("cache holds %d entries, want %d", n, keys)
 	}
 	// Every request is a cache hit, a single-flight follower, or one of the
 	// `keys` leaders — so the hit ratio is exact.
+	hits, shared := st.cacheHits.Value(), st.flightShared.Value()
 	want := float64(total-keys) / float64(total)
-	if math.Abs(st.HitRatio-want) > 1e-9 {
-		t.Errorf("hit ratio = %.6f, want %.6f", st.HitRatio, want)
+	if ratio := float64(hits+shared) / float64(requests); math.Abs(ratio-want) > 1e-9 {
+		t.Errorf("hit ratio = %.6f, want %.6f", ratio, want)
 	}
-	if st.CacheHits+st.FlightShared != total-keys {
-		t.Errorf("hits %d + shared %d != %d", st.CacheHits, st.FlightShared, total-keys)
+	if hits+shared != total-keys {
+		t.Errorf("hits %d + shared %d != %d", hits, shared, total-keys)
 	}
-	if st.OK != total || st.Degraded != 0 || st.Errors != 0 || st.InFlight != 0 {
-		t.Errorf("outcome counters: %+v", st)
+	if ok, degraded, errored, inFlight := st.ok.Value(), st.degraded.Value(), st.errored.Value(), st.inFlight.Value(); ok != total || degraded != 0 || errored != 0 || inFlight != 0 {
+		t.Errorf("outcome counters: ok %d, degraded %d, errors %d, in flight %d; want %d, 0, 0, 0", ok, degraded, errored, inFlight, total)
 	}
 
 	// Afterwards every key answers from cache.
@@ -137,7 +139,7 @@ func TestLoadEviction(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	if st := s.Stats(); st.CacheEntries > capacity {
-		t.Errorf("cache grew to %d entries, capacity %d", st.CacheEntries, capacity)
+	if n := s.stats.cacheEntries.Value(); n > capacity {
+		t.Errorf("cache grew to %d entries, capacity %d", n, capacity)
 	}
 }

@@ -149,8 +149,8 @@ func TestReplyBytesMatchEncoding(t *testing.T) {
 		t.Fatal("restarted reply was not a store hit")
 	}
 	checkBase(t, s2, keyOf(t, s2, req))
-	if st := s2.Stats(); st.StoreHits != 1 || st.Computes != 0 {
-		t.Fatalf("restarted service: %d store hits, %d computes; want 1, 0", st.StoreHits, st.Computes)
+	if hits, computes := s2.stats.storeHits.Value(), s2.stats.computes.Value(); hits != 1 || computes != 0 {
+		t.Fatalf("restarted service: %d store hits, %d computes; want 1, 0", hits, computes)
 	}
 
 	// Forwarded: a single and a sub-batch answered by peers of the front.
@@ -182,7 +182,7 @@ func TestReplyBytesMatchEncoding(t *testing.T) {
 	for i := range fb.Patterns {
 		checkBase(t, front, keyOf(t, front, fb.itemRequest(i)))
 	}
-	if front.Stats().Computes != 0 {
+	if front.stats.computes.Value() != 0 {
 		t.Error("the front computed peer-owned keys itself")
 	}
 }
@@ -219,8 +219,8 @@ func TestOldOrderStoreRecordMisses(t *testing.T) {
 	if r := checkReply[Response](t, ctx, s.Handler(), req); r.Cached || r.Degraded {
 		t.Fatalf("reply over an old-order record: cached=%v degraded=%v, want computed", r.Cached, r.Degraded)
 	}
-	if stats := s.Stats(); stats.StoreHits != 0 || stats.StoreMisses != 1 || stats.Computes != 1 {
-		t.Fatalf("%d store hits, %d store misses, %d computes; want 0, 1, 1", stats.StoreHits, stats.StoreMisses, stats.Computes)
+	if hits, misses, computes := s.stats.storeHits.Value(), s.stats.storeMisses.Value(), s.stats.computes.Value(); hits != 0 || misses != 1 || computes != 1 {
+		t.Fatalf("%d store hits, %d store misses, %d computes; want 0, 1, 1", hits, misses, computes)
 	}
 	checkBase(t, s, key) // the record is now the kept encoding
 }
@@ -360,7 +360,7 @@ func TestWarmHitAllocsIndependentOfProcs(t *testing.T) {
 			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/map", bytes.NewReader(body)))
 		}
 		hit() // computes
-		if st := s.Stats(); st.OK != st.Requests {
+		if s.stats.ok.Value() != s.stats.requests.Value() {
 			t.Fatalf("%+v: request failed", topo)
 		}
 		return testing.AllocsPerRun(50, hit)
@@ -372,7 +372,7 @@ func TestWarmHitAllocsIndependentOfProcs(t *testing.T) {
 	if gpc > p64 {
 		t.Errorf("warm hit: %.1f allocations on GPC, %.1f on 64 cores; want no more on GPC", gpc, p64)
 	}
-	if hits := s.Stats().CacheHits; hits < 100 {
+	if hits := s.stats.cacheHits.Value(); hits < 100 {
 		t.Errorf("%d cache hits, want every measured request a hit", hits)
 	}
 }

@@ -40,7 +40,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/memo"
-	"repro/internal/metrics"
 	"repro/internal/patterns"
 	"repro/internal/sched"
 	"repro/internal/scotch"
@@ -141,16 +140,9 @@ func New(cfg Config) *Service {
 	return s
 }
 
-// Registry returns the service's private metrics registry, for merging into
-// an exposition endpoint alongside the process default registry.
-func (s *Service) Registry() *metrics.Registry { return s.stats.reg }
-
 // Close drains the worker pool. In-flight computations finish; subsequent
 // Compute calls panic.
 func (s *Service) Close() { s.pool.close() }
-
-// Stats returns a snapshot of the service counters.
-func (s *Service) Stats() Stats { return s.stats.snapshot() }
 
 // Compute answers one mapping request: a batch of one. The error return is
 // reserved for invalid requests and internal failures; deadline pressure

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -90,9 +92,8 @@ func TestComputeCacheHit(t *testing.T) {
 			t.Fatalf("cached mapping differs at %d", i)
 		}
 	}
-	st := s.Stats()
-	if st.Computes != 1 || st.CacheHits != 1 || st.CacheMisses != 1 {
-		t.Errorf("stats computes=%d hits=%d misses=%d, want 1/1/1", st.Computes, st.CacheHits, st.CacheMisses)
+	if computes, hits, misses := s.stats.computes.Value(), s.stats.cacheHits.Value(), s.stats.cacheMisses.Value(); computes != 1 || hits != 1 || misses != 1 {
+		t.Errorf("stats computes=%d hits=%d misses=%d, want 1/1/1", computes, hits, misses)
 	}
 }
 
@@ -120,8 +121,8 @@ func TestCacheKeyCanonical(t *testing.T) {
 			t.Errorf("variant %d missed the cache; canonicalisation broken", i)
 		}
 	}
-	if st := s.Stats(); st.Computes != 1 {
-		t.Errorf("computes = %d, want 1 across canonical variants", st.Computes)
+	if n := s.stats.computes.Value(); n != 1 {
+		t.Errorf("computes = %d, want 1 across canonical variants", n)
 	}
 }
 
@@ -265,8 +266,7 @@ func TestComputeDeadlineDegrades(t *testing.T) {
 	}); err != nil || resp2.Degraded {
 		t.Errorf("later healthy request: resp=%+v err=%v", resp2, err)
 	}
-	st := s.Stats()
-	if st.Degraded == 0 {
+	if s.stats.degraded.Value() == 0 {
 		t.Error("stats did not count the degraded request")
 	}
 }
@@ -395,8 +395,8 @@ func TestCompileRejects(t *testing.T) {
 			t.Errorf("bad request %d accepted", i)
 		}
 	}
-	if st := s.Stats(); st.Errors != uint64(len(bad)) {
-		t.Errorf("stats errors = %d, want %d", st.Errors, len(bad))
+	if n := s.stats.errored.Value(); n != uint64(len(bad)) {
+		t.Errorf("stats errors = %d, want %d", n, len(bad))
 	}
 }
 
@@ -434,7 +434,7 @@ func TestHTTPHandler(t *testing.T) {
 		}
 	}
 
-	// GET on /map is rejected; stats and health respond.
+	// GET on /map is rejected; metrics and health respond.
 	res, err = http.Get(srv.URL + "/map")
 	if err != nil {
 		t.Fatalf("GET /map: %v", err)
@@ -444,17 +444,21 @@ func TestHTTPHandler(t *testing.T) {
 		t.Errorf("GET /map status %d, want 405", res.StatusCode)
 	}
 
-	res, err = http.Get(srv.URL + "/stats")
+	res, err = http.Get(srv.URL + "/metrics")
 	if err != nil {
-		t.Fatalf("GET /stats: %v", err)
+		t.Fatalf("GET /metrics: %v", err)
 	}
-	var st Stats
-	if err := json.NewDecoder(res.Body).Decode(&st); err != nil {
-		t.Fatalf("decode stats: %v", err)
-	}
+	exposition, err := io.ReadAll(res.Body)
 	res.Body.Close()
-	if st.Requests < 1 || st.OK < 1 {
-		t.Errorf("stats did not count the traffic: %+v", st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The two bodies that fail to decode never become requests; the one
+	// without a topology is a request that errors.
+	for _, line := range []string{"mapd_requests_total 2", `mapd_responses_total{outcome="ok"} 1`, `mapd_responses_total{outcome="error"} 1`} {
+		if !strings.Contains("\n"+string(exposition), "\n"+line+"\n") {
+			t.Errorf("/metrics did not count the traffic: no line %q", line)
+		}
 	}
 
 	res, err = http.Get(srv.URL + "/healthz")

@@ -121,40 +121,6 @@ func newStatsCollector() *statsCollector {
 	return s
 }
 
-// Stats is a point-in-time snapshot of the service counters, shaped for the
-// /stats endpoint. The field set and JSON names predate the metrics registry
-// and are kept byte-compatible.
-type Stats struct {
-	Requests uint64 `json:"requests"`
-	OK       uint64 `json:"ok"`
-	Degraded uint64 `json:"degraded"`
-	Errors   uint64 `json:"errors"`
-	InFlight int64  `json:"in_flight"`
-
-	CacheHits    uint64  `json:"cache_hits"`
-	CacheMisses  uint64  `json:"cache_misses"`
-	FlightShared uint64  `json:"flight_shared"` // misses that joined an in-flight computation
-	Computes     uint64  `json:"computes"`      // actual mapping computations performed
-	CacheEntries int     `json:"cache_entries"`
-	HitRatio     float64 `json:"cache_hit_ratio"` // (hits + shared) / requests
-
-	CacheBytes  int64  `json:"cache_bytes"`
-	StoreHits   uint64 `json:"store_hits"`
-	StoreMisses uint64 `json:"store_misses"`
-	Batches     uint64 `json:"batches"`
-	Forwards    uint64 `json:"forwards"`
-	Shed        uint64 `json:"shed"`
-
-	// The topology-context table: one lookup per request or batch.
-	ContextHits      uint64 `json:"topo_context_hits"`
-	ContextMisses    uint64 `json:"topo_context_misses"`
-	ContextEvictions uint64 `json:"topo_context_evictions"`
-	Contexts         int64  `json:"topo_contexts"`
-
-	P50Micros int64 `json:"p50_us"`
-	P99Micros int64 `json:"p99_us"`
-}
-
 func (s *statsCollector) begin() {
 	s.requests.Inc()
 	s.inFlight.Inc()
@@ -193,42 +159,4 @@ func (s *statsCollector) forwarded(start time.Time, err error) {
 		s.forwardsOK.Inc()
 	}
 	s.forwardSecs.Observe(time.Since(start).Seconds())
-}
-
-// snapshot assembles the exported view from the registry instruments. The
-// percentiles interpolate within the latency histogram's exponential buckets
-// instead of sorting a sample window, so snapshots are O(buckets) and the
-// request path stays allocation-free.
-func (s *statsCollector) snapshot() Stats {
-	out := Stats{
-		Requests:     s.requests.Value(),
-		OK:           s.ok.Value(),
-		Degraded:     s.degraded.Value(),
-		Errors:       s.errored.Value(),
-		InFlight:     s.inFlight.Value(),
-		CacheHits:    s.cacheHits.Value(),
-		CacheMisses:  s.cacheMisses.Value(),
-		FlightShared: s.flightShared.Value(),
-		Computes:     s.computes.Value(),
-		CacheEntries: int(s.cacheEntries.Value()),
-		CacheBytes:   s.cacheBytes.Value(),
-		StoreHits:    s.storeHits.Value(),
-		StoreMisses:  s.storeMisses.Value(),
-		Batches:      s.batches.Value(),
-		Forwards:     s.forwardsOK.Value() + s.forwardsErr.Value(),
-		Shed:         s.shed.Value(),
-
-		ContextHits:      s.contextHits.Value(),
-		ContextMisses:    s.contextMisses.Value(),
-		ContextEvictions: s.contextEvictions.Value(),
-		Contexts:         s.contexts.Value(),
-	}
-	if out.Requests > 0 {
-		out.HitRatio = float64(out.CacheHits+out.FlightShared) / float64(out.Requests)
-	}
-	if s.latency.Count() > 0 {
-		out.P50Micros = int64(s.latency.Quantile(0.50) * 1e6)
-		out.P99Micros = int64(s.latency.Quantile(0.99) * 1e6)
-	}
-	return out
 }

@@ -72,7 +72,8 @@ func TestReadyzSheds(t *testing.T) {
 
 // TestNoRuntimeSurface: mapd runs no collective and holds no synth table, so
 // its handler serves no flight ring, calibration report or synth table, and
-// /metrics carries no runtime family.
+// /metrics carries no runtime family. /metrics is its only counter view:
+// there is no /stats.
 func TestNoRuntimeSurface(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
@@ -80,6 +81,7 @@ func TestNoRuntimeSurface(t *testing.T) {
 	defer srv.Close()
 
 	for _, probe := range []struct{ method, path string }{
+		{http.MethodGet, "/stats"},
 		{http.MethodGet, "/debug/flight"},
 		{http.MethodGet, "/calibration"},
 		{http.MethodGet, "/synth/table"},

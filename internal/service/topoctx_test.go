@@ -186,13 +186,13 @@ func TestContextBuiltOnce(t *testing.T) {
 	if got := runs.Value() - before; got != 1 {
 		t.Errorf("rdmh ran %d times for %d requests on one context, want once", got, workers)
 	}
-	st := s.Stats()
+	st := s.stats
 	// Each worker looked the context up twice: for its request and to inspect it.
-	if st.ContextMisses != 1 || st.ContextHits != 2*workers-1 || st.Contexts != 1 {
-		t.Errorf("context misses %d, hits %d, held %d; want 1, %d, 1", st.ContextMisses, st.ContextHits, st.Contexts, 2*workers-1)
+	if misses, hits, held := st.contextMisses.Value(), st.contextHits.Value(), st.contexts.Value(); misses != 1 || hits != 2*workers-1 || held != 1 {
+		t.Errorf("context misses %d, hits %d, held %d; want 1, %d, 1", misses, hits, held, 2*workers-1)
 	}
-	if st.Computes != workers || st.CacheHits != 0 || st.FlightShared != 0 {
-		t.Errorf("computes %d, cache hits %d, flight shared %d; want %d distinct computations", st.Computes, st.CacheHits, st.FlightShared, workers)
+	if computes, hits, shared := st.computes.Value(), st.cacheHits.Value(), st.flightShared.Value(); computes != workers || hits != 0 || shared != 0 {
+		t.Errorf("computes %d, cache hits %d, flight shared %d; want %d distinct computations", computes, hits, shared, workers)
 	}
 	for g := 1; g < workers; g++ {
 		if oracles[g] != oracles[0] {
@@ -238,9 +238,9 @@ func TestContextTableBounded(t *testing.T) {
 			t.Fatalf("nodes=%d: table holds %d contexts in %d slots, bound %d", nodes, held, held+slots, maxContexts)
 		}
 	}
-	st := s.Stats()
-	if st.Contexts != maxContexts || st.ContextEvictions != extra || st.ContextMisses != maxContexts+extra {
-		t.Errorf("held %d, evictions %d, misses %d; want %d, %d, %d", st.Contexts, st.ContextEvictions, st.ContextMisses, maxContexts, extra, maxContexts+extra)
+	contexts, evictions, misses := s.stats.contexts.Value(), s.stats.contextEvictions.Value(), s.stats.contextMisses.Value()
+	if contexts != maxContexts || evictions != extra || misses != maxContexts+extra {
+		t.Errorf("held %d, evictions %d, misses %d; want %d, %d, %d", contexts, evictions, misses, maxContexts, extra, maxContexts+extra)
 	}
 
 	// The oldest context is gone; rebuilt, it answers as it did.
@@ -248,8 +248,8 @@ func TestContextTableBounded(t *testing.T) {
 	if err != nil || again.Cached {
 		t.Fatalf("rebuilt context: resp=%+v err=%v", again, err)
 	}
-	if got := s.Stats().ContextMisses; got != st.ContextMisses+1 {
-		t.Errorf("context misses %d -> %d: the first context was still held", st.ContextMisses, got)
+	if got := s.stats.contextMisses.Value(); got != misses+1 {
+		t.Errorf("context misses %d -> %d: the first context was still held", misses, got)
 	}
 	if got, want := bodyOf(t, again), bodyOf(t, first); got != want {
 		t.Errorf("evicted-then-rebuilt context answers differently:\n got %s\nwant %s", got, want)
@@ -289,14 +289,14 @@ func TestContextTableBounded(t *testing.T) {
 			t.Fatalf("after an over-ceiling context the table holds %d contexts, %d slots, %d bytes; want the small one alone", held, held+slots, small.contexts.Bytes())
 		}
 	}
-	if st := small.Stats(); st.ContextMisses != 3 || st.ContextEvictions != 2 {
-		t.Errorf("misses %d, evictions %d; want the over-ceiling context built and dropped twice", st.ContextMisses, st.ContextEvictions)
+	if misses, evictions := small.stats.contextMisses.Value(), small.stats.contextEvictions.Value(); misses != 3 || evictions != 2 {
+		t.Errorf("misses %d, evictions %d; want the over-ceiling context built and dropped twice", misses, evictions)
 	}
 	if _, err := small.Compute(ctx, request(4)); err != nil {
 		t.Fatal(err)
 	}
-	if st := small.Stats(); st.ContextHits != 1 {
-		t.Errorf("context hits %d: the small context did not survive the large one's passage", st.ContextHits)
+	if hits := small.stats.contextHits.Value(); hits != 1 {
+		t.Errorf("context hits %d: the small context did not survive the large one's passage", hits)
 	}
 }
 
